@@ -22,12 +22,12 @@
 
 use crate::common::{
     assemble_delta, dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records,
-    point_snapshot, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
+    point_snapshot, use_indexed, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
     PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
-use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
+use dp_core::dp::{denser, density_order, DpResult, NO_UPSLOPE};
 use dp_core::{
     for_each_cross_d2, for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId,
     SpatialIndex,
@@ -157,17 +157,13 @@ impl Reducer for RhoBlockReducer {
         let dc2 = self.dc * self.dc;
         let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
         let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
-        if self.kernel.use_indexed(own.len()) && !own.is_empty() {
+        if use_indexed(self.kernel, own.len(), &[&own_flat]) {
             // Indexed kernel: a spatial index over the anchor block answers
-            // both the diagonal ball counts (self-match subtracted) and the
-            // partner cross counts, pruning far subtrees/cells.
+            // both the diagonal ball counts (one self-join) and the partner
+            // cross counts, pruning far subtrees/cells.
             let index = SpatialIndex::build(&own_flat, dim, self.dc);
-            let mut evals = 0u64;
-            for i in 0..own.len() {
-                let (count, e) = index.range_count_d2(&own_flat[i * dim..][..dim], dc2);
-                evals += e;
-                own_rho[i] = count.saturating_sub(1);
-            }
+            let mut evals;
+            (own_rho, evals) = index.self_join_d2(dc2);
             evals += index.cross_range_count_d2(&partner_flat, dc2, |q, i, _| {
                 own_rho[i as usize] += 1;
                 partner_rho[q as usize] += 1;
@@ -262,13 +258,13 @@ impl DeltaBlockReducer {
         own: &[BlockedPoint],
         partners: &[BlockedPoint],
         own_flat: &[f64],
+        partner_flat: &[f64],
         dim: usize,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
         let own_index = SpatialIndex::build(own_flat, dim, self.dc);
-        let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
         let partner_index =
-            (!partners.is_empty()).then(|| SpatialIndex::build(&partner_flat, dim, self.dc));
+            (!partners.is_empty()).then(|| SpatialIndex::build(partner_flat, dim, self.dc));
         let mut evals = 0u64;
         // Descending canonical density order over the anchor block: each
         // own point past the first is seeded with its predecessor, a
@@ -276,11 +272,7 @@ impl DeltaBlockReducer {
         let mut order: Vec<u32> = (0..own.len() as u32).collect();
         order.sort_by(|&a, &b| {
             let (ia, ib) = (own[a as usize].1, own[b as usize].1);
-            if denser(self.rho[ia as usize], ia, self.rho[ib as usize], ib) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
+            density_order(self.rho[ia as usize], ia, self.rho[ib as usize], ib)
         });
         for (pos, &oi) in order.iter().enumerate() {
             let id = own[oi as usize].1;
@@ -366,8 +358,9 @@ impl Reducer for DeltaBlockReducer {
         let fresh = || (f64::INFINITY, NO_UPSLOPE, 0.0f64);
         let mut own_part: Vec<DeltaPartial> = vec![fresh(); own.len()];
         let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
-        if self.kernel.use_indexed(own.len()) && !own.is_empty() {
-            self.reduce_indexed(&own, &partners, &own_flat, dim, out);
+        let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
+        if use_indexed(self.kernel, own.len(), &[&own_flat, &partner_flat]) {
+            self.reduce_indexed(&own, &partners, &own_flat, &partner_flat, dim, out);
             return;
         }
         for_each_pair_d2(&own_flat, dim, |i, j, d2| {
@@ -380,7 +373,6 @@ impl Reducer for DeltaBlockReducer {
         });
         self.tracker
             .add((own.len() * own.len().saturating_sub(1) / 2) as u64);
-        let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
         let mut partner_part: Vec<DeltaPartial> = vec![fresh(); partners.len()];
         for_each_cross_d2(&partner_flat, &own_flat, dim, |q, i, d2| {
             let d = d2.sqrt();

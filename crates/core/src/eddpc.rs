@@ -27,11 +27,11 @@
 
 use crate::common::{
     assemble_delta, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    use_indexed, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
-use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
+use dp_core::dp::{denser, density_order, DpResult, NO_UPSLOPE};
 use dp_core::{
     for_each_cross_d2, for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId,
     SpatialIndex,
@@ -207,7 +207,7 @@ impl Reducer for RhoVoronoiReducer {
         let (owner_flat, _) = flatten_coords(owner_idx.iter().map(|&i| points[i].1.as_slice()));
         let dc2 = self.dc * self.dc;
         let mut rho = vec![0u32; owner_idx.len()];
-        if self.kernel.use_indexed(points.len()) {
+        if use_indexed(self.kernel, points.len(), &[&all_flat]) {
             // Indexed kernel: ball counts over the whole cell; the owner's
             // self-match (its unique id in the cell, at distance zero) is
             // subtracted back out.
@@ -278,7 +278,7 @@ impl Reducer for DeltaRound1Reducer {
         debug_assert_euclidean(&self.tracker);
         let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); points.len()];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
-        if self.kernel.use_indexed(points.len()) && !points.is_empty() {
+        if use_indexed(self.kernel, points.len(), &[&flat]) {
             // Indexed kernel: nearest-denser searches seeded by the
             // descending canonical density order (the fast.rs scan). The
             // `maxd` slot is only consumed downstream when every partial
@@ -289,11 +289,7 @@ impl Reducer for DeltaRound1Reducer {
             let mut order: Vec<u32> = (0..points.len() as u32).collect();
             order.sort_by(|&a, &b| {
                 let (ia, ib) = (points[a as usize].0, points[b as usize].0);
-                if denser(self.rho[ia as usize], ia, self.rho[ib as usize], ib) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                }
+                density_order(self.rho[ia as usize], ia, self.rho[ib as usize], ib)
             });
             for (pos, &oi) in order.iter().enumerate() {
                 let id = points[oi as usize].0;
@@ -424,7 +420,7 @@ impl Reducer for DeltaRound2Reducer {
         let (visitor_flat, dim) = flatten_coords(visitors.iter().map(|(_, c, _, _)| c.as_slice()));
         let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _, _)| c.as_slice()));
         let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); visitors.len()];
-        if self.kernel.use_indexed(owners.len()) && !owners.is_empty() {
+        if use_indexed(self.kernel, owners.len(), &[&owner_flat]) {
             // Indexed kernel: each visitor finishes its search over the
             // cell owners, capped at its round-1 upper bound. As in round
             // 1, the exact farthest distance is only computed when the

@@ -19,7 +19,8 @@
 //! always a **subset** of the exact one (property-tested).
 
 use crate::common::{
-    debug_assert_euclidean, flatten_coords, point_snapshot, PipelineConfig, PointRecord,
+    debug_assert_euclidean, flatten_coords, point_snapshot, use_indexed, PipelineConfig,
+    PointRecord,
 };
 use crate::lsh_ddp::LshDdpConfig;
 use dp_core::decision::Clustering;
@@ -75,7 +76,7 @@ impl Reducer for BorderReducer {
         let mut border = vec![0u32; k_clusters];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let dc2 = self.dc * self.dc;
-        if self.kernel.use_indexed(points.len()) && !points.is_empty() {
+        if use_indexed(self.kernel, points.len(), &[&flat]) {
             // Indexed kernel: per-point ball queries replace the all-pairs
             // sweep. Each cross-cluster pair is visited from both endpoints;
             // the max update is idempotent, so the duplicate is harmless.

@@ -21,10 +21,10 @@
 
 use crate::common::{
     dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    IdentityMapper, PipelineConfig, PointRecord,
+    use_indexed, IdentityMapper, PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
-use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
+use dp_core::dp::{denser, density_order, DpResult, NO_UPSLOPE};
 use dp_core::{for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId, SpatialIndex};
 use lsh::tuning::TuningError;
 use lsh::{LshParams, MultiLsh, Signature};
@@ -128,7 +128,7 @@ impl Mapper for LshPartitionMapper {
 
 /// Reducer of job 1: local density within one partition, processed in
 /// memory-bounded chunks when a `partition_cap` is set. Per chunk, either
-/// the blocked all-pairs kernel or a pruned spatial-index range count —
+/// the blocked all-pairs kernel or a pruned spatial-index self-join —
 /// the results are bit-identical; only the distance-eval count differs.
 struct LocalRhoReducer {
     dc: f64,
@@ -148,30 +148,27 @@ impl Reducer for LocalRhoReducer {
         let dc2 = self.dc * self.dc;
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            if self.kernel.use_indexed(chunk.len()) {
-                // rho as a ball count at d_c: the index counts the query
-                // point itself (d² = 0 < d_c²), so subtract it back out.
-                let index = SpatialIndex::build(&flat, dim, self.dc);
-                let mut evals = 0u64;
-                for (i, (id, _)) in chunk.iter().enumerate() {
-                    let (count, e) = index.range_count_d2(&flat[i * dim..][..dim], dc2);
-                    evals += e;
-                    out.emit(*id, count.saturating_sub(1));
-                }
+            let rho = if use_indexed(self.kernel, chunk.len(), &[&flat]) {
+                // rho as ball counts at d_c, for the whole chunk from one
+                // traversal of the index.
+                let (rho, evals) = SpatialIndex::build(&flat, dim, self.dc).self_join_d2(dc2);
                 self.tracker.add(evals);
-                continue;
-            }
-            let mut rho = vec![0u32; chunk.len()];
-            // Same strict `d² < d_c²` predicate as `DistanceTracker::within`,
-            // batched through the blocked kernel.
-            for_each_pair_d2(&flat, dim, |i, j, d2| {
-                if d2 < dc2 {
-                    rho[i] += 1;
-                    rho[j] += 1;
-                }
-            });
-            self.tracker
-                .add((chunk.len() * chunk.len().saturating_sub(1) / 2) as u64);
+                rho
+            } else {
+                let mut rho = vec![0u32; chunk.len()];
+                // Same strict `d² < d_c²` predicate as
+                // `DistanceTracker::within`, batched through the blocked
+                // kernel.
+                for_each_pair_d2(&flat, dim, |i, j, d2| {
+                    if d2 < dc2 {
+                        rho[i] += 1;
+                        rho[j] += 1;
+                    }
+                });
+                self.tracker
+                    .add((chunk.len() * chunk.len().saturating_sub(1) / 2) as u64);
+                rho
+            };
             for ((id, _), r) in chunk.iter().zip(rho) {
                 out.emit(*id, r);
             }
@@ -247,7 +244,7 @@ impl Reducer for LocalDeltaReducer {
         debug_assert_euclidean(&self.tracker);
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            if self.kernel.use_indexed(chunk.len()) {
+            if use_indexed(self.kernel, chunk.len(), &[&flat]) {
                 let index = SpatialIndex::build(&flat, dim, self.dc);
                 let mut evals = 0u64;
                 // Descending canonical density order (the fast.rs scan):
@@ -258,11 +255,7 @@ impl Reducer for LocalDeltaReducer {
                 let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
                 order.sort_by(|&a, &b| {
                     let (pa, pb) = (chunk[a as usize].0, chunk[b as usize].0);
-                    if denser(self.rho[pa as usize], pa, self.rho[pb as usize], pb) {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
+                    density_order(self.rho[pa as usize], pa, self.rho[pb as usize], pb)
                 });
                 for (pos, &i) in order.iter().enumerate() {
                     let (id, _) = chunk[i as usize];

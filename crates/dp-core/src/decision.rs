@@ -8,7 +8,7 @@
 //! automatic criterion ([`select_top_k`] by the normalized product
 //! `gamma = rho * delta`).
 
-use crate::dp::{denser, DpResult, NO_UPSLOPE};
+use crate::dp::{density_order, DpResult, NO_UPSLOPE};
 use crate::point::PointId;
 use serde::{Deserialize, Serialize};
 
@@ -194,7 +194,7 @@ impl Clustering {
 /// selected `peaks` (paper §III-A Step 3, Figure 1d).
 ///
 /// Points are visited in descending density order (the canonical
-/// [`denser`] order), so each point's upslope has already been labeled.
+/// [`density_order`]), so each point's upslope has already been labeled.
 /// A point whose upslope is [`NO_UPSLOPE`] (the absolute peak, or an
 /// approximate result's stranded candidates) that was *not* selected as a
 /// peak is attached to the nearest-by-id selected peak's cluster via the
@@ -215,13 +215,7 @@ pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
 
     // Descending canonical density order.
     let mut order: Vec<PointId> = (0..n as PointId).collect();
-    order.sort_by(|&a, &b| {
-        if denser(result.rho[a as usize], a, result.rho[b as usize], b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
+    order.sort_by(|&a, &b| density_order(result.rho[a as usize], a, result.rho[b as usize], b));
 
     let mut labels = vec![u32::MAX; n];
     for &i in &order {

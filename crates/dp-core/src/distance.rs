@@ -77,14 +77,63 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
+/// Lane count of [`accumulate_tile_d2`]: one lane per target, so one lane
+/// per *pair*. Sixteen `f64` accumulators are eight 128-bit registers —
+/// what the baseline x86-64 target has to spare beside the operands.
+pub(crate) const LANES: usize = 16;
+
+/// Dimensions [`squared_euclidean_block`] transposes per pass (a fixed
+/// 8 KiB stack tile; wider points take several passes over the same
+/// accumulators).
+const TILE_DIMS: usize = 64;
+
+/// Transposes up to [`LANES`] row-major `dim`-dimensional points to
+/// dimension-major: `cols[d][lane] = rows[lane * dim + d0 + d]` for
+/// `d < cols.len()`. Lanes past the last row are zeroed — padding, whose
+/// results callers never read.
+#[inline]
+pub(crate) fn transpose_tile(rows: &[f64], dim: usize, d0: usize, cols: &mut [[f64; LANES]]) {
+    debug_assert!(rows.len() <= LANES * dim && d0 + cols.len() <= dim);
+    for (d, col) in cols.iter_mut().enumerate() {
+        *col = [0.0; LANES];
+        for (c, row) in col.iter_mut().zip(rows.chunks_exact(dim)) {
+            *c = row[d0 + d];
+        }
+    }
+}
+
+/// The tile primitive: one query against [`LANES`] targets held
+/// dimension-major, `acc[lane] += (q[d] - cols[d][lane])²` for each `d` in
+/// order.
+///
+/// Every lane is its own pair and accumulates its terms in dimension
+/// order from whatever `acc` held — starting from `0.0` that is exactly
+/// [`squared_euclidean`]'s sequence of roundings, so each lane equals the
+/// scalar result bit for bit, and a wide point may be fed in consecutive
+/// dimension ranges. Lanes never mix, so the fixed-width inner loop
+/// vectorises without reassociating anything.
+#[inline]
+pub(crate) fn accumulate_tile_d2(q: &[f64], cols: &[[f64; LANES]], acc: &mut [f64; LANES]) {
+    debug_assert_eq!(q.len(), cols.len());
+    let mut a = *acc;
+    for (&x, col) in q.iter().zip(cols) {
+        for (a, &c) in a.iter_mut().zip(col) {
+            let t = x - c;
+            *a += t * t;
+        }
+    }
+    *acc = a;
+}
+
 /// Fills `out` with the squared Euclidean distances between every query
 /// and every target: `out[q * n_targets + t] = d²(queries[q], targets[t])`.
 ///
 /// Both point blocks are flat row-major `dim`-dimensional coordinates, the
-/// layout [`crate::Dataset`] stores. Processing a block of queries at once
-/// amortizes the target sweep across queries (the serving runtime's
-/// micro-batches feed this), and the tiled inner loops keep the target
-/// block hot in cache.
+/// layout [`crate::Dataset`] stores. Targets are taken [`LANES`] at a time,
+/// transposed once into a stack tile and swept by every query through
+/// [`accumulate_tile_d2`], so the stripe stays hot in cache across the
+/// batch (the serving runtime's micro-batches feed this) and each entry is
+/// bit-identical to [`squared_euclidean`].
 ///
 /// # Panics
 /// Panics if `dim` is zero or either block's length is not a multiple of
@@ -106,15 +155,22 @@ pub fn squared_euclidean_block(queries: &[f64], targets: &[f64], dim: usize, out
     out.clear();
     out.resize(nq * nt, 0.0);
 
-    // Tile over targets so one stripe of the target block is reused by
-    // every query in the batch before being evicted.
-    const TILE: usize = 64;
-    for t0 in (0..nt).step_by(TILE) {
-        let t1 = (t0 + TILE).min(nt);
-        for (q, qp) in queries.chunks_exact(dim).enumerate() {
-            let row = &mut out[q * nt..(q + 1) * nt];
-            for (t, tp) in targets[t0 * dim..t1 * dim].chunks_exact(dim).enumerate() {
-                row[t0 + t] = squared_euclidean(qp, tp);
+    let mut tile = [[0.0; LANES]; TILE_DIMS];
+    for t0 in (0..nt).step_by(LANES) {
+        let m = (nt - t0).min(LANES);
+        let stripe = &targets[t0 * dim..(t0 + m) * dim];
+        for d0 in (0..dim).step_by(TILE_DIMS) {
+            let d1 = (d0 + TILE_DIMS).min(dim);
+            let cols = &mut tile[..d1 - d0];
+            transpose_tile(stripe, dim, d0, cols);
+            // The output row carries each lane's accumulator between
+            // dimension passes.
+            for (q, qp) in queries.chunks_exact(dim).enumerate() {
+                let row = &mut out[q * nt + t0..][..m];
+                let mut acc = [0.0; LANES];
+                acc[..m].copy_from_slice(row);
+                accumulate_tile_d2(&qp[d0..d1], cols, &mut acc);
+                row.copy_from_slice(&acc[..m]);
             }
         }
     }
@@ -402,7 +458,7 @@ mod tests {
 
     #[test]
     fn block_kernel_tiles_past_the_stripe_width() {
-        // More targets than one 64-wide tile, so the tiling loop wraps.
+        // More targets than one LANES-wide stripe, so the tiling loop wraps.
         let dim = 3;
         let targets: Vec<f64> = (0..150 * dim).map(|i| (i % 17) as f64 * 0.25).collect();
         let queries: Vec<f64> = (0..4 * dim).map(|i| i as f64).collect();
@@ -411,6 +467,61 @@ mod tests {
         for (q, qp) in queries.chunks_exact(dim).enumerate() {
             for (t, tp) in targets.chunks_exact(dim).enumerate() {
                 assert_eq!(out[q * 150 + t], squared_euclidean(qp, tp));
+            }
+        }
+    }
+
+    /// Awkward but finite values: mixed signs and magnitudes, so a changed
+    /// accumulation order shows up in the low bits.
+    fn wobble(i: usize) -> f64 {
+        let x = ((i * 2_654_435_761) % 10_007) as f64 / 97.0 - 51.0;
+        x * [1.0, 1e-3, 1e3, -0.37][i % 4]
+    }
+
+    #[test]
+    fn every_tile_lane_equals_the_scalar_distance_bitwise() {
+        for dim in 1..=80 {
+            let q: Vec<f64> = (0..dim).map(|d| wobble(d + 7 * dim)).collect();
+            for m in [1, 5, LANES - 1, LANES] {
+                let rows: Vec<f64> = (0..m * dim).map(|i| wobble(i + dim)).collect();
+                let mut cols = vec![[f64::NAN; LANES]; dim];
+                transpose_tile(&rows, dim, 0, &mut cols);
+                let mut acc = [0.0; LANES];
+                accumulate_tile_d2(&q, &cols, &mut acc);
+                for (lane, row) in rows.chunks_exact(dim).enumerate() {
+                    let want = squared_euclidean(&q, row);
+                    assert_eq!(acc[lane].to_bits(), want.to_bits(), "dim={dim} lane={lane}");
+                }
+                // Fed in two dimension ranges, each lane continues its sum.
+                let cut = dim / 2;
+                let mut split = [0.0; LANES];
+                accumulate_tile_d2(&q[..cut], &cols[..cut], &mut split);
+                accumulate_tile_d2(&q[cut..], &cols[cut..], &mut split);
+                assert_eq!(acc.map(f64::to_bits), split.map(f64::to_bits), "dim={dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernel_is_bitwise_scalar_for_ragged_target_counts() {
+        // Target counts off the stripe width, dims on both sides of the
+        // 64-dimension pass.
+        for dim in [1, 3, 8, 63, 64, 65, 74, 80] {
+            for nt in [1, 15, 17, 33, 47] {
+                let targets: Vec<f64> = (0..nt * dim).map(wobble).collect();
+                let queries: Vec<f64> = (0..3 * dim).map(|i| wobble(i + 11)).collect();
+                let mut out = Vec::new();
+                squared_euclidean_block(&queries, &targets, dim, &mut out);
+                for (q, qp) in queries.chunks_exact(dim).enumerate() {
+                    for (t, tp) in targets.chunks_exact(dim).enumerate() {
+                        let want = squared_euclidean(qp, tp);
+                        assert_eq!(
+                            out[q * nt + t].to_bits(),
+                            want.to_bits(),
+                            "dim={dim} nt={nt}"
+                        );
+                    }
+                }
             }
         }
     }

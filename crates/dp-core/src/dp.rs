@@ -29,6 +29,16 @@ pub fn denser(rho_j: u32, j: PointId, rho_i: u32, i: PointId) -> bool {
     rho_j > rho_i || (rho_j == rho_i && j > i)
 }
 
+/// The total order behind [`denser`], densest first: `Less` iff `a` is
+/// denser than `b`, `Equal` only for a point against itself — what a
+/// "descending canonical density" sort must compare with (a comparator
+/// that never answers `Equal` is not a total order, and `sort_by` may
+/// panic on one).
+#[inline]
+pub fn density_order(rho_a: u32, a: PointId, rho_b: u32, b: PointId) -> std::cmp::Ordering {
+    (rho_b, b).cmp(&(rho_a, a))
+}
+
 /// Output of a Density Peaks computation: per-point `rho`, `delta`, and the
 /// upslope point id (Eq. 1–2 of the paper).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -188,6 +198,7 @@ pub fn compute_exact_tracked(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     /// Three points on a line at 0, 1, 10 with dc = 1.5:
     /// rho = [1, 1, 0]; densest (tie id-broken) is point 1.
@@ -246,6 +257,11 @@ mod tests {
                 a != b,
                 "denser must order every distinct pair exactly one way"
             );
+            // The sort comparator agrees with it and is antisymmetric.
+            let want = if a { Ordering::Less } else { Ordering::Greater };
+            assert_eq!(density_order(rj, j, ri, i), want);
+            assert_eq!(density_order(ri, i, rj, j), want.reverse());
+            assert_eq!(density_order(rj, j, rj, j), Ordering::Equal);
         }
     }
 

@@ -19,7 +19,7 @@
 //! savings are measurable (see `benches/distance_kernels.rs`).
 
 use crate::distance::DistanceTracker;
-use crate::dp::{denser, DpResult, NO_UPSLOPE};
+use crate::dp::{density_order, DpResult, NO_UPSLOPE};
 use crate::point::{Dataset, PointId};
 
 /// Pivot distance table for triangle-inequality bounds.
@@ -107,13 +107,7 @@ pub fn compute_exact_fast_tracked(
     // Descending canonical density order; position in this order is the
     // number of denser points.
     let mut order: Vec<PointId> = (0..n as PointId).collect();
-    order.sort_by(|&a, &b| {
-        if denser(rho[a as usize], a, rho[b as usize], b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
+    order.sort_by(|&a, &b| density_order(rho[a as usize], a, rho[b as usize], b));
 
     let mut delta = vec![0.0f64; n];
     let mut upslope = vec![NO_UPSLOPE; n];

@@ -5,9 +5,11 @@
 //! the same flat row-major buffer and answers the queries local DP
 //! actually needs, pruning whole regions by bounding-box distance:
 //!
-//! * [`SpatialIndex::range_count_d2`] — `rho` as a ball count at radius
-//!   `d_c`, counting whole subtrees whose box is entirely inside the ball
-//!   and skipping subtrees whose box cannot intersect it;
+//! * [`SpatialIndex::self_join_d2`] — `rho` for *every* indexed point from
+//!   one traversal that evaluates each unordered pair at most once;
+//! * [`SpatialIndex::range_count_d2`] — `rho` of one query as a ball count
+//!   at radius `d_c`, counting whole subtrees whose box is entirely inside
+//!   the ball and skipping subtrees whose box cannot intersect it;
 //! * [`SpatialIndex::cross_range_count_d2`] / [`SpatialIndex::for_each_within_d2`]
 //!   — halo/partner contributions (`basic`, `eddpc`, `halo`) and the
 //!   serve-side exact recount;
@@ -19,7 +21,11 @@
 //!
 //! Two representations back the same API: a kd-tree (any dimension) and a
 //! uniform-grid fast path for `dim <= 3` when the data span makes cells
-//! affordable. Selection is automatic at build time.
+//! affordable. Selection is automatic at build time. Either way the index
+//! keeps its own copy of the coordinates in *leaf order* (kd leaves / grid
+//! cells are contiguous row ranges), so scans stream memory instead of
+//! chasing a permutation; point indices are translated back to the
+//! caller's input order at the API edge.
 //!
 //! ## Bit-identity contract
 //!
@@ -28,9 +34,15 @@
 //! * Box bounds accumulate per-dimension terms in the same order as
 //!   [`squared_euclidean`], and every per-op rounding (subtract, square,
 //!   add, sqrt) is monotone, so the computed `lb2 <= d2 <= ub2` holds for
-//!   every point in a box *in floating point*, not just in the reals.
-//!   Pruning on `lb2 >= dc2` (or counting a whole subtree on `ub2 < dc2`)
-//!   therefore never flips a strict `d2 < dc2` test.
+//!   every point in a box *in floating point*, not just in the reals —
+//!   between a point and a box, and between two boxes. Pruning on
+//!   `lb2 >= dc2` (or counting wholesale on `ub2 < dc2`) therefore never
+//!   flips a strict `d2 < dc2` test.
+//! * Leaf tiles are evaluated with one lane per pair
+//!   ([`accumulate_tile_d2`]), each lane in [`squared_euclidean`]'s own
+//!   accumulation order.
+//! * All of the above assumes finite indexed coordinates: a box cannot
+//!   bound a NaN. Callers with hostile input keep the blocked kernels.
 //! * Nearest searches compare on exactly the value the blocked code
 //!   compares on (`d2.sqrt()` for the pipelines, raw `d2` for the serve
 //!   probe) and break ties toward the smaller candidate id; regions are
@@ -41,11 +53,12 @@
 //!   work-stealing parallel build is bit-identical across thread counts,
 //!   and every traversal visits candidates in a deterministic order.
 
-use crate::distance::squared_euclidean;
+use crate::distance::{accumulate_tile_d2, squared_euclidean, transpose_tile, LANES};
 use crate::point::PointId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Below this partition size, [`KernelStrategy::Auto`] keeps the blocked
 /// kernels: the index build cost is not worth amortizing, and tiny
@@ -119,12 +132,102 @@ impl std::fmt::Display for KernelStrategy {
 }
 
 // ---------------------------------------------------------------------
+// Box bounds
+// ---------------------------------------------------------------------
+
+/// `a` if `a > b`, else `b`: a single `maxsd`/`maxpd`, and `b` whenever
+/// the comparison is unordered.
+#[inline(always)]
+fn max_or(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// One dimension's gap between the intervals `[lo_a, hi_a]` and
+/// `[lo_b, hi_b]` — a point `x` is the interval `[x, x]`:
+/// `max(lo_b - hi_a, lo_a - hi_b, 0)`.
+///
+/// For a point this is, term for term, the branchy `if x < lo { lo - x }
+/// else if x > hi { x - hi } else { 0.0 }`: at most one difference is
+/// positive, and it is the one that form returns; otherwise `0.0` wins
+/// (also over a `-0.0` difference, and the term is squared next). A NaN
+/// difference loses its comparison exactly where the branchy comparison
+/// is false, so NaN coordinates contribute the same `0.0`.
+#[inline(always)]
+fn gap(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
+    max_or(lo_b - hi_a, max_or(lo_a - hi_b, 0.0))
+}
+
+/// One dimension's reach: the distance between the intervals' far ends.
+#[inline(always)]
+fn reach(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
+    (hi_a - lo_b).abs().max((hi_b - lo_a).abs())
+}
+
+/// Squared lower and upper bounds on the distance between any point of
+/// box `a` and any point of box `b` (`dim` minima then `dim` maxima), both
+/// in one pass and each accumulated per dimension in the same order as
+/// [`squared_euclidean`]. A query point passes itself as both `lo_a` and
+/// `hi_a`.
+#[inline]
+fn box_bounds2(lo_a: &[f64], hi_a: &[f64], b: &[f64]) -> (f64, f64) {
+    let (lo_b, hi_b) = b.split_at(lo_a.len());
+    let (mut lb2, mut ub2) = (0.0, 0.0);
+    for (((&la, &ha), &lb), &hb) in lo_a.iter().zip(hi_a).zip(lo_b).zip(hi_b) {
+        let g = gap(la, ha, lb, hb);
+        lb2 += g * g;
+        let r = reach(la, ha, lb, hb);
+        ub2 += r * r;
+    }
+    (lb2, ub2)
+}
+
+/// Squared lower bounds from `q` to two boxes — a node's two children —
+/// in one pass: two independent chains instead of two latency-bound ones.
+#[inline]
+fn point_lb2_pair(q: &[f64], bl: &[f64], br: &[f64]) -> (f64, f64) {
+    let (lo_l, hi_l) = bl.split_at(q.len());
+    let (lo_r, hi_r) = br.split_at(q.len());
+    let (mut l2, mut r2) = (0.0, 0.0);
+    for ((((&x, &ll), &hl), &lr), &hr) in q.iter().zip(lo_l).zip(hi_l).zip(lo_r).zip(hi_r) {
+        let gl = gap(x, x, ll, hl);
+        l2 += gl * gl;
+        let gr = gap(x, x, lr, hr);
+        r2 += gr * gr;
+    }
+    (l2, r2)
+}
+
+/// [`box_bounds2`] from each of a tile's [`LANES`] points to box `b`: the
+/// same terms in the same order, one independent chain per lane.
+#[inline]
+fn lanes_bounds2(cols: &[[f64; LANES]], b: &[f64]) -> ([f64; LANES], [f64; LANES]) {
+    let (lo, hi) = b.split_at(cols.len());
+    let (mut lb2, mut ub2) = ([0.0; LANES], [0.0; LANES]);
+    for ((col, &lo), &hi) in cols.iter().zip(lo).zip(hi) {
+        for ((&x, lb2), ub2) in col.iter().zip(&mut lb2).zip(&mut ub2) {
+            let g = gap(x, x, lo, hi);
+            *lb2 += g * g;
+            let r = reach(x, x, lo, hi);
+            *ub2 += r * r;
+        }
+    }
+    (lb2, ub2)
+}
+
+// ---------------------------------------------------------------------
 // kd-tree
 // ---------------------------------------------------------------------
 
 /// Max points per kd leaf. Small enough to prune tightly, large enough
 /// that leaf scans stay in the blocked kernels' sweet spot.
 const LEAF: usize = 16;
+
+// A leaf is evaluated as one tile.
+const _: () = assert!(LEAF <= LANES);
 
 /// Subtrees at least this large build their children via `rayon::join`.
 const PAR_BUILD_MIN: usize = 4096;
@@ -138,15 +241,13 @@ fn node_count(n: usize) -> usize {
     }
 }
 
-/// A kd-tree over point *indices* into the caller's flat buffer. The
-/// layout (preorder, left child at `i + 1`) is a pure function of the
-/// input, independent of thread count.
+/// A kd-tree over leaf-ordered rows: each node owns a contiguous row
+/// range. The layout (preorder, left child at `i + 1`) is a pure function
+/// of the input, independent of thread count.
 struct KdTree {
-    /// Point indices; each node owns a contiguous `perm` range.
-    perm: Vec<u32>,
     /// Per node: `dim` minima then `dim` maxima, `2 * dim` slots each.
     bounds: Vec<f64>,
-    /// Per node: first index into `perm`.
+    /// Per node: first row.
     start: Vec<u32>,
     /// Per node: number of points.
     len: Vec<u32>,
@@ -165,7 +266,9 @@ struct BuildSlices<'a> {
 }
 
 impl KdTree {
-    fn build(flat: &[f64], dim: usize) -> Self {
+    /// Builds the tree over the caller's input-order buffer; also returns
+    /// the leaf order (row -> input index).
+    fn build(flat: &[f64], dim: usize) -> (Self, Vec<u32>) {
         let n = flat.len() / dim;
         debug_assert!(n > 0, "cannot index an empty partition");
         let mut perm: Vec<u32> = (0..n as u32).collect();
@@ -187,13 +290,35 @@ impl KdTree {
                 right: &mut right,
             },
         );
-        KdTree {
-            perm,
+        let kd = KdTree {
             bounds,
             start,
             len,
             right,
-        }
+        };
+        (kd, perm)
+    }
+
+    #[inline]
+    fn bounds(&self, dim: usize, node: usize) -> &[f64] {
+        &self.bounds[node * 2 * dim..][..2 * dim]
+    }
+
+    #[inline]
+    fn is_leaf(&self, node: usize) -> bool {
+        self.right[node] == 0
+    }
+
+    /// `(left, right)` children of an internal node.
+    #[inline]
+    fn children(&self, node: usize) -> (usize, usize) {
+        (node + 1, self.right[node] as usize)
+    }
+
+    #[inline]
+    fn rows(&self, node: usize) -> Range<usize> {
+        let s = self.start[node] as usize;
+        s..s + self.len[node] as usize
     }
 }
 
@@ -292,6 +417,196 @@ fn build_rec(flat: &[f64], dim: usize, perm: &mut [u32], perm_off: u32, node: u3
     }
 }
 
+/// State of one kd self-join: the dual-tree recursion of
+/// [`SpatialIndex::self_join_d2`]. All scratch lives here, allocated once
+/// per join.
+struct KdJoin<'a> {
+    kd: &'a KdTree,
+    pts: &'a [f64],
+    dim: usize,
+    dc2: f64,
+    /// Every leaf's rows transposed to dimension-major, `dim` columns per
+    /// leaf, so a leaf pair costs no transposition.
+    tiles: Vec<[f64; LANES]>,
+    /// Per node: where its leaf's columns start in `tiles` (leaves only).
+    tile_of: Vec<usize>,
+    /// Per node: neighbours granted wholesale to every point below it,
+    /// pushed down to the rows once the recursion is done.
+    pending: Vec<u32>,
+    /// Per row: neighbours found so far.
+    count: Vec<u32>,
+    evals: u64,
+}
+
+impl<'a> KdJoin<'a> {
+    fn new(kd: &'a KdTree, pts: &'a [f64], dim: usize, dc2: f64) -> Self {
+        let nodes = kd.len.len();
+        let mut tile_of = vec![0usize; nodes];
+        // Every internal node has two children: (nodes + 1) / 2 leaves.
+        let mut tiles = Vec::with_capacity(nodes.div_ceil(2) * dim);
+        for (node, at) in tile_of.iter_mut().enumerate() {
+            if kd.is_leaf(node) {
+                *at = tiles.len();
+                tiles.resize(*at + dim, [0.0; LANES]);
+                let rows = kd.rows(node);
+                transpose_tile(
+                    &pts[rows.start * dim..rows.end * dim],
+                    dim,
+                    0,
+                    &mut tiles[*at..],
+                );
+            }
+        }
+        KdJoin {
+            kd,
+            pts,
+            dim,
+            dc2,
+            tiles,
+            tile_of,
+            pending: vec![0; nodes],
+            count: vec![0; pts.len() / dim],
+            evals: 0,
+        }
+    }
+
+    /// Runs the join; returns per-row neighbour counts and the number of
+    /// pairs whose `d²` was evaluated.
+    fn run(mut self) -> (Vec<u32>, u64) {
+        self.pair(0, 0);
+        // Preorder puts every parent before its children.
+        for node in 0..self.pending.len() {
+            let p = self.pending[node];
+            if self.kd.is_leaf(node) {
+                for c in &mut self.count[self.kd.rows(node)] {
+                    *c += p;
+                }
+            } else {
+                let (l, r) = self.kd.children(node);
+                self.pending[l] += p;
+                self.pending[r] += p;
+            }
+        }
+        (self.count, self.evals)
+    }
+
+    /// Settles every point pair between nodes `a` and `b` — the same node
+    /// (its internal pairs) or two disjoint ones.
+    fn pair(&mut self, a: usize, b: usize) {
+        let kd = self.kd;
+        let (lo_a, hi_a) = kd.bounds(self.dim, a).split_at(self.dim);
+        let (lb2, ub2) = box_bounds2(lo_a, hi_a, kd.bounds(self.dim, b));
+        if lb2 >= self.dc2 {
+            return; // every d2 between the boxes is >= lb2 >= dc2
+        }
+        if ub2 < self.dc2 {
+            // Every d2 is <= ub2 < dc2: each point gains the whole other
+            // side (within one node: everyone but itself).
+            if a == b {
+                self.pending[a] += kd.len[a] - 1;
+            } else {
+                self.pending[a] += kd.len[b];
+                self.pending[b] += kd.len[a];
+            }
+            return;
+        }
+        if kd.is_leaf(a) && kd.is_leaf(b) {
+            self.leaf_pair(a, b);
+        } else if a == b {
+            let (l, r) = kd.children(a);
+            self.pair(l, l);
+            self.pair(l, r);
+            self.pair(r, r);
+        } else {
+            // Split the larger side (never a leaf).
+            let split_b = kd.is_leaf(a) || (!kd.is_leaf(b) && kd.len[b] > kd.len[a]);
+            let (keep, split) = if split_b { (a, b) } else { (b, a) };
+            let (l, r) = kd.children(split);
+            self.pair(keep, l);
+            self.pair(keep, r);
+        }
+    }
+
+    /// Lane masks of leaf `a`'s points against `b`'s box: `(eval, all)` —
+    /// points whose pairs with `b` need evaluating, and points within
+    /// `dc` of all of `b`. The rest are out of range of all of `b`.
+    fn flags(&self, a: usize, b: usize) -> (u16, u16) {
+        let cols = &self.tiles[self.tile_of[a]..][..self.dim];
+        let (lb2, ub2) = lanes_bounds2(cols, self.kd.bounds(self.dim, b));
+        let (mut eval, mut all) = (0u16, 0u16);
+        for lane in 0..self.kd.len[a] as usize {
+            if lb2[lane] >= self.dc2 {
+                continue;
+            }
+            if ub2[lane] < self.dc2 {
+                all |= 1 << lane;
+            } else {
+                eval |= 1 << lane;
+            }
+        }
+        (eval, all)
+    }
+
+    /// Leaf against leaf (or a leaf's internal pairs when `a == b`): each
+    /// side's points are first tested against the other side's box, which
+    /// settles a point's pairs with the whole other leaf at once; only
+    /// pairs with both ends unsettled are evaluated, a query row against
+    /// the other leaf's tile, one lane per pair.
+    fn leaf_pair(&mut self, a: usize, b: usize) {
+        let same = a == b;
+        let (rows_a, rows_b) = (self.kd.rows(a), self.kd.rows(b));
+        let (eval_a, all_a) = self.flags(a, b);
+        let (eval_b, all_b) = if same {
+            (eval_a, all_a)
+        } else {
+            self.flags(b, a)
+        };
+        // A pair with a settled end is in range iff that end is `all`.
+        // An `all` point takes the whole other side; an unsettled point
+        // takes the other side's `all` points (never itself: it is not
+        // `all`).
+        let mut grant =
+            |rows: &Range<usize>, (eval, all): (u16, u16), other: &Range<usize>, other_all: u16| {
+                let whole = (other.len() - usize::from(same)) as u32;
+                for (lane, c) in self.count[rows.clone()].iter_mut().enumerate() {
+                    if all >> lane & 1 != 0 {
+                        *c += whole;
+                    } else if eval >> lane & 1 != 0 {
+                        *c += other_all.count_ones();
+                    }
+                }
+            };
+        grant(&rows_a, (eval_a, all_a), &rows_b, all_b);
+        if !same {
+            grant(&rows_b, (eval_b, all_b), &rows_a, all_a);
+        }
+        if eval_a == 0 || eval_b == 0 {
+            return;
+        }
+        let cols = &self.tiles[self.tile_of[b]..][..self.dim];
+        for i in 0..rows_a.len() {
+            // Within one leaf, row i owns the pairs (i, j > i).
+            let mask = if same { eval_b & (!1u16) << i } else { eval_b };
+            if eval_a >> i & 1 == 0 || mask == 0 {
+                continue;
+            }
+            let mut d2 = [0.0; LANES];
+            let q = &self.pts[(rows_a.start + i) * self.dim..][..self.dim];
+            accumulate_tile_d2(q, cols, &mut d2);
+            // Lanes outside `mask` — padding, or targets their flag has
+            // settled — are computed by the hardware and never read.
+            self.evals += u64::from(mask.count_ones());
+            let mut hits = 0u32;
+            for (lane, c) in self.count[rows_b.clone()].iter_mut().enumerate() {
+                let hit = u32::from(mask >> lane & 1 != 0 && d2[lane] < self.dc2);
+                *c += hit;
+                hits += hit;
+            }
+            self.count[rows_a.start + i] += hits;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Uniform grid (dim <= 3)
 // ---------------------------------------------------------------------
@@ -318,22 +633,37 @@ const GRID_LB_SLACK: f64 = 0.999_999;
 /// enough that such a query is out-of-distribution anyway.
 const GRID_FAR_QUERY_CELLS: i64 = 1 << 40;
 
-/// A uniform grid over up to 3 dimensions, CSR cell storage. Unused
-/// dimensions are padded with a single cell so traversal is uniform.
+/// A uniform grid over up to 3 dimensions; a cell is a contiguous range of
+/// the leaf-ordered rows. Unused dimensions are padded with a single cell
+/// so traversal is uniform.
 struct Grid {
     w: f64,
     min: [f64; 3],
     cells: [i64; 3],
-    /// CSR offsets over row-major cell ids, `total_cells + 1` entries.
+    /// CSR row offsets over row-major cell ids, `total_cells + 1` entries.
     starts: Vec<u32>,
-    /// Point indices grouped by cell, ascending within each cell.
-    entries: Vec<u32>,
 }
 
+/// The 13 of a cell's 26 neighbour offsets that compare greater than the
+/// cell itself in row-major order: visiting them from every cell meets
+/// each adjacent cell pair exactly once.
+const GRID_FORWARD: [[i64; 3]; 13] = {
+    let mut out = [[0i64; 3]; 13];
+    let (mut k, mut i) = (0, 14);
+    while i < 27 {
+        out[k] = [i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1];
+        k += 1;
+        i += 1;
+    }
+    out
+};
+
 impl Grid {
-    /// Builds the grid, or `None` when the data/d_c make it a bad fit
-    /// (non-finite coords, degenerate `d_c`, or too many cells).
-    fn try_build(flat: &[f64], dim: usize, dc: f64) -> Option<Self> {
+    /// Builds the grid and its leaf order (row -> input index: grouped by
+    /// cell, ascending within each cell), or `None` when the data/d_c make
+    /// it a bad fit (non-finite coords, degenerate `d_c`, or too many
+    /// cells).
+    fn try_build(flat: &[f64], dim: usize, dc: f64) -> Option<(Self, Vec<u32>)> {
         if dim > 3 || !(dc.is_finite() && dc > 0.0) {
             return None;
         }
@@ -375,7 +705,7 @@ impl Grid {
         let total = total as usize;
 
         let mut starts = vec![0u32; total + 1];
-        let grid = |p: &[f64]| -> usize {
+        let cell_of = |p: &[f64]| -> usize {
             let mut id = 0usize;
             for (d, &x) in p.iter().enumerate() {
                 let c = ((x - min[d]) / w).floor() as i64;
@@ -388,7 +718,7 @@ impl Grid {
             id
         };
         for p in flat.chunks_exact(dim) {
-            starts[grid(p) + 1] += 1;
+            starts[cell_of(p) + 1] += 1;
         }
         for i in 1..=total {
             starts[i] += starts[i - 1];
@@ -396,17 +726,17 @@ impl Grid {
         let mut cursor = starts.clone();
         let mut entries = vec![0u32; n];
         for (i, p) in flat.chunks_exact(dim).enumerate() {
-            let cell = grid(p);
+            let cell = cell_of(p);
             entries[cursor[cell] as usize] = i as u32;
             cursor[cell] += 1;
         }
-        Some(Grid {
+        let grid = Grid {
             w,
             min,
             cells,
             starts,
-            entries,
-        })
+        };
+        Some((grid, entries))
     }
 
     /// The (possibly out-of-range) cell coordinates of an arbitrary query.
@@ -422,9 +752,9 @@ impl Grid {
         (((c[0] * self.cells[1]) + c[1]) * self.cells[2] + c[2]) as usize
     }
 
-    fn cell_entries(&self, c: [i64; 3]) -> &[u32] {
+    fn cell_rows(&self, c: [i64; 3]) -> Range<usize> {
         let id = self.cell_id(c);
-        &self.entries[self.starts[id] as usize..self.starts[id + 1] as usize]
+        self.starts[id] as usize..self.starts[id + 1] as usize
     }
 
     /// Chebyshev cell-distance from `c` to the grid box (0 when inside).
@@ -449,7 +779,7 @@ impl Grid {
     /// All bound arithmetic saturates: a saturated bound lands on
     /// `i64::MIN`/`i64::MAX`, which no in-grid coordinate equals, so the
     /// clamps stay conservative for arbitrarily far query cells.
-    fn for_shell(&self, c: [i64; 3], r: i64, mut visit: impl FnMut(&[u32])) {
+    fn for_shell(&self, c: [i64; 3], r: i64, mut visit: impl FnMut(Range<usize>)) {
         let mut lo = [0i64; 3];
         let mut hi = [0i64; 3];
         for d in 0..3 {
@@ -460,7 +790,7 @@ impl Grid {
             }
         }
         if r == 0 {
-            visit(self.cell_entries(c)); // non-empty windows: c is in-grid
+            visit(self.cell_rows(c)); // non-empty windows: c is in-grid
             return;
         }
         // The two in-window face coordinates of dim `d` (|x - c[d]| == r).
@@ -482,7 +812,7 @@ impl Grid {
         for x0 in faces(0) {
             for x1 in lo[1]..=hi[1] {
                 for x2 in lo[2]..=hi[2] {
-                    visit(self.cell_entries([x0, x1, x2]));
+                    visit(self.cell_rows([x0, x1, x2]));
                 }
             }
         }
@@ -490,7 +820,7 @@ impl Grid {
         for x1 in faces(1) {
             for x0 in ilo0..=ihi0 {
                 for x2 in lo[2]..=hi[2] {
-                    visit(self.cell_entries([x0, x1, x2]));
+                    visit(self.cell_rows([x0, x1, x2]));
                 }
             }
         }
@@ -498,7 +828,7 @@ impl Grid {
         for x2 in faces(2) {
             for x0 in ilo0..=ihi0 {
                 for x1 in ilo1..=ihi1 {
-                    visit(self.cell_entries([x0, x1, x2]));
+                    visit(self.cell_rows([x0, x1, x2]));
                 }
             }
         }
@@ -518,8 +848,12 @@ enum Rep {
 /// and reused across the rho and delta passes.
 pub struct SpatialIndex {
     dim: usize,
-    flat: Vec<f64>,
     n: usize,
+    /// The indexed coordinates in leaf order: row `k` is input point
+    /// `ids[k]`, and every kd leaf / grid cell is a contiguous row range.
+    pts: Vec<f64>,
+    /// Row -> index of the point in the caller's buffer.
+    ids: Vec<u32>,
     rep: Rep,
 }
 
@@ -536,14 +870,29 @@ impl SpatialIndex {
             !flat.is_empty() && flat.len().is_multiple_of(dim),
             "flat buffer must hold a positive number of {dim}-dim points"
         );
-        let rep = match Grid::try_build(flat, dim, dc) {
-            Some(g) => Rep::Grid(g),
-            None => Rep::Kd(KdTree::build(flat, dim)),
-        };
+        match Grid::try_build(flat, dim, dc) {
+            Some((g, ids)) => Self::assemble(flat, dim, Rep::Grid(g), ids),
+            None => Self::build_kd(flat, dim),
+        }
+    }
+
+    /// The kd-tree representation regardless of dimension.
+    fn build_kd(flat: &[f64], dim: usize) -> Self {
+        let (kd, ids) = KdTree::build(flat, dim);
+        Self::assemble(flat, dim, Rep::Kd(kd), ids)
+    }
+
+    /// Copies the caller's rows into leaf order.
+    fn assemble(flat: &[f64], dim: usize, rep: Rep, ids: Vec<u32>) -> Self {
+        let mut pts = Vec::with_capacity(flat.len());
+        for &i in &ids {
+            pts.extend_from_slice(&flat[i as usize * dim..][..dim]);
+        }
         SpatialIndex {
             dim,
-            flat: flat.to_vec(),
-            n: flat.len() / dim,
+            n: ids.len(),
+            pts,
+            ids,
             rep,
         }
     }
@@ -563,93 +912,116 @@ impl SpatialIndex {
         matches!(self.rep, Rep::Grid(_))
     }
 
+    /// Leaf-ordered row `k`.
     #[inline]
-    fn point(&self, i: u32) -> &[f64] {
-        &self.flat[i as usize * self.dim..][..self.dim]
+    fn row(&self, k: usize) -> &[f64] {
+        &self.pts[k * self.dim..][..self.dim]
     }
 
-    /// Squared box lower bound, accumulated per dimension in the same
-    /// order as [`squared_euclidean`].
-    #[inline]
-    fn kd_lb2(kd: &KdTree, dim: usize, node: usize, q: &[f64]) -> f64 {
-        let b = &kd.bounds[node * 2 * dim..][..2 * dim];
-        let mut acc = 0.0;
-        for (d, &x) in q.iter().enumerate() {
-            let t = if x < b[d] {
-                b[d] - x
-            } else if x > b[dim + d] {
-                x - b[dim + d]
-            } else {
-                0.0
-            };
-            acc += t * t;
+    /// `rho` of every indexed point at once: for each point, in the
+    /// caller's input order, the number of *other* indexed points with
+    /// `d2 < dc2` (strict) — `range_count_d2(point, dc2).0 - 1` for each
+    /// point, from one traversal. Returns `(counts, distance evals)`.
+    ///
+    /// Every unordered pair is evaluated at most once, so the evals never
+    /// exceed `n (n - 1) / 2`, and at most half of what the per-point
+    /// queries evaluate: a pair is evaluated only if neither end's bound
+    /// against the other end's leaf box (grid: cell adjacency) settles it,
+    /// which is when the per-point walks evaluate it from both ends.
+    pub fn self_join_d2(&self, dc2: f64) -> (Vec<u32>, u64) {
+        let (count, evals) = match &self.rep {
+            Rep::Kd(kd) => KdJoin::new(kd, &self.pts, self.dim, dc2).run(),
+            Rep::Grid(g) => self.grid_join(g, dc2),
+        };
+        let mut rho = vec![0u32; self.n];
+        for (&id, c) in self.ids.iter().zip(count) {
+            rho[id as usize] = c;
         }
-        acc
+        (rho, evals)
     }
 
-    /// Squared box upper bound (distance to the farthest corner).
-    #[inline]
-    fn kd_ub2(kd: &KdTree, dim: usize, node: usize, q: &[f64]) -> f64 {
-        let b = &kd.bounds[node * 2 * dim..][..2 * dim];
-        let mut acc = 0.0;
-        for (d, &x) in q.iter().enumerate() {
-            let t = (x - b[d]).abs().max((b[dim + d] - x).abs());
-            acc += t * t;
+    /// Grid self-join: pairs within each cell, then the cell against its
+    /// forward neighbours. Per-row counts, and evals.
+    fn grid_join(&self, g: &Grid, dc2: f64) -> (Vec<u32>, u64) {
+        debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
+        let mut count = vec![0u32; self.n];
+        let mut evals = 0u64;
+        let mut pair = |i: usize, j: usize| {
+            evals += 1;
+            if squared_euclidean(self.row(i), self.row(j)) < dc2 {
+                count[i] += 1;
+                count[j] += 1;
+            }
+        };
+        for x0 in 0..g.cells[0] {
+            for x1 in 0..g.cells[1] {
+                for x2 in 0..g.cells[2] {
+                    let here = g.cell_rows([x0, x1, x2]);
+                    for i in here.clone() {
+                        for j in i + 1..here.end {
+                            pair(i, j);
+                        }
+                    }
+                    if here.is_empty() {
+                        continue;
+                    }
+                    for off in GRID_FORWARD {
+                        let c = [x0 + off[0], x1 + off[1], x2 + off[2]];
+                        if (0..3).all(|d| (0..g.cells[d]).contains(&c[d])) {
+                            for j in g.cell_rows(c) {
+                                for i in here.clone() {
+                                    pair(i, j);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
-        acc
+        (count, evals)
     }
 
     /// Counts points with `d2(q, p) < dc2` (strict), including the query
     /// point itself when it is indexed. Returns `(count, distance evals)`.
     pub fn range_count_d2(&self, q: &[f64], dc2: f64) -> (u32, u64) {
+        let mut count = 0u32;
+        let mut evals = 0u64;
+        let mut scan = |rows: Range<usize>| {
+            evals += rows.len() as u64;
+            for k in rows {
+                count += u32::from(squared_euclidean(q, self.row(k)) < dc2);
+            }
+        };
         match &self.rep {
             Rep::Grid(g) => {
                 debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
                 let c = g.cell_coords(q);
-                let mut count = 0u32;
-                let mut evals = 0u64;
                 for r in 0..=1 {
-                    g.for_shell(c, r, |cell| {
-                        for &pi in cell {
-                            let d2 = squared_euclidean(q, self.point(pi));
-                            evals += 1;
-                            if d2 < dc2 {
-                                count += 1;
-                            }
-                        }
-                    });
+                    g.for_shell(c, r, &mut scan);
                 }
-                (count, evals)
             }
             Rep::Kd(kd) => {
-                let mut count = 0u32;
-                let mut evals = 0u64;
+                let mut whole = 0u32;
                 let mut stack = vec![0usize];
                 while let Some(node) = stack.pop() {
-                    if Self::kd_lb2(kd, self.dim, node, q) >= dc2 {
+                    let (lb2, ub2) = box_bounds2(q, q, kd.bounds(self.dim, node));
+                    if lb2 >= dc2 {
                         continue; // every d2 in the box is >= lb2 >= dc2
                     }
-                    if Self::kd_ub2(kd, self.dim, node, q) < dc2 {
-                        count += kd.len[node]; // every d2 is <= ub2 < dc2
-                        continue;
-                    }
-                    if kd.right[node] == 0 {
-                        let s = kd.start[node] as usize;
-                        for &pi in &kd.perm[s..s + kd.len[node] as usize] {
-                            let d2 = squared_euclidean(q, self.point(pi));
-                            evals += 1;
-                            if d2 < dc2 {
-                                count += 1;
-                            }
-                        }
+                    if ub2 < dc2 {
+                        whole += kd.len[node]; // every d2 is <= ub2 < dc2
+                    } else if kd.is_leaf(node) {
+                        scan(kd.rows(node));
                     } else {
-                        stack.push(kd.right[node] as usize);
-                        stack.push(node + 1);
+                        let (l, r) = kd.children(node);
+                        stack.push(r);
+                        stack.push(l);
                     }
                 }
-                (count, evals)
+                count += whole;
             }
         }
+        (count, evals)
     }
 
     /// Visits `(point index, d2)` for every indexed point with
@@ -657,12 +1029,12 @@ impl SpatialIndex {
     /// Returns the number of distance evaluations.
     pub fn for_each_within_d2(&self, q: &[f64], dc2: f64, mut visit: impl FnMut(u32, f64)) -> u64 {
         let mut evals = 0u64;
-        let mut scan = |pts: &[u32]| {
-            for &pi in pts {
-                let d2 = squared_euclidean(q, self.point(pi));
-                evals += 1;
+        let mut scan = |rows: Range<usize>| {
+            evals += rows.len() as u64;
+            for k in rows {
+                let d2 = squared_euclidean(q, self.row(k));
                 if d2 < dc2 {
-                    visit(pi, d2);
+                    visit(self.ids[k], d2);
                 }
             }
         };
@@ -675,17 +1047,24 @@ impl SpatialIndex {
                 }
             }
             Rep::Kd(kd) => {
+                if box_bounds2(q, q, kd.bounds(self.dim, 0)).0 >= dc2 {
+                    return 0;
+                }
+                // Every node on the stack has passed its bound check.
                 let mut stack = vec![0usize];
                 while let Some(node) = stack.pop() {
-                    if Self::kd_lb2(kd, self.dim, node, q) >= dc2 {
+                    if kd.is_leaf(node) {
+                        scan(kd.rows(node));
                         continue;
                     }
-                    if kd.right[node] == 0 {
-                        let s = kd.start[node] as usize;
-                        scan(&kd.perm[s..s + kd.len[node] as usize]);
-                    } else {
-                        stack.push(kd.right[node] as usize);
-                        stack.push(node + 1);
+                    let (l, r) = kd.children(node);
+                    let (lb2_l, lb2_r) =
+                        point_lb2_pair(q, kd.bounds(self.dim, l), kd.bounds(self.dim, r));
+                    if lb2_r < dc2 {
+                        stack.push(r);
+                    }
+                    if lb2_l < dc2 {
+                        stack.push(l);
                     }
                 }
             }
@@ -712,10 +1091,11 @@ impl SpatialIndex {
     /// Best-first nearest-acceptable-point search in the *metric* domain
     /// (`d = d2.sqrt()`), matching the pipelines' delta kernels.
     ///
-    /// `accept` maps an indexed point to `Some(candidate id)` when it may
-    /// anchor the query (e.g. it is denser); `init` seeds `(distance,
-    /// candidate id)` — pass `(f64::INFINITY, NO_UPSLOPE)` for an unseeded
-    /// search. Candidates farther than `cap` are rejected outright.
+    /// `accept` maps an indexed point (by its index in the buffer the
+    /// index was built over) to `Some(candidate id)` when it may anchor
+    /// the query (e.g. it is denser); `init` seeds `(distance, candidate
+    /// id)` — pass `(f64::INFINITY, NO_UPSLOPE)` for an unseeded search.
+    /// Candidates farther than `cap` are rejected outright.
     /// Tie-break: equal distance resolves to the smaller candidate id.
     /// Returns `((best distance, best id), distance evals)`.
     pub fn nearest_denser_d2(
@@ -755,11 +1135,11 @@ impl SpatialIndex {
     ) -> ((f64, PointId), u64) {
         let (mut best, mut best_id) = init;
         let mut evals = 0u64;
-        let mut scan = |pts: &[u32], best: &mut f64, best_id: &mut PointId, evals: &mut u64| {
-            for &pi in pts {
-                if let Some(cand) = accept(pi) {
-                    let d2 = squared_euclidean(q, self.point(pi));
-                    *evals += 1;
+        let mut scan = |rows: Range<usize>, best: &mut f64, best_id: &mut PointId| {
+            for k in rows {
+                if let Some(cand) = accept(self.ids[k]) {
+                    let d2 = squared_euclidean(q, self.row(k));
+                    evals += 1;
                     let key = if sqrt_domain { d2.sqrt() } else { d2 };
                     if key <= cap && (key < *best || (key == *best && cand < *best_id)) {
                         *best = key;
@@ -780,7 +1160,7 @@ impl SpatialIndex {
                     // (e.g. a cast-clamped coordinate): shell geometry is
                     // no longer trustworthy, and a linear scan costs no
                     // more than the blocked kernel for the same query.
-                    scan(&g.entries, &mut best, &mut best_id, &mut evals);
+                    scan(0..self.n, &mut best, &mut best_id);
                 } else {
                     // Last shell holding any grid cell: the farthest corner.
                     let r_max = (0..self.dim)
@@ -799,13 +1179,14 @@ impl SpatialIndex {
                                 break;
                             }
                         }
-                        g.for_shell(c, r, |pts| scan(pts, &mut best, &mut best_id, &mut evals));
+                        g.for_shell(c, r, |rows| scan(rows, &mut best, &mut best_id));
                     }
                 }
             }
             Rep::Kd(kd) => {
-                let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-                heap.push(Reverse((Self::kd_lb2(kd, self.dim, 0, q).to_bits(), 0)));
+                let entry = |lb2: f64, node: usize| Reverse((lb2.to_bits(), node as u32));
+                let mut heap = BinaryHeap::new();
+                heap.push(entry(box_bounds2(q, q, kd.bounds(self.dim, 0)).0, 0));
                 while let Some(Reverse((lb_bits, node))) = heap.pop() {
                     let lb2 = f64::from_bits(lb_bits);
                     let key_lb = if sqrt_domain { lb2.sqrt() } else { lb2 };
@@ -815,25 +1196,14 @@ impl SpatialIndex {
                         break;
                     }
                     let node = node as usize;
-                    if kd.right[node] == 0 {
-                        let s = kd.start[node] as usize;
-                        scan(
-                            &kd.perm[s..s + kd.len[node] as usize],
-                            &mut best,
-                            &mut best_id,
-                            &mut evals,
-                        );
+                    if kd.is_leaf(node) {
+                        scan(kd.rows(node), &mut best, &mut best_id);
                     } else {
-                        let l = node + 1;
-                        let r = kd.right[node] as usize;
-                        heap.push(Reverse((
-                            Self::kd_lb2(kd, self.dim, l, q).to_bits(),
-                            l as u32,
-                        )));
-                        heap.push(Reverse((
-                            Self::kd_lb2(kd, self.dim, r, q).to_bits(),
-                            r as u32,
-                        )));
+                        let (l, r) = kd.children(node);
+                        let (lb2_l, lb2_r) =
+                            point_lb2_pair(q, kd.bounds(self.dim, l), kd.bounds(self.dim, r));
+                        heap.push(entry(lb2_l, l));
+                        heap.push(entry(lb2_r, r));
                     }
                 }
             }
@@ -849,38 +1219,34 @@ impl SpatialIndex {
     pub fn max_distance(&self, q: &[f64]) -> (f64, u64) {
         let mut best = 0.0f64;
         let mut evals = 0u64;
-        match &self.rep {
-            Rep::Grid(g) => {
-                for &pi in &g.entries {
-                    let d2 = squared_euclidean(q, self.point(pi));
-                    evals += 1;
-                    if d2 > best {
-                        best = d2;
-                    }
-                }
+        let mut scan = |rows: Range<usize>, best: &mut f64| {
+            evals += rows.len() as u64;
+            for k in rows {
+                *best = max_or(squared_euclidean(q, self.row(k)), *best);
             }
+        };
+        match &self.rep {
+            Rep::Grid(_) => scan(0..self.n, &mut best),
             Rep::Kd(kd) => {
-                let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
-                heap.push((Self::kd_ub2(kd, self.dim, 0, q).to_bits(), 0));
+                // Max-heap on the boxes' upper bounds (non-negative, so
+                // their bit patterns order like the values).
+                let entry = |node: usize| {
+                    let ub2 = box_bounds2(q, q, kd.bounds(self.dim, node)).1;
+                    (ub2.to_bits(), node as u32)
+                };
+                let mut heap = BinaryHeap::new();
+                heap.push(entry(0));
                 while let Some((ub_bits, node)) = heap.pop() {
                     if f64::from_bits(ub_bits) <= best {
                         break; // nothing left can exceed the current max
                     }
                     let node = node as usize;
-                    if kd.right[node] == 0 {
-                        let s = kd.start[node] as usize;
-                        for &pi in &kd.perm[s..s + kd.len[node] as usize] {
-                            let d2 = squared_euclidean(q, self.point(pi));
-                            evals += 1;
-                            if d2 > best {
-                                best = d2;
-                            }
-                        }
+                    if kd.is_leaf(node) {
+                        scan(kd.rows(node), &mut best);
                     } else {
-                        let l = node + 1;
-                        let r = kd.right[node] as usize;
-                        heap.push((Self::kd_ub2(kd, self.dim, l, q).to_bits(), l as u32));
-                        heap.push((Self::kd_ub2(kd, self.dim, r, q).to_bits(), r as u32));
+                        let (l, r) = kd.children(node);
+                        heap.push(entry(l));
+                        heap.push(entry(r));
                     }
                 }
             }
@@ -934,18 +1300,208 @@ mod tests {
         for dim in [1, 2, 4, 8] {
             let flat = blobs(300, dim, 42);
             let dc = 1.5;
-            // dc chosen large enough relative to span that the grid path
-            // is rejected for dim <= 3? Not necessarily — force kd.
-            let idx = SpatialIndex {
-                dim,
-                flat: flat.clone(),
-                n: 300,
-                rep: Rep::Kd(KdTree::build(&flat, dim)),
-            };
+            // The grid would take dim <= 3 here: force the kd-tree.
+            let idx = SpatialIndex::build_kd(&flat, dim);
             let rho = brute_rho(&flat, dim, dc * dc);
-            for i in 0..300u32 {
-                let (count, _) = idx.range_count_d2(idx.point(i).to_vec().as_slice(), dc * dc);
-                assert_eq!(count - 1, rho[i as usize], "dim={dim} i={i}");
+            for (i, q) in flat.chunks_exact(dim).enumerate() {
+                let (count, _) = idx.range_count_d2(q, dc * dc);
+                assert_eq!(count - 1, rho[i], "dim={dim} i={i}");
+            }
+        }
+    }
+
+    /// `blobs` with every fifth point a copy of an earlier one.
+    fn blobs_with_twins(n: usize, dim: usize, seed: u64) -> Vec<f64> {
+        let mut flat = blobs(n, dim, seed);
+        for i in (4..n).step_by(5) {
+            let (head, tail) = flat.split_at_mut(i * dim);
+            tail[..dim].copy_from_slice(&head[(i / 2) * dim..][..dim]);
+        }
+        flat
+    }
+
+    /// Radii from below the smallest positive pair distance to above the
+    /// diameter, through a few quantiles of the pair distances.
+    fn radii(flat: &[f64], dim: usize) -> Vec<f64> {
+        let mut d = Vec::new();
+        for_each_pair_d2(flat, dim, |_, _, d2| d.push(d2.sqrt()));
+        d.sort_by(f64::total_cmp);
+        let gap = d.iter().copied().find(|&x| x > 0.0).unwrap_or(1.0);
+        let at = |f: f64| d[((d.len() - 1) as f64 * f) as usize];
+        // Twins put zeros among the low quantiles; d_c is positive.
+        [gap * 0.5, at(0.01), at(0.1), at(0.5), at(1.0) * 1.01]
+            .map(|r| r.max(gap * 0.5))
+            .to_vec()
+    }
+
+    /// (i) + (ii): the self-join's counts are the per-query counts less
+    /// the self-match and the blocked rho; it evaluates each unordered
+    /// pair at most once and at most half as often as the per-query walks.
+    fn assert_self_join(idx: &SpatialIndex, flat: &[f64], dim: usize, dc: f64, tag: &str) -> u64 {
+        let dc2 = dc * dc;
+        let n = flat.len() / dim;
+        let (rho, join_evals) = idx.self_join_d2(dc2);
+        assert_eq!(rho, brute_rho(flat, dim, dc2), "{tag}: vs blocked");
+        let mut query_evals = 0u64;
+        for (i, q) in flat.chunks_exact(dim).enumerate() {
+            let (count, e) = idx.range_count_d2(q, dc2);
+            query_evals += e;
+            assert_eq!(rho[i], count - 1, "{tag}: vs range_count i={i}");
+        }
+        assert!(
+            2 * join_evals <= query_evals,
+            "{tag}: join {join_evals} vs per-query {query_evals}"
+        );
+        assert!(
+            join_evals <= (n * (n - 1) / 2) as u64,
+            "{tag}: {join_evals}"
+        );
+        join_evals
+    }
+
+    #[test]
+    fn self_join_equals_per_query_counts_and_halves_their_evals() {
+        for dim in [1, 2, 3, 4, 8, 32, 74] {
+            // From a single pair to several tree levels, on and off the
+            // leaf-size boundaries.
+            for n in [2, 3, 16, 17, 33, 100, 257, 700] {
+                let flat = blobs_with_twins(n, dim, 17 + n as u64);
+                for dc in radii(&flat, dim) {
+                    let tag = format!("dim={dim} n={n} dc={dc}");
+                    let idx = SpatialIndex::build(&flat, dim, dc);
+                    assert_self_join(&idx, &flat, dim, dc, &tag);
+                    if idx.is_grid() {
+                        let kd = SpatialIndex::build_kd(&flat, dim);
+                        assert_self_join(&kd, &flat, dim, dc, &format!("{tag} kd"));
+                    }
+                }
+                // Above the root box's diagonal (at most sqrt(dim) data
+                // diameters) the root pair is counted wholesale.
+                let kd = SpatialIndex::build_kd(&flat, dim);
+                let all = radii(&flat, dim)[4] * (dim as f64).sqrt();
+                assert_eq!(assert_self_join(&kd, &flat, dim, all, "all"), 0);
+                assert_eq!(kd.self_join_d2(all * all).0, vec![n as u32 - 1; n]);
+            }
+        }
+        assert!(SpatialIndex::build(&blobs(100, 3, 5), 3, 1.0).is_grid());
+    }
+
+    /// The bounds as they were before they went branch-free and fused.
+    fn branchy_lb2(b: &[f64], q: &[f64]) -> f64 {
+        let dim = q.len();
+        let mut acc = 0.0;
+        for (d, &x) in q.iter().enumerate() {
+            let t = if x < b[d] {
+                b[d] - x
+            } else if x > b[dim + d] {
+                x - b[dim + d]
+            } else {
+                0.0
+            };
+            acc += t * t;
+        }
+        acc
+    }
+
+    fn reference_ub2(b: &[f64], q: &[f64]) -> f64 {
+        let dim = q.len();
+        let mut acc = 0.0;
+        for (d, &x) in q.iter().enumerate() {
+            let t = (x - b[d]).abs().max((b[dim + d] - x).abs());
+            acc += t * t;
+        }
+        acc
+    }
+
+    /// (iii): every bound routine equals the branchy reference bit for
+    /// bit, hostile coordinates included.
+    #[test]
+    fn branch_free_bounds_equal_the_branchy_reference_bitwise() {
+        let pool = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.5,
+            -2.25,
+            1e300,
+            -1e300,
+            3.0,
+            f64::MIN_POSITIVE,
+        ];
+        // Every (lo, hi) a build can produce: ordered, or touched by NaN.
+        let mut boxes = Vec::new();
+        for lo in pool {
+            for hi in pool {
+                if lo <= hi || lo.is_nan() || hi.is_nan() {
+                    boxes.push((lo, hi));
+                }
+            }
+        }
+        let dim = 3;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pick = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        for round in 0..4000 {
+            let mut b = vec![0.0; 2 * dim];
+            let mut b2 = vec![0.0; 2 * dim];
+            for d in 0..dim {
+                // The first rounds walk one dimension through every box.
+                let k = if d == 0 && round < boxes.len() {
+                    round
+                } else {
+                    pick(boxes.len())
+                };
+                (b[d], b[dim + d]) = boxes[k];
+                (b2[d], b2[dim + d]) = boxes[pick(boxes.len())];
+            }
+            let rows: Vec<f64> = (0..LANES * dim).map(|_| pool[pick(pool.len())]).collect();
+            let mut cols = vec![[0.0; LANES]; dim];
+            transpose_tile(&rows, dim, 0, &mut cols);
+            let (lanes_lb2, lanes_ub2) = lanes_bounds2(&cols, &b);
+            for (lane, q) in rows.chunks_exact(dim).enumerate() {
+                let want = (branchy_lb2(&b, q).to_bits(), reference_ub2(&b, q).to_bits());
+                let (lb2, ub2) = box_bounds2(q, q, &b);
+                assert_eq!((lb2.to_bits(), ub2.to_bits()), want, "q={q:?} b={b:?}");
+                let (l2, r2) = point_lb2_pair(q, &b, &b2);
+                assert_eq!(l2.to_bits(), want.0, "q={q:?} b={b:?}");
+                assert_eq!(
+                    r2.to_bits(),
+                    branchy_lb2(&b2, q).to_bits(),
+                    "q={q:?} b={b2:?}"
+                );
+                let got = (lanes_lb2[lane].to_bits(), lanes_ub2[lane].to_bits());
+                assert_eq!(got, want, "lane={lane} q={q:?} b={b:?}");
+            }
+        }
+    }
+
+    /// Box-to-box bounds hold in floating point for every pair they cover.
+    #[test]
+    fn box_box_bounds_bracket_every_pair() {
+        for dim in [1, 2, 5, 74] {
+            let flat = blobs(64, dim, 3);
+            let kd = SpatialIndex::build_kd(&flat, dim);
+            let Rep::Kd(tree) = &kd.rep else {
+                unreachable!()
+            };
+            let nodes = tree.len.len();
+            for a in 0..nodes {
+                for b in 0..nodes {
+                    let (lo, hi) = tree.bounds(dim, a).split_at(dim);
+                    let (lb2, ub2) = box_bounds2(lo, hi, tree.bounds(dim, b));
+                    for i in tree.rows(a) {
+                        for j in tree.rows(b) {
+                            let d2 = squared_euclidean(kd.row(i), kd.row(j));
+                            assert!(lb2 <= d2 && d2 <= ub2, "dim={dim} nodes {a},{b}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -1168,6 +1724,11 @@ mod tests {
             g.for_shell([i64::MAX, i64::MIN, 0], r, |_| {
                 panic!("saturated cell visited the grid")
             });
+        }
+        // Forward offsets: one of each opposite pair, none the cell itself.
+        for off in GRID_FORWARD {
+            assert!(off > [0, 0, 0] && off.iter().all(|o| o.abs() <= 1));
+            assert!(!GRID_FORWARD.contains(&off.map(|o| -o)));
         }
     }
 

@@ -68,7 +68,7 @@ pub use distance::{
     for_each_cross_d2, for_each_pair_d2, nearest_in_block, squared_euclidean_block, DistanceKind,
     DistanceTracker,
 };
-pub use dp::{compute_exact, denser, DpResult, NO_UPSLOPE};
+pub use dp::{compute_exact, denser, density_order, DpResult, NO_UPSLOPE};
 pub use fast::compute_exact_fast;
 pub use index::{KernelStrategy, SpatialIndex};
 pub use kernel::{compute_gaussian, KernelDpResult};

@@ -143,6 +143,126 @@ fn reference_paths_honor_the_kernel_strategy_too() {
     );
 }
 
+/// Three 300-point components at 64-D: box pruning is weak up here, and
+/// every `basic` block and the large LSH buckets clear `AUTO_MIN_POINTS`.
+fn wide_workload() -> (Dataset, f64) {
+    let ds = datasets::gaussian_mixture(64, 3, 300, 40.0, 1.0, 5).data;
+    let dc = dp_core::cutoff::estimate_dc_exact(&ds, 0.02);
+    (ds, dc)
+}
+
+/// `run(kernel)` under all three strategies: identical result bits, and
+/// the index never evaluates more distances than the all-pairs loops —
+/// the inequality the per-point rho walk (each in-range pair from both
+/// ends) used to violate at this dimension.
+fn assert_strategies_agree(run: impl Fn(KernelStrategy) -> RunReport, tag: &str) {
+    let blocked = run(KernelStrategy::Blocked);
+    let indexed = run(KernelStrategy::Indexed);
+    let auto = run(KernelStrategy::Auto);
+    assert_results_match(&blocked.result, &indexed.result, &format!("{tag} indexed"));
+    assert_results_match(&blocked.result, &auto.result, &format!("{tag} auto"));
+    assert!(
+        indexed.distances <= blocked.distances,
+        "{tag}: indexed evaluated {} distances, blocked {}",
+        indexed.distances,
+        blocked.distances
+    );
+    assert!(auto.distances <= blocked.distances, "{tag}: auto");
+}
+
+#[test]
+fn wide_mixture_strategies_agree_and_the_index_evaluates_no_more() {
+    let (ds, dc) = wide_workload();
+    assert_strategies_agree(
+        |kernel| {
+            BasicDdp::new(BasicConfig {
+                block_size: 450,
+                pipeline: pipe(kernel),
+            })
+            .run(&ds, dc)
+        },
+        "basic",
+    );
+
+    let params = lsh::LshParams::for_accuracy(0.99, 4, 2, dc).expect("valid");
+    let multi = lsh::MultiLsh::new(ds.dim(), &params, 13);
+    let largest = lsh::bucket_tables(&multi, ds.iter().map(|(_, p)| p))
+        .iter()
+        .flat_map(|t| t.values())
+        .map(Vec::len)
+        .max();
+    assert!(
+        largest >= Some(dp_core::index::AUTO_MIN_POINTS),
+        "no bucket reaches the indexed kernels under auto: {largest:?}"
+    );
+    assert_strategies_agree(
+        |kernel| {
+            LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
+                params,
+                seed: 13,
+                pipeline: pipe(kernel),
+                partition_cap: None,
+                rho_aggregation: Default::default(),
+            })
+            .run(&ds, dc)
+        },
+        "lsh-ddp",
+    );
+}
+
+/// A box cannot bound a NaN (nor survive an infinite extent), so a chunk
+/// holding non-finite rows must keep the blocked kernels whatever the
+/// strategy says: a 320-point block with NaN and ±inf rows in the middle
+/// of a tight cluster, where the kd-tree would count whole subtrees.
+#[test]
+fn non_finite_rows_keep_the_blocked_kernels() {
+    let mut flat = datasets::gaussian_mixture(3, 1, 320, 1.0, 0.5, 9)
+        .data
+        .as_flat()
+        .to_vec();
+    for (row, bad) in [
+        (40, f64::NAN),
+        (41, f64::INFINITY),
+        (170, f64::NEG_INFINITY),
+        (171, f64::NAN),
+    ] {
+        flat[row * 3 + 1] = bad;
+    }
+    let ds = Dataset::from_flat(3, flat);
+    let dc = 4.0;
+    let basic = |kernel| {
+        BasicDdp::new(BasicConfig {
+            block_size: 320,
+            pipeline: pipe(kernel),
+        })
+        .run(&ds, dc)
+    };
+    let blocked = basic(KernelStrategy::Blocked);
+    for kernel in [KernelStrategy::Indexed, KernelStrategy::Auto] {
+        let got = basic(kernel);
+        assert_results_match(&blocked.result, &got.result, &format!("basic {kernel}"));
+        assert_eq!(
+            blocked.distances, got.distances,
+            "{kernel}: took the blocked path"
+        );
+    }
+    let lsh = |kernel| {
+        LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
+            params: lsh::LshParams::for_accuracy(0.99, 3, 1, dc).expect("valid"),
+            seed: 13,
+            pipeline: pipe(kernel),
+            partition_cap: None,
+            rho_aggregation: Default::default(),
+        })
+        .run(&ds, dc)
+    };
+    assert_results_match(
+        &lsh(KernelStrategy::Blocked).result,
+        &lsh(KernelStrategy::Indexed).result,
+        "lsh-ddp",
+    );
+}
+
 /// Strategy: a small random dataset (4–40 points, 1–3 dims) in a bounded
 /// box, plus a valid dc. Mirrors the plan-equivalence suite so both the
 /// grid fast path (low dim, moderate dc) and the kd-tree get exercised.
