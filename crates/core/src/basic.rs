@@ -22,7 +22,7 @@
 
 use crate::common::{
     assemble_delta, dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records,
-    point_snapshot, use_indexed, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
+    point_snapshot, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
     PipelineConfig,
 };
 use crate::stats::RunReport;
@@ -157,7 +157,7 @@ impl Reducer for RhoBlockReducer {
         let dc2 = self.dc * self.dc;
         let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
         let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
-        if use_indexed(self.kernel, own.len(), &[&own_flat]) {
+        if self.kernel.use_indexed_on(own.len(), &[&own_flat]) {
             // Indexed kernel: a spatial index over the anchor block answers
             // both the diagonal ball counts (one self-join) and the partner
             // cross counts, pruning far subtrees/cells.
@@ -359,7 +359,10 @@ impl Reducer for DeltaBlockReducer {
         let mut own_part: Vec<DeltaPartial> = vec![fresh(); own.len()];
         let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
         let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
-        if use_indexed(self.kernel, own.len(), &[&own_flat, &partner_flat]) {
+        if self
+            .kernel
+            .use_indexed_on(own.len(), &[&own_flat, &partner_flat])
+        {
             self.reduce_indexed(&own, &partners, &own_flat, &partner_flat, dim, out);
             return;
         }

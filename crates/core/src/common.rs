@@ -183,22 +183,6 @@ pub(crate) fn flatten_coords<'a>(coords: impl Iterator<Item = &'a [f64]>) -> (Ve
     (flat, dim.max(1))
 }
 
-/// Whether a chunk of `n` points takes the indexed kernels: the strategy's
-/// size rule, and only when every coordinate an index would be built over
-/// (`indexed`) is finite. A box cannot bound a NaN — every comparison with
-/// one is false, so the point sits outside its own node's box and a
-/// wholesale subtree count would include it — and an infinite extent
-/// turns bound terms into `inf - inf`. Like `dp-core`'s grid, which
-/// refuses such input, the chunk keeps the blocked kernels, which are
-/// exact on anything.
-pub(crate) fn use_indexed(kernel: KernelStrategy, n: usize, indexed: &[&[f64]]) -> bool {
-    n > 0
-        && kernel.use_indexed(n)
-        && indexed
-            .iter()
-            .all(|flat| flat.iter().all(|x| x.is_finite()))
-}
-
 /// The routed reducers compute squared Euclidean distances through the
 /// blocked kernels; they must never run under a tracker configured with a
 /// different metric (no pipeline constructs one, asserted in debug).

@@ -27,7 +27,7 @@
 
 use crate::common::{
     assemble_delta, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    use_indexed, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
@@ -207,7 +207,7 @@ impl Reducer for RhoVoronoiReducer {
         let (owner_flat, _) = flatten_coords(owner_idx.iter().map(|&i| points[i].1.as_slice()));
         let dc2 = self.dc * self.dc;
         let mut rho = vec![0u32; owner_idx.len()];
-        if use_indexed(self.kernel, points.len(), &[&all_flat]) {
+        if self.kernel.use_indexed_on(points.len(), &[&all_flat]) {
             // Indexed kernel: ball counts over the whole cell; the owner's
             // self-match (its unique id in the cell, at distance zero) is
             // subtracted back out.
@@ -278,7 +278,7 @@ impl Reducer for DeltaRound1Reducer {
         debug_assert_euclidean(&self.tracker);
         let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); points.len()];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
-        if use_indexed(self.kernel, points.len(), &[&flat]) {
+        if self.kernel.use_indexed_on(points.len(), &[&flat]) {
             // Indexed kernel: nearest-denser searches seeded by the
             // descending canonical density order (the fast.rs scan). The
             // `maxd` slot is only consumed downstream when every partial
@@ -420,7 +420,7 @@ impl Reducer for DeltaRound2Reducer {
         let (visitor_flat, dim) = flatten_coords(visitors.iter().map(|(_, c, _, _)| c.as_slice()));
         let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _, _)| c.as_slice()));
         let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); visitors.len()];
-        if use_indexed(self.kernel, owners.len(), &[&owner_flat]) {
+        if self.kernel.use_indexed_on(owners.len(), &[&owner_flat]) {
             // Indexed kernel: each visitor finishes its search over the
             // cell owners, capped at its round-1 upper bound. As in round
             // 1, the exact farthest distance is only computed when the

@@ -19,8 +19,7 @@
 //! always a **subset** of the exact one (property-tested).
 
 use crate::common::{
-    debug_assert_euclidean, flatten_coords, point_snapshot, use_indexed, PipelineConfig,
-    PointRecord,
+    debug_assert_euclidean, flatten_coords, point_snapshot, PipelineConfig, PointRecord,
 };
 use crate::lsh_ddp::LshDdpConfig;
 use dp_core::decision::Clustering;
@@ -76,49 +75,39 @@ impl Reducer for BorderReducer {
         let mut border = vec![0u32; k_clusters];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let dc2 = self.dc * self.dc;
-        if use_indexed(self.kernel, points.len(), &[&flat]) {
+        let label = |i: usize| self.labels[points[i].0 as usize];
+        // A cross-cluster pair within `d_c`; the max update is idempotent.
+        let mut touch = |i: usize, j: usize| {
+            let avg = (self.rho[points[i].0 as usize] + self.rho[points[j].0 as usize]) / 2;
+            for c in [label(i), label(j)] {
+                border[c as usize] = border[c as usize].max(avg);
+            }
+        };
+        let mut evals = 0u64;
+        if self.kernel.use_indexed_on(points.len(), &[&flat]) {
             // Indexed kernel: per-point ball queries replace the all-pairs
-            // sweep. Each cross-cluster pair is visited from both endpoints;
-            // the max update is idempotent, so the duplicate is harmless.
+            // sweep; a pair found from both endpoints is touched once.
             let index = SpatialIndex::build(&flat, dim, self.dc);
-            let mut evals = 0u64;
-            for (i, (pi, _)) in points.iter().enumerate() {
-                let ci = self.labels[*pi as usize];
+            for i in 0..points.len() {
                 evals += index.for_each_within_d2(&flat[i * dim..][..dim], dc2, |j, _| {
-                    let pj = points[j as usize].0;
-                    let cj = self.labels[pj as usize];
-                    if ci != cj {
-                        let avg = (self.rho[*pi as usize] + self.rho[pj as usize]) / 2;
-                        border[ci as usize] = border[ci as usize].max(avg);
-                        border[cj as usize] = border[cj as usize].max(avg);
+                    if j as usize > i && label(i) != label(j as usize) {
+                        touch(i, j as usize);
                     }
                 });
             }
-            self.tracker.add(evals);
-            for (c, b) in border.into_iter().enumerate() {
-                if b > 0 {
-                    out.emit(c as u32, b);
+        } else {
+            // Only cross-cluster pairs are distance measurements (same-cluster
+            // pairs are skipped before the metric in the scalar formulation).
+            for_each_pair_d2(&flat, dim, |i, j, d2| {
+                if label(i) != label(j) {
+                    evals += 1;
+                    if d2 < dc2 {
+                        touch(i, j);
+                    }
                 }
-            }
-            return;
+            });
         }
-        // Only cross-cluster pairs are distance measurements (same-cluster
-        // pairs are skipped before the metric in the scalar formulation).
-        let mut measured = 0u64;
-        for_each_pair_d2(&flat, dim, |i, j, d2| {
-            let (pi, ci) = (points[i].0, self.labels[points[i].0 as usize]);
-            let (pj, cj) = (points[j].0, self.labels[points[j].0 as usize]);
-            if ci == cj {
-                return;
-            }
-            measured += 1;
-            if d2 < dc2 {
-                let avg = (self.rho[pi as usize] + self.rho[pj as usize]) / 2;
-                border[ci as usize] = border[ci as usize].max(avg);
-                border[cj as usize] = border[cj as usize].max(avg);
-            }
-        });
-        self.tracker.add(measured);
+        self.tracker.add(evals);
         for (c, b) in border.into_iter().enumerate() {
             if b > 0 {
                 out.emit(c as u32, b);

@@ -21,7 +21,7 @@
 
 use crate::common::{
     dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    use_indexed, IdentityMapper, PipelineConfig, PointRecord,
+    IdentityMapper, PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{denser, density_order, DpResult, NO_UPSLOPE};
@@ -148,7 +148,7 @@ impl Reducer for LocalRhoReducer {
         let dc2 = self.dc * self.dc;
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            let rho = if use_indexed(self.kernel, chunk.len(), &[&flat]) {
+            let rho = if self.kernel.use_indexed_on(chunk.len(), &[&flat]) {
                 // rho as ball counts at d_c, for the whole chunk from one
                 // traversal of the index.
                 let (rho, evals) = SpatialIndex::build(&flat, dim, self.dc).self_join_d2(dc2);
@@ -244,7 +244,7 @@ impl Reducer for LocalDeltaReducer {
         debug_assert_euclidean(&self.tracker);
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            if use_indexed(self.kernel, chunk.len(), &[&flat]) {
+            if self.kernel.use_indexed_on(chunk.len(), &[&flat]) {
                 let index = SpatialIndex::build(&flat, dim, self.dc);
                 let mut evals = 0u64;
                 // Descending canonical density order (the fast.rs scan):

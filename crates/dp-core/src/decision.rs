@@ -8,7 +8,9 @@
 //! automatic criterion ([`select_top_k`] by the normalized product
 //! `gamma = rho * delta`).
 
+use crate::distance::euclidean;
 use crate::dp::{density_order, DpResult, NO_UPSLOPE};
+use crate::index::{KernelStrategy, SpatialIndex};
 use crate::point::PointId;
 use serde::{Deserialize, Serialize};
 
@@ -252,8 +254,17 @@ pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
 /// themselves tie the bound, so the comparison here is inclusive
 /// (`rho <= border_rho`), which keeps the border points in the halo.
 ///
-/// O(N²) distance work; intended for the centralized step, where the
-/// paper also computes it.
+/// Only cross-cluster pairs within `d_c` matter, so from
+/// [`AUTO_MIN_POINTS`](crate::index::AUTO_MIN_POINTS) finite rows up they
+/// come from a [`SpatialIndex`] over `ds`: one ball query per point at a
+/// squared radius a few ulps over `d_c²` (the squared-space filter must
+/// not drop a pair the predicate accepts), then the predicate itself,
+/// `euclidean(p_i, p_j) < d_c`, on each surviving unordered pair once —
+/// O(N log N + N · neighbours) against the all-pairs loop's O(N²). The
+/// loop stays the route for smaller inputs, for rows with a NaN/±inf
+/// coordinate and for a `d_c` whose square is not a normal float; the
+/// flags are the same either way. Halo evaluations are not metered: the
+/// pass is model assembly, outside a run's reported distance count.
 pub fn compute_halo(
     ds: &crate::point::Dataset,
     result: &DpResult,
@@ -266,23 +277,35 @@ pub fn compute_halo(
         "clustering must cover the dataset"
     );
     let n = ds.len();
-    let k = clustering.n_clusters() as usize;
     // Max density seen in each cluster's border region.
-    let mut border_rho = vec![0u32; k];
-    for i in 0..n {
-        let pi = ds.point(i as PointId);
+    let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
+    let mut pair = |i: usize, j: usize| {
         let ci = clustering.label(i as PointId) as usize;
-        for j in (i + 1)..n {
-            let cj = clustering.label(j as PointId) as usize;
-            if ci == cj {
-                continue;
-            }
-            if crate::distance::euclidean(pi, ds.point(j as PointId)) < result.dc {
-                // The ORIGINAL DP code uses the average density of the
-                // cross-boundary pair as the bound candidate.
-                let avg = (result.rho[i] + result.rho[j]) / 2;
-                border_rho[ci] = border_rho[ci].max(avg);
-                border_rho[cj] = border_rho[cj].max(avg);
+        let cj = clustering.label(j as PointId) as usize;
+        if ci != cj && euclidean(ds.point(i as PointId), ds.point(j as PointId)) < result.dc {
+            // The ORIGINAL DP code uses the average density of the
+            // cross-boundary pair as the bound candidate.
+            let avg = (result.rho[i] + result.rho[j]) / 2;
+            border_rho[ci] = border_rho[ci].max(avg);
+            border_rho[cj] = border_rho[cj].max(avg);
+        }
+    };
+    // Both roundings below lose under an ulp, so `r2 > d_c²` in the reals
+    // and a correctly rounded `sqrt(d2) < d_c` implies `d2 < r2`.
+    let r2 = result.dc * result.dc * (1.0 + 4.0 * f64::EPSILON);
+    if KernelStrategy::Auto.use_indexed_on(n, &[ds.as_flat()]) && r2.is_normal() {
+        let index = SpatialIndex::build(ds.as_flat(), ds.dim(), result.dc);
+        for i in 0..n {
+            index.for_each_within_d2(ds.point(i as PointId), r2, |j, _| {
+                if j as usize > i {
+                    pair(i, j as usize);
+                }
+            });
+        }
+    } else {
+        for i in 0..n {
+            for j in (i + 1)..n {
+                pair(i, j);
             }
         }
     }
@@ -452,6 +475,154 @@ mod tests {
         let r = compute_exact(&ds, 0.25);
         let c = Clustering::from_labels(vec![0], 1);
         let _ = compute_halo(&ds, &r, &c);
+    }
+
+    /// The all-pairs formulation `compute_halo` must keep agreeing with.
+    fn halo_all_pairs(ds: &Dataset, result: &DpResult, clustering: &Clustering) -> Vec<bool> {
+        let n = ds.len();
+        let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
+        for i in 0..n {
+            let pi = ds.point(i as PointId);
+            let ci = clustering.label(i as PointId) as usize;
+            for j in (i + 1)..n {
+                let cj = clustering.label(j as PointId) as usize;
+                if ci == cj {
+                    continue;
+                }
+                if crate::distance::euclidean(pi, ds.point(j as PointId)) < result.dc {
+                    let avg = (result.rho[i] + result.rho[j]) / 2;
+                    border_rho[ci] = border_rho[ci].max(avg);
+                    border_rho[cj] = border_rho[cj].max(avg);
+                }
+            }
+        }
+        (0..n)
+            .map(|i| {
+                let b = border_rho[clustering.label(i as PointId) as usize];
+                b > 0 && result.rho[i] <= b
+            })
+            .collect()
+    }
+
+    /// A result that only carries what the halo pass reads.
+    fn halo_input(dc: f64, rho: Vec<u32>) -> DpResult {
+        let n = rho.len();
+        DpResult {
+            dc,
+            rho,
+            delta: vec![0.0; n],
+            upslope: vec![NO_UPSLOPE; n],
+        }
+    }
+
+    /// `n` points in four slabs side by side along the first axis, labelled
+    /// by slab, with their exact densities: neighbouring slabs sit closer
+    /// than `d_c`, so each has a sparse border and a dense core.
+    fn touching_blobs(n: usize, dim: usize) -> (Dataset, DpResult, Clustering) {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut ds = Dataset::new(dim);
+        for i in 0..n {
+            let row: Vec<f64> = (0..dim)
+                .map(|d| match d {
+                    0 => (i % 4) as f64 * 4.5 + next() * 4.0,
+                    _ => next(),
+                })
+                .collect();
+            ds.push(&row);
+        }
+        let labels = (0..n as u32).map(|i| i % 4).collect();
+        let result = compute_exact(&ds, 0.8);
+        (ds, result, Clustering::from_labels(labels, 4))
+    }
+
+    #[test]
+    fn indexed_halo_matches_all_pairs_on_kd_and_grid_inputs() {
+        for dim in [2, 5] {
+            let (ds, r, c) = touching_blobs(600, dim);
+            let halo = compute_halo(&ds, &r, &c);
+            assert!(halo.contains(&true) && halo.contains(&false), "dim {dim}");
+            assert_eq!(halo, halo_all_pairs(&ds, &r, &c), "dim {dim}");
+        }
+    }
+
+    /// Regression: a NaN or infinite coordinate must never reach the index
+    /// (a kd box cannot bound it); such inputs keep the all-pairs loop.
+    #[test]
+    fn non_finite_rows_take_the_all_pairs_route() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (mut ds, r, c) = touching_blobs(400, 3);
+            let mut flat = ds.as_flat().to_vec();
+            flat[3 * 57 + 1] = bad;
+            flat[3 * 311] = bad;
+            ds = Dataset::from_flat(3, flat);
+            assert_eq!(
+                compute_halo(&ds, &r, &c),
+                halo_all_pairs(&ds, &r, &c),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_cutoffs_match_all_pairs() {
+        let (ds, r, c) = touching_blobs(300, 2);
+        for dc in [0.0, -1.0, 1e-170, 1e170, f64::INFINITY, f64::NAN] {
+            let r = halo_input(dc, r.rho.clone());
+            assert_eq!(
+                compute_halo(&ds, &r, &c),
+                halo_all_pairs(&ds, &r, &c),
+                "{dc}"
+            );
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Halo flags equal the all-pairs reference below and above
+            /// the index threshold. On the half-unit lattice, duplicates
+            /// abound and `d_c = sqrt(k) / 2` sits exactly on attainable
+            /// pair distances, which the strict predicate must exclude.
+            #[test]
+            fn halo_equals_the_all_pairs_reference(
+                dim in 1usize..=8,
+                n in 2usize..420,
+                cells in proptest::collection::vec(0u8..6, 420 * 8),
+                jitter in proptest::collection::vec(-0.2f64..0.2, 420 * 8),
+                lattice in any::<bool>(),
+                k in 1u32..=12,
+                rho in proptest::collection::vec(0u32..40, 420),
+                raw_labels in proptest::collection::vec(0u32..5, 420),
+                shape in 0u8..4,
+            ) {
+                let flat: Vec<f64> = cells[..n * dim]
+                    .iter()
+                    .zip(&jitter)
+                    .map(|(&c, &j)| f64::from(c) * 0.5 + if lattice { 0.0 } else { j })
+                    .collect();
+                let ds = Dataset::from_flat(dim, flat);
+                let clustering = match shape {
+                    0 => Clustering::from_labels(vec![0; n], 1),
+                    1 => Clustering::from_labels((0..n as u32).collect(), n as u32),
+                    _ => Clustering::from_labels(raw_labels[..n].to_vec(), 5),
+                };
+                let result = halo_input(f64::from(k).sqrt() * 0.5, rho[..n].to_vec());
+                prop_assert_eq!(
+                    compute_halo(&ds, &result, &clustering),
+                    halo_all_pairs(&ds, &result, &clustering)
+                );
+            }
+        }
     }
 
     #[test]

@@ -105,6 +105,16 @@ impl KernelStrategy {
             KernelStrategy::Auto => n >= AUTO_MIN_POINTS,
         }
     }
+
+    /// Whether a chunk of `n` points takes the indexed kernels: the size
+    /// rule above, and only when every coordinate an index would be built
+    /// over (`indexed`) is finite. A box cannot bound a NaN — the point
+    /// sits outside its own node's box, and a wholesale subtree count
+    /// would include it — and an infinite extent turns bound terms into
+    /// `inf - inf`; such chunks keep the pairwise kernels, exact on anything.
+    pub fn use_indexed_on(self, n: usize, indexed: &[&[f64]]) -> bool {
+        n > 0 && self.use_indexed(n) && indexed.iter().all(|f| f.iter().all(|x| x.is_finite()))
+    }
 }
 
 impl std::str::FromStr for KernelStrategy {
@@ -1779,6 +1789,12 @@ mod tests {
         assert!(KernelStrategy::Auto.use_indexed(AUTO_MIN_POINTS));
         assert!(KernelStrategy::Indexed.use_indexed(2));
         assert!(!KernelStrategy::Blocked.use_indexed(1 << 20));
+        let k = KernelStrategy::Indexed;
+        assert!(k.use_indexed_on(2, &[&[0.0, 1.0], &[2.0]]));
+        assert!(!k.use_indexed_on(0, &[]));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!k.use_indexed_on(2, &[&[0.0, 1.0], &[bad]]), "{bad}");
+        }
     }
 
     proptest! {

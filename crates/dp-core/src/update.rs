@@ -80,25 +80,6 @@ pub fn neighbors_within(
         .collect()
 }
 
-/// The paper's LSH density estimate for a probe point: the **max over
-/// layouts** of the within-`d_c` count in the layout's bucket — the
-/// same max-aggregation the batch pipeline's rho-aggregate job applies,
-/// so an inserted point gets a density drawn from the identical
-/// estimator family as its batch-fitted neighbors.
-pub fn rho_estimate_max(
-    query: &[f64],
-    layers: &[&[PointId]],
-    coords: &[f64],
-    dim: usize,
-    dc: f64,
-) -> u32 {
-    layers
-        .iter()
-        .map(|layer| neighbors_within(query, layer, coords, dim, dc).len() as u32)
-        .max()
-        .unwrap_or(0)
-}
-
 /// `rho[n.id] += 1` for every neighbor: the insert-side density update.
 /// The caller supplies a deduplicated neighbor set (one bump per
 /// distinct point regardless of how many layouts surfaced it).
@@ -185,16 +166,6 @@ mod tests {
         // Distance exactly dc is out (strict inequality, as in Eq. 1).
         let ns = neighbors_within(&[0.0], &[2], &coords, 1, 2.0);
         assert!(ns.is_empty());
-    }
-
-    #[test]
-    fn rho_estimate_takes_the_max_layout() {
-        let coords = line();
-        // Layout A surfaces one near point, layout B two.
-        let a: &[PointId] = &[1];
-        let b: &[PointId] = &[1, 2];
-        assert_eq!(rho_estimate_max(&[0.5], &[a, b], &coords, 1, 2.0), 2);
-        assert_eq!(rho_estimate_max(&[0.5], &[], &coords, 1, 2.0), 0);
     }
 
     #[test]

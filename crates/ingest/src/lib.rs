@@ -51,7 +51,7 @@ use ddp::prelude::{
 use dp_core::quality::DegradationReport;
 use dp_core::update::{self, Neighbor};
 use dp_core::{Dataset, PointId, NO_UPSLOPE};
-use lsh::{LshParams, MultiLsh, Signature};
+use lsh::{BucketUnion, LshParams, MultiLsh, Signature};
 use mapreduce::Dfs;
 use obsv::Counter;
 use serve::ClusterModel;
@@ -184,6 +184,8 @@ pub struct IngestSession {
     multi: MultiLsh,
     /// Layout -> signature -> live slots in the bucket.
     tables: Vec<HashMap<Signature, Vec<PointId>>>,
+    /// Bucket-union scratch shared by every probe of the session.
+    union: BucketUnion,
 
     // Slot-major state; tombstones keep their entries (coords included)
     // so slot ids stay stable within a compaction epoch.
@@ -229,6 +231,7 @@ impl IngestSession {
             seq: 0,
             multi: MultiLsh::new(model.dim(), model.params(), model.seed()),
             tables: Vec::new(),
+            union: BucketUnion::default(),
             coords: Vec::new(),
             rho: Vec::new(),
             delta: Vec::new(),
@@ -422,18 +425,13 @@ impl IngestSession {
         // Per-layout density estimates (the paper's max aggregation) and
         // the union candidate set for the separation search.
         let mut rho_q = 0u32;
-        let mut union: Vec<PointId> = Vec::new();
-        for (m, sig) in sigs.iter().enumerate() {
-            if let Some(bucket) = self.tables[m].get(sig) {
-                let within =
-                    update::neighbors_within(point, bucket, &self.coords, self.dim, self.dc);
-                rho_q = rho_q.max(within.len() as u32);
-                union.extend_from_slice(bucket);
-            }
+        let buckets = self.tables.iter().zip(&sigs);
+        for bucket in buckets.filter_map(|(t, sig)| t.get(sig)) {
+            let within = update::neighbors_within(point, bucket, &self.coords, self.dim, self.dc);
+            rho_q = rho_q.max(within.len() as u32);
         }
-        union.sort_unstable();
-        union.dedup();
-        let neighbors = update::candidate_neighbors(point, &union, &self.coords, self.dim);
+        let union = self.union.collect(&self.tables, &sigs).ids();
+        let neighbors = update::candidate_neighbors(point, union, &self.coords, self.dim);
 
         // Anchor the new point (localized Eq. 2); out-of-bucket points
         // degrade to the nearest peak, exactly like the serving-time
@@ -519,16 +517,9 @@ impl IngestSession {
         self.n_live -= 1;
 
         // Reverse the density contribution for surviving bucket-mates.
-        let mut union: Vec<PointId> = Vec::new();
-        for (m, sig) in sigs.iter().enumerate() {
-            if let Some(bucket) = self.tables[m].get(sig) {
-                union.extend_from_slice(bucket);
-            }
-        }
-        union.sort_unstable();
-        union.dedup();
+        let union = self.union.collect(&self.tables, &sigs).ids();
         let within: Vec<PointId> =
-            update::neighbors_within(&point, &union, &self.coords, self.dim, self.dc)
+            update::neighbors_within(&point, union, &self.coords, self.dim, self.dc)
                 .into_iter()
                 .map(|n| n.id)
                 .collect();
@@ -565,16 +556,10 @@ impl IngestSession {
     /// batch results use.
     fn reanchor(&mut self, p: PointId) -> u64 {
         let point: Vec<f64> = self.point(p).to_vec();
-        let mut union: Vec<PointId> = Vec::new();
-        for (m, sig) in self.multi.signatures(&point).iter().enumerate() {
-            if let Some(bucket) = self.tables[m].get(sig) {
-                union.extend_from_slice(bucket);
-            }
-        }
-        union.sort_unstable();
-        union.dedup();
-        union.retain(|&x| x != p);
-        let neighbors = update::candidate_neighbors(&point, &union, &self.coords, self.dim);
+        // The union holds `p` itself; `nearest_denser` never picks it.
+        let sigs = self.multi.signatures(&point);
+        let union = self.union.collect(&self.tables, &sigs).ids();
+        let neighbors = update::candidate_neighbors(&point, union, &self.coords, self.dim);
         let anchor = update::nearest_denser(p, self.rho[p as usize], &neighbors, &self.rho)
             .or_else(|| self.nearest_peak(&point).filter(|pk| pk.id != p));
         match anchor {
@@ -695,7 +680,8 @@ impl IngestSession {
         // ran): a refit materializes the full live dataset plus the plan's
         // intermediates, and its footprint bounds the streaming budget.
         let mem = obsv::alloc::scope();
-        let ds = self.live_dataset();
+        let _span = obsv::span!("ingest", "compact");
+        let ds = obsv::span!("ingest", "compact/live_dataset" => { self.live_dataset() });
         let ddp = LshDdp::new(LshDdpConfig {
             params: self.params,
             seed: self.lsh_seed,
@@ -708,21 +694,26 @@ impl IngestSession {
             .pipeline
             .driver()
             .with_dfs(Arc::clone(&self.dfs));
-        let report = ddp.run_with_driver(&ds, self.dc, driver);
-        let outcome = CentralizedStep::new(self.config.selection.clone()).run(&report.result);
-        let model = ClusterModel::from_run(&ds, &report, &outcome, &self.params, self.lsh_seed)
-            .with_version(self.version + 1);
+        let report =
+            obsv::span!("ingest", "compact/refit" => { ddp.run_with_driver(&ds, self.dc, driver) });
+        let outcome = obsv::span!("ingest", "compact/centralized" => {
+            CentralizedStep::new(self.config.selection.clone()).run(&report.result)
+        });
+        // `from_run` is the halo pass plus field copies.
+        let model = obsv::span!("ingest", "compact/halo" => {
+            ClusterModel::from_run(&ds, &report, &outcome, &self.params, self.lsh_seed)
+        })
+        .with_version(self.version + 1);
 
         // The refit succeeded: re-seed the session onto it. The WAL is
         // deliberately left intact — its batches are only *durably*
         // folded once the caller persists the artifact and retires the
         // log (`retire_wal`).
-        let keys: Vec<u64> = (0..self.live.len())
-            .filter(|&s| self.live[s])
-            .map(|s| self.keys[s])
-            .collect();
-        self.algorithm = model.algorithm().to_string();
-        self.seed_from(&model, Some(keys));
+        obsv::span!("ingest", "compact/reseed" => {
+            let keys = self.live_keys();
+            self.algorithm = model.algorithm().to_string();
+            self.seed_from(&model, Some(keys));
+        });
         self.compactions_ctr.inc(1);
         obsv::global()
             .gauge("ingest.compact_peak_bytes")

@@ -5,7 +5,7 @@
 use ddp::prelude::*;
 use ingest::{DeltaOp, IngestConfig, IngestError, IngestSession};
 use mapreduce::wire;
-use serve::ClusterModel;
+use serve::{ClusterModel, Exactness, QueryEngine};
 use std::path::PathBuf;
 
 /// Fits a small 3-blob model end to end (mirrors serve's test fixture).
@@ -351,4 +351,78 @@ mod fault_plans {
             std::fs::remove_file(&path).ok();
         }
     }
+}
+
+/// The bucket probes of the read and write paths once hashed every
+/// colliding id and sorted the result; they now share `lsh::BucketUnion`.
+/// The digests below were recorded with the hashed probes (at the commit
+/// before the switch) over a seeded lineage that has held-in twins,
+/// queries no bucket collides with, and a deleted peak: every served
+/// answer and every published byte must still match them.
+#[test]
+fn served_answers_and_published_artifacts_match_the_hashed_probe_digests() {
+    let model = fitted(120, 23);
+    let dim = model.dim();
+    let mut queries: Vec<f64> = Vec::new();
+    for id in 0..model.len() as u32 {
+        let p = model.point(id);
+        if id % 3 == 0 {
+            queries.extend_from_slice(p); // twin
+        }
+        queries.extend(p.iter().map(|x| x + 0.3 - f64::from(id % 7) * 0.1));
+    }
+    queries.extend([1e6, -1e6, 500.0, 500.0, 20.0, 20.0]); // nothing collides
+    let answers = |model: &ClusterModel, exactness| {
+        let engine = QueryEngine::with_exactness(model.clone(), exactness);
+        let bytes: Vec<u8> = engine
+            .assign_batch(&queries)
+            .iter()
+            .flat_map(|a| {
+                let flags = u64::from(a.fallback) << 1 | u64::from(a.halo);
+                [
+                    u64::from(a.cluster),
+                    a.confidence.to_bits(),
+                    u64::from(a.rho_estimate),
+                    flags,
+                ]
+            })
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        assert_eq!(bytes.len(), queries.len() / dim * 32);
+        mapreduce::checksum64(&bytes)
+    };
+    assert_eq!(answers(&model, Exactness::Hybrid), 0x7dc6_e261_be50_7297);
+    assert_eq!(answers(&model, Exactness::Lsh), 0x7059_f37d_bc35_62cc);
+
+    let mut session = IngestSession::new(&model, config());
+    let near = |id: u32, dx: f64| {
+        let p = model.point(id);
+        DeltaOp::Insert(vec![p[0] + dx, p[1] - dx])
+    };
+    let peak = u64::from(model.peaks()[0]);
+    let mut first: Vec<DeltaOp> = (0..40).map(|i| near(i * 9, 0.05 * f64::from(i))).collect();
+    first.push(DeltaOp::Insert(model.point(5).to_vec())); // twin of a base point
+    first.push(DeltaOp::Insert(vec![1e6, 1e6])); // no bucket-mates
+    session.apply(first).unwrap();
+    session
+        .apply(vec![
+            DeltaOp::Delete(peak),
+            DeltaOp::Delete(7),
+            DeltaOp::Delete(8),
+            DeltaOp::Delete(model.len() as u64 + 3), // an inserted point
+            near(model.peaks()[0], 0.01),
+        ])
+        .unwrap();
+    session
+        .apply((0..20).map(|i| near(200 + i, -0.2)).collect())
+        .unwrap();
+    let published = session.publish();
+    assert_eq!(
+        mapreduce::checksum64(&wire::encode(&published)),
+        0xd421_9e79_1494_bd5c
+    );
+    assert_eq!(
+        answers(&published, Exactness::Hybrid),
+        0x7f50_a1ef_8b4f_de9b
+    );
 }

@@ -36,6 +36,60 @@ where
     tables
 }
 
+/// The union of a query's colliding buckets: every id sharing a bucket
+/// with it under any layout, ascending, with the number of layouts it
+/// collided in. Collisions are counted in a dense per-id array that is
+/// cleared through the ids the previous query touched, so a query costs
+/// its buckets' sizes plus a sort of the *distinct* ids — no hashing per
+/// id, nothing proportional to the table size. Keep one per batch,
+/// session or worker thread and reuse it.
+#[derive(Debug, Default)]
+pub struct BucketUnion {
+    /// Collision count per id; zero for every id not in `ids`.
+    hits: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl BucketUnion {
+    /// Recounts for the buckets `sigs` (one signature per layout) selects
+    /// in `tables`; returns the refreshed union.
+    pub fn collect(
+        &mut self,
+        tables: &[HashMap<Signature, Vec<u32>>],
+        sigs: &[Signature],
+    ) -> &Self {
+        for id in self.ids.drain(..) {
+            self.hits[id as usize] = 0;
+        }
+        for bucket in tables.iter().zip(sigs).filter_map(|(t, sig)| t.get(sig)) {
+            let bound = bucket.iter().max().map_or(0, |&id| id as usize + 1);
+            if self.hits.len() < bound {
+                self.hits.resize(bound, 0);
+            }
+            for &id in bucket {
+                if self.hits[id as usize] == 0 {
+                    self.ids.push(id);
+                }
+                self.hits[id as usize] += 1;
+            }
+        }
+        // Tables list a bucket's ids ascending, so `ids` is one ascending
+        // run per layout: the stable sort finds the runs and merges them.
+        self.ids.sort();
+        self
+    }
+
+    /// The ids of the last [`collect`](Self::collect), ascending.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// In how many layouts `id` shared the last query's bucket.
+    pub fn hits(&self, id: u32) -> u32 {
+        self.hits.get(id as usize).copied().unwrap_or(0)
+    }
+}
+
 /// An immutable LSH index over a set of points.
 ///
 /// ```
@@ -84,17 +138,12 @@ impl LshIndex {
     }
 
     /// The candidate set for `query`: ids sharing a bucket under any
-    /// layout (deduplicated, unordered).
+    /// layout (deduplicated, ascending).
     pub fn candidates(&self, query: &[f64]) -> Vec<u32> {
-        let mut seen = std::collections::HashSet::new();
-        for (m, sig) in self.multi.signatures(query).into_iter().enumerate() {
-            if let Some(bucket) = self.tables[m].get(&sig) {
-                seen.extend(bucket.iter().copied());
-            }
-        }
-        let mut v: Vec<u32> = seen.into_iter().collect();
-        v.sort_unstable();
-        v
+        BucketUnion::default()
+            .collect(&self.tables, &self.multi.signatures(query))
+            .ids()
+            .to_vec()
     }
 
     /// Approximate k nearest neighbors of `query`: the `k` closest
@@ -228,6 +277,73 @@ mod tests {
                     table[&sig].contains(&(i as u32)),
                     "point {i} missing from its layout-{m} bucket"
                 );
+            }
+        }
+    }
+
+    /// The formulation [`BucketUnion`] replaced: hash every id, sort.
+    fn hashed_union(
+        tables: &[HashMap<Signature, Vec<u32>>],
+        sigs: &[Signature],
+    ) -> Vec<(u32, u32)> {
+        let mut hits: HashMap<u32, u32> = HashMap::new();
+        for (table, sig) in tables.iter().zip(sigs) {
+            for &id in table.get(sig).into_iter().flatten() {
+                *hits.entry(id).or_insert(0) += 1;
+            }
+        }
+        let mut v: Vec<(u32, u32)> = hits.into_iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn candidates_are_the_hashed_union_of_the_query_buckets() {
+        let idx = LshIndex::build(grid_points(), &params(), 5);
+        for q in [[4.5, 4.5], [0.0, 9.0], [1e6, -1e6]] {
+            let want: Vec<u32> = hashed_union(&idx.tables, &idx.multi.signatures(&q))
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(idx.candidates(&q), want, "{q:?}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// One scratch reused over a run of queries — buckets in any
+            /// order, ids shared between layouts, missing buckets, an id
+            /// range that grows — reports the ids, order and hit counts of
+            /// the hash-and-sort formulation every time.
+            #[test]
+            fn bucket_union_matches_hash_and_sort(
+                layouts in proptest::collection::vec(
+                    proptest::collection::vec(proptest::collection::vec(0u32..300, 0..40), 4),
+                    1..6,
+                ),
+                queries in proptest::collection::vec(proptest::collection::vec(0i64..6, 6), 1..8),
+            ) {
+                let tables: Vec<HashMap<Signature, Vec<u32>>> = layouts
+                    .into_iter()
+                    .map(|buckets| {
+                        (0..).zip(buckets).filter(|(_, b)| !b.is_empty()).map(|(k, b)| (vec![k], b)).collect()
+                    })
+                    .collect();
+                let mut union = BucketUnion::default();
+                for keys in queries {
+                    let sigs: Vec<Signature> = keys[..tables.len()].iter().map(|&k| vec![k]).collect();
+                    let got = union.collect(&tables, &sigs);
+                    let want = hashed_union(&tables, &sigs);
+                    let pairs: Vec<(u32, u32)> =
+                        got.ids().iter().map(|&id| (id, got.hits(id))).collect();
+                    prop_assert_eq!(pairs, want);
+                    for id in (0..320).filter(|id| !got.ids().contains(id)) {
+                        prop_assert_eq!(got.hits(id), 0);
+                    }
+                }
             }
         }
     }

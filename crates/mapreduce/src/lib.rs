@@ -49,9 +49,10 @@
 //! }
 //!
 //! let input = vec![(0u64, "a b a".to_string()), (1, "b".to_string())];
-//! let (out, metrics) = JobBuilder::new("wordcount", Tokenize, Sum)
+//! let (mut out, metrics) = JobBuilder::new("wordcount", Tokenize, Sum)
 //!     .config(JobConfig::default())
 //!     .run(input);
+//! out.sort(); // output order follows the partitioning, not the keys
 //! assert_eq!(out, vec![("a".into(), 2), ("b".into(), 2)]);
 //! assert_eq!(metrics.map_output_records, 4);
 //! ```

@@ -10,6 +10,10 @@ use obsv::json::{parse, Json};
 use obsv::{clear_events, disable_capture, drain_events, enable_capture, span};
 
 fn captured_tree() -> Vec<obsv::SpanEvent> {
+    // Capture is process-global: two tests capturing at once would drain
+    // each other's spans.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     enable_capture();
     clear_events();
     span!("pipeline", "lsh-ddp" => {

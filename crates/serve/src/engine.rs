@@ -11,8 +11,14 @@
 use crate::model::ClusterModel;
 use dp_core::distance::{nearest_in_block, squared_euclidean};
 use dp_core::{KernelStrategy, SpatialIndex, NO_UPSLOPE};
-use lsh::{bucket_tables, MultiLsh, Signature};
+use lsh::{bucket_tables, BucketUnion, MultiLsh, Signature};
+use std::cell::RefCell;
 use std::collections::HashMap;
+
+thread_local! {
+    /// Per-thread bucket-probe scratch: a server worker reuses its own.
+    static UNION: RefCell<BucketUnion> = RefCell::default();
+}
 
 /// How much exact work the query path may do — the accuracy/latency knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,6 +101,7 @@ impl QueryEngine {
 
     /// Builds the engine with explicit exactness and kernel strategy.
     pub fn with_kernel(model: ClusterModel, exactness: Exactness, kernel: KernelStrategy) -> Self {
+        let _span = obsv::span!("serve", "engine/build");
         let multi = MultiLsh::new(model.dim(), model.params(), model.seed());
         let n = model.len();
         let dim = model.dim();
@@ -223,27 +230,16 @@ impl QueryEngine {
         }
         match self.exactness {
             Exactness::Exact => (0..self.model.len() as u32).filter(|&i| within(i)).count() as u32,
-            _ => self
-                .collisions(query)
-                .keys()
-                .copied()
-                .filter(|&i| within(i))
-                .count() as u32,
+            _ => self.collisions(query, |u| {
+                u.ids().iter().filter(|&&i| within(i)).count() as u32
+            }),
         }
     }
 
-    /// Bucket probe: candidate id -> number of layouts whose bucket the
-    /// query shares with it.
-    fn collisions(&self, query: &[f64]) -> HashMap<u32, u32> {
-        let mut hits: HashMap<u32, u32> = HashMap::new();
-        for (m, sig) in self.multi.signatures(query).into_iter().enumerate() {
-            if let Some(bucket) = self.tables[m].get(&sig) {
-                for &id in bucket {
-                    *hits.entry(id).or_insert(0) += 1;
-                }
-            }
-        }
-        hits
+    /// Bucket probe: hands `f` the ids sharing a bucket with the query,
+    /// ascending, and the number of layouts each collided in.
+    fn collisions<R>(&self, query: &[f64], f: impl FnOnce(&BucketUnion) -> R) -> R {
+        UNION.with_borrow_mut(|u| f(u.collect(&self.tables, &self.multi.signatures(query))))
     }
 
     /// The LSH/exact anchor search. `None` means "defer to the batched
@@ -257,74 +253,45 @@ impl QueryEngine {
             return self.probe_indexed(idx, query, dc, dc2);
         }
 
-        // Candidate set and collision multiplicities under the policy.
-        let candidates: Vec<(u32, u32)> = match self.exactness {
+        // Candidates under the policy as `(id, layouts collided in, d2)`,
+        // ascending by id: a deterministic order for tie-breaks.
+        let d2 = |id: u32| squared_euclidean(query, self.model.point(id));
+        let scored: Vec<(u32, u32, f64)> = match self.exactness {
             Exactness::Exact => (0..self.model.len() as u32)
-                .map(|i| (i, self.multi.layouts() as u32))
+                .map(|id| (id, self.multi.layouts() as u32, d2(id)))
                 .collect(),
-            _ => {
-                let mut v: Vec<(u32, u32)> = self.collisions(query).into_iter().collect();
-                v.sort_unstable(); // deterministic order for tie-breaks
-                v
-            }
+            _ => self.collisions(query, |u| {
+                u.ids().iter().map(|&id| (id, u.hits(id), d2(id))).collect()
+            }),
         };
-        if candidates.is_empty() {
+        if scored.is_empty() {
             return None;
         }
-
-        let dist2: Vec<f64> = candidates
-            .iter()
-            .map(|&(id, _)| squared_euclidean(query, self.model.point(id)))
-            .collect();
 
         // The query's density estimate excludes exact coordinate matches:
         // a held-in query *is* its training twin, and `rho` never counts
         // the point itself.
-        let rho_est = dist2.iter().filter(|&&d2| d2 > 0.0 && d2 < dc2).count() as u32;
+        let rho_est = scored.iter().filter(|c| c.2 > 0.0 && c.2 < dc2).count() as u32;
 
-        // A zero-distance candidate IS the query: inherit its cluster
-        // outright. Without this, a training point whose pipeline-estimated
-        // `rho` undercounts the bucket-union recount here could lose its
-        // own anchor slot to a farther neighbor.
-        if let Some((&(id, hits), _)) = candidates
-            .iter()
-            .zip(&dist2)
-            .filter(|(_, &d2)| d2 == 0.0)
-            .min_by_key(|((id, _), _)| *id)
-        {
-            let confidence = match self.exactness {
-                Exactness::Exact => 1.0,
-                _ => f64::from(hits) / m_layouts,
-            };
-            return Some(Assignment {
-                cluster: self.model.label(id),
-                confidence,
-                fallback: false,
-                rho_estimate: rho_est,
-                halo: self.model.is_halo(id),
-            });
-        }
-
-        if self.exactness == Exactness::Hybrid && rho_est == 0 {
+        // A zero-distance candidate (the smallest id of several) IS the
+        // query: inherit its cluster outright. Without this, a training
+        // point whose pipeline-estimated `rho` undercounts the bucket-union
+        // recount here could lose its own anchor slot to a farther neighbor.
+        let twin = scored.iter().find(|c| c.2 == 0.0);
+        if twin.is_none() && self.exactness == Exactness::Hybrid && rho_est == 0 {
             return None; // outside the modeled support: exact fallback
         }
-
-        // Anchor: nearest candidate at least as dense as the query (the
-        // upslope rule); failing that, plain nearest candidate.
-        let anchor = candidates
-            .iter()
-            .zip(&dist2)
-            .filter(|((id, _), _)| self.model.rho(*id) >= rho_est)
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .or_else(|| {
-                candidates
-                    .iter()
-                    .zip(&dist2)
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            });
-        let (&(id, hits), &d2) = anchor?;
-
+        // Otherwise the anchor: nearest candidate at least as dense as the
+        // query (the upslope rule); failing that, plain nearest candidate.
+        let nearest = |dense: bool| {
+            scored
+                .iter()
+                .filter(|c| !dense || self.model.rho(c.0) >= rho_est)
+                .min_by(|a, b| a.2.total_cmp(&b.2))
+        };
+        let &(id, hits, d2) = twin.or_else(|| nearest(true)).or_else(|| nearest(false))?;
         let confidence = match self.exactness {
+            Exactness::Exact if d2 == 0.0 => 1.0,
             Exactness::Exact => proximity(dc, d2.sqrt()),
             _ => f64::from(hits) / m_layouts,
         };
