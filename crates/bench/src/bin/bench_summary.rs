@@ -16,8 +16,8 @@
 //!
 //! Usage: `bench_summary [--smoke] [--out <path>]`.
 
-use ddp::{BasicConfig, BasicDdp, LshDdp, PipelineConfig};
-use dp_core::{for_each_pair_d2, Dataset, KernelStrategy};
+use ddp::{LshDdp, PipelineConfig};
+use dp_core::{for_each_pair_d2, Dataset};
 use lshddp_bench::swap::{swap_under_load, SwapBench};
 use mapreduce::{Emitter, FnMapper, FnReducer, JobBuilder, JobConfig};
 use rayon::prelude::*;
@@ -49,25 +49,6 @@ struct KernelBench {
     dim: usize,
     wall_s: f64,
     pairs_per_s: f64,
-}
-
-#[derive(Serialize)]
-struct IndexedKernelsBench {
-    description: &'static str,
-    /// Points in the single partition both kernels process (`n_p`).
-    points: usize,
-    dim: usize,
-    blocked_s: f64,
-    indexed_s: f64,
-    /// `blocked_s / indexed_s`; gated >= 2x by scripts/check_kernels.py.
-    speedup: f64,
-    blocked_evals: u64,
-    indexed_evals: u64,
-    /// Fraction of the blocked kernel's distance evaluations the spatial
-    /// index pruned away (`1 - indexed/blocked`).
-    evals_skipped_frac: f64,
-    /// Bit-identical `(rho, delta, upslope)` between the two strategies.
-    outputs_match: bool,
 }
 
 #[derive(Serialize)]
@@ -225,7 +206,6 @@ struct Summary {
     engine_shuffle_job: WallBench,
     lsh_ddp_pipeline: WallBench,
     kernel_pair_d2: KernelBench,
-    indexed_kernels: IndexedKernelsBench,
     plan_elision: ElisionBench,
     recovery_overhead: RecoveryBench,
     hot_swap: SwapBench,
@@ -343,7 +323,6 @@ fn blob_lsh_with(disable_elision: bool) -> LshDdp {
         chaos: None,
         disable_elision,
         checkpoints: false,
-        kernel: Default::default(),
         mem_budget: None,
     })
 }
@@ -684,9 +663,9 @@ fn kernel_pair_d2(points: usize, dim: usize) -> KernelBench {
 }
 
 /// Point `i` of blob `b` in the clustered layout, written into `p` — the
-/// shared generator behind [`clustered_dataset`] and the streaming
-/// scenario's batched spill writer, so both produce bit-identical
-/// coordinates for a given `(b, i)`.
+/// generator shared by the streaming scenario's resident dataset and its
+/// batched spill writer, so both produce bit-identical coordinates for a
+/// given `(b, i)`.
 fn clustered_point(b: u64, i: u64, p: &mut [f64]) {
     for (d, slot) in p.iter_mut().enumerate() {
         let hc = b
@@ -699,63 +678,6 @@ fn clustered_point(b: u64, i: u64, p: &mut [f64]) {
             .wrapping_add((d as u64).wrapping_mul(40503))
             >> 7;
         *slot = center + (hj % 2000) as f64 / 1000.0 - 1.0;
-    }
-}
-
-/// Clustered blobs: the regime the spatial index targets (small `d_c`
-/// neighborhoods inside well-separated clusters).
-fn clustered_dataset(n: usize, dim: usize) -> Dataset {
-    let mut ds = Dataset::new(dim);
-    let mut p = vec![0.0; dim];
-    for i in 0..n as u64 {
-        clustered_point(i % 20, i, &mut p);
-        ds.push(&p);
-    }
-    ds
-}
-
-/// Blocked vs spatial-index local DP kernels on one partition of
-/// `points` points: the same rho/delta reduce work `basic_ddp` does per
-/// block, with `block_size = points` so both strategies process a single
-/// partition of size `n_p = points`. Gated by scripts/check_kernels.py
-/// (outputs bit-identical, speedup >= 2x).
-fn indexed_kernels(points: usize, dim: usize) -> IndexedKernelsBench {
-    let ds = clustered_dataset(points, dim);
-    let dc = 2.0;
-    let runner = |kernel| {
-        BasicDdp::new(BasicConfig {
-            block_size: points,
-            pipeline: PipelineConfig {
-                kernel,
-                ..PipelineConfig::default()
-            },
-        })
-    };
-    let blocked = runner(KernelStrategy::Blocked);
-    let indexed = runner(KernelStrategy::Indexed);
-    let blocked_s = time_calls(1, || blocked.run(&ds, dc));
-    let indexed_s = time_calls(1, || indexed.run(&ds, dc));
-    let r_blocked = blocked.run(&ds, dc);
-    let r_indexed = indexed.run(&ds, dc);
-    let outputs_match = r_blocked.result.rho == r_indexed.result.rho
-        && r_blocked.result.upslope == r_indexed.result.upslope
-        && r_blocked
-            .result
-            .delta
-            .iter()
-            .zip(&r_indexed.result.delta)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    IndexedKernelsBench {
-        description: "single-partition basic_ddp rho+delta, blocked vs kd-tree kernels",
-        points,
-        dim,
-        blocked_s,
-        indexed_s,
-        speedup: blocked_s / indexed_s,
-        blocked_evals: r_blocked.distances,
-        indexed_evals: r_indexed.distances,
-        evals_skipped_frac: 1.0 - r_indexed.distances as f64 / r_blocked.distances.max(1) as f64,
-        outputs_match,
     }
 }
 
@@ -1021,13 +943,9 @@ fn main() {
     } else {
         (400, 100_000, 1_500, 10_000, 2_000)
     };
-    // The kernel gate (check_kernels.py) is stated at n_p = 10k, so the
-    // indexed-vs-blocked comparison runs at full size even in smoke mode.
-    let indexed_n = 10_000;
     // The streaming gate (check_streaming.py) is stated at a fixed size —
-    // 8 MiB of coordinates against a 2 MiB budget — so like the kernel
-    // comparison it runs at full size even in smoke mode (the budgeted
-    // run is sub-second).
+    // 8 MiB of coordinates against a 2 MiB budget — so it runs at full
+    // size even in smoke mode (the budgeted run is sub-second).
     let (stream_n, stream_budget) = (16_384, 2u64 * 1024 * 1024);
 
     eprintln!("bench_summary: threads={threads} smoke={smoke}");
@@ -1054,7 +972,6 @@ fn main() {
         engine_shuffle_job: engine_shuffle_job(engine_records),
         lsh_ddp_pipeline: lsh_ddp_pipeline(blob_n),
         kernel_pair_d2: kernel_pair_d2(kernel_n, 8),
-        indexed_kernels: indexed_kernels(indexed_n, 8),
         plan_elision: plan_elision(blob_n),
         recovery_overhead: recovery_overhead(blob_n),
         // Serving correctness across model hot-swaps under load; gated
@@ -1088,17 +1005,6 @@ fn main() {
         summary.engine_shuffle_job.wall_s,
         summary.lsh_ddp_pipeline.wall_s,
         summary.kernel_pair_d2.pairs_per_s
-    );
-    eprintln!(
-        "indexed kernels: blocked {:.3}s vs indexed {:.3}s ({:.1}x), \
-         evals {} -> {} ({:.1}% skipped), outputs_match={}",
-        summary.indexed_kernels.blocked_s,
-        summary.indexed_kernels.indexed_s,
-        summary.indexed_kernels.speedup,
-        summary.indexed_kernels.blocked_evals,
-        summary.indexed_kernels.indexed_evals,
-        summary.indexed_kernels.evals_skipped_frac * 100.0,
-        summary.indexed_kernels.outputs_match
     );
     eprintln!(
         "elision: on {:.3}s off {:.3}s, shuffle {} B vs {} B (saved {} B = {:.1}%), outputs_match={}",

@@ -2,7 +2,8 @@
 //! construction, and the sampled `d_c` preprocessing job (paper §III-A).
 
 use dp_core::dp::NO_UPSLOPE;
-use dp_core::{Dataset, DistanceKind, DistanceTracker, KernelStrategy, PointId};
+use dp_core::local::Key;
+use dp_core::{Dataset, DistanceKind, DistanceTracker, PointId};
 use mapreduce::task::{MrKey, MrValue};
 use mapreduce::{
     plan, Combiner, Driver, Emitter, JobConfig, JobMetrics, Mapper, Reducer, Snapshot, Stage,
@@ -52,13 +53,6 @@ pub struct PipelineConfig {
     /// resume from the last completed stage.
     #[serde(default)]
     pub checkpoints: bool,
-    /// Which local rho/delta kernel the reducers use: the blocked
-    /// `O(n_p^2)` pair loops, the pruned spatial-index kernels, or
-    /// size-based auto selection (the default). Outputs are bit-identical
-    /// either way; the `LSHDDP_KERNEL` environment variable overrides this
-    /// at run start (see [`dp_core::KernelStrategy::resolve`]).
-    #[serde(default)]
-    pub kernel: KernelStrategy,
     /// Optional memory budget in bytes for in-flight shuffle data (see
     /// [`mapreduce::Driver::with_mem_budget`]): map output over the budget
     /// spills to the disk tier and reduce decode is admission-gated.
@@ -164,13 +158,10 @@ pub fn point_snapshot(ds: &Dataset) -> Snapshot<PointId, Vec<f64>> {
     Snapshot::new(point_records(ds))
 }
 
-/// Flattens per-point coordinate slices into one row-major buffer for the
-/// blocked distance kernels (`dp_core::for_each_pair_d2` and friends);
-/// returns the buffer and the dimensionality (1 for an empty input).
-///
-/// The reducers that route their O(n_p²) loops through the batched
-/// kernels call this once per partition, turning the shuffled
-/// `Vec<Vec<f64>>` rows into the flat SoA layout the kernels tile over.
+/// Flattens per-point coordinate slices into the one row-major buffer a
+/// [`dp_core::local::Partition`] works over; returns the buffer and the
+/// dimensionality (1 for an empty input). Every local reducer is *flatten
+/// → call → emit*.
 pub(crate) fn flatten_coords<'a>(coords: impl Iterator<Item = &'a [f64]>) -> (Vec<f64>, usize) {
     let mut flat = Vec::new();
     let mut dim = 0usize;
@@ -183,15 +174,21 @@ pub(crate) fn flatten_coords<'a>(coords: impl Iterator<Item = &'a [f64]>) -> (Ve
     (flat, dim.max(1))
 }
 
-/// The routed reducers compute squared Euclidean distances through the
-/// blocked kernels; they must never run under a tracker configured with a
-/// different metric (no pipeline constructs one, asserted in debug).
+/// The `(rho, id)` keys the local `delta` kernels order points by, from the
+/// broadcast density table.
+pub(crate) fn density_keys(rho: &[u32], ids: impl Iterator<Item = PointId>) -> Vec<Key> {
+    ids.map(|id| (rho[id as usize], id)).collect()
+}
+
+/// The local kernels compute squared Euclidean distances; their reducers
+/// must never run under a tracker configured with a different metric (no
+/// pipeline constructs one, asserted in debug).
 #[inline]
 pub(crate) fn debug_assert_euclidean(tracker: &DistanceTracker) {
     debug_assert_eq!(
         tracker.kind(),
         DistanceKind::Euclidean,
-        "blocked-kernel reducers require the Euclidean metric"
+        "local-kernel reducers require the Euclidean metric"
     );
 }
 

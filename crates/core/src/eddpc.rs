@@ -26,16 +26,15 @@
 //! exactly the trade-off Table IV of the paper measures.
 
 use crate::common::{
-    assemble_delta, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    assemble_delta, debug_assert_euclidean, density_keys, flatten_coords, point_records,
+    point_snapshot, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
+    PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
-use dp_core::dp::{denser, density_order, DpResult, NO_UPSLOPE};
-use dp_core::{
-    for_each_cross_d2, for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId,
-    SpatialIndex,
-};
+use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
+use dp_core::local::Partition;
+use dp_core::{Dataset, DistanceTracker, PointId};
 use mapreduce::{plan, Emitter, JobBuilder, JobMetrics, Mapper, ReduceStage, Reducer, Stage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -179,10 +178,10 @@ impl Mapper for RhoVoronoiMapper {
     }
 }
 
-/// Reducer of the rho job: exact density for the cell's owners.
+/// Reducer of the rho job: exact density for the cell's owners, counted
+/// over everything present in the cell.
 struct RhoVoronoiReducer {
     dc: f64,
-    kernel: KernelStrategy,
     tracker: DistanceTracker,
 }
 
@@ -194,44 +193,19 @@ impl Reducer for RhoVoronoiReducer {
 
     fn reduce(&self, _cell: &u32, points: Vec<CellPoint>, out: &mut Emitter<PointId, u32>) {
         debug_assert_euclidean(&self.tracker);
-        let owner_idx: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, _, owner))| *owner == 1)
-            .map(|(i, _)| i)
-            .collect();
-        if owner_idx.is_empty() {
+        let owners: Vec<&CellPoint> = points.iter().filter(|(_, _, owner)| *owner == 1).collect();
+        if owners.is_empty() {
             return;
         }
         let (all_flat, dim) = flatten_coords(points.iter().map(|(_, c, _)| c.as_slice()));
-        let (owner_flat, _) = flatten_coords(owner_idx.iter().map(|&i| points[i].1.as_slice()));
+        let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _)| c.as_slice()));
+        let (rho, evals) = Partition::new(&all_flat, dim, self.dc).count_of(&owner_flat);
+        self.tracker.add(evals);
         let dc2 = self.dc * self.dc;
-        let mut rho = vec![0u32; owner_idx.len()];
-        if self.kernel.use_indexed_on(points.len(), &[&all_flat]) {
-            // Indexed kernel: ball counts over the whole cell; the owner's
-            // self-match (its unique id in the cell, at distance zero) is
-            // subtracted back out.
-            let index = SpatialIndex::build(&all_flat, dim, self.dc);
-            let mut evals = 0u64;
-            for (o, &i) in owner_idx.iter().enumerate() {
-                let (count, e) = index.range_count_d2(&all_flat[i * dim..][..dim], dc2);
-                evals += e;
-                rho[o] = count.saturating_sub(1);
-            }
-            self.tracker.add(evals);
-        } else {
-            for_each_cross_d2(&owner_flat, &all_flat, dim, |o, j, d2| {
-                // Each owner appears exactly once in the cell, so the single
-                // id match is its self-pair.
-                if points[owner_idx[o]].0 != points[j].0 && d2 < dc2 {
-                    rho[o] += 1;
-                }
-            });
-            self.tracker
-                .add((owner_idx.len() * points.len().saturating_sub(1)) as u64);
-        }
-        for (&i, r) in owner_idx.iter().zip(rho) {
-            out.emit(points[i].0, r);
+        for ((id, c, _), r) in owners.into_iter().zip(rho) {
+            // Each owner appears exactly once in the cell: take its
+            // self-pair back out where the predicate counted it.
+            out.emit(*id, r - u32::from(squared_euclidean(c, c) < dc2));
         }
     }
 }
@@ -252,14 +226,12 @@ impl Mapper for OwnerMapper {
     }
 }
 
-/// Reducer of round 1: nearest denser owner within the cell; also records
-/// the cell radius as a side output under key `u32::MAX - cell` is not
-/// possible here, so radii are computed by the mapper-side pivot distances
-/// in [`Eddpc::run`] instead.
+/// Reducer of round 1: nearest denser owner within the cell — the upper
+/// bound `ub_i` round 2 replicates by. (Cell radii come from the
+/// partitioning pass's pivot distances in [`Eddpc::run`], not from here.)
 struct DeltaRound1Reducer {
     rho: Arc<Vec<u32>>,
     dc: f64,
-    kernel: KernelStrategy,
     tracker: DistanceTracker,
 }
 
@@ -276,72 +248,11 @@ impl Reducer for DeltaRound1Reducer {
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
         debug_assert_euclidean(&self.tracker);
-        let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); points.len()];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
-        if self.kernel.use_indexed_on(points.len(), &[&flat]) {
-            // Indexed kernel: nearest-denser searches seeded by the
-            // descending canonical density order (the fast.rs scan). The
-            // `maxd` slot is only consumed downstream when every partial
-            // ends [`NO_UPSLOPE`], so the exact farthest distance is
-            // computed only for empty-handed searches.
-            let index = SpatialIndex::build(&flat, dim, self.dc);
-            let mut evals = 0u64;
-            let mut order: Vec<u32> = (0..points.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                let (ia, ib) = (points[a as usize].0, points[b as usize].0);
-                density_order(self.rho[ia as usize], ia, self.rho[ib as usize], ib)
-            });
-            for (pos, &oi) in order.iter().enumerate() {
-                let id = points[oi as usize].0;
-                let q = &flat[oi as usize * dim..][..dim];
-                let mut init = (f64::INFINITY, NO_UPSLOPE);
-                if pos > 0 {
-                    let si = order[pos - 1] as usize;
-                    init = (
-                        squared_euclidean(q, &flat[si * dim..][..dim]).sqrt(),
-                        points[si].0,
-                    );
-                    evals += 1;
-                }
-                let (b, e) = index.nearest_denser_d2(q, init, f64::INFINITY, |pi| {
-                    let cand = points[pi as usize].0;
-                    denser(self.rho[cand as usize], cand, self.rho[id as usize], id).then_some(cand)
-                });
-                evals += e;
-                let maxd = if b.1 == NO_UPSLOPE {
-                    let (m, e) = index.max_distance(q);
-                    evals += e;
-                    m
-                } else {
-                    0.0
-                };
-                out.emit(id, (b.0, b.1, maxd));
-            }
-            self.tracker.add(evals);
-            return;
-        }
-        // One batched pass over unordered pairs updates both endpoints —
-        // equivalent to the per-point scan (updates are symmetric in d).
-        for_each_pair_d2(&flat, dim, |i, j, d2| {
-            let d = d2.sqrt();
-            let (pi, pj) = (points[i].0, points[j].0);
-            for (slot, me, other) in [(i, pi, pj), (j, pj, pi)] {
-                let b = &mut best[slot];
-                b.2 = b.2.max(d);
-                if denser(self.rho[other as usize], other, self.rho[me as usize], me)
-                    && (d < b.0 || (d == b.0 && other < b.1))
-                {
-                    b.0 = d;
-                    b.1 = other;
-                }
-            }
-        });
-        // The per-point scan measures both directions of every pair.
-        self.tracker
-            .add((points.len() * points.len().saturating_sub(1)) as u64);
-        for ((id, _), b) in points.iter().zip(best) {
-            out.emit(*id, b);
-        }
+        let keys = density_keys(&self.rho, points.iter().map(|(id, _)| *id));
+        let evals = Partition::new(&flat, dim, self.dc)
+            .delta(&keys, true, |i, part| out.emit(points[i].0, part));
+        self.tracker.add(evals);
     }
 }
 
@@ -394,11 +305,11 @@ impl Mapper for DeltaRound2Mapper {
     }
 }
 
-/// Reducer of round 2: finish each visitor's search among the cell owners.
+/// Reducer of round 2: finish each visitor's search among the cell
+/// owners, capped at its round-1 upper bound.
 struct DeltaRound2Reducer {
     rho: Arc<Vec<u32>>,
     dc: f64,
-    kernel: KernelStrategy,
     tracker: DistanceTracker,
 }
 
@@ -417,55 +328,20 @@ impl Reducer for DeltaRound2Reducer {
         debug_assert_euclidean(&self.tracker);
         let (owners, visitors): (Vec<_>, Vec<_>) =
             points.into_iter().partition(|(_, _, role, _)| *role == 1);
-        let (visitor_flat, dim) = flatten_coords(visitors.iter().map(|(_, c, _, _)| c.as_slice()));
-        let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _, _)| c.as_slice()));
-        let mut best: Vec<DeltaPartial> = vec![(f64::INFINITY, NO_UPSLOPE, 0.0); visitors.len()];
-        if self.kernel.use_indexed_on(owners.len(), &[&owner_flat]) {
-            // Indexed kernel: each visitor finishes its search over the
-            // cell owners, capped at its round-1 upper bound. As in round
-            // 1, the exact farthest distance is only computed when the
-            // search ends empty-handed.
-            let index = SpatialIndex::build(&owner_flat, dim, self.dc);
-            let mut evals = 0u64;
-            for (v, (vid, _, _, ub)) in visitors.iter().enumerate() {
-                let vid = *vid;
-                let q = &visitor_flat[v * dim..][..dim];
-                let (b, e) = index.nearest_denser_d2(q, (f64::INFINITY, NO_UPSLOPE), *ub, |pi| {
-                    let cand = owners[pi as usize].0;
-                    denser(self.rho[cand as usize], cand, self.rho[vid as usize], vid)
-                        .then_some(cand)
-                });
-                evals += e;
-                let maxd = if b.1 == NO_UPSLOPE {
-                    let (m, e) = index.max_distance(q);
-                    evals += e;
-                    m
-                } else {
-                    0.0
-                };
-                out.emit(vid, (b.0, b.1, maxd));
-            }
-            self.tracker.add(evals);
-            return;
-        }
-        for_each_cross_d2(&visitor_flat, &owner_flat, dim, |v, q, d2| {
-            let d = d2.sqrt();
-            let (vid, ub) = (visitors[v].0, visitors[v].3);
-            let qid = owners[q].0;
-            let b = &mut best[v];
-            b.2 = b.2.max(d);
-            if d <= ub
-                && denser(self.rho[qid as usize], qid, self.rho[vid as usize], vid)
-                && (d < b.0 || (d == b.0 && qid < b.1))
-            {
-                b.0 = d;
-                b.1 = qid;
-            }
-        });
-        self.tracker.add((visitors.len() * owners.len()) as u64);
-        for ((vid, _, _, _), b) in visitors.iter().zip(best) {
-            out.emit(*vid, b);
-        }
+        // Either side may be empty (and then reports dimension 1).
+        let (visitor_flat, vdim) = flatten_coords(visitors.iter().map(|(_, c, ..)| c.as_slice()));
+        let (owner_flat, odim) = flatten_coords(owners.iter().map(|(_, c, ..)| c.as_slice()));
+        let dim = vdim.max(odim);
+        let owner_keys = density_keys(&self.rho, owners.iter().map(|(id, ..)| *id));
+        let visitor_keys = density_keys(&self.rho, visitors.iter().map(|(id, ..)| *id));
+        let evals = Partition::new(&owner_flat, dim, self.dc).delta_of(
+            &owner_keys,
+            &visitor_flat,
+            &visitor_keys,
+            |v| ((f64::INFINITY, NO_UPSLOPE), visitors[v].3),
+            |v, part| out.emit(visitors[v].0, part),
+        );
+        self.tracker.add(evals);
     }
 }
 
@@ -491,7 +367,6 @@ impl Eddpc {
         let start = Instant::now();
         let n = ds.len();
         let job_cfg = self.config.pipeline.job_config();
-        let kernel = self.config.pipeline.kernel.resolve();
         let pivots = sample_pivots(ds, self.config.n_pivots, self.config.seed);
         let snap = point_snapshot(ds);
         let mut driver = self.config.pipeline.driver();
@@ -520,7 +395,6 @@ impl Eddpc {
                         },
                         RhoVoronoiReducer {
                             dc,
-                            kernel,
                             tracker: tracker.clone(),
                         },
                     )
@@ -549,7 +423,6 @@ impl Eddpc {
                         DeltaRound1Reducer {
                             rho: rho.clone(),
                             dc,
-                            kernel,
                             tracker: tracker.clone(),
                         },
                     )
@@ -593,7 +466,6 @@ impl Eddpc {
                         DeltaRound2Reducer {
                             rho: rho.clone(),
                             dc,
-                            kernel,
                             tracker: tracker.clone(),
                         },
                     )
@@ -645,7 +517,6 @@ impl Eddpc {
         let start = Instant::now();
         let n = ds.len();
         let job_cfg = self.config.pipeline.job_config();
-        let kernel = self.config.pipeline.kernel.resolve();
         let pivots = sample_pivots(ds, self.config.n_pivots, self.config.seed);
         let mut jobs: Vec<JobMetrics> = Vec::with_capacity(4);
         let snap = |m: &mut JobMetrics, t: &DistanceTracker| {
@@ -662,7 +533,6 @@ impl Eddpc {
             },
             RhoVoronoiReducer {
                 dc,
-                kernel,
                 tracker: tracker.clone(),
             },
         )
@@ -685,7 +555,6 @@ impl Eddpc {
             DeltaRound1Reducer {
                 rho: rho.clone(),
                 dc,
-                kernel,
                 tracker: tracker.clone(),
             },
         )
@@ -721,7 +590,6 @@ impl Eddpc {
             DeltaRound2Reducer {
                 rho: rho.clone(),
                 dc,
-                kernel,
                 tracker: tracker.clone(),
             },
         )
@@ -819,33 +687,6 @@ mod tests {
                     "delta[{i}] mismatch with {pivots} pivots: {a} vs {b}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn indexed_kernels_bit_identical_to_blocked() {
-        let ds = blobs(50, 7); // 150 points, 9 Voronoi cells
-        let dc = 0.6;
-        let run = |kernel| {
-            Eddpc::new(EddpcConfig {
-                n_pivots: 9,
-                seed: 3,
-                pipeline: PipelineConfig {
-                    kernel,
-                    ..PipelineConfig::default()
-                },
-            })
-            .run(&ds, dc)
-        };
-        let blocked = run(KernelStrategy::Blocked);
-        let indexed = run(KernelStrategy::Indexed);
-        assert_eq!(blocked.result.rho, indexed.result.rho, "rho must match");
-        assert_eq!(
-            blocked.result.upslope, indexed.result.upslope,
-            "upslope must match"
-        );
-        for (a, b) in blocked.result.delta.iter().zip(&indexed.result.delta) {
-            assert_eq!(a.to_bits(), b.to_bits(), "delta must be bit-identical");
         }
     }
 

@@ -24,7 +24,8 @@ use crate::common::{
 use crate::lsh_ddp::LshDdpConfig;
 use dp_core::decision::Clustering;
 use dp_core::dp::DpResult;
-use dp_core::{for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId, SpatialIndex};
+use dp_core::local::Partition;
+use dp_core::{Dataset, DistanceTracker, PointId};
 use lsh::{MultiLsh, Signature};
 use mapreduce::{plan, Emitter, JobBuilder, JobMetrics, Mapper, Reducer, Stage};
 use std::sync::Arc;
@@ -54,7 +55,6 @@ struct BorderReducer {
     dc: f64,
     rho: Arc<Vec<u32>>,
     labels: Arc<Vec<u32>>,
-    kernel: KernelStrategy,
     tracker: DistanceTracker,
 }
 
@@ -76,37 +76,15 @@ impl Reducer for BorderReducer {
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let dc2 = self.dc * self.dc;
         let label = |i: usize| self.labels[points[i].0 as usize];
-        // A cross-cluster pair within `d_c`; the max update is idempotent.
-        let mut touch = |i: usize, j: usize| {
-            let avg = (self.rho[points[i].0 as usize] + self.rho[points[j].0 as usize]) / 2;
-            for c in [label(i), label(j)] {
-                border[c as usize] = border[c as usize].max(avg);
-            }
-        };
-        let mut evals = 0u64;
-        if self.kernel.use_indexed_on(points.len(), &[&flat]) {
-            // Indexed kernel: per-point ball queries replace the all-pairs
-            // sweep; a pair found from both endpoints is touched once.
-            let index = SpatialIndex::build(&flat, dim, self.dc);
-            for i in 0..points.len() {
-                evals += index.for_each_within_d2(&flat[i * dim..][..dim], dc2, |j, _| {
-                    if j as usize > i && label(i) != label(j as usize) {
-                        touch(i, j as usize);
-                    }
-                });
-            }
-        } else {
-            // Only cross-cluster pairs are distance measurements (same-cluster
-            // pairs are skipped before the metric in the scalar formulation).
-            for_each_pair_d2(&flat, dim, |i, j, d2| {
-                if label(i) != label(j) {
-                    evals += 1;
-                    if d2 < dc2 {
-                        touch(i, j);
-                    }
+        // A cross-cluster pair within `d_c` (the max update is idempotent).
+        let evals = Partition::new(&flat, dim, self.dc).pairs_near(|i, j, d2| {
+            if d2 < dc2 && label(i) != label(j) {
+                let avg = (self.rho[points[i].0 as usize] + self.rho[points[j].0 as usize]) / 2;
+                for c in [label(i), label(j)] {
+                    border[c as usize] = border[c as usize].max(avg);
                 }
-            });
-        }
+            }
+        });
         self.tracker.add(evals);
         for (c, b) in border.into_iter().enumerate() {
             if b > 0 {
@@ -146,7 +124,6 @@ pub fn compute_halo_distributed(
         "clustering must cover the dataset"
     );
     let tracker = DistanceTracker::new();
-    let kernel = pipeline.kernel.resolve();
     let multi = Arc::new(MultiLsh::new(ds.dim(), &config.params, config.seed));
     let rho = Arc::new(result.rho.clone());
     let labels = Arc::new(clustering.labels().to_vec());
@@ -165,7 +142,6 @@ pub fn compute_halo_distributed(
                         dc: result.dc,
                         rho: rho.clone(),
                         labels: labels.clone(),
-                        kernel,
                         tracker: tracker.clone(),
                     },
                 )
@@ -217,7 +193,6 @@ pub fn compute_halo_distributed_reference(
         "clustering must cover the dataset"
     );
     let tracker = DistanceTracker::new();
-    let kernel = pipeline.kernel.resolve();
     let multi = Arc::new(MultiLsh::new(ds.dim(), &config.params, config.seed));
     let rho = Arc::new(result.rho.clone());
     let labels = Arc::new(clustering.labels().to_vec());
@@ -230,7 +205,6 @@ pub fn compute_halo_distributed_reference(
             dc: result.dc,
             rho: rho.clone(),
             labels: labels.clone(),
-            kernel,
             tracker: tracker.clone(),
         },
     )
@@ -326,29 +300,6 @@ mod tests {
         assert!(
             dist.halo[30..34].iter().any(|&h| h),
             "bridge points flagged"
-        );
-    }
-
-    #[test]
-    fn indexed_kernels_match_blocked() {
-        let ds = bridged();
-        let dc = 0.6;
-        let r = compute_exact(&ds, dc);
-        let peaks = select_top_k(&r, 2);
-        let c = assign(&r, &peaks);
-        let run = |kernel| {
-            let pipeline = PipelineConfig {
-                kernel,
-                ..PipelineConfig::default()
-            };
-            compute_halo_distributed(&ds, &r, &c, &lsh_config(dc), &pipeline)
-        };
-        let blocked = run(dp_core::KernelStrategy::Blocked);
-        let indexed = run(dp_core::KernelStrategy::Indexed);
-        assert_eq!(blocked.halo, indexed.halo, "halo flags must match");
-        assert_eq!(
-            blocked.border_rho, indexed.border_rho,
-            "border densities must match"
         );
     }
 

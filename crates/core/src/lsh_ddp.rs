@@ -20,12 +20,13 @@
 //!    max finite `delta` before drawing the decision graph.
 
 use crate::common::{
-    dc_sampling_stage, debug_assert_euclidean, flatten_coords, point_records, point_snapshot,
-    IdentityMapper, PipelineConfig, PointRecord,
+    dc_sampling_stage, debug_assert_euclidean, density_keys, flatten_coords, point_records,
+    point_snapshot, IdentityMapper, PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
-use dp_core::dp::{denser, density_order, DpResult, NO_UPSLOPE};
-use dp_core::{for_each_pair_d2, Dataset, DistanceTracker, KernelStrategy, PointId, SpatialIndex};
+use dp_core::dp::{DpResult, NO_UPSLOPE};
+use dp_core::local::Partition;
+use dp_core::{Dataset, DistanceTracker, PointId};
 use lsh::tuning::TuningError;
 use lsh::{LshParams, MultiLsh, Signature};
 use mapreduce::{
@@ -127,13 +128,10 @@ impl Mapper for LshPartitionMapper {
 }
 
 /// Reducer of job 1: local density within one partition, processed in
-/// memory-bounded chunks when a `partition_cap` is set. Per chunk, either
-/// the blocked all-pairs kernel or a pruned spatial-index self-join —
-/// the results are bit-identical; only the distance-eval count differs.
+/// memory-bounded chunks when a `partition_cap` is set.
 struct LocalRhoReducer {
     dc: f64,
     cap: usize,
-    kernel: KernelStrategy,
     tracker: DistanceTracker,
 }
 
@@ -145,30 +143,10 @@ impl Reducer for LocalRhoReducer {
 
     fn reduce(&self, _k: &PartitionKey, points: Vec<PointRecord>, out: &mut Emitter<PointId, u32>) {
         debug_assert_euclidean(&self.tracker);
-        let dc2 = self.dc * self.dc;
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            let rho = if self.kernel.use_indexed_on(chunk.len(), &[&flat]) {
-                // rho as ball counts at d_c, for the whole chunk from one
-                // traversal of the index.
-                let (rho, evals) = SpatialIndex::build(&flat, dim, self.dc).self_join_d2(dc2);
-                self.tracker.add(evals);
-                rho
-            } else {
-                let mut rho = vec![0u32; chunk.len()];
-                // Same strict `d² < d_c²` predicate as
-                // `DistanceTracker::within`, batched through the blocked
-                // kernel.
-                for_each_pair_d2(&flat, dim, |i, j, d2| {
-                    if d2 < dc2 {
-                        rho[i] += 1;
-                        rho[j] += 1;
-                    }
-                });
-                self.tracker
-                    .add((chunk.len() * chunk.len().saturating_sub(1) / 2) as u64);
-                rho
-            };
+            let (rho, evals) = Partition::new(&flat, dim, self.dc).rho();
+            self.tracker.add(evals);
             for ((id, _), r) in chunk.iter().zip(rho) {
                 out.emit(*id, r);
             }
@@ -217,15 +195,12 @@ impl Reducer for MeanReducer {
 type LocalDelta = (f64, PointId);
 
 /// Reducer of job 3: nearest locally-denser point under the broadcast
-/// `rho_hat`, processed in memory-bounded chunks when a cap is set.
-/// Per chunk, either the blocked all-pairs kernel or a best-first
-/// nearest-denser search over a spatial index, seeded by the
-/// sorted-descending-`rho` scan — bit-identical outputs either way.
+/// `rho_hat`, processed in memory-bounded chunks when a cap is set. The
+/// densest point of a chunk stays at `(∞, NO_UPSLOPE)`.
 struct LocalDeltaReducer {
     dc: f64,
     rho: Arc<Vec<u32>>,
     cap: usize,
-    kernel: KernelStrategy,
     tracker: DistanceTracker,
 }
 
@@ -244,61 +219,10 @@ impl Reducer for LocalDeltaReducer {
         debug_assert_euclidean(&self.tracker);
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
-            if self.kernel.use_indexed_on(chunk.len(), &[&flat]) {
-                let index = SpatialIndex::build(&flat, dim, self.dc);
-                let mut evals = 0u64;
-                // Descending canonical density order (the fast.rs scan):
-                // each point's predecessor is guaranteed denser and seeds
-                // the search with a finite bound; the densest point of the
-                // chunk stays at (∞, NO_UPSLOPE), exactly like the blocked
-                // loop, which never updates its slot.
-                let mut order: Vec<u32> = (0..chunk.len() as u32).collect();
-                order.sort_by(|&a, &b| {
-                    let (pa, pb) = (chunk[a as usize].0, chunk[b as usize].0);
-                    density_order(self.rho[pa as usize], pa, self.rho[pb as usize], pb)
-                });
-                for (pos, &i) in order.iter().enumerate() {
-                    let (id, _) = chunk[i as usize];
-                    if pos == 0 {
-                        out.emit(id, (f64::INFINITY, NO_UPSLOPE));
-                        continue;
-                    }
-                    let q = &flat[i as usize * dim..][..dim];
-                    let seed = order[pos - 1] as usize;
-                    let seed_id = chunk[seed].0;
-                    let seed_d =
-                        dp_core::distance::squared_euclidean(q, &flat[seed * dim..][..dim]).sqrt();
-                    evals += 1;
-                    let (b, e) =
-                        index.nearest_denser_d2(q, (seed_d, seed_id), f64::INFINITY, |pi| {
-                            let pid = chunk[pi as usize].0;
-                            denser(self.rho[pid as usize], pid, self.rho[id as usize], id)
-                                .then_some(pid)
-                        });
-                    evals += e;
-                    out.emit(id, b);
-                }
-                self.tracker.add(evals);
-                continue;
-            }
-            let mut best: Vec<LocalDelta> = vec![(f64::INFINITY, NO_UPSLOPE); chunk.len()];
-            // `d2.sqrt()` is bit-identical to the tracker's Euclidean
-            // `distance`, which is itself `squared_euclidean(..).sqrt()`.
-            for_each_pair_d2(&flat, dim, |i, j, d2| {
-                let d = d2.sqrt();
-                let (pi, pj) = (chunk[i].0, chunk[j].0);
-                let i_denser = denser(self.rho[pi as usize], pi, self.rho[pj as usize], pj);
-                let (slot, cand) = if i_denser { (j, pi) } else { (i, pj) };
-                let b = &mut best[slot];
-                if d < b.0 || (d == b.0 && cand < b.1) {
-                    *b = (d, cand);
-                }
-            });
-            self.tracker
-                .add((chunk.len() * chunk.len().saturating_sub(1) / 2) as u64);
-            for ((id, _), b) in chunk.iter().zip(best) {
-                out.emit(*id, b);
-            }
+            let keys = density_keys(&self.rho, chunk.iter().map(|(id, _)| *id));
+            let evals = Partition::new(&flat, dim, self.dc)
+                .delta(&keys, false, |i, (d, u, _)| out.emit(chunk[i].0, (d, u)));
+            self.tracker.add(evals);
         }
     }
 }
@@ -499,7 +423,6 @@ impl LshDdp {
         let n = snap.len();
         let multi = Arc::new(MultiLsh::new(dim, &self.config.params, self.config.seed));
         let cap = self.config.partition_cap.unwrap_or(usize::MAX).max(2);
-        let kernel = self.config.pipeline.kernel.resolve();
         let lost = self.lost_layouts();
         let layouts_lost = lost.iter().filter(|&&l| l).count();
         let dist_snapshot = |t: &DistanceTracker| {
@@ -517,7 +440,6 @@ impl LshDdp {
             LocalRhoReducer {
                 dc,
                 cap,
-                kernel,
                 tracker: tracker.clone(),
             },
         )
@@ -583,7 +505,6 @@ impl LshDdp {
                         dc,
                         rho: rho.clone(),
                         cap,
-                        kernel,
                         tracker: tracker.clone(),
                     },
                 )
@@ -666,7 +587,6 @@ impl LshDdp {
             self.config.seed,
         ));
         let cap = self.config.partition_cap.unwrap_or(usize::MAX).max(2);
-        let kernel = self.config.pipeline.kernel.resolve();
         let lost = self.lost_layouts();
         let mut jobs: Vec<JobMetrics> = Vec::with_capacity(4);
         let snap = |m: &mut JobMetrics, t: &DistanceTracker| {
@@ -682,7 +602,6 @@ impl LshDdp {
             LocalRhoReducer {
                 dc,
                 cap,
-                kernel,
                 tracker: tracker.clone(),
             },
         )
@@ -724,7 +643,6 @@ impl LshDdp {
                 dc,
                 rho: rho.clone(),
                 cap,
-                kernel,
                 tracker: tracker.clone(),
             },
         )
@@ -946,23 +864,6 @@ mod tests {
         assert_eq!(on.result.upslope, off.result.upslope);
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&on.result.delta), bits(&off.result.delta));
-    }
-
-    #[test]
-    fn indexed_kernels_bit_identical_to_blocked() {
-        let ds = blobs(60, 9);
-        let dc = 0.5;
-        let mk = |kernel| {
-            let mut cfg = accurate_config(dc);
-            cfg.pipeline.kernel = kernel;
-            LshDdp::new(cfg).run(&ds, dc)
-        };
-        let blocked = mk(KernelStrategy::Blocked);
-        let indexed = mk(KernelStrategy::Indexed);
-        assert_eq!(blocked.result.rho, indexed.result.rho);
-        assert_eq!(blocked.result.upslope, indexed.result.upslope);
-        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&blocked.result.delta), bits(&indexed.result.delta));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! automatic criterion ([`select_top_k`] by the normalized product
 //! `gamma = rho * delta`).
 
-use crate::distance::euclidean;
 use crate::dp::{density_order, DpResult, NO_UPSLOPE};
-use crate::index::{KernelStrategy, SpatialIndex};
+use crate::local::Partition;
 use crate::point::PointId;
 use serde::{Deserialize, Serialize};
 
@@ -254,17 +253,12 @@ pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
 /// themselves tie the bound, so the comparison here is inclusive
 /// (`rho <= border_rho`), which keeps the border points in the halo.
 ///
-/// Only cross-cluster pairs within `d_c` matter, so from
-/// [`AUTO_MIN_POINTS`](crate::index::AUTO_MIN_POINTS) finite rows up they
-/// come from a [`SpatialIndex`] over `ds`: one ball query per point at a
-/// squared radius a few ulps over `d_c²` (the squared-space filter must
-/// not drop a pair the predicate accepts), then the predicate itself,
-/// `euclidean(p_i, p_j) < d_c`, on each surviving unordered pair once —
-/// O(N log N + N · neighbours) against the all-pairs loop's O(N²). The
-/// loop stays the route for smaller inputs, for rows with a NaN/±inf
-/// coordinate and for a `d_c` whose square is not a normal float; the
-/// flags are the same either way. Halo evaluations are not metered: the
-/// pass is model assembly, outside a run's reported distance count.
+/// Only cross-cluster pairs within `d_c` matter, so the candidates come
+/// from [`Partition::pairs_near`] — O(N log N + N · neighbours) on its
+/// indexed route against the all-pairs loop's O(N²) — and the predicate
+/// itself, `euclidean(p_i, p_j) < d_c`, runs on each once; the flags are
+/// the same on either route. Halo evaluations are not metered: the pass is
+/// model assembly, outside a run's reported distance count.
 pub fn compute_halo(
     ds: &crate::point::Dataset,
     result: &DpResult,
@@ -279,36 +273,17 @@ pub fn compute_halo(
     let n = ds.len();
     // Max density seen in each cluster's border region.
     let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
-    let mut pair = |i: usize, j: usize| {
+    Partition::new(ds.as_flat(), ds.dim(), result.dc).pairs_near(|i, j, d2| {
         let ci = clustering.label(i as PointId) as usize;
         let cj = clustering.label(j as PointId) as usize;
-        if ci != cj && euclidean(ds.point(i as PointId), ds.point(j as PointId)) < result.dc {
+        if ci != cj && d2.sqrt() < result.dc {
             // The ORIGINAL DP code uses the average density of the
             // cross-boundary pair as the bound candidate.
             let avg = (result.rho[i] + result.rho[j]) / 2;
             border_rho[ci] = border_rho[ci].max(avg);
             border_rho[cj] = border_rho[cj].max(avg);
         }
-    };
-    // Both roundings below lose under an ulp, so `r2 > d_c²` in the reals
-    // and a correctly rounded `sqrt(d2) < d_c` implies `d2 < r2`.
-    let r2 = result.dc * result.dc * (1.0 + 4.0 * f64::EPSILON);
-    if KernelStrategy::Auto.use_indexed_on(n, &[ds.as_flat()]) && r2.is_normal() {
-        let index = SpatialIndex::build(ds.as_flat(), ds.dim(), result.dc);
-        for i in 0..n {
-            index.for_each_within_d2(ds.point(i as PointId), r2, |j, _| {
-                if j as usize > i {
-                    pair(i, j as usize);
-                }
-            });
-        }
-    } else {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                pair(i, j);
-            }
-        }
-    }
+    });
     (0..n)
         .map(|i| {
             let b = border_rho[clustering.label(i as PointId) as usize];

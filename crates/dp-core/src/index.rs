@@ -42,7 +42,8 @@
 //!   ([`accumulate_tile_d2`]), each lane in [`squared_euclidean`]'s own
 //!   accumulation order.
 //! * All of the above assumes finite indexed coordinates: a box cannot
-//!   bound a NaN. Callers with hostile input keep the blocked kernels.
+//!   bound a NaN. [`crate::local::use_indexed`] keeps such input on the
+//!   blocked kernels.
 //! * Nearest searches compare on exactly the value the blocked code
 //!   compares on (`d2.sqrt()` for the pipelines, raw `d2` for the serve
 //!   probe) and break ties toward the smaller candidate id; regions are
@@ -55,91 +56,9 @@
 
 use crate::distance::{accumulate_tile_d2, squared_euclidean, transpose_tile, LANES};
 use crate::point::PointId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
-
-/// Below this partition size, [`KernelStrategy::Auto`] keeps the blocked
-/// kernels: the index build cost is not worth amortizing, and tiny
-/// partitions are exactly where the blocked loops are fastest.
-pub const AUTO_MIN_POINTS: usize = 256;
-
-/// Which local-kernel implementation the pipelines use.
-///
-/// Carried on `PipelineConfig`; the `LSHDDP_KERNEL` environment variable
-/// overrides it at run start (see [`KernelStrategy::resolve`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
-pub enum KernelStrategy {
-    /// Always the blocked `O(n_p^2)` pair loops.
-    Blocked,
-    /// Always the spatial-index kernels, regardless of partition size.
-    Indexed,
-    /// Indexed for partitions with at least [`AUTO_MIN_POINTS`] points,
-    /// blocked below that.
-    #[default]
-    Auto,
-}
-
-impl KernelStrategy {
-    /// Applies the `LSHDDP_KERNEL` environment override, if set to a
-    /// recognized value (`blocked` | `indexed` | `auto`). Unrecognized
-    /// values are ignored and `self` stands.
-    pub fn resolve(self) -> Self {
-        Self::resolved_with(self, std::env::var("LSHDDP_KERNEL").ok().as_deref())
-    }
-
-    fn resolved_with(self, var: Option<&str>) -> Self {
-        match var.and_then(|s| s.parse().ok()) {
-            Some(s) => s,
-            None => self,
-        }
-    }
-
-    /// Whether a partition of `n` points should take the indexed path.
-    pub fn use_indexed(self, n: usize) -> bool {
-        match self {
-            KernelStrategy::Blocked => false,
-            KernelStrategy::Indexed => true,
-            KernelStrategy::Auto => n >= AUTO_MIN_POINTS,
-        }
-    }
-
-    /// Whether a chunk of `n` points takes the indexed kernels: the size
-    /// rule above, and only when every coordinate an index would be built
-    /// over (`indexed`) is finite. A box cannot bound a NaN — the point
-    /// sits outside its own node's box, and a wholesale subtree count
-    /// would include it — and an infinite extent turns bound terms into
-    /// `inf - inf`; such chunks keep the pairwise kernels, exact on anything.
-    pub fn use_indexed_on(self, n: usize, indexed: &[&[f64]]) -> bool {
-        n > 0 && self.use_indexed(n) && indexed.iter().all(|f| f.iter().all(|x| x.is_finite()))
-    }
-}
-
-impl std::str::FromStr for KernelStrategy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "blocked" => Ok(KernelStrategy::Blocked),
-            "indexed" => Ok(KernelStrategy::Indexed),
-            "auto" => Ok(KernelStrategy::Auto),
-            other => Err(format!(
-                "unknown kernel strategy {other:?} (blocked|indexed|auto)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelStrategy::Blocked => "blocked",
-            KernelStrategy::Indexed => "indexed",
-            KernelStrategy::Auto => "auto",
-        })
-    }
-}
 
 // ---------------------------------------------------------------------
 // Box bounds
@@ -702,12 +621,13 @@ impl Grid {
         let mut cells = [1i64; 3];
         let mut total = 1f64;
         for d in 0..dim {
-            let c = ((max[d] - min[d]) / w).floor() as i64 + 1;
-            if c > GRID_MAX_CELLS_PER_DIM {
+            // Compared as a float: a tiny `w` saturates the cast.
+            let c = ((max[d] - min[d]) / w).floor() + 1.0;
+            if c > GRID_MAX_CELLS_PER_DIM as f64 {
                 return None;
             }
-            cells[d] = c;
-            total *= c as f64;
+            cells[d] = c as i64;
+            total *= c;
         }
         if total > (4 * n + 1024) as f64 {
             return None; // sparse occupancy: kd prunes better
@@ -1773,28 +1693,6 @@ mod tests {
         );
         assert_eq!((d, u), (f64::INFINITY, NO_UPSLOPE));
         assert_eq!(idx.max_distance(&[1.0, 2.0]).0, 0.0);
-    }
-
-    #[test]
-    fn strategy_parses_and_resolves() {
-        assert_eq!("blocked".parse(), Ok(KernelStrategy::Blocked));
-        assert_eq!("indexed".parse(), Ok(KernelStrategy::Indexed));
-        assert_eq!("auto".parse(), Ok(KernelStrategy::Auto));
-        assert!("fast".parse::<KernelStrategy>().is_err());
-        let a = KernelStrategy::Auto;
-        assert_eq!(a.resolved_with(Some("blocked")), KernelStrategy::Blocked);
-        assert_eq!(a.resolved_with(Some("bogus")), KernelStrategy::Auto);
-        assert_eq!(a.resolved_with(None), KernelStrategy::Auto);
-        assert!(!KernelStrategy::Auto.use_indexed(AUTO_MIN_POINTS - 1));
-        assert!(KernelStrategy::Auto.use_indexed(AUTO_MIN_POINTS));
-        assert!(KernelStrategy::Indexed.use_indexed(2));
-        assert!(!KernelStrategy::Blocked.use_indexed(1 << 20));
-        let k = KernelStrategy::Indexed;
-        assert!(k.use_indexed_on(2, &[&[0.0, 1.0], &[2.0]]));
-        assert!(!k.use_indexed_on(0, &[]));
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(!k.use_indexed_on(2, &[&[0.0, 1.0], &[bad]]), "{bad}");
-        }
     }
 
     proptest! {

@@ -24,6 +24,8 @@
 //!   by the paper's Figure 10(c) / Table IV cost accounting;
 //! * [`cutoff`] — `d_c` estimation by distance percentile (paper §III-A);
 //! * [`dp`] — the exact O(N²) sequential algorithm;
+//! * [`local`] — the per-partition `rho`/`delta` kernels every distributed
+//!   pipeline calls, over [`index`]'s spatial index or the pairwise loops;
 //! * [`decision`] — decision graph, peak selection, cluster assignment;
 //! * [`quality`] — external cluster validation (ARI, NMI, purity, pairwise
 //!   F-measure) and the paper's approximation metrics `tau1`/`tau2` (§VI-C);
@@ -57,6 +59,7 @@ pub mod dp;
 pub mod fast;
 pub mod index;
 pub mod kernel;
+pub mod local;
 pub mod point;
 pub mod quality;
 pub mod update;
@@ -70,7 +73,7 @@ pub use distance::{
 };
 pub use dp::{compute_exact, denser, density_order, DpResult, NO_UPSLOPE};
 pub use fast::compute_exact_fast;
-pub use index::{KernelStrategy, SpatialIndex};
+pub use index::SpatialIndex;
 pub use kernel::{compute_gaussian, KernelDpResult};
 pub use point::{Dataset, PointId};
 

@@ -10,7 +10,7 @@
 
 use crate::model::ClusterModel;
 use dp_core::distance::{nearest_in_block, squared_euclidean};
-use dp_core::{KernelStrategy, SpatialIndex, NO_UPSLOPE};
+use dp_core::{SpatialIndex, NO_UPSLOPE};
 use lsh::{bucket_tables, BucketUnion, MultiLsh, Signature};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -80,7 +80,8 @@ pub struct QueryEngine {
     centers: Vec<f64>,
     exactness: Exactness,
     /// Spatial index over the training points, built once at construction
-    /// when the exact path runs under [`KernelStrategy::use_indexed`]. The
+    /// when the policy is [`Exactness::Exact`] and the local-DP routing
+    /// rule ([`dp_core::local::use_indexed`]) picks the index. The
     /// training ids double as index positions (coords are stored in id
     /// order), so index hits map straight back to model ids.
     index: Option<SpatialIndex>,
@@ -92,15 +93,8 @@ impl QueryEngine {
         Self::with_exactness(model, Exactness::default())
     }
 
-    /// Builds the engine with an explicit exactness policy. The kernel
-    /// strategy for the exact scans defaults to `auto` (overridable via
-    /// `LSHDDP_KERNEL`).
+    /// Builds the engine with an explicit exactness policy.
     pub fn with_exactness(model: ClusterModel, exactness: Exactness) -> Self {
-        Self::with_kernel(model, exactness, KernelStrategy::default())
-    }
-
-    /// Builds the engine with explicit exactness and kernel strategy.
-    pub fn with_kernel(model: ClusterModel, exactness: Exactness, kernel: KernelStrategy) -> Self {
         let _span = obsv::span!("serve", "engine/build");
         let multi = MultiLsh::new(model.dim(), model.params(), model.seed());
         let n = model.len();
@@ -110,8 +104,9 @@ impl QueryEngine {
             (0..n).map(|i| &model.coords()[i * dim..(i + 1) * dim]),
         );
         let centers = model.center_block();
-        let index = (exactness == Exactness::Exact && kernel.resolve().use_indexed(n) && n > 0)
-            .then(|| SpatialIndex::build(model.coords(), dim, model.dc()));
+        let indexed =
+            exactness == Exactness::Exact && dp_core::local::use_indexed(n, &[model.coords()]);
+        let index = indexed.then(|| SpatialIndex::build(model.coords(), dim, model.dc()));
         QueryEngine {
             model,
             multi,
@@ -385,6 +380,7 @@ mod tests {
     fn exact_mode_agrees_on_held_in_points_too() {
         let model = fitted_model(60, 12);
         let engine = QueryEngine::with_exactness(model, Exactness::Exact);
+        assert!(engine.index.is_none(), "180 points stay on the scalar scan");
         let m = engine.model().clone();
         for id in (0..m.len() as u32).step_by(3) {
             let a = engine.assign(m.point(id));
@@ -393,17 +389,21 @@ mod tests {
         }
     }
 
+    /// The exact engine over 360 finite points, which the routing rule
+    /// indexes, beside the same engine with its index taken away — the
+    /// scalar scan every smaller or non-finite model gets.
+    fn scalar_and_indexed() -> (QueryEngine, QueryEngine) {
+        let model = fitted_model(120, 17);
+        let indexed = QueryEngine::with_exactness(model.clone(), Exactness::Exact);
+        assert!(indexed.index.is_some(), "360 finite points must index");
+        let mut scalar = QueryEngine::with_exactness(model, Exactness::Exact);
+        scalar.index = None;
+        (scalar, indexed)
+    }
+
     #[test]
     fn exact_indexed_probe_matches_blocked_bitwise() {
-        let model = fitted_model(120, 17);
-        let blocked =
-            QueryEngine::with_kernel(model.clone(), Exactness::Exact, KernelStrategy::Blocked);
-        let indexed = QueryEngine::with_kernel(model, Exactness::Exact, KernelStrategy::Indexed);
-        assert!(
-            indexed.index.is_some(),
-            "indexed engine must build an index"
-        );
-        assert!(blocked.index.is_none(), "blocked engine must not");
+        let (blocked, indexed) = scalar_and_indexed();
         let m = blocked.model().clone();
         for id in (0..m.len() as u32).step_by(5) {
             let mut q = m.point(id).to_vec();
@@ -422,11 +422,7 @@ mod tests {
     /// blocked scalar path bit-for-bit.
     #[test]
     fn exact_indexed_probe_survives_far_and_nonfinite_queries() {
-        let model = fitted_model(120, 17);
-        let blocked =
-            QueryEngine::with_kernel(model.clone(), Exactness::Exact, KernelStrategy::Blocked);
-        let indexed = QueryEngine::with_kernel(model, Exactness::Exact, KernelStrategy::Indexed);
-        assert!(indexed.index.is_some());
+        let (blocked, indexed) = scalar_and_indexed();
         for q in [[1e9, 1e9], [-1e12, 4.0], [1e300, -1e300]] {
             assert_eq!(blocked.assign(&q), indexed.assign(&q), "q={q:?}");
         }

@@ -8,7 +8,7 @@
 //! --include-ignored`) and compare the digests the helpers print.
 
 use ddp::{LshDdp, PipelineConfig};
-use dp_core::{Dataset, KernelStrategy};
+use dp_core::Dataset;
 use mapreduce::{Emitter, FnMapper, FnReducer, JobBuilder, JobConfig};
 use rayon::prelude::*;
 use std::process::Command;
@@ -23,11 +23,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn blob_dataset() -> Dataset {
+/// Points per blob of the small input: every LSH bucket stays under
+/// `AUTO_MIN_POINTS`, on the pairwise kernels.
+const SMALL: u64 = 60;
+/// Points per blob of the large input: whole-blob buckets clear
+/// `AUTO_MIN_POINTS` and take the spatial index.
+const LARGE: u64 = 400;
+
+fn blob_dataset(n_per: u64) -> Dataset {
     let mut ds = Dataset::new(2);
     // Deterministic pseudo-random blobs (no RNG dependency in the digest).
     for (cx, cy) in [(0.0, 0.0), (12.0, 1.0), (5.0, 10.0)] {
-        for i in 0..60u64 {
+        for i in 0..n_per {
             let jx = ((i.wrapping_mul(2654435761) >> 8) % 2000) as f64 / 1000.0 - 1.0;
             let jy = ((i.wrapping_mul(40503) >> 4) % 2000) as f64 / 1000.0 - 1.0;
             ds.push(&[cx + jx, cy + jy]);
@@ -49,7 +56,6 @@ fn pinned_pipeline() -> PipelineConfig {
         chaos: None,
         disable_elision: false,
         checkpoints: false,
-        kernel: Default::default(),
         mem_budget: None,
     }
 }
@@ -57,10 +63,10 @@ fn pinned_pipeline() -> PipelineConfig {
 /// Digest of a wordcount run (output + shuffle metrics) and a full
 /// LSH-DDP pipeline run (rho/delta/upslope bits + per-job metrics).
 fn run_digest() -> u64 {
-    run_digest_with(KernelStrategy::Blocked)
+    run_digest_on(SMALL)
 }
 
-fn run_digest_with(kernel: KernelStrategy) -> u64 {
+fn run_digest_on(n_per: u64) -> u64 {
     let mut transcript = String::new();
 
     let m = FnMapper::new(|_k: u64, line: String, out: &mut Emitter<String, u64>| {
@@ -83,17 +89,22 @@ fn run_digest_with(kernel: KernelStrategy) -> u64 {
         wm.shuffle_records, wm.shuffle_bytes, wm.reduce_input_groups
     ));
 
-    let ds = blob_dataset();
+    let ds = blob_dataset(n_per);
     let dc = 0.8;
-    let mut lsh = LshDdp::with_accuracy(0.99, 10, 3, dc, 42).expect("valid params");
-    let cfg = ddp::LshDdpConfig {
-        pipeline: PipelineConfig {
-            kernel,
-            ..pinned_pipeline()
-        },
-        ..lsh.config().clone()
-    };
-    lsh = LshDdp::new(cfg);
+    let lsh = LshDdp::with_accuracy(0.99, 10, 3, dc, 42)
+        .expect("valid params")
+        .with_pipeline(pinned_pipeline());
+    // Which kernels the run takes is a property of its bucket sizes.
+    let multi = lsh::MultiLsh::new(ds.dim(), &lsh.config().params, lsh.config().seed);
+    let tables = lsh::bucket_tables(&multi, ds.iter().map(|(_, p)| p));
+    let mut sizes = tables.iter().flat_map(|t| t.values()).map(Vec::len);
+    let indexed = dp_core::local::AUTO_MIN_POINTS;
+    if n_per == SMALL {
+        assert!(sizes.all(|s| s < indexed), "a small-input bucket indexes");
+    } else {
+        let (lo, hi) = sizes.fold((usize::MAX, 0), |(lo, hi), s| (lo.min(s), hi.max(s)));
+        assert!(lo < indexed && hi >= indexed, "buckets span {lo}..={hi}");
+    }
     let report = lsh.run(&ds, dc);
     transcript.push_str(&format!("rho:{:?}\n", report.result.rho));
     transcript.push_str(&format!(
@@ -156,10 +167,7 @@ fn helper_print_digest() {
 #[test]
 #[ignore = "helper: spawned as a subprocess with a pinned LSHDDP_THREADS"]
 fn helper_print_digest_indexed() {
-    println!(
-        "IDXDIGEST={:016x}",
-        run_digest_with(KernelStrategy::Indexed)
-    );
+    println!("IDXDIGEST={:016x}", run_digest_on(LARGE));
 }
 
 #[test]
@@ -254,9 +262,9 @@ fn results_identical_across_thread_counts() {
 
 #[test]
 fn indexed_results_identical_across_thread_counts() {
-    // The spatial-index build runs on the work-stealing pool, so the
-    // digest (which includes the distance-eval counters) must not move
-    // with the thread count.
+    // On the large input both kernel routes run (asserted by the
+    // helper); the digest, which includes the distance-eval counters,
+    // must not move with the thread count.
     let digests: Vec<String> = ["1", "2", "7"]
         .iter()
         .map(|t| extract(&run_helper("helper_print_digest_indexed", t), "IDXDIGEST="))

@@ -24,7 +24,6 @@ fn faulty_pipeline(rate_per_mille: u32) -> PipelineConfig {
         chaos: None,
         disable_elision: false,
         checkpoints: false,
-        kernel: Default::default(),
         mem_budget: None,
     }
 }
@@ -78,7 +77,6 @@ fn lsh_ddp_survives_task_failures_bit_exactly() {
         chaos: None,
         disable_elision: false,
         checkpoints: false,
-        kernel: Default::default(),
         mem_budget: None,
     });
     let faulty = run(faulty_pipeline(250));
@@ -106,7 +104,6 @@ fn eddpc_survives_task_failures_bit_exactly() {
         chaos: None,
         disable_elision: false,
         checkpoints: false,
-        kernel: Default::default(),
         mem_budget: None,
     });
     let faulty = run(faulty_pipeline(250));
@@ -215,7 +212,6 @@ fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: ChaosPlan) -> u64 {
         chaos: None,
         disable_elision: false,
         checkpoints: false,
-        kernel: Default::default(),
         mem_budget: None,
     };
     let chaos_pipe = PipelineConfig {
@@ -311,20 +307,26 @@ fn all_five_pipelines_survive_full_chaos_bit_exactly() {
 }
 
 #[test]
-fn indexed_kernels_under_chaos_match_the_clean_blocked_run_bit_exactly() {
-    let ds = workload();
+fn indexed_kernels_under_chaos_match_the_clean_run_bit_exactly() {
+    // Four 300-point blobs: whole-blob buckets take the spatial index,
+    // the fragments beside them the pairwise loops.
+    let ds = datasets::generators::blob_grid(2, 2, 300, 20.0, 0.6, 3).data;
     let dc = 0.9;
     let params = lsh::LshParams::for_accuracy(0.95, 8, 3, dc).expect("valid");
+    let multi = lsh::MultiLsh::new(ds.dim(), &params, 5);
+    let sizes: Vec<usize> = lsh::bucket_tables(&multi, ds.iter().map(|(_, p)| p))
+        .iter()
+        .flat_map(|t| t.values().map(Vec::len))
+        .collect();
+    let indexed = dp_core::local::AUTO_MIN_POINTS;
+    assert!(
+        sizes.iter().any(|&s| s >= indexed) && sizes.iter().any(|&s| s < indexed),
+        "buckets must sit on both sides of {indexed}: {sizes:?}"
+    );
     let base = PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
-        fault_stage: None,
-        chaos: None,
-        disable_elision: false,
-        checkpoints: false,
-        kernel: dp_core::KernelStrategy::Blocked,
-        mem_budget: None,
+        ..PipelineConfig::default()
     };
     let run = |pipeline: PipelineConfig| {
         LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
@@ -336,23 +338,21 @@ fn indexed_kernels_under_chaos_match_the_clean_blocked_run_bit_exactly() {
         })
         .run(&ds, dc)
     };
-    let blocked_clean = run(base);
-    // 10% chaos on top of the indexed kernels: retried tasks rebuild their
-    // spatial indexes from scratch and must still reproduce the clean
-    // blocked results bit for bit.
+    let clean = run(base);
+    // 10% chaos: retried tasks rebuild their spatial indexes from scratch
+    // and must still reproduce the clean results bit for bit.
     let chaos = survivable(
         ChaosPlan::new(100, 777)
             .with_stragglers(100, 3.0, 1)
             .with_corruption(100),
     );
-    let indexed_chaotic = run(PipelineConfig {
+    let chaotic = run(PipelineConfig {
         chaos: Some(chaos),
-        kernel: dp_core::KernelStrategy::Indexed,
         ..base
     });
     assert_eq!(
-        blocked_clean.result, indexed_chaotic.result,
-        "indexed kernels under chaos must match the clean blocked run"
+        clean.result, chaotic.result,
+        "indexed kernels under chaos must match the clean run"
     );
 }
 

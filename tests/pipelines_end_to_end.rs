@@ -120,7 +120,6 @@ fn pipelines_are_deterministic_across_runs_and_task_counts() {
                 chaos: None,
                 disable_elision: false,
                 checkpoints: false,
-                kernel: Default::default(),
                 mem_budget: None,
             },
             partition_cap: None,

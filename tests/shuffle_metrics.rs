@@ -109,7 +109,6 @@ fn lsh_ddp_per_job_metrics_invariant_to_reduce_task_count() {
                 chaos: None,
                 disable_elision: false,
                 checkpoints: false,
-                kernel: Default::default(),
                 mem_budget: None,
             },
             ..base.config().clone()
