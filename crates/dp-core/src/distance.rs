@@ -7,6 +7,7 @@
 //! handle around an atomic counter shared across all map/reduce worker
 //! threads.
 
+use crate::simd::Isa;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,8 +79,9 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Lane count of [`accumulate_tile_d2`]: one lane per target, so one lane
-/// per *pair*. Sixteen `f64` accumulators are eight 128-bit registers —
-/// what the baseline x86-64 target has to spare beside the operands.
+/// per *pair*. Sixteen `f64` accumulators are eight 128-bit registers on
+/// the baseline x86-64 build and four 256-bit ones on the AVX2 build (see
+/// [`crate::simd`]); either way they leave room for the operands.
 pub(crate) const LANES: usize = 16;
 
 /// Dimensions [`squared_euclidean_block`] transposes per pass (a fixed
@@ -91,7 +93,7 @@ const TILE_DIMS: usize = 64;
 /// dimension-major: `cols[d][lane] = rows[lane * dim + d0 + d]` for
 /// `d < cols.len()`. Lanes past the last row are zeroed — padding, whose
 /// results callers never read.
-#[inline]
+#[inline(always)]
 pub(crate) fn transpose_tile(rows: &[f64], dim: usize, d0: usize, cols: &mut [[f64; LANES]]) {
     debug_assert!(rows.len() <= LANES * dim && d0 + cols.len() <= dim);
     for (d, col) in cols.iter_mut().enumerate() {
@@ -112,7 +114,7 @@ pub(crate) fn transpose_tile(rows: &[f64], dim: usize, d0: usize, cols: &mut [[f
 /// scalar result bit for bit, and a wide point may be fed in consecutive
 /// dimension ranges. Lanes never mix, so the fixed-width inner loop
 /// vectorises without reassociating anything.
-#[inline]
+#[inline(always)]
 pub(crate) fn accumulate_tile_d2(q: &[f64], cols: &[[f64; LANES]], acc: &mut [f64; LANES]) {
     debug_assert_eq!(q.len(), cols.len());
     let mut a = *acc;
@@ -133,12 +135,18 @@ pub(crate) fn accumulate_tile_d2(q: &[f64], cols: &[[f64; LANES]], acc: &mut [f6
 /// transposed once into a stack tile and swept by every query through
 /// [`accumulate_tile_d2`], so the stripe stays hot in cache across the
 /// batch (the serving runtime's micro-batches feed this) and each entry is
-/// bit-identical to [`squared_euclidean`].
+/// bit-identical to [`squared_euclidean`] on either vector width
+/// ([`crate::simd`]).
 ///
 /// # Panics
 /// Panics if `dim` is zero or either block's length is not a multiple of
 /// `dim`.
 pub fn squared_euclidean_block(queries: &[f64], targets: &[f64], dim: usize, out: &mut Vec<f64>) {
+    block_on(Isa::detect(), queries, targets, dim, out);
+}
+
+/// [`squared_euclidean_block`] on the `isa` build.
+pub(crate) fn block_on(isa: Isa, queries: &[f64], targets: &[f64], dim: usize, out: &mut Vec<f64>) {
     assert!(dim > 0, "dimension must be positive");
     assert_eq!(
         queries.len() % dim,
@@ -154,7 +162,15 @@ pub fn squared_euclidean_block(queries: &[f64], targets: &[f64], dim: usize, out
     let nt = targets.len() / dim;
     out.clear();
     out.resize(nq * nt, 0.0);
+    isa.run(
+        #[inline(always)]
+        || block(queries, targets, dim, out),
+    );
+}
 
+#[inline(always)]
+fn block(queries: &[f64], targets: &[f64], dim: usize, out: &mut [f64]) {
+    let nt = targets.len() / dim;
     let mut tile = [[0.0; LANES]; TILE_DIMS];
     for t0 in (0..nt).step_by(LANES) {
         let m = (nt - t0).min(LANES);
@@ -214,7 +230,17 @@ pub fn nearest_in_block(queries: &[f64], targets: &[f64], dim: usize) -> Vec<(us
 ///
 /// # Panics
 /// Panics if `dim` is zero or `flat.len()` is not a multiple of `dim`.
-pub fn for_each_pair_d2(flat: &[f64], dim: usize, mut visit: impl FnMut(usize, usize, f64)) {
+pub fn for_each_pair_d2(flat: &[f64], dim: usize, visit: impl FnMut(usize, usize, f64)) {
+    pairs_on(Isa::detect(), flat, dim, visit);
+}
+
+/// [`for_each_pair_d2`] on the `isa` build.
+pub(crate) fn pairs_on(
+    isa: Isa,
+    flat: &[f64],
+    dim: usize,
+    mut visit: impl FnMut(usize, usize, f64),
+) {
     assert!(dim > 0, "dimension must be positive");
     assert_eq!(
         flat.len() % dim,
@@ -232,7 +258,13 @@ pub fn for_each_pair_d2(flat: &[f64], dim: usize, mut visit: impl FnMut(usize, u
         // Targets are the suffix starting at the query block, so row `qi`
         // holds distances to every j >= q0; entries with j > i are the
         // unordered pairs owned by this block.
-        squared_euclidean_block(&flat[q0 * dim..q1 * dim], &flat[q0 * dim..], dim, &mut d2);
+        block_on(
+            isa,
+            &flat[q0 * dim..q1 * dim],
+            &flat[q0 * dim..],
+            dim,
+            &mut d2,
+        );
         let nt = n - q0;
         for (qi, row) in d2.chunks_exact(nt).enumerate() {
             let i = q0 + qi;
@@ -252,7 +284,13 @@ pub fn for_each_pair_d2(flat: &[f64], dim: usize, mut visit: impl FnMut(usize, u
 /// # Panics
 /// Panics if `dim` is zero or either block's length is not a multiple of
 /// `dim`.
-pub fn for_each_cross_d2(
+pub fn for_each_cross_d2(a: &[f64], b: &[f64], dim: usize, visit: impl FnMut(usize, usize, f64)) {
+    cross_on(Isa::detect(), a, b, dim, visit);
+}
+
+/// [`for_each_cross_d2`] on the `isa` build.
+pub(crate) fn cross_on(
+    isa: Isa,
     a: &[f64],
     b: &[f64],
     dim: usize,
@@ -270,7 +308,7 @@ pub fn for_each_cross_d2(
     let mut d2 = Vec::new();
     for q0 in (0..na).step_by(QBLOCK) {
         let q1 = (q0 + QBLOCK).min(na);
-        squared_euclidean_block(&a[q0 * dim..q1 * dim], b, dim, &mut d2);
+        block_on(isa, &a[q0 * dim..q1 * dim], b, dim, &mut d2);
         for (qi, row) in d2.chunks_exact(nb).enumerate() {
             for (tj, &d) in row.iter().enumerate() {
                 visit(q0 + qi, tj, d);

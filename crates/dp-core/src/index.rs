@@ -13,9 +13,12 @@
 //! * [`SpatialIndex::cross_range_count_d2`] / [`SpatialIndex::for_each_within_d2`]
 //!   — halo/partner contributions (`basic`, `eddpc`, `halo`) and the
 //!   serve-side exact recount;
-//! * [`SpatialIndex::nearest_denser_d2`] — `delta` as a best-first
-//!   nearest-neighbor search over a caller-supplied candidate filter,
-//!   seeded by the sorted-descending-`rho` scan proven in [`crate::fast`];
+//! * `DenserSearch` — `delta` as a best-first nearest-neighbour search
+//!   among the points denser than the query, skipping every subtree whose
+//!   densest [`DensityKeys`] entry is not; [`SpatialIndex::nearest_by_d2`]
+//!   is the serve probe's form of it, and
+//!   [`SpatialIndex::nearest_denser_d2`] the same search under a
+//!   caller-supplied filter;
 //! * [`SpatialIndex::max_distance`] — the absolute-peak `delta`
 //!   (distance to the farthest point).
 //!
@@ -25,7 +28,8 @@
 //! keeps its own copy of the coordinates in *leaf order* (kd leaves / grid
 //! cells are contiguous row ranges), so scans stream memory instead of
 //! chasing a permutation; point indices are translated back to the
-//! caller's input order at the API edge.
+//! caller's input order at the API edge. Every kernel runs on the vector
+//! width the index was built for ([`crate::simd`]), with the same bits.
 //!
 //! ## Bit-identity contract
 //!
@@ -38,9 +42,9 @@
 //!   between a point and a box, and between two boxes. Pruning on
 //!   `lb2 >= dc2` (or counting wholesale on `ub2 < dc2`) therefore never
 //!   flips a strict `d2 < dc2` test.
-//! * Leaf tiles are evaluated with one lane per pair
-//!   ([`accumulate_tile_d2`]), each lane in [`squared_euclidean`]'s own
-//!   accumulation order.
+//! * Leaf scans evaluate the leaf's pre-transposed tile with one lane per
+//!   pair ([`accumulate_tile_d2`]), each lane in [`squared_euclidean`]'s
+//!   own accumulation order.
 //! * All of the above assumes finite indexed coordinates: a box cannot
 //!   bound a NaN. [`crate::local::use_indexed`] keeps such input on the
 //!   blocked kernels.
@@ -54,8 +58,10 @@
 //!   work-stealing parallel build is bit-identical across thread counts,
 //!   and every traversal visits candidates in a deterministic order.
 
-use crate::distance::{accumulate_tile_d2, squared_euclidean, transpose_tile, LANES};
+use crate::distance::{accumulate_tile_d2, squared_euclidean, LANES};
+use crate::local::Key;
 use crate::point::PointId;
+use crate::simd::Isa;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -101,7 +107,7 @@ fn reach(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
 /// in one pass and each accumulated per dimension in the same order as
 /// [`squared_euclidean`]. A query point passes itself as both `lo_a` and
 /// `hi_a`.
-#[inline]
+#[inline(always)]
 fn box_bounds2(lo_a: &[f64], hi_a: &[f64], b: &[f64]) -> (f64, f64) {
     let (lo_b, hi_b) = b.split_at(lo_a.len());
     let (mut lb2, mut ub2) = (0.0, 0.0);
@@ -116,7 +122,7 @@ fn box_bounds2(lo_a: &[f64], hi_a: &[f64], b: &[f64]) -> (f64, f64) {
 
 /// Squared lower bounds from `q` to two boxes — a node's two children —
 /// in one pass: two independent chains instead of two latency-bound ones.
-#[inline]
+#[inline(always)]
 fn point_lb2_pair(q: &[f64], bl: &[f64], br: &[f64]) -> (f64, f64) {
     let (lo_l, hi_l) = bl.split_at(q.len());
     let (lo_r, hi_r) = br.split_at(q.len());
@@ -132,7 +138,7 @@ fn point_lb2_pair(q: &[f64], bl: &[f64], br: &[f64]) -> (f64, f64) {
 
 /// [`box_bounds2`] from each of a tile's [`LANES`] points to box `b`: the
 /// same terms in the same order, one independent chain per lane.
-#[inline]
+#[inline(always)]
 fn lanes_bounds2(cols: &[[f64; LANES]], b: &[f64]) -> ([f64; LANES], [f64; LANES]) {
     let (lo, hi) = b.split_at(cols.len());
     let (mut lb2, mut ub2) = ([0.0; LANES], [0.0; LANES]);
@@ -147,6 +153,22 @@ fn lanes_bounds2(cols: &[[f64; LANES]], b: &[f64]) -> ([f64; LANES], [f64; LANES
     (lb2, ub2)
 }
 
+/// The lower bound of [`box_bounds2`] from point `q` to each box of a
+/// front, held dimension-major (`dim` columns of minima, then `dim` of
+/// maxima): the same terms in the same order, one chain per box.
+#[inline(always)]
+fn front_lb2(q: &[f64], cols: &[[f64; FRONT]]) -> [f64; FRONT] {
+    let (lo, hi) = cols.split_at(q.len());
+    let mut lb2 = [0.0; FRONT];
+    for ((&x, lo), hi) in q.iter().zip(lo).zip(hi) {
+        for ((lb2, &lo), &hi) in lb2.iter_mut().zip(lo).zip(hi) {
+            let g = gap(x, x, lo, hi);
+            *lb2 += g * g;
+        }
+    }
+    lb2
+}
+
 // ---------------------------------------------------------------------
 // kd-tree
 // ---------------------------------------------------------------------
@@ -158,6 +180,14 @@ const LEAF: usize = 16;
 // A leaf is evaluated as one tile.
 const _: () = assert!(LEAF <= LANES);
 
+/// Levels a best-first search descends per expansion: a popped node
+/// pushes its descendants this many levels down (or the leaves above
+/// them), their bounds computed one lane per box.
+const FRONT_DEPTH: usize = 3;
+
+/// Boxes in a front: one lane each.
+const FRONT: usize = 1 << FRONT_DEPTH;
+
 /// Subtrees at least this large build their children via `rayon::join`.
 const PAR_BUILD_MIN: usize = 4096;
 
@@ -168,6 +198,14 @@ fn node_count(n: usize) -> usize {
     } else {
         1 + node_count(n / 2) + node_count(n - n / 2)
     }
+}
+
+/// The nodes a best-first search pushes when it pops an expanded node.
+struct Front {
+    nodes: [u32; FRONT],
+    len: usize,
+    /// Where the nodes' boxes start in `KdTree::lanes`.
+    cols: usize,
 }
 
 /// A kd-tree over leaf-ordered rows: each node owns a contiguous row
@@ -183,6 +221,16 @@ struct KdTree {
     /// Per node: right-child node index; `0` marks a leaf (the root is
     /// node 0 and never anyone's child).
     right: Vec<u32>,
+    /// Lane-major storage, one allocation: every leaf's rows transposed to
+    /// `dim` columns of [`LANES`] (the leaf's *tile*, so a scan costs no
+    /// transposition), then every front's boxes as `dim` columns of minima
+    /// and `dim` of maxima, [`FRONT`] lanes each.
+    lanes: Vec<f64>,
+    /// Per leaf: where its tile starts in `lanes`. Per node a search
+    /// expands — the root, and every internal node of a front — its index
+    /// into `fronts`.
+    slot: Vec<usize>,
+    fronts: Vec<Front>,
 }
 
 /// Disjoint per-subtree views of the kd arrays, so the two children of a
@@ -197,7 +245,7 @@ struct BuildSlices<'a> {
 impl KdTree {
     /// Builds the tree over the caller's input-order buffer; also returns
     /// the leaf order (row -> input index).
-    fn build(flat: &[f64], dim: usize) -> (Self, Vec<u32>) {
+    fn build(flat: &[f64], dim: usize, isa: Isa) -> (Self, Vec<u32>) {
         let n = flat.len() / dim;
         debug_assert!(n > 0, "cannot index an empty partition");
         let mut perm: Vec<u32> = (0..n as u32).collect();
@@ -207,8 +255,7 @@ impl KdTree {
         let mut len = vec![0u32; nodes];
         let mut right = vec![0u32; nodes];
         build_rec(
-            flat,
-            dim,
+            (flat, dim, isa),
             &mut perm,
             0,
             0,
@@ -219,39 +266,147 @@ impl KdTree {
                 right: &mut right,
             },
         );
-        let kd = KdTree {
+        let mut kd = KdTree {
             bounds,
             start,
             len,
             right,
+            lanes: Vec::new(),
+            slot: vec![0; nodes],
+            fronts: Vec::new(),
         };
+        isa.run(
+            #[inline(always)]
+            || kd.lay_out(flat, dim, &perm),
+        );
         (kd, perm)
     }
 
-    #[inline]
+    /// Fills the leaf tiles, then the fronts: the root's, and those of
+    /// the internal nodes each front holds.
+    #[inline(always)]
+    fn lay_out(&mut self, flat: &[f64], dim: usize, perm: &[u32]) {
+        let nodes = self.len.len();
+        // Every internal node has two children: (nodes + 1) / 2 leaves.
+        self.lanes.reserve(nodes.div_ceil(2) * dim * LANES);
+        for node in 0..nodes {
+            if self.is_leaf(node) {
+                let at = self.lanes.len();
+                self.slot[node] = at;
+                self.lanes.resize(at + dim * LANES, 0.0);
+                let ids = &perm[self.rows(node)];
+                for (d, col) in self.lanes[at..].chunks_exact_mut(LANES).enumerate() {
+                    for (c, &i) in col.iter_mut().zip(ids) {
+                        *c = flat[i as usize * dim + d];
+                    }
+                }
+            }
+        }
+        if !self.is_leaf(0) {
+            self.push_front(dim, 0);
+        }
+        let mut next = 0;
+        while next < self.fronts.len() {
+            let front = &self.fronts[next];
+            let (nodes, len) = (front.nodes, front.len);
+            for &v in &nodes[..len] {
+                if !self.is_leaf(v as usize) {
+                    self.push_front(dim, v as usize);
+                }
+            }
+            next += 1;
+        }
+    }
+
+    /// Lays out the front of `node`: [`FRONT_DEPTH`] levels down, stopping
+    /// at leaves.
+    #[inline(always)]
+    fn push_front(&mut self, dim: usize, node: usize) {
+        let mut front = Front {
+            nodes: [node as u32; FRONT],
+            len: 1,
+            cols: self.lanes.len(),
+        };
+        for _ in 0..FRONT_DEPTH {
+            let (level, len) = (front.nodes, front.len);
+            front.len = 0;
+            for &v in &level[..len] {
+                let (l, r) = self.children(v as usize);
+                let kids = if self.is_leaf(v as usize) {
+                    &[v][..]
+                } else {
+                    &[l as u32, r as u32][..]
+                };
+                for &k in kids {
+                    front.nodes[front.len] = k;
+                    front.len += 1;
+                }
+            }
+        }
+        self.lanes.resize(front.cols + 2 * dim * FRONT, 0.0);
+        let cols = self.lanes[front.cols..].chunks_exact_mut(FRONT);
+        for (k, col) in cols.enumerate() {
+            for (c, &v) in col.iter_mut().zip(&front.nodes[..front.len]) {
+                *c = self.bounds[v as usize * 2 * dim + k];
+            }
+        }
+        self.slot[node] = self.fronts.len();
+        self.fronts.push(front);
+    }
+
+    #[inline(always)]
     fn bounds(&self, dim: usize, node: usize) -> &[f64] {
         &self.bounds[node * 2 * dim..][..2 * dim]
     }
 
-    #[inline]
+    #[inline(always)]
     fn is_leaf(&self, node: usize) -> bool {
         self.right[node] == 0
     }
 
     /// `(left, right)` children of an internal node.
-    #[inline]
+    #[inline(always)]
     fn children(&self, node: usize) -> (usize, usize) {
         (node + 1, self.right[node] as usize)
     }
 
-    #[inline]
+    #[inline(always)]
     fn rows(&self, node: usize) -> Range<usize> {
         let s = self.start[node] as usize;
         s..s + self.len[node] as usize
     }
+
+    /// An expanded node's front: its nodes, and their boxes' columns.
+    #[inline(always)]
+    fn front(&self, dim: usize, node: usize) -> (&[u32], &[[f64; FRONT]]) {
+        let front = &self.fronts[self.slot[node]];
+        let cols = &self.lanes[front.cols..][..2 * dim * FRONT];
+        (&front.nodes[..front.len], cols.as_chunks().0)
+    }
+
+    /// A leaf's tile.
+    #[inline(always)]
+    fn tile(&self, dim: usize, leaf: usize) -> &[[f64; LANES]] {
+        self.lanes[self.slot[leaf]..][..dim * LANES].as_chunks().0
+    }
+
+    /// `d²` from `q` to each row of a leaf, lane `k` for the leaf's row
+    /// `k`; lanes past the leaf's rows are padding.
+    #[inline(always)]
+    fn leaf_d2(&self, q: &[f64], leaf: usize) -> [f64; LANES] {
+        let mut d2 = [0.0; LANES];
+        accumulate_tile_d2(q, self.tile(q.len(), leaf), &mut d2);
+        d2
+    }
 }
 
-fn build_rec(flat: &[f64], dim: usize, perm: &mut [u32], perm_off: u32, node: u32, s: BuildSlices) {
+fn build_rec(
+    (flat, dim, isa): (&[f64], usize, Isa),
+    perm: &mut [u32],
+    perm_off: u32,
+    node: u32,
+    s: BuildSlices,
+) {
     let n = perm.len();
     let (b, bounds_rest) = s.bounds.split_at_mut(2 * dim);
     let (st, start_rest) = s.start.split_at_mut(1);
@@ -259,23 +414,10 @@ fn build_rec(flat: &[f64], dim: usize, perm: &mut [u32], perm_off: u32, node: u3
     let (rt, right_rest) = s.right.split_at_mut(1);
     st[0] = perm_off;
     ln[0] = n as u32;
-
-    // Exact per-dimension min/max — order-independent, so the parallel
-    // build cannot perturb it.
-    let p0 = &flat[perm[0] as usize * dim..][..dim];
-    b[..dim].copy_from_slice(p0);
-    b[dim..].copy_from_slice(p0);
-    for &pi in &perm[1..] {
-        let p = &flat[pi as usize * dim..][..dim];
-        for (d, &x) in p.iter().enumerate() {
-            if x < b[d] {
-                b[d] = x;
-            }
-            if x > b[dim + d] {
-                b[dim + d] = x;
-            }
-        }
-    }
+    isa.run(
+        #[inline(always)]
+        || node_bounds(flat, dim, perm, b),
+    );
 
     if n <= LEAF {
         rt[0] = 0;
@@ -319,90 +461,81 @@ fn build_rec(flat: &[f64], dim: usize, perm: &mut [u32], perm_off: u32, node: u3
         len: rln,
         right: rrt,
     };
+    let at = (flat, dim, isa);
+    let right_off = perm_off + mid as u32;
     if n >= PAR_BUILD_MIN {
         rayon::join(
-            || build_rec(flat, dim, left_perm, perm_off, node + 1, left),
-            || {
-                build_rec(
-                    flat,
-                    dim,
-                    right_perm,
-                    perm_off + mid as u32,
-                    right_node,
-                    rchild,
-                )
-            },
+            || build_rec(at, left_perm, perm_off, node + 1, left),
+            || build_rec(at, right_perm, right_off, right_node, rchild),
         );
     } else {
-        build_rec(flat, dim, left_perm, perm_off, node + 1, left);
-        build_rec(
-            flat,
-            dim,
-            right_perm,
-            perm_off + mid as u32,
-            right_node,
-            rchild,
-        );
+        build_rec(at, left_perm, perm_off, node + 1, left);
+        build_rec(at, right_perm, right_off, right_node, rchild);
     }
 }
 
-/// State of one kd self-join: the dual-tree recursion of
+/// Exact per-dimension min/max of the points `perm` names into `b` —
+/// order-independent, so the parallel build cannot perturb it.
+#[inline(always)]
+fn node_bounds(flat: &[f64], dim: usize, perm: &[u32], b: &mut [f64]) {
+    let p0 = &flat[perm[0] as usize * dim..][..dim];
+    b[..dim].copy_from_slice(p0);
+    b[dim..].copy_from_slice(p0);
+    let (lo, hi) = b.split_at_mut(dim);
+    for &pi in &perm[1..] {
+        let p = &flat[pi as usize * dim..][..dim];
+        for ((&x, lo), hi) in p.iter().zip(lo.iter_mut()).zip(hi.iter_mut()) {
+            if x < *lo {
+                *lo = x;
+            }
+            if x > *hi {
+                *hi = x;
+            }
+        }
+    }
+}
+
+/// State of one kd self-join: the dual-tree traversal of
 /// [`SpatialIndex::self_join_d2`]. All scratch lives here, allocated once
 /// per join.
 struct KdJoin<'a> {
     kd: &'a KdTree,
-    pts: &'a [f64],
     dim: usize,
     dc2: f64,
-    /// Every leaf's rows transposed to dimension-major, `dim` columns per
-    /// leaf, so a leaf pair costs no transposition.
-    tiles: Vec<[f64; LANES]>,
-    /// Per node: where its leaf's columns start in `tiles` (leaves only).
-    tile_of: Vec<usize>,
     /// Per node: neighbours granted wholesale to every point below it,
-    /// pushed down to the rows once the recursion is done.
+    /// pushed down to the rows once the traversal is done.
     pending: Vec<u32>,
     /// Per row: neighbours found so far.
     count: Vec<u32>,
     evals: u64,
+    /// The query row of a leaf pair, gathered from its leaf's tile.
+    q: Vec<f64>,
 }
 
 impl<'a> KdJoin<'a> {
-    fn new(kd: &'a KdTree, pts: &'a [f64], dim: usize, dc2: f64) -> Self {
-        let nodes = kd.len.len();
-        let mut tile_of = vec![0usize; nodes];
-        // Every internal node has two children: (nodes + 1) / 2 leaves.
-        let mut tiles = Vec::with_capacity(nodes.div_ceil(2) * dim);
-        for (node, at) in tile_of.iter_mut().enumerate() {
-            if kd.is_leaf(node) {
-                *at = tiles.len();
-                tiles.resize(*at + dim, [0.0; LANES]);
-                let rows = kd.rows(node);
-                transpose_tile(
-                    &pts[rows.start * dim..rows.end * dim],
-                    dim,
-                    0,
-                    &mut tiles[*at..],
-                );
-            }
-        }
+    fn new(kd: &'a KdTree, dim: usize, dc2: f64) -> Self {
         KdJoin {
             kd,
-            pts,
             dim,
             dc2,
-            tiles,
-            tile_of,
-            pending: vec![0; nodes],
-            count: vec![0; pts.len() / dim],
+            pending: vec![0; kd.len.len()],
+            count: vec![0; kd.len[0] as usize],
             evals: 0,
+            q: vec![0.0; dim],
         }
     }
 
     /// Runs the join; returns per-row neighbour counts and the number of
     /// pairs whose `d²` was evaluated.
+    #[inline(always)]
     fn run(mut self) -> (Vec<u32>, u64) {
-        self.pair(0, 0);
+        // Node pairs still to settle, each the same node (its internal
+        // pairs) or two disjoint ones. An explicit stack, not recursion:
+        // the traversal inlines into the vector-width build that runs it.
+        let mut todo = vec![(0usize, 0usize)];
+        while let Some((a, b)) = todo.pop() {
+            self.pair(a, b, &mut todo);
+        }
         // Preorder puts every parent before its children.
         for node in 0..self.pending.len() {
             let p = self.pending[node];
@@ -419,9 +552,9 @@ impl<'a> KdJoin<'a> {
         (self.count, self.evals)
     }
 
-    /// Settles every point pair between nodes `a` and `b` — the same node
-    /// (its internal pairs) or two disjoint ones.
-    fn pair(&mut self, a: usize, b: usize) {
+    /// Settles node pair `(a, b)` or splits it onto `todo`.
+    #[inline(always)]
+    fn pair(&mut self, a: usize, b: usize, todo: &mut Vec<(usize, usize)>) {
         let kd = self.kd;
         let (lo_a, hi_a) = kd.bounds(self.dim, a).split_at(self.dim);
         let (lb2, ub2) = box_bounds2(lo_a, hi_a, kd.bounds(self.dim, b));
@@ -439,29 +572,27 @@ impl<'a> KdJoin<'a> {
             }
             return;
         }
+        // Splits are pushed last-first, so they are settled in order.
         if kd.is_leaf(a) && kd.is_leaf(b) {
             self.leaf_pair(a, b);
         } else if a == b {
             let (l, r) = kd.children(a);
-            self.pair(l, l);
-            self.pair(l, r);
-            self.pair(r, r);
+            todo.extend([(r, r), (l, r), (l, l)]);
         } else {
             // Split the larger side (never a leaf).
             let split_b = kd.is_leaf(a) || (!kd.is_leaf(b) && kd.len[b] > kd.len[a]);
             let (keep, split) = if split_b { (a, b) } else { (b, a) };
             let (l, r) = kd.children(split);
-            self.pair(keep, l);
-            self.pair(keep, r);
+            todo.extend([(keep, r), (keep, l)]);
         }
     }
 
     /// Lane masks of leaf `a`'s points against `b`'s box: `(eval, all)` —
     /// points whose pairs with `b` need evaluating, and points within
     /// `dc` of all of `b`. The rest are out of range of all of `b`.
+    #[inline(always)]
     fn flags(&self, a: usize, b: usize) -> (u16, u16) {
-        let cols = &self.tiles[self.tile_of[a]..][..self.dim];
-        let (lb2, ub2) = lanes_bounds2(cols, self.kd.bounds(self.dim, b));
+        let (lb2, ub2) = lanes_bounds2(self.kd.tile(self.dim, a), self.kd.bounds(self.dim, b));
         let (mut eval, mut all) = (0u16, 0u16);
         for lane in 0..self.kd.len[a] as usize {
             if lb2[lane] >= self.dc2 {
@@ -481,6 +612,7 @@ impl<'a> KdJoin<'a> {
     /// settles a point's pairs with the whole other leaf at once; only
     /// pairs with both ends unsettled are evaluated, a query row against
     /// the other leaf's tile, one lane per pair.
+    #[inline(always)]
     fn leaf_pair(&mut self, a: usize, b: usize) {
         let same = a == b;
         let (rows_a, rows_b) = (self.kd.rows(a), self.kd.rows(b));
@@ -512,16 +644,17 @@ impl<'a> KdJoin<'a> {
         if eval_a == 0 || eval_b == 0 {
             return;
         }
-        let cols = &self.tiles[self.tile_of[b]..][..self.dim];
+        let kd = self.kd;
         for i in 0..rows_a.len() {
             // Within one leaf, row i owns the pairs (i, j > i).
             let mask = if same { eval_b & (!1u16) << i } else { eval_b };
             if eval_a >> i & 1 == 0 || mask == 0 {
                 continue;
             }
-            let mut d2 = [0.0; LANES];
-            let q = &self.pts[(rows_a.start + i) * self.dim..][..self.dim];
-            accumulate_tile_d2(q, cols, &mut d2);
+            for (x, col) in self.q.iter_mut().zip(kd.tile(self.dim, a)) {
+                *x = col[i];
+            }
+            let d2 = kd.leaf_d2(&self.q, b);
             // Lanes outside `mask` — padding, or targets their flag has
             // settled — are computed by the hardware and never read.
             self.evals += u64::from(mask.count_ones());
@@ -774,49 +907,105 @@ enum Rep {
     Grid(Grid),
 }
 
-/// A per-partition spatial index over a flat row-major buffer, built once
-/// and reused across the rho and delta passes.
+/// A per-partition spatial index over a flat row-major buffer. Each
+/// `Partition` builds its own, so the rho and delta passes of a pipeline
+/// build one each.
 pub struct SpatialIndex {
     dim: usize,
     n: usize,
-    /// The indexed coordinates in leaf order: row `k` is input point
-    /// `ids[k]`, and every kd leaf / grid cell is a contiguous row range.
+    /// The grid's coordinates in cell order: row `k` is input point
+    /// `ids[k]`, and every cell is a contiguous row range. A kd-tree keeps
+    /// its coordinates as leaf tiles instead, and this is empty.
     pts: Vec<f64>,
-    /// Row -> index of the point in the caller's buffer.
+    /// Row -> index of the point in the caller's buffer; kd rows are in
+    /// leaf order, each leaf a contiguous range.
     ids: Vec<u32>,
     rep: Rep,
+    /// The vector width every kernel of this index runs at.
+    isa: Isa,
 }
+
+/// A key packed so that integer order is the order of
+/// [`crate::dp::denser`]: `rho` first, then id.
+#[inline(always)]
+fn pack((rho, id): Key) -> u64 {
+    u64::from(rho) << 32 | u64::from(id)
+}
+
+/// Density keys laid over an index: every row's `(rho, id)` key, and per
+/// kd node the largest key below it. A nearest search that accepts only
+/// keys at or above a floor skips each subtree whose largest key is under
+/// it — a subtree holding no acceptable point can neither move the answer
+/// nor add an evaluation.
+pub struct DensityKeys {
+    /// Per row, packed.
+    row: Vec<u64>,
+    /// Per kd node, packed; empty on the grid.
+    node_max: Vec<u64>,
+}
+
+impl DensityKeys {
+    /// The filters of a search for keys at least `floor`: whether a kd
+    /// subtree can hold one, and a row's candidate id — its key's — if the
+    /// row's key is one.
+    #[inline(always)]
+    fn at_least(
+        &self,
+        floor: u64,
+    ) -> (
+        impl Fn(usize) -> bool + '_,
+        impl FnMut(usize) -> Option<PointId> + '_,
+    ) {
+        (
+            move |node| self.node_max[node] >= floor,
+            move |k| (self.row[k] >= floor).then_some(self.row[k] as PointId),
+        )
+    }
+}
+
+/// The best-first search's pending regions: `(lb2 bits, node)`, smallest
+/// first. Bounds are non-negative, so their bits order like their values.
+type Heap = BinaryHeap<Reverse<(u64, u32)>>;
 
 impl SpatialIndex {
     /// Builds the index over `flat` (row-major, `dim` coordinates per
     /// point). `dc` informs the grid fast path's cell width; pass the same
-    /// cutoff later used in `*_d2(q, dc * dc)` range queries.
+    /// cutoff later used in `*_d2(q, dc * dc)` range queries. The kernels
+    /// run at the widest vector width the CPU has ([`Isa::detect`]).
     ///
     /// # Panics
     /// Panics if `flat` is empty or not a multiple of `dim`.
     pub fn build(flat: &[f64], dim: usize, dc: f64) -> Self {
+        Self::build_on(flat, dim, dc, Isa::detect())
+    }
+
+    /// [`Self::build`] for the `isa` build of the kernels.
+    pub(crate) fn build_on(flat: &[f64], dim: usize, dc: f64, isa: Isa) -> Self {
         assert!(dim > 0, "dim must be positive");
         assert!(
             !flat.is_empty() && flat.len().is_multiple_of(dim),
             "flat buffer must hold a positive number of {dim}-dim points"
         );
         match Grid::try_build(flat, dim, dc) {
-            Some((g, ids)) => Self::assemble(flat, dim, Rep::Grid(g), ids),
-            None => Self::build_kd(flat, dim),
+            Some((g, ids)) => Self::assemble(flat, dim, Rep::Grid(g), ids, isa),
+            None => Self::build_kd(flat, dim, isa),
         }
     }
 
     /// The kd-tree representation regardless of dimension.
-    fn build_kd(flat: &[f64], dim: usize) -> Self {
-        let (kd, ids) = KdTree::build(flat, dim);
-        Self::assemble(flat, dim, Rep::Kd(kd), ids)
+    fn build_kd(flat: &[f64], dim: usize, isa: Isa) -> Self {
+        let (kd, ids) = KdTree::build(flat, dim, isa);
+        Self::assemble(flat, dim, Rep::Kd(kd), ids, isa)
     }
 
-    /// Copies the caller's rows into leaf order.
-    fn assemble(flat: &[f64], dim: usize, rep: Rep, ids: Vec<u32>) -> Self {
-        let mut pts = Vec::with_capacity(flat.len());
-        for &i in &ids {
-            pts.extend_from_slice(&flat[i as usize * dim..][..dim]);
+    /// Copies the caller's rows into cell order for the grid.
+    fn assemble(flat: &[f64], dim: usize, rep: Rep, ids: Vec<u32>, isa: Isa) -> Self {
+        let mut pts = Vec::new();
+        if let Rep::Grid(_) = rep {
+            pts.reserve_exact(flat.len());
+            for &i in &ids {
+                pts.extend_from_slice(&flat[i as usize * dim..][..dim]);
+            }
         }
         SpatialIndex {
             dim,
@@ -824,6 +1013,7 @@ impl SpatialIndex {
             pts,
             ids,
             rep,
+            isa,
         }
     }
 
@@ -842,8 +1032,8 @@ impl SpatialIndex {
         matches!(self.rep, Rep::Grid(_))
     }
 
-    /// Leaf-ordered row `k`.
-    #[inline]
+    /// Grid row `k`.
+    #[inline(always)]
     fn row(&self, k: usize) -> &[f64] {
         &self.pts[k * self.dim..][..self.dim]
     }
@@ -859,10 +1049,13 @@ impl SpatialIndex {
     /// against the other end's leaf box (grid: cell adjacency) settles it,
     /// which is when the per-point walks evaluate it from both ends.
     pub fn self_join_d2(&self, dc2: f64) -> (Vec<u32>, u64) {
-        let (count, evals) = match &self.rep {
-            Rep::Kd(kd) => KdJoin::new(kd, &self.pts, self.dim, dc2).run(),
-            Rep::Grid(g) => self.grid_join(g, dc2),
-        };
+        let (count, evals) = self.isa.run(
+            #[inline(always)]
+            || match &self.rep {
+                Rep::Kd(kd) => KdJoin::new(kd, self.dim, dc2).run(),
+                Rep::Grid(g) => self.grid_join(g, dc2),
+            },
+        );
         let mut rho = vec![0u32; self.n];
         for (&id, c) in self.ids.iter().zip(count) {
             rho[id as usize] = c;
@@ -872,6 +1065,7 @@ impl SpatialIndex {
 
     /// Grid self-join: pairs within each cell, then the cell against its
     /// forward neighbours. Per-row counts, and evals.
+    #[inline(always)]
     fn grid_join(&self, g: &Grid, dc2: f64) -> (Vec<u32>, u64) {
         debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
         let mut count = vec![0u32; self.n];
@@ -914,24 +1108,30 @@ impl SpatialIndex {
     /// Counts points with `d2(q, p) < dc2` (strict), including the query
     /// point itself when it is indexed. Returns `(count, distance evals)`.
     pub fn range_count_d2(&self, q: &[f64], dc2: f64) -> (u32, u64) {
+        self.isa.run(
+            #[inline(always)]
+            || self.range_count(q, dc2),
+        )
+    }
+
+    #[inline(always)]
+    fn range_count(&self, q: &[f64], dc2: f64) -> (u32, u64) {
         let mut count = 0u32;
         let mut evals = 0u64;
-        let mut scan = |rows: Range<usize>| {
-            evals += rows.len() as u64;
-            for k in rows {
-                count += u32::from(squared_euclidean(q, self.row(k)) < dc2);
-            }
-        };
         match &self.rep {
             Rep::Grid(g) => {
                 debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
                 let c = g.cell_coords(q);
                 for r in 0..=1 {
-                    g.for_shell(c, r, &mut scan);
+                    g.for_shell(c, r, |rows| {
+                        evals += rows.len() as u64;
+                        for k in rows {
+                            count += u32::from(squared_euclidean(q, self.row(k)) < dc2);
+                        }
+                    });
                 }
             }
             Rep::Kd(kd) => {
-                let mut whole = 0u32;
                 let mut stack = vec![0usize];
                 while let Some(node) = stack.pop() {
                     let (lb2, ub2) = box_bounds2(q, q, kd.bounds(self.dim, node));
@@ -939,16 +1139,18 @@ impl SpatialIndex {
                         continue; // every d2 in the box is >= lb2 >= dc2
                     }
                     if ub2 < dc2 {
-                        whole += kd.len[node]; // every d2 is <= ub2 < dc2
+                        count += kd.len[node]; // every d2 is <= ub2 < dc2
                     } else if kd.is_leaf(node) {
-                        scan(kd.rows(node));
+                        let d2 = kd.leaf_d2(q, node);
+                        let len = kd.len[node] as usize;
+                        evals += len as u64;
+                        count += d2[..len].iter().map(|&d2| u32::from(d2 < dc2)).sum::<u32>();
                     } else {
                         let (l, r) = kd.children(node);
                         stack.push(r);
                         stack.push(l);
                     }
                 }
-                count += whole;
             }
         }
         (count, evals)
@@ -958,22 +1160,29 @@ impl SpatialIndex {
     /// `d2(q, p) < dc2` (strict), including the query itself when indexed.
     /// Returns the number of distance evaluations.
     pub fn for_each_within_d2(&self, q: &[f64], dc2: f64, mut visit: impl FnMut(u32, f64)) -> u64 {
+        self.isa.run(
+            #[inline(always)]
+            || self.within(q, dc2, &mut visit),
+        )
+    }
+
+    #[inline(always)]
+    fn within(&self, q: &[f64], dc2: f64, visit: &mut impl FnMut(u32, f64)) -> u64 {
         let mut evals = 0u64;
-        let mut scan = |rows: Range<usize>| {
-            evals += rows.len() as u64;
-            for k in rows {
-                let d2 = squared_euclidean(q, self.row(k));
-                if d2 < dc2 {
-                    visit(self.ids[k], d2);
-                }
-            }
-        };
         match &self.rep {
             Rep::Grid(g) => {
                 debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
                 let c = g.cell_coords(q);
                 for r in 0..=1 {
-                    g.for_shell(c, r, &mut scan);
+                    g.for_shell(c, r, |rows| {
+                        evals += rows.len() as u64;
+                        for k in rows {
+                            let d2 = squared_euclidean(q, self.row(k));
+                            if d2 < dc2 {
+                                visit(self.ids[k], d2);
+                            }
+                        }
+                    });
                 }
             }
             Rep::Kd(kd) => {
@@ -984,7 +1193,14 @@ impl SpatialIndex {
                 let mut stack = vec![0usize];
                 while let Some(node) = stack.pop() {
                     if kd.is_leaf(node) {
-                        scan(kd.rows(node));
+                        let d2 = kd.leaf_d2(q, node);
+                        let rows = kd.rows(node);
+                        evals += rows.len() as u64;
+                        for (&d2, &id) in d2.iter().zip(&self.ids[rows]) {
+                            if d2 < dc2 {
+                                visit(id, d2);
+                            }
+                        }
                         continue;
                     }
                     let (l, r) = kd.children(node);
@@ -1018,16 +1234,39 @@ impl SpatialIndex {
         evals
     }
 
+    /// Lays density keys over this index; `key(i)` is the key of input
+    /// point `i`. `O(n + nodes)`.
+    pub fn density_keys(&self, key: impl Fn(u32) -> Key) -> DensityKeys {
+        let row: Vec<u64> = self.ids.iter().map(|&i| pack(key(i))).collect();
+        let mut node_max = Vec::new();
+        if let Rep::Kd(kd) = &self.rep {
+            node_max = vec![0; kd.len.len()];
+            // Reverse preorder puts every child before its parent.
+            for node in (0..node_max.len()).rev() {
+                node_max[node] = if kd.is_leaf(node) {
+                    row[kd.rows(node)].iter().copied().max().unwrap_or(0)
+                } else {
+                    let (l, r) = kd.children(node);
+                    node_max[l].max(node_max[r])
+                };
+            }
+        }
+        DensityKeys { row, node_max }
+    }
+
     /// Best-first nearest-acceptable-point search in the *metric* domain
     /// (`d = d2.sqrt()`), matching the pipelines' delta kernels.
     ///
     /// `accept` maps an indexed point (by its index in the buffer the
     /// index was built over) to `Some(candidate id)` when it may anchor
-    /// the query (e.g. it is denser); `init` seeds `(distance, candidate
-    /// id)` — pass `(f64::INFINITY, NO_UPSLOPE)` for an unseeded search.
-    /// Candidates farther than `cap` are rejected outright.
-    /// Tie-break: equal distance resolves to the smaller candidate id.
-    /// Returns `((best distance, best id), distance evals)`.
+    /// the query (e.g. it is denser); it must be a function of its
+    /// argument. `init` seeds `(distance, candidate id)` — pass
+    /// `(f64::INFINITY, NO_UPSLOPE)` for an unseeded search. Candidates
+    /// farther than `cap` are rejected outright. Tie-break: equal distance
+    /// resolves to the smaller candidate id. An opaque filter lets the
+    /// search skip no subtree; under [`DensityKeys`] the same search can,
+    /// which is how `delta` runs it. Returns `((best distance, best id),
+    /// distance evals)`.
     pub fn nearest_denser_d2(
         &self,
         q: &[f64],
@@ -1035,51 +1274,73 @@ impl SpatialIndex {
         cap: f64,
         mut accept: impl FnMut(u32) -> Option<PointId>,
     ) -> ((f64, PointId), u64) {
-        self.nearest_impl(q, init, cap, true, &mut accept)
+        let filter = (|_| true, |k: usize| accept(self.ids[k]));
+        self.nearest((q, true), (init, cap), filter, &mut Heap::new())
     }
 
-    /// Best-first nearest-acceptable-point search comparing raw squared
-    /// distances (the serve probe's domain). Unseeded, uncapped.
-    /// Returns `((best d2, best id), distance evals)`.
+    /// The serve probe's search: the nearest point, comparing raw squared
+    /// distances, whose key under `keys` is at least `floor` — pass
+    /// `(rho, 0)` for "at least as dense as `rho`" and `(0, 0)` for any
+    /// point. The candidate id is the key's. Unseeded, uncapped. Returns
+    /// `((best d2, best id), distance evals)`.
     pub fn nearest_by_d2(
         &self,
         q: &[f64],
-        mut accept: impl FnMut(u32) -> Option<PointId>,
+        keys: &DensityKeys,
+        floor: Key,
     ) -> ((f64, PointId), u64) {
-        self.nearest_impl(
-            q,
-            (f64::INFINITY, crate::dp::NO_UPSLOPE),
-            f64::INFINITY,
-            false,
-            &mut accept,
+        let start = ((f64::INFINITY, crate::dp::NO_UPSLOPE), f64::INFINITY);
+        let filter = keys.at_least(pack(floor));
+        self.nearest((q, false), start, filter, &mut Heap::new())
+    }
+
+    /// The one nearest search, on this index's vector width: the row
+    /// nearest `q` that `accept` maps to a candidate id, from `init`, no
+    /// farther than `cap`, compared on `d2.sqrt()` (`sqrt_domain`, the
+    /// pipelines) or on raw `d2` (serve). `admits(node)` says whether a
+    /// kd subtree can hold an accepted row.
+    fn nearest(
+        &self,
+        query: (&[f64], bool),
+        start: ((f64, PointId), f64),
+        filter: (impl Fn(usize) -> bool, impl FnMut(usize) -> Option<PointId>),
+        heap: &mut Heap,
+    ) -> ((f64, PointId), u64) {
+        self.isa.run(
+            #[inline(always)]
+            || self.nearest_body(query, start, filter, heap),
         )
     }
 
-    fn nearest_impl(
+    #[inline(always)]
+    fn nearest_body(
         &self,
-        q: &[f64],
-        init: (f64, PointId),
-        cap: f64,
-        sqrt_domain: bool,
-        accept: &mut dyn FnMut(u32) -> Option<PointId>,
+        (q, sqrt_domain): (&[f64], bool),
+        (init, cap): ((f64, PointId), f64),
+        (admits, mut accept): (impl Fn(usize) -> bool, impl FnMut(usize) -> Option<PointId>),
+        heap: &mut Heap,
     ) -> ((f64, PointId), u64) {
         let (mut best, mut best_id) = init;
         let mut evals = 0u64;
-        let mut scan = |rows: Range<usize>, best: &mut f64, best_id: &mut PointId| {
-            for k in rows {
-                if let Some(cand) = accept(self.ids[k]) {
-                    let d2 = squared_euclidean(q, self.row(k));
-                    evals += 1;
-                    let key = if sqrt_domain { d2.sqrt() } else { d2 };
-                    if key <= cap && (key < *best || (key == *best && cand < *best_id)) {
-                        *best = key;
-                        *best_id = cand;
-                    }
-                }
+        let key_of = |d2: f64| if sqrt_domain { d2.sqrt() } else { d2 };
+        // Offers candidate `cand` at squared distance `d2`.
+        let mut offer = |d2: f64, cand: PointId, best: &mut f64, best_id: &mut PointId| {
+            evals += 1;
+            let key = key_of(d2);
+            if key <= cap && (key < *best || (key == *best && cand < *best_id)) {
+                *best = key;
+                *best_id = cand;
             }
         };
         match &self.rep {
             Rep::Grid(g) => {
+                let mut scan = |rows: Range<usize>, best: &mut f64, best_id: &mut PointId| {
+                    for k in rows {
+                        if let Some(cand) = accept(k) {
+                            offer(squared_euclidean(q, self.row(k)), cand, best, best_id);
+                        }
+                    }
+                };
                 let c = g.cell_coords(q);
                 // First shell that can hold a grid cell. Starting there
                 // skips the empty shells below it, so a query far outside
@@ -1114,26 +1375,50 @@ impl SpatialIndex {
                 }
             }
             Rep::Kd(kd) => {
-                let entry = |lb2: f64, node: usize| Reverse((lb2.to_bits(), node as u32));
-                let mut heap = BinaryHeap::new();
-                heap.push(entry(box_bounds2(q, q, kd.bounds(self.dim, 0)).0, 0));
+                if !admits(0) {
+                    return ((best, best_id), 0);
+                }
+                heap.clear();
+                let root_lb2 = box_bounds2(q, q, kd.bounds(self.dim, 0)).0;
+                heap.push(Reverse((root_lb2.to_bits(), 0)));
                 while let Some(Reverse((lb_bits, node))) = heap.pop() {
-                    let lb2 = f64::from_bits(lb_bits);
-                    let key_lb = if sqrt_domain { lb2.sqrt() } else { lb2 };
                     // Best-first: every remaining region is at least this
                     // far. Strict >, so equal-distance smaller ids survive.
-                    if key_lb > best.min(cap) {
+                    if key_of(f64::from_bits(lb_bits)) > best.min(cap) {
                         break;
                     }
                     let node = node as usize;
-                    if kd.is_leaf(node) {
-                        scan(kd.rows(node), &mut best, &mut best_id);
-                    } else {
-                        let (l, r) = kd.children(node);
-                        let (lb2_l, lb2_r) =
-                            point_lb2_pair(q, kd.bounds(self.dim, l), kd.bounds(self.dim, r));
-                        heap.push(entry(lb2_l, l));
-                        heap.push(entry(lb2_r, r));
+                    if !kd.is_leaf(node) {
+                        // Pops come in (lb2, node) order whichever nodes are
+                        // pushed, so pushing a front instead of two children
+                        // scans the same leaves; so does leaving out a region
+                        // already beyond the best, which would end the search.
+                        let (front, cols) = kd.front(self.dim, node);
+                        for (&lb2, &v) in front_lb2(q, cols).iter().zip(front) {
+                            let beyond = key_of(lb2) > best.min(cap);
+                            if !beyond && admits(v as usize) {
+                                heap.push(Reverse((lb2.to_bits(), v)));
+                            }
+                        }
+                        continue;
+                    }
+                    let rows = kd.rows(node);
+                    let mut cands = [0 as PointId; LANES];
+                    let mut mask = 0u32;
+                    // Branch-free: acceptance is a coin flip to a predictor.
+                    for (lane, k) in rows.enumerate() {
+                        let cand = accept(k);
+                        cands[lane] = cand.unwrap_or(0);
+                        mask |= u32::from(cand.is_some()) << lane;
+                    }
+                    if mask == 0 {
+                        continue;
+                    }
+                    let d2 = kd.leaf_d2(q, node);
+                    for (lane, (&d2, &cand)) in d2.iter().zip(&cands).enumerate() {
+                        if mask >> lane & 1 != 0 {
+                            offer(d2, cand, &mut best, &mut best_id);
+                        }
                     }
                 }
             }
@@ -1147,16 +1432,23 @@ impl SpatialIndex {
     /// per-pair `d2.sqrt()` because sqrt is monotone and correctly
     /// rounded. Returns `(distance, distance evals)`.
     pub fn max_distance(&self, q: &[f64]) -> (f64, u64) {
+        self.isa.run(
+            #[inline(always)]
+            || self.farthest(q),
+        )
+    }
+
+    #[inline(always)]
+    fn farthest(&self, q: &[f64]) -> (f64, u64) {
         let mut best = 0.0f64;
         let mut evals = 0u64;
-        let mut scan = |rows: Range<usize>, best: &mut f64| {
-            evals += rows.len() as u64;
-            for k in rows {
-                *best = max_or(squared_euclidean(q, self.row(k)), *best);
-            }
-        };
         match &self.rep {
-            Rep::Grid(_) => scan(0..self.n, &mut best),
+            Rep::Grid(_) => {
+                evals = self.n as u64;
+                for k in 0..self.n {
+                    best = max_or(squared_euclidean(q, self.row(k)), best);
+                }
+            }
             Rep::Kd(kd) => {
                 // Max-heap on the boxes' upper bounds (non-negative, so
                 // their bit patterns order like the values).
@@ -1172,7 +1464,11 @@ impl SpatialIndex {
                     }
                     let node = node as usize;
                     if kd.is_leaf(node) {
-                        scan(kd.rows(node), &mut best);
+                        let d2 = kd.leaf_d2(q, node);
+                        evals += u64::from(kd.len[node]);
+                        for &d2 in &d2[..kd.len[node] as usize] {
+                            best = max_or(d2, best);
+                        }
                     } else {
                         let (l, r) = kd.children(node);
                         heap.push(entry(l));
@@ -1185,10 +1481,47 @@ impl SpatialIndex {
     }
 }
 
+/// Repeated nearest-denser searches of one index under one set of
+/// density keys, sharing one heap: what `delta` runs per partition.
+pub(crate) struct DenserSearch<'a> {
+    index: &'a SpatialIndex,
+    keys: DensityKeys,
+    heap: Heap,
+}
+
+impl<'a> DenserSearch<'a> {
+    /// Searches of `index`, `key(i)` being input point `i`'s key.
+    pub(crate) fn new(index: &'a SpatialIndex, key: impl Fn(u32) -> Key) -> Self {
+        DenserSearch {
+            keys: index.density_keys(key),
+            index,
+            heap: Heap::new(),
+        }
+    }
+
+    /// [`SpatialIndex::nearest_denser_d2`] with `accept` = "denser than
+    /// `qkey`", the candidate id being the key's.
+    pub(crate) fn nearest(
+        &mut self,
+        q: &[f64],
+        qkey: Key,
+        init: (f64, PointId),
+        cap: f64,
+    ) -> ((f64, PointId), u64) {
+        // Denser is a strictly greater key; the largest key has none.
+        let Some(floor) = pack(qkey).checked_add(1) else {
+            return (init, 0);
+        };
+        let filter = self.keys.at_least(floor);
+        self.index
+            .nearest((q, true), (init, cap), filter, &mut self.heap)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{for_each_cross_d2, for_each_pair_d2};
+    use crate::distance::{for_each_cross_d2, for_each_pair_d2, transpose_tile};
     use crate::dp::{denser, NO_UPSLOPE};
     use proptest::prelude::*;
 
@@ -1231,7 +1564,7 @@ mod tests {
             let flat = blobs(300, dim, 42);
             let dc = 1.5;
             // The grid would take dim <= 3 here: force the kd-tree.
-            let idx = SpatialIndex::build_kd(&flat, dim);
+            let idx = SpatialIndex::build_kd(&flat, dim, Isa::detect());
             let rho = brute_rho(&flat, dim, dc * dc);
             for (i, q) in flat.chunks_exact(dim).enumerate() {
                 let (count, _) = idx.range_count_d2(q, dc * dc);
@@ -1301,13 +1634,13 @@ mod tests {
                     let idx = SpatialIndex::build(&flat, dim, dc);
                     assert_self_join(&idx, &flat, dim, dc, &tag);
                     if idx.is_grid() {
-                        let kd = SpatialIndex::build_kd(&flat, dim);
+                        let kd = SpatialIndex::build_kd(&flat, dim, Isa::detect());
                         assert_self_join(&kd, &flat, dim, dc, &format!("{tag} kd"));
                     }
                 }
                 // Above the root box's diagonal (at most sqrt(dim) data
                 // diameters) the root pair is counted wholesale.
-                let kd = SpatialIndex::build_kd(&flat, dim);
+                let kd = SpatialIndex::build_kd(&flat, dim, Isa::detect());
                 let all = radii(&flat, dim)[4] * (dim as f64).sqrt();
                 assert_eq!(assert_self_join(&kd, &flat, dim, all, "all"), 0);
                 assert_eq!(kd.self_join_d2(all * all).0, vec![n as u32 - 1; n]);
@@ -1407,6 +1740,14 @@ mod tests {
                 );
                 let got = (lanes_lb2[lane].to_bits(), lanes_ub2[lane].to_bits());
                 assert_eq!(got, want, "lane={lane} q={q:?} b={b:?}");
+                // A front holding both boxes, the other lanes empty.
+                let mut front = vec![[0.0; FRONT]; 2 * dim];
+                for (slot, col) in front.iter_mut().enumerate() {
+                    (col[0], col[1]) = (b[slot], b2[slot]);
+                }
+                let lb2 = front_lb2(q, &front);
+                assert_eq!(lb2[0].to_bits(), want.0, "front q={q:?} b={b:?}");
+                assert_eq!(lb2[1].to_bits(), r2.to_bits(), "front q={q:?} b={b2:?}");
             }
         }
     }
@@ -1416,7 +1757,7 @@ mod tests {
     fn box_box_bounds_bracket_every_pair() {
         for dim in [1, 2, 5, 74] {
             let flat = blobs(64, dim, 3);
-            let kd = SpatialIndex::build_kd(&flat, dim);
+            let kd = SpatialIndex::build_kd(&flat, dim, Isa::detect());
             let Rep::Kd(tree) = &kd.rep else {
                 unreachable!()
             };
@@ -1427,7 +1768,8 @@ mod tests {
                     let (lb2, ub2) = box_bounds2(lo, hi, tree.bounds(dim, b));
                     for i in tree.rows(a) {
                         for j in tree.rows(b) {
-                            let d2 = squared_euclidean(kd.row(i), kd.row(j));
+                            let row = |k: usize| &flat[kd.ids[k] as usize * dim..][..dim];
+                            let d2 = squared_euclidean(row(i), row(j));
                             assert!(lb2 <= d2 && d2 <= ub2, "dim={dim} nodes {a},{b}");
                         }
                     }
@@ -1600,19 +1942,20 @@ mod tests {
             }
             best
         };
+        let keys = idx.density_keys(|i| (0, i));
         for q in [
             [1e9, 1e9],      // bounded shell walk from the box distance
             [-1e9, 3.0],     // far in one dimension only
             [1e300, -1e300], // saturates the cell cast: linear fallback
             [f64::MAX, f64::MAX],
         ] {
-            let ((d2, id), _) = idx.nearest_by_d2(&q, Some);
+            let ((d2, id), _) = idx.nearest_by_d2(&q, &keys, (0, 0));
             let want = brute(&q);
             assert_eq!(d2.to_bits(), want.0.to_bits(), "q={q:?}");
             assert_eq!(id, want.1, "q={q:?}");
             assert_eq!(idx.range_count_d2(&q, dc * dc), (0, 0), "q={q:?}");
         }
-        let ((d, id), _) = idx.nearest_by_d2(&[f64::NAN, 0.5], Some);
+        let ((d, id), _) = idx.nearest_by_d2(&[f64::NAN, 0.5], &keys, (0, 0));
         assert!(d.is_infinite());
         assert_eq!(id, NO_UPSLOPE);
         assert_eq!(idx.range_count_d2(&[f64::NAN, 0.5], dc * dc).0, 0);
@@ -1675,6 +2018,66 @@ mod tests {
                     .fold(0.0f64, f64::max)
                     .sqrt();
                 assert_eq!(got.to_bits(), want.to_bits(), "dim={dim} i={i}");
+            }
+        }
+    }
+
+    /// Every search answers with the same bits and evaluation counts on
+    /// the detected vector width as on the baseline one, and the keyed
+    /// search answers the same as the filtered one.
+    #[test]
+    fn searches_are_width_invariant() {
+        let isa = Isa::detect();
+        if !isa.is_avx2() {
+            eprintln!("no AVX2 on this host: the width comparison is skipped");
+        }
+        for dim in [1, 2, 3, 4, 8, 33, 74] {
+            for n in [16, 17, 300] {
+                let flat = blobs_with_twins(n, dim, 5 + n as u64);
+                let dc = radii(&flat, dim)[2];
+                let rho = brute_rho(&flat, dim, dc * dc);
+                let key = |i: u32| (rho[i as usize], i);
+                let run = |isa| {
+                    let idx = SpatialIndex::build_on(&flat, dim, dc, isa);
+                    let keys = idx.density_keys(key);
+                    let mut search = DenserSearch::new(&idx, key);
+                    let mut out = vec![idx
+                        .self_join_d2(dc * dc)
+                        .0
+                        .iter()
+                        .map(|&c| u64::from(c))
+                        .collect()];
+                    for (i, p) in flat.chunks_exact(dim).enumerate() {
+                        let i = i as u32;
+                        // The point itself, and a query off the data.
+                        let off: Vec<f64> = p.iter().map(|x| x + 0.37).collect();
+                        for q in [p, &off[..]] {
+                            let (count, e) = idx.range_count_d2(q, dc * dc);
+                            let mut within = vec![u64::from(count), e];
+                            let e = idx.for_each_within_d2(q, dc * dc, |j, d2| {
+                                within.extend([u64::from(j), d2.to_bits()]);
+                            });
+                            within.push(e);
+                            let fresh = (f64::INFINITY, NO_UPSLOPE);
+                            let denser = |j: u32| denser(rho[j as usize], j, rho[i as usize], i);
+                            let ((d, u), e) = idx.nearest_denser_d2(q, fresh, f64::INFINITY, |j| {
+                                denser(j).then_some(j)
+                            });
+                            let keyed = search.nearest(q, key(i), fresh, f64::INFINITY);
+                            assert_eq!(keyed, ((d, u), e), "dim={dim} n={n} i={i}");
+                            let ((d2, v), f) = idx.nearest_by_d2(q, &keys, (rho[i as usize], 0));
+                            let (far, g) = idx.max_distance(q);
+                            within.extend([d.to_bits(), u64::from(u), e, d2.to_bits()]);
+                            within.extend([u64::from(v), f, far.to_bits(), g]);
+                            out.push(within);
+                        }
+                    }
+                    out
+                };
+                let got = run(isa);
+                if isa.is_avx2() {
+                    assert_eq!(got, run(Isa::BASELINE), "dim={dim} n={n}");
+                }
             }
         }
     }

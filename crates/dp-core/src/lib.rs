@@ -26,6 +26,7 @@
 //! * [`dp`] — the exact O(N²) sequential algorithm;
 //! * [`local`] — the per-partition `rho`/`delta` kernels every distributed
 //!   pipeline calls, over [`index`]'s spatial index or the pairwise loops;
+//! * [`simd`] — the vector width those kernels run at, picked from the CPU;
 //! * [`decision`] — decision graph, peak selection, cluster assignment;
 //! * [`quality`] — external cluster validation (ARI, NMI, purity, pairwise
 //!   F-measure) and the paper's approximation metrics `tau1`/`tau2` (§VI-C);
@@ -52,6 +53,8 @@
 //! assert_ne!(clusters.label(0), clusters.label(10));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cutoff;
 pub mod decision;
 pub mod distance;
@@ -62,6 +65,7 @@ pub mod kernel;
 pub mod local;
 pub mod point;
 pub mod quality;
+pub mod simd;
 pub mod update;
 
 pub use decision::{
@@ -73,7 +77,7 @@ pub use distance::{
 };
 pub use dp::{compute_exact, denser, density_order, DpResult, NO_UPSLOPE};
 pub use fast::compute_exact_fast;
-pub use index::SpatialIndex;
+pub use index::{DensityKeys, SpatialIndex};
 pub use kernel::{compute_gaussian, KernelDpResult};
 pub use point::{Dataset, PointId};
 

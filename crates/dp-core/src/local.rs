@@ -33,10 +33,11 @@
 //! slot of an answer that found an upslope, and the indexed route pays for
 //! a farthest-point search only when a search ends empty-handed.
 
-use crate::distance::{for_each_cross_d2, for_each_pair_d2, squared_euclidean};
+use crate::distance::{cross_on, pairs_on, squared_euclidean};
 use crate::dp::{denser, density_order, NO_UPSLOPE};
-use crate::index::SpatialIndex;
+use crate::index::{DenserSearch, SpatialIndex};
 use crate::point::PointId;
+use crate::simd::Isa;
 
 /// Partitions smaller than this keep the pairwise loops.
 pub const AUTO_MIN_POINTS: usize = 256;
@@ -97,25 +98,32 @@ pub struct Partition<'a> {
     dim: usize,
     dc: f64,
     index: Option<SpatialIndex>,
+    /// The vector width of the pairwise route (the index keeps its own).
+    isa: Isa,
 }
 
 impl<'a> Partition<'a> {
     /// The points of `flat` (row-major, `dim` coordinates each; may be
-    /// empty) on the route [`use_indexed`] picks.
+    /// empty) on the route [`use_indexed`] picks, at the CPU's widest
+    /// vector width.
     pub fn new(flat: &'a [f64], dim: usize, dc: f64) -> Self {
-        Self::with_route(flat, dim, dc, use_indexed(flat.len() / dim, &[flat]))
+        let indexed = use_indexed(flat.len() / dim, &[flat]);
+        Self::with_route(flat, dim, dc, (indexed, Isa::detect()))
     }
 
-    /// [`Self::new`] on a forced route, for the tests that compare the two
-    /// (`indexed` needs finite rows; an empty buffer has no index).
+    /// [`Self::new`] on a forced route and vector width, for the tests
+    /// that compare them (`indexed` needs finite rows; an empty buffer has
+    /// no index).
     #[doc(hidden)]
-    pub fn with_route(flat: &'a [f64], dim: usize, dc: f64, indexed: bool) -> Self {
-        let index = (indexed && !flat.is_empty()).then(|| SpatialIndex::build(flat, dim, dc));
+    pub fn with_route(flat: &'a [f64], dim: usize, dc: f64, (indexed, isa): (bool, Isa)) -> Self {
+        let index =
+            (indexed && !flat.is_empty()).then(|| SpatialIndex::build_on(flat, dim, dc, isa));
         Partition {
             flat,
             dim,
             dc,
             index,
+            isa,
         }
     }
 
@@ -140,7 +148,7 @@ impl<'a> Partition<'a> {
             Some(index) => index.self_join_d2(dc2),
             None => {
                 let mut rho = vec![0u32; self.len()];
-                for_each_pair_d2(self.flat, self.dim, |i, j, d2| {
+                pairs_on(self.isa, self.flat, self.dim, |i, j, d2| {
                     if d2 < dc2 {
                         rho[i] += 1;
                         rho[j] += 1;
@@ -172,7 +180,7 @@ impl<'a> Partition<'a> {
                 evals
             }
             _ => {
-                for_each_pair_d2(self.flat, self.dim, visit);
+                pairs_on(self.isa, self.flat, self.dim, visit);
                 pairs(self.len())
             }
         }
@@ -187,7 +195,7 @@ impl<'a> Partition<'a> {
                 visit(q as usize, i as usize);
             }),
             None => {
-                for_each_cross_d2(queries, self.flat, self.dim, |q, i, d2| {
+                cross_on(self.isa, queries, self.flat, self.dim, |q, i, d2| {
                     if d2 < dc2 {
                         visit(q, i);
                     }
@@ -217,30 +225,13 @@ impl<'a> Partition<'a> {
             }
             None => {
                 let mut counts = vec![0u32; rows.len()];
-                for_each_cross_d2(queries, self.flat, self.dim, |q, _, d2| {
+                cross_on(self.isa, queries, self.flat, self.dim, |q, _, d2| {
                     counts[q] += u32::from(d2 < dc2);
                 });
                 let evals = (counts.len() * self.len()) as u64;
                 (counts, evals)
             }
         }
-    }
-
-    /// One search of `index` for the point nearest `q` and denser than
-    /// `qkey`, from `init`, no farther than `cap`.
-    fn search(
-        index: &SpatialIndex,
-        keys: &[Key],
-        (q, qkey): (&[f64], Key),
-        (init, cap): ((f64, PointId), f64),
-        evals: &mut u64,
-    ) -> (f64, PointId) {
-        let (best, e) = index.nearest_denser_d2(q, init, cap, |p| {
-            let cand = keys[p as usize];
-            is_denser(cand, qkey).then_some(cand.1)
-        });
-        *evals += e;
-        best
     }
 
     /// `delta` of every point among the partition's own points, `keys[i]`
@@ -255,7 +246,7 @@ impl<'a> Partition<'a> {
         let Some(index) = &self.index else {
             let mut best = vec![UNANSWERED; n];
             // `d2.sqrt()` is bit-identical to the Euclidean `distance`.
-            for_each_pair_d2(self.flat, self.dim, |i, j, d2| {
+            pairs_on(self.isa, self.flat, self.dim, |i, j, d2| {
                 let d = d2.sqrt();
                 if maxd {
                     best[i].2 = best[i].2.max(d);
@@ -283,6 +274,7 @@ impl<'a> Partition<'a> {
             density_order(ka.0, ka.1, kb.0, kb.1)
         });
         let mut evals = 0u64;
+        let mut search = DenserSearch::new(index, |p| keys[p as usize]);
         let mut seed: Option<usize> = None;
         for &i in &order {
             let i = i as usize;
@@ -295,8 +287,8 @@ impl<'a> Partition<'a> {
                 Some(s) => {
                     evals += 1;
                     let init = (squared_euclidean(q, self.row(s)).sqrt(), keys[s].1);
-                    let (d, u) =
-                        Self::search(index, keys, (q, keys[i]), (init, NO_CAP), &mut evals);
+                    let ((d, u), e) = search.nearest(q, keys[i], init, NO_CAP);
+                    evals += e;
                     (d, u, 0.0)
                 }
             };
@@ -323,21 +315,16 @@ impl<'a> Partition<'a> {
         assert_eq!(qkeys.len(), queries.len() / self.dim, "one key per query");
         if let Some(index) = &self.index {
             let mut evals = 0u64;
+            let mut search = DenserSearch::new(index, |p| keys[p as usize]);
             for (q, row) in queries.chunks_exact(self.dim).enumerate() {
-                let (d, u) = Self::search(index, keys, (row, qkeys[q]), start(q), &mut evals);
-                let far = u == NO_UPSLOPE;
-                emit(
-                    q,
-                    (
-                        d,
-                        u,
-                        if far {
-                            farthest(index, row, &mut evals)
-                        } else {
-                            0.0
-                        },
-                    ),
-                );
+                let (init, cap) = start(q);
+                let ((d, u), e) = search.nearest(row, qkeys[q], init, cap);
+                evals += e;
+                let far = match u {
+                    NO_UPSLOPE => farthest(index, row, &mut evals),
+                    _ => 0.0,
+                };
+                emit(q, (d, u, far));
             }
             return evals;
         }
@@ -347,7 +334,7 @@ impl<'a> Partition<'a> {
                 ((d, u, 0.0), cap)
             })
             .unzip();
-        for_each_cross_d2(queries, self.flat, self.dim, |q, i, d2| {
+        cross_on(self.isa, queries, self.flat, self.dim, |q, i, d2| {
             relax(&mut best[q], qkeys[q], keys[i], d2.sqrt(), caps[q]);
         });
         for (q, b) in best.into_iter().enumerate() {
@@ -374,10 +361,10 @@ impl<'a> Partition<'a> {
         assert_eq!(keys.len(), self.len(), "one key per point");
         assert_eq!(best.len(), self.len(), "one running answer per point");
         let indexed = self.index.is_some() && use_indexed(b_keys.len(), &[b_flat]);
-        let b = Partition::with_route(b_flat, self.dim, self.dc, indexed);
+        let b = Partition::with_route(b_flat, self.dim, self.dc, (indexed, self.isa));
         if b.index.is_none() {
             let mut b_best = vec![UNANSWERED; b.len()];
-            for_each_cross_d2(b_flat, self.flat, self.dim, |q, i, d2| {
+            cross_on(self.isa, b_flat, self.flat, self.dim, |q, i, d2| {
                 let d = d2.sqrt();
                 relax(&mut best[i], keys[i], b_keys[q], d, NO_CAP);
                 relax(&mut b_best[q], b_keys[q], keys[i], d, NO_CAP);

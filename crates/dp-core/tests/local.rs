@@ -8,13 +8,20 @@
 //! `AUTO_MIN_POINTS` and include empty and one-point sets; dimensions run
 //! from 1 (grid) through 74 (kd, several lane tiles). Rows with a NaN/±inf
 //! coordinate must take the pairwise route and still agree.
+//!
+//! Every route also runs at both vector widths: each kernel's answers and
+//! evaluation counts on the width `Isa::detect` picks must equal those of
+//! the forced baseline build.
 
 use dp_core::distance::squared_euclidean;
 use dp_core::dp::{denser, NO_UPSLOPE};
 use dp_core::local::{use_indexed, Key, Nearest, Partition, AUTO_MIN_POINTS};
+use dp_core::simd::Isa;
 use dp_core::PointId;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::fmt::Debug;
+use std::sync::Once;
 
 const DIMS: [usize; 8] = [1, 2, 3, 4, 8, 17, 33, 74];
 const INF: f64 = f64::INFINITY;
@@ -165,13 +172,56 @@ fn bits(v: &[Nearest]) -> Vec<(u64, PointId, u64)> {
         .collect()
 }
 
+/// A route at the detected vector width and, when that is wider than the
+/// baseline, at the baseline width too.
+struct Route<'a> {
+    name: &'static str,
+    p: Partition<'a>,
+    baseline: Option<Partition<'a>>,
+}
+
+impl Route<'_> {
+    /// Runs `kernel` on the route, and on its baseline twin if any, which
+    /// must give the same result — answers and evaluation counts.
+    fn run<T: PartialEq + Debug>(&self, kernel: impl Fn(&Partition) -> T) -> T {
+        let got = kernel(&self.p);
+        if let Some(base) = &self.baseline {
+            assert_eq!(
+                got,
+                kernel(base),
+                "{}: detected vs baseline width",
+                self.name
+            );
+        }
+        got
+    }
+}
+
 /// The routes to run on a case: both forced ones on finite rows, and
 /// always the one `Partition::new` picks.
-fn routes<'a>(c: &'a Case, flat: &'a [f64]) -> Vec<(&'static str, Partition<'a>)> {
-    let mut out = vec![("routed", Partition::new(flat, c.dim, c.dc))];
+fn routes<'a>(c: &'a Case, flat: &'a [f64]) -> Vec<Route<'a>> {
+    let isa = Isa::detect();
+    static SKIP: Once = Once::new();
+    if !isa.is_avx2() {
+        SKIP.call_once(|| eprintln!("no AVX2 on this host: the width axis is skipped"));
+    }
+    // `forced`: the route to force, or `None` for what `Partition::new` picks.
+    let route = |name, forced: Option<bool>| {
+        let indexed = forced.unwrap_or_else(|| use_indexed(flat.len() / c.dim, &[flat]));
+        let at = |isa| Partition::with_route(flat, c.dim, c.dc, (indexed, isa));
+        Route {
+            name,
+            p: match forced {
+                Some(_) => at(isa),
+                None => Partition::new(flat, c.dim, c.dc),
+            },
+            baseline: isa.is_avx2().then(|| at(Isa::BASELINE)),
+        }
+    };
+    let mut out = vec![route("routed", None)];
     if flat.iter().all(|x| x.is_finite()) {
-        out.push(("pairwise", Partition::with_route(flat, c.dim, c.dc, false)));
-        out.push(("indexed", Partition::with_route(flat, c.dim, c.dc, true)));
+        out.push(route("pairwise", Some(false)));
+        out.push(route("indexed", Some(true)));
     }
     out
 }
@@ -213,8 +263,9 @@ proptest! {
             .map(|i| brute_rho(row(&c.flat, c.dim, i), &c.flat, c.dim, c.dc, Some(i)))
             .collect();
         let all_pairs = (n * n.saturating_sub(1) / 2) as u64;
-        for (route, p) in routes(&c, &c.flat) {
-            let (rho, evals) = p.rho();
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (rho, evals) = r.run(|p| p.rho());
             prop_assert_eq!(&rho, &want, "{}", route);
             prop_assert!(evals <= all_pairs, "{}: {} evals", route, evals);
             let stays_pairwise = !c.finite || n < AUTO_MIN_POINTS;
@@ -240,12 +291,16 @@ proptest! {
                 if d2.sqrt() < c.dc { metric.insert((i, j)); }
             }
         }
-        for (route, p) in routes(&c, &c.flat) {
-            let mut seen = BTreeSet::new();
-            let evals = p.pairs_near(|i, j, d2| {
-                assert!(i < j && seen.insert((i, j)), "{route}: pair ({i},{j}) twice");
-                let want = squared_euclidean(row(&c.flat, c.dim, i), row(&c.flat, c.dim, j));
-                assert_eq!(d2.to_bits(), want.to_bits(), "{route}: d2 of ({i},{j})");
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (seen, evals) = r.run(|p| {
+                let mut seen = BTreeSet::new();
+                let evals = p.pairs_near(|i, j, d2| {
+                    assert!(i < j && seen.insert((i, j)), "{route}: pair ({i},{j}) twice");
+                    let want = squared_euclidean(row(&c.flat, c.dim, i), row(&c.flat, c.dim, j));
+                    assert_eq!(d2.to_bits(), want.to_bits(), "{route}: d2 of ({i},{j})");
+                });
+                (seen, evals)
             });
             prop_assert!(seen.is_superset(&squared) && seen.is_superset(&metric), "{}", route);
             // The ball queries meet a pair from both ends.
@@ -266,16 +321,20 @@ proptest! {
         let want: Vec<u32> = (0..m)
             .map(|q| brute_rho(row(&queries, c.dim, q), &c.flat, c.dim, c.dc, None))
             .collect();
-        for (route, p) in routes(&c, &c.flat) {
-            let mut got = vec![0u32; m];
-            let mut seen = BTreeSet::new();
-            let evals = p.within_of(&queries, |q, i| {
-                assert!(seen.insert((q, i)), "{route}: ({q},{i}) twice");
-                got[q] += 1;
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (got, evals) = r.run(|p| {
+                let mut got = vec![0u32; m];
+                let mut seen = BTreeSet::new();
+                let evals = p.within_of(&queries, |q, i| {
+                    assert!(seen.insert((q, i)), "{route}: ({q},{i}) twice");
+                    got[q] += 1;
+                });
+                (got, evals)
             });
             prop_assert_eq!(&got, &want, "{}", route);
-            prop_assert!(evals <= (m * p.len()) as u64, "{}", route);
-            let (counts, count_evals) = p.count_of(&queries);
+            prop_assert!(evals <= (m * r.p.len()) as u64, "{}", route);
+            let (counts, count_evals) = r.run(|p| p.count_of(&queries));
             prop_assert_eq!(&counts, &want, "{}: count_of", route);
             prop_assert!(count_evals <= evals, "{}: counting must not cost more", route);
         }
@@ -297,9 +356,13 @@ proptest! {
             })
             .collect();
         let all_pairs = (n * n.saturating_sub(1) / 2) as u64;
-        for (route, p) in routes(&c, &c.flat) {
-            let (got, evals) = collect(n, |emit| p.delta(&c.keys, maxd, emit));
-            prop_assert_eq!(bits(&got), bits(&want), "{}", route);
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (got, evals) = r.run(|p| {
+                let (got, evals) = collect(n, |emit| p.delta(&c.keys, maxd, emit));
+                (bits(&got), evals)
+            });
+            prop_assert_eq!(got, bits(&want), "{}", route);
             // Seeds and the farthest-point search ride on top of the pairs.
             prop_assert!(evals <= all_pairs + 2 * n as u64, "{}: {} evals", route, evals);
             if route == "pairwise" || !c.finite {
@@ -332,14 +395,19 @@ proptest! {
                 brute_delta(query, (&c.flat, &c.keys), c.dim, starts[q], true, None)
             })
             .collect();
-        for (route, p) in routes(&c, &c.flat) {
-            let (got, evals) = collect(m, |emit| {
-                p.delta_of(&c.keys, &c.other, &c.other_keys, |q| starts[q], emit)
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (got, evals) = r.run(|p| {
+                let (got, evals) = collect(m, |emit| {
+                    p.delta_of(&c.keys, &c.other, &c.other_keys, |q| starts[q], emit)
+                });
+                (bits(&got), evals)
             });
-            prop_assert_eq!(bits(&got), bits(&want), "{}", route);
-            prop_assert!(evals <= (2 * m * p.len()) as u64, "{}", route);
+            prop_assert_eq!(got, bits(&want), "{}", route);
+            let n = r.p.len();
+            prop_assert!(evals <= (2 * m * n) as u64, "{}", route);
             if route == "pairwise" || !c.finite {
-                prop_assert_eq!(evals, (m * p.len()) as u64, "{}", route);
+                prop_assert_eq!(evals, (m * n) as u64, "{}", route);
             }
         }
     }
@@ -375,13 +443,17 @@ proptest! {
                 brute_delta(query, (&c.flat, &c.keys), c.dim, fresh, true, None)
             })
             .collect();
-        for (route, a) in routes(&c, &c.flat) {
-            let mut best = own.clone();
-            let (got_b, evals) = collect(m, |emit| {
-                a.delta_between(&c.keys, &mut best, (&c.other, &c.other_keys), emit)
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (best, got_b, evals) = r.run(|a| {
+                let mut best = own.clone();
+                let (got_b, evals) = collect(m, |emit| {
+                    a.delta_between(&c.keys, &mut best, (&c.other, &c.other_keys), emit)
+                });
+                (bits(&best), bits(&got_b), evals)
             });
-            prop_assert_eq!(bits(&best), bits(&want_a), "a: {}", route);
-            prop_assert_eq!(bits(&got_b), bits(&want_b), "b: {}", route);
+            prop_assert_eq!(best, bits(&want_a), "a: {}", route);
+            prop_assert_eq!(got_b, bits(&want_b), "b: {}", route);
             if route == "pairwise" || m < AUTO_MIN_POINTS {
                 prop_assert_eq!(evals, (n * m) as u64, "{}: one pass, each pair once", route);
             }

@@ -10,7 +10,7 @@
 
 use crate::model::ClusterModel;
 use dp_core::distance::{nearest_in_block, squared_euclidean};
-use dp_core::{SpatialIndex, NO_UPSLOPE};
+use dp_core::{DensityKeys, SpatialIndex, NO_UPSLOPE};
 use lsh::{bucket_tables, BucketUnion, MultiLsh, Signature};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -83,8 +83,9 @@ pub struct QueryEngine {
     /// when the policy is [`Exactness::Exact`] and the local-DP routing
     /// rule ([`dp_core::local::use_indexed`]) picks the index. The
     /// training ids double as index positions (coords are stored in id
-    /// order), so index hits map straight back to model ids.
-    index: Option<SpatialIndex>,
+    /// order), so index hits map straight back to model ids. The keys are
+    /// `(rho, id)`, so "at least as dense as the query" is a key floor.
+    index: Option<(SpatialIndex, DensityKeys)>,
 }
 
 impl QueryEngine {
@@ -106,7 +107,11 @@ impl QueryEngine {
         let centers = model.center_block();
         let indexed =
             exactness == Exactness::Exact && dp_core::local::use_indexed(n, &[model.coords()]);
-        let index = indexed.then(|| SpatialIndex::build(model.coords(), dim, model.dc()));
+        let index = indexed.then(|| {
+            let index = SpatialIndex::build(model.coords(), dim, model.dc());
+            let keys = index.density_keys(|id| (model.rho(id), id));
+            (index, keys)
+        });
         QueryEngine {
             model,
             multi,
@@ -214,7 +219,7 @@ impl QueryEngine {
             let d2 = squared_euclidean(query, self.model.point(id));
             d2 > 0.0 && d2 < dc2
         };
-        if let Some(idx) = &self.index {
+        if let Some((idx, _)) = &self.index {
             let mut count = 0u32;
             idx.for_each_within_d2(query, dc2, |_, d2| {
                 if d2 > 0.0 {
@@ -244,8 +249,8 @@ impl QueryEngine {
         let dc2 = dc * dc;
         let m_layouts = self.multi.layouts() as f64;
 
-        if let Some(idx) = &self.index {
-            return self.probe_indexed(idx, query, dc, dc2);
+        if let Some((idx, keys)) = &self.index {
+            return self.probe_indexed((idx, keys), query, dc, dc2);
         }
 
         // Candidates under the policy as `(id, layouts collided in, d2)`,
@@ -307,7 +312,7 @@ impl QueryEngine {
     /// query, whose distance keys defeat every comparison, gets there).
     fn probe_indexed(
         &self,
-        idx: &SpatialIndex,
+        (idx, keys): (&SpatialIndex, &DensityKeys),
         query: &[f64],
         dc: f64,
         dc2: f64,
@@ -331,11 +336,10 @@ impl QueryEngine {
                 halo: self.model.is_halo(id),
             });
         }
-        let ((mut d2, mut id), _) =
-            idx.nearest_by_d2(query, |pi| (self.model.rho(pi) >= rho_est).then_some(pi));
+        let ((mut d2, mut id), _) = idx.nearest_by_d2(query, keys, (rho_est, 0));
         if id == NO_UPSLOPE {
             // No candidate at least as dense as the query: plain nearest.
-            ((d2, id), _) = idx.nearest_by_d2(query, Some);
+            ((d2, id), _) = idx.nearest_by_d2(query, keys, (0, 0));
         }
         if id == NO_UPSLOPE {
             // Even unrestricted nearest found nothing: a NaN coordinate

@@ -542,6 +542,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
         }
     }
     if o.stats {
+        println!("kernels: {}", dp_core::simd::Isa::detect());
         if let Some(r) = report {
             println!("{}", r.summary_row());
             for job in &r.jobs {

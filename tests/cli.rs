@@ -104,6 +104,11 @@ fn generate_dc_cluster_graph_round_trip() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("ARI vs input labels"), "stdout: {text}");
+    let width = dp_core::simd::Isa::detect();
+    assert!(
+        text.contains(&format!("kernels: {width}\n")),
+        "stdout: {text}"
+    );
     let label_lines = std::fs::read_to_string(&labels).expect("labels written");
     assert_eq!(label_lines.lines().count(), 500, "one label per point");
 
