@@ -974,8 +974,9 @@ fn main() {
         kernel_pair_d2: kernel_pair_d2(kernel_n, 8),
         plan_elision: plan_elision(blob_n),
         recovery_overhead: recovery_overhead(blob_n),
-        // Serving correctness across model hot-swaps under load; gated
-        // by scripts/check_swap.py (>= 3 swaps, 0 dropped, 0 incorrect).
+        // Serving correctness across model hot-swaps under load; the
+        // smoke size is gated by `swap`'s test (>= 3 swaps, 0 dropped,
+        // 0 incorrect).
         hot_swap: swap_under_load(42, if smoke { 120 } else { 400 }, 4, 4, swap_queries),
         // Storage-fault drills: power cut at every I/O op plus random
         // fault mixes; gated by scripts/check_crash.py (>= 100 fault

@@ -1,6 +1,7 @@
 //! Hot-swap-under-sustained-traffic scenario, shared by `serve_loadgen`
 //! (human-readable report) and `bench_summary` (the `hot_swap` section of
-//! `BENCH_perf.json`, gated in CI by `scripts/check_swap.py`).
+//! `BENCH_perf.json`), and gated by this module's test at the size
+//! `bench_summary --smoke` runs.
 //!
 //! The scenario exercises the whole model lifecycle at load: fit a base
 //! model, derive a successor generation through an [`ingest::IngestSession`]
@@ -222,5 +223,24 @@ pub fn swap_under_load(
         matched_gen_b: matched_b.load(Ordering::Relaxed),
         shed_retries: shed.load(Ordering::Relaxed),
         qps: total as f64 / elapsed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hot_swaps_under_load_are_invisible_to_clients() {
+        let run = swap_under_load(42, 120, 4, 4, 400);
+        assert!(run.swaps >= 3, "only {} swaps landed under load", run.swaps);
+        assert_eq!(run.dropped, 0, "requests dropped across the swaps");
+        assert_eq!(run.incorrect, 0, "answers matching neither generation");
+        assert!(
+            run.matched_gen_a > 0 && run.matched_gen_b > 0,
+            "one generation never answered (A {}, B {}): the swaps missed the traffic",
+            run.matched_gen_a,
+            run.matched_gen_b
+        );
     }
 }

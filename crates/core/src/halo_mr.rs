@@ -3,16 +3,16 @@
 //! The original DP paper's core/halo split needs, per cluster, the
 //! maximum density seen in its *border region* — pairs of points from
 //! different clusters within `d_c` of each other. Centralized halo
-//! detection ([`dp_core::decision::compute_halo`]) is O(N²); this module
-//! reuses LSH-DDP's partitioning insight: border pairs are `d_c`-close,
-//! so they co-locate in an LSH partition with the probability the
-//! paper's Lemma 1 machinery already quantifies.
+//! detection ([`dp_core::decision::compute_halo`]) needs the whole data
+//! set in one place; this module reuses LSH-DDP's partitioning insight:
+//! border pairs are `d_c`-close, so they co-locate in an LSH partition
+//! with the probability the paper's Lemma 1 machinery already quantifies.
 //!
 //! One MapReduce job: the mapper hashes each labeled point under all `M`
 //! layouts; each reducer scans its partition for cross-cluster close
-//! pairs and emits `(cluster, avg pair density)` candidates with a max
-//! combiner; the driver folds the per-cluster maxima and flags
-//! `rho_i < border_rho[cluster_i]`.
+//! pairs (never evaluating a same-cluster one) and emits `(cluster, avg
+//! pair density)` candidates with a max combiner; the driver folds the
+//! per-cluster maxima and flags `rho_i < border_rho[cluster_i]`.
 //!
 //! The approximation errs exactly one way: a missed border pair can only
 //! *lower* a cluster's border density, so the distributed halo set is
@@ -75,12 +75,12 @@ impl Reducer for BorderReducer {
         let mut border = vec![0u32; k_clusters];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let dc2 = self.dc * self.dc;
-        let label = |i: usize| self.labels[points[i].0 as usize];
+        let labels: Vec<u32> = points.iter().map(|p| self.labels[p.0 as usize]).collect();
         // A cross-cluster pair within `d_c` (the max update is idempotent).
-        let evals = Partition::new(&flat, dim, self.dc).pairs_near(|i, j, d2| {
-            if d2 < dc2 && label(i) != label(j) {
+        let evals = Partition::new(&flat, dim, self.dc).pairs_across(&labels, |i, j, d2| {
+            if d2 < dc2 {
                 let avg = (self.rho[points[i].0 as usize] + self.rho[points[j].0 as usize]) / 2;
-                for c in [label(i), label(j)] {
+                for c in [labels[i], labels[j]] {
                     border[c as usize] = border[c as usize].max(avg);
                 }
             }

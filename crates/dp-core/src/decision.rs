@@ -254,11 +254,13 @@ pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
 /// (`rho <= border_rho`), which keeps the border points in the halo.
 ///
 /// Only cross-cluster pairs within `d_c` matter, so the candidates come
-/// from [`Partition::pairs_near`] — O(N log N + N · neighbours) on its
-/// indexed route against the all-pairs loop's O(N²) — and the predicate
-/// itself, `euclidean(p_i, p_j) < d_c`, runs on each once; the flags are
-/// the same on either route. Halo evaluations are not metered: the pass is
-/// model assembly, outside a run's reported distance count.
+/// from [`Partition::pairs_across`] — on its indexed route a walk per
+/// point that skips every subtree inside the point's own cluster, so the
+/// cost follows the cluster boundaries rather than `N`, against the
+/// all-pairs loop's O(N²) — and the predicate itself,
+/// `euclidean(p_i, p_j) < d_c`, runs on each once; the flags are the same
+/// on either route. Halo evaluations are not metered: the pass is model
+/// assembly, outside a run's reported distance count.
 pub fn compute_halo(
     ds: &crate::point::Dataset,
     result: &DpResult,
@@ -273,10 +275,10 @@ pub fn compute_halo(
     let n = ds.len();
     // Max density seen in each cluster's border region.
     let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
-    Partition::new(ds.as_flat(), ds.dim(), result.dc).pairs_near(|i, j, d2| {
-        let ci = clustering.label(i as PointId) as usize;
-        let cj = clustering.label(j as PointId) as usize;
-        if ci != cj && d2.sqrt() < result.dc {
+    let labels = clustering.labels();
+    Partition::new(ds.as_flat(), ds.dim(), result.dc).pairs_across(labels, |i, j, d2| {
+        let (ci, cj) = (labels[i] as usize, labels[j] as usize);
+        if d2.sqrt() < result.dc {
             // The ORIGINAL DP code uses the average density of the
             // cross-boundary pair as the bound candidate.
             let avg = (result.rho[i] + result.rho[j]) / 2;

@@ -11,8 +11,11 @@
 //!   at radius `d_c`, counting whole subtrees whose box is entirely inside
 //!   the ball and skipping subtrees whose box cannot intersect it;
 //! * [`SpatialIndex::cross_range_count_d2`] / [`SpatialIndex::for_each_within_d2`]
-//!   — halo/partner contributions (`basic`, `eddpc`, `halo`) and the
-//!   serve-side exact recount;
+//!   — partner contributions (`basic`, `eddpc`) and the serve-side exact
+//!   recount;
+//! * `pairs_across_d2` — the halo passes' near pairs whose ends carry
+//!   different labels, skipping every kd subtree uniform in the query's
+//!   own label;
 //! * `DenserSearch` — `delta` as a best-first nearest-neighbour search
 //!   among the points denser than the query, skipping every subtree whose
 //!   densest [`DensityKeys`] entry is not; [`SpatialIndex::nearest_by_d2`]
@@ -397,6 +400,87 @@ impl KdTree {
         let mut d2 = [0.0; LANES];
         accumulate_tile_d2(q, self.tile(q.len(), leaf), &mut d2);
         d2
+    }
+
+    /// Per node, the label every row below it carries (`label[k]` is row
+    /// `k`'s), or `None` for a mixed subtree. `O(n + nodes)`.
+    fn uniform_labels(&self, label: &[u32]) -> Vec<Option<u32>> {
+        let mut uniform = vec![None; self.len.len()];
+        // Reverse preorder puts every child before its parent.
+        for node in (0..uniform.len()).rev() {
+            uniform[node] = if self.is_leaf(node) {
+                let rows = &label[self.rows(node)];
+                rows.iter().all(|&l| l == rows[0]).then_some(rows[0])
+            } else {
+                let (l, r) = self.children(node);
+                uniform[l].filter(|_| uniform[l] == uniform[r])
+            };
+        }
+        uniform
+    }
+
+    /// The kd form of [`SpatialIndex::pairs_across_d2`] over rows: each
+    /// row walks the rows after it, skipping every subtree beyond `r2`,
+    /// holding no later row, or uniform in the row's own label; a leaf
+    /// evaluates only the lanes of later rows with another label.
+    #[inline(always)]
+    fn pairs_across(
+        &self,
+        dim: usize,
+        label: &[u32],
+        r2: f64,
+        visit: &mut impl FnMut(usize, usize, f64),
+    ) -> u64 {
+        let uniform = self.uniform_labels(label);
+        let mut evals = 0u64;
+        let mut q = vec![0.0; dim];
+        let mut stack = Vec::new();
+        for leaf in (0..self.len.len()).filter(|&v| self.is_leaf(v)) {
+            for (lane, k) in self.rows(leaf).enumerate() {
+                let own = label[k];
+                let admits =
+                    |node: usize| self.rows(node).end > k + 1 && uniform[node] != Some(own);
+                if !admits(0) {
+                    continue;
+                }
+                for (x, col) in q.iter_mut().zip(self.tile(dim, leaf)) {
+                    *x = col[lane];
+                }
+                // The row lies in the root's box: no bound to check.
+                stack.push(0);
+                while let Some(node) = stack.pop() {
+                    if !self.is_leaf(node) {
+                        let (l, r) = self.children(node);
+                        let (lb2_l, lb2_r) =
+                            point_lb2_pair(&q, self.bounds(dim, l), self.bounds(dim, r));
+                        if lb2_r < r2 && admits(r) {
+                            stack.push(r);
+                        }
+                        if lb2_l < r2 && admits(l) {
+                            stack.push(l);
+                        }
+                        continue;
+                    }
+                    let rows = self.rows(node);
+                    let mut mask = 0u32;
+                    for (lane, j) in rows.clone().enumerate() {
+                        mask |= u32::from(j > k && label[j] != own) << lane;
+                    }
+                    if mask == 0 {
+                        continue;
+                    }
+                    let d2 = self.leaf_d2(&q, node);
+                    // Masked lanes are computed and never read.
+                    evals += u64::from(mask.count_ones());
+                    for (lane, j) in rows.enumerate() {
+                        if mask >> lane & 1 != 0 && d2[lane] < r2 {
+                            visit(k, j, d2[lane]);
+                        }
+                    }
+                }
+            }
+        }
+        evals
     }
 }
 
@@ -820,6 +904,38 @@ impl Grid {
         self.starts[id] as usize..self.starts[id + 1] as usize
     }
 
+    /// Visits `(i, j)`, `i < j`, once for every pair of rows in one cell
+    /// or in adjacent cells — every pair within a cell width: pairs within
+    /// each cell, then each cell against its [`GRID_FORWARD`] neighbours.
+    #[inline(always)]
+    fn near_pairs(&self, mut pair: impl FnMut(usize, usize)) {
+        for x0 in 0..self.cells[0] {
+            for x1 in 0..self.cells[1] {
+                for x2 in 0..self.cells[2] {
+                    let here = self.cell_rows([x0, x1, x2]);
+                    for i in here.clone() {
+                        for j in i + 1..here.end {
+                            pair(i, j);
+                        }
+                    }
+                    if here.is_empty() {
+                        continue;
+                    }
+                    for off in GRID_FORWARD {
+                        let c = [x0 + off[0], x1 + off[1], x2 + off[2]];
+                        if (0..3).all(|d| (0..self.cells[d]).contains(&c[d])) {
+                            for j in self.cell_rows(c) {
+                                for i in here.clone() {
+                                    pair(i, j);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Chebyshev cell-distance from `c` to the grid box (0 when inside).
     /// Saturating, so arbitrarily far (even cast-saturated) cells are safe.
     fn dist_to_box(&self, c: [i64; 3]) -> i64 {
@@ -1063,46 +1179,63 @@ impl SpatialIndex {
         (rho, evals)
     }
 
-    /// Grid self-join: pairs within each cell, then the cell against its
-    /// forward neighbours. Per-row counts, and evals.
+    /// Grid self-join over [`Grid::near_pairs`]. Per-row counts, and
+    /// evals.
     #[inline(always)]
     fn grid_join(&self, g: &Grid, dc2: f64) -> (Vec<u32>, u64) {
         debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
         let mut count = vec![0u32; self.n];
         let mut evals = 0u64;
-        let mut pair = |i: usize, j: usize| {
+        g.near_pairs(|i, j| {
             evals += 1;
             if squared_euclidean(self.row(i), self.row(j)) < dc2 {
                 count[i] += 1;
                 count[j] += 1;
             }
+        });
+        (count, evals)
+    }
+
+    /// Visits `(i, j, d²)`, `i < j` in the caller's input order, once for
+    /// every pair of indexed points whose labels differ (`labels[i]` is
+    /// input point `i`'s) and `d² < r2` (strict), `r2` at most the `d_c²`
+    /// the index was built for up to rounding. A pair with one label is
+    /// never evaluated: kd rows walk only the rows after them and skip
+    /// every subtree whose points all carry their own label; the grid
+    /// filters its cell pairs by label first. Returns the distance
+    /// evaluations, at most the number of pairs across labels.
+    pub(crate) fn pairs_across_d2(
+        &self,
+        labels: &[u32],
+        r2: f64,
+        mut visit: impl FnMut(u32, u32, f64),
+    ) -> u64 {
+        assert_eq!(labels.len(), self.n, "one label per indexed point");
+        let label: Vec<u32> = self.ids.iter().map(|&i| labels[i as usize]).collect();
+        let mut rows = |a: usize, b: usize, d2: f64| {
+            let (i, j) = (self.ids[a], self.ids[b]);
+            visit(i.min(j), i.max(j), d2);
         };
-        for x0 in 0..g.cells[0] {
-            for x1 in 0..g.cells[1] {
-                for x2 in 0..g.cells[2] {
-                    let here = g.cell_rows([x0, x1, x2]);
-                    for i in here.clone() {
-                        for j in i + 1..here.end {
-                            pair(i, j);
-                        }
-                    }
-                    if here.is_empty() {
-                        continue;
-                    }
-                    for off in GRID_FORWARD {
-                        let c = [x0 + off[0], x1 + off[1], x2 + off[2]];
-                        if (0..3).all(|d| (0..g.cells[d]).contains(&c[d])) {
-                            for j in g.cell_rows(c) {
-                                for i in here.clone() {
-                                    pair(i, j);
-                                }
+        self.isa.run(
+            #[inline(always)]
+            || match &self.rep {
+                Rep::Kd(kd) => kd.pairs_across(self.dim, &label, r2, &mut rows),
+                Rep::Grid(g) => {
+                    debug_assert!(r2 <= g.w * g.w, "grid built for a smaller radius");
+                    let mut evals = 0u64;
+                    g.near_pairs(|a, b| {
+                        if label[a] != label[b] {
+                            evals += 1;
+                            let d2 = squared_euclidean(self.row(a), self.row(b));
+                            if d2 < r2 {
+                                rows(a, b, d2);
                             }
                         }
-                    }
+                    });
+                    evals
                 }
-            }
-        }
-        (count, evals)
+            },
+        )
     }
 
     /// Counts points with `d2(q, p) < dc2` (strict), including the query

@@ -1,7 +1,8 @@
 //! Local Density Peaks: the one per-partition computation of the paper
 //! (§IV) — `rho` as a count within `d_c`, `delta` as the nearest denser
-//! point — over a flat row-major buffer. Basic-DDP, LSH-DDP, EDDPC and the
-//! halo passes differ only in which partitions they feed it.
+//! point, and the near pairs across clusters the halo rule reads — over a
+//! flat row-major buffer. Basic-DDP, LSH-DDP, EDDPC and the halo passes
+//! differ only in which partitions they feed it.
 //!
 //! ## Routing rule
 //!
@@ -18,7 +19,8 @@
 //! ## Accounting
 //!
 //! Every kernel returns the distance evaluations it performed: the
-//! pairwise route `n (n - 1) / 2` for a self pass and `queries × n` for a
+//! pairwise route `n (n - 1) / 2` for a self pass (only the pairs across
+//! label groups for [`Partition::pairs_across`]) and `queries × n` for a
 //! cross pass, the indexed route what its traversals and seeds evaluated.
 //!
 //! ## `delta` answers
@@ -160,30 +162,37 @@ impl<'a> Partition<'a> {
     }
 
     /// Visits `(i, j, d²)` with `i < j`, once, for every pair of points
-    /// with `d² < d_c² (1 + 4ε)` — a radius that admits both `d² < d_c²`
-    /// and `sqrt(d²) < d_c`, each rounding losing under an ulp — and
-    /// possibly for farther pairs too (the pairwise route hands over every
-    /// pair, as does a `d_c` whose square is not a normal float). Callers
-    /// apply their own predicate to `d²`.
-    pub fn pairs_near(&self, mut visit: impl FnMut(usize, usize, f64)) -> u64 {
+    /// whose `labels` differ and `d² < d_c² (1 + 4ε)` — a radius that
+    /// admits both `d² < d_c²` and `sqrt(d²) < d_c`, each rounding losing
+    /// under an ulp, so callers re-apply their own predicate. When `d_c²`
+    /// is not a normal float the radius means nothing and every pair whose
+    /// labels differ is visited. A pair with one label is never evaluated:
+    /// the pairwise route compares each label group with the groups after
+    /// it, the indexed route skips every subtree whose points all carry
+    /// the query's label.
+    pub fn pairs_across(&self, labels: &[u32], mut visit: impl FnMut(usize, usize, f64)) -> u64 {
+        assert_eq!(labels.len(), self.len(), "one label per point");
         let r2 = self.dc * self.dc * (1.0 + 4.0 * f64::EPSILON);
-        match &self.index {
-            Some(index) if r2.is_normal() => {
-                let mut evals = 0;
-                for (i, q) in self.flat.chunks_exact(self.dim).enumerate() {
-                    evals += index.for_each_within_d2(q, r2, |j, d2| {
-                        if j as usize > i {
-                            visit(i, j as usize, d2);
-                        }
-                    });
-                }
-                evals
-            }
-            _ => {
-                pairs_on(self.isa, self.flat, self.dim, visit);
-                pairs(self.len())
-            }
+        if let Some(index) = self.index.as_ref().filter(|_| r2.is_normal()) {
+            return index.pairs_across_d2(labels, r2, |i, j, d2| visit(i as usize, j as usize, d2));
         }
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| labels[i]);
+        let grouped: Vec<f64> = order.iter().flat_map(|&i| self.row(i)).copied().collect();
+        let (mut evals, mut start) = (0, 0);
+        for group in order.chunk_by(|&a, &b| labels[a] == labels[b]) {
+            let end = start + group.len();
+            let (rows, later) = grouped[start * self.dim..].split_at(group.len() * self.dim);
+            cross_on(self.isa, rows, later, self.dim, |a, b, d2| {
+                if !r2.is_normal() || d2 < r2 {
+                    let (i, j) = (group[a], order[end + b]);
+                    visit(i.min(j), i.max(j), d2);
+                }
+            });
+            evals += (group.len() * (order.len() - end)) as u64;
+            start = end;
+        }
+        evals
     }
 
     /// Visits `(q, i)` for every row `q` of `queries` and point `i` of the

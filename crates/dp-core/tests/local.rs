@@ -275,36 +275,63 @@ proptest! {
         }
     }
 
+    /// Labels: 0 one for all (nothing to visit or evaluate), 1 all
+    /// distinct (every near pair), 2 random per point (no subtree is
+    /// uniform), 3 by lattice cell of the first axis (subtrees are, so
+    /// the indexed route prunes).
     #[test]
-    fn pairs_near_admits_both_predicates_once(
+    fn pairs_across_visits_each_near_pair_across_labels_once(
         seed in any::<u64>(), dim_ix in 0usize..8, big in any::<bool>(),
         k in 1u32..=12, jitter in any::<bool>(), hostile in any::<bool>(),
+        labelling in 0u8..4,
     ) {
-        let c = case(seed, dim_ix, (big, false), k, jitter, hostile);
+        let mut c = case(seed, dim_ix, (big, false), k, jitter, hostile);
         let n = c.flat.len() / c.dim;
-        let mut squared = BTreeSet::new();
-        let mut metric = BTreeSet::new();
+        let labels: Vec<u32> = (0..n)
+            .map(|i| match labelling {
+                0 => 7,
+                1 => i as u32,
+                2 => c.rng.below(3) as u32,
+                _ => (row(&c.flat, c.dim, i)[0] * 2.0).max(0.0) as u32,
+            })
+            .collect();
+        // The definition: the pairs within the admitting radius whose
+        // labels differ — a superset of both predicates callers apply.
+        let r2 = c.dc * c.dc * (1.0 + 4.0 * f64::EPSILON);
+        let (mut want, mut squared, mut metric, mut across) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new(), 0u64);
         for i in 0..n {
             for j in i + 1..n {
+                if labels[i] == labels[j] {
+                    continue;
+                }
+                across += 1;
                 let d2 = squared_euclidean(row(&c.flat, c.dim, i), row(&c.flat, c.dim, j));
+                if d2 < r2 { want.insert((i, j)); }
                 if d2 < c.dc * c.dc { squared.insert((i, j)); }
                 if d2.sqrt() < c.dc { metric.insert((i, j)); }
             }
         }
+        prop_assert!(want.is_superset(&squared) && want.is_superset(&metric));
         for r in routes(&c, &c.flat) {
             let route = r.name;
             let (seen, evals) = r.run(|p| {
                 let mut seen = BTreeSet::new();
-                let evals = p.pairs_near(|i, j, d2| {
+                let evals = p.pairs_across(&labels, |i, j, d2| {
                     assert!(i < j && seen.insert((i, j)), "{route}: pair ({i},{j}) twice");
                     let want = squared_euclidean(row(&c.flat, c.dim, i), row(&c.flat, c.dim, j));
                     assert_eq!(d2.to_bits(), want.to_bits(), "{route}: d2 of ({i},{j})");
                 });
                 (seen, evals)
             });
-            prop_assert!(seen.is_superset(&squared) && seen.is_superset(&metric), "{}", route);
-            // The ball queries meet a pair from both ends.
-            prop_assert!(evals <= (n * n) as u64, "{}", route);
+            prop_assert_eq!(&seen, &want, "{}", route);
+            // Each pair across labels is evaluated at most once, and the
+            // pairwise route evaluates exactly those.
+            prop_assert!(evals <= across, "{}: {} evals of {}", route, evals, across);
+            let stays_pairwise = !c.finite || n < AUTO_MIN_POINTS;
+            if route == "pairwise" || (route == "routed" && stays_pairwise) {
+                prop_assert_eq!(evals, across, "{}", route);
+            }
         }
     }
 

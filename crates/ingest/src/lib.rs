@@ -51,7 +51,7 @@ use ddp::prelude::{
 use dp_core::quality::DegradationReport;
 use dp_core::update::{self, Neighbor};
 use dp_core::{Dataset, PointId, NO_UPSLOPE};
-use lsh::{BucketUnion, LshParams, MultiLsh, Signature};
+use lsh::{BucketTables, BucketUnion, LshParams, MultiLsh};
 use mapreduce::Dfs;
 use obsv::Counter;
 use serve::ClusterModel;
@@ -182,8 +182,9 @@ pub struct IngestSession {
     seq: u64,
 
     multi: MultiLsh,
-    /// Layout -> signature -> live slots in the bucket.
-    tables: Vec<HashMap<Signature, Vec<PointId>>>,
+    /// Layout -> signature -> live slots in the bucket, ascending (a new
+    /// slot is the largest yet, and deletes keep the order).
+    tables: BucketTables,
     /// Bucket-union scratch shared by every probe of the session.
     union: BucketUnion,
 
@@ -229,7 +230,7 @@ impl IngestSession {
             lsh_seed: model.seed(),
             version: model.version(),
             seq: 0,
-            multi: MultiLsh::new(model.dim(), model.params(), model.seed()),
+            multi: model.layouts(),
             tables: Vec::new(),
             union: BucketUnion::default(),
             coords: Vec::new(),
@@ -297,9 +298,10 @@ impl IngestSession {
         Ok((session, replayed))
     }
 
-    /// Re-seeds every slot from a model. `keys`: existing external keys
-    /// for the model's points in id order (compaction), or `None` to
-    /// assign `0..n` (fresh open).
+    /// Re-seeds every slot from a model, its bucket tables included (a
+    /// copy of the model's, built first if it has none yet). `keys`:
+    /// existing external keys for the model's points in id order
+    /// (compaction), or `None` to assign `0..n` (fresh open).
     fn seed_from(&mut self, model: &ClusterModel, keys: Option<Vec<u64>>) {
         let n = model.len();
         self.coords = model.coords().to_vec();
@@ -321,10 +323,7 @@ impl IngestSession {
             .enumerate()
             .map(|(slot, &k)| (k, slot as PointId))
             .collect();
-        self.tables = lsh::bucket_tables(
-            &self.multi,
-            (0..n).map(|i| &model.coords()[i * self.dim..(i + 1) * self.dim]),
-        );
+        self.tables = model.tables().clone();
         self.version = model.version();
     }
 
@@ -615,7 +614,8 @@ impl IngestSession {
     /// densified, upslope links through dead points rewired to
     /// `NO_UPSLOPE`. This is the cheap path — the artifact reflects the
     /// localized estimates, staleness and all; [`compact`](Self::compact)
-    /// is the exact one.
+    /// is the exact one. The model gets the session's bucket tables,
+    /// remapped from slots to its ids, so no engine over it rebuilds them.
     pub fn publish(&self) -> ClusterModel {
         let n_slots = self.live.len();
         let mut dense: Vec<PointId> = vec![NO_UPSLOPE; n_slots];
@@ -639,6 +639,20 @@ impl IngestSession {
         for s in (0..n_slots).filter(live) {
             coords.extend_from_slice(self.point(s as PointId));
         }
+        // Buckets hold live slots only, and `dense` is increasing on them,
+        // so every remapped bucket stays ascending.
+        let tables = self
+            .tables
+            .iter()
+            .map(|table| {
+                let bucket =
+                    |slots: &Vec<PointId>| slots.iter().map(|&s| dense[s as usize]).collect();
+                table
+                    .iter()
+                    .map(|(sig, slots)| (sig.clone(), bucket(slots)))
+                    .collect()
+            })
+            .collect();
         ClusterModel::from_parts(
             self.version,
             self.algorithm.clone(),
@@ -656,6 +670,7 @@ impl IngestSession {
             (0..n_slots).filter(live).map(|s| self.labels[s]).collect(),
             self.peaks.iter().map(|&pk| dense[pk as usize]).collect(),
             (0..n_slots).filter(live).map(|s| self.halo[s]).collect(),
+            Some(tables),
         )
     }
 
@@ -708,7 +723,8 @@ impl IngestSession {
         // The refit succeeded: re-seed the session onto it. The WAL is
         // deliberately left intact — its batches are only *durably*
         // folded once the caller persists the artifact and retires the
-        // log (`retire_wal`).
+        // log (`retire_wal`). Re-seeding builds the new model's bucket
+        // tables, which every engine over it then shares.
         obsv::span!("ingest", "compact/reseed" => {
             let keys = self.live_keys();
             self.algorithm = model.algorithm().to_string();

@@ -48,6 +48,7 @@ fn two_cluster_line() -> ClusterModel {
         vec![0, 0, 1],
         vec![0, 2],
         vec![false, false, false],
+        None,
     )
 }
 

@@ -10,23 +10,26 @@ use crate::hash::{MultiLsh, Signature};
 use crate::tuning::LshParams;
 use std::collections::HashMap;
 
+/// One bucket table per layout: `tables[m]` maps each signature under
+/// layout `m` to the ids of the points hashing to it, ascending.
+pub type BucketTables = Vec<HashMap<Signature, Vec<u32>>>;
+
 /// Builds one bucket table per layout: `tables[m]` maps each signature
 /// under layout `m` to the ids (enumeration order, as `u32`) of the points
 /// hashing to it.
 ///
 /// This is the query-time half of the paper's partitioning, factored out
 /// so consumers that already own the point storage (the [`LshIndex`] here,
-/// the serving layer's `ClusterModel`) can rebuild the tables from a
+/// the serving layer's `ClusterModel`) can build the tables from a
 /// [`MultiLsh`] without copying their points into a second container.
 ///
 /// # Panics
 /// Debug-asserts each point's dimensionality matches `multi`.
-pub fn bucket_tables<'a, I>(multi: &MultiLsh, points: I) -> Vec<HashMap<Signature, Vec<u32>>>
+pub fn bucket_tables<'a, I>(multi: &MultiLsh, points: I) -> BucketTables
 where
     I: IntoIterator<Item = &'a [f64]>,
 {
-    let mut tables: Vec<HashMap<Signature, Vec<u32>>> =
-        (0..multi.layouts()).map(|_| HashMap::new()).collect();
+    let mut tables: BucketTables = (0..multi.layouts()).map(|_| HashMap::new()).collect();
     for (i, p) in points.into_iter().enumerate() {
         debug_assert_eq!(p.len(), multi.dim(), "point dim mismatch");
         for (m, sig) in multi.signatures(p).into_iter().enumerate() {
@@ -101,8 +104,7 @@ impl BucketUnion {
 /// ```
 pub struct LshIndex {
     multi: MultiLsh,
-    /// One bucket table per layout.
-    tables: Vec<HashMap<Signature, Vec<u32>>>,
+    tables: BucketTables,
     points: Vec<Vec<f64>>,
 }
 

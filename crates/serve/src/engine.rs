@@ -3,17 +3,17 @@
 //! higher-density neighbor, and inherit that neighbor's cluster — the
 //! serving-time analog of the batch pipeline's upslope assignment.
 //!
-//! The engine rebuilds the `M` hash layouts deterministically from the
-//! model's `(params, seed)` at construction, so queries see exactly the
+//! The engine redraws the `M` hash layouts deterministically from the
+//! model's `(params, seed)` at construction and probes the model's own
+//! bucket tables ([`ClusterModel::tables`]), so queries see exactly the
 //! partitioning the batch run used: a query collides with the training
 //! points it *would have* shared reducer partitions with.
 
 use crate::model::ClusterModel;
 use dp_core::distance::{nearest_in_block, squared_euclidean};
 use dp_core::{DensityKeys, SpatialIndex, NO_UPSLOPE};
-use lsh::{bucket_tables, BucketUnion, MultiLsh, Signature};
+use lsh::{BucketUnion, MultiLsh};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 thread_local! {
     /// Per-thread bucket-probe scratch: a server worker reuses its own.
@@ -70,13 +70,11 @@ pub struct Assignment {
     pub halo: bool,
 }
 
-/// A loaded model plus the rebuilt hash layouts and bucket tables —
-/// everything needed to answer queries, immutable and shareable across
-/// threads.
+/// A loaded model plus its hash layouts — everything needed to answer
+/// queries, immutable and shareable across threads.
 pub struct QueryEngine {
     model: ClusterModel,
     multi: MultiLsh,
-    tables: Vec<HashMap<Signature, Vec<u32>>>,
     centers: Vec<f64>,
     exactness: Exactness,
     /// Spatial index over the training points, built once at construction
@@ -94,16 +92,18 @@ impl QueryEngine {
         Self::with_exactness(model, Exactness::default())
     }
 
-    /// Builds the engine with an explicit exactness policy.
+    /// Builds the engine with an explicit exactness policy. The bucket
+    /// policies make sure the model's tables exist before the first query
+    /// (a no-op for a model that already has them); [`Exactness::Exact`]
+    /// never probes a bucket, so it never builds them.
     pub fn with_exactness(model: ClusterModel, exactness: Exactness) -> Self {
         let _span = obsv::span!("serve", "engine/build");
-        let multi = MultiLsh::new(model.dim(), model.params(), model.seed());
+        let multi = model.layouts();
         let n = model.len();
         let dim = model.dim();
-        let tables = bucket_tables(
-            &multi,
-            (0..n).map(|i| &model.coords()[i * dim..(i + 1) * dim]),
-        );
+        if exactness != Exactness::Exact {
+            model.tables();
+        }
         let centers = model.center_block();
         let indexed =
             exactness == Exactness::Exact && dp_core::local::use_indexed(n, &[model.coords()]);
@@ -115,7 +115,6 @@ impl QueryEngine {
         QueryEngine {
             model,
             multi,
-            tables,
             centers,
             exactness,
             index,
@@ -239,7 +238,8 @@ impl QueryEngine {
     /// Bucket probe: hands `f` the ids sharing a bucket with the query,
     /// ascending, and the number of layouts each collided in.
     fn collisions<R>(&self, query: &[f64], f: impl FnOnce(&BucketUnion) -> R) -> R {
-        UNION.with_borrow_mut(|u| f(u.collect(&self.tables, &self.multi.signatures(query))))
+        let tables = self.model.tables();
+        UNION.with_borrow_mut(|u| f(u.collect(tables, &self.multi.signatures(query))))
     }
 
     /// The LSH/exact anchor search. `None` means "defer to the batched
@@ -385,6 +385,9 @@ mod tests {
         let model = fitted_model(60, 12);
         let engine = QueryEngine::with_exactness(model, Exactness::Exact);
         assert!(engine.index.is_none(), "180 points stay on the scalar scan");
+        let unbuilt = |e: &QueryEngine| format!("{:?}", e.model()).contains("tables: unbuilt");
+        assert!(unbuilt(&engine), "an exact engine never builds the tables");
+        assert!(!unbuilt(&QueryEngine::new(engine.model().clone())));
         let m = engine.model().clone();
         for id in (0..m.len() as u32).step_by(3) {
             let a = engine.assign(m.point(id));

@@ -7,16 +7,20 @@
 //! cutoff `d_c`, and the `(M, pi, w)` + seed that generated the hash
 //! layouts. The layouts themselves are *not* serialized — `MultiLsh` is
 //! deterministic in `(dim, params, seed)`, so the query engine redraws
-//! them at load time and rebuilds the bucket tables from the stored
-//! coordinates. That keeps the artifact small and the format free of
-//! floating-point hash-function state.
+//! them at load time. Nor are the bucket tables: a model owns them as
+//! derived data, built from the stored coordinates on first use (or
+//! handed over by the ingest session that already maintains them) and
+//! shared by the model's clones, so a lineage pays for one build per
+//! model, not one per engine. That keeps the artifact small and the
+//! format free of floating-point hash-function state.
 
 use ddp::centralized::CentralizedOutput;
 use ddp::prelude::RunReport;
-use dp_core::{Dataset, PointId};
-use lsh::LshParams;
+use dp_core::{Dataset, PointId, NO_UPSLOPE};
+use lsh::{BucketTables, LshParams, MultiLsh};
 use mapreduce::wire::{self, Wire, WireError};
 use mapreduce::ShuffleSize;
+use std::sync::{Arc, OnceLock};
 
 /// Magic number opening every serialized model ("LDPM" little-endian).
 const MAGIC: u32 = 0x4d50_444c;
@@ -137,6 +141,31 @@ pub struct ClusterModel {
     peaks: Vec<PointId>,
     /// Halo flag per point (border/noise under the paper's halo rule).
     halo: Vec<bool>,
+    /// The bucket tables over `coords`: see [`ClusterModel::tables`].
+    tables: Tables,
+}
+
+/// A model's bucket tables, built at most once and shared by its clones.
+/// They are a function of the coordinates and the layouts, which equality
+/// already compares, so they never tell two models apart.
+#[derive(Clone, Default)]
+struct Tables(Arc<OnceLock<BucketTables>>);
+
+impl PartialEq for Tables {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Tables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = if self.0.get().is_some() {
+            "built"
+        } else {
+            "unbuilt"
+        };
+        f.write_str(state)
+    }
 }
 
 /// Errors loading or saving a model artifact.
@@ -214,17 +243,21 @@ impl ClusterModel {
             labels: outcome.clustering.labels().to_vec(),
             peaks: outcome.peaks.clone(),
             halo,
+            tables: Tables::default(),
         }
     }
 
     /// Assembles a model directly from its fields — the constructor the
     /// ingest path uses to publish incrementally updated state without
-    /// re-running a batch pipeline.
+    /// re-running a batch pipeline. `tables`, when given, are the bucket
+    /// tables over `coords` (see [`Self::tables`]), which the caller
+    /// already maintains; otherwise they are built on first use.
     ///
     /// # Panics
     /// Panics if the fields are not mutually consistent: mismatched
-    /// lengths, an empty peak set, out-of-range peak/upslope ids, or a
-    /// peak whose label is not its cluster id.
+    /// lengths, an empty peak set, out-of-range peak/upslope ids, a peak
+    /// whose label is not its cluster id, or tables that do not hold one
+    /// table per layout.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         version: u64,
@@ -240,6 +273,7 @@ impl ClusterModel {
         labels: Vec<u32>,
         peaks: Vec<PointId>,
         halo: Vec<bool>,
+        tables: Option<BucketTables>,
     ) -> Self {
         let n = rho.len();
         assert!(dim > 0, "model dim must be positive");
@@ -253,6 +287,13 @@ impl ClusterModel {
         for (c, &p) in peaks.iter().enumerate() {
             assert!((p as usize) < n, "peak id out of range");
             assert_eq!(labels[p as usize], c as u32, "peak label != cluster id");
+        }
+        assert!(
+            upslope.iter().all(|&u| u == NO_UPSLOPE || (u as usize) < n),
+            "upslope id out of range"
+        );
+        if let Some(t) = &tables {
+            assert_eq!(t.len(), params.m, "one bucket table per layout");
         }
         ClusterModel {
             version,
@@ -268,7 +309,26 @@ impl ClusterModel {
             labels,
             peaks,
             halo,
+            tables: Tables(Arc::new(tables.map(OnceLock::from).unwrap_or_default())),
         }
+    }
+
+    /// The model's `M` hash layouts, redrawn from `(dim, params, seed)`.
+    pub fn layouts(&self) -> MultiLsh {
+        MultiLsh::new(self.dim, &self.params, self.seed)
+    }
+
+    /// The bucket tables of the model's points under [`Self::layouts`]:
+    /// `tables()[m]` maps each layout-`m` signature to the ids of the
+    /// points hashing to it, ascending. Built from the coordinates on
+    /// first use — a `serve` `model/tables` span, the only from-scratch
+    /// build a lineage makes — unless [`Self::from_parts`] was handed
+    /// them; every clone of the model shares that one build.
+    pub fn tables(&self) -> &BucketTables {
+        self.tables.0.get_or_init(|| {
+            let _span = obsv::span!("serve", "model/tables");
+            lsh::bucket_tables(&self.layouts(), self.coords.chunks_exact(self.dim))
+        })
     }
 
     /// The model's lineage version (1 after a fresh fit).
@@ -544,6 +604,7 @@ impl Wire for ClusterModel {
             labels,
             peaks,
             halo,
+            tables: Tables::default(),
         })
     }
 }
@@ -657,6 +718,77 @@ mod tests {
 
         let back: ClusterModel = wire::decode(&bytes).expect("legacy artifact decodes");
         assert_eq!(back, model, "payload and defaulted version both match");
+    }
+
+    /// `model`'s fields through `from_parts`, the upslope links and the
+    /// handed-over tables replaced.
+    fn reassembled(
+        model: &ClusterModel,
+        upslope: Vec<PointId>,
+        tables: Option<BucketTables>,
+    ) -> ClusterModel {
+        ClusterModel::from_parts(
+            model.version(),
+            model.algorithm().to_string(),
+            model.dim(),
+            model.dc(),
+            *model.params(),
+            model.seed(),
+            model.coords().to_vec(),
+            model.rhos().to_vec(),
+            model.deltas().to_vec(),
+            upslope,
+            model.labels().to_vec(),
+            model.peaks().to_vec(),
+            model.halos().to_vec(),
+            tables,
+        )
+    }
+
+    #[test]
+    fn tables_are_built_once_and_shared_by_clones() {
+        let model = fitted_model(40, 3);
+        let twin = model.clone();
+        let want = lsh::bucket_tables(&model.layouts(), model.coords().chunks_exact(model.dim()));
+        assert_eq!(twin.tables(), &want);
+        assert!(
+            std::ptr::eq(model.tables(), twin.tables()),
+            "a clone reuses the build"
+        );
+        assert_eq!(format!("{:?}", model.tables), "built");
+        // Handed-over tables are the model's, and stay out of the bytes.
+        let handed = reassembled(&model, model.upslopes().to_vec(), Some(want.clone()));
+        assert_eq!(handed.tables(), &want);
+        assert_eq!(wire::encode(&handed), wire::encode(&model));
+        let back: ClusterModel = wire::decode(&wire::encode(&model)).unwrap();
+        assert_eq!(format!("{:?}", back.tables), "unbuilt");
+        assert_eq!(back, model);
+    }
+
+    #[test]
+    fn from_parts_accepts_the_no_upslope_sentinel() {
+        let model = fitted_model(40, 4);
+        let mut upslope = model.upslopes().to_vec();
+        upslope[0] = NO_UPSLOPE;
+        assert_eq!(reassembled(&model, upslope, None).upslopes()[0], NO_UPSLOPE);
+    }
+
+    #[test]
+    #[should_panic(expected = "upslope id out of range")]
+    fn from_parts_rejects_an_out_of_range_upslope() {
+        let model = fitted_model(40, 4);
+        let mut upslope = model.upslopes().to_vec();
+        upslope[1] = model.len() as PointId;
+        let _ = reassembled(&model, upslope, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one bucket table per layout")]
+    fn from_parts_rejects_tables_for_other_layouts() {
+        let model = fitted_model(40, 4);
+        let mut tables = model.tables().clone();
+        tables.pop();
+        let _ = reassembled(&model, model.upslopes().to_vec(), Some(tables));
     }
 
     #[test]

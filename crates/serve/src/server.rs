@@ -967,6 +967,7 @@ mod tests {
             labels,
             peaks,
             model.halos().to_vec(),
+            None,
         )
     }
 
