@@ -19,7 +19,7 @@
 //! model generations (base fit vs ingested successor) and checks every
 //! response against both generations' precomputed ground truth: across
 //! the swaps, zero requests may be dropped and zero answers may match
-//! neither generation. `swap`'s test gates the same scenario at smoke size.
+//! neither generation. `swap`'s test gates the same scenario at a small size.
 //!
 //! ```text
 //! cargo run --release -p lshddp-bench --bin serve_loadgen [-- --scale f --seed n]

@@ -1,7 +1,7 @@
-//! Hot-swap-under-sustained-traffic scenario, shared by `serve_loadgen`
-//! (human-readable report) and `bench_summary` (the `hot_swap` section of
-//! `BENCH_perf.json`), and gated by this module's test at the size
-//! `bench_summary --smoke` runs.
+//! Hot-swap-under-sustained-traffic scenario: `serve_loadgen` prints it
+//! as a human-readable report, and this module's test
+//! (`hot_swaps_under_load_are_invisible_to_clients`) gates it at a small
+//! size.
 //!
 //! The scenario exercises the whole model lifecycle at load: fit a base
 //! model, derive a successor generation through an [`ingest::IngestSession`]
@@ -20,15 +20,12 @@ use ddp::prelude::*;
 use ingest::{DeltaOp, IngestConfig, IngestSession};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::Serialize;
 use serve::{Assignment, ClusterModel, QueryEngine, ServeError, Server, ServerConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Measured outcome of one swap-under-load run.
-#[derive(Serialize)]
 pub struct SwapBench {
-    pub description: &'static str,
     /// Worker threads in the server pool.
     pub threads: usize,
     /// Closed-loop client threads offering load.
@@ -212,7 +209,6 @@ pub fn swap_under_load(
     server.shutdown();
 
     SwapBench {
-        description: "hot-swap between two model generations under closed-loop load",
         threads,
         clients,
         swaps: swapped.load(Ordering::Relaxed),

@@ -66,11 +66,17 @@ pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, Io
             continue;
         }
         row.clear();
-        for field in line.split(',') {
+        for (col, field) in line.split(',').enumerate() {
             let v: f64 = field
                 .trim()
                 .parse()
                 .map_err(|e| IoError::Parse(lineno, format!("bad number {field:?}: {e}")))?;
+            // Rust's parser accepts `nan` and `inf`; no distance is
+            // defined over them.
+            if !v.is_finite() {
+                let msg = format!("non-finite value {v} in column {}", col + 1);
+                return Err(IoError::Parse(lineno, msg));
+            }
             row.push(v);
         }
         let (coords, label) = if labeled {
@@ -81,7 +87,7 @@ pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, Io
                 ));
             }
             let l = *row.last().expect("non-empty row");
-            if l < 0.0 || l.fract() != 0.0 {
+            if !is_label(l) {
                 return Err(IoError::Parse(lineno, format!("bad label {l}")));
             }
             (&row[..row.len() - 1], l as u32)
@@ -101,6 +107,11 @@ pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, Io
     }
     let data = data.ok_or(IoError::Empty)?;
     Ok(LabeledDataset { data, labels })
+}
+
+/// A label column value: a non-negative integer that fits a `u32`.
+fn is_label(l: f64) -> bool {
+    (0.0..=u32::MAX as f64).contains(&l) && l.fract() == 0.0
 }
 
 /// Reads a CSV file; see [`parse_csv`].
@@ -130,7 +141,7 @@ pub fn parse_libsvm<R: Read>(reader: R, dim: usize) -> Result<LabeledDataset, Io
         let label: f64 = label_s
             .parse()
             .map_err(|e| IoError::Parse(lineno, format!("bad label {label_s:?}: {e}")))?;
-        if label < 0.0 || label.fract() != 0.0 {
+        if !is_label(label) {
             return Err(IoError::Parse(lineno, format!("bad label {label}")));
         }
         row.fill(0.0);
@@ -150,6 +161,10 @@ pub fn parse_libsvm<R: Read>(reader: R, dim: usize) -> Result<LabeledDataset, Io
             let val: f64 = val_s
                 .parse()
                 .map_err(|e| IoError::Parse(lineno, format!("bad value {val_s:?}: {e}")))?;
+            if !val.is_finite() {
+                let msg = format!("non-finite value {val} for feature {idx}");
+                return Err(IoError::Parse(lineno, msg));
+            }
             row[idx - 1] = val;
         }
         data.push(&row);
@@ -233,6 +248,23 @@ mod tests {
             parse_csv("1.0,2.0,0.5\n".as_bytes(), true),
             Err(IoError::Parse(1, _))
         ));
+        for row in [
+            "1.0,2.0\nnan,1.0\n",
+            "1.0,2.0\n1.0,-inf\n",
+            "1.0,2.0\n1.0,infinity\n",
+        ] {
+            let err = parse_csv(row.as_bytes(), false).unwrap_err();
+            assert!(
+                matches!(&err, IoError::Parse(2, m) if m.contains("column")),
+                "{err}"
+            );
+        }
+        assert!(matches!(
+            parse_csv("1.0,2.0,4294967296\n".as_bytes(), true),
+            Err(IoError::Parse(1, _))
+        ));
+        let top = parse_csv("1.0,4294967295\n".as_bytes(), true).unwrap();
+        assert_eq!(top.labels, [u32::MAX]);
     }
 
     #[test]
@@ -268,6 +300,12 @@ mod tests {
             parse_libsvm("1 1-2\n".as_bytes(), 2),
             Err(IoError::Parse(1, _))
         ));
+        for row in ["1 2:NaN\n", "1 1:inf\n", "4294967296 1:1.0\n"] {
+            assert!(matches!(
+                parse_libsvm(row.as_bytes(), 2),
+                Err(IoError::Parse(1, _))
+            ));
+        }
     }
 
     #[test]

@@ -888,50 +888,62 @@ mod tests {
     fn slo_burn_degrades_and_sheds_before_the_configured_deadline() {
         // An unreachable 1 µs objective: every in-process request
         // breaches, so both burn windows saturate and the monitor must
-        // flip the server into degraded mode, which sheds queued work
-        // with `Timeout` even though no deadline is configured.
-        let server = Server::start(
-            QueryEngine::new(fitted_model(50, 21)),
-            ServerConfig {
-                threads: 1,
-                queue_depth: 64,
-                cache_capacity: 0,
-                deadline: None,
-                slo: Some(SloConfig {
-                    objective_ns: 1_000,
-                    target: 0.9,
-                    fast_window: Duration::from_millis(20),
-                    slow_window: Duration::from_millis(100),
-                    burn_threshold: 1.0,
-                    tick: Duration::from_millis(5),
-                }),
-                ..ServerConfig::default()
-            },
-        );
-        let client = server.client();
-        let q = server.shared.store.current().model().point(0).to_vec();
-        let give_up = Instant::now() + Duration::from_secs(30);
-        let mut shed = 0;
-        while Instant::now() < give_up {
-            match client.assign(&q) {
-                Ok(_) | Err(ServeError::Timeout) => {}
-                Err(e) => panic!("unexpected serve error {e}"),
-            }
-            shed = server.registry().snapshot().counters["slo_shed"];
-            if shed > 0 {
-                break;
-            }
+        // flip the overloaded server (four clients, one worker) into
+        // degraded mode, which sheds queued work with `Timeout` whether
+        // or not a deadline is configured. Under a deadline, the requests
+        // still served must stay inside it.
+        for deadline in [None, Some(Duration::from_millis(250))] {
+            let server = Server::start(
+                QueryEngine::new(fitted_model(50, 21)),
+                ServerConfig {
+                    threads: 1,
+                    queue_depth: 64,
+                    max_batch: 8,
+                    cache_capacity: 0,
+                    deadline,
+                    slo: Some(SloConfig {
+                        objective_ns: 1_000,
+                        target: 0.9,
+                        fast_window: Duration::from_millis(20),
+                        slow_window: Duration::from_millis(100),
+                        burn_threshold: 1.0,
+                        tick: Duration::from_millis(5),
+                    }),
+                    ..ServerConfig::default()
+                },
+            );
+            let q = server.shared.store.current().model().point(0).to_vec();
+            let registry = server.registry_arc();
+            let shed = || registry.snapshot().counters["slo_shed"];
+            let give_up = Instant::now() + Duration::from_secs(30);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    let (client, q, shed) = (server.client(), &q, &shed);
+                    s.spawn(move || {
+                        while shed() == 0 && Instant::now() < give_up {
+                            match client.assign(q) {
+                                Ok(_) | Err(ServeError::Timeout) => {}
+                                Err(e) => panic!("unexpected serve error {e}"),
+                            }
+                        }
+                    });
+                }
+            });
+            let (shed, stats) = (shed(), server.stats());
+            assert!(shed > 0, "sustained breach must trigger SLO shedding");
+            assert!(stats.timed_out >= shed, "SLO sheds are part of timed_out");
+            assert!(stats.queries > 0, "nothing was served before degrading");
+            let bound_us = deadline.map_or(f64::INFINITY, |d| d.as_micros() as f64);
+            assert!(
+                stats.p99_latency_us <= bound_us,
+                "served p99 over {deadline:?}"
+            );
+            assert!(
+                registry.snapshot().gauges["slo.objective_ns"] == 1_000,
+                "monitor gauges live in the serve registry"
+            );
+            server.shutdown();
         }
-        assert!(shed > 0, "sustained breach must trigger SLO shedding");
-        assert!(
-            server.stats().timed_out >= shed,
-            "SLO sheds are a subset of timed_out"
-        );
-        assert!(
-            server.registry().snapshot().gauges["slo.objective_ns"] == 1_000,
-            "monitor gauges live in the serve registry"
-        );
-        server.shutdown();
     }
 
     #[test]

@@ -3,6 +3,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+mod support;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lshddp"))
 }
@@ -244,4 +246,132 @@ fn missing_input_is_a_clean_error() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("reading"));
+}
+
+#[test]
+fn non_finite_input_is_a_clean_error() {
+    let points = tmp("nan-in.csv");
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let mut text = std::fs::read_to_string(&points).expect("points written");
+    let line = text.lines().count() + 1;
+    text.push_str("nan,1.0\n");
+    std::fs::write(&points, text).expect("append a NaN row");
+
+    let out = bin()
+        .args(["cluster", "--k", "15", "--input"])
+        .arg(&points)
+        .arg("--out")
+        .arg(tmp("nan-labels.csv"))
+        .output()
+        .expect("run cluster");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a NaN row must be rejected");
+    assert!(stderr.contains(&format!("line {line}")), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// `stats` with a live listener and an SLO monitor: the endpoints answer
+/// while the process lingers, and `/metrics` is well-formed Prometheus
+/// text carrying the SLO gauges and a non-zero per-batch heap peak.
+#[test]
+fn stats_serves_live_metrics_while_it_lingers() {
+    use std::io::BufRead;
+
+    let points = tmp("metrics-in.csv");
+    let model = tmp("metrics-model.bin");
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.1", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = bin()
+        .args(["fit", "--normalize", "--k", "15", "--seed", "5", "--input"])
+        .arg(&points)
+        .arg("--out")
+        .arg(&model)
+        .output()
+        .expect("fit");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let mut child = bin()
+        .args(["stats", "--clients", "4", "--slo-ms", "50"])
+        .args(["--metrics-addr", "127.0.0.1:0", "--linger", "3000"])
+        .arg("--model")
+        .arg(&model)
+        .arg("--input")
+        .arg(&points)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn stats");
+    let mut stderr = std::io::BufReader::new(child.stderr.take().expect("stderr")).lines();
+    let mut next_line = |prefix: &str| {
+        stderr
+            .by_ref()
+            .map(|l| l.expect("stderr line"))
+            .find_map(|l| l.strip_prefix(prefix).map(str::to_string))
+            .unwrap_or_else(|| panic!("no {prefix:?} line on stderr"))
+    };
+    let addr = next_line("metrics: listening on http://");
+    let addr: std::net::SocketAddr = addr
+        .strip_suffix("/metrics")
+        .and_then(|a| a.parse().ok())
+        .expect("listener address");
+    // Every query is answered before the process starts to linger.
+    next_line("metrics: lingering");
+
+    assert_eq!(support::http_get(addr, "/healthz").0, 200);
+    let (status, json) = support::http_get(addr, "/metrics.json");
+    assert_eq!(status, 200);
+    obsv::json::parse(&json).expect("/metrics.json parses");
+    let (status, prom) = support::http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    assert!(child.wait().expect("stats exits").success());
+
+    let mut typed = std::collections::HashSet::new();
+    let mut samples = std::collections::HashMap::new();
+    for line in prom.lines().filter(|l| !l.is_empty()) {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl.split_once(' ').expect("TYPE line");
+            assert!(["counter", "gauge", "histogram"].contains(&kind), "{line}");
+            typed.insert(family.to_string());
+            continue;
+        }
+        if line.starts_with("# HELP ") {
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("`name{labels} value`");
+        let value: f64 = value.parse().expect("sample value");
+        let name = match series.split_once('{') {
+            Some((name, labels)) => {
+                assert!(labels.ends_with('}'), "{line}");
+                name
+            }
+            None => series,
+        };
+        assert!(
+            name.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "{line}"
+        );
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|s| name.strip_suffix(s).filter(|f| typed.contains(*f)))
+            .unwrap_or(name);
+        assert!(typed.contains(family), "{name} has no preceding # TYPE");
+        samples.insert(name.to_string(), value);
+    }
+    assert!(prom.contains("# TYPE serve_slo_degraded gauge"), "{prom}");
+    assert!(samples.contains_key("serve_slo_fast_burn_milli"), "{prom}");
+    assert!(samples["serve_mem_batch_peak_bytes"] > 0.0, "{prom}");
 }

@@ -57,6 +57,12 @@ fn lsh_ddp_plan_matches_reference() {
     assert!(plan.shuffle_bytes_saved() > 0, "delta-local stage elided");
     assert_eq!(reference.shuffle_bytes_saved(), 0);
     assert!(plan.shuffle_bytes() < reference.shuffle_bytes());
+    // Elision must pay: at least a fifth of the no-elision shuffle volume.
+    let (saved, full) = (plan.shuffle_bytes_saved(), reference.shuffle_bytes());
+    assert!(
+        saved * 5 >= full,
+        "elision saved only {saved} of {full} shuffle bytes (< 20%)"
+    );
 }
 
 #[test]

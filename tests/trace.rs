@@ -3,12 +3,16 @@
 //! `--trace` CLI flag must write a chrome-tracing document that parses
 //! and covers all four LSH-DDP MapReduce jobs down to task attempts.
 //!
-//! These tests toggle the process-global capture flag, so the
-//! in-process test runs serially with nothing else recording: the only
-//! other test in this binary drives a subprocess.
+//! The in-process test also checks that the whole telemetry plane is
+//! invisible in the results. It toggles process-global switches, some of
+//! them one-way, so it runs with nothing else recording: the only other
+//! test in this binary drives a subprocess.
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+mod support;
 
 /// The four MapReduce jobs of the LSH-DDP pipeline (Algorithm 1 of the
 /// paper), in launch order.
@@ -29,17 +33,47 @@ fn tmp(name: &str) -> PathBuf {
 fn library_run_captures_pipeline_job_phase_task_tree() {
     use ddp::prelude::*;
 
-    obsv::enable_capture();
-    obsv::clear_events();
-
     let ld = datasets::gaussian_mixture(2, 3, 60, 40.0, 1.0, 11);
     let ds = &ld.data;
     let dc = dp_core::cutoff::estimate_dc_exact(ds, 0.05);
     let lsh = LshDdp::with_accuracy(0.99, 8, 3, dc, 11).expect("valid LSH params");
-    let _ = lsh.run(ds, dc);
+    let off = lsh.run(ds, dc);
 
+    // Everything on: span capture, the executor chunk observer, heap
+    // accounting, and an exposition listener scraped throughout the run.
+    obsv::enable_capture();
+    obsv::clear_events();
+    obsv::install_executor_metrics(obsv::global());
+    obsv::alloc::enable_accounting();
+    let exposer = obsv::Exposition::new()
+        .source("lshddp", obsv::RegistryRef::Static(obsv::global()))
+        .collector(|| obsv::snapshot_pool_stats(obsv::global()))
+        .serve("127.0.0.1:0")
+        .expect("bind exposition listener");
+    let stop = AtomicBool::new(false);
+    let (on, scrapes) = std::thread::scope(|s| {
+        let scraper = s.spawn(|| {
+            let mut scrapes = 0;
+            while scrapes == 0 || !stop.load(Ordering::Relaxed) {
+                let (status, body) = support::http_get(exposer.addr(), "/metrics");
+                assert_eq!(status, 200);
+                assert!(body.contains("lshddp_up{source="), "{body}");
+                scrapes += 1;
+            }
+            scrapes
+        });
+        let on = lsh.run(ds, dc);
+        stop.store(true, Ordering::Relaxed);
+        (on, scraper.join().expect("scraper thread"))
+    });
+    drop(exposer);
     let events = obsv::drain_events();
     obsv::disable_capture();
+    assert!(scrapes > 0);
+    assert_eq!(
+        off.result, on.result,
+        "telemetry changed the pipeline's output"
+    );
 
     let pipeline = events
         .iter()
