@@ -41,7 +41,7 @@ fn bench_euclidean(c: &mut Criterion) {
                     let mut count = 0u32;
                     for a in pts {
                         for q in pts {
-                            if dp_core::DistanceKind::Euclidean.within(a, q, 0.5) {
+                            if dp_core::distance::squared_euclidean(a, q) < 0.5 * 0.5 {
                                 count += 1;
                             }
                         }

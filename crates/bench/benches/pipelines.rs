@@ -21,10 +21,6 @@ fn bench_pipelines(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("sequential", n), &ds, |b, ds| {
             b.iter(|| black_box(dp_core::compute_exact(ds, dc)))
         });
-        g.bench_with_input(BenchmarkId::new("sequential_fast", n), &ds, |b, ds| {
-            // The paper's §II-A triangle-inequality + sorted-rho variant.
-            b.iter(|| black_box(dp_core::compute_exact_fast(ds, dc, 8)))
-        });
         g.bench_with_input(BenchmarkId::new("basic_ddp", n), &ds, |b, ds| {
             let pipe = BasicDdp::new(BasicConfig {
                 block_size: 100,

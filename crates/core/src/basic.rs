@@ -21,9 +21,8 @@
 //! distance matrix on the DFS (§III-A, Step 2).
 
 use crate::common::{
-    assemble_delta, dc_sampling_stage, debug_assert_euclidean, density_keys, flatten_coords,
-    point_records, point_snapshot, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
-    PipelineConfig,
+    assemble_delta, dc_sampling_stage, density_keys, flatten_coords, point_records, point_snapshot,
+    DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
@@ -157,7 +156,6 @@ impl Reducer for RhoBlockReducer {
     type OutValue = u32;
 
     fn reduce(&self, anchor: &u32, points: Vec<BlockedPoint>, out: &mut Emitter<PointId, u32>) {
-        debug_assert_euclidean(&self.tracker);
         let (own, own_flat, partners, partner_flat, dim) = split_blocks(*anchor, &points);
         let block = Partition::new(&own_flat, dim, self.dc);
         // Diagonal pairs of the anchor block, then each partner point ×
@@ -220,7 +218,6 @@ impl Reducer for DeltaBlockReducer {
         points: Vec<BlockedPoint>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         let (own, own_flat, partners, partner_flat, dim) = split_blocks(*anchor, &points);
         let own_keys = density_keys(&self.rho, own.iter().copied());
         let partner_keys = density_keys(&self.rho, partners.iter().copied());

@@ -41,7 +41,8 @@ pub enum PeakSelection {
         rho_quantile: f64,
     },
     /// Fully automatic: thresholds from
-    /// [`DecisionGraph::suggest_thresholds`].
+    /// [`DecisionGraph::suggest_thresholds`]; when they select nothing, the
+    /// canonical densest point alone.
     Auto,
 }
 
@@ -106,7 +107,12 @@ impl CentralizedStep {
             }
             PeakSelection::Auto => {
                 let (rho_min, delta_min) = graph.suggest_thresholds();
-                decision::select_by_threshold(result, rho_min, delta_min)
+                let peaks = decision::select_by_threshold(result, rho_min, delta_min);
+                if peaks.is_empty() {
+                    vec![densest(result)]
+                } else {
+                    peaks
+                }
             }
         };
         assert!(
@@ -120,6 +126,15 @@ impl CentralizedStep {
             clustering,
         }
     }
+}
+
+/// The canonical densest point, max `(rho, id)`: the one peak
+/// [`PeakSelection::Auto`] falls back to when the largest-gap cut selects
+/// nothing (a single point, duplicates only, no positive density).
+fn densest(result: &DpResult) -> PointId {
+    (0..result.len() as PointId)
+        .max_by_key(|&i| (result.rho[i as usize], i))
+        .expect("a result with at least one point")
 }
 
 #[cfg(test)]
@@ -160,6 +175,22 @@ mod tests {
             2,
             "largest delta gap separates the two centers"
         );
+    }
+
+    #[test]
+    fn auto_selection_on_one_point_picks_it() {
+        let r = compute_exact(&Dataset::from_flat(2, vec![1.0, 2.0]), 1.0);
+        let out = CentralizedStep::new(PeakSelection::Auto).run(&r);
+        assert_eq!(out.peaks, vec![0]);
+        assert_eq!(out.clustering.n_clusters(), 1);
+    }
+
+    #[test]
+    fn auto_selection_on_duplicates_picks_the_canonical_densest() {
+        let r = compute_exact(&Dataset::from_flat(1, vec![3.0; 3]), 1.0);
+        let out = CentralizedStep::new(PeakSelection::Auto).run(&r);
+        assert_eq!(out.peaks, vec![2], "max (rho, id)");
+        assert_eq!(out.clustering.n_clusters(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use dp_core::dp::NO_UPSLOPE;
 use dp_core::local::Key;
-use dp_core::{Dataset, DistanceKind, DistanceTracker, PointId};
+use dp_core::{Dataset, DistanceTracker, PointId};
 use mapreduce::task::{MrKey, MrValue};
 use mapreduce::{
     plan, Combiner, Driver, Emitter, JobConfig, JobMetrics, Mapper, Reducer, Snapshot, Stage,
@@ -180,18 +180,6 @@ pub(crate) fn density_keys(rho: &[u32], ids: impl Iterator<Item = PointId>) -> V
     ids.map(|id| (rho[id as usize], id)).collect()
 }
 
-/// The local kernels compute squared Euclidean distances; their reducers
-/// must never run under a tracker configured with a different metric (no
-/// pipeline constructs one, asserted in debug).
-#[inline]
-pub(crate) fn debug_assert_euclidean(tracker: &DistanceTracker) {
-    debug_assert_eq!(
-        tracker.kind(),
-        DistanceKind::Euclidean,
-        "local-kernel reducers require the Euclidean metric"
-    );
-}
-
 /// Deterministic per-point coin flip used by sampling mappers: keeps point
 /// `id` with probability `keep_per_4096 / 4096`, independent of point order.
 #[inline]
@@ -338,7 +326,6 @@ impl Reducer for QuantileReducer {
     type OutKey = u8;
     type OutValue = f64;
     fn reduce(&self, _k: &u8, points: Vec<PointRecord>, out: &mut Emitter<u8, f64>) {
-        debug_assert_euclidean(&self.tracker);
         let n = points.len();
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let total_pairs = n * n.saturating_sub(1) / 2;

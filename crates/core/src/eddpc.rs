@@ -26,9 +26,8 @@
 //! exactly the trade-off Table IV of the paper measures.
 
 use crate::common::{
-    assemble_delta, debug_assert_euclidean, density_keys, flatten_coords, point_records,
-    point_snapshot, DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer,
-    PipelineConfig,
+    assemble_delta, density_keys, flatten_coords, point_records, point_snapshot, DeltaPartial,
+    IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
@@ -192,7 +191,6 @@ impl Reducer for RhoVoronoiReducer {
     type OutValue = u32;
 
     fn reduce(&self, _cell: &u32, points: Vec<CellPoint>, out: &mut Emitter<PointId, u32>) {
-        debug_assert_euclidean(&self.tracker);
         let owners: Vec<&CellPoint> = points.iter().filter(|(_, _, owner)| *owner == 1).collect();
         if owners.is_empty() {
             return;
@@ -247,7 +245,6 @@ impl Reducer for DeltaRound1Reducer {
         points: Vec<(PointId, Vec<f64>)>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let keys = density_keys(&self.rho, points.iter().map(|(id, _)| *id));
         let evals = Partition::new(&flat, dim, self.dc)
@@ -325,7 +322,6 @@ impl Reducer for DeltaRound2Reducer {
         points: Vec<Round2Point>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         let (owners, visitors): (Vec<_>, Vec<_>) =
             points.into_iter().partition(|(_, _, role, _)| *role == 1);
         // Either side may be empty (and then reports dimension 1).

@@ -18,9 +18,7 @@
 //! *lower* a cluster's border density, so the distributed halo set is
 //! always a **subset** of the exact one (property-tested).
 
-use crate::common::{
-    debug_assert_euclidean, flatten_coords, point_snapshot, PipelineConfig, PointRecord,
-};
+use crate::common::{flatten_coords, point_snapshot, PipelineConfig, PointRecord};
 use crate::lsh_ddp::LshDdpConfig;
 use dp_core::decision::Clustering;
 use dp_core::dp::DpResult;
@@ -71,7 +69,6 @@ impl Reducer for BorderReducer {
             .copied()
             .max()
             .map_or(0, |m| m as usize + 1);
-        debug_assert_euclidean(&self.tracker);
         let mut border = vec![0u32; k_clusters];
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let dc2 = self.dc * self.dc;

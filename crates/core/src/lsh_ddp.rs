@@ -20,8 +20,8 @@
 //!    max finite `delta` before drawing the decision graph.
 
 use crate::common::{
-    dc_sampling_stage, debug_assert_euclidean, density_keys, flatten_coords, point_records,
-    point_snapshot, IdentityMapper, PipelineConfig, PointRecord,
+    dc_sampling_stage, density_keys, flatten_coords, point_records, point_snapshot, IdentityMapper,
+    PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
@@ -142,7 +142,6 @@ impl Reducer for LocalRhoReducer {
     type OutValue = u32;
 
     fn reduce(&self, _k: &PartitionKey, points: Vec<PointRecord>, out: &mut Emitter<PointId, u32>) {
-        debug_assert_euclidean(&self.tracker);
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
             let (rho, evals) = Partition::new(&flat, dim, self.dc).rho();
@@ -216,7 +215,6 @@ impl Reducer for LocalDeltaReducer {
         points: Vec<PointRecord>,
         out: &mut Emitter<PointId, LocalDelta>,
     ) {
-        debug_assert_euclidean(&self.tracker);
         for chunk in points.chunks(self.cap) {
             let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
             let keys = density_keys(&self.rho, chunk.iter().map(|(id, _)| *id));

@@ -11,7 +11,7 @@
 //! estimation: a seeded subsample of point pairs whose distance quantile
 //! approximates the population quantile.
 
-use crate::distance::DistanceKind;
+use crate::distance::euclidean;
 use crate::point::Dataset;
 
 /// Default neighborhood fraction (2%, the value the paper uses).
@@ -26,11 +26,6 @@ pub const DEFAULT_PERCENTILE: f64 = 0.02;
 /// # Panics
 /// Panics if `t` is outside `(0, 1]` or the dataset has fewer than 2 points.
 pub fn estimate_dc_exact(ds: &Dataset, t: f64) -> f64 {
-    estimate_dc_exact_with(ds, t, DistanceKind::Euclidean)
-}
-
-/// Exact `d_c` under an arbitrary metric.
-pub fn estimate_dc_exact_with(ds: &Dataset, t: f64, kind: DistanceKind) -> f64 {
     assert!(t > 0.0 && t <= 1.0, "percentile must be in (0, 1], got {t}");
     let n = ds.len();
     assert!(n >= 2, "need at least two points to estimate d_c");
@@ -38,7 +33,7 @@ pub fn estimate_dc_exact_with(ds: &Dataset, t: f64, kind: DistanceKind) -> f64 {
     for i in 0..n {
         let pi = ds.point(i as u32);
         for j in (i + 1)..n {
-            dists.push(kind.eval(pi, ds.point(j as u32)));
+            dists.push(euclidean(pi, ds.point(j as u32)));
         }
     }
     quantile_in_place(&mut dists, t)
@@ -54,17 +49,6 @@ pub fn estimate_dc_exact_with(ds: &Dataset, t: f64, kind: DistanceKind) -> f64 {
 /// Panics if `t` is outside `(0, 1]`, `samples == 0`, or the dataset has
 /// fewer than 2 points.
 pub fn estimate_dc_sampled(ds: &Dataset, t: f64, samples: usize, seed: u64) -> f64 {
-    estimate_dc_sampled_with(ds, t, samples, seed, DistanceKind::Euclidean)
-}
-
-/// Sampled `d_c` under an arbitrary metric.
-pub fn estimate_dc_sampled_with(
-    ds: &Dataset,
-    t: f64,
-    samples: usize,
-    seed: u64,
-    kind: DistanceKind,
-) -> f64 {
     assert!(t > 0.0 && t <= 1.0, "percentile must be in (0, 1], got {t}");
     assert!(samples > 0, "need at least one sample");
     let n = ds.len() as u64;
@@ -88,7 +72,7 @@ pub fn estimate_dc_sampled_with(
         if i == j {
             continue;
         }
-        dists.push(kind.eval(ds.point(i), ds.point(j)));
+        dists.push(euclidean(ds.point(i), ds.point(j)));
     }
     quantile_in_place(&mut dists, t)
 }

@@ -1,4 +1,9 @@
-//! Distance metrics and distance-computation accounting.
+//! The distance and distance-computation accounting.
+//!
+//! The one metric is Euclidean, as in the paper and the original DP code:
+//! every local kernel compares squared Euclidean distances, and the
+//! triangle-inequality filters of the EDDPC baseline rely on it being a
+//! metric.
 //!
 //! The paper's cost model counts the *number of distance measurements* as
 //! the computational cost (Figure 10(c), Table IV). To reproduce those
@@ -8,57 +13,8 @@
 //! threads.
 
 use crate::simd::Isa;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Which metric to use for pairwise distances.
-///
-/// The paper and the original DP code use Euclidean distance; the other
-/// metrics are provided for downstream users (they are all valid for DP as
-/// long as they are true metrics — the triangle-inequality filters in the
-/// EDDPC baseline rely on that).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DistanceKind {
-    /// L2 (Euclidean) — the paper's metric.
-    #[default]
-    Euclidean,
-    /// L1 (Manhattan).
-    Manhattan,
-    /// L∞ (Chebyshev).
-    Chebyshev,
-}
-
-impl DistanceKind {
-    /// Evaluates the metric between two coordinate slices.
-    ///
-    /// # Panics
-    /// Debug-asserts that both slices have equal length.
-    #[inline]
-    pub fn eval(self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len(), "distance between mismatched dims");
-        match self {
-            DistanceKind::Euclidean => euclidean(a, b),
-            DistanceKind::Manhattan => manhattan(a, b),
-            DistanceKind::Chebyshev => chebyshev(a, b),
-        }
-    }
-
-    /// Whether `d(a, b) < threshold`, using the squared-distance fast path
-    /// for the Euclidean metric.
-    ///
-    /// Every `rho` kernel (sequential and distributed) must use this same
-    /// predicate: mixing `d² < t²` with `sqrt(d²) < t` flips pairs whose
-    /// distance ties the threshold, and with `d_c` chosen as a quantile of
-    /// the data's own distances such ties are common.
-    #[inline]
-    pub fn within(self, a: &[f64], b: &[f64], threshold: f64) -> bool {
-        match self {
-            DistanceKind::Euclidean => squared_euclidean(a, b) < threshold * threshold,
-            _ => self.eval(a, b) < threshold,
-        }
-    }
-}
 
 /// Euclidean (L2) distance.
 #[inline]
@@ -317,21 +273,6 @@ pub(crate) fn cross_on(
     }
 }
 
-/// Manhattan (L1) distance.
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Chebyshev (L∞) distance.
-#[inline]
-pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 /// Shared counter of distance evaluations.
 ///
 /// ```
@@ -349,33 +290,19 @@ pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct DistanceTracker {
     count: Arc<AtomicU64>,
-    kind: DistanceKind,
 }
 
 impl DistanceTracker {
-    /// A fresh tracker starting at zero, using Euclidean distance.
+    /// A fresh tracker starting at zero.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A fresh tracker using the given metric.
-    pub fn with_kind(kind: DistanceKind) -> Self {
-        DistanceTracker {
-            count: Arc::new(AtomicU64::new(0)),
-            kind,
-        }
-    }
-
-    /// The metric this tracker evaluates.
-    pub fn kind(&self) -> DistanceKind {
-        self.kind
-    }
-
-    /// Evaluates the metric and counts one distance measurement.
+    /// The Euclidean distance, counted as one distance measurement.
     #[inline]
     pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.kind.eval(a, b)
+        euclidean(a, b)
     }
 
     /// Counts `n` distance measurements performed externally (e.g. by a
@@ -385,12 +312,16 @@ impl DistanceTracker {
         self.count.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Threshold predicate `d(a, b) < threshold`, counted as one distance
-    /// measurement; see [`DistanceKind::within`].
+    /// Threshold predicate `d(a, b) < threshold` as `d² < threshold²`,
+    /// counted as one distance measurement.
+    ///
+    /// It is the predicate every `rho` kernel applies: mixing `d² < t²` with `sqrt(d²) < t` flips pairs whose
+    /// distance ties the threshold, and with `d_c` chosen as a quantile of
+    /// the data's own distances such ties are common.
     #[inline]
     pub fn within(&self, a: &[f64], b: &[f64], threshold: f64) -> bool {
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.kind.within(a, b, threshold)
+        squared_euclidean(a, b) < threshold * threshold
     }
 
     /// Total distance measurements recorded so far.
@@ -420,23 +351,6 @@ mod tests {
         let b = [0.0, 4.0, 2.5];
         let d = euclidean(&a, &b);
         assert!((squared_euclidean(&a, &b) - d * d).abs() < 1e-12);
-    }
-
-    #[test]
-    fn manhattan_and_chebyshev() {
-        let a = [0.0, 0.0];
-        let b = [3.0, -4.0];
-        assert_eq!(manhattan(&a, &b), 7.0);
-        assert_eq!(chebyshev(&a, &b), 4.0);
-    }
-
-    #[test]
-    fn kind_dispatch() {
-        let a = [0.0, 0.0];
-        let b = [3.0, 4.0];
-        assert_eq!(DistanceKind::Euclidean.eval(&a, &b), 5.0);
-        assert_eq!(DistanceKind::Manhattan.eval(&a, &b), 7.0);
-        assert_eq!(DistanceKind::Chebyshev.eval(&a, &b), 4.0);
     }
 
     #[test]
@@ -629,25 +543,5 @@ mod tests {
         for_each_cross_d2(&[], &[1.0, 2.0], 2, |_, _, _| called = true);
         for_each_cross_d2(&[1.0, 2.0], &[], 2, |_, _, _| called = true);
         assert!(!called);
-    }
-
-    #[test]
-    fn triangle_inequality_spot_check() {
-        // All three provided metrics must satisfy the triangle inequality,
-        // which the EDDPC filters depend on.
-        let pts = [[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]];
-        for kind in [
-            DistanceKind::Euclidean,
-            DistanceKind::Manhattan,
-            DistanceKind::Chebyshev,
-        ] {
-            let ab = kind.eval(&pts[0], &pts[1]);
-            let bc = kind.eval(&pts[1], &pts[2]);
-            let ac = kind.eval(&pts[0], &pts[2]);
-            assert!(
-                ac <= ab + bc + 1e-12,
-                "{kind:?} violates triangle inequality"
-            );
-        }
     }
 }

@@ -1,12 +1,15 @@
-//! Exact sequential Density Peaks (the O(N²) reference algorithm).
+//! Exact sequential Density Peaks: the whole data set as one
+//! [`Partition`] of [`crate::local`].
 //!
 //! This is the ground truth the distributed pipelines are validated against:
 //! Basic-DDP must match it bit-for-bit, LSH-DDP approximately (quantified by
-//! `tau1`/`tau2` from [`crate::quality`]).
+//! `tau1`/`tau2` from [`crate::quality`]). It is checked in turn against
+//! the definition — Eq. 1 and Eq. 2 as plain loops — in
+//! `crates/dp-core/tests/local.rs`.
 
 use crate::distance::DistanceTracker;
+use crate::local::{Key, Partition};
 use crate::point::{Dataset, PointId};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Sentinel upslope id for the absolute density peak (no denser point).
@@ -121,78 +124,45 @@ pub fn compute_exact(ds: &Dataset, dc: f64) -> DpResult {
     compute_exact_tracked(ds, dc, &DistanceTracker::new())
 }
 
-/// Computes exact DP, recording every distance evaluation in `tracker`.
-///
-/// Both phases are embarrassingly parallel over points and use Rayon.
-/// Distance evaluations use the tracker's metric ([`DistanceKind`]).
+/// Computes exact DP, recording every distance evaluation in `tracker`:
+/// the whole data set is one [`Partition`], so the kernels and routing
+/// rule every distributed pipeline runs per partition answer it here.
 pub fn compute_exact_tracked(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
     assert!(!ds.is_empty(), "cannot run DP on an empty dataset");
     assert!(
         dc.is_finite() && dc > 0.0,
         "d_c must be positive and finite, got {dc}"
     );
-    let n = ds.len();
-    let kind = tracker.kind();
-
-    // Phase 1: rho. For the Euclidean metric compare squared distances to
-    // avoid N² square roots.
-    let rho: Vec<u32> = (0..n as PointId)
-        .into_par_iter()
-        .map(|i| {
-            let pi = ds.point(i);
-            let mut count = 0u32;
-            for (j, pj) in ds.iter() {
-                if j != i && kind.within(pi, pj, dc) {
-                    count += 1;
-                }
-            }
-            tracker.add(n as u64 - 1);
-            count
-        })
-        .collect();
-
-    // Phase 2: delta + upslope under the canonical denser-than order.
-    let mut delta = vec![0.0f64; n];
-    let mut upslope = vec![NO_UPSLOPE; n];
-    let pairs: Vec<(f64, PointId)> = (0..n as PointId)
-        .into_par_iter()
-        .map(|i| {
-            let pi = ds.point(i);
-            let rho_i = rho[i as usize];
-            let mut best = f64::INFINITY;
-            let mut best_j = NO_UPSLOPE;
-            let mut max_d = 0.0f64;
-            for (j, pj) in ds.iter() {
-                if j == i {
-                    continue;
-                }
-                let d = kind.eval(pi, pj);
-                max_d = max_d.max(d);
-                if denser(rho[j as usize], j, rho_i, i) && (d < best || (d == best && j < best_j)) {
-                    best = d;
-                    best_j = j;
-                }
-            }
-            tracker.add(n as u64 - 1);
-            if best_j == NO_UPSLOPE {
-                // Absolute density peak: delta is its max distance to anyone.
-                (max_d, NO_UPSLOPE)
-            } else {
-                (best, best_j)
-            }
-        })
-        .collect();
-    for (i, (d, u)) in pairs.into_iter().enumerate() {
-        delta[i] = d;
-        upslope[i] = u;
-    }
-
+    let part = Partition::new(ds.as_flat(), ds.dim(), dc);
+    let (rho, evals) = part.rho();
+    tracker.add(evals);
+    let (delta, upslope) = delta_by_keys(&part, &rho, tracker);
     DpResult {
         dc,
         rho,
         delta,
         upslope,
     }
+}
+
+/// Eq. 2 over every point of `part` under the keys `(rho[i], i)`: the
+/// nearest denser point and its distance, the absolute peak's `delta`
+/// being its distance to the farthest point.
+pub(crate) fn delta_by_keys(
+    part: &Partition,
+    rho: &[u32],
+    tracker: &DistanceTracker,
+) -> (Vec<f64>, Vec<PointId>) {
+    let keys: Vec<Key> = (0..rho.len() as PointId)
+        .map(|i| (rho[i as usize], i))
+        .collect();
+    let mut delta = vec![0.0f64; keys.len()];
+    let mut upslope = vec![NO_UPSLOPE; keys.len()];
+    tracker.add(part.delta(&keys, true, |i, (d, u, maxd)| {
+        delta[i] = if u == NO_UPSLOPE { maxd } else { d };
+        upslope[i] = u;
+    }));
+    (delta, upslope)
 }
 
 #[cfg(test)]
@@ -291,12 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn tracker_records_quadratic_distance_count() {
+    fn tracker_records_the_partition_evaluations() {
         let ds = tiny();
         let t = DistanceTracker::new();
         let _ = compute_exact_tracked(&ds, 1.5, &t);
-        // rho phase: n*(n-1) + delta phase: n*(n-1)
-        assert_eq!(t.total(), 2 * 3 * 2);
+        // Three points stay pairwise: each phase evaluates the 3 pairs once.
+        assert_eq!(t.total(), 3 + 3);
     }
 
     #[test]

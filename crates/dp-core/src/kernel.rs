@@ -21,8 +21,9 @@
 //! order exactly and eliminates ties; the raw kernel densities ride along
 //! for inspection.
 
-use crate::distance::DistanceTracker;
-use crate::dp::{denser, DpResult, NO_UPSLOPE};
+use crate::distance::{euclidean, DistanceTracker};
+use crate::dp::{delta_by_keys, DpResult};
+use crate::local::Partition;
 use crate::point::{Dataset, PointId};
 use rayon::prelude::*;
 
@@ -57,7 +58,6 @@ pub fn compute_gaussian_tracked(
         "d_c must be positive and finite, got {dc}"
     );
     let n = ds.len();
-    let kind = tracker.kind();
 
     // Phase 1: continuous densities.
     let raw_rho: Vec<f64> = (0..n as PointId)
@@ -67,7 +67,7 @@ pub fn compute_gaussian_tracked(
             let mut acc = 0.0;
             for (j, pj) in ds.iter() {
                 if j != i {
-                    let d = kind.eval(pi, pj) / dc;
+                    let d = euclidean(pi, pj) / dc;
                     acc += (-d * d).exp();
                 }
             }
@@ -92,39 +92,8 @@ pub fn compute_gaussian_tracked(
 
     // Phase 2: delta/upslope under the rank order (identical to the
     // continuous denser-than order).
-    let pairs: Vec<(f64, PointId)> = (0..n as PointId)
-        .into_par_iter()
-        .map(|i| {
-            let pi = ds.point(i);
-            let rho_i = rho[i as usize];
-            let mut best = f64::INFINITY;
-            let mut best_j = NO_UPSLOPE;
-            let mut max_d = 0.0f64;
-            for (j, pj) in ds.iter() {
-                if j == i {
-                    continue;
-                }
-                let d = kind.eval(pi, pj);
-                max_d = max_d.max(d);
-                if denser(rho[j as usize], j, rho_i, i) && (d < best || (d == best && j < best_j)) {
-                    best = d;
-                    best_j = j;
-                }
-            }
-            tracker.add(n as u64 - 1);
-            if best_j == NO_UPSLOPE {
-                (max_d, NO_UPSLOPE)
-            } else {
-                (best, best_j)
-            }
-        })
-        .collect();
-    let mut delta = vec![0.0f64; n];
-    let mut upslope = vec![NO_UPSLOPE; n];
-    for (i, (d, u)) in pairs.into_iter().enumerate() {
-        delta[i] = d;
-        upslope[i] = u;
-    }
+    let part = Partition::new(ds.as_flat(), ds.dim(), dc);
+    let (delta, upslope) = delta_by_keys(&part, &rho, tracker);
 
     KernelDpResult {
         result: DpResult {
@@ -230,6 +199,8 @@ mod tests {
         let ds = two_blobs();
         let t = DistanceTracker::new();
         let _ = compute_gaussian_tracked(&ds, 0.3, &t);
-        assert_eq!(t.total(), 2 * 24 * 23);
+        // Every ordered pair for the densities, the 276 unordered pairs
+        // once for delta (24 points stay pairwise).
+        assert_eq!(t.total(), 24 * 23 + 24 * 23 / 2);
     }
 }

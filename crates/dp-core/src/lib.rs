@@ -20,13 +20,17 @@
 //! ## Modules
 //!
 //! * [`point`] — the flat, cache-friendly [`Dataset`] container;
-//! * [`distance`] — metrics and the global distance-computation counter used
-//!   by the paper's Figure 10(c) / Table IV cost accounting;
+//! * [`distance`] — the Euclidean distance, its batched kernels and the
+//!   distance-computation counter used by the paper's Figure 10(c) /
+//!   Table IV cost accounting;
 //! * [`cutoff`] — `d_c` estimation by distance percentile (paper §III-A);
-//! * [`dp`] — the exact O(N²) sequential algorithm;
-//! * [`local`] — the per-partition `rho`/`delta` kernels every distributed
-//!   pipeline calls, over [`index`]'s spatial index or the pairwise loops;
+//! * [`dp`] — the exact sequential algorithm: the whole data set as one
+//!   [`local`] partition;
+//! * [`local`] — the per-partition `rho`/`delta` kernels the exact engine
+//!   and every distributed pipeline call, over [`index`]'s spatial index
+//!   or the pairwise loops;
 //! * [`simd`] — the vector width those kernels run at, picked from the CPU;
+//! * [`kernel`] — Gaussian-kernel densities, with `delta` from [`local`];
 //! * [`decision`] — decision graph, peak selection, cluster assignment;
 //! * [`quality`] — external cluster validation (ARI, NMI, purity, pairwise
 //!   F-measure) and the paper's approximation metrics `tau1`/`tau2` (§VI-C);
@@ -59,7 +63,6 @@ pub mod cutoff;
 pub mod decision;
 pub mod distance;
 pub mod dp;
-pub mod fast;
 pub mod index;
 pub mod kernel;
 pub mod local;
@@ -72,11 +75,9 @@ pub use decision::{
     assign, compute_halo, select_by_threshold, select_top_k, Clustering, DecisionGraph,
 };
 pub use distance::{
-    for_each_cross_d2, for_each_pair_d2, nearest_in_block, squared_euclidean_block, DistanceKind,
-    DistanceTracker,
+    for_each_cross_d2, for_each_pair_d2, nearest_in_block, squared_euclidean_block, DistanceTracker,
 };
 pub use dp::{compute_exact, denser, density_order, DpResult, NO_UPSLOPE};
-pub use fast::compute_exact_fast;
 pub use index::{DensityKeys, SpatialIndex};
 pub use kernel::{compute_gaussian, KernelDpResult};
 pub use point::{Dataset, PointId};

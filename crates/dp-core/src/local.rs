@@ -1,8 +1,9 @@
 //! Local Density Peaks: the one per-partition computation of the paper
 //! (§IV) — `rho` as a count within `d_c`, `delta` as the nearest denser
 //! point, and the near pairs across clusters the halo rule reads — over a
-//! flat row-major buffer. Basic-DDP, LSH-DDP, EDDPC and the halo passes
-//! differ only in which partitions they feed it.
+//! flat row-major buffer. Exact DP ([`crate::dp`]) feeds it the whole data
+//! set; Basic-DDP, LSH-DDP, EDDPC and the halo passes differ only in which
+//! partitions they feed it.
 //!
 //! ## Routing rule
 //!
@@ -248,7 +249,7 @@ impl<'a> Partition<'a> {
     /// order that is a function of the input alone: ascending `i` on the
     /// pairwise route, descending density on the indexed one, where each
     /// point's predecessor — denser by construction — seeds its search
-    /// with a finite bound (the sorted-`rho` scan of [`crate::fast`]).
+    /// with a finite bound (the sorted-`rho` scan of the paper's §II-A).
     pub fn delta(&self, keys: &[Key], maxd: bool, mut emit: impl FnMut(usize, Nearest)) -> u64 {
         let n = self.len();
         assert_eq!(keys.len(), n, "one key per point");

@@ -9,6 +9,9 @@
 //! from 1 (grid) through 74 (kd, several lane tiles). Rows with a NaN/±inf
 //! coordinate must take the pairwise route and still agree.
 //!
+//! `compute_exact` is the whole set as one partition; it and the `delta`
+//! phase of `compute_gaussian` are checked against the same definitions.
+//!
 //! Every route also runs at both vector widths: each kernel's answers and
 //! evaluation counts on the width `Isa::detect` picks must equal those of
 //! the forced baseline build.
@@ -17,7 +20,7 @@ use dp_core::distance::squared_euclidean;
 use dp_core::dp::{denser, NO_UPSLOPE};
 use dp_core::local::{use_indexed, Key, Nearest, Partition, AUTO_MIN_POINTS};
 use dp_core::simd::Isa;
-use dp_core::PointId;
+use dp_core::{compute_exact, compute_gaussian, Dataset, PointId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -484,6 +487,50 @@ proptest! {
             if route == "pairwise" || m < AUTO_MIN_POINTS {
                 prop_assert_eq!(evals, (n * m) as u64, "{}: one pass, each pair once", route);
             }
+        }
+    }
+
+    /// Exact DP end to end: Eq. 1, then Eq. 2 under the keys `(rho, id)`,
+    /// the absolute peak's `delta` being its `maxd`. The Gaussian variant's
+    /// `delta` and upslope follow the same definition under its rank keys.
+    #[test]
+    fn exact_dp_is_eq_1_then_eq_2(
+        seed in any::<u64>(), dim_ix in 0usize..8, big in any::<bool>(),
+        k in 1u32..=12, jitter in any::<bool>(), hostile in any::<bool>(),
+        one in any::<bool>(),
+    ) {
+        let mut c = case(seed, dim_ix, (big, false), k, jitter, hostile);
+        if one || c.flat.is_empty() {
+            c.flat = rows(&mut c.rng, 1, c.dim, jitter);
+            if hostile {
+                poison(&mut c.rng, &mut c.flat);
+            }
+        }
+        let (dim, flat) = (c.dim, &c.flat);
+        let n = flat.len() / dim;
+        let want_rho: Vec<u32> = (0..n)
+            .map(|i| brute_rho(row(flat, dim, i), flat, dim, c.dc, Some(i)))
+            .collect();
+        let eq_2 = |rho: &[u32]| -> (Vec<u64>, Vec<PointId>) {
+            let keys: Vec<Key> = (0..n as PointId).map(|i| (rho[i as usize], i)).collect();
+            let fresh = ((INF, NO_UPSLOPE), INF);
+            (0..n)
+                .map(|i| {
+                    let q = (row(flat, dim, i), keys[i]);
+                    let (d, u, maxd) = brute_delta(q, (flat, &keys), dim, fresh, true, Some(i));
+                    ((if u == NO_UPSLOPE { maxd } else { d }).to_bits(), u)
+                })
+                .unzip()
+        };
+        let delta_bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let ds = Dataset::from_flat(dim, flat.clone());
+        let exact = compute_exact(&ds, c.dc);
+        prop_assert_eq!(&exact.rho, &want_rho);
+        prop_assert_eq!((delta_bits(&exact.delta), exact.upslope), eq_2(&want_rho));
+        // Gaussian densities of a non-finite row are NaN and have no rank.
+        if flat.iter().all(|x| x.is_finite()) {
+            let gauss = compute_gaussian(&ds, c.dc).result;
+            prop_assert_eq!((delta_bits(&gauss.delta), gauss.upslope), eq_2(&gauss.rho));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The extensions beyond the paper's core: Gaussian-kernel densities,
-//! cluster halos, the accelerated sequential path, and fully distributed
-//! cluster assignment by pointer jumping.
+//! cluster halos, the exact engine's distance evaluations, and fully
+//! distributed cluster assignment by pointer jumping.
 //!
 //! ```sh
 //! cargo run --release --example extensions
@@ -46,17 +46,18 @@ fn main() {
         ari(kernel_out.clustering.labels(), &truth)
     );
 
-    // --- 2. The accelerated sequential path (§II-A) -------------------
-    let t_plain = DistanceTracker::new();
-    let _ = dp_core::dp::compute_exact_tracked(&ds, dc, &t_plain);
-    let t_fast = DistanceTracker::new();
-    let fast = dp_core::fast::compute_exact_fast_tracked(&ds, dc, 8, &t_fast);
-    assert_eq!(fast.rho, cutoff.rho, "fast path is bit-identical");
+    // --- 2. What the exact engine evaluates ---------------------------
+    // One kd self-join for rho, one nearest-denser search per point for
+    // delta, against the two all-pairs loops' 2·n(n−1).
+    let tracker = DistanceTracker::new();
+    let exact = dp_core::dp::compute_exact_tracked(&ds, dc, &tracker);
+    assert_eq!(exact, cutoff, "counting changes no bit");
+    let n = ds.len() as u64;
+    let all_pairs = 2 * n * (n - 1);
     println!(
-        "\ntriangle-inequality filter: {} -> {} distance evaluations ({:.1}x fewer)",
-        t_plain.total(),
-        t_fast.total(),
-        t_plain.total() as f64 / t_fast.total() as f64
+        "\nexact DP: {} distance evaluations vs {all_pairs} all-pairs ({:.1}x fewer)",
+        tracker.total(),
+        all_pairs as f64 / tracker.total() as f64
     );
 
     // --- 3. Halo detection --------------------------------------------

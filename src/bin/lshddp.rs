@@ -401,10 +401,23 @@ impl Opts {
         }
     }
 
-    fn resolve_dc(&self, ds: &Dataset) -> f64 {
-        self.dc.unwrap_or_else(|| {
-            dp_core::cutoff::estimate_dc_sampled(ds, self.percentile, self.samples, self.seed)
-        })
+    /// `--dc`, or the estimate from the data; either must be positive and
+    /// finite, and an estimate needs two points.
+    fn resolve_dc(&self, ds: &Dataset) -> Result<f64, String> {
+        let dc = match self.dc {
+            Some(dc) => dc,
+            None if ds.len() >= 2 => {
+                dp_core::cutoff::estimate_dc_sampled(ds, self.percentile, self.samples, self.seed)
+            }
+            None => f64::NAN,
+        };
+        if dc.is_finite() && dc > 0.0 {
+            return Ok(dc);
+        }
+        Err(format!(
+            "d_c must be positive and finite, got {dc} (an estimate needs two \
+             distinct points); set it with --dc"
+        ))
     }
 }
 
@@ -454,8 +467,7 @@ fn generate(o: &Opts) -> Result<(), String> {
 }
 
 fn estimate_dc(o: &Opts) -> Result<(), String> {
-    let ld = o.load()?;
-    let dc = dp_core::cutoff::estimate_dc_sampled(&ld.data, o.percentile, o.samples, o.seed);
+    let dc = o.resolve_dc(&o.load()?.data)?;
     println!("{dc}");
     Ok(())
 }
@@ -464,9 +476,8 @@ fn cluster(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
-    let dc = o.resolve_dc(ds);
 
-    // K-means is the odd one out (no decision graph).
+    // K-means is the odd one out (no decision graph, no d_c).
     if o.algorithm == "kmeans" {
         let k = o.k.ok_or("--k is required for kmeans")?;
         let fit = KMeans::new(k, o.seed).fit(ds);
@@ -479,6 +490,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
     }
 
     // The DP family: compute (rho, delta), then select + assign.
+    let dc = o.resolve_dc(ds)?;
     let (result, report): (DpResult, Option<ddp::stats::RunReport>) = match o.algorithm.as_str() {
         "exact" => (compute_exact(ds, dc), None),
         "kernel" => (dp_core::compute_gaussian(ds, dc).result, None),
@@ -603,7 +615,7 @@ fn graph(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
-    let dc = o.resolve_dc(ds);
+    let dc = o.resolve_dc(ds)?;
     let result = match o.algorithm.as_str() {
         "lsh" => {
             LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed)
@@ -626,7 +638,7 @@ fn graph(o: &Opts) -> Result<(), String> {
 fn tune(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
-    let dc = o.resolve_dc(ds);
+    let dc = o.resolve_dc(ds)?;
     let spec = mapreduce::ClusterSpec::local_cluster();
     let report = ddp::tuning::autotune(ds, dc, o.accuracy, &spec, &RECOMMENDED_GRID, 1000, o.seed)
         .map_err(|e| e.to_string())?;
@@ -662,7 +674,7 @@ fn fit(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
-    let dc = o.resolve_dc(ds);
+    let dc = o.resolve_dc(ds)?;
 
     let ddp =
         LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed).map_err(|e| e.to_string())?;

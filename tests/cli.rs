@@ -275,6 +275,56 @@ fn non_finite_input_is_a_clean_error() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// One row, and three identical rows: without `--dc` there is no `d_c` to
+/// estimate (one row) or the estimate is 0 (duplicates), and every command
+/// that needs one says so; with `--dc 1.0` each makes one cluster.
+#[test]
+fn degenerate_inputs_need_dc_then_make_one_cluster() {
+    let commands: [&[&str]; 8] = [
+        &["dc"],
+        &["cluster", "--algorithm", "exact"],
+        &["cluster", "--algorithm", "basic"],
+        &["cluster", "--algorithm", "kernel"],
+        &["cluster", "--algorithm", "lsh"],
+        &["cluster", "--algorithm", "eddpc"],
+        &["graph", "--algorithm", "exact"],
+        &["fit"],
+    ];
+    for (name, rows) in [
+        ("one-row", "1.0,2.0\n"),
+        ("same-rows", &"1.0,2.0\n".repeat(3)),
+    ] {
+        let points = tmp(&format!("{name}.csv"));
+        std::fs::write(&points, rows).expect("write input");
+        for args in commands {
+            let run = |dc: &[&str]| {
+                bin()
+                    .args(args)
+                    .args(dc)
+                    .arg("--input")
+                    .arg(&points)
+                    .arg("--out")
+                    .arg(tmp(&format!("{name}-out")))
+                    .output()
+                    .expect("run")
+            };
+            let out = run(&[]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+            assert!(stderr.contains("--dc"), "{name} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+
+            let out = run(&["--dc", "1.0"]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{name} {args:?}: {stderr}");
+            if matches!(args[0], "cluster" | "fit") {
+                assert!(stdout.contains(" 1 clusters"), "{name} {args:?}: {stdout}");
+            }
+        }
+    }
+}
+
 /// `stats` with a live listener and an SLO monitor: the endpoints answer
 /// while the process lingers, and `/metrics` is well-formed Prometheus
 /// text carrying the SLO gauges and a non-zero per-batch heap peak.
