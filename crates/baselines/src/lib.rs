@@ -18,10 +18,8 @@ pub mod dbscan;
 pub mod em;
 pub mod hierarchical;
 pub mod kmeans;
-pub mod kmeans_parallel;
 
 pub use dbscan::{Dbscan, DbscanResult};
 pub use em::{EmGmm, EmResult};
 pub use hierarchical::{Hierarchical, Linkage};
 pub use kmeans::{KMeans, KMeansResult, MapReduceKMeans};
-pub use kmeans_parallel::{KMeansParallel, KMeansParallelResult};

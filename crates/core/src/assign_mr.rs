@@ -25,7 +25,7 @@ use crate::common::PipelineConfig;
 use dp_core::decision::Clustering;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
 use dp_core::PointId;
-use mapreduce::{plan, Emitter, JobBuilder, JobMetrics, Mapper, Reducer, Stage};
+use mapreduce::{plan, Emitter, JobMetrics, Mapper, Reducer, Stage};
 
 /// One round's record: a point and its current pointer.
 type Ptr = (PointId, PointId);
@@ -103,59 +103,6 @@ pub fn assign_distributed(
     pipeline: &PipelineConfig,
 ) -> DistributedAssignment {
     let _pipeline_span = obsv::span!("pipeline", "assign-mr");
-    let job_cfg = pipeline.job_config();
-    let mut driver = pipeline.driver();
-    let clustering = pointer_jump(result, peaks, |round, ptrs| {
-        // Each round's input is freshly doubled pointers, so no two
-        // rounds share a source and nothing is elidable — but routing
-        // every round through the driver still buys auto-recorded
-        // metrics and per-stage spans.
-        driver.run_plan(
-            plan(format!("assign/jump-{round}"))
-                .rows(ptrs)
-                .stage(
-                    Stage::new(format!("assign/jump-{round}"), JumpMapper, JumpReducer)
-                        .config(job_cfg),
-                )
-                .build(),
-        )
-    });
-    DistributedAssignment {
-        clustering,
-        rounds: driver.into_history(),
-    }
-}
-
-/// The pre-plan execution path of [`assign_distributed`]: the same
-/// rounds hand-chained through [`JobBuilder`]. Retained as the
-/// equivalence-suite reference.
-pub fn assign_distributed_reference(
-    result: &DpResult,
-    peaks: &[PointId],
-    pipeline: &PipelineConfig,
-) -> DistributedAssignment {
-    let _pipeline_span = obsv::span!("pipeline", "assign-mr-reference");
-    let job_cfg = pipeline.job_config();
-    let mut rounds = Vec::new();
-    let clustering = pointer_jump(result, peaks, |round, ptrs| {
-        let (next, metrics) =
-            JobBuilder::new(format!("assign/jump-{round}"), JumpMapper, JumpReducer)
-                .config(job_cfg)
-                .run(ptrs);
-        rounds.push(metrics);
-        next
-    });
-    DistributedAssignment { clustering, rounds }
-}
-
-/// Pointer-doubling driver loop shared by the plan and reference paths:
-/// `run_round` executes one jump job over the current pointer table and
-/// returns its raw output.
-fn pointer_jump(
-    result: &DpResult,
-    peaks: &[PointId],
-    mut run_round: impl FnMut(usize, Vec<Ptr>) -> Vec<Ptr>,
-) -> Clustering {
     assert!(!peaks.is_empty(), "at least one density peak is required");
     let n = result.len();
     let mut peak_cluster = vec![u32::MAX; n];
@@ -186,9 +133,21 @@ fn pointer_jump(
         .collect();
 
     // Pointer doubling until fixpoint (at most ceil(log2 n) + 1 rounds).
+    // Each round's input is freshly doubled pointers, so no two rounds
+    // share a source and nothing is elidable — but routing every round
+    // through the driver still buys auto-recorded metrics and per-stage
+    // spans.
+    let job_cfg = pipeline.job_config();
+    let mut driver = pipeline.driver();
     let max_rounds = (usize::BITS - n.leading_zeros()) as usize + 1;
     for round in 0..max_rounds {
-        let next = run_round(round, ptrs.clone());
+        let name = format!("assign/jump-{round}");
+        let next = driver.run_plan(
+            plan(name.clone())
+                .rows(ptrs.clone())
+                .stage(Stage::new(name, JumpMapper, JumpReducer).config(job_cfg))
+                .build(),
+        );
         // Each point receives its own (unchanged) pointer from its key's
         // reduce and — unless it was already a self-loop — the doubled
         // pointer from its target's reduce. The doubled one is whichever
@@ -223,7 +182,10 @@ fn pointer_jump(
         })
         .collect();
 
-    Clustering::from_labels(labels, peaks.len() as u32)
+    DistributedAssignment {
+        clustering: Clustering::from_labels(labels, peaks.len() as u32),
+        rounds: driver.into_history(),
+    }
 }
 
 #[cfg(test)]

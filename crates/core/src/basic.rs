@@ -21,16 +21,14 @@
 //! distance matrix on the DFS (§III-A, Step 2).
 
 use crate::common::{
-    assemble_delta, dc_sampling_stage, density_keys, flatten_coords, point_records, point_snapshot,
-    DeltaPartial, IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    assemble_delta, dc_sampling_stage, density_keys, flatten_coords, point_snapshot, DeltaPartial,
+    MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
 use dp_core::local::Partition;
 use dp_core::{Dataset, DistanceTracker, PointId};
-use mapreduce::{
-    plan, Combiner, Driver, Emitter, JobBuilder, JobMetrics, Mapper, ReduceStage, Reducer, Snapshot,
-};
+use mapreduce::{plan, Combiner, Driver, Emitter, JobMetrics, Mapper, Reducer, Snapshot, Stage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -280,8 +278,9 @@ impl BasicDdp {
     /// Runs the pipeline on a caller-supplied scheduler. This is the
     /// kill-and-resume entry point: a checkpointing driver whose previous
     /// run of this pipeline was killed mid-stage still holds the
-    /// materialized stage outputs in its [`Dfs`], so the rerun resumes
-    /// from the last checkpoint instead of recomputing from scratch.
+    /// materialized stage outputs in its [`Dfs`](mapreduce::Dfs), so the
+    /// rerun resumes from the last checkpoint instead of recomputing from
+    /// scratch.
     pub fn run_with_driver(&self, ds: &Dataset, dc: f64, driver: Driver) -> RunReport {
         let snap = point_snapshot(ds);
         self.run_tracked(
@@ -326,7 +325,7 @@ impl BasicDdp {
                 n_blocks,
             })
             .reduce_stage(
-                ReduceStage::new(
+                Stage::reduce_only(
                     "basic/rho-block",
                     RhoBlockReducer {
                         dc,
@@ -338,7 +337,7 @@ impl BasicDdp {
                 .finalize(dist_snapshot(&tracker)),
             )
             .reduce_stage(
-                ReduceStage::new("basic/rho-combine", SumReducer)
+                Stage::reduce_only("basic/rho-combine", SumReducer)
                     .combiner(SumCombiner)
                     .config(job_cfg)
                     .finalize(dist_snapshot(&tracker)),
@@ -362,7 +361,7 @@ impl BasicDdp {
                 n_blocks,
             })
             .reduce_stage(
-                ReduceStage::new(
+                Stage::reduce_only(
                     "basic/delta-block",
                     DeltaBlockReducer {
                         rho: rho.clone(),
@@ -375,7 +374,7 @@ impl BasicDdp {
                 .finalize(dist_snapshot(&tracker)),
             )
             .reduce_stage(
-                ReduceStage::new("basic/delta-combine", MinDeltaReducer)
+                Stage::reduce_only("basic/delta-combine", MinDeltaReducer)
                     .combiner(MinDeltaCombiner)
                     .config(job_cfg)
                     .finalize(dist_snapshot(&tracker)),
@@ -390,100 +389,6 @@ impl BasicDdp {
         RunReport {
             algorithm: "basic-ddp".into(),
             jobs: driver.into_history(),
-            distances: tracker.total(),
-            wall: start.elapsed(),
-            result: DpResult {
-                dc,
-                rho,
-                delta,
-                upslope,
-            },
-        }
-    }
-
-    /// The pre-plan execution path: the same four jobs hand-chained
-    /// through [`JobBuilder`], one input materialization per blocked job,
-    /// no elision. Retained as the equivalence-suite reference.
-    pub fn run_reference(&self, ds: &Dataset, dc: f64) -> RunReport {
-        let _pipeline_span = obsv::span!("pipeline", "basic-ddp-reference");
-        assert!(!ds.is_empty(), "cannot cluster an empty dataset");
-        assert!(dc.is_finite() && dc > 0.0, "d_c must be positive, got {dc}");
-        let tracker = DistanceTracker::new();
-        let start = Instant::now();
-        let n = ds.len();
-        let n_blocks = n.div_ceil(self.config.block_size) as u32;
-        let job_cfg = self.config.pipeline.job_config();
-        let mut jobs: Vec<JobMetrics> = Vec::with_capacity(4);
-        let snap = |m: &mut JobMetrics, t: &DistanceTracker| {
-            m.user.insert("distances".into(), t.total());
-        };
-
-        let (rho_partials, mut m1) = JobBuilder::new(
-            "basic/rho-block",
-            BlockMapper {
-                block_size: self.config.block_size,
-                n_blocks,
-            },
-            RhoBlockReducer {
-                dc,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m1, &tracker);
-        jobs.push(m1);
-
-        let (rho_out, mut m2) = JobBuilder::new(
-            "basic/rho-combine",
-            IdentityMapper::<PointId, u32>::new(),
-            SumReducer,
-        )
-        .combiner(SumCombiner)
-        .config(job_cfg)
-        .run(rho_partials);
-        snap(&mut m2, &tracker);
-        jobs.push(m2);
-
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
-
-        let (delta_partials, mut m3) = JobBuilder::new(
-            "basic/delta-block",
-            BlockMapper {
-                block_size: self.config.block_size,
-                n_blocks,
-            },
-            DeltaBlockReducer {
-                rho: rho.clone(),
-                dc,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m3, &tracker);
-        jobs.push(m3);
-
-        let (delta_out, mut m4) = JobBuilder::new(
-            "basic/delta-combine",
-            IdentityMapper::<PointId, DeltaPartial>::new(),
-            MinDeltaReducer,
-        )
-        .combiner(MinDeltaCombiner)
-        .config(job_cfg)
-        .run(delta_partials);
-        snap(&mut m4, &tracker);
-        jobs.push(m4);
-
-        let (delta, upslope) = assemble_delta(n, delta_out, true);
-        let rho = Arc::try_unwrap(rho).unwrap_or_else(|arc| (*arc).clone());
-        RunReport {
-            algorithm: "basic-ddp".into(),
-            jobs,
             distances: tracker.total(),
             wall: start.elapsed(),
             result: DpResult {

@@ -4,7 +4,6 @@
 use dp_core::dp::NO_UPSLOPE;
 use dp_core::local::Key;
 use dp_core::{Dataset, DistanceTracker, PointId};
-use mapreduce::task::{MrKey, MrValue};
 use mapreduce::{
     plan, Combiner, Driver, Emitter, JobConfig, JobMetrics, Mapper, Reducer, Snapshot, Stage,
 };
@@ -22,29 +21,26 @@ pub struct PipelineConfig {
     pub map_tasks: usize,
     /// Reduce tasks per job (0 = one per hardware thread).
     pub reduce_tasks: usize,
-    /// Optional task-failure injection applied to every job of the
-    /// pipeline — end-to-end fault-tolerance testing (retried attempts
-    /// are invisible in results and counted in
-    /// [`mapreduce::JobMetrics::task_retries`]).
+    /// Optional chaos injection (crashes + stragglers + corruption +
+    /// partition loss) applied to every job of the pipeline — end-to-end
+    /// fault-tolerance testing: retried attempts are invisible in results
+    /// and counted in [`mapreduce::JobMetrics::task_retries`]. A crash-only
+    /// [`mapreduce::FaultPlan`] converts with `into()`.
     #[serde(default)]
-    pub fault: Option<mapreduce::FaultPlan>,
-    /// Restricts [`Self::fault`] to the single named stage (see
+    pub chaos: Option<mapreduce::ChaosPlan>,
+    /// Restricts [`Self::chaos`] to the single named stage (see
     /// [`Self::job_config_for`]). The failure schedule is a pure
     /// function of `(seed, phase, task, attempt)` with no job identity,
     /// so an unrestricted doomed plan always dies at the *first* stage —
     /// kill-and-restart drills scope the doom to a later stage with this
     /// so earlier stages complete (and checkpoint) first. `None` applies
-    /// the fault everywhere.
+    /// the plan everywhere.
     #[serde(with = "fault_stage_serde", default)]
     pub fault_stage: Option<&'static str>,
-    /// Optional full chaos injection (crashes + stragglers + corruption +
-    /// partition loss) applied to every job of the pipeline. Takes
-    /// precedence over [`Self::fault`] when both are set.
-    #[serde(default)]
-    pub chaos: Option<mapreduce::ChaosPlan>,
     /// Disables the scheduler's co-partitioned shuffle elision (see
-    /// [`mapreduce::plan`]). Outputs are bit-identical either way; the
-    /// switch exists for A/B measurement of the shuffle savings.
+    /// [`mapreduce::plan`](mod@mapreduce::plan)). Outputs are
+    /// bit-identical either way; the switch exists for A/B measurement of
+    /// the shuffle savings.
     #[serde(default)]
     pub disable_elision: bool,
     /// Enables stage-granular checkpointing on the pipeline's scheduler
@@ -94,29 +90,19 @@ impl PipelineConfig {
             } else {
                 self.reduce_tasks
             },
-            fault: self.fault,
             chaos: self.chaos,
         }
     }
 
     /// [`Self::job_config`] scoped to the stage named `stage`: when
-    /// [`Self::fault_stage`] names a different stage, the fault plan is
-    /// stripped so only the targeted stage can die. Chaos plans are
-    /// unaffected (they model environment-wide weather, not a drill).
+    /// [`Self::fault_stage`] names a different stage, the chaos plan is
+    /// stripped so only the targeted stage can die.
     pub fn job_config_for(&self, stage: &str) -> JobConfig {
         let mut cfg = self.job_config();
-        if let Some(only) = self.fault_stage {
-            if only != stage {
-                cfg.fault = None;
-            }
+        if self.fault_stage.is_some_and(|only| only != stage) {
+            cfg.chaos = None;
         }
         cfg
-    }
-
-    /// The effective chaos plan (explicit [`Self::chaos`], else
-    /// [`Self::fault`] lifted to a crash-only plan, else `None`).
-    pub fn effective_chaos(&self) -> Option<mapreduce::ChaosPlan> {
-        self.chaos.or(self.fault.map(mapreduce::ChaosPlan::from))
     }
 
     /// A plan scheduler configured by this pipeline config: elision on
@@ -232,33 +218,6 @@ impl Reducer for MinDeltaReducer {
     type OutValue = DeltaPartial;
     fn reduce(&self, k: &PointId, vs: Vec<DeltaPartial>, out: &mut Emitter<PointId, DeltaPartial>) {
         out.emit(*k, merge_delta_partials(vs));
-    }
-}
-
-/// Pass-through mapper for aggregation jobs whose inputs are already
-/// keyed intermediate records.
-pub struct IdentityMapper<K, V>(std::marker::PhantomData<fn(K, V)>);
-
-impl<K, V> IdentityMapper<K, V> {
-    /// A fresh identity mapper.
-    pub fn new() -> Self {
-        IdentityMapper(std::marker::PhantomData)
-    }
-}
-
-impl<K, V> Default for IdentityMapper<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: MrKey, V: MrValue> Mapper for IdentityMapper<K, V> {
-    type InKey = K;
-    type InValue = V;
-    type OutKey = K;
-    type OutValue = V;
-    fn map(&self, k: K, v: V, out: &mut Emitter<K, V>) {
-        out.emit(k, v);
     }
 }
 

@@ -1,6 +1,6 @@
 //! EDDPC — the state-of-the-art *exact* distributed DP comparator
 //! (paper §VI-D, Table IV; re-implemented from its published description,
-//! ref [21] of the paper).
+//! ref \[21\] of the paper).
 //!
 //! EDDPC partitions the data with a **Voronoi diagram** around a sampled
 //! set of pivots and uses careful replication/filtering to keep results
@@ -26,15 +26,15 @@
 //! exactly the trade-off Table IV of the paper measures.
 
 use crate::common::{
-    assemble_delta, density_keys, flatten_coords, point_records, point_snapshot, DeltaPartial,
-    IdentityMapper, MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    assemble_delta, density_keys, flatten_coords, point_snapshot, DeltaPartial, MinDeltaCombiner,
+    MinDeltaReducer, PipelineConfig,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
 use dp_core::dp::{denser, DpResult, NO_UPSLOPE};
 use dp_core::local::Partition;
 use dp_core::{Dataset, DistanceTracker, PointId};
-use mapreduce::{plan, Emitter, JobBuilder, JobMetrics, Mapper, ReduceStage, Reducer, Stage};
+use mapreduce::{plan, Emitter, JobMetrics, Mapper, Reducer, Stage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -478,7 +478,7 @@ impl Eddpc {
             plan("eddpc/delta-merge")
                 .rows(merged_input)
                 .reduce_stage(
-                    ReduceStage::new("eddpc/delta-merge", MinDeltaReducer)
+                    Stage::reduce_only("eddpc/delta-merge", MinDeltaReducer)
                         .combiner(MinDeltaCombiner)
                         .config(job_cfg)
                         .finalize(dist_snapshot(&tracker)),
@@ -491,127 +491,6 @@ impl Eddpc {
         RunReport {
             algorithm: "eddpc".into(),
             jobs: driver.into_history(),
-            distances: tracker.total(),
-            wall: start.elapsed(),
-            result: DpResult {
-                dc,
-                rho,
-                delta,
-                upslope,
-            },
-        }
-    }
-
-    /// The pre-plan execution path: the same four jobs hand-chained
-    /// through [`JobBuilder`], one input materialization per point-file
-    /// job. Retained as the equivalence-suite reference.
-    pub fn run_reference(&self, ds: &Dataset, dc: f64) -> RunReport {
-        let _pipeline_span = obsv::span!("pipeline", "eddpc-reference");
-        assert!(!ds.is_empty(), "cannot cluster an empty dataset");
-        assert!(dc.is_finite() && dc > 0.0, "d_c must be positive, got {dc}");
-        let tracker = DistanceTracker::new();
-        let start = Instant::now();
-        let n = ds.len();
-        let job_cfg = self.config.pipeline.job_config();
-        let pivots = sample_pivots(ds, self.config.n_pivots, self.config.seed);
-        let mut jobs: Vec<JobMetrics> = Vec::with_capacity(4);
-        let snap = |m: &mut JobMetrics, t: &DistanceTracker| {
-            m.user.insert("distances".into(), t.total());
-        };
-
-        let index = Arc::new(PivotIndex::build(ds, &pivots, &tracker));
-
-        let (rho_out, mut m1) = JobBuilder::new(
-            "eddpc/rho-voronoi",
-            RhoVoronoiMapper {
-                index: index.clone(),
-                dc,
-            },
-            RhoVoronoiReducer {
-                dc,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m1, &tracker);
-        jobs.push(m1);
-
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
-
-        let (round1, mut m2) = JobBuilder::new(
-            "eddpc/delta-local",
-            OwnerMapper {
-                index: index.clone(),
-            },
-            DeltaRound1Reducer {
-                rho: rho.clone(),
-                dc,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m2, &tracker);
-        jobs.push(m2);
-
-        let mut ub = vec![f64::INFINITY; n];
-        for (id, (d, _, _)) in &round1 {
-            ub[*id as usize] = *d;
-        }
-        let ub = Arc::new(ub);
-
-        let mut cell_max = vec![(0u32, PointId::MAX); index.p];
-        for i in 0..n as PointId {
-            let cell = index.own(i) as usize;
-            let (mr, mi) = cell_max[cell];
-            if mi == PointId::MAX || denser(rho[i as usize], i, mr, mi) {
-                cell_max[cell] = (rho[i as usize], i);
-            }
-        }
-        let cell_max = Arc::new(cell_max);
-
-        let (round2, mut m3) = JobBuilder::new(
-            "eddpc/delta-refine",
-            DeltaRound2Mapper {
-                index,
-                ub,
-                cell_max,
-                rho: rho.clone(),
-            },
-            DeltaRound2Reducer {
-                rho: rho.clone(),
-                dc,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m3, &tracker);
-        jobs.push(m3);
-
-        let mut merged_input = round1;
-        merged_input.extend(round2);
-        let (delta_out, mut m4) = JobBuilder::new(
-            "eddpc/delta-merge",
-            IdentityMapper::<PointId, DeltaPartial>::new(),
-            MinDeltaReducer,
-        )
-        .combiner(MinDeltaCombiner)
-        .config(job_cfg)
-        .run(merged_input);
-        snap(&mut m4, &tracker);
-        jobs.push(m4);
-
-        let (delta, upslope) = assemble_delta(n, delta_out, true);
-        let rho = Arc::try_unwrap(rho).unwrap_or_else(|arc| (*arc).clone());
-        RunReport {
-            algorithm: "eddpc".into(),
-            jobs,
             distances: tracker.total(),
             wall: start.elapsed(),
             result: DpResult {

@@ -25,7 +25,7 @@ use dp_core::dp::DpResult;
 use dp_core::local::Partition;
 use dp_core::{Dataset, DistanceTracker, PointId};
 use lsh::{MultiLsh, Signature};
-use mapreduce::{plan, Emitter, JobBuilder, JobMetrics, Mapper, Reducer, Stage};
+use mapreduce::{plan, Emitter, JobMetrics, Mapper, Reducer, Stage};
 use std::sync::Arc;
 
 type PartitionKey = (u16, Signature);
@@ -153,61 +153,6 @@ pub fn compute_halo_distributed(
         .into_history()
         .pop()
         .expect("halo pipeline ran one stage");
-
-    let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
-    for (c, b) in candidates {
-        let slot = &mut border_rho[c as usize];
-        *slot = (*slot).max(b);
-    }
-    let halo = (0..ds.len())
-        .map(|i| {
-            let b = border_rho[labels[i] as usize];
-            b > 0 && result.rho[i] <= b
-        })
-        .collect();
-    DistributedHalo {
-        halo,
-        border_rho,
-        job,
-    }
-}
-
-/// The pre-plan execution path of [`compute_halo_distributed`]: the same
-/// job hand-chained through [`JobBuilder`]. Retained as the
-/// equivalence-suite reference.
-pub fn compute_halo_distributed_reference(
-    ds: &Dataset,
-    result: &DpResult,
-    clustering: &Clustering,
-    config: &LshDdpConfig,
-    pipeline: &PipelineConfig,
-) -> DistributedHalo {
-    let _pipeline_span = obsv::span!("pipeline", "halo-mr-reference");
-    assert_eq!(ds.len(), result.len(), "result must cover the dataset");
-    assert_eq!(
-        ds.len(),
-        clustering.len(),
-        "clustering must cover the dataset"
-    );
-    let tracker = DistanceTracker::new();
-    let multi = Arc::new(MultiLsh::new(ds.dim(), &config.params, config.seed));
-    let rho = Arc::new(result.rho.clone());
-    let labels = Arc::new(clustering.labels().to_vec());
-
-    let input: Vec<(PointId, Vec<f64>)> = ds.iter().map(|(id, p)| (id, p.to_vec())).collect();
-    let (candidates, mut job) = JobBuilder::new(
-        "halo/border-scan",
-        HaloPartitionMapper { multi },
-        BorderReducer {
-            dc: result.dc,
-            rho: rho.clone(),
-            labels: labels.clone(),
-            tracker: tracker.clone(),
-        },
-    )
-    .config(pipeline.job_config())
-    .run(input);
-    job.user.insert("distances".into(), tracker.total());
 
     let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
     for (c, b) in candidates {

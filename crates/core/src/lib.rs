@@ -16,7 +16,7 @@
 //!   of every partition they visit keep `delta = ∞` and become peak
 //!   candidates — the paper's key trick for the non-local `delta`.
 //! * [`eddpc`] — **EDDPC** (the paper's state-of-the-art exact comparator,
-//!   ref [21]): Voronoi partitioning around sampled pivots, `rho` via
+//!   ref \[21\]): Voronoi partitioning around sampled pivots, `rho` via
 //!   triangle-inequality bounded replication, and exact `delta` via a
 //!   two-round bounded search.
 //!

@@ -20,8 +20,7 @@
 //!    max finite `delta` before drawing the decision graph.
 
 use crate::common::{
-    dc_sampling_stage, density_keys, flatten_coords, point_records, point_snapshot, IdentityMapper,
-    PipelineConfig, PointRecord,
+    dc_sampling_stage, density_keys, flatten_coords, point_snapshot, PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
@@ -29,9 +28,7 @@ use dp_core::local::Partition;
 use dp_core::{Dataset, DistanceTracker, PointId};
 use lsh::tuning::TuningError;
 use lsh::{LshParams, MultiLsh, Signature};
-use mapreduce::{
-    plan, Combiner, Driver, Emitter, JobBuilder, JobMetrics, Mapper, ReduceStage, Reducer, Snapshot,
-};
+use mapreduce::{plan, Combiner, Driver, Emitter, JobMetrics, Mapper, Reducer, Snapshot, Stage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -386,14 +383,14 @@ impl LshDdp {
         )
     }
 
-    /// Which layouts the effective chaos plan declares permanently lost.
+    /// Which layouts the pipeline's chaos plan declares permanently lost.
     ///
     /// # Panics
     /// Panics when *every* layout is lost — with no surviving layout there
     /// is nothing to aggregate and no principled degraded answer.
     fn lost_layouts(&self) -> Arc<Vec<bool>> {
         let m = self.config.params.m;
-        let lost: Vec<bool> = match self.config.pipeline.effective_chaos() {
+        let lost: Vec<bool> = match self.config.pipeline.chaos {
             Some(c) => (0..m)
                 .map(|i| c.loses_partition(LAYOUT_LOSS_SCOPE, i))
                 .collect(),
@@ -433,7 +430,7 @@ impl LshDdp {
         // ---- Jobs 1 + 2: LSH partition + local rho, aggregate over
         // layouts. The local stage declares the layout contract, retaining
         // its post-shuffle partitions for job 3.
-        let local_rho = ReduceStage::new(
+        let local_rho = Stage::reduce_only(
             "lsh/rho-local",
             LocalRhoReducer {
                 dc,
@@ -453,7 +450,7 @@ impl LshDdp {
                 })
                 .reduce_stage(local_rho)
                 .reduce_stage(
-                    ReduceStage::new("lsh/rho-aggregate", MaxReducer)
+                    Stage::reduce_only("lsh/rho-aggregate", MaxReducer)
                         .combiner(MaxCombiner)
                         .config(self.config.pipeline.job_config_for("lsh/rho-aggregate"))
                         .finalize(dist_snapshot(&tracker)),
@@ -467,7 +464,7 @@ impl LshDdp {
                 })
                 .reduce_stage(local_rho)
                 .reduce_stage(
-                    ReduceStage::new("lsh/rho-aggregate-mean", MeanReducer)
+                    Stage::reduce_only("lsh/rho-aggregate-mean", MeanReducer)
                         .config(
                             self.config
                                 .pipeline
@@ -497,7 +494,7 @@ impl LshDdp {
                 lost: lost.clone(),
             })
             .reduce_stage(
-                ReduceStage::new(
+                Stage::reduce_only(
                     "lsh/delta-local",
                     LocalDeltaReducer {
                         dc,
@@ -511,7 +508,7 @@ impl LshDdp {
                 .finalize(dist_snapshot(&tracker)),
             )
             .reduce_stage(
-                ReduceStage::new("lsh/delta-aggregate", MinReducer)
+                Stage::reduce_only("lsh/delta-aggregate", MinReducer)
                     .combiner(MinCombiner)
                     .config(self.config.pipeline.job_config_for("lsh/delta-aggregate"))
                     .finalize(dist_snapshot(&tracker)),
@@ -553,121 +550,6 @@ impl LshDdp {
                 .counter("layouts_lost")
                 .inc(layouts_lost as u64);
         }
-        RunReport {
-            algorithm: "lsh-ddp".into(),
-            jobs,
-            distances: tracker.total(),
-            wall: start.elapsed(),
-            result: DpResult {
-                dc,
-                rho,
-                delta,
-                upslope,
-            },
-        }
-    }
-
-    /// The pre-plan execution path: the same four jobs hand-chained
-    /// through [`JobBuilder`] with a fresh input materialization per
-    /// blocked job and no shuffle elision. Retained as the reference the
-    /// equivalence suite proves the scheduler bit-identical against.
-    pub fn run_reference(&self, ds: &Dataset, dc: f64) -> RunReport {
-        let _pipeline_span = obsv::span!("pipeline", "lsh-ddp-reference");
-        assert!(!ds.is_empty(), "cannot cluster an empty dataset");
-        assert!(dc.is_finite() && dc > 0.0, "d_c must be positive, got {dc}");
-        let tracker = DistanceTracker::new();
-        let start = Instant::now();
-        let n = ds.len();
-        let job_cfg = self.config.pipeline.job_config();
-        let multi = Arc::new(MultiLsh::new(
-            ds.dim(),
-            &self.config.params,
-            self.config.seed,
-        ));
-        let cap = self.config.partition_cap.unwrap_or(usize::MAX).max(2);
-        let lost = self.lost_layouts();
-        let mut jobs: Vec<JobMetrics> = Vec::with_capacity(4);
-        let snap = |m: &mut JobMetrics, t: &DistanceTracker| {
-            m.user.insert("distances".into(), t.total());
-        };
-
-        let (rho_partials, mut m1) = JobBuilder::new(
-            "lsh/rho-local",
-            LshPartitionMapper {
-                multi: multi.clone(),
-                lost: lost.clone(),
-            },
-            LocalRhoReducer {
-                dc,
-                cap,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m1, &tracker);
-        jobs.push(m1);
-
-        let (rho_out, mut m2) = match self.config.rho_aggregation {
-            RhoAggregation::Max => JobBuilder::new(
-                "lsh/rho-aggregate",
-                IdentityMapper::<PointId, u32>::new(),
-                MaxReducer,
-            )
-            .combiner(MaxCombiner)
-            .config(job_cfg)
-            .run(rho_partials),
-            RhoAggregation::Mean => JobBuilder::new(
-                "lsh/rho-aggregate-mean",
-                IdentityMapper::<PointId, u32>::new(),
-                MeanReducer,
-            )
-            .config(job_cfg)
-            .run(rho_partials),
-        };
-        snap(&mut m2, &tracker);
-        jobs.push(m2);
-
-        let mut rho = vec![0u32; n];
-        for (id, r) in rho_out {
-            rho[id as usize] = r;
-        }
-        let rho = Arc::new(rho);
-
-        let (delta_partials, mut m3) = JobBuilder::new(
-            "lsh/delta-local",
-            LshPartitionMapper { multi, lost },
-            LocalDeltaReducer {
-                dc,
-                rho: rho.clone(),
-                cap,
-                tracker: tracker.clone(),
-            },
-        )
-        .config(job_cfg)
-        .run(point_records(ds));
-        snap(&mut m3, &tracker);
-        jobs.push(m3);
-
-        let (delta_out, mut m4) = JobBuilder::new(
-            "lsh/delta-aggregate",
-            IdentityMapper::<PointId, LocalDelta>::new(),
-            MinReducer,
-        )
-        .combiner(MinCombiner)
-        .config(job_cfg)
-        .run(delta_partials);
-        snap(&mut m4, &tracker);
-        jobs.push(m4);
-
-        let mut delta = vec![f64::INFINITY; n];
-        let mut upslope = vec![NO_UPSLOPE; n];
-        for (id, (d, u)) in delta_out {
-            delta[id as usize] = d;
-            upslope[id as usize] = u;
-        }
-
-        let rho = Arc::try_unwrap(rho).unwrap_or_else(|arc| (*arc).clone());
         RunReport {
             algorithm: "lsh-ddp".into(),
             jobs,

@@ -2,7 +2,7 @@
 //!
 //! This crate implements the data model and the *exact sequential* Density
 //! Peaks (DP) algorithm of Rodriguez & Laio (Science, 2014), which is the
-//! ground truth against which the distributed algorithms in the [`ddp`]
+//! ground truth against which the distributed algorithms in the `ddp`
 //! crate (Basic-DDP, LSH-DDP, EDDPC) are validated.
 //!
 //! DP computes two quantities per point `i`:

@@ -256,7 +256,7 @@ pub fn ensemble_degradation(per_unit: f64, total: usize, lost: usize) -> Degrada
 /// batch-pipeline ones.
 ///
 /// A fresh point's density is recovered with probability `per_point`
-/// (e.g. [`lsh::prob::expected_accuracy`] for the model's layout
+/// (e.g. `lsh::prob::expected_accuracy` for the model's layout
 /// parameters). A stale point compounds two approximations — the
 /// original estimate *and* a bucket-localized update — so its recovery
 /// probability is modeled as `per_point²`. The report's expected

@@ -545,11 +545,12 @@ pub fn checkpoint_resume_drill(base: &ClusterModel) -> Result<(), String> {
             .apply(ops.clone())
             .map_err(|e| format!("apply failed before the kill: {e}"))?;
     }
-    session.config_mut().pipeline.fault = Some(mapreduce::FaultPlan {
+    let doom = mapreduce::FaultPlan {
         fail_per_mille: 999,
         max_attempts: 0,
         seed: 7,
-    });
+    };
+    session.config_mut().pipeline.chaos = Some(doom.into());
     session.config_mut().pipeline.fault_stage = Some("lsh/delta-aggregate");
     let quiet = QuietPanics::enter();
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));
@@ -557,7 +558,7 @@ pub fn checkpoint_resume_drill(base: &ClusterModel) -> Result<(), String> {
     if killed.is_ok() {
         return Err("the doomed refit did not die mid-pipeline".into());
     }
-    session.config_mut().pipeline.fault = None;
+    session.config_mut().pipeline.chaos = None;
     session.config_mut().pipeline.fault_stage = None;
     let resumed = session.compact();
     if !resumed

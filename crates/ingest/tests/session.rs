@@ -280,7 +280,7 @@ fn lifecycle_counters_are_metered() {
     assert!(compactions.get() > c0);
 }
 
-mod fault_plans {
+mod storage_fault_mixes {
     use super::*;
     use ingest::Wal;
     use mapreduce::io_shim::{FaultFs, IoFaultPlan};

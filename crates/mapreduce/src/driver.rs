@@ -5,7 +5,7 @@
 //! that: it owns the [`Dfs`], executes [`Plan`]s stage by stage (recording
 //! every stage's [`JobMetrics`] automatically), applies the cross-stage
 //! optimizations the plan layer declares — co-partitioned shuffle elision
-//! and map-stage fusion, see [`crate::plan`] — and reports pipeline-level
+//! and map-stage fusion, see [`crate::plan`](mod@crate::plan) — and reports pipeline-level
 //! aggregates (total shuffle bytes, bytes saved by elision, total distance
 //! computations) and cost-model runtimes.
 //!

@@ -468,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_with_fault_only_matches_fault_plan() {
+    fn crash_only_chaos_matches_its_fault_schedule() {
         let chaos = ChaosPlan::new(300, 7);
         assert!(!chaos.is_straggler(Phase::Map, 0));
         for t in 0..200 {

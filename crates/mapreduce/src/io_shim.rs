@@ -127,6 +127,8 @@ impl IoFaultPlan {
 
     /// Parses a `key=value` spec, e.g.
     /// `seed=7,eio=200,enospc=5,crash=3,torn=3,crash-at=42,crash-torn`.
+    /// The four rates are per mille: a rate above 1000 is an error naming
+    /// its key.
     pub fn parse(spec: &str) -> Result<IoFaultPlan, String> {
         let mut plan = IoFaultPlan::default();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
@@ -139,12 +141,19 @@ impl IoFaultPlan {
                     .parse::<u64>()
                     .map_err(|_| format!("io fault plan: bad number in `{part}`"))
             };
+            let rate = |v: Option<&str>| -> Result<u16, String> {
+                let n = num(v)?;
+                u16::try_from(n)
+                    .ok()
+                    .filter(|&r| r <= 1000)
+                    .ok_or_else(|| format!("io fault plan: `{key}` is per mille (0-1000), got {n}"))
+            };
             match key {
                 "seed" => plan.seed = num(val)?,
-                "eio" => plan.eio_per_mille = num(val)? as u16,
-                "enospc" => plan.enospc_per_mille = num(val)? as u16,
-                "crash" => plan.crash_per_mille = num(val)? as u16,
-                "torn" => plan.torn_per_mille = num(val)? as u16,
+                "eio" => plan.eio_per_mille = rate(val)?,
+                "enospc" => plan.enospc_per_mille = rate(val)?,
+                "crash" => plan.crash_per_mille = rate(val)?,
+                "torn" => plan.torn_per_mille = rate(val)?,
                 "crash-at" => plan.crash_at = Some(num(val)?),
                 "crash-torn" => plan.crash_torn = true,
                 other => return Err(format!("io fault plan: unknown key `{other}`")),
@@ -692,6 +701,24 @@ mod tests {
         assert!(plan.armed());
         assert!(IoFaultPlan::parse("bogus=1").is_err());
         assert!(!IoFaultPlan::parse("seed=9").unwrap().armed());
+        // Rates are per mille: 1000 is "always", anything above is an
+        // error naming the key, never a silent `u16` wrap (70000 → 4464).
+        assert_eq!(
+            IoFaultPlan::parse("torn=1000").unwrap().torn_per_mille,
+            1000
+        );
+        for (spec, key) in [
+            ("eio=70000", "`eio`"),
+            ("enospc=1001", "`enospc`"),
+            ("crash=65536", "`crash`"),
+            ("seed=1,torn=2000", "`torn`"),
+        ] {
+            let err = IoFaultPlan::parse(spec).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains("per mille"),
+                "{spec}: {err}"
+            );
+        }
     }
 
     #[test]

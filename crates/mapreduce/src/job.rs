@@ -1,9 +1,15 @@
-//! Job configuration and execution: map → (combine) → shuffle → sort/group
-//! → reduce, with every phase running on the Rayon thread pool.
+//! The engine's phases — map → (combine) → shuffle → sort/group → reduce,
+//! each running on the Rayon thread pool — and the knobs of one job.
+//!
+//! A job is a one-stage [`Plan`](crate::plan::Plan): [`JobBuilder`] is the
+//! [`Stage`] type, and [`Stage::run`] runs it alone on a fresh
+//! [`Driver`](crate::driver::Driver). The plan scheduler's `execute_stage`
+//! is the one caller of the phase functions below.
 
-use crate::counters::{Counters, JobMetrics, TaskTimes};
+use crate::counters::{JobMetrics, TaskTimes};
 use crate::driver::MemoryGovernor;
-use crate::fault::{ChaosPlan, FaultPlan, Phase};
+use crate::fault::{ChaosPlan, Phase};
+use crate::plan::Stage;
 use crate::record::ShuffleSize;
 use crate::spill::{FrameMeta, SpillSegment, SpilledRows};
 use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
@@ -47,52 +53,45 @@ impl<K: Hash> Partitioner<K> for HashPartitioner {
     }
 }
 
-/// Input to a job's map phase: an owned record list (the classic `run`
-/// path), a shared immutable snapshot, or a disk-backed spilled segment.
+/// Input to a stage's map phase: an owned record list (a plan's own
+/// rows), a shared immutable snapshot, or a disk-backed spilled segment.
 /// Shared and spilled inputs are split into index ranges with the *same
 /// chunk boundaries* as the owned path — records are cloned (or decoded)
 /// inside the parallel map tasks, so one materialization can feed every
-/// job of a pipeline and a bigger-than-memory dataset never needs to be
+/// stage of a pipeline and a bigger-than-memory dataset never needs to be
 /// resident at once.
-pub enum MapInput<K, V> {
-    /// The job consumes these records.
+pub(crate) enum MapInput<K, V> {
+    /// The stage consumes these records.
     Owned(Vec<(K, V)>),
-    /// The job reads (clones) records out of a shared snapshot.
+    /// The stage reads (clones) records out of a shared snapshot.
     Shared(Arc<Vec<(K, V)>>),
-    /// The job decodes records out of a shared on-disk segment, one map
+    /// The stage decodes records out of a shared on-disk segment, one map
     /// chunk at a time.
     Spilled(Arc<SpilledRows<K, V>>),
 }
 
 impl<K, V> MapInput<K, V> {
     /// Number of input records.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             MapInput::Owned(v) => v.len(),
             MapInput::Shared(v) => v.len(),
             MapInput::Spilled(v) => v.len(),
         }
     }
-
-    /// Whether there are no input records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-/// Degree-of-parallelism (and fault-injection) knobs for one job.
+/// Degree-of-parallelism and chaos knobs for one job.
 #[derive(Debug, Clone, Copy)]
 pub struct JobConfig {
     /// Number of map tasks the input is split into.
     pub map_tasks: usize,
     /// Number of reduce tasks (hash-partition buckets).
     pub reduce_tasks: usize,
-    /// Optional deterministic task-failure injection (retried
-    /// transparently; see [`FaultPlan`]).
-    pub fault: Option<FaultPlan>,
-    /// Optional full chaos injection — failures plus stragglers,
-    /// corruption, and partition loss (see [`ChaosPlan`]). Takes
-    /// precedence over `fault` when both are set.
+    /// Optional deterministic chaos injection: crash failures (retried
+    /// transparently), stragglers, checksum-detected corruption and
+    /// partition loss (see [`ChaosPlan`]; a crash-only
+    /// [`FaultPlan`](crate::fault::FaultPlan) converts with `into()`).
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -102,7 +101,6 @@ impl Default for JobConfig {
         JobConfig {
             map_tasks: n,
             reduce_tasks: n,
-            fault: None,
             chaos: None,
         }
     }
@@ -115,38 +113,22 @@ impl JobConfig {
         JobConfig {
             map_tasks: n,
             reduce_tasks: n,
-            fault: None,
             chaos: None,
         }
     }
 }
 
-/// Builder for one MapReduce job.
-///
-/// Type parameters tie the pipeline together at compile time: the reducer's
-/// input key/value types must equal the mapper's output types.
-pub struct JobBuilder<M, R>
-where
-    M: Mapper,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    name: String,
-    mapper: M,
-    reducer: R,
-    combiner: Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
-    partitioner: Box<dyn Partitioner<M::OutKey>>,
-    config: JobConfig,
-    counters: Option<Counters>,
-    fault_plan: Option<FaultPlan>,
-    chaos_plan: Option<ChaosPlan>,
-    spill: Option<SpillCtx>,
-}
+/// One MapReduce job: a [`Stage`] run alone as a one-stage plan with
+/// [`Stage::run`]. The reducer's input key/value types must equal the
+/// mapper's output types, checked at compile time.
+pub type JobBuilder<M, R> = Stage<M, R>;
 
 /// Per-job handle on the driver's [`MemoryGovernor`], plus cells
 /// accumulating this job's spill volume and backpressure stall time for
-/// [`JobMetrics`].
+/// [`JobMetrics`]. Without one a stage runs fully resident (outputs are
+/// bit-identical either way).
 pub(crate) struct SpillCtx {
-    governor: Arc<MemoryGovernor>,
+    pub(crate) governor: Arc<MemoryGovernor>,
     job_spill: Arc<AtomicU64>,
     job_stall: Arc<AtomicU64>,
 }
@@ -159,207 +141,29 @@ impl SpillCtx {
             job_stall: Arc::new(AtomicU64::new(0)),
         }
     }
+
+    /// Copies this job's spill volume and stall time into its metrics.
+    pub(crate) fn fill_metrics(&self, metrics: &mut JobMetrics) {
+        metrics.spill_bytes = self.job_spill.load(Ordering::Relaxed);
+        metrics.backpressure_stall_ns = self.job_stall.load(Ordering::Relaxed);
+    }
 }
 
-impl<M, R> JobBuilder<M, R>
+impl<M, R> Stage<M, R>
 where
     M: Mapper,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    /// Starts building a job named `name` with the given map and reduce
-    /// functions.
-    pub fn new(name: impl Into<String>, mapper: M, reducer: R) -> Self {
-        JobBuilder {
-            name: name.into(),
-            mapper,
-            reducer,
-            combiner: None,
-            partitioner: Box::new(HashPartitioner),
-            config: JobConfig::default(),
-            counters: None,
-            fault_plan: None,
-            chaos_plan: None,
-            spill: None,
-        }
-    }
-
-    /// Attaches the driver's memory governor: map-task outputs spill to
-    /// disk under budget pressure and reduce buckets materialize under
-    /// admission control. Without a governor the job runs the classic
-    /// fully-resident path (outputs are bit-identical either way).
-    pub(crate) fn with_governor(mut self, governor: Arc<MemoryGovernor>) -> Self {
-        self.spill = Some(SpillCtx::new(governor));
-        self
-    }
-
-    /// Installs a map-side combiner.
-    pub fn combiner<C>(mut self, combiner: C) -> Self
-    where
-        C: Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync + 'static,
-    {
-        self.combiner = Some(Box::new(combiner));
-        self
-    }
-
-    /// Replaces the default hash partitioner.
-    pub fn partitioner<P>(mut self, partitioner: P) -> Self
-    where
-        P: Partitioner<M::OutKey> + 'static,
-    {
-        self.partitioner = Box::new(partitioner);
-        self
-    }
-
-    /// Sets the parallelism config.
-    pub fn config(mut self, config: JobConfig) -> Self {
-        assert!(
-            config.map_tasks > 0 && config.reduce_tasks > 0,
-            "task counts must be positive"
-        );
-        self.config = config;
-        self
-    }
-
-    /// Attaches user counters whose snapshot is included in the job's
-    /// metrics.
-    pub fn counters(mut self, counters: Counters) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    /// Enables deterministic task-failure injection with retries —
-    /// MapReduce's fault-tolerance path. Failed attempts re-run the task
-    /// (paying its cost again) and are counted in
-    /// [`JobMetrics::task_retries`]; a task exhausting its attempts kills
-    /// the job, like Hadoop.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Enables full deterministic chaos injection: crash failures plus
-    /// straggler delays (answered by speculative re-execution) and
-    /// checksum-detected record corruption. Wins over
-    /// [`JobBuilder::fault_plan`] and both config-level plans.
-    pub fn chaos_plan(mut self, plan: ChaosPlan) -> Self {
-        self.chaos_plan = Some(plan);
-        self
-    }
-
-    /// Runs the job to completion, returning the reduce output (ordered by
-    /// reduce-task index, then by key) and the measured [`JobMetrics`].
-    ///
-    /// The whole job runs inside a `"job"` span, each phase inside a
-    /// `"phase"` span, and every task attempt inside a `"task"` span
-    /// parented (across pool threads) on its phase. The phase-time metric
-    /// fields (`map_time`, `shuffle_time`, `reduce_time`, `wall_time`)
-    /// are *derived from the span layer's measurements* — there is no
-    /// second clock; with capture off, `timed_span` degrades to a plain
-    /// stopwatch.
-    #[allow(clippy::type_complexity)]
-    pub fn run(
-        self,
-        input: Vec<(M::InKey, M::InValue)>,
-    ) -> (Vec<(R::OutKey, R::OutValue)>, JobMetrics)
-    where
-        M::InKey: Clone + Sync,
-        M::InValue: Clone + Sync,
-    {
-        let name = self.name.clone();
-        let ((output, mut metrics), wall) = obsv::timed_span(
-            "job",
-            || name.clone(),
-            move || self.run_phases(MapInput::Owned(input)),
-        );
-        metrics.wall_time = wall;
-        (output, metrics)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_phases(
-        self,
-        input: MapInput<M::InKey, M::InValue>,
-    ) -> (Vec<(R::OutKey, R::OutValue)>, JobMetrics)
-    where
-        M::InKey: Clone + Sync,
-        M::InValue: Clone + Sync,
-    {
-        let mut metrics = self.metrics_shell();
-        let chaos = self.chaos_ctx();
-        let map_outputs = self.map_phase(input, &mut metrics, &chaos);
-        let reduce_inputs = self.shuffle_phase(map_outputs, &mut metrics);
-        let output = self.reduce_phase(reduce_inputs, &mut metrics, &chaos);
-        self.finish_metrics(&mut metrics, &chaos);
-        (output, metrics)
-    }
-
-    /// A metrics record carrying just this job's name; the phase methods
-    /// below fill in the measurements.
-    pub(crate) fn metrics_shell(&self) -> JobMetrics {
-        JobMetrics {
-            name: self.name.clone(),
-            ..Default::default()
-        }
-    }
-
-    /// This job's name.
-    pub(crate) fn job_name(&self) -> &str {
-        &self.name
-    }
-
-    /// This job's parallelism config.
-    pub(crate) fn job_config(&self) -> &JobConfig {
-        &self.config
-    }
-
-    /// The contract label of this job's partitioner (see
-    /// [`Partitioner::contract_id`]).
-    pub(crate) fn partitioner_contract(&self) -> &'static str {
-        self.partitioner.contract_id()
-    }
-
-    /// Installs an already-boxed combiner (the plan layer erases stage
-    /// types before handing them to the engine).
-    pub(crate) fn boxed_combiner(
-        mut self,
-        combiner: Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>,
-    ) -> Self {
-        self.combiner = Some(combiner);
-        self
-    }
-
-    /// Installs an already-boxed partitioner.
-    pub(crate) fn boxed_partitioner(
-        mut self,
-        partitioner: Box<dyn Partitioner<M::OutKey>>,
-    ) -> Self {
-        self.partitioner = partitioner;
-        self
-    }
-
-    /// The chaos plan in effect: an explicit [`JobBuilder::chaos_plan`]
-    /// wins over an explicit [`JobBuilder::fault_plan`] (promoted to a
-    /// crash-only chaos plan), which wins over the config-level plans.
-    fn effective_chaos_plan(&self) -> Option<ChaosPlan> {
-        self.chaos_plan
-            .or(self.fault_plan.map(ChaosPlan::from))
-            .or(self.config.chaos)
-            .or(self.config.fault.map(ChaosPlan::from))
-    }
-
-    /// A fresh per-job chaos context (attempt accounting + speculation
-    /// state) for the effective plan.
-    pub(crate) fn chaos_ctx(&self) -> ChaosCtx {
-        ChaosCtx::new(self.effective_chaos_plan())
-    }
-
     /// Map phase (parallel over map tasks): each task maps its chunk of
     /// the input, applies the combiner, and partitions its output into one
-    /// bucket per reduce task. Fills `map_input_records`, `map_time` and
+    /// bucket per reduce task. Under a governor (`spill`), completed task
+    /// buckets are charged against the budget and spilled once it is
+    /// exceeded. Fills `map_input_records`, `map_time` and
     /// `map_task_times`.
     pub(crate) fn map_phase(
         &self,
         input: MapInput<M::InKey, M::InValue>,
+        spill: Option<&SpillCtx>,
         metrics: &mut JobMetrics,
         chaos: &ChaosCtx,
     ) -> Vec<MapTaskOut<M::OutKey, M::OutValue>>
@@ -384,7 +188,6 @@ where
             || {
                 let parent = obsv::current_span();
                 let hist = &map_task_ns;
-                let spill = self.spill.as_ref();
                 let name = self.name.as_str();
                 let run_one = |task: usize, records: Vec<(M::InKey, M::InValue)>| {
                     obsv::with_parent(parent, move || {
@@ -395,10 +198,9 @@ where
                             })
                         });
                         hist.record(attempt.elapsed().as_nanos() as u64);
-                        // Completed task buckets are charged against the
-                        // budget and spilled once it is exceeded; the spill
-                        // decision never changes record content or order,
-                        // only where the bytes wait for the shuffle.
+                        // The spill decision never changes record content
+                        // or order, only where the bytes wait for the
+                        // shuffle.
                         match spill {
                             Some(ctx) => spill_task_under_pressure(ctx, name, out),
                             None => out,
@@ -468,20 +270,20 @@ where
     /// handles, spilled buckets as segment frame references, so nothing is
     /// concatenated (or decoded) here. The actual merge happens lazily in
     /// the reduce phase, one bucket at a time, which is what lets the
-    /// governor bound how many buckets are resident at once. Byte
-    /// accounting is identical to the old eager merge: resident part bytes
-    /// were summed per record by the map tasks, and a spilled frame's
+    /// governor bound how many buckets are resident at once. Resident part
+    /// bytes were summed per record by the map tasks, and a spilled frame's
     /// on-disk payload length equals its records' `ShuffleSize` sum by the
-    /// wire length contract. Fills the map output / combine / shuffle
-    /// counters and `shuffle_time`.
+    /// wire length contract. `charged` says whether the map phase charged
+    /// its resident buckets against a governor. Fills the map output /
+    /// combine / shuffle counters and `shuffle_time`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn shuffle_phase(
         &self,
         map_outputs: Vec<MapTaskOut<M::OutKey, M::OutValue>>,
+        charged: bool,
         metrics: &mut JobMetrics,
     ) -> Vec<ReduceBucket<M::OutKey, M::OutValue>> {
         let r_tasks = self.config.reduce_tasks;
-        let charged = self.spill.is_some();
         let (reduce_inputs, shuffle_dur) = obsv::timed_span(
             "phase",
             || format!("shuffle:{}", self.name),
@@ -552,6 +354,7 @@ where
     pub(crate) fn reduce_phase(
         &self,
         reduce_inputs: Vec<ReduceBucket<M::OutKey, M::OutValue>>,
+        spill: Option<&SpillCtx>,
         metrics: &mut JobMetrics,
         chaos: &ChaosCtx,
     ) -> Vec<(R::OutKey, R::OutValue)> {
@@ -565,7 +368,6 @@ where
             || {
                 let parent = obsv::current_span();
                 let hist = &reduce_task_ns;
-                let spill = self.spill.as_ref();
                 reduce_inputs
                     .into_par_iter()
                     .enumerate()
@@ -633,41 +435,6 @@ where
         metrics.reduce_time = reduce_dur;
         metrics.reduce_task_times = task_times(&reduce_task_ns);
         output
-    }
-
-    /// Final metric bookkeeping shared by every execution path: recovery
-    /// counters and the user-counter snapshot. Recovery events also flow
-    /// into the global obsv registry so chaos is visible in `--stats`
-    /// reports without plumbing metrics by hand.
-    pub(crate) fn finish_metrics(&self, metrics: &mut JobMetrics, chaos: &ChaosCtx) {
-        chaos.fill_metrics(metrics);
-        if metrics.task_retries > 0 {
-            obsv::global()
-                .counter("task_retries")
-                .inc(metrics.task_retries);
-        }
-        if metrics.corruption_retries > 0 {
-            obsv::global()
-                .counter("corruption_retries")
-                .inc(metrics.corruption_retries);
-        }
-        if metrics.speculative_launched > 0 {
-            obsv::global()
-                .counter("speculative_launched")
-                .inc(metrics.speculative_launched);
-        }
-        if metrics.speculative_wins > 0 {
-            obsv::global()
-                .counter("speculative_wins")
-                .inc(metrics.speculative_wins);
-        }
-        if let Some(s) = &self.spill {
-            metrics.spill_bytes = s.job_spill.load(Ordering::Relaxed);
-            metrics.backpressure_stall_ns = s.job_stall.load(Ordering::Relaxed);
-        }
-        if let Some(c) = &self.counters {
-            metrics.user = c.snapshot();
-        }
     }
 }
 
@@ -958,11 +725,11 @@ const SPECULATION_MIN_SAMPLES: usize = 3;
 /// duration (Hadoop's speculative-execution heuristic, quantile form).
 const SPECULATION_FACTOR: f64 = 2.0;
 
-/// Per-job chaos state: the effective plan, recovery counters, and the
-/// completed-task duration samples speculation thresholds are derived
-/// from.
+/// Per-job chaos state: the job's [`JobConfig::chaos`] plan, recovery
+/// counters, and the completed-task duration samples speculation
+/// thresholds are derived from.
 ///
-/// Attempt accounting works like the original fault path: tasks are
+/// Attempt accounting follows [`crate::fault::FaultPlan`]: tasks are
 /// deterministic, so wasted attempts (crashes *and* checksum-detected
 /// corruption) are charged to counters without re-running bodies, and a
 /// task that exhausts its attempt budget kills the job. Straggler delays
@@ -1098,7 +865,9 @@ impl ChaosCtx {
         }
     }
 
-    /// Copies the recovery counters into a job's metrics.
+    /// Copies the recovery counters into a job's metrics. Recovery events
+    /// also flow into the global obsv registry, so chaos is visible in
+    /// `--stats` reports without plumbing metrics by hand.
     pub(crate) fn fill_metrics(&self, metrics: &mut JobMetrics) {
         metrics.task_retries = self.task_retries.load(Ordering::Relaxed);
         metrics.corruption_retries = self.corruption_retries.load(Ordering::Relaxed);
@@ -1106,6 +875,16 @@ impl ChaosCtx {
         metrics.speculative_wins = self.speculative_wins.load(Ordering::Relaxed);
         metrics.speculative_work_ns = self.speculative_work_ns.load(Ordering::Relaxed);
         metrics.straggler_delay_ns = self.straggler_delay_ns.load(Ordering::Relaxed);
+        for (name, n) in [
+            ("task_retries", metrics.task_retries),
+            ("corruption_retries", metrics.corruption_retries),
+            ("speculative_launched", metrics.speculative_launched),
+            ("speculative_wins", metrics.speculative_wins),
+        ] {
+            if n > 0 {
+                obsv::global().counter(name).inc(n);
+            }
+        }
     }
 }
 
@@ -1139,6 +918,7 @@ fn run_combiner<K: MrKey, V: MrValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counters;
     use crate::task::{FnMapper, FnReducer};
 
     fn wordcount_input() -> Vec<(u64, String)> {
@@ -1149,7 +929,12 @@ mod tests {
         ]
     }
 
-    fn wordcount(input: Vec<(u64, String)>, config: JobConfig) -> (Vec<(String, u64)>, JobMetrics) {
+    fn wordcount_job(
+        config: JobConfig,
+    ) -> JobBuilder<
+        impl Mapper<InKey = u64, InValue = String, OutKey = String, OutValue = u64> + 'static,
+        impl Reducer<InKey = String, InValue = u64, OutKey = String, OutValue = u64> + 'static,
+    > {
         let m = FnMapper::new(|_k: u64, line: String, out: &mut Emitter<String, u64>| {
             for w in line.split_whitespace() {
                 out.emit(w.to_string(), 1);
@@ -1158,7 +943,19 @@ mod tests {
         let r = FnReducer::new(|k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>| {
             out.emit(k.clone(), vs.into_iter().sum());
         });
-        JobBuilder::new("wordcount", m, r).config(config).run(input)
+        JobBuilder::new("wordcount", m, r).config(config)
+    }
+
+    fn wordcount(input: Vec<(u64, String)>, config: JobConfig) -> (Vec<(String, u64)>, JobMetrics) {
+        wordcount_job(config).run(input)
+    }
+
+    fn chaos_config(map_tasks: usize, reduce_tasks: usize, chaos: ChaosPlan) -> JobConfig {
+        JobConfig {
+            map_tasks,
+            reduce_tasks,
+            chaos: Some(chaos),
+        }
     }
 
     #[test]
@@ -1176,6 +973,7 @@ mod tests {
                 ("the".to_string(), 3),
             ]
         );
+        assert_eq!(metrics.name, "wordcount");
         assert_eq!(metrics.map_input_records, 3);
         assert_eq!(metrics.map_output_records, 9);
         assert_eq!(metrics.shuffle_records, 9);
@@ -1185,10 +983,8 @@ mod tests {
 
     #[test]
     fn output_is_deterministic_across_task_counts() {
-        let (a, _) = wordcount(wordcount_input(), JobConfig::uniform(1));
-        let (b, _) = wordcount(wordcount_input(), JobConfig::uniform(7));
-        let mut a = a;
-        let mut b = b;
+        let (mut a, _) = wordcount(wordcount_input(), JobConfig::uniform(1));
+        let (mut b, _) = wordcount(wordcount_input(), JobConfig::uniform(7));
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -1205,26 +1001,10 @@ mod tests {
             }
         }
 
-        let run = |with_combiner: bool| {
-            let m = FnMapper::new(|_k: u64, line: String, out: &mut Emitter<String, u64>| {
-                for w in line.split_whitespace() {
-                    out.emit(w.to_string(), 1);
-                }
-            });
-            let r = FnReducer::new(|k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>| {
-                out.emit(k.clone(), vs.into_iter().sum());
-            });
-            let b = JobBuilder::new("wc", m, r).config(JobConfig::uniform(1));
-            let b = if with_combiner {
-                b.combiner(SumCombiner)
-            } else {
-                b
-            };
-            b.run(wordcount_input())
-        };
-
-        let (mut plain, m_plain) = run(false);
-        let (mut combined, m_combined) = run(true);
+        let (mut plain, m_plain) = wordcount_job(JobConfig::uniform(1)).run(wordcount_input());
+        let (mut combined, m_combined) = wordcount_job(JobConfig::uniform(1))
+            .combiner(SumCombiner)
+            .run(wordcount_input());
         plain.sort();
         combined.sort();
         assert_eq!(plain, combined, "combiner must not change results");
@@ -1237,17 +1017,7 @@ mod tests {
     fn shuffle_bytes_match_record_sizes() {
         // Single word "aa" (4+2=6 bytes key) + u64 (8 bytes) = 14 per record.
         let input = vec![(0u64, "aa aa".to_string())];
-        let m = FnMapper::new(|_k: u64, line: String, out: &mut Emitter<String, u64>| {
-            for w in line.split_whitespace() {
-                out.emit(w.to_string(), 1);
-            }
-        });
-        let r = FnReducer::new(|k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>| {
-            out.emit(k.clone(), vs.into_iter().sum());
-        });
-        let (_, metrics) = JobBuilder::new("wc", m, r)
-            .config(JobConfig::uniform(1))
-            .run(input);
+        let (_, metrics) = wordcount(input, JobConfig::uniform(1));
         assert_eq!(metrics.shuffle_bytes, 2 * (6 + 8));
     }
 
@@ -1269,7 +1039,6 @@ mod tests {
             .config(JobConfig {
                 map_tasks: 4,
                 reduce_tasks: 1,
-                fault: None,
                 chaos: None,
             })
             .run(input);
@@ -1322,7 +1091,6 @@ mod tests {
             .config(JobConfig {
                 map_tasks: 2,
                 reduce_tasks: 4,
-                fault: None,
                 chaos: None,
             })
             .run(input);
@@ -1344,7 +1112,6 @@ mod tests {
             .config(JobConfig {
                 map_tasks: 4,
                 reduce_tasks: 2,
-                fault: None,
                 chaos: None,
             })
             .run(input);
@@ -1369,29 +1136,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_preserves_output_and_counts_retries() {
-        use crate::fault::FaultPlan;
-        let run = |plan: Option<FaultPlan>| {
-            let m = FnMapper::new(|_k: u64, line: String, out: &mut Emitter<String, u64>| {
-                for w in line.split_whitespace() {
-                    out.emit(w.to_string(), 1);
-                }
-            });
-            let r = FnReducer::new(|k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>| {
-                out.emit(k.clone(), vs.into_iter().sum());
-            });
-            let b = JobBuilder::new("wc", m, r).config(JobConfig::uniform(6));
-            let b = if let Some(p) = plan {
-                b.fault_plan(p)
-            } else {
-                b
-            };
-            b.run(wordcount_input())
-        };
-        let (mut clean, m_clean) = run(None);
+    fn crash_injection_preserves_output_and_counts_retries() {
+        let (mut clean, m_clean) = wordcount(wordcount_input(), JobConfig::uniform(6));
         // 30% failure rate: retries all but guaranteed across 12 tasks,
         // and output must be identical.
-        let (mut faulty, m_faulty) = run(Some(FaultPlan::new(300, 1234)));
+        let (mut faulty, m_faulty) = wordcount(
+            wordcount_input(),
+            chaos_config(6, 6, ChaosPlan::new(300, 1234)),
+        );
         clean.sort();
         faulty.sort();
         assert_eq!(clean, faulty, "fault tolerance must be invisible in output");
@@ -1418,8 +1170,7 @@ mod tests {
         });
         let input: Vec<(u32, u32)> = (0..100).map(|i| (i, i)).collect();
         let _ = JobBuilder::new("doomed", m, r)
-            .fault_plan(plan)
-            .config(JobConfig::uniform(8))
+            .config(chaos_config(8, 8, plan.into()))
             .run(input);
     }
 
@@ -1435,7 +1186,6 @@ mod tests {
 
     #[test]
     fn chaos_injection_preserves_output_and_counts_events() {
-        use crate::fault::ChaosPlan;
         let run = |chaos: Option<ChaosPlan>| {
             let input: Vec<(u32, u32)> = (0..400).map(|i| (i, i)).collect();
             let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| {
@@ -1444,13 +1194,12 @@ mod tests {
             let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
                 out.emit(*k, vs.into_iter().sum());
             });
-            let b = JobBuilder::new("chaotic", m, r).config(JobConfig::uniform(8));
-            let b = if let Some(c) = chaos {
-                b.chaos_plan(c)
-            } else {
-                b
-            };
-            b.run(input)
+            JobBuilder::new("chaotic", m, r)
+                .config(JobConfig {
+                    chaos,
+                    ..JobConfig::uniform(8)
+                })
+                .run(input)
         };
         let (mut clean, m_clean) = run(None);
         let chaos = ChaosPlan::new(100, 77)
@@ -1477,7 +1226,6 @@ mod tests {
 
     #[test]
     fn speculative_clones_win_against_stragglers() {
-        use crate::fault::ChaosPlan;
         // Heavy per-task work plus every task a straggler at 10× slowdown:
         // once the first few tasks complete, the quantile threshold exists
         // and later stragglers must race (and beat) their injected delay.
@@ -1495,13 +1243,7 @@ mod tests {
         });
         let chaos = ChaosPlan::new(0, 3).with_stragglers(1000, 10.0, 50);
         let (_, metrics) = JobBuilder::new("spec", m, r)
-            .chaos_plan(chaos)
-            .config(JobConfig {
-                map_tasks: 16,
-                reduce_tasks: 4,
-                fault: None,
-                chaos: None,
-            })
+            .config(chaos_config(16, 4, chaos))
             .run(input);
         assert!(
             metrics.speculative_launched > 0,
@@ -1513,24 +1255,5 @@ mod tests {
         );
         assert!(metrics.speculative_work_ns > 0);
         assert!(metrics.speculative_wins <= metrics.speculative_launched);
-    }
-
-    #[test]
-    fn config_level_chaos_is_honored() {
-        use crate::fault::ChaosPlan;
-        let input: Vec<(u32, u32)> = (0..100).map(|i| (i, i)).collect();
-        let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| out.emit(k % 8, v));
-        let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
-            out.emit(*k, vs.len() as u32);
-        });
-        let (_, metrics) = JobBuilder::new("cfg-chaos", m, r)
-            .config(JobConfig {
-                map_tasks: 8,
-                reduce_tasks: 8,
-                fault: None,
-                chaos: Some(ChaosPlan::new(300, 99)),
-            })
-            .run(input);
-        assert!(metrics.task_retries > 0, "config-level chaos must inject");
     }
 }

@@ -76,7 +76,7 @@ pub use dfs::Dfs;
 pub use driver::{Driver, MemoryGovernor};
 pub use fault::{AttemptOutcome, ChaosPlan, FaultPlan, Phase, TaskWastage};
 pub use io_shim::{FaultFile, FaultFs, IoFaultPlan};
-pub use job::{HashPartitioner, JobBuilder, JobConfig, MapInput, Partitioner};
+pub use job::{HashPartitioner, JobBuilder, JobConfig, Partitioner};
 pub use plan::{plan, IdentityMap, MapChain, Plan, PlanBuilder, ReduceStage, Snapshot, Stage};
 pub use record::{checksum64, ShuffleSize};
 pub use spill::{scan_frames, SegmentWriter, SpillDir, SpillSegment, SpilledRows};

@@ -1,14 +1,15 @@
 //! Typed dataflow plans: declarative multi-stage pipelines with stage
-//! fusion and co-partitioned shuffle elision.
+//! fusion and co-partitioned shuffle elision — the engine's one execution
+//! path.
 //!
 //! A [`Plan`] is a linear sequence of [`Stage`] nodes, each wrapping a
 //! mapper, reducer, optional combiner and partitioner together with the
 //! stage's declared contracts. Pipelines *describe* their dataflow with
-//! the builder here and hand the plan to [`Driver::run_plan`], which is
-//! the scheduler: it executes the stages through the same phase machinery
-//! as [`JobBuilder::run`], records every stage's [`JobMetrics`]
-//! automatically, and applies two cross-stage optimizations the
-//! hand-chained `JobBuilder` style cannot express:
+//! the builder here and hand the plan to [`Driver::run_plan`], the
+//! scheduler: it executes every stage through `execute_stage` (the one
+//! caller of the map, shuffle and reduce phases in [`crate::job`]),
+//! records every stage's [`JobMetrics`] automatically, and applies two
+//! cross-stage optimizations:
 //!
 //! * **Stage fusion.** Adjacent map-only stages ([`PlanBuilder::map_stage`])
 //!   are fused at plan-build time into a single [`MapChain`] mapper, so the
@@ -30,18 +31,23 @@
 //!   the elided stage's own map+shuffle would have produced, outputs are
 //!   bit-identical with elision on or off.
 //!
+//! A single job is a one-stage plan: [`Stage::run`] (the stage type is
+//! also exported as [`JobBuilder`](crate::job::JobBuilder)) runs
+//! `plan(name).rows(input).stage(self)` on a fresh driver.
+//!
 //! A [`Snapshot`] is the third leg: one immutable, `Arc`-shared input
 //! materialization that any number of plans (and stages) read without
 //! copying it up front — records are cloned lazily inside the parallel map
 //! tasks.
 //!
 //! [`Driver::run_plan`]: crate::driver::Driver::run_plan
-//! [`JobBuilder::run`]: crate::job::JobBuilder::run
 
 use crate::counters::{Counters, JobMetrics};
 use crate::dfs::Dfs;
-use crate::driver::MemoryGovernor;
-use crate::job::{HashPartitioner, JobBuilder, JobConfig, MapInput, Partitioner, ReduceBucket};
+use crate::driver::{Driver, MemoryGovernor};
+use crate::job::{
+    ChaosCtx, HashPartitioner, JobConfig, MapInput, Partitioner, ReduceBucket, SpillCtx,
+};
 use crate::record::ShuffleSize;
 use crate::spill::SpilledRows;
 use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
@@ -149,8 +155,8 @@ impl<K, V> Snapshot<K, V> {
 
 /// Two mappers fused into one pass: `second` consumes `first`'s emissions
 /// record by record, so the first stage's full output is never
-/// materialized. Built by [`PlanBuilder::map_stage`]; usable directly with
-/// [`JobBuilder`] too.
+/// materialized. Built by [`PlanBuilder::map_stage`]; a chain is itself a
+/// [`Mapper`], so a [`Stage`] can also be handed one directly.
 pub struct MapChain<A, B> {
     first: A,
     second: B,
@@ -281,18 +287,20 @@ impl<A: Mapper> PendingMapper<A::InKey, A::InValue> for Pending<A> {
 
 /// One full dataflow node: a mapper and reducer plus the optional
 /// combiner, partitioner, parallelism config, user counters, declared
-/// partitioning contract, and a metrics-finalize hook.
+/// partitioning contract, and a metrics-finalize hook. Run it alone with
+/// [`Stage::run`], or chain it into a [`Plan`].
 pub struct Stage<M, R>
 where
     M: Mapper,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    name: String,
-    mapper: M,
-    reducer: R,
-    combiner: Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
-    partitioner: Box<dyn Partitioner<M::OutKey>>,
-    config: JobConfig,
+    pub(crate) name: String,
+    pub(crate) mapper: M,
+    pub(crate) reducer: R,
+    pub(crate) combiner:
+        Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
+    pub(crate) partitioner: Box<dyn Partitioner<M::OutKey>>,
+    pub(crate) config: JobConfig,
     counters: Option<Counters>,
     contract: Option<String>,
     finalize: Option<FinalizeHook>,
@@ -339,7 +347,7 @@ where
         self
     }
 
-    /// Sets the parallelism config.
+    /// Sets the parallelism and chaos config.
     pub fn config(mut self, config: JobConfig) -> Self {
         assert!(
             config.map_tasks > 0 && config.reduce_tasks > 0,
@@ -379,83 +387,70 @@ where
         self.finalize = Some(Box::new(f));
         self
     }
-}
 
-/// A reducer-only dataflow node: its mapper is whatever map-only chain
-/// precedes it in the plan (or the identity). This is the natural shape of
-/// the DDP "aggregate" stages — and of any stage fused behind
-/// [`PlanBuilder::map_stage`] without paying an identity hop per record.
-pub struct ReduceStage<R: Reducer> {
-    name: String,
-    reducer: R,
-    combiner: Option<Box<dyn Combiner<Key = R::InKey, Value = R::InValue> + Send + Sync>>,
-    partitioner: Box<dyn Partitioner<R::InKey>>,
-    config: JobConfig,
-    counters: Option<Counters>,
-    contract: Option<String>,
-    finalize: Option<FinalizeHook>,
-}
-
-impl<R: Reducer> ReduceStage<R> {
-    /// A reducer-only stage named `name`.
-    pub fn new(name: impl Into<String>, reducer: R) -> Self {
-        ReduceStage {
-            name: name.into(),
-            reducer,
-            combiner: None,
-            partitioner: Box::new(HashPartitioner),
-            config: JobConfig::default(),
-            counters: None,
-            contract: None,
-            finalize: None,
+    /// The same stage with its mapper slot refilled by `f(mapper)`: how a
+    /// plan fuses the pending map-only chain into the stage that follows.
+    fn with_mapper<N>(self, f: impl FnOnce(M) -> N) -> Stage<N, R>
+    where
+        N: Mapper<OutKey = M::OutKey, OutValue = M::OutValue>,
+    {
+        Stage {
+            name: self.name,
+            mapper: f(self.mapper),
+            reducer: self.reducer,
+            combiner: self.combiner,
+            partitioner: self.partitioner,
+            config: self.config,
+            counters: self.counters,
+            contract: self.contract,
+            finalize: self.finalize,
         }
     }
 
-    /// Installs a map-side combiner (see [`Stage::combiner`]).
-    pub fn combiner<C>(mut self, combiner: C) -> Self
+    /// Runs this stage alone — `plan(name).rows(input).stage(self)` on a
+    /// fresh [`Driver`] — returning the reduce output (ordered by
+    /// reduce-task index, then by key) and the stage's [`JobMetrics`].
+    ///
+    /// The span tree is the plan's: `plan` → `job` → one `phase` per map,
+    /// shuffle and reduce → one `task` per attempt. The phase-time metric
+    /// fields are *derived from the span layer's measurements*; with
+    /// capture off, `timed_span` degrades to a plain stopwatch.
+    #[allow(clippy::type_complexity)]
+    pub fn run(
+        self,
+        input: Vec<(M::InKey, M::InValue)>,
+    ) -> (Vec<(R::OutKey, R::OutValue)>, JobMetrics)
     where
-        C: Combiner<Key = R::InKey, Value = R::InValue> + Send + Sync + 'static,
+        M: 'static,
+        R: 'static,
+        M::InKey: Clone + Sync + 'static,
+        M::InValue: Clone + Sync + 'static,
+        M::OutKey: 'static,
+        M::OutValue: Clone + 'static,
+        R::OutKey: Clone + Sync + 'static,
+        R::OutValue: Clone + Sync + 'static,
     {
-        self.combiner = Some(Box::new(combiner));
-        self
+        let mut driver = Driver::new();
+        let out = driver.run_plan(plan(self.name.clone()).rows(input).stage(self).build());
+        let metrics = driver
+            .into_history()
+            .pop()
+            .expect("a one-stage plan records one job");
+        (out, metrics)
     }
+}
 
-    /// Replaces the default hash partitioner.
-    pub fn partitioner<P>(mut self, partitioner: P) -> Self
-    where
-        P: Partitioner<R::InKey> + 'static,
-    {
-        self.partitioner = Box::new(partitioner);
-        self
-    }
+/// A reducer-only dataflow node: a [`Stage`] whose mapper slot is left to
+/// the plan — [`PlanBuilder::reduce_stage`] fills it with whatever
+/// map-only chain precedes it (or keeps the identity). This is the natural
+/// shape of the DDP "aggregate" stages, and of any stage fused behind
+/// [`PlanBuilder::map_stage`] without paying an identity hop per record.
+pub type ReduceStage<R> = Stage<IdentityMap<<R as Reducer>::InKey, <R as Reducer>::InValue>, R>;
 
-    /// Sets the parallelism config.
-    pub fn config(mut self, config: JobConfig) -> Self {
-        assert!(
-            config.map_tasks > 0 && config.reduce_tasks > 0,
-            "task counts must be positive"
-        );
-        self.config = config;
-        self
-    }
-
-    /// Attaches user counters (see [`Stage::counters`]).
-    pub fn counters(mut self, counters: Counters) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
-    /// Declares the stage's partitioning contract (see
-    /// [`Stage::co_partitioned`]).
-    pub fn co_partitioned(mut self, token: impl Into<String>) -> Self {
-        self.contract = Some(token.into());
-        self
-    }
-
-    /// Metrics-finalize hook (see [`Stage::finalize`]).
-    pub fn finalize(mut self, f: impl FnOnce(&mut JobMetrics) + 'static) -> Self {
-        self.finalize = Some(Box::new(f));
-        self
+impl<R: Reducer> Stage<IdentityMap<R::InKey, R::InValue>, R> {
+    /// A reducer-only stage named `name`.
+    pub fn reduce_only(name: impl Into<String>, reducer: R) -> Self {
+        Stage::new(name, IdentityMap::new(), reducer)
     }
 }
 
@@ -666,7 +661,7 @@ impl<K, V, P> PlanBuilder<K, V, P> {
 
     /// Appends a full map+reduce stage, fusing any pending map-only chain
     /// in front of its mapper.
-    pub fn stage<M, R>(mut self, stage: Stage<M, R>) -> PlanBuilder<R::OutKey, R::OutValue, ()>
+    pub fn stage<M, R>(self, stage: Stage<M, R>) -> PlanBuilder<R::OutKey, R::OutValue, ()>
     where
         M: Mapper + 'static,
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
@@ -679,35 +674,13 @@ impl<K, V, P> PlanBuilder<K, V, P> {
         R::OutKey: Clone + Send + Sync + 'static,
         R::OutValue: Clone + Send + Sync + 'static,
     {
-        let fused = self.pending.fuse(stage.mapper);
-        push_stage::<P::Fused, R>(
-            &mut self.stages,
-            stage.name,
-            fused,
-            stage.reducer,
-            stage.combiner,
-            stage.partitioner,
-            stage.config,
-            stage.counters,
-            stage.contract,
-            stage.finalize,
-        );
-        PlanBuilder {
-            name: self.name,
-            source: self.source,
-            source_id: self.source_id,
-            stages: self.stages,
-            pending: (),
-            _rows: PhantomData,
-        }
+        self.push(|pending| stage.with_mapper(|m| pending.fuse(m)))
     }
 
     /// Appends a reducer-only stage: the pending map-only chain (or the
-    /// identity) becomes its mapper directly — no per-record identity hop.
-    pub fn reduce_stage<R>(
-        mut self,
-        stage: ReduceStage<R>,
-    ) -> PlanBuilder<R::OutKey, R::OutValue, ()>
+    /// identity) fills its mapper slot directly — no per-record identity
+    /// hop.
+    pub fn reduce_stage<R>(self, stage: ReduceStage<R>) -> PlanBuilder<R::OutKey, R::OutValue, ()>
     where
         R: Reducer + 'static,
         P: PendingMapper<K, V>,
@@ -719,24 +692,31 @@ impl<K, V, P> PlanBuilder<K, V, P> {
         R::OutKey: Clone + Send + Sync + 'static,
         R::OutValue: Clone + Send + Sync + 'static,
     {
-        let mapper = self.pending.into_mapper();
-        push_stage::<P::M, R>(
-            &mut self.stages,
-            stage.name,
-            mapper,
-            stage.reducer,
-            stage.combiner,
-            stage.partitioner,
-            stage.config,
-            stage.counters,
-            stage.contract,
-            stage.finalize,
-        );
+        self.push(|pending| stage.with_mapper(|_| pending.into_mapper()))
+    }
+
+    /// Appends the stage `fill` makes out of the pending map-only chain.
+    fn push<M, R>(
+        self,
+        fill: impl FnOnce(P) -> Stage<M, R>,
+    ) -> PlanBuilder<R::OutKey, R::OutValue, ()>
+    where
+        M: Mapper + 'static,
+        M::InKey: Clone + Sync + 'static,
+        M::InValue: Clone + Sync + 'static,
+        M::OutKey: 'static,
+        M::OutValue: Clone + 'static,
+        R: Reducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
+        R::OutKey: Clone + Send + Sync + 'static,
+        R::OutValue: Clone + Send + Sync + 'static,
+    {
+        let mut stages = self.stages;
+        push_stage(&mut stages, fill(self.pending));
         PlanBuilder {
             name: self.name,
             source: self.source,
             source_id: self.source_id,
-            stages: self.stages,
+            stages,
             pending: (),
             _rows: PhantomData,
         }
@@ -759,19 +739,8 @@ impl<K: 'static, V: 'static> PlanBuilder<K, V, ()> {
 }
 
 /// Erases one configured stage into a [`StageRun`] closure.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn push_stage<M, R>(
-    stages: &mut Vec<StageRun>,
-    name: String,
-    mapper: M,
-    reducer: R,
-    combiner: Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
-    partitioner: Box<dyn Partitioner<M::OutKey>>,
-    config: JobConfig,
-    counters: Option<Counters>,
-    contract: Option<String>,
-    finalize: Option<FinalizeHook>,
-) where
+fn push_stage<M, R>(stages: &mut Vec<StageRun>, mut stage: Stage<M, R>)
+where
     M: Mapper + 'static,
     M::InKey: Clone + Sync + 'static,
     M::InValue: Clone + Sync + 'static,
@@ -793,7 +762,7 @@ fn push_stage<M, R>(
                 .get::<CheckpointRows<R::OutKey, R::OutValue>>(&ck.path())
             {
                 let mut metrics = JobMetrics {
-                    name: name.clone(),
+                    name: stage.name.clone(),
                     ..Default::default()
                 };
                 metrics.user.insert("resumed_from_checkpoint".into(), 1);
@@ -806,18 +775,9 @@ fn push_stage<M, R>(
         }
         let input = *rows
             .downcast::<MapInput<M::InKey, M::InValue>>()
-            .unwrap_or_else(|_| panic!("plan stage '{name}': input row type mismatch"));
-        let mut builder = JobBuilder::new(name, mapper, reducer)
-            .config(config)
-            .boxed_partitioner(partitioner);
-        if let Some(c) = combiner {
-            builder = builder.boxed_combiner(c);
-        }
-        if let Some(c) = counters {
-            builder = builder.counters(c);
-        }
-        let (out, mut metrics) = execute_stage(ctx, builder, contract.as_deref(), input, source);
-        if let Some(f) = finalize {
+            .unwrap_or_else(|_| panic!("plan stage '{}': input row type mismatch", stage.name));
+        let (out, mut metrics) = execute_stage(ctx, &stage, input, source);
+        if let Some(f) = stage.finalize.take() {
             f(&mut metrics);
         }
         // The stage output is Arc-shared between the checkpoint record and
@@ -843,17 +803,17 @@ fn push_stage<M, R>(
     }));
 }
 
-/// Runs one stage through the engine's phase machinery, inside the same
-/// `"job"` span `JobBuilder::run` opens, applying the co-partitioning
-/// contract: retain the post-shuffle partitions the first time a token is
-/// seen, elide map+shuffle (reduce straight off the retained buckets) on a
-/// verified later use. Fault injection applies to whatever phases actually
-/// run, so an elided stage still exercises reduce-side retries.
+/// Runs one stage through the engine's phases inside a `"job"` span — the
+/// one caller of the map, shuffle and reduce phase functions — applying
+/// the co-partitioning contract: retain the post-shuffle partitions the
+/// first time a token is seen, elide map+shuffle (reduce straight off the
+/// retained buckets) on a verified later use. Fault injection applies to
+/// whatever phases actually run, so an elided stage still exercises
+/// reduce-side retries.
 #[allow(clippy::type_complexity)]
 fn execute_stage<M, R>(
     ctx: &mut ExecCtx<'_>,
-    builder: JobBuilder<M, R>,
-    contract: Option<&str>,
+    stage: &Stage<M, R>,
     input: MapInput<M::InKey, M::InValue>,
     source: u64,
 ) -> (Vec<(R::OutKey, R::OutValue)>, JobMetrics)
@@ -865,15 +825,10 @@ where
     M::OutValue: Clone + 'static,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    let name = builder.job_name().to_string();
+    let name = stage.name.as_str();
     let elide = ctx.elide;
     let cache = &mut *ctx.cache;
-    let governor = ctx.governor.clone();
-    let builder = match &governor {
-        Some(g) => builder.with_governor(Arc::clone(g)),
-        None => builder,
-    };
-    let retain_label = format!("retain-{name}");
+    let spill = ctx.governor.clone().map(SpillCtx::new);
     // Scope the heap accountant around the whole stage body (map,
     // shuffle, reduce, contract bookkeeping) so the stage's metrics can
     // report its peak resident footprint. Inert (returns 0) unless
@@ -881,26 +836,29 @@ where
     let mem = obsv::alloc::scope();
     let ((out, mut metrics), wall) = obsv::timed_span(
         "job",
-        || name.clone(),
+        || name.to_string(),
         move || {
-            let mut metrics = builder.metrics_shell();
-            let chaos = builder.chaos_ctx();
+            let mut metrics = JobMetrics {
+                name: name.to_string(),
+                ..Default::default()
+            };
+            let chaos = ChaosCtx::new(stage.config.chaos);
+            let spill = spill.as_ref();
+            let contract = stage.contract.as_deref().filter(|_| elide);
             let ckey = ContractKey {
                 kv: (TypeId::of::<M::OutKey>(), TypeId::of::<M::OutValue>()),
-                map_tasks: builder.job_config().map_tasks,
-                reduce_tasks: builder.job_config().reduce_tasks,
-                partitioner: builder.partitioner_contract(),
+                map_tasks: stage.config.map_tasks,
+                reduce_tasks: stage.config.reduce_tasks,
+                partitioner: stage.partitioner.contract_id(),
                 source,
             };
-            let reuse = match (contract, elide) {
-                (Some(token), true) => cache.take::<M::OutKey, M::OutValue>(token, &ckey),
-                _ => None,
-            };
+            let reuse =
+                contract.and_then(|token| cache.take::<M::OutKey, M::OutValue>(token, &ckey));
             // Bytes the retained cache copy moved to disk under pressure;
             // folded into the stage's spill accounting after the fact
-            // (the engine's own counter only sees map-side spills).
+            // (the map phase's own counter only sees map-side spills).
             let mut retained_spill = 0u64;
-            let out = match reuse {
+            let buckets = match reuse {
                 Some((buckets, saved_bytes)) => {
                     // Map and shuffle elided: their counters stay 0, the
                     // skipped volume is reported separately, and the input
@@ -908,12 +866,12 @@ where
                     metrics.shuffle_bytes_saved = saved_bytes;
                     metrics.max_reduce_task_records =
                         buckets.iter().map(|b| b.records()).max().unwrap_or(0);
-                    builder.reduce_phase(buckets, &mut metrics, &chaos)
+                    buckets
                 }
                 None => {
-                    let map_out = builder.map_phase(input, &mut metrics, &chaos);
-                    let buckets = builder.shuffle_phase(map_out, &mut metrics);
-                    if let (Some(token), true) = (contract, elide) {
+                    let map_out = stage.map_phase(input, spill, &mut metrics, &chaos);
+                    let buckets = stage.shuffle_phase(map_out, spill.is_some(), &mut metrics);
+                    if let Some(token) = contract {
                         // The retained copy shares spilled parts with the
                         // live buckets and deep-copies only resident ones;
                         // under budget pressure those resident parts move
@@ -921,13 +879,13 @@ where
                         // resident copy of the shuffle. Clone-then-spill
                         // runs bucket by bucket so the transient doubling
                         // is one bucket deep, not the whole shuffle.
-                        let mut retained: Vec<ReduceBucket<M::OutKey, M::OutValue>> =
-                            Vec::with_capacity(buckets.len());
+                        let label = format!("retain-{name}");
+                        let mut retained = Vec::with_capacity(buckets.len());
                         for b in &buckets {
                             let mut rb = b.cache_clone();
-                            if let Some(gov) = &governor {
+                            if let Some(gov) = spill.map(|s| &s.governor) {
                                 if gov.should_spill() {
-                                    retained_spill += rb.spill_mem_parts(gov, &retain_label);
+                                    retained_spill += rb.spill_mem_parts(gov, &label);
                                 }
                             }
                             retained.push(rb);
@@ -939,11 +897,18 @@ where
                             metrics.shuffle_bytes,
                         );
                     }
-                    builder.reduce_phase(buckets, &mut metrics, &chaos)
+                    buckets
                 }
             };
-            builder.finish_metrics(&mut metrics, &chaos);
+            let out = stage.reduce_phase(buckets, spill, &mut metrics, &chaos);
+            chaos.fill_metrics(&mut metrics);
+            if let Some(s) = spill {
+                s.fill_metrics(&mut metrics);
+            }
             metrics.spill_bytes += retained_spill;
+            if let Some(c) = &stage.counters {
+                metrics.user = c.snapshot();
+            }
             (out, metrics)
         },
     );
@@ -984,11 +949,11 @@ mod tests {
     fn multi_stage_plan_matches_hand_chained_jobs() {
         let rows = input_rows(100);
 
-        // Reference: two hand-chained JobBuilder runs.
-        let (mid, m1) = JobBuilder::new("s1", mod_key_mapper(), sum_reducer())
+        // Reference: the same two stages run as two one-stage plans.
+        let (mid, m1) = Stage::new("s1", mod_key_mapper(), sum_reducer())
             .config(JobConfig::uniform(3))
             .run(rows.clone());
-        let (mut want, m2) = JobBuilder::new(
+        let (mut want, m2) = Stage::new(
             "s2",
             FnMapper::new(|k: u32, v: u64, out: &mut Emitter<u32, u64>| out.emit(k % 2, v)),
             sum_reducer(),
@@ -1029,7 +994,7 @@ mod tests {
         let rows = input_rows(60);
 
         // Reference: the unfused dataflow, one job per map stage.
-        let (a, _) = JobBuilder::new(
+        let (a, _) = Stage::new(
             "m1",
             FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| {
                 out.emit(k, v / 2);
@@ -1042,7 +1007,7 @@ mod tests {
         )
         .config(JobConfig::uniform(2))
         .run(rows.clone());
-        let (mut want, _) = JobBuilder::new("m2", mod_key_mapper(), sum_reducer())
+        let (mut want, _) = Stage::new("m2", mod_key_mapper(), sum_reducer())
             .config(JobConfig::uniform(2))
             .run(a);
 
@@ -1056,7 +1021,7 @@ mod tests {
             ))
             .map_stage(mod_key_mapper())
             .reduce_stage(
-                ReduceStage::new("fused-sum", sum_reducer()).config(JobConfig::uniform(2)),
+                Stage::reduce_only("fused-sum", sum_reducer()).config(JobConfig::uniform(2)),
             )
             .build();
         let mut got = driver.run_plan(p);
@@ -1079,7 +1044,7 @@ mod tests {
             .snapshot(&snap)
             .map_stage(mod_key_mapper())
             .reduce_stage(
-                ReduceStage::new("sum", sum_reducer())
+                Stage::reduce_only("sum", sum_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("mod7"),
             )
@@ -1090,7 +1055,7 @@ mod tests {
             .snapshot(&snap)
             .map_stage(mod_key_mapper())
             .reduce_stage(
-                ReduceStage::new("max", max_reducer())
+                Stage::reduce_only("max", max_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("mod7"),
             )
@@ -1116,7 +1081,7 @@ mod tests {
             .snapshot(&snap)
             .map_stage(mod_key_mapper())
             .reduce_stage(
-                ReduceStage::new("max", max_reducer())
+                Stage::reduce_only("max", max_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("mod7"),
             )
@@ -1129,7 +1094,7 @@ mod tests {
         assert!(plain_driver.history()[0].shuffle_bytes > 0);
 
         // And the sums are what a direct job computes.
-        let (mut want_sums, _) = JobBuilder::new("ref", mod_key_mapper(), sum_reducer())
+        let (mut want_sums, _) = Stage::new("ref", mod_key_mapper(), sum_reducer())
             .config(JobConfig::uniform(4))
             .run(snap.rows().to_vec());
         let mut sums = sums;
@@ -1147,7 +1112,7 @@ mod tests {
             .snapshot(&snap)
             .map_stage(mod_key_mapper())
             .reduce_stage(
-                ReduceStage::new("sum", sum_reducer())
+                Stage::reduce_only("sum", sum_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("tok"),
             )
@@ -1160,7 +1125,7 @@ mod tests {
             .snapshot(&snap)
             .map_stage(mod_key_mapper())
             .reduce_stage(
-                ReduceStage::new("max", max_reducer())
+                Stage::reduce_only("max", max_reducer())
                     .config(JobConfig::uniform(2))
                     .co_partitioned("tok"),
             )
@@ -1171,12 +1136,38 @@ mod tests {
         assert_eq!(h[1].shuffle_bytes_saved, 0);
         assert!(h[1].shuffle_bytes > 0);
 
-        let (mut want, _) = JobBuilder::new("ref", mod_key_mapper(), max_reducer())
+        let (mut want, _) = Stage::new("ref", mod_key_mapper(), max_reducer())
             .config(JobConfig::uniform(2))
             .run(snap.rows().to_vec());
         got.sort();
         want.sort();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn contract_over_other_rows_falls_back_to_full_execution() {
+        // Same token, task counts and partitioner, but the second plan
+        // reads different rows: the source check must refuse the retained
+        // partitions.
+        let run = |driver: &mut Driver, snap: &Snapshot<u32, u32>| {
+            driver.run_plan(
+                plan("sum")
+                    .snapshot(snap)
+                    .map_stage(mod_key_mapper())
+                    .reduce_stage(
+                        Stage::reduce_only("sum", sum_reducer())
+                            .config(JobConfig::uniform(3))
+                            .co_partitioned("tok"),
+                    )
+                    .build(),
+            )
+        };
+        let (first, second) = (Snapshot::new(input_rows(90)), Snapshot::new(input_rows(40)));
+        let mut driver = Driver::new();
+        run(&mut driver, &first);
+        let got = run(&mut driver, &second);
+        assert_eq!(driver.history()[1].shuffle_bytes_saved, 0);
+        assert_eq!(got, run(&mut Driver::new(), &second));
     }
 
     #[test]
@@ -1191,13 +1182,13 @@ mod tests {
         let p = plan("reader")
             .snapshot(&snap)
             .map_stage(mod_key_mapper())
-            .reduce_stage(ReduceStage::new("sum", sum_reducer()).config(JobConfig::uniform(3)))
+            .reduce_stage(Stage::reduce_only("sum", sum_reducer()).config(JobConfig::uniform(3)))
             .build();
         let mut got = driver.run_plan(p);
         // The plan held a reference, not a copy, and released it.
         assert_eq!(Arc::strong_count(&resident(&snap)) - 1, before);
 
-        let (mut want, _) = JobBuilder::new("ref", mod_key_mapper(), sum_reducer())
+        let (mut want, _) = Stage::new("ref", mod_key_mapper(), sum_reducer())
             .config(JobConfig::uniform(3))
             .run(snap.rows().to_vec());
         got.sort();
@@ -1238,7 +1229,7 @@ mod tests {
 
     fn resume_plan(rows: &[(u32, u32)], stage2_fault: Option<crate::FaultPlan>) -> Plan<u32, u64> {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.fault = stage2_fault;
+        cfg2.chaos = stage2_fault.map(crate::ChaosPlan::from);
         plan("resume")
             .rows(rows.to_vec())
             .stage(Stage::new("s1", mod_key_mapper(), sum_reducer()).config(JobConfig::uniform(3)))
@@ -1346,7 +1337,7 @@ mod tests {
                 .snapshot(&snap)
                 .map_stage(mod_key_mapper())
                 .reduce_stage(
-                    ReduceStage::new("sum", sum_reducer())
+                    Stage::reduce_only("sum", sum_reducer())
                         .config(JobConfig::uniform(4))
                         .co_partitioned("mod7"),
                 )
@@ -1356,7 +1347,7 @@ mod tests {
                 .snapshot(&snap)
                 .map_stage(mod_key_mapper())
                 .reduce_stage(
-                    ReduceStage::new("max", max_reducer())
+                    Stage::reduce_only("max", max_reducer())
                         .config(JobConfig::uniform(4))
                         .co_partitioned("mod7"),
                 )
@@ -1395,7 +1386,9 @@ mod tests {
             let p = plan("reader")
                 .snapshot(snap)
                 .map_stage(mod_key_mapper())
-                .reduce_stage(ReduceStage::new("sum", sum_reducer()).config(JobConfig::uniform(3)))
+                .reduce_stage(
+                    Stage::reduce_only("sum", sum_reducer()).config(JobConfig::uniform(3)),
+                )
                 .build();
             let out = driver.run_plan(p);
             let m = driver.history()[0].clone();

@@ -166,7 +166,7 @@ proptest! {
     /// returned `Ok` is a real durability acknowledgement — every frame
     /// must be readable afterwards.
     #[test]
-    fn segments_under_fault_plans_recover_an_intact_prefix(
+    fn segments_under_storage_fault_mixes_recover_an_intact_prefix(
         batches in batches(),
         seed in any::<u64>(),
         eio in 0u16..300,

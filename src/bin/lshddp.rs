@@ -105,9 +105,9 @@ GLOBAL:
       partitions, and checkpoints past the budget spill to the simulated
       DFS and stream back chunk by chunk; results are bit-identical to
       an unbudgeted run. --stats reports spill volume and backpressure
-  --fault-rate <n>      chaos: fail n/1000 of task attempts (cluster
-      pipelines; retried transparently, results unchanged)
-  --straggler-rate <n>  chaos: slow n/1000 of tasks 4x (speculative
+  --fault-rate <n>      chaos: fail n/1000 of task attempts, n < 1000
+      (cluster pipelines; retried transparently, results unchanged)
+  --straggler-rate <n>  chaos: slow n/1000 of tasks 4x, n <= 1000 (speculative
       clones race them; see the recovery counters under --stats)
   --chaos-seed <n>      seed of the injected chaos schedule
       (default: --seed)";
@@ -146,7 +146,7 @@ fn run(args: &[String]) -> Result<(), String> {
     // Hidden crash-drill plumbing: arm the process-global storage-fault
     // shim so every durability path (WAL, spill tier, checkpoints, model
     // artifacts) runs under the injected schedule.
-    if let Some(spec) = &opts.io_fault_plan {
+    if let Some(spec) = &opts.io_faults {
         let plan = mapreduce::io_shim::IoFaultPlan::parse(spec)?;
         mapreduce::io_shim::install_global_plan(plan);
     }
@@ -271,7 +271,7 @@ struct Opts {
     /// Hidden: arm the storage-fault shim with a `key=value` spec (see
     /// `mapreduce::io_shim::IoFaultPlan::parse`) — crash-drill plumbing,
     /// deliberately absent from the usage text.
-    io_fault_plan: Option<String>,
+    io_faults: Option<String>,
 }
 
 impl Opts {
@@ -313,7 +313,7 @@ impl Opts {
             queue: 1024,
             clients: 4,
             mem_budget: None,
-            io_fault_plan: None,
+            io_faults: None,
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -361,7 +361,7 @@ impl Opts {
                 "--queue" => o.queue = parse_num(value("--queue")?, "--queue")?,
                 "--clients" => o.clients = parse_num(value("--clients")?, "--clients")?,
                 "--mem-budget" => o.mem_budget = Some(parse_bytes(value("--mem-budget")?)?),
-                "--io-fault-plan" => o.io_fault_plan = Some(value("--io-fault-plan")?.clone()),
+                "--io-fault-plan" => o.io_faults = Some(value("--io-fault-plan")?.clone()),
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -379,26 +379,39 @@ impl Opts {
     }
 
     /// The chaos plan the `--fault-rate`/`--straggler-rate`/`--chaos-seed`
-    /// flags describe, `None` when chaos injection is off.
-    fn chaos(&self) -> Option<mapreduce::ChaosPlan> {
+    /// flags describe, `None` when chaos injection is off; an error names
+    /// the flag whose per-mille rate is out of range.
+    fn chaos(&self) -> Result<Option<mapreduce::ChaosPlan>, String> {
         if self.fault_rate == 0 && self.straggler_rate == 0 {
-            return None;
+            return Ok(None);
+        }
+        if self.fault_rate >= 1000 {
+            return Err(format!(
+                "--fault-rate: {} is out of range (0-999 per mille; 1000 would fail every attempt)",
+                self.fault_rate
+            ));
+        }
+        if self.straggler_rate > 1000 {
+            return Err(format!(
+                "--straggler-rate: {} is out of range (0-1000 per mille)",
+                self.straggler_rate
+            ));
         }
         let seed = self.chaos_seed.unwrap_or(self.seed);
         let mut plan = mapreduce::ChaosPlan::new(self.fault_rate, seed);
         if self.straggler_rate > 0 {
             plan = plan.with_stragglers(self.straggler_rate, 4.0, 20);
         }
-        Some(plan)
+        Ok(Some(plan))
     }
 
     /// A pipeline config carrying the chaos and memory-budget flags.
-    fn pipeline(&self) -> ddp::common::PipelineConfig {
-        ddp::common::PipelineConfig {
-            chaos: self.chaos(),
+    fn pipeline(&self) -> Result<ddp::common::PipelineConfig, String> {
+        Ok(ddp::common::PipelineConfig {
+            chaos: self.chaos()?,
             mem_budget: self.mem_budget,
             ..Default::default()
-        }
+        })
     }
 
     /// `--dc`, or the estimate from the data; either must be positive and
@@ -496,7 +509,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
         "kernel" => (dp_core::compute_gaussian(ds, dc).result, None),
         "basic" => {
             let cfg = BasicConfig {
-                pipeline: o.pipeline(),
+                pipeline: o.pipeline()?,
                 ..Default::default()
             };
             let r = BasicDdp::new(cfg).run(ds, dc);
@@ -504,14 +517,14 @@ fn cluster(o: &Opts) -> Result<(), String> {
         }
         "eddpc" => {
             let mut cfg = EddpcConfig::for_size(ds.len(), o.seed);
-            cfg.pipeline = o.pipeline();
+            cfg.pipeline = o.pipeline()?;
             let r = Eddpc::new(cfg).run(ds, dc);
             (r.result.clone(), Some(r))
         }
         "lsh" => {
             let r = LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed)
                 .map_err(|e| e.to_string())?
-                .with_pipeline(o.pipeline())
+                .with_pipeline(o.pipeline()?)
                 .run(ds, dc);
             (r.result.clone(), Some(r))
         }
@@ -540,7 +553,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
             dp_core::quality::adjusted_rand_index(outcome.clustering.labels(), &ld.labels)
         );
     }
-    if o.chaos().is_some() {
+    if o.chaos()?.is_some() {
         if let Some(r) = report.as_ref() {
             let sum = |f: fn(&mapreduce::JobMetrics) -> u64| r.jobs.iter().map(f).sum::<u64>();
             println!(
@@ -872,7 +885,7 @@ fn serve_stream(o: &Opts, full_report: bool) -> Result<(), String> {
 /// given (replaying any batches pending since the last compaction).
 fn open_session(o: &Opts, model: &ClusterModel) -> Result<IngestSession, String> {
     let config = IngestConfig {
-        pipeline: o.pipeline(),
+        pipeline: o.pipeline()?,
         selection: match (o.auto, o.k) {
             (false, Some(k)) => PeakSelection::DeltaOutliers {
                 k,

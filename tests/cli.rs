@@ -275,6 +275,47 @@ fn non_finite_input_is_a_clean_error() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// Per-mille fault rates past their range exit 1 naming the flag (or the
+/// io-fault-plan key), instead of panicking or wrapping silently.
+#[test]
+fn out_of_range_fault_rates_are_clean_errors() {
+    let points = tmp("fault-rates.csv");
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    for (args, named) in [
+        (
+            &["--algorithm", "lsh", "--fault-rate", "1000"][..],
+            "--fault-rate",
+        ),
+        (
+            &["--algorithm", "basic", "--straggler-rate", "1001"],
+            "--straggler-rate",
+        ),
+        (
+            &["--algorithm", "exact", "--io-fault-plan", "eio=70000"],
+            "`eio`",
+        ),
+    ] {
+        let out = bin()
+            .args(["cluster", "--k", "15"])
+            .args(args)
+            .arg("--input")
+            .arg(&points)
+            .arg("--out")
+            .arg(tmp("fault-rates-labels.csv"))
+            .output()
+            .expect("run cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 /// One row, and three identical rows: without `--dc` there is no `d_c` to
 /// estimate (one row) or the estimate is 0 (duplicates), and every command
 /// that needs one says so; with `--dc 1.0` each makes one cluster.

@@ -51,7 +51,6 @@ fn pinned_pipeline() -> PipelineConfig {
     PipelineConfig {
         map_tasks: 4,
         reduce_tasks: 4,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,

@@ -19,9 +19,8 @@ fn faulty_pipeline(rate_per_mille: u32) -> PipelineConfig {
     PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: Some(FaultPlan::new(rate_per_mille, 777)),
         fault_stage: None,
-        chaos: None,
+        chaos: Some(ChaosPlan::new(rate_per_mille, 777)),
         disable_elision: false,
         checkpoints: false,
         mem_budget: None,
@@ -72,7 +71,6 @@ fn lsh_ddp_survives_task_failures_bit_exactly() {
     let clean = run(PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -99,7 +97,6 @@ fn eddpc_survives_task_failures_bit_exactly() {
     let clean = run(PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -207,7 +204,6 @@ fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: ChaosPlan) -> u64 {
     let clean_pipe = PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
-        fault: None,
         fault_stage: None,
         chaos: None,
         disable_elision: false,
@@ -438,7 +434,7 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
     };
     let build = |stage2_fault: Option<FaultPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.fault = stage2_fault;
+        cfg2.chaos = stage2_fault.map(ChaosPlan::from);
         plan("restart-drill")
             .rows(rows.clone())
             .stage(Stage::new("s1", mod_key(), sum()).config(JobConfig::uniform(3)))
@@ -520,7 +516,7 @@ fn restarted_driver_resumes_a_killed_spilling_plan_bit_exactly() {
     };
     let build = |stage2_fault: Option<FaultPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.fault = stage2_fault;
+        cfg2.chaos = stage2_fault.map(ChaosPlan::from);
         plan("spill-restart-drill")
             .rows(rows.clone())
             .stage(Stage::new("s1", mod_key(), sum()).config(JobConfig::uniform(3)))
@@ -608,7 +604,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
     let model = ClusterModel::from_run(ds, &report, &outcome, &params, 77);
 
     // Mutate it, then doom the compaction's LAST stage (`fault_stage`
-    // scopes the fault so every earlier stage completes and checkpoints
+    // scopes the chaos plan so every earlier stage completes and checkpoints
     // first): the rho plan finishes whole, the delta plan checkpoints
     // its fused map+local stage, and dies in the aggregate.
     let mut session = IngestSession::new(
@@ -635,7 +631,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
         max_attempts: 0,
         seed: 7,
     };
-    session.config_mut().pipeline.fault = Some(doom);
+    session.config_mut().pipeline.chaos = Some(doom.into());
     session.config_mut().pipeline.fault_stage = Some("lsh/delta-aggregate");
 
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));
@@ -653,7 +649,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
 
     // Restart: fix the fault, compact again on the same session. The
     // checkpointed stages resume from the DFS instead of recomputing.
-    session.config_mut().pipeline.fault = None;
+    session.config_mut().pipeline.chaos = None;
     session.config_mut().pipeline.fault_stage = None;
     let compaction = session.compact();
     let resumed: Vec<&str> = compaction

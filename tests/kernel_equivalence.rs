@@ -3,9 +3,10 @@
 //! takes, every pipeline's output is what the definition says — the exact
 //! pipelines bit for bit `compute_exact`, LSH-DDP and the distributed halo
 //! pass the per-bucket definition written out below from
-//! `lsh::bucket_tables`. Every workload here has partitions on both sides
-//! of `AUTO_MIN_POINTS`, asserted per test, so both routes (and, through
-//! the shared reference, each other) are checked.
+//! `lsh::bucket_tables`. Every workload here but the small random one has
+//! partitions on both sides of `AUTO_MIN_POINTS`, asserted per test, so
+//! both routes (and, through the shared definition, each other) are
+//! checked.
 //!
 //! The `distances` counters are deliberately NOT compared with a
 //! reference run — shrinking them is the whole point — only bounded by the
@@ -64,21 +65,29 @@ fn lsh_config(params: LshParams, seed: u64) -> ddp::lsh_ddp::LshDdpConfig {
 
 /// The buckets of every layout of `cfg` over `ds`, with the all-pairs
 /// figure `Σ_p n_p (n_p − 1)` both local jobs of a pairwise-only LSH-DDP
-/// would evaluate. Asserts the bucket sizes straddle `AUTO_MIN_POINTS`.
+/// would evaluate.
 fn buckets(ds: &Dataset, cfg: &ddp::lsh_ddp::LshDdpConfig) -> (Vec<Vec<u32>>, u64) {
     let multi = MultiLsh::new(ds.dim(), &cfg.params, cfg.seed);
     let buckets: Vec<Vec<u32>> = lsh::bucket_tables(&multi, ds.iter().map(|(_, p)| p))
         .into_iter()
         .flat_map(|t| t.into_values())
         .collect();
+    let all_pairs = buckets
+        .iter()
+        .map(|b| (b.len() * (b.len() - 1)) as u64)
+        .sum();
+    (buckets, all_pairs)
+}
+
+/// Asserts the bucket sizes straddle `AUTO_MIN_POINTS`, so both kernel
+/// routes run.
+fn assert_buckets_straddle(buckets: &[Vec<u32>]) {
     let sizes = || buckets.iter().map(Vec::len);
     assert!(
         sizes().any(|s| s >= AUTO_MIN_POINTS) && sizes().any(|s| s < AUTO_MIN_POINTS),
         "buckets must sit on both sides of {AUTO_MIN_POINTS}: {:?}",
         sizes().collect::<Vec<_>>()
     );
-    let all_pairs = sizes().map(|s| (s * (s - 1)) as u64).sum();
-    (buckets, all_pairs)
 }
 
 /// LSH-DDP by definition (§IV): `rho_hat_i` is the largest count of
@@ -138,6 +147,7 @@ fn lsh_ddp_indexed_matches_blocked() {
     let dc = 1.2;
     let cfg = lsh_config(LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"), 13);
     let (buckets, _) = buckets(&ds, &cfg);
+    assert_buckets_straddle(&buckets);
     let report = LshDdp::new(cfg).run(&ds, dc);
     assert_results_match(
         &lsh_definition(&ds, dc, &buckets),
@@ -172,6 +182,7 @@ fn halo_indexed_matches_blocked() {
     let clustering = dp_core::decision::assign(&r, &peaks);
     let cfg = lsh_config(LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"), 13);
     let (buckets, _) = buckets(&ds, &cfg);
+    assert_buckets_straddle(&buckets);
     // By definition: a cluster's border density is the largest average
     // density over its cross-cluster bucket-mates within `d_c`.
     let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
@@ -201,32 +212,6 @@ fn halo_indexed_matches_blocked() {
     assert_eq!(got.halo, halo, "halo flags");
 }
 
-#[test]
-fn reference_paths_take_both_routes_too() {
-    // The retained JobBuilder reference paths run the same reducers, so
-    // the plan-equivalence suite stays meaningful on either route.
-    let ds = workload();
-    let dc = 1.2;
-    let basic = basic(&ds, 400);
-    assert_results_match(
-        &basic.run(&ds, dc).result,
-        &basic.run_reference(&ds, dc).result,
-        "basic plan-vs-reference",
-    );
-    let eddpc = Eddpc::new(EddpcConfig {
-        n_pivots: 4,
-        seed: 4,
-        pipeline: PipelineConfig::default(),
-    });
-    let reference = eddpc.run_reference(&ds, dc);
-    assert!(straddles(&reference.jobs[1]), "owner cells all on one side");
-    assert_results_match(
-        &eddpc.run(&ds, dc).result,
-        &reference.result,
-        "eddpc plan-vs-reference",
-    );
-}
-
 /// Three 300-point components at 64-D: box pruning is weak up here.
 fn wide_workload() -> (Dataset, f64) {
     let ds = datasets::gaussian_mixture(64, 3, 300, 40.0, 1.0, 5).data;
@@ -253,6 +238,7 @@ fn wide_mixture_matches_the_definition_and_the_index_evaluates_no_more() {
 
     let cfg = lsh_config(LshParams::for_accuracy(0.99, 4, 2, dc).expect("valid"), 13);
     let (buckets, all_pairs) = buckets(&ds, &cfg);
+    assert_buckets_straddle(&buckets);
     let report = LshDdp::new(cfg).run(&ds, dc);
     assert_results_match(
         &lsh_definition(&ds, dc, &buckets),
@@ -320,6 +306,21 @@ fn non_finite_rows_keep_the_blocked_kernels() {
     );
 }
 
+/// Strategy: a small random dataset (4–40 points, 1–3 dims) in a bounded
+/// box, plus a valid dc. Too small for `AUTO_MIN_POINTS`: every bucket
+/// takes the pairwise route.
+fn small_dataset_strategy() -> impl Strategy<Value = (Dataset, f64)> {
+    (1usize..=3, 4usize..=40)
+        .prop_flat_map(|(dim, n)| {
+            (
+                proptest::collection::vec(-30.0f64..30.0, dim * n),
+                Just(dim),
+                0.5f64..10.0,
+            )
+        })
+        .prop_map(|(flat, dim, dc)| (Dataset::from_flat(dim, flat), dc))
+}
+
 /// Strategy: a clump of 260 exact duplicates (always one bucket, one
 /// block, one cell: the indexed route) with a tight halo of 60 around it,
 /// plus 4–40 scattered points (1–3 dims) in a bounded box, and a valid dc.
@@ -361,6 +362,7 @@ proptest! {
 
         let cfg = lsh_config(LshParams::for_accuracy(0.9, 4, 2, dc).unwrap(), 7);
         let (buckets, _) = buckets(&ds, &cfg);
+        assert_buckets_straddle(&buckets);
         let want = lsh_definition(&ds, dc, &buckets);
         let l = LshDdp::new(cfg).run(&ds, dc).result;
         prop_assert_eq!(&l.rho, &want.rho);
@@ -378,5 +380,19 @@ proptest! {
         prop_assert_eq!(&e.rho, &exact.rho);
         prop_assert_eq!(&e.upslope, &exact.upslope);
         prop_assert_eq!(bits(&e.delta), bits(&exact.delta));
+    }
+
+    /// LSH-DDP is its per-bucket definition on arbitrary small datasets,
+    /// not only on the blob workloads.
+    #[test]
+    fn lsh_ddp_matches_the_definition_on_random_data((ds, dc) in small_dataset_strategy()) {
+        let cfg = lsh_config(LshParams::for_accuracy(0.9, 4, 2, dc).unwrap(), 7);
+        let (buckets, _) = buckets(&ds, &cfg);
+        let want = lsh_definition(&ds, dc, &buckets);
+        let got = LshDdp::new(cfg).run(&ds, dc).result;
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(&got.rho, &want.rho);
+        prop_assert_eq!(&got.upslope, &want.upslope);
+        prop_assert_eq!(bits(&got.delta), bits(&want.delta));
     }
 }

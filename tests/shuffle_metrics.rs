@@ -29,7 +29,6 @@ fn wordcount(reduce_tasks: usize) -> (Vec<(String, u64)>, JobMetrics) {
         .config(JobConfig {
             map_tasks: 5,
             reduce_tasks,
-            fault: None,
             chaos: None,
         })
         .run(input);
@@ -104,7 +103,6 @@ fn lsh_ddp_per_job_metrics_invariant_to_reduce_task_count() {
             pipeline: PipelineConfig {
                 map_tasks: 4,
                 reduce_tasks,
-                fault: None,
                 fault_stage: None,
                 chaos: None,
                 disable_elision: false,
