@@ -307,7 +307,7 @@ impl BasicDdp {
         assert!(dc.is_finite() && dc > 0.0, "d_c must be positive, got {dc}");
         let n = ds.len();
         let n_blocks = n.div_ceil(self.config.block_size) as u32;
-        let job_cfg = self.config.pipeline.job_config();
+        let job_cfg = |stage: &str| self.config.pipeline.job_config_for(stage);
         let dist_snapshot = |t: &DistanceTracker| {
             let t = t.clone();
             move |m: &mut JobMetrics| {
@@ -326,20 +326,20 @@ impl BasicDdp {
             })
             .reduce_stage(
                 Stage::reduce_only(
-                    "basic/rho-block",
+                    "basic/rho-local",
                     RhoBlockReducer {
                         dc,
                         tracker: tracker.clone(),
                     },
                 )
-                .config(job_cfg)
+                .config(job_cfg("basic/rho-local"))
                 .co_partitioned(BLOCK_LAYOUT_CONTRACT)
                 .finalize(dist_snapshot(&tracker)),
             )
             .reduce_stage(
-                Stage::reduce_only("basic/rho-combine", SumReducer)
+                Stage::reduce_only("basic/rho-aggregate", SumReducer)
                     .combiner(SumCombiner)
-                    .config(job_cfg)
+                    .config(job_cfg("basic/rho-aggregate"))
                     .finalize(dist_snapshot(&tracker)),
             )
             .build();
@@ -362,21 +362,21 @@ impl BasicDdp {
             })
             .reduce_stage(
                 Stage::reduce_only(
-                    "basic/delta-block",
+                    "basic/delta-local",
                     DeltaBlockReducer {
                         rho: rho.clone(),
                         dc,
                         tracker: tracker.clone(),
                     },
                 )
-                .config(job_cfg)
+                .config(job_cfg("basic/delta-local"))
                 .co_partitioned(BLOCK_LAYOUT_CONTRACT)
                 .finalize(dist_snapshot(&tracker)),
             )
             .reduce_stage(
-                Stage::reduce_only("basic/delta-combine", MinDeltaReducer)
+                Stage::reduce_only("basic/delta-aggregate", MinDeltaReducer)
                     .combiner(MinDeltaCombiner)
-                    .config(job_cfg)
+                    .config(job_cfg("basic/delta-aggregate"))
                     .finalize(dist_snapshot(&tracker)),
             )
             .build();
@@ -555,6 +555,23 @@ mod tests {
         .run(&ds, 1.0);
         let rho_job = &report.jobs[0];
         assert_eq!(rho_job.map_output_records, 20 * 3);
+    }
+
+    #[test]
+    fn jobs_carry_the_shared_stage_names() {
+        // The benchmark reads `ddp.<suffix>_s` off these names, the same
+        // suffixes LSH-DDP's jobs end in.
+        let report = BasicDdp::new(BasicConfig::default()).run(&grid_dataset(3, 3), 1.2);
+        let names: Vec<&str> = report.jobs.iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "basic/rho-local",
+                "basic/rho-aggregate",
+                "basic/delta-local",
+                "basic/delta-aggregate"
+            ]
+        );
     }
 
     #[test]

@@ -251,42 +251,6 @@ pub fn ensemble_degradation(per_unit: f64, total: usize, lost: usize) -> Degrada
     }
 }
 
-/// Expected-accuracy impact of serving a model whose last `stale` of
-/// `total` points carry *incrementally maintained* densities instead of
-/// batch-pipeline ones.
-///
-/// A fresh point's density is recovered with probability `per_point`
-/// (e.g. `lsh::prob::expected_accuracy` for the model's layout
-/// parameters). A stale point compounds two approximations — the
-/// original estimate *and* a bucket-localized update — so its recovery
-/// probability is modeled as `per_point²`. The report's expected
-/// accuracy is the mixture over the stale fraction:
-/// `per_point · (1 - f) + per_point² · f` with `f = stale / total`.
-/// Smooth in `f`, equal to `per_point` when nothing is stale, and the
-/// signal the ingest path uses to decide when compaction is due.
-///
-/// # Panics
-/// Panics when `total` is zero, `stale > total`, or `per_point` is
-/// outside `[0, 1]`.
-pub fn staleness_degradation(per_point: f64, total: usize, stale: usize) -> DegradationReport {
-    assert!(total > 0, "model must hold at least one point");
-    assert!(
-        stale <= total,
-        "cannot have {stale} stale of {total} points"
-    );
-    assert!(
-        (0.0..=1.0).contains(&per_point),
-        "per-point accuracy must be a probability, got {per_point}"
-    );
-    let f = stale as f64 / total as f64;
-    DegradationReport {
-        units_lost: stale,
-        units_total: total,
-        accuracy_before: per_point,
-        accuracy_after: per_point * (1.0 - f) + per_point * per_point * f,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,37 +274,6 @@ mod tests {
     #[should_panic(expected = "cannot lose")]
     fn degradation_rejects_overloss() {
         ensemble_degradation(0.5, 3, 4);
-    }
-
-    #[test]
-    fn staleness_mixes_between_fresh_and_compounded_accuracy() {
-        // Nothing stale: no degradation at all.
-        let fresh = staleness_degradation(0.9, 100, 0);
-        assert_eq!(fresh.accuracy_after, fresh.accuracy_before);
-        assert_eq!(fresh.delta_per_mille(), 0);
-
-        // Everything stale: accuracy compounds to per_point².
-        let worst = staleness_degradation(0.9, 100, 100);
-        assert!((worst.accuracy_after - 0.81).abs() < 1e-12);
-
-        // Halfway: the even mixture of the two regimes.
-        let half = staleness_degradation(0.9, 100, 50);
-        assert!((half.accuracy_after - (0.45 + 0.405)).abs() < 1e-12);
-        assert_eq!((half.units_lost, half.units_total), (50, 100));
-
-        // Monotone: more staleness never helps.
-        let mut last = 1.0;
-        for stale in [0, 10, 40, 90, 100] {
-            let r = staleness_degradation(0.8, 100, stale);
-            assert!(r.accuracy_after <= last);
-            last = r.accuracy_after;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stale of")]
-    fn staleness_rejects_more_stale_than_points() {
-        staleness_degradation(0.5, 3, 4);
     }
 
     #[test]

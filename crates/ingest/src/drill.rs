@@ -551,7 +551,7 @@ pub fn checkpoint_resume_drill(base: &ClusterModel) -> Result<(), String> {
         seed: 7,
     };
     session.config_mut().pipeline.chaos = Some(doom.into());
-    session.config_mut().pipeline.fault_stage = Some("lsh/delta-aggregate");
+    session.config_mut().pipeline.fault_stage = Some("basic/delta-aggregate");
     let quiet = QuietPanics::enter();
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));
     drop(quiet);

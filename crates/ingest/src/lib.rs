@@ -7,27 +7,27 @@
 //!   [`DeltaBatch`] of point inserts/deletes and updates `rho`, `delta`,
 //!   upslope links, and labels for only the LSH buckets the batch
 //!   touches, using the localized kernels in [`dp_core::update`]. Every
-//!   point an update brushes is marked *stale*; the session's
-//!   [`staleness`](IngestSession::staleness) estimate (built on
-//!   [`dp_core::quality::staleness_degradation`]) quantifies the
-//!   expected accuracy drift and tells operators when compaction is due.
+//!   point an update brushes is marked *stale*
+//!   ([`stale_points`](IngestSession::stale_points)): its estimates are
+//!   incremental until the next compaction.
 //! * **A write-ahead log** — batches are durably logged ([`Wal`],
 //!   fsynced per append) before acknowledgement and replayed on reopen,
 //!   so a crash between compactions loses at most a torn in-flight
 //!   batch.
-//! * **Compaction** — [`IngestSession::compact`] re-runs the *full*
-//!   LSH-DDP plan over the live point set on a driver that shares the
-//!   session's [`Dfs`](mapreduce::Dfs). With checkpointing enabled in
+//! * **Compaction** — [`IngestSession::compact`] refits the live point
+//!   set *exactly*: Basic-DDP with a single block, i.e. one `rho` and one
+//!   `delta` pass over every live point (Eq. 1 / Eq. 2, the same kernels
+//!   as [`dp_core::compute_exact`]), as a plan on a driver that shares
+//!   the session's [`Dfs`]. With checkpointing enabled in
 //!   [`IngestConfig::pipeline`], a compaction killed mid-pipeline
 //!   resumes from the last completed stage (`ckpt/<plan>/<stage>`) on
-//!   the next attempt — and the result is **bit-identical** to a
-//!   from-scratch refit on the same points, which is the subsystem's
-//!   central invariant (enforced by proptest). The WAL outlives the
-//!   compaction itself: the caller persists the returned artifact
-//!   durably first and only then calls
-//!   [`retire_wal`](IngestSession::retire_wal), so at every instant the
-//!   logged batches are held by *some* durable state (old artifact +
-//!   log, or new artifact).
+//!   the next attempt — and the result is **bit-identical** to the
+//!   definition over the same points, which is the subsystem's central
+//!   invariant (enforced by proptest). The WAL outlives the compaction
+//!   itself: the caller persists the returned artifact durably first
+//!   and only then calls [`retire_wal`](IngestSession::retire_wal), so
+//!   at every instant the logged batches are held by *some* durable
+//!   state (old artifact + log, or new artifact).
 //!
 //! Published models are versioned: every applied batch and every
 //! compaction bumps the lineage counter carried by
@@ -46,9 +46,8 @@ pub use batch::{DeltaBatch, DeltaOp};
 pub use wal::{Wal, WalRecovery};
 
 use ddp::prelude::{
-    CentralizedStep, LshDdp, LshDdpConfig, PeakSelection, PipelineConfig, RunReport,
+    BasicConfig, BasicDdp, CentralizedStep, PeakSelection, PipelineConfig, RunReport,
 };
-use dp_core::quality::DegradationReport;
 use dp_core::update::{self, Neighbor};
 use dp_core::{Dataset, PointId, NO_UPSLOPE};
 use lsh::{BucketTables, BucketUnion, LshParams, MultiLsh};
@@ -160,13 +159,14 @@ pub struct Applied {
 pub struct Compaction {
     /// The compacted model, versioned one past the session's last state.
     pub model: ClusterModel,
-    /// The LSH-DDP run report of the refit.
+    /// The one-block Basic-DDP run report of the exact refit: its four
+    /// `basic/*` jobs, distance count and `(rho, delta, upslope)`.
     pub report: RunReport,
 }
 
 /// A mutable, versioned view over a [`ClusterModel`]: slots for every
 /// point ever seen (tombstoned on delete, never reordered), incremental
-/// LSH bucket tables, and the staleness bookkeeping.
+/// LSH bucket tables, and the stale-point bookkeeping.
 ///
 /// External identity: the base model's points carry keys `0..n` in
 /// point-id order; each insert takes the next key. Keys survive
@@ -613,7 +613,7 @@ impl IngestSession {
     /// model at the current version: tombstones squeezed out, slot ids
     /// densified, upslope links through dead points rewired to
     /// `NO_UPSLOPE`. This is the cheap path — the artifact reflects the
-    /// localized estimates, staleness and all; [`compact`](Self::compact)
+    /// localized estimates, stale points and all; [`compact`](Self::compact)
     /// is the exact one. The model gets the session's bucket tables,
     /// remapped from slots to its ids, so no engine over it rebuilds them.
     pub fn publish(&self) -> ClusterModel {
@@ -674,16 +674,19 @@ impl IngestSession {
         )
     }
 
-    /// Re-runs the full LSH-DDP plan over the live point set and resets
-    /// the session onto the result.
+    /// Refits the live point set exactly and resets the session onto the
+    /// result: Basic-DDP with one block, so every live point meets every
+    /// other in one reducer and no point is replicated. The result is
+    /// bit-identical to [`dp_core::compute_exact`] over
+    /// [`live_dataset`](Self::live_dataset).
     ///
     /// The refit's driver shares the session's [`Dfs`]: with
     /// checkpointing enabled, a compaction killed mid-pipeline leaves
     /// its completed stages under `ckpt/<plan>/<stage>`, and the next
     /// `compact` call resumes from them instead of recomputing. Output
-    /// is bit-identical to a from-scratch refit either way.
+    /// is the same either way.
     ///
-    /// On success staleness drops to zero, external keys carry over,
+    /// On success no point is stale, external keys carry over,
     /// and the version advances by one. The WAL is **not** touched:
     /// durably persist [`Compaction::model`] first (e.g.
     /// [`ClusterModel::save`], which writes atomically), then call
@@ -697,12 +700,11 @@ impl IngestSession {
         let mem = obsv::alloc::scope();
         let _span = obsv::span!("ingest", "compact");
         let ds = obsv::span!("ingest", "compact/live_dataset" => { self.live_dataset() });
-        let ddp = LshDdp::new(LshDdpConfig {
-            params: self.params,
-            seed: self.lsh_seed,
+        // One block: every point meets every other in a single reducer,
+        // so rho and delta are Eq. 1 / Eq. 2 exactly, with no replicas.
+        let ddp = BasicDdp::new(BasicConfig {
+            block_size: ds.len(),
             pipeline: self.config.pipeline,
-            rho_aggregation: Default::default(),
-            partition_cap: None,
         });
         let driver = self
             .config
@@ -750,15 +752,6 @@ impl IngestSession {
             wal.clear()?;
         }
         Ok(())
-    }
-
-    /// Expected-accuracy estimate for the current staleness level: the
-    /// per-point accuracy of the model's LSH ensemble (Theorem 1, via
-    /// [`lsh::prob::expected_accuracy`]) mixed over the stale fraction.
-    pub fn staleness(&self) -> DegradationReport {
-        let per_point =
-            lsh::prob::expected_accuracy(self.params.w, self.dc, self.params.pi, self.params.m);
-        dp_core::quality::staleness_degradation(per_point, self.n_live, self.stale_points())
     }
 
     /// Live points currently carrying incrementally maintained (stale)

@@ -1,14 +1,16 @@
 //! The compaction invariant, property-tested: after an arbitrary legal
 //! sequence of inserts and deletes, [`IngestSession::compact`] must
-//! produce a model **bit-identical** to fitting LSH-DDP from scratch on
-//! the same live point set with the same parameters. Incremental ingest
-//! may drift (that is what staleness measures); compaction may not.
+//! produce a model **bit-identical** to the Eq. 1 / Eq. 2 definition
+//! ([`dp_core::compute_exact`]) over the same live point set, decided and
+//! haloed the same way. Incremental ingest may drift; compaction may not.
 
 use ddp::prelude::*;
+use dp_core::compute_exact;
 use ingest::{DeltaOp, IngestConfig, IngestSession};
 use mapreduce::wire;
 use proptest::prelude::*;
 use serve::ClusterModel;
+use std::time::Duration;
 
 fn fitted(n_per: usize, seed: u64) -> ClusterModel {
     let ld = datasets::gaussian_mixture(2, 3, n_per, 40.0, 1.0, seed);
@@ -24,44 +26,44 @@ fn fitted(n_per: usize, seed: u64) -> ClusterModel {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(f64, f64),
+    /// Re-insert an exact copy of the live point at this (wrapped) index.
+    Duplicate(usize),
     /// Delete the live key at this (wrapped) index; skipped when the
     /// session rejects it (emptying a cluster).
     DeleteNth(usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (any::<bool>(), -60.0f64..60.0, -60.0f64..60.0, 0usize..1000).prop_map(|(insert, x, y, nth)| {
-        if insert {
-            Op::Insert(x, y)
-        } else {
-            Op::DeleteNth(nth)
-        }
-    })
+    (0u8..3, -60.0f64..60.0, -60.0f64..60.0, 0usize..1000).prop_map(
+        |(kind, x, y, nth)| match kind {
+            0 => Op::Insert(x, y),
+            1 => Op::Duplicate(nth),
+            _ => Op::DeleteNth(nth),
+        },
+    )
 }
 
-/// An independent from-scratch refit over exactly the session's live
-/// points, through the public batch API — no session code involved.
+/// The definition over exactly the session's live points: exact
+/// rho/delta, the centralized step, then the halo pass — no pipeline and
+/// no session code involved.
 fn scratch_refit(session: &IngestSession) -> ClusterModel {
     let ds = session.live_dataset();
-    let params = *session.params();
-    let seed = session.seed();
-    let ddp = LshDdp::new(LshDdpConfig {
-        params,
-        seed,
-        pipeline: PipelineConfig::default(),
-        partition_cap: None,
-        rho_aggregation: Default::default(),
-    });
-    let report = ddp.run(&ds, session.dc());
+    let report = RunReport {
+        algorithm: "basic-ddp".into(),
+        jobs: Vec::new(),
+        distances: 0,
+        wall: Duration::ZERO,
+        result: compute_exact(&ds, session.dc()),
+    };
     let outcome = CentralizedStep::new(PeakSelection::TopK(3)).run(&report.result);
-    ClusterModel::from_run(&ds, &report, &outcome, &params, seed)
+    ClusterModel::from_run(&ds, &report, &outcome, session.params(), session.seed())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn compaction_is_bit_identical_to_a_scratch_refit(
+    fn compaction_is_bit_identical_to_the_definition(
         seed in 0u64..3,
         ops in proptest::collection::vec(op(), 1..10),
     ) {
@@ -74,6 +76,10 @@ proptest! {
         for op in ops {
             let delta = match op {
                 Op::Insert(x, y) => DeltaOp::Insert(vec![x, y]),
+                Op::Duplicate(nth) => {
+                    let live = session.live_dataset();
+                    DeltaOp::Insert(live.point((nth % live.len()) as u32).to_vec())
+                }
                 Op::DeleteNth(nth) => {
                     let keys = session.live_keys();
                     DeltaOp::Delete(keys[nth % keys.len()])
@@ -89,7 +95,7 @@ proptest! {
         prop_assert_eq!(
             wire::encode(&compacted),
             wire::encode(&scratch),
-            "compaction must equal a from-scratch refit byte for byte"
+            "compaction must equal the definition byte for byte"
         );
 
         // And the session itself now *is* that artifact.

@@ -78,13 +78,14 @@ USAGE:
       apply one batch of inserts (CSV rows) and/or deletes (external
       keys: base points are 0..n, inserts continue the sequence) with
       updates localized to the touched LSH buckets; bumps the model
-      version and reports the staleness estimate. With --wal, batches
-      are logged before acknowledgement and pending ones replay on open.
+      version and reports how many points went stale. With --wal,
+      batches are logged before acknowledgement and pending ones replay
+      on open.
   lshddp compact --model <model> [--wal <file>] [--out <model>]
       [--k n | --auto] [--stats]
-      re-run the full LSH-DDP plan over the live points (bit-identical
-      to a from-scratch refit), durably write the compacted artifact,
-      then retire the folded WAL
+      refit the live points exactly (one-block Basic-DDP: Eq. 1 / Eq. 2
+      over every pair), durably write the compacted artifact, then
+      retire the folded WAL
 
 GLOBAL:
   --trace <file>   capture a span timeline of the run: every pipeline,
@@ -569,26 +570,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
     if o.stats {
         println!("kernels: {}", dp_core::simd::Isa::detect());
         if let Some(r) = report {
-            println!("{}", r.summary_row());
-            for job in &r.jobs {
-                let elided = if job.shuffle_bytes_saved > 0 {
-                    format!("  (elided; saved {} B)", job.shuffle_bytes_saved)
-                } else {
-                    String::new()
-                };
-                let spilled = if job.spill_bytes > 0 {
-                    format!("  spill {:>10} B", job.spill_bytes)
-                } else {
-                    String::new()
-                };
-                println!(
-                    "  {:<22} shuffle {:>12} B  records {:>10}  peak {:>7.1} MB{spilled}{elided}",
-                    job.name,
-                    job.shuffle_bytes,
-                    job.shuffle_records,
-                    job.peak_resident_bytes as f64 / 1e6,
-                );
-            }
+            print_jobs(&r);
             let saved = r.shuffle_bytes_saved();
             if saved > 0 {
                 println!("  shuffle bytes saved by plan elision: {saved}");
@@ -907,6 +889,30 @@ fn open_session(o: &Opts, model: &ClusterModel) -> Result<IngestSession, String>
     }
 }
 
+/// A run's summary row, then one line per job.
+fn print_jobs(r: &RunReport) {
+    println!("{}", r.summary_row());
+    for job in &r.jobs {
+        let elided = if job.shuffle_bytes_saved > 0 {
+            format!("  (elided; saved {} B)", job.shuffle_bytes_saved)
+        } else {
+            String::new()
+        };
+        let spilled = if job.spill_bytes > 0 {
+            format!("  spill {:>10} B", job.spill_bytes)
+        } else {
+            String::new()
+        };
+        println!(
+            "  {:<22} shuffle {:>12} B  records {:>10}  peak {:>7.1} MB{spilled}{elided}",
+            job.name,
+            job.shuffle_bytes,
+            job.shuffle_records,
+            job.peak_resident_bytes as f64 / 1e6,
+        );
+    }
+}
+
 fn print_lifecycle_stats(session: &IngestSession) {
     let reg = obsv::global();
     println!(
@@ -915,13 +921,10 @@ fn print_lifecycle_stats(session: &IngestSession) {
         reg.counter("stale_points").get(),
         reg.counter("model_compactions").get(),
     );
-    let d = session.staleness();
     println!(
-        "staleness: {} of {} points stale; expected accuracy {:.4} -> {:.4}",
+        "stale: {} of {} live points",
         session.stale_points(),
-        session.len(),
-        d.accuracy_before,
-        d.accuracy_after,
+        session.len()
     );
 }
 
@@ -1012,7 +1015,7 @@ fn compact(o: &Opts) -> Result<(), String> {
     );
     if o.stats {
         print_lifecycle_stats(&session);
-        println!("{}", compaction.report.summary_row());
+        print_jobs(&compaction.report);
     }
     Ok(())
 }

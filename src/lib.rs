@@ -22,7 +22,7 @@
 //!   through a concurrent micro-batching server;
 //! * [`ingest`] — the model lifecycle: batched incremental inserts and
 //!   deletes through a write-ahead log with bucket-localized updates,
-//!   staleness accounting, and checkpoint-reusing compaction back to an
+//!   stale-point accounting, and checkpoint-reusing compaction back to an
 //!   exact refit, hot-swapped into the server via [`serve::ModelStore`].
 //!
 //! ## Five-minute tour

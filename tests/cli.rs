@@ -466,3 +466,77 @@ fn stats_serves_live_metrics_while_it_lingers() {
     assert!(samples.contains_key("serve_slo_fast_burn_milli"), "{prom}");
     assert!(samples["serve_mem_batch_peak_bytes"] > 0.0, "{prom}");
 }
+
+/// The model lifecycle through the CLI: `fit`, one WAL-logged `ingest`,
+/// then `compact --stats`. The compacted artifact is the Eq. 1 / Eq. 2
+/// definition over the live points, its refit is the four one-block
+/// Basic-DDP jobs, and the folded log is retired.
+#[test]
+fn fit_ingest_compact_refits_the_live_points_exactly() {
+    let (points, more) = (tmp("life-base.csv"), tmp("life-more.csv"));
+    let (model, compacted, wal) = (
+        tmp("life-model.bin"),
+        tmp("life-compacted.bin"),
+        tmp("life.wal"),
+    );
+    std::fs::remove_file(&wal).ok();
+    for (seed, path) in [("7", &points), ("8", &more)] {
+        let out = bin()
+            .args(["generate", "--dataset", "s2", "--scale", "0.06"])
+            .args(["--seed", seed, "--out"])
+            .arg(path)
+            .output()
+            .expect("generate");
+        assert!(out.status.success());
+    }
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let [points_s, more_s, model_s, compacted_s, wal_s] =
+        [&points, &more, &model, &compacted, &wal].map(|p| p.display().to_string());
+    run(&["fit", "--k", "15", "--input", &points_s, "--out", &model_s]);
+    run(&[
+        "ingest", "--delete", "3", "--model", &model_s, "--input", &more_s, "--wal", &wal_s,
+    ]);
+    let stats = run(&[
+        "compact",
+        "--stats",
+        "--model",
+        &model_s,
+        "--wal",
+        &wal_s,
+        "--out",
+        &compacted_s,
+    ]);
+    for job in [
+        "basic/rho-local",
+        "basic/rho-aggregate",
+        "basic/delta-local",
+        "basic/delta-aggregate",
+    ] {
+        assert!(stats.contains(job), "stdout: {stats}");
+    }
+    assert!(!stats.contains("staleness:"), "stdout: {stats}");
+    assert_eq!(
+        std::fs::metadata(&wal).expect("wal").len(),
+        0,
+        "WAL retired"
+    );
+
+    // Live points: the base rows minus key 3, then the inserts.
+    let base = serve::ClusterModel::load(&model_s).expect("base model");
+    let c = serve::ClusterModel::load(&compacted_s).expect("compacted model");
+    let dim = base.dim();
+    let inserted = datasets::io::read_csv(&more, false).expect("inserts").data;
+    let mut live = base.coords().to_vec();
+    live.drain(3 * dim..4 * dim);
+    live.extend_from_slice(inserted.as_flat());
+    assert_eq!(c.coords(), &live[..]);
+    let exact = dp_core::compute_exact(&dp_core::Dataset::from_flat(dim, live), c.dc());
+    assert_eq!(c.rhos(), &exact.rho[..]);
+    assert_eq!(c.deltas(), &exact.delta[..]);
+    assert_eq!(c.upslopes(), &exact.upslope[..]);
+}

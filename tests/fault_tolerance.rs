@@ -583,11 +583,11 @@ fn restarted_driver_resumes_a_killed_spilling_plan_bit_exactly() {
     );
 }
 
-/// The ingest-era kill-and-restart drill: a compaction (full LSH-DDP
-/// refit) dies mid-pipeline, the session survives, and the *next*
-/// `compact` call on the same session resumes from the checkpointed
-/// stages in the shared DFS — producing a model bit-identical to a
-/// from-scratch refit, as if the kill never happened.
+/// The ingest-era kill-and-restart drill: a compaction (an exact
+/// one-block Basic-DDP refit) dies mid-pipeline, the session survives,
+/// and the *next* `compact` call on the same session resumes from the
+/// checkpointed stages in the shared DFS — producing a model
+/// bit-identical to the definition, as if the kill never happened.
 #[test]
 fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
     use ingest::{DeltaOp, IngestConfig, IngestSession};
@@ -606,7 +606,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
     // Mutate it, then doom the compaction's LAST stage (`fault_stage`
     // scopes the chaos plan so every earlier stage completes and checkpoints
     // first): the rho plan finishes whole, the delta plan checkpoints
-    // its fused map+local stage, and dies in the aggregate.
+    // its local stage, and dies in the aggregate.
     let mut session = IngestSession::new(
         &model,
         IngestConfig {
@@ -632,13 +632,13 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
         seed: 7,
     };
     session.config_mut().pipeline.chaos = Some(doom.into());
-    session.config_mut().pipeline.fault_stage = Some("lsh/delta-aggregate");
+    session.config_mut().pipeline.fault_stage = Some("basic/delta-aggregate");
 
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));
     assert!(killed.is_err(), "the doomed refit must die mid-pipeline");
     assert_eq!(
         session.dfs().list("ckpt/"),
-        ["ckpt/lsh/delta/0"],
+        ["ckpt/basic/delta/0"],
         "the delta plan's completed stage is checkpointed; the rho \
          plan succeeded whole and cleared its own"
     );
@@ -661,7 +661,7 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
         .collect();
     assert_eq!(
         resumed,
-        ["lsh/delta-local"],
+        ["basic/delta-local"],
         "exactly the checkpointed stage resumes from the killed run"
     );
     assert!(
@@ -670,17 +670,16 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
     );
     assert_eq!(session.stale_points(), 0);
 
-    // Bit-identity: the resumed compaction equals a from-scratch refit
-    // on the same live points with no faults and no checkpoints.
+    // Bit-identity: the resumed compaction equals the definition over
+    // the same live points, with no faults and no checkpoints.
     let live = session.live_dataset();
-    let scratch_runner = LshDdp::new(LshDdpConfig {
-        params,
-        seed: 77,
-        pipeline: PipelineConfig::default(),
-        partition_cap: None,
-        rho_aggregation: Default::default(),
-    });
-    let scratch_report = scratch_runner.run(&live, dc);
+    let scratch_report = RunReport {
+        algorithm: "basic-ddp".into(),
+        jobs: Vec::new(),
+        distances: 0,
+        wall: std::time::Duration::ZERO,
+        result: compute_exact(&live, dc),
+    };
     let scratch_outcome = CentralizedStep::new(PeakSelection::TopK(3)).run(&scratch_report.result);
     let scratch = ClusterModel::from_run(&live, &scratch_report, &scratch_outcome, &params, 77)
         .with_version(compaction.model.version());

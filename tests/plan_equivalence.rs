@@ -107,7 +107,7 @@ fn basic_ddp_plan_matches_reference() {
     .run(&ds, dc);
     assert_reports_equivalent(&elided, &plain);
     assert_savings_account_for_the_difference(&elided, &plain);
-    assert!(elided.shuffle_bytes_saved() > 0, "delta-block stage elided");
+    assert!(elided.shuffle_bytes_saved() > 0, "delta-local stage elided");
 }
 
 #[test]
