@@ -1,10 +1,14 @@
 //! End-to-end pipeline benchmarks: sequential DP vs Basic-DDP vs LSH-DDP
 //! vs EDDPC at growing N — the Criterion companion to Figure 10's
-//! runtime panel (who wins and how the gap scales).
+//! runtime panel (who wins and how the gap scales) — and the centralized
+//! step's relabel, the decision-graph interaction, at growing N.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datasets::generators::blob_grid;
 use ddp::prelude::*;
+use dp_core::{density_order, DpResult, PointId, NO_UPSLOPE};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
 fn bench_pipelines(c: &mut Criterion) {
@@ -40,5 +44,51 @@ fn bench_pipelines(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pipelines);
+/// A synthetic `n`-point result shaped like a fitted one: densities in
+/// `0..64`, every point but the densest linked to one of the 32 points
+/// just denser than it (long chains), a few stranded candidates with an
+/// infinite delta.
+fn synthetic_result(n: usize, seed: u64) -> DpResult {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rho: Vec<u32> = (0..n).map(|_| rng.random_range(0..64)).collect();
+    let mut order: Vec<PointId> = (0..n as PointId).collect();
+    order.sort_by(|&a, &b| density_order(rho[a as usize], a, rho[b as usize], b));
+    let mut delta = vec![f64::INFINITY; n];
+    let mut upslope = vec![NO_UPSLOPE; n];
+    for (rank, &i) in order.iter().enumerate().skip(1) {
+        if rng.random_range(0..1000) == 0 {
+            continue;
+        }
+        upslope[i as usize] = order[rank - 1 - rng.random_range(0..rank.min(32))];
+        delta[i as usize] = rng.random_range(0.0..1.0);
+    }
+    DpResult {
+        dc: 1.0,
+        rho,
+        delta,
+        upslope,
+    }
+}
+
+/// One relabel — graph, selection and assignment over a fixed result —
+/// as `ledger`'s `fit-*` workloads time it, at growing `N`: the cost
+/// should grow linearly.
+fn bench_centralized(c: &mut Criterion) {
+    let mut g = c.benchmark_group("centralized");
+    g.sample_size(20);
+    let step = CentralizedStep::new(PeakSelection::DeltaOutliers {
+        k: 30,
+        rho_quantile: 0.25,
+    });
+    for n in [10_000usize, 100_000, 400_000] {
+        let result = synthetic_result(n, 7);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("relabel", n), &result, |b, r| {
+            b.iter(|| black_box(step.run(r)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_pipelines, bench_centralized);
 criterion_main!(benches);

@@ -25,7 +25,8 @@ pub enum PeakSelection {
     /// Automatic: the `k` points with the largest `gamma = rho * delta`.
     TopK(usize),
     /// Oracle-k rectangle: the `k` largest-`delta` points among those
-    /// whose density exceeds the `rho_quantile` of all densities.
+    /// whose density reaches the `rho_quantile` of all densities
+    /// ([`decision::select_delta_outliers`]).
     ///
     /// This emulates what the paper's interactive user actually does on a
     /// decision graph: isolated outliers also show large `delta` but sit
@@ -70,56 +71,44 @@ impl CentralizedStep {
         CentralizedStep { selection }
     }
 
-    /// Selects peaks and assigns every point to a cluster.
+    /// Selects peaks and assigns every point to a cluster: one pass to
+    /// build the graph, a selection, and one chain walk, so a relabel on
+    /// the same result costs `O(N + k log k)` with no sort of all points
+    /// (except under [`PeakSelection::Auto`], whose suggested thresholds
+    /// sort the deltas).
     ///
     /// # Panics
     /// Panics if the selection yields no peaks (nothing to assign to) —
     /// re-run with looser thresholds.
     pub fn run(&self, result: &DpResult) -> CentralizedOutput {
-        let graph = DecisionGraph::from_result(result);
-        let peaks = match &self.selection {
-            PeakSelection::Threshold { rho_min, delta_min } => {
-                decision::select_by_threshold(result, *rho_min, *delta_min)
-            }
-            PeakSelection::TopK(k) => decision::select_top_k(result, *k),
-            PeakSelection::DeltaOutliers { k, rho_quantile } => {
-                assert!(
-                    (0.0..1.0).contains(rho_quantile),
-                    "rho_quantile must be in [0,1)"
-                );
-                let mut rhos: Vec<u32> = result.rho.clone();
-                rhos.sort_unstable();
-                let floor = rhos[((rhos.len() - 1) as f64 * rho_quantile) as usize];
-                let mut ids: Vec<_> = graph
-                    .points()
-                    .iter()
-                    .filter(|p| p.rho >= floor.max(1))
-                    .collect();
-                ids.sort_by(|a, b| {
-                    b.delta
-                        .partial_cmp(&a.delta)
-                        .expect("finite")
-                        .then(a.id.cmp(&b.id))
-                });
-                let mut peaks: Vec<PointId> = ids.iter().take(*k).map(|p| p.id).collect();
-                peaks.sort_unstable();
-                peaks
-            }
-            PeakSelection::Auto => {
-                let (rho_min, delta_min) = graph.suggest_thresholds();
-                let peaks = decision::select_by_threshold(result, rho_min, delta_min);
-                if peaks.is_empty() {
-                    vec![densest(result)]
-                } else {
-                    peaks
+        let _span = obsv::span!("ddp", "centralized");
+        let (graph, peaks) = obsv::span!("ddp", "select" => {
+            let graph = DecisionGraph::from_result(result);
+            let peaks = match &self.selection {
+                PeakSelection::Threshold { rho_min, delta_min } => {
+                    decision::select_by_threshold(result, *rho_min, *delta_min)
                 }
-            }
-        };
+                PeakSelection::TopK(k) => decision::select_top_k(result, *k),
+                PeakSelection::DeltaOutliers { k, rho_quantile } => {
+                    decision::select_delta_outliers(result, *k, *rho_quantile)
+                }
+                PeakSelection::Auto => {
+                    let (rho_min, delta_min) = graph.suggest_thresholds();
+                    let peaks = decision::select_by_threshold(result, rho_min, delta_min);
+                    if peaks.is_empty() {
+                        vec![densest(result)]
+                    } else {
+                        peaks
+                    }
+                }
+            };
+            (graph, peaks)
+        });
         assert!(
             !peaks.is_empty(),
             "peak selection produced no density peaks; loosen the thresholds"
         );
-        let clustering = decision::assign(result, &peaks);
+        let clustering = obsv::span!("ddp", "assign" => { decision::assign(result, &peaks) });
         CentralizedOutput {
             graph,
             peaks,

@@ -4,11 +4,12 @@
 //! delta)` decision graph is a 2-D summary of an arbitrarily
 //! high-dimensional data set, and the user picks the outliers in its
 //! top-right region (§III-A, Step 3). This module supports that workflow
-//! ([`DecisionGraph`] + [`select_by_threshold`]) and also the common
-//! automatic criterion ([`select_top_k`] by the normalized product
-//! `gamma = rho * delta`).
+//! ([`DecisionGraph`] + [`select_by_threshold`], or
+//! [`select_delta_outliers`] when the number of clusters is known) and
+//! also the common automatic criterion ([`select_top_k`] by the
+//! normalized product `gamma = rho * delta`).
 
-use crate::dp::{density_order, DpResult, NO_UPSLOPE};
+use crate::dp::{denser, DpResult, NO_UPSLOPE};
 use crate::local::Partition;
 use crate::point::PointId;
 use serde::{Deserialize, Serialize};
@@ -37,19 +38,13 @@ impl DecisionGraph {
     /// Builds the graph from a DP result, rectifying infinite deltas to the
     /// maximum finite delta as the paper prescribes.
     pub fn from_result(result: &DpResult) -> Self {
-        let mut r = result.clone();
-        let rectified = r.rectify_infinite_delta();
-        let points = r
-            .rho
-            .iter()
-            .zip(r.delta.iter())
-            .zip(rectified.iter())
-            .enumerate()
-            .map(|(i, ((&rho, &delta), &rect))| DecisionPoint {
+        let delta = rectified_delta(result);
+        let points = (0..result.len())
+            .map(|i| DecisionPoint {
                 id: i as PointId,
-                rho,
-                delta,
-                rectified: rect,
+                rho: result.rho[i],
+                delta: delta(i),
+                rectified: !result.delta[i].is_finite(),
             })
             .collect();
         DecisionGraph { points }
@@ -109,29 +104,82 @@ impl DecisionGraph {
 }
 
 /// Selects every point with `rho > rho_min` and `delta > delta_min` as a
-/// density peak — the manual rectangle the user draws on the decision graph.
+/// density peak — the manual rectangle the user draws on the decision graph
+/// (over its rectified deltas).
 pub fn select_by_threshold(result: &DpResult, rho_min: u32, delta_min: f64) -> Vec<PointId> {
-    let graph = DecisionGraph::from_result(result);
-    graph
-        .points()
-        .iter()
-        .filter(|p| p.rho > rho_min && p.delta > delta_min)
-        .map(|p| p.id)
+    let delta = rectified_delta(result);
+    (0..result.len())
+        .filter(|&i| result.rho[i] > rho_min && delta(i) > delta_min)
+        .map(|i| i as PointId)
         .collect()
 }
 
 /// Selects the `k` points with the largest `gamma = rho_norm * delta_norm`
-/// as density peaks. Deterministic: ties broken by id.
+/// as density peaks, ascending by id. Deterministic: ties broken by id.
 pub fn select_top_k(result: &DpResult, k: usize) -> Vec<PointId> {
     let gamma = result.gamma();
-    let mut ids: Vec<PointId> = (0..result.len() as PointId).collect();
-    ids.sort_by(|&a, &b| {
+    first_k((0..result.len() as PointId).collect(), k, |&a, &b| {
         gamma[b as usize]
             .partial_cmp(&gamma[a as usize])
             .expect("gamma is finite")
             .then(a.cmp(&b))
-    });
-    ids.truncate(k);
+    })
+}
+
+/// Selects the `k` largest-`delta` points (rectified, ties broken by id)
+/// among those whose density reaches the `rho_quantile` of all densities
+/// and is positive, ascending by id — the rectangle a user draws when they
+/// know how many clusters to expect.
+///
+/// # Panics
+/// Panics if `rho_quantile` is outside `[0, 1)` or `result` is empty.
+pub fn select_delta_outliers(result: &DpResult, k: usize, rho_quantile: f64) -> Vec<PointId> {
+    assert!(
+        (0.0..1.0).contains(&rho_quantile),
+        "rho_quantile must be in [0,1)"
+    );
+    let mut rhos = result.rho.clone();
+    let nth = ((rhos.len() - 1) as f64 * rho_quantile) as usize;
+    let floor = (*rhos.select_nth_unstable(nth).1).max(1);
+    let delta = rectified_delta(result);
+    let candidates = (0..result.len() as PointId)
+        .filter(|&i| result.rho[i as usize] >= floor)
+        .collect();
+    first_k(candidates, k, |&a, &b| {
+        delta(b as usize)
+            .partial_cmp(&delta(a as usize))
+            .expect("finite")
+            .then(a.cmp(&b))
+    })
+}
+
+/// `result`'s deltas as the decision graph shows them: a non-finite delta
+/// reads as the largest finite one.
+fn rectified_delta(result: &DpResult) -> impl Fn(usize) -> f64 + '_ {
+    let max_finite = result.max_finite_delta();
+    move |i| {
+        let delta = result.delta[i];
+        if delta.is_finite() {
+            delta
+        } else {
+            max_finite
+        }
+    }
+}
+
+/// The first `k` of `ids` under the total order `cmp`, ascending by id:
+/// one selection over all of them, then a sort of the winners only.
+fn first_k(
+    mut ids: Vec<PointId>,
+    k: usize,
+    mut cmp: impl FnMut(&PointId, &PointId) -> std::cmp::Ordering,
+) -> Vec<PointId> {
+    if k < ids.len() {
+        if let Some(last) = k.checked_sub(1) {
+            ids.select_nth_unstable_by(last, &mut cmp);
+        }
+        ids.truncate(k);
+    }
     ids.sort_unstable();
     ids
 }
@@ -192,50 +240,55 @@ impl Clustering {
 }
 
 /// Assigns every point to a cluster by following the upslope chain from the
-/// selected `peaks` (paper §III-A Step 3, Figure 1d).
+/// selected `peaks` (paper §III-A Step 3, Figure 1d). Point `peaks[c]`
+/// labels cluster `c`.
 ///
-/// Points are visited in descending density order (the canonical
-/// [`density_order`]), so each point's upslope has already been labeled.
-/// A point whose upslope is [`NO_UPSLOPE`] (the absolute peak, or an
-/// approximate result's stranded candidates) that was *not* selected as a
-/// peak is attached to the nearest-by-id selected peak's cluster via the
-/// first peak — in exact DP this situation only arises when the user
-/// excludes the absolute peak from the selection.
+/// One memoised walk: from each unlabelled point, up the upslope chain to
+/// the first labelled point, then that label is written back along the
+/// path. Every point is walked past once, so a relabel is linear in `N`.
+/// Each edge followed must lead to a point strictly denser under the
+/// canonical order ([`denser`]); that keeps the chains acyclic and the walk
+/// finite. A point whose upslope is [`NO_UPSLOPE`] (the absolute peak, or
+/// an approximate result's stranded candidates) that was *not* selected as
+/// a peak ends its chain in cluster 0, the first peak's — in exact DP this
+/// only arises when the user excludes the absolute peak from the selection.
 ///
 /// # Panics
-/// Panics if `peaks` is empty or contains duplicate/out-of-range ids.
+/// Panics if `peaks` is empty or contains duplicate or out-of-range ids, or
+/// if a chain from a point that is not a peak steps to a point that is not
+/// denser.
 pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
     assert!(!peaks.is_empty(), "at least one density peak is required");
     let n = result.len();
-    let mut peak_cluster = vec![u32::MAX; n];
+    let mut labels = vec![u32::MAX; n];
     for (c, &p) in peaks.iter().enumerate() {
-        let slot = &mut peak_cluster[p as usize];
+        assert!((p as usize) < n, "peak {p} out of range");
+        let slot = &mut labels[p as usize];
         assert!(*slot == u32::MAX, "duplicate peak id {p}");
         *slot = c as u32;
     }
 
-    // Descending canonical density order.
-    let mut order: Vec<PointId> = (0..n as PointId).collect();
-    order.sort_by(|&a, &b| density_order(result.rho[a as usize], a, result.rho[b as usize], b));
-
-    let mut labels = vec![u32::MAX; n];
-    for &i in &order {
-        let idx = i as usize;
-        labels[idx] = if peak_cluster[idx] != u32::MAX {
-            peak_cluster[idx]
-        } else {
-            match result.upslope[idx] {
-                NO_UPSLOPE => 0, // stranded candidate not chosen as a peak
-                u => {
-                    let lbl = labels[u as usize];
-                    debug_assert!(
-                        lbl != u32::MAX,
-                        "upslope point {u} of {i} not yet labeled — denser order violated"
-                    );
-                    lbl
-                }
+    let (rho, upslope) = (&result.rho, &result.upslope);
+    let mut path = Vec::new();
+    for i in 0..n {
+        let mut at = i;
+        while labels[at] == u32::MAX {
+            let u = upslope[at];
+            if u == NO_UPSLOPE {
+                labels[at] = 0; // stranded candidate not chosen as a peak
+                break;
             }
-        };
+            assert!(
+                (u as usize) < n && denser(rho[u as usize], u, rho[at], at as PointId),
+                "upslope {u} of point {at} is not denser"
+            );
+            path.push(at);
+            at = u as usize;
+        }
+        let label = labels[at];
+        for p in path.drain(..) {
+            labels[p] = label;
+        }
     }
 
     Clustering::from_labels(labels, peaks.len() as u32)
@@ -396,6 +449,38 @@ mod tests {
         let ds = two_blobs();
         let r = compute_exact(&ds, 0.25);
         let _ = assign(&r, &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "peak 9 out of range")]
+    fn assign_rejects_out_of_range_peaks() {
+        let ds = two_blobs();
+        let r = compute_exact(&ds, 0.25);
+        let _ = assign(&r, &[0, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "upslope 1 of point 1 is not denser")]
+    fn assign_rejects_a_self_loop_upslope() {
+        let r = DpResult {
+            dc: 1.0,
+            rho: vec![5, 3],
+            delta: vec![10.0, 1.0],
+            upslope: vec![NO_UPSLOPE, 1],
+        };
+        let _ = assign(&r, &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "upslope 2 of point 1 is not denser")]
+    fn assign_rejects_a_less_dense_upslope() {
+        let r = DpResult {
+            dc: 1.0,
+            rho: vec![5, 3, 2],
+            delta: vec![10.0, 1.0, 1.0],
+            upslope: vec![NO_UPSLOPE, 2, 1],
+        };
+        let _ = assign(&r, &[0]);
     }
 
     #[test]

@@ -75,13 +75,7 @@ impl DpResult {
     /// rectified deltas participate with the maximum finite value.
     pub fn gamma(&self) -> Vec<f64> {
         let max_rho = self.rho.iter().copied().max().unwrap_or(0).max(1) as f64;
-        let max_delta = self
-            .delta
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(0.0_f64, f64::max)
-            .max(f64::MIN_POSITIVE);
+        let max_delta = self.max_finite_delta().max(f64::MIN_POSITIVE);
         self.rho
             .iter()
             .zip(self.delta.iter())
@@ -92,16 +86,21 @@ impl DpResult {
             .collect()
     }
 
+    /// The largest finite `delta` (0 when there is none): what a
+    /// non-finite `delta` is rectified to on the decision graph.
+    pub(crate) fn max_finite_delta(&self) -> f64 {
+        self.delta
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .fold(0.0_f64, f64::max)
+    }
+
     /// Replaces non-finite `delta` values with the maximum finite `delta`
     /// (the paper rectifies infinite deltas before drawing the decision
     /// graph); returns which entries were rectified.
     pub fn rectify_infinite_delta(&mut self) -> Vec<bool> {
-        let max_finite = self
-            .delta
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(0.0_f64, f64::max);
+        let max_finite = self.max_finite_delta();
         self.delta
             .iter_mut()
             .map(|d| {

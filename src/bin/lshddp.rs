@@ -406,6 +406,20 @@ impl Opts {
         Ok(Some(plan))
     }
 
+    /// The peak selection `--k` or `--auto` asks for: the `k`
+    /// largest-delta points above the lower density quartile, or the
+    /// suggested thresholds when `--auto` is set or `--k` is absent.
+    fn selection(&self) -> Result<PeakSelection, String> {
+        match (self.auto, self.k) {
+            (false, Some(0)) => Err("--k: at least one cluster is required, got 0".into()),
+            (false, Some(k)) => Ok(PeakSelection::DeltaOutliers {
+                k,
+                rho_quantile: 0.25,
+            }),
+            _ => Ok(PeakSelection::Auto),
+        }
+    }
+
     /// A pipeline config carrying the chaos and memory-budget flags.
     fn pipeline(&self) -> Result<ddp::common::PipelineConfig, String> {
         Ok(ddp::common::PipelineConfig {
@@ -504,6 +518,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
     }
 
     // The DP family: compute (rho, delta), then select + assign.
+    let selection = o.selection()?;
     let dc = o.resolve_dc(ds)?;
     let (result, report): (DpResult, Option<ddp::stats::RunReport>) = match o.algorithm.as_str() {
         "exact" => (compute_exact(ds, dc), None),
@@ -532,13 +547,6 @@ fn cluster(o: &Opts) -> Result<(), String> {
         other => return Err(format!("unknown algorithm {other:?}")),
     };
 
-    let selection = match (o.auto, o.k) {
-        (false, Some(k)) => PeakSelection::DeltaOutliers {
-            k,
-            rho_quantile: 0.25,
-        },
-        _ => PeakSelection::Auto,
-    };
     let outcome = CentralizedStep::new(selection).run(&result);
     write_labels(out, outcome.clustering.labels())?;
     println!(
@@ -669,19 +677,13 @@ fn fit(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
     let out = o.out.as_ref().ok_or("--out is required")?;
+    let selection = o.selection()?;
     let dc = o.resolve_dc(ds)?;
 
     let ddp =
         LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed).map_err(|e| e.to_string())?;
     let params = ddp.config().params;
     let report = ddp.run(ds, dc);
-    let selection = match (o.auto, o.k) {
-        (false, Some(k)) => PeakSelection::DeltaOutliers {
-            k,
-            rho_quantile: 0.25,
-        },
-        _ => PeakSelection::Auto,
-    };
     let outcome = CentralizedStep::new(selection).run(&report.result);
     let model = ClusterModel::from_run(ds, &report, &outcome, &params, o.seed);
     model.save(out).map_err(|e| e.to_string())?;
@@ -868,13 +870,7 @@ fn serve_stream(o: &Opts, full_report: bool) -> Result<(), String> {
 fn open_session(o: &Opts, model: &ClusterModel) -> Result<IngestSession, String> {
     let config = IngestConfig {
         pipeline: o.pipeline()?,
-        selection: match (o.auto, o.k) {
-            (false, Some(k)) => PeakSelection::DeltaOutliers {
-                k,
-                rho_quantile: 0.25,
-            },
-            _ => PeakSelection::Auto,
-        },
+        selection: o.selection()?,
     };
     match o.wal.as_deref() {
         Some(path) => {

@@ -316,6 +316,73 @@ fn out_of_range_fault_rates_are_clean_errors() {
     }
 }
 
+/// `--k 0` asks for no clusters: `cluster`, `fit` and `compact` exit 1
+/// naming the flag instead of panicking in peak selection.
+#[test]
+fn zero_k_is_a_clean_error() {
+    let (points, model) = (tmp("k0.csv"), tmp("k0-model.bin"));
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = bin()
+        .args(["fit", "--k", "15", "--input"])
+        .arg(&points)
+        .arg("--out")
+        .arg(&model)
+        .output()
+        .expect("fit");
+    assert!(out.status.success());
+    let [points, model, labels] =
+        [&points, &model, &tmp("k0-out")].map(|p| p.display().to_string());
+    for args in [
+        &["cluster", "--input", &points, "--out", &labels][..],
+        &["fit", "--input", &points, "--out", &labels],
+        &["compact", "--model", &model, "--out", &labels],
+    ] {
+        let out = bin().args(args).args(["--k", "0"]).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--k"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// The exact engine's decision step shows up in a folded profile: the
+/// `centralized` span with its `select` and `assign` children (frames are
+/// `category:name`).
+#[test]
+fn exact_cluster_profile_folds_the_decision_step() {
+    let (points, profile) = (tmp("profile.csv"), tmp("profile.folded"));
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = bin()
+        .args(["cluster", "--algorithm", "exact", "--k", "2", "--input"])
+        .arg(&points)
+        .arg("--out")
+        .arg(tmp("profile-labels.csv"))
+        .arg("--profile")
+        .arg(&profile)
+        .output()
+        .expect("run cluster --profile");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("spans folded"), "{stderr}");
+    let folded = std::fs::read_to_string(&profile).expect("profile written");
+    for stack in ["ddp:centralized;ddp:select ", "ddp:centralized;ddp:assign "] {
+        assert!(
+            folded.lines().any(|l| l.starts_with(stack)),
+            "{stack}: {folded}"
+        );
+    }
+}
+
 /// One row, and three identical rows: without `--dc` there is no `d_c` to
 /// estimate (one row) or the estimate is 0 (duplicates), and every command
 /// that needs one says so; with `--dc 1.0` each makes one cluster.
