@@ -187,6 +187,15 @@ impl Dfs {
         )
     }
 
+    /// The spill-tier directory, once the first spill opened it.
+    #[cfg(test)]
+    pub(crate) fn spill_dir_path(&self) -> Option<std::path::PathBuf> {
+        self.spill_dir
+            .lock()
+            .as_ref()
+            .map(|d| d.path().to_path_buf())
+    }
+
     /// Routes all further spill-tier I/O through `fs` (storage-fault
     /// drills).
     pub fn set_io_fs(&self, fs: FaultFs) {

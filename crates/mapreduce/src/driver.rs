@@ -6,8 +6,8 @@
 //! every stage's [`JobMetrics`] automatically), applies the cross-stage
 //! optimizations the plan layer declares — co-partitioned shuffle elision
 //! and map-stage fusion, see [`crate::plan`](mod@crate::plan) — and reports pipeline-level
-//! aggregates (total shuffle bytes, bytes saved by elision, total distance
-//! computations) and cost-model runtimes.
+//! aggregates (total shuffle bytes, total distance computations) and
+//! cost-model runtimes.
 //!
 //! ## Bounded-memory execution
 //!
@@ -25,9 +25,8 @@
 use crate::cost::ClusterSpec;
 use crate::counters::JobMetrics;
 use crate::dfs::Dfs;
-use crate::job::MapInput;
 use crate::plan::{CheckpointCtx, ExecCtx, PartitionCache, Plan};
-use crate::spill::SegmentWriter;
+use crate::spill::{Rows, SegmentWriter};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -126,13 +125,18 @@ impl MemoryGovernor {
         self.cv.notify_all();
     }
 
-    /// Whether a completed map task's output should move to disk now.
-    /// Spilling starts at the *half-budget* high watermark, not at the
-    /// budget itself: data waiting for the shuffle must leave headroom for
-    /// the reduce phase's decoded buckets and working sets, which is what
+    /// Whether resident shuffle data should move to disk now. Spilling
+    /// starts at the *half-budget* high watermark, not at the budget
+    /// itself: data waiting for the shuffle must leave headroom for the
+    /// reduce phase's decoded buckets and working sets, which is what
     /// keeps the whole-process peak near the budget instead of at
     /// `budget + working set`.
-    pub(crate) fn should_spill(&self) -> bool {
+    ///
+    /// `kept` is resident data the caller is about to hold past the
+    /// release of its charge — the partition cache's share of a stage's
+    /// buckets, which outlives the stage's reducers. The ledger forgets
+    /// it then, so it weighs on the heap watermark.
+    pub(crate) fn should_spill(&self, kept: u64) -> bool {
         if self.spill_disabled.load(Ordering::Relaxed) {
             return false;
         }
@@ -146,7 +150,8 @@ impl MemoryGovernor {
         // When the heap profiler is live, the whole process heap counts —
         // it sees allocations (dataset, index structures) the shuffle
         // accounting can't.
-        obsv::alloc::accounting_enabled() && obsv::alloc::current_bytes() > watermark
+        obsv::alloc::accounting_enabled()
+            && obsv::alloc::current_bytes().saturating_add(kept) > watermark
     }
 
     /// Whether the spill tier has been disabled for this run (ENOSPC
@@ -475,14 +480,11 @@ impl Driver {
                 self.dfs.remove(&path);
             }
         }
-        let out = rows
-            .downcast::<MapInput<K, V>>()
-            .expect("plan output row type mismatch");
-        match *out {
-            MapInput::Owned(v) => v,
-            MapInput::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
-            MapInput::Spilled(rows) => rows.read_all(),
-        }
+        Rows::into_vec(
+            *rows
+                .downcast::<Arc<Rows<K, V>>>()
+                .expect("plan output row type mismatch"),
+        )
     }
 
     /// Consumes the driver, returning the recorded job history.
@@ -504,13 +506,6 @@ impl Driver {
     /// quantity.
     pub fn total_shuffle_bytes(&self) -> u64 {
         self.history.iter().map(|m| m.shuffle_bytes).sum()
-    }
-
-    /// Total bytes that never crossed the shuffle boundary because the
-    /// scheduler elided co-partitioned stages — the counterpart of
-    /// [`Self::total_shuffle_bytes`] in Figure 10(b) accounting.
-    pub fn total_shuffle_bytes_saved(&self) -> u64 {
-        self.history.iter().map(|m| m.shuffle_bytes_saved).sum()
     }
 
     /// Sum of a user counter across all jobs (e.g. `"distances"`).

@@ -5,13 +5,18 @@
 //! [`Stage`] type, and [`Stage::run`] runs it alone on a fresh
 //! [`Driver`](crate::driver::Driver). The plan scheduler's `execute_stage`
 //! is the one caller of the phase functions below.
+//!
+//! The phases never ask where their data lives. A stage reads its input
+//! through `spill::Rows` (one `read(start, end)` per map task), and map
+//! tasks hand the shuffle one `spill::Part` per non-empty reduce bucket;
+//! only those two types, in [`crate::spill`], tell resident from spilled.
 
 use crate::counters::{JobMetrics, TaskTimes};
 use crate::driver::MemoryGovernor;
 use crate::fault::{ChaosPlan, Phase};
 use crate::plan::Stage;
 use crate::record::ShuffleSize;
-use crate::spill::{FrameMeta, SpillSegment, SpilledRows};
+use crate::spill::{spill_parts, Part, Rows};
 use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -50,34 +55,6 @@ impl<K: Hash> Partitioner<K> for HashPartitioner {
 
     fn contract_id(&self) -> &'static str {
         "hash"
-    }
-}
-
-/// Input to a stage's map phase: an owned record list (a plan's own
-/// rows), a shared immutable snapshot, or a disk-backed spilled segment.
-/// Shared and spilled inputs are split into index ranges with the *same
-/// chunk boundaries* as the owned path — records are cloned (or decoded)
-/// inside the parallel map tasks, so one materialization can feed every
-/// stage of a pipeline and a bigger-than-memory dataset never needs to be
-/// resident at once.
-pub(crate) enum MapInput<K, V> {
-    /// The stage consumes these records.
-    Owned(Vec<(K, V)>),
-    /// The stage reads (clones) records out of a shared snapshot.
-    Shared(Arc<Vec<(K, V)>>),
-    /// The stage decodes records out of a shared on-disk segment, one map
-    /// chunk at a time.
-    Spilled(Arc<SpilledRows<K, V>>),
-}
-
-impl<K, V> MapInput<K, V> {
-    /// Number of input records.
-    fn len(&self) -> usize {
-        match self {
-            MapInput::Owned(v) => v.len(),
-            MapInput::Shared(v) => v.len(),
-            MapInput::Spilled(v) => v.len(),
-        }
     }
 }
 
@@ -154,15 +131,17 @@ where
     M: Mapper,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    /// Map phase (parallel over map tasks): each task maps its chunk of
-    /// the input, applies the combiner, and partitions its output into one
-    /// bucket per reduce task. Under a governor (`spill`), completed task
-    /// buckets are charged against the budget and spilled once it is
-    /// exceeded. Fills `map_input_records`, `map_time` and
-    /// `map_task_times`.
+    /// Map phase (parallel over map tasks): each task reads its chunk of
+    /// the input, maps it, applies the combiner, and partitions its output
+    /// into one part per non-empty reduce bucket. Chunk boundaries depend
+    /// only on the input length, so task assignment (and record order
+    /// downstream) is the same wherever the rows live. Under a governor
+    /// (`spill`), completed task parts are charged against the budget and
+    /// spilled once it is exceeded. Fills `map_input_records`, `map_time`
+    /// and `map_task_times`.
     pub(crate) fn map_phase(
         &self,
-        input: MapInput<M::InKey, M::InValue>,
+        input: Arc<Rows<M::InKey, M::InValue>>,
         spill: Option<&SpillCtx>,
         metrics: &mut JobMetrics,
         chaos: &ChaosCtx,
@@ -189,75 +168,33 @@ where
                 let parent = obsv::current_span();
                 let hist = &map_task_ns;
                 let name = self.name.as_str();
-                let run_one = |task: usize, records: Vec<(M::InKey, M::InValue)>| {
-                    obsv::with_parent(parent, move || {
-                        let attempt = Instant::now();
-                        let out = obsv::span!("task", format!("map-{task}") => {
-                            chaos.run_task(Phase::Map, task, || {
-                                map_one_task(mapper, combiner, partitioner, r_tasks, records)
-                            })
-                        });
-                        hist.record(attempt.elapsed().as_nanos() as u64);
-                        // The spill decision never changes record content
-                        // or order, only where the bytes wait for the
-                        // shuffle.
-                        match spill {
-                            Some(ctx) => spill_task_under_pressure(ctx, name, out),
-                            None => out,
-                        }
-                    })
-                };
-                match input {
-                    MapInput::Owned(rows) => {
-                        let chunks: Vec<Vec<(M::InKey, M::InValue)>> = {
-                            let mut chunks = Vec::new();
-                            let mut it = rows.into_iter();
-                            loop {
-                                let c: Vec<_> = it.by_ref().take(chunk).collect();
-                                if c.is_empty() {
-                                    break;
-                                }
-                                chunks.push(c);
+                let ranges: Vec<(usize, usize)> = (0..input.len())
+                    .step_by(chunk)
+                    .map(|s| (s, (s + chunk).min(input.len())))
+                    .collect();
+                ranges
+                    .into_par_iter()
+                    .enumerate()
+                    .map(|(task, (start, end))| {
+                        let records = input.read(start, end);
+                        obsv::with_parent(parent, move || {
+                            let attempt = Instant::now();
+                            let mut out = obsv::span!("task", format!("map-{task}") => {
+                                chaos.run_task(Phase::Map, task, || {
+                                    map_one_task(mapper, combiner, partitioner, r_tasks, records)
+                                })
+                            });
+                            hist.record(attempt.elapsed().as_nanos() as u64);
+                            // The spill decision never changes record
+                            // content or order, only where the bytes wait
+                            // for the shuffle.
+                            if let Some(ctx) = spill {
+                                spill_task_under_pressure(ctx, name, &mut out);
                             }
-                            chunks
-                        };
-                        chunks
-                            .into_par_iter()
-                            .enumerate()
-                            .map(|(task, records)| run_one(task, records))
-                            .collect::<Vec<MapTaskOut<M::OutKey, M::OutValue>>>()
-                    }
-                    MapInput::Shared(rows) => {
-                        // Same chunk boundaries as the owned path, so task
-                        // assignment (and therefore record order downstream)
-                        // is identical; records are cloned inside the
-                        // parallel tasks rather than materialized up front.
-                        let ranges: Vec<(usize, usize)> = (0..rows.len())
-                            .step_by(chunk)
-                            .map(|s| (s, (s + chunk).min(rows.len())))
-                            .collect();
-                        let rows = &rows;
-                        ranges
-                            .into_par_iter()
-                            .enumerate()
-                            .map(|(task, (s, e))| run_one(task, rows[s..e].to_vec()))
-                            .collect::<Vec<MapTaskOut<M::OutKey, M::OutValue>>>()
-                    }
-                    MapInput::Spilled(rows) => {
-                        // Same boundaries again; each task decodes only its
-                        // own chunk's frames from the segment.
-                        let ranges: Vec<(usize, usize)> = (0..rows.len())
-                            .step_by(chunk)
-                            .map(|s| (s, (s + chunk).min(rows.len())))
-                            .collect();
-                        let rows = &rows;
-                        ranges
-                            .into_par_iter()
-                            .enumerate()
-                            .map(|(task, (s, e))| run_one(task, rows.read_range(s, e)))
-                            .collect::<Vec<MapTaskOut<M::OutKey, M::OutValue>>>()
-                    }
-                }
+                            out
+                        })
+                    })
+                    .collect::<Vec<MapTaskOut<M::OutKey, M::OutValue>>>()
             },
         );
         metrics.map_time = map_dur;
@@ -266,17 +203,13 @@ where
     }
 
     /// Shuffle: transpose the map-task outputs into one parts list per
-    /// reducer, in map-task order — resident buckets move as `Vec`
-    /// handles, spilled buckets as segment frame references, so nothing is
-    /// concatenated (or decoded) here. The actual merge happens lazily in
+    /// reducer, in map-task order. Parts move as handles — nothing is
+    /// concatenated, copied or decoded here; the merge happens lazily in
     /// the reduce phase, one bucket at a time, which is what lets the
-    /// governor bound how many buckets are resident at once. Resident part
-    /// bytes were summed per record by the map tasks, and a spilled frame's
-    /// on-disk payload length equals its records' `ShuffleSize` sum by the
-    /// wire length contract. `charged` says whether the map phase charged
-    /// its resident buckets against a governor. Fills the map output /
-    /// combine / shuffle counters and `shuffle_time`.
-    #[allow(clippy::type_complexity)]
+    /// governor bound how many buckets are resident at once. `charged`
+    /// says whether the map phase charged its resident parts against a
+    /// governor. Fills the map output / combine / shuffle counters and
+    /// `shuffle_time`.
     pub(crate) fn shuffle_phase(
         &self,
         map_outputs: Vec<MapTaskOut<M::OutKey, M::OutValue>>,
@@ -291,50 +224,24 @@ where
                 let mut reduce_inputs: Vec<ReduceBucket<M::OutKey, M::OutValue>> = (0..r_tasks)
                     .map(|_| ReduceBucket {
                         parts: Vec::new(),
-                        records: 0,
-                        mem_bytes: 0,
-                        spill_bytes: 0,
-                        charged,
+                        charged: 0,
                     })
                     .collect();
                 for task_out in map_outputs {
                     metrics.map_output_records += task_out.emitted;
                     metrics.combine_output_records += task_out.combined;
-                    match task_out.data {
-                        TaskData::Mem {
-                            buckets,
-                            bucket_bytes,
-                        } => {
-                            for (r, (bucket, bytes)) in
-                                buckets.into_iter().zip(bucket_bytes).enumerate()
-                            {
-                                if bucket.is_empty() {
-                                    continue;
-                                }
-                                let rb = &mut reduce_inputs[r];
-                                rb.records += bucket.len() as u64;
-                                rb.mem_bytes += bytes;
-                                rb.parts.push(BucketPart::Mem(bucket));
-                            }
-                        }
-                        TaskData::Spilled { seg, frames } => {
-                            for (r, frame) in frames {
-                                let rb = &mut reduce_inputs[r as usize];
-                                rb.records += frame.records as u64;
-                                rb.spill_bytes += frame.record_bytes;
-                                rb.parts.push(BucketPart::Spilled {
-                                    seg: Arc::clone(&seg),
-                                    frame,
-                                });
-                            }
-                        }
+                    for (r, part) in task_out.parts {
+                        reduce_inputs[r].parts.push(part);
                     }
                 }
-                for rb in &reduce_inputs {
-                    metrics.shuffle_records += rb.records;
-                    metrics.max_reduce_task_records =
-                        metrics.max_reduce_task_records.max(rb.records);
-                    metrics.shuffle_bytes += rb.mem_bytes + rb.spill_bytes;
+                for rb in &mut reduce_inputs {
+                    if charged {
+                        rb.charged = rb.resident_bytes();
+                    }
+                    let records = rb.records();
+                    metrics.shuffle_records += records;
+                    metrics.max_reduce_task_records = metrics.max_reduce_task_records.max(records);
+                    metrics.shuffle_bytes += rb.parts.iter().map(Part::bytes).sum::<u64>();
                 }
                 reduce_inputs
             },
@@ -344,12 +251,12 @@ where
     }
 
     /// Sort/group + reduce phase (parallel over reduce tasks). Each task
-    /// first *materializes* its bucket — concatenating resident parts and
-    /// decoding spilled frames in map-task order — under the governor's
-    /// admission control, so at most as many buckets are resident as the
-    /// budget allows (always at least one: a lone task is admitted
-    /// regardless, which keeps the loop deadlock-free). Fills the reduce
-    /// counters, `reduce_time` and `reduce_task_times`.
+    /// first *materializes* its bucket — concatenating its parts in
+    /// map-task order — under the governor's admission control, so at
+    /// most as many buckets are resident as the budget allows (always at
+    /// least one: a lone task is admitted regardless, which keeps the loop
+    /// deadlock-free). Fills the reduce counters, `reduce_time` and
+    /// `reduce_task_times`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn reduce_phase(
         &self,
@@ -357,7 +264,10 @@ where
         spill: Option<&SpillCtx>,
         metrics: &mut JobMetrics,
         chaos: &ChaosCtx,
-    ) -> Vec<(R::OutKey, R::OutValue)> {
+    ) -> Vec<(R::OutKey, R::OutValue)>
+    where
+        M::OutValue: Clone,
+    {
         let reducer = &self.reducer;
         let reduce_task_ns = obsv::Histogram::new();
         // (groups, max group size, output records) per reduce task.
@@ -380,12 +290,8 @@ where
                             // completes.
                             let _admit = spill.map(|s| {
                                 s.governor.admit(
-                                    lazy_bucket.spill_bytes,
-                                    if lazy_bucket.charged {
-                                        lazy_bucket.mem_bytes
-                                    } else {
-                                        0
-                                    },
+                                    lazy_bucket.spilled_bytes(),
+                                    lazy_bucket.charged,
                                     &s.job_stall,
                                 )
                             });
@@ -438,166 +344,81 @@ where
     }
 }
 
-/// Where one map task's partitioned output lives while it waits for the
-/// shuffle: resident `Vec` buckets, or one segment file with one frame
-/// per reduce bucket.
-pub(crate) enum TaskData<K, V> {
-    /// Resident buckets plus their per-bucket `ShuffleSize` byte sums
-    /// (computed here once so the shuffle never re-walks the records).
-    Mem {
-        buckets: Vec<Vec<(K, V)>>,
-        bucket_bytes: Vec<u64>,
-    },
-    /// Buckets spilled to disk; one `(reduce bucket index, frame)` entry
-    /// per *non-empty* bucket — empty buckets get neither a frame on disk
-    /// nor a metadata slot (at `map_tasks x reduce_tasks` scale the empty
-    /// metadata alone would rival the budget).
-    Spilled {
-        seg: Arc<SpillSegment>,
-        frames: Vec<(u32, FrameMeta)>,
-    },
-}
-
-/// Output of one map task: one bucket per reduce task (resident or
-/// spilled), plus the record counts before and after combining.
+/// Output of one map task: one part per non-empty reduce bucket (empty
+/// buckets get no part — at `map_tasks x reduce_tasks` scale their
+/// metadata alone would rival a budget), plus the record counts before
+/// and after combining.
 pub(crate) struct MapTaskOut<K, V> {
-    data: TaskData<K, V>,
+    parts: Vec<(usize, Part<K, V>)>,
     emitted: u64,
     combined: u64,
 }
 
-/// One slice of a reduce bucket, from one map task, in map-task order.
-pub(crate) enum BucketPart<K, V> {
-    /// Records held in memory since the map task produced them.
-    Mem(Vec<(K, V)>),
-    /// Records parked in a spill segment, decoded at materialization.
-    Spilled {
-        seg: Arc<SpillSegment>,
-        frame: FrameMeta,
-    },
-}
-
-/// One reduce task's input, kept as a lazy parts list until the reduce
-/// phase materializes it under admission control.
+/// One reduce task's input, kept as a lazy parts list in map-task order
+/// until the reduce phase materializes it under admission control.
 pub(crate) struct ReduceBucket<K, V> {
-    parts: Vec<BucketPart<K, V>>,
-    records: u64,
-    /// Bytes of the resident parts (charged against the governor when the
-    /// producing map phase ran under one).
-    mem_bytes: u64,
-    /// Bytes parked on disk, to be charged at materialization.
-    spill_bytes: u64,
-    /// Whether `mem_bytes` is currently charged against the governor —
-    /// true for buckets fresh out of a governed shuffle, false for cached
-    /// clones handed back by the partition cache.
-    charged: bool,
+    parts: Vec<Part<K, V>>,
+    /// Resident bytes charged against the governor on this bucket's
+    /// behalf, released when its reduce task completes: the parts' bytes
+    /// fresh out of a governed shuffle, 0 for the partition cache's share.
+    charged: u64,
 }
 
 impl<K, V> ReduceBucket<K, V> {
     /// Records across all parts.
     pub(crate) fn records(&self) -> u64 {
-        self.records
+        self.parts.iter().map(Part::records).sum()
+    }
+
+    /// Bytes held in memory.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.parts.iter().map(Part::resident_bytes).sum()
+    }
+
+    /// Bytes parked on disk, to be charged at materialization.
+    fn spilled_bytes(&self) -> u64 {
+        self.parts
+            .iter()
+            .map(|p| p.bytes() - p.resident_bytes())
+            .sum()
+    }
+
+    /// The partition cache's share of this bucket: the same parts, so no
+    /// record is copied. It is never governor-charged; its resident bytes
+    /// belong to the cache, not to a running job.
+    pub(crate) fn share(&self) -> Self
+    where
+        K: Clone,
+        V: Clone,
+    {
+        ReduceBucket {
+            parts: self.parts.clone(),
+            charged: 0,
+        }
     }
 }
 
-// Decoding spilled frames needs (K, V): Wire, which MrKey/MrValue carry.
 impl<K: MrKey, V: MrValue> ReduceBucket<K, V> {
-    /// Concatenates the parts in map-task order, decoding spilled frames.
-    /// Record order is exactly what the eager shuffle merge produced.
-    pub(crate) fn materialize(self) -> Vec<(K, V)> {
-        let mut rows = Vec::with_capacity(self.records as usize);
+    /// Concatenates the parts in map-task order. Record order is exactly
+    /// what an eager shuffle merge would produce. A part the cache still
+    /// shares is copied here, so at most one bucket per running reducer
+    /// exists twice.
+    pub(crate) fn materialize(self) -> Vec<(K, V)>
+    where
+        V: Clone,
+    {
+        let mut rows = Vec::with_capacity(self.records() as usize);
         for part in self.parts {
-            match part {
-                BucketPart::Mem(mut p) => rows.append(&mut p),
-                BucketPart::Spilled { seg, frame } => rows.extend(
-                    seg.read_frame::<(K, V)>(&frame)
-                        .expect("spill segment read (process-local file)"),
-                ),
-            }
+            part.read_into(&mut rows);
         }
         rows
     }
 
-    /// A clone for the partition cache: resident parts deep-copy, spilled
-    /// parts share their segment (already on disk — no resident cost).
-    /// The clone is never governor-charged; its resident bytes belong to
-    /// the cache, not to a running job.
-    pub(crate) fn cache_clone(&self) -> Self
-    where
-        V: Clone,
-    {
-        ReduceBucket {
-            parts: self
-                .parts
-                .iter()
-                .map(|p| match p {
-                    BucketPart::Mem(rows) => BucketPart::Mem(rows.clone()),
-                    BucketPart::Spilled { seg, frame } => BucketPart::Spilled {
-                        seg: Arc::clone(seg),
-                        frame: frame.clone(),
-                    },
-                })
-                .collect(),
-            records: self.records,
-            mem_bytes: self.mem_bytes,
-            spill_bytes: self.spill_bytes,
-            charged: false,
-        }
-    }
-
-    /// Rewrites the resident parts into a spill segment (used by the
-    /// partition cache when retaining a clone would breach the budget).
+    /// Moves the resident parts to a spill segment (the partition cache's
+    /// share, when retaining it in memory would breach the budget).
     /// Returns the bytes moved to disk.
-    pub(crate) fn spill_mem_parts(&mut self, governor: &MemoryGovernor, label: &str) -> u64 {
-        if self.mem_bytes == 0 {
-            return 0;
-        }
-        let mut writer = match governor.segment(label) {
-            Ok(w) => w,
-            Err(e) => {
-                // Spill tier unavailable: keep the resident copy (and
-                // let the governor disable the tier on ENOSPC).
-                governor.note_spill_error(&e);
-                return 0;
-            }
-        };
-        let mut moved = 0u64;
-        let mut metas = Vec::new();
-        for part in &self.parts {
-            if let BucketPart::Mem(rows) = part {
-                match writer.write_frame(rows) {
-                    Ok(meta) => metas.push(meta),
-                    Err(e) => {
-                        governor.note_spill_error(&e);
-                        return 0;
-                    }
-                }
-            }
-        }
-        let seg = match writer.finish() {
-            Ok(seg) => seg,
-            Err(e) => {
-                // An unflushable segment is not durable — stay resident.
-                governor.note_spill_error(&e);
-                return 0;
-            }
-        };
-        let seg = Arc::new(seg);
-        let mut metas = metas.into_iter();
-        for part in &mut self.parts {
-            if matches!(part, BucketPart::Mem(_)) {
-                let meta = metas.next().expect("one frame per mem part");
-                moved += meta.record_bytes;
-                *part = BucketPart::Spilled {
-                    seg: Arc::clone(&seg),
-                    frame: meta,
-                };
-            }
-        }
-        self.spill_bytes += moved;
-        self.mem_bytes -= moved;
-        governor.note_spill(moved);
-        moved
+    pub(crate) fn spill(&mut self, governor: &MemoryGovernor, label: &str) -> u64 {
+        spill_parts(governor, label, &mut self.parts)
     }
 }
 
@@ -631,76 +452,37 @@ fn map_one_task<M: Mapper>(
         bucket_bytes[b] += k.shuffle_bytes() + v.shuffle_bytes();
         buckets[b].push((k, v));
     }
+    let parts = buckets
+        .into_iter()
+        .zip(bucket_bytes)
+        .enumerate()
+        .filter(|(_, (rows, _))| !rows.is_empty())
+        .map(|(r, (rows, bytes))| {
+            let rows = Arc::new(rows);
+            (r, Part::Resident { rows, bytes })
+        })
+        .collect();
     MapTaskOut {
-        data: TaskData::Mem {
-            buckets,
-            bucket_bytes,
-        },
+        parts,
         emitted,
         combined,
     }
 }
 
 /// Charges a completed map task's resident bytes against the budget and
-/// spills its buckets to a segment (one frame per reduce bucket) when the
-/// governor reports pressure. Falls back to staying resident on any spill
-/// I/O error — correctness never depends on the disk.
+/// spills its parts to a segment (one frame per reduce bucket) when the
+/// governor reports pressure. A failed spill leaves them resident.
 fn spill_task_under_pressure<K: MrKey, V: MrValue>(
     ctx: &SpillCtx,
     job: &str,
-    out: MapTaskOut<K, V>,
-) -> MapTaskOut<K, V> {
-    let TaskData::Mem {
-        buckets,
-        bucket_bytes,
-    } = &out.data
-    else {
-        return out;
-    };
-    let total: u64 = bucket_bytes.iter().sum();
+    out: &mut MapTaskOut<K, V>,
+) {
+    let total: u64 = out.parts.iter().map(|(_, p)| p.bytes()).sum();
     ctx.governor.charge(total);
-    if total == 0 || !ctx.governor.should_spill() {
-        return out;
-    }
-    let mut writer = match ctx.governor.segment(job) {
-        Ok(w) => w,
-        Err(e) => {
-            ctx.governor.note_spill_error(&e);
-            return out;
-        }
-    };
-    let mut frames = Vec::new();
-    for (r, bucket) in buckets.iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        match writer.write_frame(bucket) {
-            Ok(meta) => frames.push((r as u32, meta)),
-            Err(e) => {
-                ctx.governor.note_spill_error(&e);
-                return out;
-            }
-        }
-    }
-    let seg = match writer.finish() {
-        Ok(seg) => seg,
-        Err(e) => {
-            // The segment never became durable (sync failed): treat it
-            // like any other spill failure and keep the data resident.
-            ctx.governor.note_spill_error(&e);
-            return out;
-        }
-    };
-    ctx.governor.uncharge(total);
-    ctx.governor.note_spill(total);
-    ctx.job_spill.fetch_add(total, Ordering::Relaxed);
-    MapTaskOut {
-        data: TaskData::Spilled {
-            seg: Arc::new(seg),
-            frames,
-        },
-        emitted: out.emitted,
-        combined: out.combined,
+    if total > 0 && ctx.governor.should_spill(0) {
+        let moved = spill_parts(&ctx.governor, job, out.parts.iter_mut().map(|(_, p)| p));
+        ctx.governor.uncharge(moved);
+        ctx.job_spill.fetch_add(moved, Ordering::Relaxed);
     }
 }
 

@@ -23,8 +23,9 @@
 //!   paper's LSH-DDP pipeline does exactly this: the ρ-local and δ-local
 //!   jobs both re-partition the identical point snapshot by the identical
 //!   LSH layout). The scheduler retains the first stage's post-shuffle
-//!   partitions and feeds them straight into the later stage's reduce,
-//!   skipping its map *and* shuffle entirely. The bytes that did not cross
+//!   partitions — by sharing their `Arc`'d parts, not by copying them —
+//!   and feeds them straight into the later stage's reduce, skipping its
+//!   map *and* shuffle entirely. The bytes that did not cross
 //!   the (simulated) network are reported as
 //!   [`JobMetrics::shuffle_bytes_saved`], keeping the paper's Figure 10(b)
 //!   accounting exact. Because the retained buckets are byte-for-byte what
@@ -37,19 +38,19 @@
 //!
 //! A [`Snapshot`] is the third leg: one immutable, `Arc`-shared input
 //! materialization that any number of plans (and stages) read without
-//! copying it up front — records are cloned lazily inside the parallel map
-//! tasks.
+//! copying it up front — each map task reads only its own chunk. A plan's
+//! own rows ([`PlanInit::rows`]) and every stage's output travel the same
+//! way, so a stage reads all of its inputs through one path, never
+//! learning whether they are resident or spilled.
 //!
 //! [`Driver::run_plan`]: crate::driver::Driver::run_plan
 
 use crate::counters::{Counters, JobMetrics};
 use crate::dfs::Dfs;
 use crate::driver::{Driver, MemoryGovernor};
-use crate::job::{
-    ChaosCtx, HashPartitioner, JobConfig, MapInput, Partitioner, ReduceBucket, SpillCtx,
-};
+use crate::job::{ChaosCtx, HashPartitioner, JobConfig, Partitioner, ReduceBucket, SpillCtx};
 use crate::record::ShuffleSize;
-use crate::spill::SpilledRows;
+use crate::spill::{Rows, SpilledRows};
 use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -67,39 +68,23 @@ fn fresh_source_id() -> u64 {
     NEXT_SOURCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Where a snapshot's rows actually live: resident in memory, or parked
-/// in disk spill segments and streamed back per map-task chunk.
-enum SnapRows<K, V> {
-    Resident(Arc<Vec<(K, V)>>),
-    Spilled(Arc<SpilledRows<K, V>>),
-}
-
-impl<K, V> Clone for SnapRows<K, V> {
-    fn clone(&self) -> Self {
-        match self {
-            SnapRows::Resident(a) => SnapRows::Resident(Arc::clone(a)),
-            SnapRows::Spilled(s) => SnapRows::Spilled(Arc::clone(s)),
-        }
-    }
-}
-
 /// An immutable input materialization shared by every stage and plan of a
 /// pipeline. Cloning a `Snapshot` clones an `Arc`, not the rows; map tasks
-/// clone only the records of their own chunk, in parallel.
+/// read only the records of their own chunk, in parallel.
 ///
 /// A snapshot is usually memory-resident ([`Snapshot::new`]) but can also
 /// wrap a [`SpilledRows`] handle ([`Snapshot::from_spilled`]): the row set
 /// then lives in disk segments and every stage reading it decodes only its
 /// own map-task chunks — the input never needs to be resident at once.
 pub struct Snapshot<K, V> {
-    rows: SnapRows<K, V>,
+    rows: Arc<Rows<K, V>>,
     id: u64,
 }
 
 impl<K, V> Clone for Snapshot<K, V> {
     fn clone(&self) -> Self {
         Snapshot {
-            rows: self.rows.clone(),
+            rows: Arc::clone(&self.rows),
             id: self.id,
         }
     }
@@ -108,48 +93,30 @@ impl<K, V> Clone for Snapshot<K, V> {
 impl<K, V> Snapshot<K, V> {
     /// Wraps one materialized row set for sharing.
     pub fn new(rows: Vec<(K, V)>) -> Self {
-        Snapshot {
-            rows: SnapRows::Resident(Arc::new(rows)),
-            id: fresh_source_id(),
-        }
+        Self::wrap(Rows::Resident(rows))
     }
 
     /// Wraps a spilled row set: stages stream their chunks from disk
     /// instead of reading resident memory.
     pub fn from_spilled(rows: SpilledRows<K, V>) -> Self {
-        Snapshot {
-            rows: SnapRows::Spilled(Arc::new(rows)),
-            id: fresh_source_id(),
-        }
+        Self::wrap(Rows::Spilled(rows))
     }
 
-    /// The shared rows. Panics for a spilled snapshot — its rows are not
-    /// resident; use [`Snapshot::len`] and plan execution instead.
-    pub fn rows(&self) -> &[(K, V)] {
-        match &self.rows {
-            SnapRows::Resident(a) => a,
-            SnapRows::Spilled(_) => {
-                panic!("Snapshot::rows on a spilled snapshot: rows are not resident")
-            }
+    fn wrap(rows: Rows<K, V>) -> Self {
+        Snapshot {
+            rows: Arc::new(rows),
+            id: fresh_source_id(),
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.rows {
-            SnapRows::Resident(a) => a.len(),
-            SnapRows::Spilled(s) => s.len(),
-        }
+        self.rows.len()
     }
 
     /// Whether the snapshot holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether the rows live in the disk spill tier.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.rows, SnapRows::Spilled(_))
     }
 }
 
@@ -454,9 +421,9 @@ impl<R: Reducer> Stage<IdentityMap<R::InKey, R::InValue>, R> {
     }
 }
 
-/// Boxed rows flowing between erased stages: a `MapInput<K, V>` behind
+/// Rows flowing between erased stages: an `Arc<Rows<K, V>>` behind
 /// `dyn Any`. The typed builder guarantees every downcast succeeds.
-type Rows = Box<dyn Any>;
+type AnyRows = Box<dyn Any>;
 
 /// Metrics hook run right before a stage's metrics are recorded.
 type FinalizeHook = Box<dyn FnOnce(&mut JobMetrics)>;
@@ -465,7 +432,7 @@ type FinalizeHook = Box<dyn FnOnce(&mut JobMetrics)>;
 type TakenBuckets<K, V> = (Vec<ReduceBucket<K, V>>, u64);
 
 /// One type-erased, ready-to-run stage.
-type StageRun = Box<dyn FnOnce(&mut ExecCtx<'_>, Rows, u64) -> (Rows, u64)>;
+type StageRun = Box<dyn FnOnce(&mut ExecCtx<'_>, AnyRows, u64) -> (AnyRows, u64)>;
 
 /// What the scheduler hands each stage: the elision switch, the retained
 /// partition cache, the metrics history to append to, (when stage
@@ -502,7 +469,7 @@ impl CheckpointCtx {
 /// stage does not double its peak footprint, the DFS record and the rows
 /// flowing to the next stage are one allocation.
 struct CheckpointRows<K, V> {
-    rows: Arc<Vec<(K, V)>>,
+    rows: Arc<Rows<K, V>>,
 }
 
 impl<K, V> ShuffleSize for CheckpointRows<K, V> {
@@ -577,7 +544,7 @@ impl PartitionCache {
 /// it to [`Driver::run_plan`](crate::driver::Driver::run_plan).
 pub struct Plan<K, V> {
     pub(crate) name: String,
-    pub(crate) source: Rows,
+    pub(crate) source: AnyRows,
     pub(crate) source_id: u64,
     pub(crate) stages: Vec<StageRun>,
     pub(crate) _out: PhantomData<fn() -> (K, V)>,
@@ -595,30 +562,28 @@ pub struct PlanInit {
 }
 
 impl PlanInit {
-    /// Feeds the plan an owned row set.
+    /// Feeds the plan an owned row set. Map tasks read it like any stage
+    /// output, by chunk: the plan's first stage clones each chunk once.
     pub fn rows<K: 'static, V: 'static>(self, rows: Vec<(K, V)>) -> PlanBuilder<K, V, ()> {
-        PlanBuilder {
-            name: self.name,
-            source: Box::new(MapInput::Owned(rows)),
-            source_id: fresh_source_id(),
-            stages: Vec::new(),
-            pending: (),
-            _rows: PhantomData,
-        }
+        self.source(Arc::new(Rows::Resident(rows)), fresh_source_id())
     }
 
     /// Feeds the plan a shared snapshot — many plans can read the same
     /// materialization, and co-partitioning contracts recognize it as the
     /// same source across plans.
     pub fn snapshot<K: 'static, V: 'static>(self, snap: &Snapshot<K, V>) -> PlanBuilder<K, V, ()> {
-        let source: Rows = match &snap.rows {
-            SnapRows::Resident(a) => Box::new(MapInput::Shared(Arc::clone(a))),
-            SnapRows::Spilled(s) => Box::new(MapInput::Spilled(Arc::clone(s))),
-        };
+        self.source(Arc::clone(&snap.rows), snap.id)
+    }
+
+    fn source<K: 'static, V: 'static>(
+        self,
+        rows: Arc<Rows<K, V>>,
+        source_id: u64,
+    ) -> PlanBuilder<K, V, ()> {
         PlanBuilder {
             name: self.name,
-            source,
-            source_id: snap.id,
+            source: Box::new(rows),
+            source_id,
             stages: Vec::new(),
             pending: (),
             _rows: PhantomData,
@@ -632,7 +597,7 @@ impl PlanInit {
 /// so a mis-chained plan is a compile error, not a runtime surprise.
 pub struct PlanBuilder<K, V, P> {
     name: String,
-    source: Rows,
+    source: AnyRows,
     source_id: u64,
     stages: Vec<StageRun>,
     pending: P,
@@ -770,11 +735,11 @@ where
                 // Share the checkpointed rows instead of copying them: the
                 // next stage's map tasks clone only their own chunks.
                 let out = Arc::clone(&stored[0].rows);
-                return (Box::new(MapInput::Shared(out)) as Rows, fresh_source_id());
+                return (Box::new(out) as AnyRows, fresh_source_id());
             }
         }
         let input = *rows
-            .downcast::<MapInput<M::InKey, M::InValue>>()
+            .downcast::<Arc<Rows<M::InKey, M::InValue>>>()
             .unwrap_or_else(|_| panic!("plan stage '{}': input row type mismatch", stage.name));
         let (out, mut metrics) = execute_stage(ctx, &stage, input, source);
         if let Some(f) = stage.finalize.take() {
@@ -784,7 +749,7 @@ where
         // the rows handed to the next stage: checkpointing must not double
         // the stage's peak footprint. The driver unwraps (or, if a
         // checkpoint still holds a reference, clones) at plan exit.
-        let out = Arc::new(out);
+        let out = Arc::new(Rows::Resident(out));
         if let Some(ck) = ctx.checkpoint.as_ref() {
             let data = CheckpointRows {
                 rows: Arc::clone(&out),
@@ -799,7 +764,7 @@ where
             obsv::global().counter("checkpoint_bytes").inc(bytes);
         }
         ctx.history.push(metrics);
-        (Box::new(MapInput::Shared(out)) as Rows, fresh_source_id())
+        (Box::new(out) as AnyRows, fresh_source_id())
     }));
 }
 
@@ -814,7 +779,7 @@ where
 fn execute_stage<M, R>(
     ctx: &mut ExecCtx<'_>,
     stage: &Stage<M, R>,
-    input: MapInput<M::InKey, M::InValue>,
+    input: Arc<Rows<M::InKey, M::InValue>>,
     source: u64,
 ) -> (Vec<(R::OutKey, R::OutValue)>, JobMetrics)
 where
@@ -854,7 +819,7 @@ where
             };
             let reuse =
                 contract.and_then(|token| cache.take::<M::OutKey, M::OutValue>(token, &ckey));
-            // Bytes the retained cache copy moved to disk under pressure;
+            // Bytes the cache's share moved to disk under pressure;
             // folded into the stage's spill accounting after the fact
             // (the map phase's own counter only sees map-side spills).
             let mut retained_spill = 0u64;
@@ -872,20 +837,25 @@ where
                     let map_out = stage.map_phase(input, spill, &mut metrics, &chaos);
                     let buckets = stage.shuffle_phase(map_out, spill.is_some(), &mut metrics);
                     if let Some(token) = contract {
-                        // The retained copy shares spilled parts with the
-                        // live buckets and deep-copies only resident ones;
-                        // under budget pressure those resident parts move
-                        // to disk too, so retention never holds a second
-                        // resident copy of the shuffle. Clone-then-spill
-                        // runs bucket by bucket so the transient doubling
-                        // is one bucket deep, not the whole shuffle.
+                        // The cache shares the live buckets' parts: no
+                        // record is copied here. This stage's reducers copy
+                        // a part the cache still holds (one bucket each, as
+                        // they materialize), and the elided consumer later
+                        // takes the parts as their only owner. Under budget
+                        // pressure — counting the resident share the cache
+                        // keeps past this stage — it moves to disk instead,
+                        // so retention never pins the shuffle in memory.
                         let label = format!("retain-{name}");
+                        let mut kept = 0;
                         let mut retained = Vec::with_capacity(buckets.len());
                         for b in &buckets {
-                            let mut rb = b.cache_clone();
+                            let mut rb = b.share();
                             if let Some(gov) = spill.map(|s| &s.governor) {
-                                if gov.should_spill() {
-                                    retained_spill += rb.spill_mem_parts(gov, &label);
+                                let resident = rb.resident_bytes();
+                                if gov.should_spill(kept + resident) {
+                                    retained_spill += rb.spill(gov, &label);
+                                } else {
+                                    kept += resident;
                                 }
                             }
                             retained.push(rb);
@@ -1096,7 +1066,7 @@ mod tests {
         // And the sums are what a direct job computes.
         let (mut want_sums, _) = Stage::new("ref", mod_key_mapper(), sum_reducer())
             .config(JobConfig::uniform(4))
-            .run(snap.rows().to_vec());
+            .run(input_rows(200));
         let mut sums = sums;
         sums.sort();
         want_sums.sort();
@@ -1138,7 +1108,7 @@ mod tests {
 
         let (mut want, _) = Stage::new("ref", mod_key_mapper(), max_reducer())
             .config(JobConfig::uniform(2))
-            .run(snap.rows().to_vec());
+            .run(input_rows(80));
         got.sort();
         want.sort();
         assert_eq!(got, want);
@@ -1173,11 +1143,7 @@ mod tests {
     #[test]
     fn snapshot_feeds_stages_without_copying_upfront() {
         let snap = Snapshot::new(input_rows(50));
-        let resident = |s: &Snapshot<u32, u32>| match &s.rows {
-            SnapRows::Resident(a) => Arc::clone(a),
-            SnapRows::Spilled(_) => unreachable!("built resident"),
-        };
-        let before = Arc::strong_count(&resident(&snap)) - 1;
+        let before = Arc::strong_count(&snap.rows);
         let mut driver = Driver::new();
         let p = plan("reader")
             .snapshot(&snap)
@@ -1186,11 +1152,11 @@ mod tests {
             .build();
         let mut got = driver.run_plan(p);
         // The plan held a reference, not a copy, and released it.
-        assert_eq!(Arc::strong_count(&resident(&snap)) - 1, before);
+        assert_eq!(Arc::strong_count(&snap.rows), before);
 
         let (mut want, _) = Stage::new("ref", mod_key_mapper(), sum_reducer())
             .config(JobConfig::uniform(3))
-            .run(snap.rows().to_vec());
+            .run(input_rows(50));
         got.sort();
         want.sort();
         assert_eq!(got, want);
@@ -1366,8 +1332,8 @@ mod tests {
         // still skips its map+shuffle and reports the saved volume.
         assert_eq!(h[1].shuffle_bytes_saved, plain.history()[0].shuffle_bytes);
         assert_eq!(h[1].shuffle_bytes, 0);
-        // The first stage spilled both its live buckets and the retained
-        // cache copy.
+        // The first stage spilled both its live buckets and the cache's
+        // share of them.
         assert!(h[0].spill_bytes > 0);
     }
 
@@ -1377,7 +1343,6 @@ mod tests {
         let spilled = SpilledRows::from_batches("snap-test", rows.chunks(40).map(|c| c.to_vec()))
             .expect("spill tmp dir");
         let snap_cold = Snapshot::from_spilled(spilled);
-        assert!(snap_cold.is_spilled());
         assert_eq!(snap_cold.len(), 150);
         let snap_hot = Snapshot::new(rows);
 

@@ -22,8 +22,17 @@
 //! [`scan_frames`] additionally supports sequential recovery reads that
 //! tolerate a torn tail — a process killed mid-spill leaves a segment
 //! whose intact prefix is still usable.
+//!
+//! This module is also the one place that decides where engine data
+//! lives. Two crate-private types hide it from the phases and the plan
+//! scheduler: `Rows`, a stage's `Arc`-shared input (resident, or a
+//! [`SpilledRows`] segment), and `Part`, one map task's records for one
+//! reduce bucket (an `Arc`'d `Vec`, or one segment frame). `spill_parts`
+//! is the one function that moves resident parts to disk.
 
+use crate::driver::MemoryGovernor;
 use crate::io_shim::{FaultFile, FaultFs};
+use crate::task::{MrKey, MrValue};
 use crate::wire::{decode_framed, encode_framed, Wire, WireError};
 use std::fs::File;
 use std::io::Read;
@@ -178,6 +187,11 @@ impl SegmentWriter {
         self.offset
     }
 
+    /// The segment file's path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
     /// Finishes the segment, returning a read handle. The file is deleted
     /// when the handle drops.
     ///
@@ -295,12 +309,11 @@ pub fn scan_frames<T: Wire>(path: &Path) -> std::io::Result<ScanOutcome<T>> {
 /// Rows that live on disk, readable by range, with the element types
 /// erased behind a closure so engine code needs no `Wire` bounds.
 ///
-/// This backs spilled [`crate::plan::Snapshot`]s: a dataset several times
-/// larger than the memory budget is written once as a segment and map
-/// tasks decode only their chunk's frames.
+/// [`crate::plan::Snapshot::from_spilled`] turns one into a stage input:
+/// a dataset several times larger than the memory budget is written once
+/// as a segment and map tasks decode only their chunk's frames.
 pub struct SpilledRows<K, V> {
     len: usize,
-    bytes: u64,
     #[allow(clippy::type_complexity)]
     reader: Box<dyn Fn(usize, usize) -> Vec<(K, V)> + Send + Sync>,
 }
@@ -314,11 +327,6 @@ impl<K, V> SpilledRows<K, V> {
     /// Whether the segment holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total `ShuffleSize` bytes of the stored rows.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// Decodes rows `[start, end)` from disk. Panics on out-of-bounds
@@ -352,13 +360,11 @@ where
         // (first record index, frame) pairs for binary-searched range reads.
         let mut index: Vec<(usize, FrameMeta)> = Vec::new();
         let mut len = 0usize;
-        let mut bytes = 0u64;
         for batch in batches {
             if batch.is_empty() {
                 continue;
             }
             let meta = writer.write_frame(&batch)?;
-            bytes += meta.record_bytes;
             index.push((len, meta));
             len += batch.len();
         }
@@ -391,7 +397,7 @@ where
             }
             out
         });
-        Ok(SpilledRows { len, bytes, reader })
+        Ok(SpilledRows { len, reader })
     }
 }
 
@@ -399,9 +405,184 @@ impl<K, V> std::fmt::Debug for SpilledRows<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpilledRows")
             .field("len", &self.len)
-            .field("bytes", &self.bytes)
             .finish()
     }
+}
+
+/// A stage's input rows, shared by `Arc` between a snapshot, the plan
+/// that reads it and (when checkpointing) the DFS. Map tasks see only
+/// [`Rows::len`] and [`Rows::read`]; whether the rows are resident or
+/// spilled is decided here and nowhere else.
+pub(crate) enum Rows<K, V> {
+    Resident(Vec<(K, V)>),
+    Spilled(SpilledRows<K, V>),
+}
+
+impl<K, V> Rows<K, V> {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Rows::Resident(rows) => rows.len(),
+            Rows::Spilled(rows) => rows.len(),
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> Rows<K, V> {
+    /// Rows `[start, end)`: cloned out of memory, or decoded from disk.
+    pub(crate) fn read(&self, start: usize, end: usize) -> Vec<(K, V)> {
+        match self {
+            Rows::Resident(rows) => rows[start..end].to_vec(),
+            Rows::Spilled(rows) => rows.read_range(start, end),
+        }
+    }
+
+    /// Every row, owned: the resident `Vec` itself when no other handle
+    /// shares it (no copy), a copy or a full decode otherwise.
+    pub(crate) fn into_vec(rows: Arc<Self>) -> Vec<(K, V)> {
+        match Arc::try_unwrap(rows) {
+            Ok(Rows::Resident(rows)) => rows,
+            Ok(rows) => rows.read(0, rows.len()),
+            Err(shared) => shared.read(0, shared.len()),
+        }
+    }
+}
+
+/// One map task's records for one reduce bucket, waiting for its reducer:
+/// resident behind an `Arc` — so the partition cache retains it by
+/// sharing, not copying — or one frame of a spill segment. Cloning a part
+/// copies no records.
+#[derive(Clone)]
+pub(crate) enum Part<K, V> {
+    /// Records plus their `ShuffleSize` sum, computed once by the map task.
+    Resident { rows: Arc<Vec<(K, V)>>, bytes: u64 },
+    /// Records parked in a segment, decoded when the bucket materializes.
+    /// The frame is kept without its derivable `record_bytes`: there is
+    /// one part per (map task, reduce bucket), so at `128 x 256` tasks
+    /// every byte here is 32 KiB of budget.
+    Spilled {
+        seg: Arc<SpillSegment>,
+        offset: u64,
+        frame_len: u32,
+        records: u32,
+    },
+}
+
+impl<K, V> Part<K, V> {
+    /// Number of records.
+    pub(crate) fn records(&self) -> u64 {
+        match self {
+            Part::Resident { rows, .. } => rows.len() as u64,
+            Part::Spilled { records, .. } => *records as u64,
+        }
+    }
+
+    /// Shuffle bytes; a frame's on-disk record bytes equal them by the
+    /// wire length contract.
+    pub(crate) fn bytes(&self) -> u64 {
+        match self {
+            Part::Resident { bytes, .. } => *bytes,
+            Part::Spilled { frame_len, .. } => *frame_len as u64 - FRAME_OVERHEAD,
+        }
+    }
+
+    /// The bytes this part holds in memory (0 once spilled).
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        match self {
+            Part::Resident { bytes, .. } => *bytes,
+            Part::Spilled { .. } => 0,
+        }
+    }
+}
+
+impl<K: MrKey, V: MrValue + Clone> Part<K, V> {
+    /// Appends the records to `out`: moved when this is their only
+    /// handle, copied when the partition cache shares them, decoded when
+    /// they were spilled.
+    pub(crate) fn read_into(self, out: &mut Vec<(K, V)>) {
+        match self {
+            Part::Resident { rows, .. } => match Arc::try_unwrap(rows) {
+                Ok(mut rows) => out.append(&mut rows),
+                Err(shared) => out.extend_from_slice(&shared),
+            },
+            Part::Spilled {
+                seg,
+                offset,
+                frame_len,
+                records,
+            } => {
+                let frame = FrameMeta {
+                    offset,
+                    frame_len,
+                    records,
+                    record_bytes: frame_len as u64 - FRAME_OVERHEAD,
+                };
+                out.extend(
+                    seg.read_frame::<(K, V)>(&frame)
+                        .expect("spill segment read (process-local file)"),
+                )
+            }
+        }
+    }
+}
+
+/// Writes the resident parts among `parts` to one new segment in the
+/// governor's spill tier, one frame each, and repoints them at it.
+/// Returns the bytes moved to disk. On any I/O error nothing changes —
+/// the parts stay resident, correctness never depends on the disk — the
+/// partial segment file is removed at once (not when the driver's spill
+/// directory goes), and the governor hears of the error.
+pub(crate) fn spill_parts<'a, K: MrKey + 'a, V: MrValue + 'a>(
+    governor: &MemoryGovernor,
+    label: &str,
+    parts: impl IntoIterator<Item = &'a mut Part<K, V>>,
+) -> u64 {
+    let resident: Vec<(&mut Part<K, V>, _)> = parts
+        .into_iter()
+        .filter_map(|p| match &*p {
+            Part::Resident { rows, .. } => {
+                let rows = Arc::clone(rows);
+                Some((p, rows))
+            }
+            Part::Spilled { .. } => None,
+        })
+        .collect();
+    if resident.is_empty() {
+        return 0;
+    }
+    let mut writer = match governor.segment(label) {
+        Ok(w) => w,
+        Err(e) => {
+            governor.note_spill_error(&e);
+            return 0;
+        }
+    };
+    let path = writer.path().to_path_buf();
+    let written: std::io::Result<Vec<FrameMeta>> = resident
+        .iter()
+        .map(|(_, rows)| writer.write_frame(rows))
+        .collect();
+    // A segment whose final sync failed is not durable: stay resident.
+    let (seg, frames) = match written.and_then(|frames| Ok((writer.finish()?, frames))) {
+        Ok((seg, frames)) => (Arc::new(seg), frames),
+        Err(e) => {
+            let _ = std::fs::remove_file(&path);
+            governor.note_spill_error(&e);
+            return 0;
+        }
+    };
+    let mut moved = 0;
+    for ((part, _), frame) in resident.into_iter().zip(frames) {
+        moved += frame.record_bytes;
+        *part = Part::Spilled {
+            seg: Arc::clone(&seg),
+            offset: frame.offset,
+            frame_len: frame.frame_len,
+            records: frame.records,
+        };
+    }
+    governor.note_spill(moved);
+    moved
 }
 
 #[cfg(test)]
@@ -472,8 +653,6 @@ mod tests {
         let spilled =
             SpilledRows::from_batches("test", data.chunks(7).map(|c| c.to_vec())).unwrap();
         assert_eq!(spilled.len(), 100);
-        let expect_bytes: u64 = data.iter().map(ShuffleSize::shuffle_bytes).sum();
-        assert_eq!(spilled.bytes(), expect_bytes);
         assert_eq!(spilled.read_all(), data);
         assert_eq!(spilled.read_range(0, 0), vec![]);
         assert_eq!(spilled.read_range(3, 11), data[3..11].to_vec());
@@ -482,5 +661,55 @@ mod tests {
         for (s, e) in [(0, 25), (25, 50), (50, 75), (75, 100)] {
             assert_eq!(spilled.read_range(s, e), data[s..e].to_vec());
         }
+    }
+
+    #[test]
+    fn a_failed_governor_spill_stays_resident_and_removes_its_segment() {
+        use crate::io_shim::IoFaultPlan;
+        use crate::plan::{plan, Stage};
+        use crate::task::{Emitter, FnMapper, FnReducer};
+        use crate::{Driver, JobConfig};
+
+        let run = |driver: &mut Driver| {
+            let stage = Stage::new(
+                "s",
+                FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u64>| {
+                    out.emit(k % 13, v as u64)
+                }),
+                FnReducer::new(|k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>| {
+                    out.emit(*k, vs.into_iter().sum())
+                }),
+            );
+            // One map task, so its one segment sees ops 0.. in order.
+            let config = JobConfig {
+                map_tasks: 1,
+                reduce_tasks: 4,
+                chaos: None,
+            };
+            let rows = (0..400).map(|i| (i, i * 7)).collect();
+            driver.run_plan(plan("leak").rows(rows).stage(stage.config(config)).build())
+        };
+        let want = run(&mut Driver::new());
+
+        // Budget 0 spills the task's four parts: op 0 creates the
+        // segment, ops 1-2 write the first frame, and op 3 — the second
+        // frame's length word — cuts the power.
+        let mut budgeted = Driver::new().with_mem_budget(0);
+        budgeted.dfs().set_io_fs(FaultFs::with_plan(IoFaultPlan {
+            crash_at: Some(3),
+            ..Default::default()
+        }));
+        assert_eq!(run(&mut budgeted), want);
+        assert_eq!(budgeted.history()[0].spill_bytes, 0);
+        let dir = budgeted
+            .dfs()
+            .spill_dir_path()
+            .expect("the spill tier opened");
+        let left: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .collect();
+        assert!(left.is_empty(), "the failed spill left {left:?} behind");
     }
 }
