@@ -122,9 +122,14 @@ pub struct FrameMeta {
     pub frame_len: u32,
     /// Records in the frame.
     pub records: u32,
+}
+
+impl FrameMeta {
     /// Sum of the records' `ShuffleSize` bytes — by the wire length
     /// contract, exactly `frame_len - 12`.
-    pub record_bytes: u64,
+    pub fn record_bytes(&self) -> u64 {
+        self.frame_len as u64 - FRAME_OVERHEAD
+    }
 }
 
 /// Appends frames to a new segment file.
@@ -173,11 +178,10 @@ impl SegmentWriter {
             offset: self.offset,
             frame_len: frame.len() as u32,
             records: batch.len() as u32,
-            record_bytes: frame.len() as u64 - FRAME_OVERHEAD,
         };
         self.offset += 8 + frame.len() as u64;
         if let Some(c) = &self.written_counter {
-            c.fetch_add(meta.record_bytes, Ordering::Relaxed);
+            c.fetch_add(meta.record_bytes(), Ordering::Relaxed);
         }
         Ok(meta)
     }
@@ -235,7 +239,7 @@ impl SpillSegment {
         }
         let rows = decode_framed::<Vec<T>>(&buf[8..])?;
         if let Some(c) = &self.read_counter {
-            c.fetch_add(meta.record_bytes, Ordering::Relaxed);
+            c.fetch_add(meta.record_bytes(), Ordering::Relaxed);
         }
         Ok(rows)
     }
@@ -335,11 +339,6 @@ impl<K, V> SpilledRows<K, V> {
     pub fn read_range(&self, start: usize, end: usize) -> Vec<(K, V)> {
         assert!(start <= end && end <= self.len, "spill range out of bounds");
         (self.reader)(start, end)
-    }
-
-    /// Decodes the whole segment.
-    pub fn read_all(&self) -> Vec<(K, V)> {
-        self.read_range(0, self.len)
     }
 }
 
@@ -457,14 +456,9 @@ pub(crate) enum Part<K, V> {
     /// Records plus their `ShuffleSize` sum, computed once by the map task.
     Resident { rows: Arc<Vec<(K, V)>>, bytes: u64 },
     /// Records parked in a segment, decoded when the bucket materializes.
-    /// The frame is kept without its derivable `record_bytes`: there is
-    /// one part per (map task, reduce bucket), so at `128 x 256` tasks
-    /// every byte here is 32 KiB of budget.
     Spilled {
         seg: Arc<SpillSegment>,
-        offset: u64,
-        frame_len: u32,
-        records: u32,
+        frame: FrameMeta,
     },
 }
 
@@ -473,7 +467,7 @@ impl<K, V> Part<K, V> {
     pub(crate) fn records(&self) -> u64 {
         match self {
             Part::Resident { rows, .. } => rows.len() as u64,
-            Part::Spilled { records, .. } => *records as u64,
+            Part::Spilled { frame, .. } => frame.records as u64,
         }
     }
 
@@ -482,7 +476,7 @@ impl<K, V> Part<K, V> {
     pub(crate) fn bytes(&self) -> u64 {
         match self {
             Part::Resident { bytes, .. } => *bytes,
-            Part::Spilled { frame_len, .. } => *frame_len as u64 - FRAME_OVERHEAD,
+            Part::Spilled { frame, .. } => frame.record_bytes(),
         }
     }
 
@@ -505,23 +499,10 @@ impl<K: MrKey, V: MrValue + Clone> Part<K, V> {
                 Ok(mut rows) => out.append(&mut rows),
                 Err(shared) => out.extend_from_slice(&shared),
             },
-            Part::Spilled {
-                seg,
-                offset,
-                frame_len,
-                records,
-            } => {
-                let frame = FrameMeta {
-                    offset,
-                    frame_len,
-                    records,
-                    record_bytes: frame_len as u64 - FRAME_OVERHEAD,
-                };
-                out.extend(
-                    seg.read_frame::<(K, V)>(&frame)
-                        .expect("spill segment read (process-local file)"),
-                )
-            }
+            Part::Spilled { seg, frame } => out.extend(
+                seg.read_frame::<(K, V)>(&frame)
+                    .expect("spill segment read (process-local file)"),
+            ),
         }
     }
 }
@@ -573,12 +554,10 @@ pub(crate) fn spill_parts<'a, K: MrKey + 'a, V: MrValue + 'a>(
     };
     let mut moved = 0;
     for ((part, _), frame) in resident.into_iter().zip(frames) {
-        moved += frame.record_bytes;
+        moved += frame.record_bytes();
         *part = Part::Spilled {
             seg: Arc::clone(&seg),
-            offset: frame.offset,
-            frame_len: frame.frame_len,
-            records: frame.records,
+            frame,
         };
     }
     governor.note_spill(moved);
@@ -595,6 +574,13 @@ mod tests {
     }
 
     #[test]
+    fn a_part_entry_is_32_bytes() {
+        // One (bucket, part) entry per map task and reduce bucket: at
+        // 128 x 256 tasks every byte here is 32 KiB of resident budget.
+        assert_eq!(std::mem::size_of::<(usize, Part<u32, u64>)>(), 32);
+    }
+
+    #[test]
     fn segment_round_trip_with_accounting() {
         let dir = SpillDir::create("test").unwrap();
         let written = Arc::new(AtomicU64::new(0));
@@ -605,7 +591,7 @@ mod tests {
         let batch = rows(10);
         let expect_bytes: u64 = batch.iter().map(ShuffleSize::shuffle_bytes).sum();
         let meta = w.write_frame(&batch).unwrap();
-        assert_eq!(meta.record_bytes, expect_bytes);
+        assert_eq!(meta.record_bytes(), expect_bytes);
         assert_eq!(written.load(Ordering::Relaxed), expect_bytes);
         let seg = w.finish().unwrap();
         let back: Vec<(u32, Vec<f64>)> = seg.read_frame(&meta).unwrap();
@@ -653,7 +639,7 @@ mod tests {
         let spilled =
             SpilledRows::from_batches("test", data.chunks(7).map(|c| c.to_vec())).unwrap();
         assert_eq!(spilled.len(), 100);
-        assert_eq!(spilled.read_all(), data);
+        assert_eq!(spilled.read_range(0, spilled.len()), data);
         assert_eq!(spilled.read_range(0, 0), vec![]);
         assert_eq!(spilled.read_range(3, 11), data[3..11].to_vec());
         assert_eq!(spilled.read_range(96, 100), data[96..100].to_vec());

@@ -51,7 +51,7 @@ proptest! {
             .collect();
         for (batch, meta) in batches.iter().zip(&metas) {
             let expect: u64 = batch.iter().map(ShuffleSize::shuffle_bytes).sum();
-            prop_assert_eq!(meta.record_bytes, expect);
+            prop_assert_eq!(meta.record_bytes(), expect);
             prop_assert_eq!(meta.records as usize, batch.len());
         }
         let seg = w.finish().unwrap();
@@ -72,7 +72,7 @@ proptest! {
         let flat: Vec<Row> = batches.concat();
         let spilled = SpilledRows::from_batches("prop-range", batches).unwrap();
         prop_assert_eq!(spilled.len(), flat.len());
-        prop_assert!(rows_eq(&spilled.read_all(), &flat));
+        prop_assert!(rows_eq(&spilled.read_range(0, spilled.len()), &flat));
         // A handful of deterministic pseudo-random subranges.
         let n = flat.len();
         let mut state = seed | 1;

@@ -15,6 +15,9 @@ use mapreduce::{
 const ROWS: u32 = 1 << 19;
 const KEYS: u32 = 4096;
 const REDUCE_TASKS: usize = 64;
+/// Worker threads the plans run on. The bound scales with the reducers
+/// running at once, so the pool size is pinned rather than the host's.
+const THREADS: usize = 2;
 /// The accounting allocator publishes its total in 64 KiB steps per
 /// shard, so a measured peak can lag the true one by up to 1 MiB.
 const ACCOUNTING_SLACK: u64 = 1 << 20;
@@ -73,6 +76,13 @@ fn run(snap: &Snapshot<u32, u64>, elide: bool) -> (Vec<(u32, u64)>, u64, Vec<Job
 
 #[test]
 fn elision_retains_the_producers_partitions_without_copying_them() {
+    // The pool reads its size once, on first use: pin it before then.
+    std::env::set_var("LSHDDP_THREADS", THREADS.to_string());
+    assert_eq!(
+        rayon::current_num_threads(),
+        THREADS,
+        "the worker pool started before its size was pinned"
+    );
     obsv::alloc::enable_accounting();
     let snap = Snapshot::new(
         (0..ROWS)
@@ -90,7 +100,7 @@ fn elision_retains_the_producers_partitions_without_copying_them() {
     let bucket = plain[0].max_reduce_task_records * record;
     // Each running reducer holds one copied bucket while the cache keeps
     // the parts it was copied from.
-    let bound = bucket * rayon::current_num_threads() as u64 + ACCOUNTING_SLACK;
+    let bound = bucket * THREADS as u64 + ACCOUNTING_SLACK;
     println!(
         "producer peak growth: elision off {off} B, on {on} B; \
          shuffle {shuffle} B, largest bucket {bucket} B, bound +{bound} B"
