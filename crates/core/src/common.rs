@@ -264,7 +264,7 @@ impl Mapper for SampleMapper {
 }
 
 /// Largest number of pairwise distances the `d_c` quantile reducer will
-/// materialize. A sample of `k` pairs estimates a quantile with standard
+/// evaluate. A sample of `k` pairs estimates a quantile with standard
 /// error `O(1/sqrt(k))`; at 2^17 pairs that is far below the estimator's
 /// own point-sampling noise, so the cap costs no accuracy while bounding
 /// memory and time at a constant instead of O(n²).
@@ -288,46 +288,30 @@ impl Reducer for QuantileReducer {
         let n = points.len();
         let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
         let total_pairs = n * n.saturating_sub(1) / 2;
-        let mut dists;
+        assert!(
+            total_pairs > 0,
+            "d_c sample produced no distances — increase sample"
+        );
+        let pairs = total_pairs.min(DC_PAIR_CAP);
+        let mut q = dp_core::cutoff::DistanceQuantile::new(self.percentile, pairs);
         if total_pairs <= DC_PAIR_CAP {
             // Small sample: the exact all-pairs quantile, bit-identical to
             // the pre-cap behavior.
-            dists = Vec::with_capacity(total_pairs);
-            dp_core::for_each_pair_d2(&flat, dim, |_i, _j, d2| dists.push(d2.sqrt()));
-            self.tracker.add(total_pairs as u64);
+            dp_core::for_each_pair_d2(&flat, dim, |_i, _j, d2| q.push(d2));
         } else {
             // Large sample: a seeded uniform draw of DC_PAIR_CAP pairs.
             // Same splitmix generator as `sample_hash`, so the estimate is
             // a pure function of (points, seed) — independent of map task
             // layout and thread count.
-            dists = Vec::with_capacity(DC_PAIR_CAP);
             let mut counter = 0u32;
-            let mut draw = |bound: usize| {
+            let draw = || {
                 counter += 1;
-                sample_hash(counter, self.seed) % bound as u64
+                sample_hash(counter, self.seed)
             };
-            while dists.len() < DC_PAIR_CAP {
-                let i = draw(n) as usize;
-                let j = draw(n) as usize;
-                if i == j {
-                    continue;
-                }
-                let d2 = dp_core::distance::squared_euclidean(
-                    &flat[i * dim..][..dim],
-                    &flat[j * dim..][..dim],
-                );
-                dists.push(d2.sqrt());
-            }
-            self.tracker.add(DC_PAIR_CAP as u64);
+            dp_core::cutoff::for_each_sampled_d2(&flat, dim, pairs, draw, |d2| q.push(d2));
         }
-        assert!(
-            !dists.is_empty(),
-            "d_c sample produced no distances — increase sample"
-        );
-        out.emit(
-            0,
-            dp_core::cutoff::quantile_in_place(&mut dists, self.percentile),
-        );
+        self.tracker.add(pairs as u64);
+        out.emit(0, q.distance());
     }
 }
 

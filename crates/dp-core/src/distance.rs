@@ -34,6 +34,32 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
+/// Squared Euclidean distances of `L` unrelated pairs of `dim`-long rows:
+/// `out[l] = d²(a[l], b[l])`.
+///
+/// Each lane sums its terms in dimension order from `0.0`, which is
+/// [`squared_euclidean`]'s exact sequence of roundings, so every lane
+/// equals the scalar result bit for bit. What changes is the schedule:
+/// the `L` sums are independent add chains, so a wide pair no longer waits
+/// out one add latency per dimension, and the rows of all `L` pairs are
+/// loaded at once.
+#[inline(always)]
+pub(crate) fn squared_euclidean_lanes<const L: usize>(
+    a: [&[f64]; L],
+    b: [&[f64]; L],
+    dim: usize,
+) -> [f64; L] {
+    let (a, b) = (a.map(|r| &r[..dim]), b.map(|r| &r[..dim]));
+    let mut acc = [0.0; L];
+    for d in 0..dim {
+        for l in 0..L {
+            let t = a[l][d] - b[l][d];
+            acc[l] += t * t;
+        }
+    }
+    acc
+}
+
 /// Lane count of [`accumulate_tile_d2`]: one lane per target, so one lane
 /// per *pair*. Sixteen `f64` accumulators are eight 128-bit registers on
 /// the baseline x86-64 build and four 256-bit ones on the AVX2 build (see

@@ -430,8 +430,18 @@ impl Opts {
     }
 
     /// `--dc`, or the estimate from the data; either must be positive and
-    /// finite, and an estimate needs two points.
+    /// finite, and an estimate needs two points. An out-of-range
+    /// `--percentile` or `--samples` is an error either way.
     fn resolve_dc(&self, ds: &Dataset) -> Result<f64, String> {
+        if !(self.percentile > 0.0 && self.percentile <= 1.0) {
+            return Err(format!(
+                "--percentile: {} is out of range (0, 1]",
+                self.percentile
+            ));
+        }
+        if self.samples == 0 {
+            return Err("--samples: at least one pair is required, got 0".into());
+        }
         let dc = match self.dc {
             Some(dc) => dc,
             None if ds.len() >= 2 => {

@@ -316,6 +316,40 @@ fn out_of_range_fault_rates_are_clean_errors() {
     }
 }
 
+/// `--samples 0` and a `--percentile` outside `(0, 1]` leave no `d_c` to
+/// estimate: `dc`, `cluster` and `fit` exit 1 naming the flag.
+#[test]
+fn bad_dc_sampling_flags_are_clean_errors() {
+    let points = tmp("dcflags.csv");
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let [points, out_path] = [&points, &tmp("dcflags-out")].map(|p| p.display().to_string());
+    let bad = [
+        ("--samples", "0"),
+        ("--percentile", "0"),
+        ("--percentile", "1.5"),
+        ("--percentile", "-0.1"),
+        ("--percentile", "NaN"),
+    ];
+    for cmd in ["dc", "cluster", "fit"] {
+        for (flag, value) in bad {
+            let out = bin()
+                .args([cmd, "--input", &points, "--out", &out_path, flag, value])
+                .output()
+                .expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let case = format!("{cmd} {flag} {value}");
+            assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+            assert!(stderr.contains(flag), "{case}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        }
+    }
+}
+
 /// `--k 0` asks for no clusters: `cluster`, `fit` and `compact` exit 1
 /// naming the flag instead of panicking in peak selection.
 #[test]
