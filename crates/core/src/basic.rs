@@ -104,7 +104,7 @@ fn partners_of_anchor(a: u32, n: u32) -> Vec<u32> {
 }
 
 /// Map output value: `(block id, point id, coordinates)`.
-type BlockedPoint = (u32, PointId, Vec<f64>);
+type BlockedPoint = (u32, PointId, Arc<[f64]>);
 
 /// Mapper of both blocked jobs: routes each point to its tournament
 /// anchors.
@@ -115,11 +115,11 @@ struct BlockMapper {
 
 impl Mapper for BlockMapper {
     type InKey = PointId;
-    type InValue = Vec<f64>;
+    type InValue = Arc<[f64]>;
     type OutKey = u32;
     type OutValue = BlockedPoint;
 
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<u32, BlockedPoint>) {
+    fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<u32, BlockedPoint>) {
         let block = (id as usize / self.block_size) as u32;
         for anchor in anchors_for_block(block, self.n_blocks) {
             out.emit(anchor, (block, id, coords.clone()));
@@ -135,8 +135,8 @@ fn split_blocks(
 ) -> (Vec<PointId>, Vec<f64>, Vec<PointId>, Vec<f64>, usize) {
     let (own, partners): (Vec<_>, Vec<_>) = points.iter().partition(|(b, _, _)| *b == anchor);
     let ids = |side: &[&BlockedPoint]| side.iter().map(|(_, id, _)| *id).collect();
-    let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| c.as_slice()));
-    let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| c.as_slice()));
+    let (own_flat, dim) = flatten_coords(own.iter().map(|(_, _, c)| &c[..]));
+    let (partner_flat, _) = flatten_coords(partners.iter().map(|(_, _, c)| &c[..]));
     (ids(&own), own_flat, ids(&partners), partner_flat, dim)
 }
 
@@ -296,7 +296,7 @@ impl BasicDdp {
     fn run_tracked(
         &self,
         ds: &Dataset,
-        snap: &Snapshot<PointId, Vec<f64>>,
+        snap: &Snapshot<PointId, Arc<[f64]>>,
         mut driver: Driver,
         dc: f64,
         tracker: DistanceTracker,

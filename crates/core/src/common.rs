@@ -9,10 +9,12 @@ use mapreduce::{
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A shuffled point record: `(id, coordinates)`. Its shuffle size is
-/// `4 + 4 + 8·dim` bytes, matching the paper's accounting.
-pub type PointRecord = (PointId, Vec<f64>);
+/// `4 + 4 + 8·dim` bytes, matching the paper's accounting. All records of
+/// a point share its one coordinate row, which encodes as a `Vec<f64>`.
+pub type PointRecord = (PointId, Arc<[f64]>);
 
 /// Engine-level knobs shared by all pipelines.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -132,15 +134,15 @@ pub fn point_record_materializations() -> u64 {
 
 /// Builds the job input `(id, coords)` records from a dataset — the
 /// equivalent of reading the point file from HDFS at the start of each job.
-pub fn point_records(ds: &Dataset) -> Vec<(PointId, Vec<f64>)> {
+pub fn point_records(ds: &Dataset) -> Vec<PointRecord> {
     POINT_RECORD_BUILDS.fetch_add(1, Ordering::Relaxed);
-    ds.iter().map(|(id, p)| (id, p.to_vec())).collect()
+    ds.iter().map(|(id, p)| (id, Arc::from(p))).collect()
 }
 
 /// Materializes the dataset ONCE as an immutable shared snapshot every
 /// stage of a pipeline reads in place — the fix for re-reading the point
 /// file from the DFS at the start of each job.
-pub fn point_snapshot(ds: &Dataset) -> Snapshot<PointId, Vec<f64>> {
+pub fn point_snapshot(ds: &Dataset) -> Snapshot<PointId, Arc<[f64]>> {
     Snapshot::new(point_records(ds))
 }
 
@@ -253,10 +255,10 @@ struct SampleMapper {
 }
 impl Mapper for SampleMapper {
     type InKey = PointId;
-    type InValue = Vec<f64>;
+    type InValue = Arc<[f64]>;
     type OutKey = u8;
     type OutValue = PointRecord;
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<u8, PointRecord>) {
+    fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<u8, PointRecord>) {
         if sample_hash(id, self.seed) % 4096 < self.keep_per_4096 {
             out.emit(0, (id, coords));
         }
@@ -286,7 +288,7 @@ impl Reducer for QuantileReducer {
     type OutValue = f64;
     fn reduce(&self, _k: &u8, points: Vec<PointRecord>, out: &mut Emitter<u8, f64>) {
         let n = points.len();
-        let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
+        let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| &c[..]));
         let total_pairs = n * n.saturating_sub(1) / 2;
         assert!(
             total_pairs > 0,
@@ -321,7 +323,7 @@ impl Reducer for QuantileReducer {
 /// of the sample and takes the `percentile`-quantile. The stage's metrics
 /// (with a cumulative `"distances"` snapshot) land in `driver`'s history.
 pub fn dc_sampling_stage(
-    snap: &Snapshot<PointId, Vec<f64>>,
+    snap: &Snapshot<PointId, Arc<[f64]>>,
     driver: &mut Driver,
     percentile: f64,
     sample_target: usize,
@@ -405,7 +407,7 @@ mod tests {
         let ds = line(5);
         let recs = point_records(&ds);
         assert_eq!(recs.len(), 5);
-        assert_eq!(recs[3], (3, vec![3.0]));
+        assert_eq!((recs[3].0, &recs[3].1[..]), (3, &[3.0][..]));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::common::{
     assemble_delta, density_keys, flatten_coords, point_snapshot, DeltaPartial, MinDeltaCombiner,
-    MinDeltaReducer, PipelineConfig,
+    MinDeltaReducer, PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
@@ -149,7 +149,7 @@ fn sample_pivots(ds: &Dataset, n_pivots: usize, seed: u64) -> Pivots {
 }
 
 /// Value of the rho job: `(point id, coords, is_owner)`.
-type CellPoint = (PointId, Vec<f64>, u8);
+type CellPoint = (PointId, Arc<[f64]>, u8);
 
 /// Mapper of the rho job: Voronoi ownership + 2·dc-bounded replication.
 struct RhoVoronoiMapper {
@@ -159,11 +159,11 @@ struct RhoVoronoiMapper {
 
 impl Mapper for RhoVoronoiMapper {
     type InKey = PointId;
-    type InValue = Vec<f64>;
+    type InValue = Arc<[f64]>;
     type OutKey = u32;
     type OutValue = CellPoint;
 
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<u32, CellPoint>) {
+    fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<u32, CellPoint>) {
         let own = self.index.own(id);
         let dists = self.index.row(id);
         let bound = dists[own as usize] + 2.0 * self.dc;
@@ -195,8 +195,8 @@ impl Reducer for RhoVoronoiReducer {
         if owners.is_empty() {
             return;
         }
-        let (all_flat, dim) = flatten_coords(points.iter().map(|(_, c, _)| c.as_slice()));
-        let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _)| c.as_slice()));
+        let (all_flat, dim) = flatten_coords(points.iter().map(|(_, c, _)| &c[..]));
+        let (owner_flat, _) = flatten_coords(owners.iter().map(|(_, c, _)| &c[..]));
         let (rho, evals) = Partition::new(&all_flat, dim, self.dc).count_of(&owner_flat);
         self.tracker.add(evals);
         let dc2 = self.dc * self.dc;
@@ -215,11 +215,11 @@ struct OwnerMapper {
 
 impl Mapper for OwnerMapper {
     type InKey = PointId;
-    type InValue = Vec<f64>;
+    type InValue = Arc<[f64]>;
     type OutKey = u32;
-    type OutValue = (PointId, Vec<f64>);
+    type OutValue = PointRecord;
 
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<u32, (PointId, Vec<f64>)>) {
+    fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<u32, PointRecord>) {
         out.emit(self.index.own(id), (id, coords));
     }
 }
@@ -235,17 +235,17 @@ struct DeltaRound1Reducer {
 
 impl Reducer for DeltaRound1Reducer {
     type InKey = u32;
-    type InValue = (PointId, Vec<f64>);
+    type InValue = PointRecord;
     type OutKey = PointId;
     type OutValue = DeltaPartial;
 
     fn reduce(
         &self,
         _cell: &u32,
-        points: Vec<(PointId, Vec<f64>)>,
+        points: Vec<PointRecord>,
         out: &mut Emitter<PointId, DeltaPartial>,
     ) {
-        let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
+        let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| &c[..]));
         let keys = density_keys(&self.rho, points.iter().map(|(id, _)| *id));
         let evals = Partition::new(&flat, dim, self.dc)
             .delta(&keys, true, |i, part| out.emit(points[i].0, part));
@@ -256,7 +256,7 @@ impl Reducer for DeltaRound1Reducer {
 /// Round-2 value: either a cell owner serving as candidate, or a visitor
 /// searching for a closer denser point. `role`: 1 = owner, 0 = visitor;
 /// `ub` is the visitor's current upper bound (ignored for owners).
-type Round2Point = (PointId, Vec<f64>, u8, f64);
+type Round2Point = (PointId, Arc<[f64]>, u8, f64);
 
 /// Mapper of round 2: owners re-emitted to their cell; visitors emitted to
 /// every other cell that may own a denser point within their bound.
@@ -280,11 +280,11 @@ struct DeltaRound2Mapper {
 
 impl Mapper for DeltaRound2Mapper {
     type InKey = PointId;
-    type InValue = Vec<f64>;
+    type InValue = Arc<[f64]>;
     type OutKey = u32;
     type OutValue = Round2Point;
 
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<u32, Round2Point>) {
+    fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<u32, Round2Point>) {
         let own = self.index.own(id);
         out.emit(own, (id, coords.clone(), 1, 0.0));
         let ub = self.ub[id as usize];
@@ -325,8 +325,8 @@ impl Reducer for DeltaRound2Reducer {
         let (owners, visitors): (Vec<_>, Vec<_>) =
             points.into_iter().partition(|(_, _, role, _)| *role == 1);
         // Either side may be empty (and then reports dimension 1).
-        let (visitor_flat, vdim) = flatten_coords(visitors.iter().map(|(_, c, ..)| c.as_slice()));
-        let (owner_flat, odim) = flatten_coords(owners.iter().map(|(_, c, ..)| c.as_slice()));
+        let (visitor_flat, vdim) = flatten_coords(visitors.iter().map(|(_, c, ..)| &c[..]));
+        let (owner_flat, odim) = flatten_coords(owners.iter().map(|(_, c, ..)| &c[..]));
         let dim = vdim.max(odim);
         let owner_keys = density_keys(&self.rho, owners.iter().map(|(id, ..)| *id));
         let visitor_keys = density_keys(&self.rho, visitors.iter().map(|(id, ..)| *id));

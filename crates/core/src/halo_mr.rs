@@ -19,33 +19,14 @@
 //! always a **subset** of the exact one (property-tested).
 
 use crate::common::{flatten_coords, point_snapshot, PipelineConfig, PointRecord};
-use crate::lsh_ddp::LshDdpConfig;
+use crate::lsh_ddp::{LshDdpConfig, LshPartitionMapper, PartitionKey};
 use dp_core::decision::Clustering;
 use dp_core::dp::DpResult;
 use dp_core::local::Partition;
-use dp_core::{Dataset, DistanceTracker, PointId};
-use lsh::{MultiLsh, Signature};
-use mapreduce::{plan, Emitter, JobMetrics, Mapper, Reducer, Stage};
+use dp_core::{Dataset, DistanceTracker};
+use lsh::MultiLsh;
+use mapreduce::{plan, Emitter, JobMetrics, Reducer, Stage};
 use std::sync::Arc;
-
-type PartitionKey = (u16, Signature);
-
-struct HaloPartitionMapper {
-    multi: Arc<MultiLsh>,
-}
-
-impl Mapper for HaloPartitionMapper {
-    type InKey = PointId;
-    type InValue = Vec<f64>;
-    type OutKey = PartitionKey;
-    type OutValue = PointRecord;
-
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<PartitionKey, PointRecord>) {
-        for (m, sig) in self.multi.signatures(&coords).into_iter().enumerate() {
-            out.emit((m as u16, sig), (id, coords.clone()));
-        }
-    }
-}
 
 /// Scans a partition for cross-cluster `d_c` pairs; emits per-cluster
 /// border-density candidates.
@@ -70,7 +51,7 @@ impl Reducer for BorderReducer {
             .max()
             .map_or(0, |m| m as usize + 1);
         let mut border = vec![0u32; k_clusters];
-        let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| c.as_slice()));
+        let (flat, dim) = flatten_coords(points.iter().map(|(_, c)| &c[..]));
         let dc2 = self.dc * self.dc;
         let labels: Vec<u32> = points.iter().map(|p| self.labels[p.0 as usize]).collect();
         // A cross-cluster pair within `d_c` (the max update is idempotent).
@@ -134,7 +115,10 @@ pub fn compute_halo_distributed(
             .stage(
                 Stage::new(
                     "halo/border-scan",
-                    HaloPartitionMapper { multi },
+                    LshPartitionMapper {
+                        multi,
+                        lost: Arc::default(),
+                    },
                     BorderReducer {
                         dc: result.dc,
                         rho: rho.clone(),

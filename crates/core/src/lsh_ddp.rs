@@ -27,9 +27,13 @@ use dp_core::dp::{DpResult, NO_UPSLOPE};
 use dp_core::local::Partition;
 use dp_core::{Dataset, DistanceTracker, PointId};
 use lsh::tuning::TuningError;
-use lsh::{LshParams, MultiLsh, Signature};
-use mapreduce::{plan, Combiner, Driver, Emitter, JobMetrics, Mapper, Reducer, Snapshot, Stage};
+use lsh::{LshParams, MultiLsh};
+use mapreduce::{
+    plan, Combiner, Driver, Emitter, JobMetrics, Mapper, Reducer, ShuffleSize, Snapshot, Stage,
+    Wire, WireError,
+};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -97,29 +101,118 @@ pub struct LshDdp {
     config: LshDdpConfig,
 }
 
-/// Partition key: `(layout index m, group signature G_m(p))`.
-type PartitionKey = (u16, Signature);
+/// Signature slots a [`PartitionKey`] holds inline: every `pi` run here.
+pub const INLINE_SLOTS: usize = 4;
 
-/// Mapper of jobs 1 and 3: emit each point under all `M` layouts — minus
-/// the permanently lost ones (`lost[m]`), which both jobs skip
-/// identically, so the co-partitioning contract stays valid under loss.
-struct LshPartitionMapper {
-    multi: Arc<MultiLsh>,
-    lost: Arc<Vec<bool>>,
+/// Shuffle key of the LSH layouts: `(layout m, group signature G_m(p))`,
+/// inline for `pi <= INLINE_SLOTS` (boxed above), so the `M` records of a
+/// point own no heap signature. It orders, hashes and encodes exactly as
+/// `(u16, lsh::Signature)`: every bucket lands on the same reduce task
+/// and the shuffle bytes are unchanged.
+#[derive(Debug, Clone)]
+pub enum PartitionKey {
+    /// `slots[..len]` is the signature; the rest stay zero.
+    Inline {
+        m: u16,
+        len: u8,
+        slots: [i64; INLINE_SLOTS],
+    },
+    /// A signature longer than `INLINE_SLOTS`.
+    Heap { m: u16, sig: Box<[i64]> },
+}
+
+impl PartitionKey {
+    /// The key of signature `sig` under layout `m`.
+    pub fn new(m: u16, sig: impl ExactSizeIterator<Item = i64>) -> Self {
+        let len = sig.len();
+        if len > INLINE_SLOTS {
+            return PartitionKey::Heap {
+                m,
+                sig: sig.collect(),
+            };
+        }
+        let mut slots = [0; INLINE_SLOTS];
+        slots.iter_mut().zip(sig).for_each(|(s, v)| *s = v);
+        PartitionKey::Inline {
+            m,
+            len: len as u8,
+            slots,
+        }
+    }
+
+    /// `(m, G_m(p))`: every trait below delegates to this tuple.
+    pub fn parts(&self) -> (u16, &[i64]) {
+        match self {
+            PartitionKey::Inline { m, len, slots } => (*m, &slots[..*len as usize]),
+            PartitionKey::Heap { m, sig } => (*m, sig),
+        }
+    }
+}
+
+impl PartialEq for PartitionKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+impl Eq for PartitionKey {}
+impl Ord for PartitionKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+impl PartialOrd for PartitionKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Hash for PartitionKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.parts().hash(h);
+    }
+}
+impl ShuffleSize for PartitionKey {
+    fn shuffle_bytes(&self) -> u64 {
+        2 + 4 + 8 * self.parts().1.len() as u64
+    }
+}
+impl Wire for PartitionKey {
+    fn write(&self, out: &mut Vec<u8>) {
+        let (m, sig) = self.parts();
+        m.write(out);
+        (sig.len() as u32).write(out);
+        sig.iter().for_each(|v| v.write(out));
+    }
+    fn read(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(PartitionKey::new(
+            u16::read(input)?,
+            Vec::<i64>::read(input)?.into_iter(),
+        ))
+    }
+}
+
+/// Mapper of jobs 1 and 3 (and of the halo scan): emit each point under
+/// all `M` layouts — minus the permanently lost ones (`lost[m]`), which
+/// both jobs skip identically, so the co-partitioning contract stays
+/// valid under loss. The `M` records share the point's one coordinate
+/// row.
+pub(crate) struct LshPartitionMapper {
+    pub(crate) multi: Arc<MultiLsh>,
+    pub(crate) lost: Arc<Vec<bool>>,
 }
 
 impl Mapper for LshPartitionMapper {
     type InKey = PointId;
-    type InValue = Vec<f64>;
+    type InValue = Arc<[f64]>;
     type OutKey = PartitionKey;
     type OutValue = PointRecord;
 
-    fn map(&self, id: PointId, coords: Vec<f64>, out: &mut Emitter<PartitionKey, PointRecord>) {
-        for (m, sig) in self.multi.signatures(&coords).into_iter().enumerate() {
+    fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<PartitionKey, PointRecord>) {
+        for (m, group) in self.multi.groups().iter().enumerate() {
             if self.lost.get(m).copied().unwrap_or(false) {
                 continue;
             }
-            out.emit((m as u16, sig), (id, coords.clone()));
+            let sig = group.functions().iter().map(|h| h.hash(&coords));
+            out.emit(PartitionKey::new(m as u16, sig), (id, coords.clone()));
         }
     }
 }
@@ -140,7 +233,7 @@ impl Reducer for LocalRhoReducer {
 
     fn reduce(&self, _k: &PartitionKey, points: Vec<PointRecord>, out: &mut Emitter<PointId, u32>) {
         for chunk in points.chunks(self.cap) {
-            let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
+            let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| &c[..]));
             let (rho, evals) = Partition::new(&flat, dim, self.dc).rho();
             self.tracker.add(evals);
             for ((id, _), r) in chunk.iter().zip(rho) {
@@ -213,7 +306,7 @@ impl Reducer for LocalDeltaReducer {
         out: &mut Emitter<PointId, LocalDelta>,
     ) {
         for chunk in points.chunks(self.cap) {
-            let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| c.as_slice()));
+            let (flat, dim) = flatten_coords(chunk.iter().map(|(_, c)| &c[..]));
             let keys = density_keys(&self.rho, chunk.iter().map(|(id, _)| *id));
             let evals = Partition::new(&flat, dim, self.dc)
                 .delta(&keys, false, |i, (d, u, _)| out.emit(chunk[i].0, (d, u)));
@@ -369,7 +462,7 @@ impl LshDdp {
     /// snapshot cannot be asked for it).
     pub fn run_spilled(
         &self,
-        snap: &Snapshot<PointId, Vec<f64>>,
+        snap: &Snapshot<PointId, Arc<[f64]>>,
         dim: usize,
         dc: f64,
     ) -> RunReport {
@@ -406,7 +499,7 @@ impl LshDdp {
     fn run_tracked(
         &self,
         dim: usize,
-        snap: &Snapshot<PointId, Vec<f64>>,
+        snap: &Snapshot<PointId, Arc<[f64]>>,
         mut driver: Driver,
         dc: f64,
         tracker: DistanceTracker,

@@ -73,7 +73,7 @@ impl<T: ShuffleSize> ShuffleSize for Vec<T> {
     }
 }
 
-impl<T: ShuffleSize> ShuffleSize for Box<[T]> {
+impl<T: ShuffleSize> ShuffleSize for std::sync::Arc<[T]> {
     #[inline]
     fn shuffle_bytes(&self) -> u64 {
         4 + self.iter().map(ShuffleSize::shuffle_bytes).sum::<u64>()

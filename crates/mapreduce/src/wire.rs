@@ -13,7 +13,7 @@
 //! * numeric types: their width;
 //! * `bool`: one byte (0/1);
 //! * `String`: `u32` length prefix + UTF-8 bytes;
-//! * `Vec<T>`: `u32` element-count prefix + elements;
+//! * `Vec<T>`, `Arc<[T]>`: `u32` element-count prefix + elements;
 //! * `Option<T>`: one tag byte + payload when `Some`;
 //! * tuples: fields in order.
 
@@ -236,7 +236,10 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Box<[T]> {
+/// Encodes byte for byte as `Vec<T>`. Decoding validates the elements in
+/// a first pass, so the second pass collects from an exact-length
+/// iterator and the row is allocated once, never as a `Vec` first.
+impl<T: Wire> Wire for std::sync::Arc<[T]> {
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u32).to_le_bytes());
         for v in self.iter() {
@@ -244,7 +247,14 @@ impl<T: Wire> Wire for Box<[T]> {
         }
     }
     fn read(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Vec::<T>::read(input)?.into_boxed_slice())
+        let len = u32::read(input)? as usize;
+        let mut probe = *input;
+        for _ in 0..len {
+            T::read(&mut probe)?;
+        }
+        Ok((0..len)
+            .map(|_| T::read(input).expect("validated by the first pass"))
+            .collect())
     }
 }
 
@@ -341,7 +351,7 @@ mod tests {
         round_trip(42usize);
         round_trip(-42isize);
         round_trip(());
-        round_trip(vec![1u32, 2, 3].into_boxed_slice());
+        round_trip(std::sync::Arc::<[u32]>::from([1, 2, 3]));
         round_trip((1u32, vec![0.5f64, -0.5]));
         round_trip((1u32, 2u32, vec![1.0f64]));
         round_trip((1u8, 2u16, 3u32, 4u64));

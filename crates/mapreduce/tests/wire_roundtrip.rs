@@ -140,3 +140,44 @@ fn invalid_scalar_payloads_are_corrupt_not_garbage() {
         Err(WireError::Corrupt(_))
     ));
 }
+
+/// Shared coordinate rows (`Arc<[f64]>`) are a resident-memory choice
+/// only: they encode byte for byte as `Vec<f64>`, meter the same
+/// shuffle bytes, round-trip through a spill segment frame, and a flipped
+/// byte anywhere in the frame still fails its checksum.
+#[test]
+fn shared_rows_encode_as_vecs_and_survive_a_spill_frame() {
+    use mapreduce::spill::{SegmentWriter, SpillDir};
+    use mapreduce::wire::{decode_framed, encode_framed};
+    use std::sync::Arc;
+
+    let rows: Vec<(u32, Arc<[f64]>)> = (0..6)
+        .map(|i| (i, Arc::from(vec![i as f64, -0.5, f64::MAX])))
+        .collect();
+    let vecs: Vec<(u32, Vec<f64>)> = rows.iter().map(|(k, c)| (*k, c.to_vec())).collect();
+    assert_eq!(encode(&rows), encode(&vecs), "byte for byte as Vec<T>");
+    assert_eq!(rows.shuffle_bytes(), vecs.shuffle_bytes());
+    check_roundtrip(&rows);
+    check_truncations(&rows);
+
+    let dir = SpillDir::create("shared-rows").unwrap();
+    let mut w = SegmentWriter::create(dir.segment_path("seg")).unwrap();
+    let meta = w.write_frame(&rows).unwrap();
+    let expect: u64 = vecs.iter().map(ShuffleSize::shuffle_bytes).sum();
+    assert_eq!(meta.record_bytes(), expect);
+    let back: Vec<(u32, Arc<[f64]>)> = w.finish().unwrap().read_frame(&meta).unwrap();
+    assert_eq!(back, rows);
+
+    let frame = encode_framed(&rows);
+    for i in 0..frame.len() {
+        let mut bad = frame.clone();
+        bad[i] ^= 0x01;
+        assert!(
+            matches!(
+                decode_framed::<Vec<(u32, Arc<[f64]>)>>(&bad),
+                Err(WireError::ChecksumMismatch { .. })
+            ),
+            "flip at byte {i} must fail the checksum"
+        );
+    }
+}

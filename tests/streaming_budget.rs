@@ -10,6 +10,7 @@
 use ddp::{LshDdp, LshDdpConfig, PipelineConfig};
 use dp_core::{Dataset, PointId};
 use mapreduce::{Snapshot, SpilledRows};
+use std::sync::Arc;
 
 const POINTS: usize = 16_384;
 const DIM: usize = 64;
@@ -80,7 +81,7 @@ fn spilled_input_four_times_the_budget_matches_the_resident_run() {
         "streaming-budget",
         (0..POINTS).step_by(batch).map(|lo| {
             (lo..(lo + batch).min(POINTS))
-                .map(|i| (i as PointId, point(i)))
+                .map(|i| (i as PointId, Arc::<[f64]>::from(point(i))))
                 .collect::<Vec<_>>()
         }),
     )
