@@ -190,7 +190,7 @@ impl Wire for PartitionKey {
     }
 }
 
-/// Mapper of jobs 1 and 3 (and of the halo scan): emit each point under
+/// Mapper of jobs 1 and 3: emit each point under
 /// all `M` layouts — minus the permanently lost ones (`lost[m]`), which
 /// both jobs skip identically, so the co-partitioning contract stays
 /// valid under loss. The `M` records share the point's one coordinate

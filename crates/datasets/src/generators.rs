@@ -195,21 +195,6 @@ pub fn blob_grid(
     LabeledDataset { data, labels }
 }
 
-/// Uniform background noise in `[0, extent]^dim` (label
-/// `u32::MAX`-free: callers append it to a labeled set with a fresh label).
-pub fn uniform_noise(dim: usize, n: usize, extent: f64, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Dataset::with_capacity(dim, n);
-    let mut buf = vec![0.0f64; dim];
-    for _ in 0..n {
-        for b in buf.iter_mut() {
-            *b = rng.random_range(0.0..extent);
-        }
-        data.push(&buf);
-    }
-    data
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,17 +256,6 @@ mod tests {
         let ld = blob_grid(3, 4, 5, 10.0, 0.1, 9);
         assert_eq!(ld.len(), 60);
         assert_eq!(ld.n_clusters(), 12);
-    }
-
-    #[test]
-    fn uniform_noise_bounds() {
-        let ds = uniform_noise(3, 200, 7.0, 11);
-        assert_eq!(ds.len(), 200);
-        for (_, p) in ds.iter() {
-            for &x in p {
-                assert!((0.0..7.0).contains(&x));
-            }
-        }
     }
 
     #[test]

@@ -119,68 +119,6 @@ pub fn read_csv(path: impl AsRef<Path>, labeled: bool) -> Result<LabeledDataset,
     parse_csv(std::fs::File::open(path)?, labeled)
 }
 
-/// Parses UCI/libsvm-style sparse rows: `label idx:val idx:val ...` with
-/// 1-based feature indices. `dim` fixes the dense width (features beyond
-/// it are an error; absent features are 0). Labels must be non-negative
-/// integers (remap classes beforehand).
-pub fn parse_libsvm<R: Read>(reader: R, dim: usize) -> Result<LabeledDataset, IoError> {
-    assert!(dim > 0, "dim must be positive");
-    let reader = BufReader::new(reader);
-    let mut data = Dataset::new(dim);
-    let mut labels = Vec::new();
-    let mut row = vec![0.0f64; dim];
-    for (lineno, line) in reader.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let label_s = fields.next().expect("non-empty line has a first field");
-        let label: f64 = label_s
-            .parse()
-            .map_err(|e| IoError::Parse(lineno, format!("bad label {label_s:?}: {e}")))?;
-        if !is_label(label) {
-            return Err(IoError::Parse(lineno, format!("bad label {label}")));
-        }
-        row.fill(0.0);
-        for f in fields {
-            let (idx_s, val_s) = f
-                .split_once(':')
-                .ok_or_else(|| IoError::Parse(lineno, format!("bad feature {f:?}")))?;
-            let idx: usize = idx_s
-                .parse()
-                .map_err(|e| IoError::Parse(lineno, format!("bad index {idx_s:?}: {e}")))?;
-            if idx == 0 || idx > dim {
-                return Err(IoError::Parse(
-                    lineno,
-                    format!("feature index {idx} outside 1..={dim}"),
-                ));
-            }
-            let val: f64 = val_s
-                .parse()
-                .map_err(|e| IoError::Parse(lineno, format!("bad value {val_s:?}: {e}")))?;
-            if !val.is_finite() {
-                let msg = format!("non-finite value {val} for feature {idx}");
-                return Err(IoError::Parse(lineno, msg));
-            }
-            row[idx - 1] = val;
-        }
-        data.push(&row);
-        labels.push(label as u32);
-    }
-    if data.is_empty() {
-        return Err(IoError::Empty);
-    }
-    Ok(LabeledDataset { data, labels })
-}
-
-/// Reads a libsvm-format file; see [`parse_libsvm`].
-pub fn read_libsvm(path: impl AsRef<Path>, dim: usize) -> Result<LabeledDataset, IoError> {
-    parse_libsvm(std::fs::File::open(path)?, dim)
-}
-
 /// Writes a dataset as CSV; when `labels` is given, appended as the last
 /// column.
 pub fn write_csv(
@@ -265,47 +203,6 @@ mod tests {
         ));
         let top = parse_csv("1.0,4294967295\n".as_bytes(), true).unwrap();
         assert_eq!(top.labels, [u32::MAX]);
-    }
-
-    #[test]
-    fn parse_libsvm_sparse_rows() {
-        let text = "1 1:0.5 3:-2.0\n0 2:7\n# comment\n2 1:1 2:1 3:1\n";
-        let ld = parse_libsvm(text.as_bytes(), 3).unwrap();
-        assert_eq!(ld.len(), 3);
-        assert_eq!(ld.labels, vec![1, 0, 2]);
-        assert_eq!(ld.data.point(0), &[0.5, 0.0, -2.0]);
-        assert_eq!(ld.data.point(1), &[0.0, 7.0, 0.0]);
-        assert_eq!(ld.data.point(2), &[1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn parse_libsvm_errors() {
-        assert!(matches!(
-            parse_libsvm("".as_bytes(), 2),
-            Err(IoError::Empty)
-        ));
-        assert!(matches!(
-            parse_libsvm("1 5:1.0\n".as_bytes(), 2),
-            Err(IoError::Parse(1, _))
-        ));
-        assert!(matches!(
-            parse_libsvm("1 0:1.0\n".as_bytes(), 2),
-            Err(IoError::Parse(1, _))
-        ));
-        assert!(matches!(
-            parse_libsvm("-1 1:1.0\n".as_bytes(), 2),
-            Err(IoError::Parse(1, _))
-        ));
-        assert!(matches!(
-            parse_libsvm("1 1-2\n".as_bytes(), 2),
-            Err(IoError::Parse(1, _))
-        ));
-        for row in ["1 2:NaN\n", "1 1:inf\n", "4294967296 1:1.0\n"] {
-            assert!(matches!(
-                parse_libsvm(row.as_bytes(), 2),
-                Err(IoError::Parse(1, _))
-            ));
-        }
     }
 
     #[test]

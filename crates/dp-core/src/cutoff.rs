@@ -19,9 +19,6 @@
 use crate::distance::squared_euclidean_lanes;
 use crate::point::Dataset;
 
-/// Default neighborhood fraction (2%, the value the paper uses).
-pub const DEFAULT_PERCENTILE: f64 = 0.02;
-
 /// Exact `d_c`: the `t`-quantile of all pairwise distances.
 ///
 /// O(N²) time and O(N²) memory reserved, of which O(t·N²) is written;

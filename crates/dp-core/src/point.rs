@@ -66,21 +66,6 @@ impl Dataset {
         Dataset { dim, data }
     }
 
-    /// Builds a dataset from an iterator of rows.
-    ///
-    /// # Panics
-    /// Panics if any row's length differs from `dim`.
-    pub fn from_rows<'a, I>(dim: usize, rows: I) -> Self
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        let mut ds = Dataset::new(dim);
-        for row in rows {
-            ds.push(row);
-        }
-        ds
-    }
-
     /// Appends one point; returns its id.
     ///
     /// # Panics

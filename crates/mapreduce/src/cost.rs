@@ -83,19 +83,6 @@ impl ClusterSpec {
             / w;
         self.job_startup_secs + cpu + net + rec
     }
-
-    /// Simulated wall time of a whole pipeline: per-job startup costs plus
-    /// the summed work terms. `jobs` yields `(metrics, distance_count)`
-    /// pairs.
-    pub fn simulate_pipeline<'a>(
-        &self,
-        jobs: impl IntoIterator<Item = (&'a JobMetrics, u64)>,
-        dims_factor: f64,
-    ) -> f64 {
-        jobs.into_iter()
-            .map(|(m, d)| self.simulate_job(m, d, dims_factor))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -152,16 +139,6 @@ mod tests {
         let t_lsh = spec.simulate_job(&lsh, lsh_dist, 14.0);
         let speedup = t_basic / t_lsh;
         assert!(speedup > 20.0, "expected a large speedup, got {speedup}");
-    }
-
-    #[test]
-    fn pipeline_sums_jobs() {
-        let spec = ClusterSpec::local_cluster();
-        let a = job(1000, 10);
-        let b = job(2000, 20);
-        let t = spec.simulate_pipeline([(&a, 100), (&b, 200)], 1.0);
-        let expected = spec.simulate_job(&a, 100, 1.0) + spec.simulate_job(&b, 200, 1.0);
-        assert!((t - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! every stage's [`JobMetrics`] automatically), applies the cross-stage
 //! optimizations the plan layer declares — co-partitioned shuffle elision
 //! and map-stage fusion, see [`crate::plan`](mod@crate::plan) — and reports pipeline-level
-//! aggregates (total shuffle bytes, total distance computations) and
-//! cost-model runtimes.
+//! aggregates (total shuffle bytes, summed job metrics).
 //!
 //! ## Bounded-memory execution
 //!
@@ -22,7 +21,6 @@
 //! it back in the same task/bucket order, so budgeted and unbudgeted runs
 //! are bit-identical.
 
-use crate::cost::ClusterSpec;
 use crate::counters::JobMetrics;
 use crate::dfs::Dfs;
 use crate::plan::{CheckpointCtx, ExecCtx, PartitionCache, Plan};
@@ -507,32 +505,6 @@ impl Driver {
     pub fn total_shuffle_bytes(&self) -> u64 {
         self.history.iter().map(|m| m.shuffle_bytes).sum()
     }
-
-    /// Sum of a user counter across all jobs (e.g. `"distances"`).
-    pub fn total_user_counter(&self, name: &str) -> u64 {
-        self.history
-            .iter()
-            .map(|m| m.user.get(name).copied().unwrap_or(0))
-            .sum()
-    }
-
-    /// Simulated pipeline runtime on `spec`, charging the user counter
-    /// `dist_counter` of each job as its distance work.
-    ///
-    /// Note: user counters are cumulative snapshots taken at each job's
-    /// completion, so per-job increments are reconstructed by differencing
-    /// consecutive snapshots.
-    pub fn simulate(&self, spec: &ClusterSpec, dist_counter: &str, dims_factor: f64) -> f64 {
-        let mut prev = 0u64;
-        let mut total = 0.0;
-        for m in &self.history {
-            let snap = m.user.get(dist_counter).copied().unwrap_or(prev);
-            let delta = snap.saturating_sub(prev);
-            prev = snap.max(prev);
-            total += spec.simulate_job(m, delta, dims_factor);
-        }
-        total
-    }
 }
 
 impl Default for Driver {
@@ -544,17 +516,13 @@ impl Default for Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use std::time::Duration;
 
-    fn job(name: &str, bytes: u64, dist_snapshot: u64) -> JobMetrics {
-        let mut user = BTreeMap::new();
-        user.insert("distances".to_string(), dist_snapshot);
+    fn job(name: &str, bytes: u64) -> JobMetrics {
         JobMetrics {
             name: name.into(),
             shuffle_bytes: bytes,
             wall_time: Duration::from_millis(1),
-            user,
             ..Default::default()
         }
     }
@@ -564,28 +532,11 @@ mod tests {
         // `run_plan` is the only public recording path; these unit tests
         // of the history/aggregation mechanics seed it directly.
         let mut d = Driver::new();
-        d.history.push(job("a", 100, 10));
-        d.history.push(job("b", 300, 25));
+        d.history.push(job("a", 100));
+        d.history.push(job("b", 300));
         assert_eq!(d.history().len(), 2);
         assert_eq!(d.total_shuffle_bytes(), 400);
         assert_eq!(d.totals().shuffle_bytes, 400);
-    }
-
-    #[test]
-    fn cumulative_counter_differencing() {
-        let mut d = Driver::new();
-        d.history.push(job("a", 0, 10));
-        d.history.push(job("b", 0, 25)); // +15 in job b
-        let spec = ClusterSpec {
-            workers: 1,
-            distances_per_sec: 1.0,
-            shuffle_bytes_per_sec: 1.0,
-            per_record_secs: 0.0,
-            job_startup_secs: 0.0,
-        };
-        // 10 + 15 = 25 distance-seconds total.
-        let t = d.simulate(&spec, "distances", 1.0);
-        assert!((t - 25.0).abs() < 1e-9);
     }
 
     #[test]

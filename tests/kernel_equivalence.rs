@@ -1,12 +1,11 @@
 //! Kernel-route equivalence: a partition takes the spatial index or the
 //! pairwise loops by its size and finiteness alone, and whichever it
 //! takes, every pipeline's output is what the definition says — the exact
-//! pipelines bit for bit `compute_exact`, LSH-DDP and the distributed halo
-//! pass the per-bucket definition written out below from
-//! `lsh::bucket_tables`. Every workload here but the small random one has
-//! partitions on both sides of `AUTO_MIN_POINTS`, asserted per test, so
-//! both routes (and, through the shared definition, each other) are
-//! checked.
+//! pipelines bit for bit `compute_exact`, LSH-DDP the per-bucket
+//! definition written out below from `lsh::bucket_tables`. Every workload
+//! here but the small random one has partitions on both sides of
+//! `AUTO_MIN_POINTS`, asserted per test, so both routes (and, through the
+//! shared definition, each other) are checked.
 //!
 //! The `distances` counters are deliberately NOT compared with a
 //! reference run — shrinking them is the whole point — only bounded by the
@@ -171,45 +170,6 @@ fn eddpc_indexed_matches_blocked() {
     // job's cells hold replicas on top and are larger.
     assert!(straddles(&report.jobs[1]), "owner cells all on one side");
     assert_results_match(&compute_exact(&ds, dc), &report.result, "eddpc");
-}
-
-#[test]
-fn halo_indexed_matches_blocked() {
-    let ds = workload();
-    let dc = 1.2;
-    let r = compute_exact(&ds, dc);
-    let peaks = dp_core::decision::select_top_k(&r, 3);
-    let clustering = dp_core::decision::assign(&r, &peaks);
-    let cfg = lsh_config(LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"), 13);
-    let (buckets, _) = buckets(&ds, &cfg);
-    assert_buckets_straddle(&buckets);
-    // By definition: a cluster's border density is the largest average
-    // density over its cross-cluster bucket-mates within `d_c`.
-    let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
-    for b in &buckets {
-        for (k, &i) in b.iter().enumerate() {
-            for &j in &b[k + 1..] {
-                let (ci, cj) = (clustering.label(i), clustering.label(j));
-                let d2 = dp_core::distance::squared_euclidean(ds.point(i), ds.point(j));
-                if ci != cj && d2 < dc * dc {
-                    let avg = (r.rho[i as usize] + r.rho[j as usize]) / 2;
-                    for c in [ci, cj] {
-                        border_rho[c as usize] = border_rho[c as usize].max(avg);
-                    }
-                }
-            }
-        }
-    }
-    let halo: Vec<bool> = (0..ds.len())
-        .map(|i| {
-            let b = border_rho[clustering.label(i as u32) as usize];
-            b > 0 && r.rho[i] <= b
-        })
-        .collect();
-    let got =
-        ddp::halo_mr::compute_halo_distributed(&ds, &r, &clustering, &cfg, &cfg.pipeline.clone());
-    assert_eq!(got.border_rho, border_rho, "border densities");
-    assert_eq!(got.halo, halo, "halo flags");
 }
 
 /// Three 300-point components at 64-D: box pruning is weak up here.

@@ -1,12 +1,11 @@
 //! Shuffle-elision equivalence: every pipeline runs its plans twice — with
 //! co-partitioned shuffle elision on, and with `disable_elision: true` —
-//! and the two runs must agree **bit for bit** on results, halos and
-//! labels, job by job on names and `distances` counters. Elision changes
-//! *where* bytes move, never *what* comes out.
+//! and the two runs must agree **bit for bit** on results, job by job on
+//! names and `distances` counters. Elision changes *where* bytes move,
+//! never *what* comes out.
 //!
 //! What either run computes is checked against the Eq. 1 / Eq. 2
-//! definition in `kernel_equivalence.rs`; the distributed assignment is
-//! checked here against `dp_core::decision::assign`.
+//! definition in `kernel_equivalence.rs`.
 
 use lsh_ddp::prelude::*;
 
@@ -129,63 +128,4 @@ fn eddpc_plan_matches_reference() {
     // EDDPC's four stages all reshape their keys, so nothing is
     // co-partitioned and nothing may be (wrongly) elided.
     assert_eq!(elided.shuffle_bytes_saved(), 0);
-}
-
-#[test]
-fn halo_plan_matches_reference() {
-    let ds = workload();
-    let dc = 1.2;
-    let r = compute_exact(&ds, dc);
-    let peaks = dp_core::decision::select_top_k(&r, 3);
-    let clustering = dp_core::decision::assign(&r, &peaks);
-    let cfg = ddp::lsh_ddp::LshDdpConfig {
-        params: lsh::LshParams::for_accuracy(0.97, 6, 3, dc).expect("valid"),
-        seed: 13,
-        pipeline: PipelineConfig::default(),
-        partition_cap: None,
-        rho_aggregation: Default::default(),
-    };
-    let halo = |pipeline: PipelineConfig| {
-        ddp::halo_mr::compute_halo_distributed(&ds, &r, &clustering, &cfg, &pipeline)
-    };
-    let elided = halo(cfg.pipeline);
-    let plain = halo(unelided(cfg.pipeline));
-    assert_eq!(elided.halo, plain.halo);
-    assert_eq!(elided.border_rho, plain.border_rho);
-    assert_eq!(elided.job.name, plain.job.name);
-    assert_eq!(
-        elided.job.user.get("distances"),
-        plain.job.user.get("distances")
-    );
-    assert_eq!(elided.job.shuffle_bytes, plain.job.shuffle_bytes);
-}
-
-#[test]
-fn assign_plan_matches_reference() {
-    let ds = workload();
-    let dc = 1.2;
-    let r = compute_exact(&ds, dc);
-    for k in [1usize, 2, 3] {
-        let peaks = dp_core::decision::select_top_k(&r, k);
-        let central = dp_core::decision::assign(&r, &peaks);
-        let elided = ddp::assign_mr::assign_distributed(&r, &peaks, &PipelineConfig::default());
-        let plain =
-            ddp::assign_mr::assign_distributed(&r, &peaks, &unelided(PipelineConfig::default()));
-        assert_eq!(
-            elided.clustering.labels(),
-            central.labels(),
-            "k = {k}: distributed assignment must equal centralized"
-        );
-        assert_eq!(
-            elided.clustering.labels(),
-            plain.clustering.labels(),
-            "k = {k}"
-        );
-        assert_eq!(elided.rounds.len(), plain.rounds.len(), "k = {k}");
-        for (e, p) in elided.rounds.iter().zip(&plain.rounds) {
-            assert_eq!(e.name, p.name);
-            assert_eq!(e.shuffle_records, p.shuffle_records);
-            assert_eq!(e.shuffle_bytes_saved, 0, "no two rounds share a source");
-        }
-    }
 }
