@@ -604,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_halo_matches_all_pairs_on_kd_and_grid_inputs() {
+    fn indexed_halo_matches_all_pairs_in_2_and_5_dims() {
         for dim in [2, 5] {
             let (ds, r, c) = touching_blobs(600, dim);
             let halo = compute_halo(&ds, &r, &c);

@@ -25,11 +25,9 @@
 //! * [`SpatialIndex::max_distance`] — the absolute-peak `delta`
 //!   (distance to the farthest point).
 //!
-//! Two representations back the same API: a kd-tree (any dimension) and a
-//! uniform-grid fast path for `dim <= 3` when the data span makes cells
-//! affordable. Selection is automatic at build time. Either way the index
-//! keeps its own copy of the coordinates in *leaf order* (kd leaves / grid
-//! cells are contiguous row ranges), so scans stream memory instead of
+//! One kd-tree backs the API in every dimension. It keeps its own copy of
+//! the coordinates in *leaf order* (each leaf a contiguous row range,
+//! stored as a pre-transposed tile), so scans stream memory instead of
 //! chasing a permutation; point indices are translated back to the
 //! caller's input order at the API edge. Every kernel runs on the vector
 //! width the index was built for ([`crate::simd`]), with the same bits.
@@ -60,8 +58,10 @@
 //!   widest box dimension with a total-order + index tie-break), so the
 //!   work-stealing parallel build is bit-identical across thread counts,
 //!   and every traversal visits candidates in a deterministic order.
+//!
+//! [`squared_euclidean`]: crate::distance::squared_euclidean
 
-use crate::distance::{accumulate_tile_d2, squared_euclidean, LANES};
+use crate::distance::{accumulate_tile_d2, LANES};
 use crate::local::Key;
 use crate::point::PointId;
 use crate::simd::Isa;
@@ -108,8 +108,8 @@ fn reach(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
 /// Squared lower and upper bounds on the distance between any point of
 /// box `a` and any point of box `b` (`dim` minima then `dim` maxima), both
 /// in one pass and each accumulated per dimension in the same order as
-/// [`squared_euclidean`]. A query point passes itself as both `lo_a` and
-/// `hi_a`.
+/// [`crate::distance::squared_euclidean`]. A query point passes itself as
+/// both `lo_a` and `hi_a`.
 #[inline(always)]
 fn box_bounds2(lo_a: &[f64], hi_a: &[f64], b: &[f64]) -> (f64, f64) {
     let (lo_b, hi_b) = b.split_at(lo_a.len());
@@ -754,274 +754,8 @@ impl<'a> KdJoin<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Uniform grid (dim <= 3)
-// ---------------------------------------------------------------------
-
-/// Per-dimension cell-count cap; beyond this the span/d_c ratio makes the
-/// grid pointless and the kd-tree takes over.
-const GRID_MAX_CELLS_PER_DIM: i64 = 1 << 20;
-
-/// Cell width safety factor over `d_c`. With `w = 1.001 * d_c`, two points
-/// within `d_c` of each other land in cells at most one apart per
-/// dimension *in floating point*: their exact scaled coordinates differ by
-/// under `1/1.001`, the few-ulp rounding of `(x - min) / w` cannot bridge
-/// the remaining slack, and the floor of two values differing by less than
-/// one differs by at most one.
-const GRID_W_FACTOR: f64 = 1.001;
-
-/// Conservative shrink on ring lower bounds, dominating the rounding of
-/// the cell-coordinate computation.
-const GRID_LB_SLACK: f64 = 0.999_999;
-
-/// Queries whose cell lies farther than this (Chebyshev, in cells) from
-/// the grid box skip shell enumeration for a linear scan of all entries.
-/// Well below any saturation point of the `f64 -> i64` cell cast, and far
-/// enough that such a query is out-of-distribution anyway.
-const GRID_FAR_QUERY_CELLS: i64 = 1 << 40;
-
-/// A uniform grid over up to 3 dimensions; a cell is a contiguous range of
-/// the leaf-ordered rows. Unused dimensions are padded with a single cell
-/// so traversal is uniform.
-struct Grid {
-    w: f64,
-    min: [f64; 3],
-    cells: [i64; 3],
-    /// CSR row offsets over row-major cell ids, `total_cells + 1` entries.
-    starts: Vec<u32>,
-}
-
-/// The 13 of a cell's 26 neighbour offsets that compare greater than the
-/// cell itself in row-major order: visiting them from every cell meets
-/// each adjacent cell pair exactly once.
-const GRID_FORWARD: [[i64; 3]; 13] = {
-    let mut out = [[0i64; 3]; 13];
-    let (mut k, mut i) = (0, 14);
-    while i < 27 {
-        out[k] = [i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1];
-        k += 1;
-        i += 1;
-    }
-    out
-};
-
-impl Grid {
-    /// Builds the grid and its leaf order (row -> input index: grouped by
-    /// cell, ascending within each cell), or `None` when the data/d_c make
-    /// it a bad fit (non-finite coords, degenerate `d_c`, or too many
-    /// cells).
-    fn try_build(flat: &[f64], dim: usize, dc: f64) -> Option<(Self, Vec<u32>)> {
-        if dim > 3 || !(dc.is_finite() && dc > 0.0) {
-            return None;
-        }
-        let n = flat.len() / dim;
-        debug_assert!(n > 0, "cannot index an empty partition");
-        let w = dc * GRID_W_FACTOR;
-        let mut min = [0.0f64; 3];
-        let mut max = [0.0f64; 3];
-        min[..dim].copy_from_slice(&flat[..dim]);
-        max[..dim].copy_from_slice(&flat[..dim]);
-        for p in flat.chunks_exact(dim) {
-            for (d, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return None;
-                }
-                if x < min[d] {
-                    min[d] = x;
-                }
-                if x > max[d] {
-                    max[d] = x;
-                }
-            }
-        }
-        // Cell counts from the same rounded expression as cell assignment,
-        // so every point's computed cell is in range by construction.
-        let mut cells = [1i64; 3];
-        let mut total = 1f64;
-        for d in 0..dim {
-            // Compared as a float: a tiny `w` saturates the cast.
-            let c = ((max[d] - min[d]) / w).floor() + 1.0;
-            if c > GRID_MAX_CELLS_PER_DIM as f64 {
-                return None;
-            }
-            cells[d] = c as i64;
-            total *= c;
-        }
-        if total > (4 * n + 1024) as f64 {
-            return None; // sparse occupancy: kd prunes better
-        }
-        let total = total as usize;
-
-        let mut starts = vec![0u32; total + 1];
-        let cell_of = |p: &[f64]| -> usize {
-            let mut id = 0usize;
-            for (d, &x) in p.iter().enumerate() {
-                let c = ((x - min[d]) / w).floor() as i64;
-                debug_assert!((0..cells[d]).contains(&c));
-                id = id * cells[d] as usize + c as usize;
-            }
-            for &c in &cells[p.len()..3] {
-                id *= c as usize; // padded dims have one cell: no-op
-            }
-            id
-        };
-        for p in flat.chunks_exact(dim) {
-            starts[cell_of(p) + 1] += 1;
-        }
-        for i in 1..=total {
-            starts[i] += starts[i - 1];
-        }
-        let mut cursor = starts.clone();
-        let mut entries = vec![0u32; n];
-        for (i, p) in flat.chunks_exact(dim).enumerate() {
-            let cell = cell_of(p);
-            entries[cursor[cell] as usize] = i as u32;
-            cursor[cell] += 1;
-        }
-        let grid = Grid {
-            w,
-            min,
-            cells,
-            starts,
-        };
-        Some((grid, entries))
-    }
-
-    /// The (possibly out-of-range) cell coordinates of an arbitrary query.
-    fn cell_coords(&self, q: &[f64]) -> [i64; 3] {
-        let mut c = [0i64; 3];
-        for (d, &x) in q.iter().enumerate() {
-            c[d] = ((x - self.min[d]) / self.w).floor() as i64;
-        }
-        c
-    }
-
-    fn cell_id(&self, c: [i64; 3]) -> usize {
-        (((c[0] * self.cells[1]) + c[1]) * self.cells[2] + c[2]) as usize
-    }
-
-    fn cell_rows(&self, c: [i64; 3]) -> Range<usize> {
-        let id = self.cell_id(c);
-        self.starts[id] as usize..self.starts[id + 1] as usize
-    }
-
-    /// Visits `(i, j)`, `i < j`, once for every pair of rows in one cell
-    /// or in adjacent cells — every pair within a cell width: pairs within
-    /// each cell, then each cell against its [`GRID_FORWARD`] neighbours.
-    #[inline(always)]
-    fn near_pairs(&self, mut pair: impl FnMut(usize, usize)) {
-        for x0 in 0..self.cells[0] {
-            for x1 in 0..self.cells[1] {
-                for x2 in 0..self.cells[2] {
-                    let here = self.cell_rows([x0, x1, x2]);
-                    for i in here.clone() {
-                        for j in i + 1..here.end {
-                            pair(i, j);
-                        }
-                    }
-                    if here.is_empty() {
-                        continue;
-                    }
-                    for off in GRID_FORWARD {
-                        let c = [x0 + off[0], x1 + off[1], x2 + off[2]];
-                        if (0..3).all(|d| (0..self.cells[d]).contains(&c[d])) {
-                            for j in self.cell_rows(c) {
-                                for i in here.clone() {
-                                    pair(i, j);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Chebyshev cell-distance from `c` to the grid box (0 when inside).
-    /// Saturating, so arbitrarily far (even cast-saturated) cells are safe.
-    fn dist_to_box(&self, c: [i64; 3]) -> i64 {
-        (0..3)
-            .map(|d| {
-                c[d].saturating_neg()
-                    .max(c[d].saturating_sub(self.cells[d] - 1))
-                    .max(0)
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Visits every *in-grid* cell at Chebyshev cell-distance exactly `r`
-    /// from `c`, in a fixed deterministic order. Per-dimension windows are
-    /// clamped to the grid box up front, so a shell never enumerates cells
-    /// outside the grid and only the shell's clamped faces are walked —
-    /// O(visited cells) work, not O(r^2) box scans. Padded dimensions
-    /// (`cells[d] == 1`, `c[d] == 0`) clamp to offset 0 automatically.
-    /// All bound arithmetic saturates: a saturated bound lands on
-    /// `i64::MIN`/`i64::MAX`, which no in-grid coordinate equals, so the
-    /// clamps stay conservative for arbitrarily far query cells.
-    fn for_shell(&self, c: [i64; 3], r: i64, mut visit: impl FnMut(Range<usize>)) {
-        let mut lo = [0i64; 3];
-        let mut hi = [0i64; 3];
-        for d in 0..3 {
-            lo[d] = c[d].saturating_sub(r).max(0);
-            hi[d] = c[d].saturating_add(r).min(self.cells[d] - 1);
-            if lo[d] > hi[d] {
-                return; // the shell misses the grid entirely
-            }
-        }
-        if r == 0 {
-            visit(self.cell_rows(c)); // non-empty windows: c is in-grid
-            return;
-        }
-        // The two in-window face coordinates of dim `d` (|x - c[d]| == r).
-        let faces = move |d: usize| {
-            [c[d].saturating_sub(r), c[d].saturating_add(r)]
-                .into_iter()
-                .filter(move |&x| lo[d] <= x && x <= hi[d])
-        };
-        // The in-window interior of dim `d` (|x - c[d]| < r).
-        let interior = move |d: usize| {
-            (
-                lo[d].max(c[d].saturating_sub(r - 1)),
-                hi[d].min(c[d].saturating_add(r - 1)),
-            )
-        };
-        // Partition the shell by the first dimension at offset +-r:
-        // |x0| == r, then |x0| < r && |x1| == r, then interior/interior
-        // with |x2| == r. Each in-grid shell cell is visited exactly once.
-        for x0 in faces(0) {
-            for x1 in lo[1]..=hi[1] {
-                for x2 in lo[2]..=hi[2] {
-                    visit(self.cell_rows([x0, x1, x2]));
-                }
-            }
-        }
-        let (ilo0, ihi0) = interior(0);
-        for x1 in faces(1) {
-            for x0 in ilo0..=ihi0 {
-                for x2 in lo[2]..=hi[2] {
-                    visit(self.cell_rows([x0, x1, x2]));
-                }
-            }
-        }
-        let (ilo1, ihi1) = interior(1);
-        for x2 in faces(2) {
-            for x0 in ilo0..=ihi0 {
-                for x1 in ilo1..=ihi1 {
-                    visit(self.cell_rows([x0, x1, x2]));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // SpatialIndex
 // ---------------------------------------------------------------------
-
-enum Rep {
-    Kd(KdTree),
-    Grid(Grid),
-}
 
 /// A per-partition spatial index over a flat row-major buffer. Each
 /// `Partition` builds its own, so the rho and delta passes of a pipeline
@@ -1029,14 +763,10 @@ enum Rep {
 pub struct SpatialIndex {
     dim: usize,
     n: usize,
-    /// The grid's coordinates in cell order: row `k` is input point
-    /// `ids[k]`, and every cell is a contiguous row range. A kd-tree keeps
-    /// its coordinates as leaf tiles instead, and this is empty.
-    pts: Vec<f64>,
-    /// Row -> index of the point in the caller's buffer; kd rows are in
-    /// leaf order, each leaf a contiguous range.
+    /// Row -> index of the point in the caller's buffer; rows are in leaf
+    /// order, each leaf a contiguous range.
     ids: Vec<u32>,
-    rep: Rep,
+    kd: KdTree,
     /// The vector width every kernel of this index runs at.
     isa: Isa,
 }
@@ -1056,7 +786,7 @@ fn pack((rho, id): Key) -> u64 {
 pub struct DensityKeys {
     /// Per row, packed.
     row: Vec<u64>,
-    /// Per kd node, packed; empty on the grid.
+    /// Per kd node, packed.
     node_max: Vec<u64>,
 }
 
@@ -1085,50 +815,29 @@ type Heap = BinaryHeap<Reverse<(u64, u32)>>;
 
 impl SpatialIndex {
     /// Builds the index over `flat` (row-major, `dim` coordinates per
-    /// point). `dc` informs the grid fast path's cell width; pass the same
-    /// cutoff later used in `*_d2(q, dc * dc)` range queries. The kernels
-    /// run at the widest vector width the CPU has ([`Isa::detect`]).
+    /// point). The index does not depend on `dc`, which is kept for
+    /// existing callers. The kernels run at the widest vector width the
+    /// CPU has ([`Isa::detect`]).
     ///
     /// # Panics
     /// Panics if `flat` is empty or not a multiple of `dim`.
-    pub fn build(flat: &[f64], dim: usize, dc: f64) -> Self {
-        Self::build_on(flat, dim, dc, Isa::detect())
+    pub fn build(flat: &[f64], dim: usize, _dc: f64) -> Self {
+        Self::build_on(flat, dim, Isa::detect())
     }
 
     /// [`Self::build`] for the `isa` build of the kernels.
-    pub(crate) fn build_on(flat: &[f64], dim: usize, dc: f64, isa: Isa) -> Self {
+    pub(crate) fn build_on(flat: &[f64], dim: usize, isa: Isa) -> Self {
         assert!(dim > 0, "dim must be positive");
         assert!(
             !flat.is_empty() && flat.len().is_multiple_of(dim),
             "flat buffer must hold a positive number of {dim}-dim points"
         );
-        match Grid::try_build(flat, dim, dc) {
-            Some((g, ids)) => Self::assemble(flat, dim, Rep::Grid(g), ids, isa),
-            None => Self::build_kd(flat, dim, isa),
-        }
-    }
-
-    /// The kd-tree representation regardless of dimension.
-    fn build_kd(flat: &[f64], dim: usize, isa: Isa) -> Self {
         let (kd, ids) = KdTree::build(flat, dim, isa);
-        Self::assemble(flat, dim, Rep::Kd(kd), ids, isa)
-    }
-
-    /// Copies the caller's rows into cell order for the grid.
-    fn assemble(flat: &[f64], dim: usize, rep: Rep, ids: Vec<u32>, isa: Isa) -> Self {
-        let mut pts = Vec::new();
-        if let Rep::Grid(_) = rep {
-            pts.reserve_exact(flat.len());
-            for &i in &ids {
-                pts.extend_from_slice(&flat[i as usize * dim..][..dim]);
-            }
-        }
         SpatialIndex {
             dim,
             n: ids.len(),
-            pts,
             ids,
-            rep,
+            kd,
             isa,
         }
     }
@@ -1143,17 +852,6 @@ impl SpatialIndex {
         self.n == 0
     }
 
-    /// Whether the grid fast path was selected.
-    pub fn is_grid(&self) -> bool {
-        matches!(self.rep, Rep::Grid(_))
-    }
-
-    /// Grid row `k`.
-    #[inline(always)]
-    fn row(&self, k: usize) -> &[f64] {
-        &self.pts[k * self.dim..][..self.dim]
-    }
-
     /// `rho` of every indexed point at once: for each point, in the
     /// caller's input order, the number of *other* indexed points with
     /// `d2 < dc2` (strict) — `range_count_d2(point, dc2).0 - 1` for each
@@ -1162,15 +860,12 @@ impl SpatialIndex {
     /// Every unordered pair is evaluated at most once, so the evals never
     /// exceed `n (n - 1) / 2`, and at most half of what the per-point
     /// queries evaluate: a pair is evaluated only if neither end's bound
-    /// against the other end's leaf box (grid: cell adjacency) settles it,
-    /// which is when the per-point walks evaluate it from both ends.
+    /// against the other end's leaf box settles it, which is when the
+    /// per-point walks evaluate it from both ends.
     pub fn self_join_d2(&self, dc2: f64) -> (Vec<u32>, u64) {
         let (count, evals) = self.isa.run(
             #[inline(always)]
-            || match &self.rep {
-                Rep::Kd(kd) => KdJoin::new(kd, self.dim, dc2).run(),
-                Rep::Grid(g) => self.grid_join(g, dc2),
-            },
+            || KdJoin::new(&self.kd, self.dim, dc2).run(),
         );
         let mut rho = vec![0u32; self.n];
         for (&id, c) in self.ids.iter().zip(count) {
@@ -1179,31 +874,12 @@ impl SpatialIndex {
         (rho, evals)
     }
 
-    /// Grid self-join over [`Grid::near_pairs`]. Per-row counts, and
-    /// evals.
-    #[inline(always)]
-    fn grid_join(&self, g: &Grid, dc2: f64) -> (Vec<u32>, u64) {
-        debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
-        let mut count = vec![0u32; self.n];
-        let mut evals = 0u64;
-        g.near_pairs(|i, j| {
-            evals += 1;
-            if squared_euclidean(self.row(i), self.row(j)) < dc2 {
-                count[i] += 1;
-                count[j] += 1;
-            }
-        });
-        (count, evals)
-    }
-
     /// Visits `(i, j, d²)`, `i < j` in the caller's input order, once for
     /// every pair of indexed points whose labels differ (`labels[i]` is
-    /// input point `i`'s) and `d² < r2` (strict), `r2` at most the `d_c²`
-    /// the index was built for up to rounding. A pair with one label is
-    /// never evaluated: kd rows walk only the rows after them and skip
-    /// every subtree whose points all carry their own label; the grid
-    /// filters its cell pairs by label first. Returns the distance
-    /// evaluations, at most the number of pairs across labels.
+    /// input point `i`'s) and `d² < r2` (strict). A pair with one label is
+    /// never evaluated: rows walk only the rows after them and skip every
+    /// subtree whose points all carry their own label. Returns the
+    /// distance evaluations, at most the number of pairs across labels.
     pub(crate) fn pairs_across_d2(
         &self,
         labels: &[u32],
@@ -1218,23 +894,7 @@ impl SpatialIndex {
         };
         self.isa.run(
             #[inline(always)]
-            || match &self.rep {
-                Rep::Kd(kd) => kd.pairs_across(self.dim, &label, r2, &mut rows),
-                Rep::Grid(g) => {
-                    debug_assert!(r2 <= g.w * g.w, "grid built for a smaller radius");
-                    let mut evals = 0u64;
-                    g.near_pairs(|a, b| {
-                        if label[a] != label[b] {
-                            evals += 1;
-                            let d2 = squared_euclidean(self.row(a), self.row(b));
-                            if d2 < r2 {
-                                rows(a, b, d2);
-                            }
-                        }
-                    });
-                    evals
-                }
-            },
+            || self.kd.pairs_across(self.dim, &label, r2, &mut rows),
         )
     }
 
@@ -1249,41 +909,26 @@ impl SpatialIndex {
 
     #[inline(always)]
     fn range_count(&self, q: &[f64], dc2: f64) -> (u32, u64) {
+        let kd = &self.kd;
         let mut count = 0u32;
         let mut evals = 0u64;
-        match &self.rep {
-            Rep::Grid(g) => {
-                debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
-                let c = g.cell_coords(q);
-                for r in 0..=1 {
-                    g.for_shell(c, r, |rows| {
-                        evals += rows.len() as u64;
-                        for k in rows {
-                            count += u32::from(squared_euclidean(q, self.row(k)) < dc2);
-                        }
-                    });
-                }
+        let mut stack = vec![0usize];
+        while let Some(node) = stack.pop() {
+            let (lb2, ub2) = box_bounds2(q, q, kd.bounds(self.dim, node));
+            if lb2 >= dc2 {
+                continue; // every d2 in the box is >= lb2 >= dc2
             }
-            Rep::Kd(kd) => {
-                let mut stack = vec![0usize];
-                while let Some(node) = stack.pop() {
-                    let (lb2, ub2) = box_bounds2(q, q, kd.bounds(self.dim, node));
-                    if lb2 >= dc2 {
-                        continue; // every d2 in the box is >= lb2 >= dc2
-                    }
-                    if ub2 < dc2 {
-                        count += kd.len[node]; // every d2 is <= ub2 < dc2
-                    } else if kd.is_leaf(node) {
-                        let d2 = kd.leaf_d2(q, node);
-                        let len = kd.len[node] as usize;
-                        evals += len as u64;
-                        count += d2[..len].iter().map(|&d2| u32::from(d2 < dc2)).sum::<u32>();
-                    } else {
-                        let (l, r) = kd.children(node);
-                        stack.push(r);
-                        stack.push(l);
-                    }
-                }
+            if ub2 < dc2 {
+                count += kd.len[node]; // every d2 is <= ub2 < dc2
+            } else if kd.is_leaf(node) {
+                let d2 = kd.leaf_d2(q, node);
+                let len = kd.len[node] as usize;
+                evals += len as u64;
+                count += d2[..len].iter().map(|&d2| u32::from(d2 < dc2)).sum::<u32>();
+            } else {
+                let (l, r) = kd.children(node);
+                stack.push(r);
+                stack.push(l);
             }
         }
         (count, evals)
@@ -1301,51 +946,32 @@ impl SpatialIndex {
 
     #[inline(always)]
     fn within(&self, q: &[f64], dc2: f64, visit: &mut impl FnMut(u32, f64)) -> u64 {
+        let kd = &self.kd;
+        if box_bounds2(q, q, kd.bounds(self.dim, 0)).0 >= dc2 {
+            return 0;
+        }
         let mut evals = 0u64;
-        match &self.rep {
-            Rep::Grid(g) => {
-                debug_assert!(dc2 <= g.w * g.w, "grid built for a smaller radius");
-                let c = g.cell_coords(q);
-                for r in 0..=1 {
-                    g.for_shell(c, r, |rows| {
-                        evals += rows.len() as u64;
-                        for k in rows {
-                            let d2 = squared_euclidean(q, self.row(k));
-                            if d2 < dc2 {
-                                visit(self.ids[k], d2);
-                            }
-                        }
-                    });
+        // Every node on the stack has passed its bound check.
+        let mut stack = vec![0usize];
+        while let Some(node) = stack.pop() {
+            if kd.is_leaf(node) {
+                let d2 = kd.leaf_d2(q, node);
+                let rows = kd.rows(node);
+                evals += rows.len() as u64;
+                for (&d2, &id) in d2.iter().zip(&self.ids[rows]) {
+                    if d2 < dc2 {
+                        visit(id, d2);
+                    }
                 }
+                continue;
             }
-            Rep::Kd(kd) => {
-                if box_bounds2(q, q, kd.bounds(self.dim, 0)).0 >= dc2 {
-                    return 0;
-                }
-                // Every node on the stack has passed its bound check.
-                let mut stack = vec![0usize];
-                while let Some(node) = stack.pop() {
-                    if kd.is_leaf(node) {
-                        let d2 = kd.leaf_d2(q, node);
-                        let rows = kd.rows(node);
-                        evals += rows.len() as u64;
-                        for (&d2, &id) in d2.iter().zip(&self.ids[rows]) {
-                            if d2 < dc2 {
-                                visit(id, d2);
-                            }
-                        }
-                        continue;
-                    }
-                    let (l, r) = kd.children(node);
-                    let (lb2_l, lb2_r) =
-                        point_lb2_pair(q, kd.bounds(self.dim, l), kd.bounds(self.dim, r));
-                    if lb2_r < dc2 {
-                        stack.push(r);
-                    }
-                    if lb2_l < dc2 {
-                        stack.push(l);
-                    }
-                }
+            let (l, r) = kd.children(node);
+            let (lb2_l, lb2_r) = point_lb2_pair(q, kd.bounds(self.dim, l), kd.bounds(self.dim, r));
+            if lb2_r < dc2 {
+                stack.push(r);
+            }
+            if lb2_l < dc2 {
+                stack.push(l);
             }
         }
         evals
@@ -1370,19 +996,17 @@ impl SpatialIndex {
     /// Lays density keys over this index; `key(i)` is the key of input
     /// point `i`. `O(n + nodes)`.
     pub fn density_keys(&self, key: impl Fn(u32) -> Key) -> DensityKeys {
+        let kd = &self.kd;
         let row: Vec<u64> = self.ids.iter().map(|&i| pack(key(i))).collect();
-        let mut node_max = Vec::new();
-        if let Rep::Kd(kd) = &self.rep {
-            node_max = vec![0; kd.len.len()];
-            // Reverse preorder puts every child before its parent.
-            for node in (0..node_max.len()).rev() {
-                node_max[node] = if kd.is_leaf(node) {
-                    row[kd.rows(node)].iter().copied().max().unwrap_or(0)
-                } else {
-                    let (l, r) = kd.children(node);
-                    node_max[l].max(node_max[r])
-                };
-            }
+        let mut node_max = vec![0; kd.len.len()];
+        // Reverse preorder puts every child before its parent.
+        for node in (0..node_max.len()).rev() {
+            node_max[node] = if kd.is_leaf(node) {
+                row[kd.rows(node)].iter().copied().max().unwrap_or(0)
+            } else {
+                let (l, r) = kd.children(node);
+                node_max[l].max(node_max[r])
+            };
         }
         DensityKeys { row, node_max }
     }
@@ -1465,94 +1089,50 @@ impl SpatialIndex {
                 *best_id = cand;
             }
         };
-        match &self.rep {
-            Rep::Grid(g) => {
-                let mut scan = |rows: Range<usize>, best: &mut f64, best_id: &mut PointId| {
-                    for k in rows {
-                        if let Some(cand) = accept(k) {
-                            offer(squared_euclidean(q, self.row(k)), cand, best, best_id);
-                        }
-                    }
-                };
-                let c = g.cell_coords(q);
-                // First shell that can hold a grid cell. Starting there
-                // skips the empty shells below it, so a query far outside
-                // the grid costs O(grid diameter) shells, never O(distance).
-                let r0 = g.dist_to_box(c);
-                if r0 > GRID_FAR_QUERY_CELLS {
-                    // So far out that cell arithmetic may have saturated
-                    // (e.g. a cast-clamped coordinate): shell geometry is
-                    // no longer trustworthy, and a linear scan costs no
-                    // more than the blocked kernel for the same query.
-                    scan(0..self.n, &mut best, &mut best_id);
-                } else {
-                    // Last shell holding any grid cell: the farthest corner.
-                    let r_max = (0..self.dim)
-                        .map(|d| c[d].max(g.cells[d] - 1 - c[d]))
-                        .max()
-                        .unwrap_or(0)
-                        .max(r0);
-                    for r in r0..=r_max {
-                        if r >= 2 {
-                            // Every point in shell r is at least (r-1)*w away
-                            // (shrunk for rounding); equal bounds still scan so
-                            // ties keep their smaller-id resolution.
-                            let lb = (r - 1) as f64 * g.w * GRID_LB_SLACK;
-                            let key_lb = if sqrt_domain { lb } else { lb * lb };
-                            if key_lb > best.min(cap) {
-                                break;
-                            }
-                        }
-                        g.for_shell(c, r, |rows| scan(rows, &mut best, &mut best_id));
-                    }
-                }
+        let kd = &self.kd;
+        if !admits(0) {
+            return ((best, best_id), 0);
+        }
+        heap.clear();
+        let root_lb2 = box_bounds2(q, q, kd.bounds(self.dim, 0)).0;
+        heap.push(Reverse((root_lb2.to_bits(), 0)));
+        while let Some(Reverse((lb_bits, node))) = heap.pop() {
+            // Best-first: every remaining region is at least this
+            // far. Strict >, so equal-distance smaller ids survive.
+            if key_of(f64::from_bits(lb_bits)) > best.min(cap) {
+                break;
             }
-            Rep::Kd(kd) => {
-                if !admits(0) {
-                    return ((best, best_id), 0);
+            let node = node as usize;
+            if !kd.is_leaf(node) {
+                // Pops come in (lb2, node) order whichever nodes are
+                // pushed, so pushing a front instead of two children
+                // scans the same leaves; so does leaving out a region
+                // already beyond the best, which would end the search.
+                let (front, cols) = kd.front(self.dim, node);
+                for (&lb2, &v) in front_lb2(q, cols).iter().zip(front) {
+                    let beyond = key_of(lb2) > best.min(cap);
+                    if !beyond && admits(v as usize) {
+                        heap.push(Reverse((lb2.to_bits(), v)));
+                    }
                 }
-                heap.clear();
-                let root_lb2 = box_bounds2(q, q, kd.bounds(self.dim, 0)).0;
-                heap.push(Reverse((root_lb2.to_bits(), 0)));
-                while let Some(Reverse((lb_bits, node))) = heap.pop() {
-                    // Best-first: every remaining region is at least this
-                    // far. Strict >, so equal-distance smaller ids survive.
-                    if key_of(f64::from_bits(lb_bits)) > best.min(cap) {
-                        break;
-                    }
-                    let node = node as usize;
-                    if !kd.is_leaf(node) {
-                        // Pops come in (lb2, node) order whichever nodes are
-                        // pushed, so pushing a front instead of two children
-                        // scans the same leaves; so does leaving out a region
-                        // already beyond the best, which would end the search.
-                        let (front, cols) = kd.front(self.dim, node);
-                        for (&lb2, &v) in front_lb2(q, cols).iter().zip(front) {
-                            let beyond = key_of(lb2) > best.min(cap);
-                            if !beyond && admits(v as usize) {
-                                heap.push(Reverse((lb2.to_bits(), v)));
-                            }
-                        }
-                        continue;
-                    }
-                    let rows = kd.rows(node);
-                    let mut cands = [0 as PointId; LANES];
-                    let mut mask = 0u32;
-                    // Branch-free: acceptance is a coin flip to a predictor.
-                    for (lane, k) in rows.enumerate() {
-                        let cand = accept(k);
-                        cands[lane] = cand.unwrap_or(0);
-                        mask |= u32::from(cand.is_some()) << lane;
-                    }
-                    if mask == 0 {
-                        continue;
-                    }
-                    let d2 = kd.leaf_d2(q, node);
-                    for (lane, (&d2, &cand)) in d2.iter().zip(&cands).enumerate() {
-                        if mask >> lane & 1 != 0 {
-                            offer(d2, cand, &mut best, &mut best_id);
-                        }
-                    }
+                continue;
+            }
+            let rows = kd.rows(node);
+            let mut cands = [0 as PointId; LANES];
+            let mut mask = 0u32;
+            // Branch-free: acceptance is a coin flip to a predictor.
+            for (lane, k) in rows.enumerate() {
+                let cand = accept(k);
+                cands[lane] = cand.unwrap_or(0);
+                mask |= u32::from(cand.is_some()) << lane;
+            }
+            if mask == 0 {
+                continue;
+            }
+            let d2 = kd.leaf_d2(q, node);
+            for (lane, (&d2, &cand)) in d2.iter().zip(&cands).enumerate() {
+                if mask >> lane & 1 != 0 {
+                    offer(d2, cand, &mut best, &mut best_id);
                 }
             }
         }
@@ -1575,39 +1155,30 @@ impl SpatialIndex {
     fn farthest(&self, q: &[f64]) -> (f64, u64) {
         let mut best = 0.0f64;
         let mut evals = 0u64;
-        match &self.rep {
-            Rep::Grid(_) => {
-                evals = self.n as u64;
-                for k in 0..self.n {
-                    best = max_or(squared_euclidean(q, self.row(k)), best);
-                }
+        let kd = &self.kd;
+        // Max-heap on the boxes' upper bounds (non-negative, so
+        // their bit patterns order like the values).
+        let entry = |node: usize| {
+            let ub2 = box_bounds2(q, q, kd.bounds(self.dim, node)).1;
+            (ub2.to_bits(), node as u32)
+        };
+        let mut heap = BinaryHeap::new();
+        heap.push(entry(0));
+        while let Some((ub_bits, node)) = heap.pop() {
+            if f64::from_bits(ub_bits) <= best {
+                break; // nothing left can exceed the current max
             }
-            Rep::Kd(kd) => {
-                // Max-heap on the boxes' upper bounds (non-negative, so
-                // their bit patterns order like the values).
-                let entry = |node: usize| {
-                    let ub2 = box_bounds2(q, q, kd.bounds(self.dim, node)).1;
-                    (ub2.to_bits(), node as u32)
-                };
-                let mut heap = BinaryHeap::new();
-                heap.push(entry(0));
-                while let Some((ub_bits, node)) = heap.pop() {
-                    if f64::from_bits(ub_bits) <= best {
-                        break; // nothing left can exceed the current max
-                    }
-                    let node = node as usize;
-                    if kd.is_leaf(node) {
-                        let d2 = kd.leaf_d2(q, node);
-                        evals += u64::from(kd.len[node]);
-                        for &d2 in &d2[..kd.len[node] as usize] {
-                            best = max_or(d2, best);
-                        }
-                    } else {
-                        let (l, r) = kd.children(node);
-                        heap.push(entry(l));
-                        heap.push(entry(r));
-                    }
+            let node = node as usize;
+            if kd.is_leaf(node) {
+                let d2 = kd.leaf_d2(q, node);
+                evals += u64::from(kd.len[node]);
+                for &d2 in &d2[..kd.len[node] as usize] {
+                    best = max_or(d2, best);
                 }
+            } else {
+                let (l, r) = kd.children(node);
+                heap.push(entry(l));
+                heap.push(entry(r));
             }
         }
         (best.sqrt(), evals)
@@ -1654,7 +1225,7 @@ impl<'a> DenserSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{for_each_cross_d2, for_each_pair_d2, transpose_tile};
+    use crate::distance::{for_each_cross_d2, for_each_pair_d2, squared_euclidean, transpose_tile};
     use crate::dp::{denser, NO_UPSLOPE};
     use proptest::prelude::*;
 
@@ -1696,8 +1267,7 @@ mod tests {
         for dim in [1, 2, 4, 8] {
             let flat = blobs(300, dim, 42);
             let dc = 1.5;
-            // The grid would take dim <= 3 here: force the kd-tree.
-            let idx = SpatialIndex::build_kd(&flat, dim, Isa::detect());
+            let idx = SpatialIndex::build(&flat, dim, dc);
             let rho = brute_rho(&flat, dim, dc * dc);
             for (i, q) in flat.chunks_exact(dim).enumerate() {
                 let (count, _) = idx.range_count_d2(q, dc * dc);
@@ -1766,20 +1336,15 @@ mod tests {
                     let tag = format!("dim={dim} n={n} dc={dc}");
                     let idx = SpatialIndex::build(&flat, dim, dc);
                     assert_self_join(&idx, &flat, dim, dc, &tag);
-                    if idx.is_grid() {
-                        let kd = SpatialIndex::build_kd(&flat, dim, Isa::detect());
-                        assert_self_join(&kd, &flat, dim, dc, &format!("{tag} kd"));
-                    }
                 }
                 // Above the root box's diagonal (at most sqrt(dim) data
                 // diameters) the root pair is counted wholesale.
-                let kd = SpatialIndex::build_kd(&flat, dim, Isa::detect());
                 let all = radii(&flat, dim)[4] * (dim as f64).sqrt();
+                let kd = SpatialIndex::build(&flat, dim, all);
                 assert_eq!(assert_self_join(&kd, &flat, dim, all, "all"), 0);
                 assert_eq!(kd.self_join_d2(all * all).0, vec![n as u32 - 1; n]);
             }
         }
-        assert!(SpatialIndex::build(&blobs(100, 3, 5), 3, 1.0).is_grid());
     }
 
     /// The bounds as they were before they went branch-free and fused.
@@ -1890,10 +1455,8 @@ mod tests {
     fn box_box_bounds_bracket_every_pair() {
         for dim in [1, 2, 5, 74] {
             let flat = blobs(64, dim, 3);
-            let kd = SpatialIndex::build_kd(&flat, dim, Isa::detect());
-            let Rep::Kd(tree) = &kd.rep else {
-                unreachable!()
-            };
+            let kd = SpatialIndex::build(&flat, dim, 1.0);
+            let tree = &kd.kd;
             let nodes = tree.len.len();
             for a in 0..nodes {
                 for b in 0..nodes {
@@ -1912,26 +1475,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_is_selected_for_low_dim_and_matches() {
-        for dim in [1, 2, 3] {
-            let flat = blobs(400, dim, 7);
-            let dc = 1.0;
-            let idx = SpatialIndex::build(&flat, dim, dc);
-            assert!(idx.is_grid(), "dim={dim} should take the grid path");
-            let rho = brute_rho(&flat, dim, dc * dc);
-            for i in 0..400u32 {
-                let (count, _) = idx.range_count_d2(&flat[i as usize * dim..][..dim], dc * dc);
-                assert_eq!(count - 1, rho[i as usize], "dim={dim} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn huge_span_falls_back_to_kd() {
-        // Span / d_c is enormous: the grid would need too many cells.
+    fn huge_span_range_count() {
+        // A radius far below the span.
         let flat = vec![0.0, 1e9];
         let idx = SpatialIndex::build(&flat, 1, 1e-3);
-        assert!(!idx.is_grid());
         assert_eq!(idx.range_count_d2(&[0.0], 1e-6).0, 1);
     }
 
@@ -2054,17 +1601,15 @@ mod tests {
         }
     }
 
-    /// Regression for the grid nearest-search availability hang: queries
-    /// far outside the grid box (including coordinates that saturate the
-    /// f64 -> i64 cell cast) must terminate promptly and still match the
-    /// exhaustive scan bit-for-bit; NaN queries must terminate with "no
-    /// candidate" instead of looping or panicking.
+    /// Queries far outside the indexed box (including coordinates near
+    /// `f64::MAX`) must terminate promptly and still match the exhaustive
+    /// scan bit-for-bit; NaN queries must terminate with "no candidate"
+    /// instead of looping or panicking.
     #[test]
-    fn grid_nearest_handles_far_and_nonfinite_queries() {
+    fn nearest_handles_far_and_nonfinite_queries() {
         let flat = blobs(400, 2, 7);
         let dc = 1.0;
         let idx = SpatialIndex::build(&flat, 2, dc);
-        assert!(idx.is_grid());
         let brute = |q: &[f64]| {
             let mut best = (f64::INFINITY, NO_UPSLOPE);
             for j in 0..400u32 {
@@ -2077,9 +1622,9 @@ mod tests {
         };
         let keys = idx.density_keys(|i| (0, i));
         for q in [
-            [1e9, 1e9],      // bounded shell walk from the box distance
-            [-1e9, 3.0],     // far in one dimension only
-            [1e300, -1e300], // saturates the cell cast: linear fallback
+            [1e9, 1e9],
+            [-1e9, 3.0], // far in one dimension only
+            [1e300, -1e300],
             [f64::MAX, f64::MAX],
         ] {
             let ((d2, id), _) = idx.nearest_by_d2(&q, &keys, (0, 0));
@@ -2092,50 +1637,6 @@ mod tests {
         assert!(d.is_infinite());
         assert_eq!(id, NO_UPSLOPE);
         assert_eq!(idx.range_count_d2(&[f64::NAN, 0.5], dc * dc).0, 0);
-    }
-
-    /// Shells from the box distance to the farthest corner visit every
-    /// point exactly once, for query cells inside and outside the grid —
-    /// the partition invariant the nearest search's enumeration relies on.
-    #[test]
-    fn for_shell_partitions_entries_by_chebyshev_distance() {
-        let flat = blobs(300, 2, 21);
-        let idx = SpatialIndex::build(&flat, 2, 1.0);
-        let Rep::Grid(g) = &idx.rep else {
-            panic!("expected the grid representation")
-        };
-        for c in [
-            [3i64, 5, 0],
-            [0, 0, 0],
-            [-4, 2, 0],
-            [7, -9, 0],
-            [100, 1000, 0],
-        ] {
-            let r_max = (0..2)
-                .map(|d| c[d].max(g.cells[d] - 1 - c[d]))
-                .max()
-                .unwrap()
-                .max(g.dist_to_box(c));
-            let mut visited = 0usize;
-            // From 0, not dist_to_box: shells below the box distance must
-            // visit nothing (their clamped windows are empty).
-            for r in 0..=r_max {
-                g.for_shell(c, r, |pts| visited += pts.len());
-            }
-            assert_eq!(visited, 300, "c={c:?}");
-        }
-        // Saturated cells never reach in-grid coordinates.
-        assert!(g.dist_to_box([i64::MAX, i64::MIN, 0]) > GRID_FAR_QUERY_CELLS);
-        for r in [0, 1, i64::MAX] {
-            g.for_shell([i64::MAX, i64::MIN, 0], r, |_| {
-                panic!("saturated cell visited the grid")
-            });
-        }
-        // Forward offsets: one of each opposite pair, none the cell itself.
-        for off in GRID_FORWARD {
-            assert!(off > [0, 0, 0] && off.iter().all(|o| o.abs() <= 1));
-            assert!(!GRID_FORWARD.contains(&off.map(|o| -o)));
-        }
     }
 
     #[test]
@@ -2171,7 +1672,7 @@ mod tests {
                 let rho = brute_rho(&flat, dim, dc * dc);
                 let key = |i: u32| (rho[i as usize], i);
                 let run = |isa| {
-                    let idx = SpatialIndex::build_on(&flat, dim, dc, isa);
+                    let idx = SpatialIndex::build_on(&flat, dim, isa);
                     let keys = idx.density_keys(key);
                     let mut search = DenserSearch::new(&idx, key);
                     let mut out = vec![idx
@@ -2220,7 +1721,7 @@ mod tests {
         let flat = vec![1.0, 2.0];
         let idx = SpatialIndex::build(&flat, 2, 1.0);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.range_count_d2(&[1.0, 2.0], 1.0), (1, 1));
+        assert_eq!(idx.range_count_d2(&[1.0, 2.0], 1.0), (1, 0));
         let ((d, u), _) = idx.nearest_denser_d2(
             &[1.0, 2.0],
             (f64::INFINITY, NO_UPSLOPE),

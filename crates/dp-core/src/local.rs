@@ -119,8 +119,7 @@ impl<'a> Partition<'a> {
     /// no index).
     #[doc(hidden)]
     pub fn with_route(flat: &'a [f64], dim: usize, dc: f64, (indexed, isa): (bool, Isa)) -> Self {
-        let index =
-            (indexed && !flat.is_empty()).then(|| SpatialIndex::build_on(flat, dim, dc, isa));
+        let index = (indexed && !flat.is_empty()).then(|| SpatialIndex::build_on(flat, dim, isa));
         Partition {
             flat,
             dim,

@@ -1,10 +1,12 @@
-//! The evaluation counts of the nearest-denser searches, pinned on two
-//! fixed inputs: a 74-D mixture (`fit-wide`'s shape) and a 4-D road-network
-//! slice (`Spatial3d`'s). A search may skip a subtree only when it holds no
-//! acceptable point, so the leaves it scans — and with them the counts —
-//! must not move; a pruning rule that changed which leaves are scanned
-//! fails here even where the answers survive. The values were recorded
-//! before the searches learned to skip subtrees.
+//! The evaluation counts of the nearest-denser searches, pinned on three
+//! fixed inputs: a 74-D mixture (`fit-wide`'s shape), a 4-D road-network
+//! slice (`Spatial3d`'s) and the mixture's first two coordinates. A search
+//! may skip a subtree only when it holds no acceptable point, so the leaves
+//! it scans — and with them the counts — must not move; a pruning rule
+//! that changed which leaves are scanned fails here even where the answers
+//! survive. The 74-D and 4-D values were recorded before the searches
+//! learned to skip subtrees; the 2-D ones hold low-dimensional input to
+//! the same pruned search.
 
 use dp_core::cutoff::estimate_dc_exact;
 use dp_core::dp::NO_UPSLOPE;
@@ -124,6 +126,15 @@ fn nearest_denser_counts_are_pinned() {
             counts(&roads4(2016), 4, 1400, isa),
             [32_716, 16_260, 16_471, 5_587, 11_051],
             "4-D roads on {isa}"
+        );
+        let mixture2: Vec<f64> = mixture74(1200)
+            .chunks_exact(74)
+            .flat_map(|p| [p[0], p[1]])
+            .collect();
+        assert_eq!(
+            counts(&mixture2, 2, 800, isa),
+            [11_701, 4_411, 10_436, 2_152, 3_213],
+            "2-D mixture on {isa}"
         );
     }
 }

@@ -6,7 +6,7 @@
 //! duplicates abound and pairs land exactly on `d_c` (which the strict
 //! predicate excludes); zeros are randomly `-0.0`; sizes straddle
 //! `AUTO_MIN_POINTS` and include empty and one-point sets; dimensions run
-//! from 1 (grid) through 74 (kd, several lane tiles). Rows with a NaN/±inf
+//! from 1 through 74 (several lane tiles). Rows with a NaN/±inf
 //! coordinate must take the pairwise route and still agree.
 //!
 //! `compute_exact` is the whole set as one partition; it and the `delta`

@@ -424,9 +424,8 @@ mod tests {
     }
 
     /// Regression: far out-of-distribution queries against the indexed
-    /// exact engine must return promptly (the grid's shell walk is bounded
-    /// by the box, never by the query's distance) and agree with the
-    /// blocked scalar path bit-for-bit.
+    /// exact engine must return promptly and agree with the blocked scalar
+    /// path bit-for-bit.
     #[test]
     fn exact_indexed_probe_survives_far_and_nonfinite_queries() {
         let (blocked, indexed) = scalar_and_indexed();

@@ -284,8 +284,8 @@ fn small_dataset_strategy() -> impl Strategy<Value = (Dataset, f64)> {
 /// Strategy: a clump of 260 exact duplicates (always one bucket, one
 /// block, one cell: the indexed route) with a tight halo of 60 around it,
 /// plus 4–40 scattered points (1–3 dims) in a bounded box, and a valid dc.
-/// Both the grid fast path (low dim, moderate dc) and the kd-tree get
-/// exercised, on duplicates, collinear points and ties.
+/// The kd-tree gets exercised at low dimension, on duplicates, collinear
+/// points and ties.
 fn dataset_strategy() -> impl Strategy<Value = (Dataset, f64)> {
     (1usize..=3, 4usize..=40)
         .prop_flat_map(|(dim, n)| {
