@@ -123,6 +123,14 @@ fn box_bounds2(lo_a: &[f64], hi_a: &[f64], b: &[f64]) -> (f64, f64) {
     (lb2, ub2)
 }
 
+/// Bit `k` set where lane `k` of `x` is below `t`.
+#[inline(always)]
+fn below(x: &[f64; LANES], t: f64) -> u16 {
+    x.iter()
+        .enumerate()
+        .fold(0, |m, (k, &v)| m | u16::from(v < t) << k)
+}
+
 /// Squared lower bounds from `q` to two boxes — a node's two children —
 /// in one pass: two independent chains instead of two latency-bound ones.
 #[inline(always)]
@@ -677,18 +685,9 @@ impl<'a> KdJoin<'a> {
     #[inline(always)]
     fn flags(&self, a: usize, b: usize) -> (u16, u16) {
         let (lb2, ub2) = lanes_bounds2(self.kd.tile(self.dim, a), self.kd.bounds(self.dim, b));
-        let (mut eval, mut all) = (0u16, 0u16);
-        for lane in 0..self.kd.len[a] as usize {
-            if lb2[lane] >= self.dc2 {
-                continue;
-            }
-            if ub2[lane] < self.dc2 {
-                all |= 1 << lane;
-            } else {
-                eval |= 1 << lane;
-            }
-        }
-        (eval, all)
+        let live = ((1u32 << self.kd.len[a]) - 1) as u16;
+        let all = below(&ub2, self.dc2) & live;
+        (below(&lb2, self.dc2) & live & !all, all)
     }
 
     /// Leaf against leaf (or a leaf's internal pairs when `a == b`): each
@@ -713,12 +712,9 @@ impl<'a> KdJoin<'a> {
         let mut grant =
             |rows: &Range<usize>, (eval, all): (u16, u16), other: &Range<usize>, other_all: u16| {
                 let whole = (other.len() - usize::from(same)) as u32;
+                let part = other_all.count_ones();
                 for (lane, c) in self.count[rows.clone()].iter_mut().enumerate() {
-                    if all >> lane & 1 != 0 {
-                        *c += whole;
-                    } else if eval >> lane & 1 != 0 {
-                        *c += other_all.count_ones();
-                    }
+                    *c += whole * u32::from(all >> lane & 1) + part * u32::from(eval >> lane & 1);
                 }
             };
         grant(&rows_a, (eval_a, all_a), &rows_b, all_b);
@@ -729,10 +725,15 @@ impl<'a> KdJoin<'a> {
             return;
         }
         let kd = self.kd;
-        for i in 0..rows_a.len() {
+        // Hits per lane of `b`, added to its rows once the rows of `a` are done.
+        let mut col_hits = [0u32; LANES];
+        let mut rows_left = eval_a;
+        while rows_left != 0 {
+            let i = rows_left.trailing_zeros() as usize;
+            rows_left &= rows_left - 1;
             // Within one leaf, row i owns the pairs (i, j > i).
             let mask = if same { eval_b & (!1u16) << i } else { eval_b };
-            if eval_a >> i & 1 == 0 || mask == 0 {
+            if mask == 0 {
                 continue;
             }
             for (x, col) in self.q.iter_mut().zip(kd.tile(self.dim, a)) {
@@ -742,13 +743,14 @@ impl<'a> KdJoin<'a> {
             // Lanes outside `mask` — padding, or targets their flag has
             // settled — are computed by the hardware and never read.
             self.evals += u64::from(mask.count_ones());
-            let mut hits = 0u32;
-            for (lane, c) in self.count[rows_b.clone()].iter_mut().enumerate() {
-                let hit = u32::from(mask >> lane & 1 != 0 && d2[lane] < self.dc2);
-                *c += hit;
-                hits += hit;
+            let hit = below(&d2, self.dc2) & mask;
+            self.count[rows_a.start + i] += hit.count_ones();
+            for (lane, c) in col_hits.iter_mut().enumerate() {
+                *c += u32::from(hit >> lane & 1);
             }
-            self.count[rows_a.start + i] += hits;
+        }
+        for (c, h) in self.count[rows_b].iter_mut().zip(col_hits) {
+            *c += h;
         }
     }
 }

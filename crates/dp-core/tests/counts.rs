@@ -6,7 +6,8 @@
 //! that changed which leaves are scanned fails here even where the answers
 //! survive. The 74-D and 4-D values were recorded before the searches
 //! learned to skip subtrees; the 2-D ones hold low-dimensional input to
-//! the same pruned search.
+//! the same pruned search. The rho self-join's counts on the 74-D and 4-D
+//! inputs were recorded before its leaf pairs moved to lane masks.
 
 use dp_core::cutoff::estimate_dc_exact;
 use dp_core::dp::NO_UPSLOPE;
@@ -136,5 +137,23 @@ fn nearest_denser_counts_are_pinned() {
             [11_701, 4_411, 10_436, 2_152, 3_213],
             "2-D mixture on {isa}"
         );
+    }
+}
+
+/// The evaluations of `Partition::rho`'s kd self-join, with the sum of the
+/// densities it returns: the join may settle a pair by box bounds or by
+/// evaluating it, and which it does must not move.
+#[test]
+fn rho_self_join_counts_are_pinned() {
+    for isa in [Isa::detect(), Isa::BASELINE] {
+        for (flat, dim, want) in [
+            (mixture74(1200), 74, (94_370, 28_774)),
+            (roads4(2016), 4, (60_917, 81_244)),
+        ] {
+            let dc = estimate_dc_exact(&Dataset::from_flat(dim, flat.clone()), 0.02);
+            let (rho, evals) = Partition::with_route(&flat, dim, dc, (true, isa)).rho();
+            let total: u64 = rho.iter().map(|&r| u64::from(r)).sum();
+            assert_eq!((evals, total), want, "{dim}-D on {isa}");
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests for the lifecycle wire formats: the versioned model
 //! header and the delta-batch codec must round-trip arbitrary values,
 //! honor the `encoded length == shuffle_bytes()` size contract, and
-//! error on every truncated prefix rather than misread one.
+//! error on every truncated prefix rather than misread one. A fixed
+//! write-ahead-log record pins the log's on-disk framing.
 
-use ingest::{DeltaBatch, DeltaOp};
+use ingest::{DeltaBatch, DeltaOp, Wal};
 use mapreduce::wire::{decode, encode, Wire};
 use mapreduce::ShuffleSize;
 use proptest::prelude::*;
@@ -93,4 +94,37 @@ proptest! {
         bytes[flip] ^= 0xa5;
         prop_assert!(decode::<DeltaBatch>(&bytes).is_err());
     }
+}
+
+/// One record as the log stores it: `u32` length, then the batch
+/// `{ model_version: 4, seq: 3, ops: [Insert([1.5, -2.0]), Delete(7)] }`
+/// framed with an FNV-1a trailer. Logs outlive builds, so this layout
+/// must keep replaying, whatever checksum transient frames use.
+const FNV_RECORD: &str = "420000004c44504201000000040000000000000003000000000000000200\
+    00000002000000000000000000f83f00000000000000c00107000000000000000eb6ee79ae56ad57";
+
+#[test]
+fn fnv_framed_wal_record_fixture_replays() {
+    let bytes: Vec<u8> = (0..FNV_RECORD.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&FNV_RECORD[i..i + 2], 16).unwrap())
+        .collect();
+    let want = DeltaBatch {
+        model_version: 4,
+        seq: 3,
+        ops: vec![DeltaOp::Insert(vec![1.5, -2.0]), DeltaOp::Delete(7)],
+    };
+    let dir = std::env::temp_dir().join(format!("wal-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fixture.wal");
+    std::fs::write(&path, &bytes).unwrap();
+    let (_, rec) = Wal::open(&path).unwrap();
+    assert_eq!(rec.torn_bytes, 0);
+    assert_eq!(rec.batches, vec![want.clone()]);
+
+    // Appending the same batch writes the same bytes.
+    std::fs::remove_file(&path).unwrap();
+    Wal::open(&path).unwrap().0.append(&want).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -19,9 +19,10 @@
 //! * **Stragglers** — a seeded subset of tasks is charged a slowdown
 //!   multiplier on its measured runtime (capped so tests stay fast); the
 //!   engine answers with speculative re-execution.
-//! * **Record corruption** — a seeded subset of attempts produces output
-//!   that fails its wire checksum (see [`crate::wire::encode_framed`])
-//!   and is retried like a failed attempt.
+//! * **Record corruption** — a seeded subset of attempts is drawn as
+//!   having produced output that failed its checksum, and is retried
+//!   like a failed attempt. The draw is the attempt's outcome; no frame
+//!   is decoded for it.
 //! * **Permanent partition loss** — a seeded subset of partitions in a
 //!   named scope never comes back; callers with redundancy (LSH-DDP's
 //!   `M` layouts) degrade gracefully instead of dying.

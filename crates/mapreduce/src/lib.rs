@@ -78,7 +78,7 @@ pub use fault::{AttemptOutcome, ChaosPlan, FaultPlan, Phase, TaskWastage};
 pub use io_shim::{FaultFile, FaultFs, IoFaultPlan};
 pub use job::{HashPartitioner, JobBuilder, JobConfig, Partitioner};
 pub use plan::{plan, IdentityMap, MapChain, Plan, PlanBuilder, ReduceStage, Snapshot, Stage};
-pub use record::{checksum64, ShuffleSize};
+pub use record::{checksum64, frame_checksum64, ShuffleSize};
 pub use spill::{scan_frames, SegmentWriter, SpillDir, SpillSegment, SpilledRows};
 pub use task::{Combiner, Emitter, FnMapper, FnReducer, Mapper, Reducer};
 pub use wire::{decode, decode_framed, encode, encode_framed, Wire, WireError};

@@ -7,23 +7,49 @@
 //! compression), matching the paper's own accounting (`e = 8` bytes per
 //! double, §V-A).
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit checksum over a record's serialized bytes.
 ///
-/// This is the integrity check behind the framed wire codec
-/// ([`crate::wire::encode_framed`]): corruption of any serialized record
-/// in flight is detected before the record is handed to a reducer, the
-/// same role Hadoop's IFile CRC plays for shuffle segments. FNV-1a is
-/// byte-order-stable and dependency-free; it is an integrity check, not
-/// a cryptographic one.
+/// The integrity check of the durable framed wire codec
+/// ([`crate::wire::encode_framed`]) the ingest write-ahead log stores, and
+/// the result digest the tests and the benchmark compare. Both outlive a
+/// process, so it stays FNV-1a byte for byte: an integrity check, not a
+/// cryptographic one, and byte-serial — one multiply per byte on one
+/// chain — so the transient spill tier uses [`frame_checksum64`].
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// Word-lane checksum of a spill-segment frame: little-endian `u64` words
+/// in four independent lanes, so the multiplies overlap instead of queueing
+/// on one chain, folded with the length and the zero-padded tail bytes.
+/// Each step, `(h ^ w) * K` rotated, is a bijection of `h` and of `w`, so a
+/// change confined to one word — any single-bit flip — always changes the
+/// sum (the rotation brings high bits, which a multiply only moves up, back
+/// down). Spill segments never outlive their process, so it may change.
+pub fn frame_checksum64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = [0, 1, 2, 3].map(|k| FNV_OFFSET ^ k);
+    for block in blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = mix(*lane, u64::from_le_bytes(*w));
+        }
+    }
+    let h = lanes.into_iter().fold(bytes.len() as u64, mix);
+    tail.chunks(8).fold(h, |h, w| {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        mix(h, u64::from_le_bytes(word))
+    })
 }
 
 /// Estimated serialized size of a value in bytes.

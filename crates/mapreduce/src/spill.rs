@@ -6,16 +6,19 @@
 //! of frames, each
 //!
 //! ```text
-//! [u64 LE frame length][ encode_framed(Vec<(K, V)>) ]
+//! [u64 LE frame length][ wire(Vec<(K, V)>) ][ u64 LE frame_checksum64 ]
 //! ```
 //!
-//! i.e. the same [`crate::wire`] codec the shuffle-integrity layer uses:
-//! a `Vec` payload (4-byte count prefix + fixed-width records) followed
-//! by an 8-byte FNV-1a trailer. Reusing the wire codec gives the spill
-//! tier two properties for free: the on-disk byte count of a frame's
-//! records **equals** their `ShuffleSize` accounting (so spilled and
-//! resident partitions meter identically), and any torn or corrupted
-//! frame is detected by checksum before its records reach a reducer.
+//! i.e. the [`crate::wire`] codec's framing: a `Vec` payload (4-byte
+//! count prefix + fixed-width records) followed by an 8-byte checksum
+//! trailer. Reusing the wire codec gives the spill tier two properties
+//! for free: the on-disk byte count of a frame's records **equals**
+//! their `ShuffleSize` accounting (so spilled and resident partitions
+//! meter identically), and any torn or corrupted frame is detected by
+//! checksum before its records reach a reducer. The trailer is the
+//! word-lane [`crate::record::frame_checksum64`], not the durable
+//! [`crate::wire::encode_framed`]'s byte-serial FNV-1a: a segment dies
+//! with its [`SpillDir`], so no other process or build reads one.
 //!
 //! Frames are read back with positioned reads (`pread`), so one open
 //! segment serves concurrent reduce tasks without seek coordination.
@@ -32,8 +35,9 @@
 
 use crate::driver::MemoryGovernor;
 use crate::io_shim::{FaultFile, FaultFs};
+use crate::record::frame_checksum64;
 use crate::task::{MrKey, MrValue};
-use crate::wire::{decode_framed, encode_framed, Wire, WireError};
+use crate::wire::{decode_framed_with, encode_framed_with, Wire, WireError};
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -171,7 +175,7 @@ impl SegmentWriter {
 
     /// Writes one frame holding `batch`; returns its location.
     pub fn write_frame<T: Wire>(&mut self, batch: &Vec<T>) -> std::io::Result<FrameMeta> {
-        let frame = encode_framed(batch);
+        let frame = encode_framed_with(batch, frame_checksum64);
         self.file.write_all(&(frame.len() as u64).to_le_bytes())?;
         self.file.write_all(&frame)?;
         let meta = FrameMeta {
@@ -237,7 +241,7 @@ impl SpillSegment {
         if len != meta.frame_len as u64 {
             return Err(SpillError::Wire(WireError::Corrupt("frame length word")));
         }
-        let rows = decode_framed::<Vec<T>>(&buf[8..])?;
+        let rows = decode_framed_with::<Vec<T>>(&buf[8..], frame_checksum64)?;
         if let Some(c) = &self.read_counter {
             c.fetch_add(meta.record_bytes(), Ordering::Relaxed);
         }
@@ -297,7 +301,7 @@ pub fn scan_frames<T: Wire>(path: &Path) -> std::io::Result<ScanOutcome<T>> {
             });
         }
         let (frame, tail) = tail.split_at(len);
-        match decode_framed::<Vec<T>>(frame) {
+        match decode_framed_with::<Vec<T>>(frame, frame_checksum64) {
             Ok(rows) => frames.push(rows),
             Err(_) => {
                 return Ok(ScanOutcome {

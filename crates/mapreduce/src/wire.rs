@@ -70,11 +70,20 @@ pub trait Wire: ShuffleSize + Sized {
     fn write(&self, out: &mut Vec<u8>);
     /// Reads one value from the front of `input`, advancing it.
     fn read(input: &mut &[u8]) -> Result<Self, WireError>;
+    /// Appends the encodings of `items` in order. Numeric types write the
+    /// whole slice in one pass instead of growing `out` per element.
+    fn write_slice(items: &[Self], out: &mut Vec<u8>) {
+        for v in items {
+            v.write(out);
+        }
+    }
 }
 
-/// Encodes a value to bytes; debug-asserts the length contract.
+/// Encodes a value to bytes; debug-asserts the length contract. The
+/// buffer has room for a frame's checksum trailer, so framing it does
+/// not copy it.
 pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
-    let mut out = Vec::with_capacity(value.shuffle_bytes() as usize);
+    let mut out = Vec::with_capacity(value.shuffle_bytes() as usize + 8);
     value.write(&mut out);
     debug_assert_eq!(
         out.len() as u64,
@@ -99,38 +108,52 @@ pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 /// followed by an 8-byte little-endian FNV-1a trailer
 /// ([`crate::record::checksum64`]).
 ///
-/// This is the shuffle-integrity framing chaos injection exercises: a
-/// record corrupted between map and reduce fails [`decode_framed`] with
-/// [`WireError::ChecksumMismatch`], so the engine can detect the bad
-/// attempt and retry it instead of silently reducing garbage.
+/// This is the durable framing the ingest write-ahead log stores, so its
+/// bytes must not change: a record corrupted on disk fails
+/// [`decode_framed`] with [`WireError::ChecksumMismatch`] and replay stops
+/// at the last intact one. (Spill segments, which never outlive their
+/// process, frame the same way under [`crate::record::frame_checksum64`].)
 ///
 /// ```
 /// use mapreduce::{encode_framed, decode_framed, WireError};
 /// let record = (7u32, vec![1.0f64, 2.0]);
 /// let mut frame = encode_framed(&record);
 /// assert_eq!(decode_framed::<(u32, Vec<f64>)>(&frame).unwrap(), record);
-/// frame[2] ^= 0x40; // bit flip in flight
+/// frame[2] ^= 0x40; // bit flip on disk
 /// assert!(matches!(
 ///     decode_framed::<(u32, Vec<f64>)>(&frame),
 ///     Err(WireError::ChecksumMismatch { .. })
 /// ));
 /// ```
 pub fn encode_framed<T: Wire>(value: &T) -> Vec<u8> {
-    let mut out = encode(value);
-    let sum = crate::record::checksum64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    encode_framed_with(value, crate::record::checksum64)
 }
 
 /// Decodes a frame produced by [`encode_framed`], verifying the
 /// checksum trailer before touching the payload.
 pub fn decode_framed<T: Wire>(frame: &[u8]) -> Result<T, WireError> {
+    decode_framed_with(frame, crate::record::checksum64)
+}
+
+/// [`encode_framed`] under the checksum `sum`.
+pub(crate) fn encode_framed_with<T: Wire>(value: &T, sum: fn(&[u8]) -> u64) -> Vec<u8> {
+    let mut out = encode(value);
+    let sum = sum(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// [`decode_framed`] under the checksum `sum`.
+pub(crate) fn decode_framed_with<T: Wire>(
+    frame: &[u8],
+    sum: fn(&[u8]) -> u64,
+) -> Result<T, WireError> {
     if frame.len() < 8 {
         return Err(WireError::Truncated);
     }
     let (payload, trailer) = frame.split_at(frame.len() - 8);
     let expected = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let found = crate::record::checksum64(payload);
+    let found = sum(payload);
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
@@ -152,6 +175,14 @@ macro_rules! impl_wire_num {
             impl Wire for $t {
                 fn write(&self, out: &mut Vec<u8>) {
                     out.extend_from_slice(&self.to_le_bytes());
+                }
+                fn write_slice(items: &[Self], out: &mut Vec<u8>) {
+                    const W: usize = std::mem::size_of::<$t>();
+                    let start = out.len();
+                    out.resize(start + items.len() * W, 0);
+                    for (b, v) in out[start..].chunks_exact_mut(W).zip(items) {
+                        b.copy_from_slice(&v.to_le_bytes());
+                    }
                 }
                 fn read(input: &mut &[u8]) -> Result<Self, WireError> {
                     let bytes = take(input, std::mem::size_of::<$t>())?;
@@ -221,9 +252,7 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for v in self {
-            v.write(out);
-        }
+        T::write_slice(self, out);
     }
     fn read(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::read(input)? as usize;
@@ -242,9 +271,7 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire> Wire for std::sync::Arc<[T]> {
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for v in self.iter() {
-            v.write(out);
-        }
+        T::write_slice(self, out);
     }
     fn read(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::read(input)? as usize;

@@ -2,11 +2,12 @@
 //! arbitrary batches through the wire codec, meter bytes exactly as the
 //! `ShuffleSize` accounting does, serve arbitrary range reads identically
 //! to resident slicing, and recover the intact prefix of a segment whose
-//! tail was torn by a mid-write kill.
+//! tail was torn by a mid-write kill. The frame checksum itself is
+//! checked against flips, truncations and word swaps.
 
 use mapreduce::io_shim::{FaultFs, IoFaultPlan};
-use mapreduce::spill::{scan_frames, SegmentWriter, SpillDir, SpilledRows};
-use mapreduce::ShuffleSize;
+use mapreduce::spill::{scan_frames, SegmentWriter, SpillDir, SpillError, SpilledRows};
+use mapreduce::{frame_checksum64, ShuffleSize, WireError};
 use proptest::prelude::*;
 
 type Row = (u32, Vec<f64>);
@@ -147,7 +148,8 @@ proptest! {
         // Frames before the corrupted one decode; whether the scan gets
         // past the flipped byte depends on where it landed (a length
         // word, a checksum, or payload bits that still sum right is
-        // impossible — FNV catches any single-byte flip), so the strong
+        // impossible — the frame checksum catches any change confined to
+        // one word, so any single-byte flip), so the strong
         // guarantee is: every returned frame matches what was written,
         // and the frame containing the flipped byte is never returned
         // as anything *other* than its original content.
@@ -214,4 +216,76 @@ proptest! {
             prop_assert!(finished.is_err());
         }
     }
+}
+
+/// 4 KiB of pseudo-random bytes: 512 words, pairwise distinct.
+fn payload() -> Vec<u8> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    (0..512)
+        .flat_map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state.to_le_bytes()
+        })
+        .collect()
+}
+
+#[test]
+fn frame_checksum_catches_flips_truncations_and_word_swaps() {
+    let data = payload();
+    let base = frame_checksum64(&data);
+    for bit in 0..data.len() * 8 {
+        let mut flipped = data.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert_ne!(frame_checksum64(&flipped), base, "flip of bit {bit}");
+    }
+    for len in 0..data.len() {
+        assert_ne!(frame_checksum64(&data[..len]), base, "cut to {len} bytes");
+    }
+    // Neighbours sit in different lanes; words four apart share one.
+    let words = data.len() / 8;
+    for (i, j) in (0..words - 1)
+        .map(|i| (i, i + 1))
+        .chain((0..words - 4).map(|i| (i, i + 4)))
+    {
+        let mut swapped = data.clone();
+        let (a, b) = swapped.split_at_mut(j * 8);
+        a[i * 8..][..8].swap_with_slice(&mut b[..8]);
+        assert_ne!(swapped, data, "words {i} and {j} are distinct");
+        assert_ne!(
+            frame_checksum64(&swapped),
+            base,
+            "swap of words {i} and {j}"
+        );
+    }
+}
+
+/// One payload byte flipped on disk: a positioned read of that frame
+/// fails its checksum, the frame before it still reads, and a recovery
+/// scan stops at the flip.
+#[test]
+fn a_flipped_payload_byte_fails_its_frame() {
+    let dir = SpillDir::create("flip").unwrap();
+    let path = dir.segment_path("seg");
+    let batch: Vec<Row> = (0..32).map(|i| (i, vec![f64::from(i); 3])).collect();
+    let mut w = SegmentWriter::create(path.clone()).unwrap();
+    let first = w.write_frame(&batch).unwrap();
+    let second = w.write_frame(&batch).unwrap();
+    let seg = w.finish().unwrap();
+
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Past the length word and the record count, inside a row.
+    bytes[second.offset as usize + 8 + 4 + 13] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(rows_eq(&seg.read_frame::<Row>(&first).unwrap(), &batch));
+    assert!(matches!(
+        seg.read_frame::<Row>(&second),
+        Err(SpillError::Wire(WireError::ChecksumMismatch { .. }))
+    ));
+    let outcome = scan_frames::<Row>(&path).unwrap();
+    assert_eq!(outcome.frames.len(), 1);
+    assert!(rows_eq(&outcome.frames[0], &batch));
+    assert!(outcome.torn_tail);
 }
