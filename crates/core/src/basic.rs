@@ -320,13 +320,13 @@ impl BasicDdp {
         // post-shuffle partitions for the delta job.
         let rho_plan = plan("basic/rho")
             .snapshot(snap)
-            .map_stage(BlockMapper {
-                block_size: self.config.block_size,
-                n_blocks,
-            })
-            .reduce_stage(
-                Stage::reduce_only(
+            .stage(
+                Stage::new(
                     "basic/rho-local",
+                    BlockMapper {
+                        block_size: self.config.block_size,
+                        n_blocks,
+                    },
                     RhoBlockReducer {
                         dc,
                         tracker: tracker.clone(),
@@ -336,7 +336,7 @@ impl BasicDdp {
                 .co_partitioned(BLOCK_LAYOUT_CONTRACT)
                 .finalize(dist_snapshot(&tracker)),
             )
-            .reduce_stage(
+            .stage(
                 Stage::reduce_only("basic/rho-aggregate", SumReducer)
                     .combiner(SumCombiner)
                     .config(job_cfg("basic/rho-aggregate"))
@@ -356,13 +356,13 @@ impl BasicDdp {
         // map+shuffle elided via the retained partitions), then min-merge.
         let delta_plan = plan("basic/delta")
             .snapshot(snap)
-            .map_stage(BlockMapper {
-                block_size: self.config.block_size,
-                n_blocks,
-            })
-            .reduce_stage(
-                Stage::reduce_only(
+            .stage(
+                Stage::new(
                     "basic/delta-local",
+                    BlockMapper {
+                        block_size: self.config.block_size,
+                        n_blocks,
+                    },
                     DeltaBlockReducer {
                         rho: rho.clone(),
                         dc,
@@ -373,7 +373,7 @@ impl BasicDdp {
                 .co_partitioned(BLOCK_LAYOUT_CONTRACT)
                 .finalize(dist_snapshot(&tracker)),
             )
-            .reduce_stage(
+            .stage(
                 Stage::reduce_only("basic/delta-aggregate", MinDeltaReducer)
                     .combiner(MinDeltaCombiner)
                     .config(job_cfg("basic/delta-aggregate"))

@@ -26,8 +26,7 @@ pub struct PipelineConfig {
     /// Optional chaos injection (crashes + stragglers + corruption +
     /// partition loss) applied to every job of the pipeline — end-to-end
     /// fault-tolerance testing: retried attempts are invisible in results
-    /// and counted in [`mapreduce::JobMetrics::task_retries`]. A crash-only
-    /// [`mapreduce::FaultPlan`] converts with `into()`.
+    /// and counted in [`mapreduce::JobMetrics::task_retries`].
     #[serde(default)]
     pub chaos: Option<mapreduce::ChaosPlan>,
     /// Restricts [`Self::chaos`] to the single named stage (see

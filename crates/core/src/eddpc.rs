@@ -477,7 +477,7 @@ impl Eddpc {
         let delta_out = driver.run_plan(
             plan("eddpc/delta-merge")
                 .rows(merged_input)
-                .reduce_stage(
+                .stage(
                     Stage::reduce_only("eddpc/delta-merge", MinDeltaReducer)
                         .combiner(MinDeltaCombiner)
                         .config(job_cfg)

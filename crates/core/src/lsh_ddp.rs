@@ -523,8 +523,12 @@ impl LshDdp {
         // ---- Jobs 1 + 2: LSH partition + local rho, aggregate over
         // layouts. The local stage declares the layout contract, retaining
         // its post-shuffle partitions for job 3.
-        let local_rho = Stage::reduce_only(
+        let local_rho = Stage::new(
             "lsh/rho-local",
+            LshPartitionMapper {
+                multi: multi.clone(),
+                lost: lost.clone(),
+            },
             LocalRhoReducer {
                 dc,
                 cap,
@@ -537,12 +541,8 @@ impl LshDdp {
         let rho_plan = match self.config.rho_aggregation {
             RhoAggregation::Max => plan("lsh/rho")
                 .snapshot(snap)
-                .map_stage(LshPartitionMapper {
-                    multi: multi.clone(),
-                    lost: lost.clone(),
-                })
-                .reduce_stage(local_rho)
-                .reduce_stage(
+                .stage(local_rho)
+                .stage(
                     Stage::reduce_only("lsh/rho-aggregate", MaxReducer)
                         .combiner(MaxCombiner)
                         .config(self.config.pipeline.job_config_for("lsh/rho-aggregate"))
@@ -551,12 +551,8 @@ impl LshDdp {
                 .build(),
             RhoAggregation::Mean => plan("lsh/rho")
                 .snapshot(snap)
-                .map_stage(LshPartitionMapper {
-                    multi: multi.clone(),
-                    lost: lost.clone(),
-                })
-                .reduce_stage(local_rho)
-                .reduce_stage(
+                .stage(local_rho)
+                .stage(
                     Stage::reduce_only("lsh/rho-aggregate-mean", MeanReducer)
                         .config(
                             self.config
@@ -582,13 +578,13 @@ impl LshDdp {
         // it job 1's retained partitions and elides its map+shuffle.
         let delta_plan = plan("lsh/delta")
             .snapshot(snap)
-            .map_stage(LshPartitionMapper {
-                multi,
-                lost: lost.clone(),
-            })
-            .reduce_stage(
-                Stage::reduce_only(
+            .stage(
+                Stage::new(
                     "lsh/delta-local",
+                    LshPartitionMapper {
+                        multi,
+                        lost: lost.clone(),
+                    },
                     LocalDeltaReducer {
                         dc,
                         rho: rho.clone(),
@@ -600,7 +596,7 @@ impl LshDdp {
                 .co_partitioned(LSH_LAYOUT_CONTRACT)
                 .finalize(dist_snapshot(&tracker)),
             )
-            .reduce_stage(
+            .stage(
                 Stage::reduce_only("lsh/delta-aggregate", MinReducer)
                     .combiner(MinCombiner)
                     .config(self.config.pipeline.job_config_for("lsh/delta-aggregate"))

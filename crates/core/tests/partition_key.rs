@@ -6,7 +6,7 @@
 
 use ddp::common::PointRecord;
 use ddp::lsh_ddp::{PartitionKey, INLINE_SLOTS};
-use mapreduce::{decode, encode, HashPartitioner, Partitioner, ShuffleSize};
+use mapreduce::{decode, encode, partition, ShuffleSize};
 use proptest::prelude::*;
 use std::hash::{Hash, Hasher};
 
@@ -54,10 +54,7 @@ proptest! {
             prop_assert_eq!(k.parts(), (t.0, &t.1[..]));
             prop_assert_eq!(sip(k), sip(t));
             for tasks in [1, 7, 64, 256] {
-                prop_assert_eq!(
-                    HashPartitioner.partition(k, tasks),
-                    HashPartitioner.partition(t, tasks)
-                );
+                prop_assert_eq!(partition(k, tasks), partition(t, tasks));
             }
             prop_assert_eq!(encode(k), encode(t));
             prop_assert_eq!(k.shuffle_bytes(), t.shuffle_bytes());

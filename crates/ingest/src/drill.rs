@@ -545,12 +545,11 @@ pub fn checkpoint_resume_drill(base: &ClusterModel) -> Result<(), String> {
             .apply(ops.clone())
             .map_err(|e| format!("apply failed before the kill: {e}"))?;
     }
-    let doom = mapreduce::FaultPlan {
-        fail_per_mille: 999,
+    let doom = mapreduce::ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..mapreduce::ChaosPlan::new(0, 7)
     };
-    session.config_mut().pipeline.chaos = Some(doom.into());
+    session.config_mut().pipeline.chaos = Some(doom);
     session.config_mut().pipeline.fault_stage = Some("basic/delta-aggregate");
     let quiet = QuietPanics::enter();
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));

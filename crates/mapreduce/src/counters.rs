@@ -1,93 +1,8 @@
-//! Job counters and metrics, mirroring Hadoop's job counter report.
+//! Job metrics, mirroring Hadoop's job counter report.
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 use std::time::Duration;
-
-/// Shard fan-out for the counter name map.
-const COUNTER_SHARDS: usize = 16;
-
-/// One shard of the name→cell map.
-type CounterShard = RwLock<HashMap<String, Arc<AtomicU64>>>;
-
-/// Named user counters, shareable across task threads.
-///
-/// Tasks that want to report algorithm-level statistics (e.g. candidate
-/// pairs filtered by the EDDPC triangle-inequality test) capture a clone of
-/// the job's `Counters` in their struct and call [`Counters::inc`].
-///
-/// The name→cell map is sharded by name hash, and resolving an existing
-/// counter takes only a shard's *read* lock — many task threads looking up
-/// (or `inc`ing) counters concurrently never serialize on one global lock;
-/// the write lock is taken once per name, on creation.
-#[derive(Debug, Clone)]
-pub struct Counters {
-    shards: Arc<[CounterShard; COUNTER_SHARDS]>,
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        Counters {
-            shards: Arc::new(std::array::from_fn(|_| RwLock::new(HashMap::new()))),
-        }
-    }
-}
-
-impl Counters {
-    /// A fresh, empty counter group.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn shard(&self, name: &str) -> &CounterShard {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[(h.finish() as usize) % COUNTER_SHARDS]
-    }
-
-    /// Increments `name` by `n`, creating the counter on first use.
-    pub fn inc(&self, name: &str, n: u64) {
-        self.handle(name).fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Returns a cheap handle to a single counter, avoiding the name lookup
-    /// in hot loops. An existing counter resolves under a shared read lock.
-    pub fn handle(&self, name: &str) -> Arc<AtomicU64> {
-        let shard = self.shard(name);
-        if let Some(c) = shard.read().get(name) {
-            return c.clone();
-        }
-        shard
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone()
-    }
-
-    /// Current value of `name` (0 if never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.shard(name)
-            .read()
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Snapshot of all counters, name-ordered.
-    pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for shard in self.shards.iter() {
-            for (k, v) in shard.read().iter() {
-                out.insert(k.clone(), v.load(Ordering::Relaxed));
-            }
-        }
-        out
-    }
-}
 
 /// Duration summary of one phase's task attempts (nanoseconds), derived
 /// from the span layer's per-task measurements. All-zero when a job
@@ -160,8 +75,8 @@ pub struct JobMetrics {
     pub max_reduce_group: u64,
     /// Records handled by the most loaded reduce task.
     pub max_reduce_task_records: u64,
-    /// Task attempts wasted to injected failures and retried
-    /// (see [`crate::fault::FaultPlan`]); 0 without fault injection.
+    /// Task attempts wasted to injected crashes and retried
+    /// (see [`crate::fault::ChaosPlan`]); 0 without fault injection.
     pub task_retries: u64,
     /// Task attempts whose output failed checksum verification and were
     /// retried (see [`crate::fault::ChaosPlan`]); 0 without chaos
@@ -222,7 +137,9 @@ pub struct JobMetrics {
     /// Per-attempt duration summary of the reduce tasks.
     #[serde(default)]
     pub reduce_task_times: TaskTimes,
-    /// User counter snapshot at job completion.
+    /// Named pipeline-level counters: whatever the stage's `finalize`
+    /// hook records (e.g. cumulative distance evaluations), plus the
+    /// scheduler's `resumed_from_checkpoint` marker.
     pub user: BTreeMap<String, u64>,
 }
 
@@ -290,74 +207,6 @@ impl JobMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_increment_and_snapshot() {
-        let c = Counters::new();
-        c.inc("pairs", 3);
-        c.inc("pairs", 2);
-        c.inc("hits", 1);
-        assert_eq!(c.get("pairs"), 5);
-        assert_eq!(c.get("missing"), 0);
-        let snap = c.snapshot();
-        assert_eq!(snap["pairs"], 5);
-        assert_eq!(snap["hits"], 1);
-    }
-
-    #[test]
-    fn counter_handles_share_state() {
-        let c = Counters::new();
-        let h = c.handle("x");
-        h.fetch_add(7, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(c.get("x"), 7);
-    }
-
-    #[test]
-    fn counters_are_thread_safe() {
-        let c = Counters::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let cc = c.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        cc.inc("n", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get("n"), 800);
-    }
-
-    #[test]
-    fn hot_handle_lookups_do_not_serialize_across_threads() {
-        // Regression test for the old single-Mutex map: 8 threads
-        // resolving handles for disjoint *and* shared names concurrently
-        // must all make progress under read locks and lose no updates.
-        // Uses `handle`/`inc` directly (not a pre-resolved handle) so the
-        // lookup path itself is what's being hammered.
-        const THREADS: usize = 8;
-        const ITERS: u64 = 20_000;
-        let c = Counters::new();
-        // Pre-create the shared name so every thread takes the read path.
-        c.inc("shared", 0);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let cc = c.clone();
-                s.spawn(move || {
-                    let own = format!("thread-{t}");
-                    for _ in 0..ITERS {
-                        cc.inc("shared", 1);
-                        cc.handle(&own).fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get("shared"), THREADS as u64 * ITERS);
-        for t in 0..THREADS {
-            assert_eq!(c.get(&format!("thread-{t}")), ITERS);
-        }
-        assert_eq!(c.snapshot().len(), THREADS + 1);
-    }
 
     #[test]
     fn task_times_merge_adds_counts_and_maxes_quantiles() {

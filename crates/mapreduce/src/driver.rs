@@ -4,8 +4,8 @@
 //! four jobs plus a centralized step. [`Driver`] is the master-node side of
 //! that: it owns the [`Dfs`], executes [`Plan`]s stage by stage (recording
 //! every stage's [`JobMetrics`] automatically), applies the cross-stage
-//! optimizations the plan layer declares — co-partitioned shuffle elision
-//! and map-stage fusion, see [`crate::plan`](mod@crate::plan) — and reports pipeline-level
+//! optimization the plan layer declares — co-partitioned shuffle elision,
+//! see [`crate::plan`](mod@crate::plan) — and reports pipeline-level
 //! aggregates (total shuffle bytes, summed job metrics).
 //!
 //! ## Bounded-memory execution

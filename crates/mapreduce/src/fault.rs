@@ -6,15 +6,12 @@
 //! Because a task is a pure function of its input split, retries are
 //! invisible in the output; only wasted work shows up in the counters.
 //!
-//! [`FaultPlan`] injects deterministic failures: attempt `a` of task `t`
-//! in phase `p` fails iff a seeded hash lands under the configured
-//! per-mille rate. The engine re-runs the task (re-paying its cost —
-//! the wasted attempts are real work, as on a real cluster), counts the
-//! retries in [`crate::JobMetrics::task_retries`], and panics like
-//! Hadoop's job-kill if a task exhausts its attempts.
-//!
-//! [`ChaosPlan`] extends the taxonomy from task failures to everything
-//! else the hardware can throw at a job:
+//! [`ChaosPlan`] is the one fault plan. It injects deterministic crashes:
+//! attempt `a` of task `t` in phase `p` fails iff a seeded hash lands
+//! under the configured per-mille rate. The engine charges the wasted
+//! attempts to [`crate::JobMetrics::task_retries`] and panics like
+//! Hadoop's job-kill if a task exhausts its attempts. On top of crashes
+//! the plan layers the rest of what the hardware can throw at a job:
 //!
 //! * **Stragglers** — a seeded subset of tasks is charged a slowdown
 //!   multiplier on its measured runtime (capped so tests stay fast); the
@@ -43,87 +40,6 @@ pub enum Phase {
     Map,
     /// Sort/group + reduce tasks.
     Reduce,
-}
-
-/// Deterministic failure-injection plan.
-///
-/// ```
-/// use mapreduce::{FaultPlan, Phase};
-/// let plan = FaultPlan::new(300, 42); // 30% of attempts fail
-/// let (value, retries) = plan.run_task(Phase::Map, 7, || 2 + 2);
-/// assert_eq!(value, 4);
-/// assert!(retries < plan.max_attempts);
-/// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Failure probability per task attempt, in per-mille (0–1000).
-    pub fail_per_mille: u32,
-    /// Attempts per task before the job is failed (Hadoop default: 4).
-    pub max_attempts: u32,
-    /// Hash seed: same plan + same job shape = same failures.
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// A plan failing roughly `fail_per_mille`/1000 of attempts, 4
-    /// attempts per task.
-    pub fn new(fail_per_mille: u32, seed: u64) -> Self {
-        assert!(
-            fail_per_mille < 1000,
-            "a rate of 1000 would fail every attempt"
-        );
-        FaultPlan {
-            fail_per_mille,
-            max_attempts: 4,
-            seed,
-        }
-    }
-
-    /// Whether the given attempt of a task fails.
-    pub fn fails(&self, phase: Phase, task: usize, attempt: u32) -> bool {
-        if self.fail_per_mille == 0 {
-            return false;
-        }
-        let z = chaos_hash(self.seed, phase_salt(phase), task as u64, attempt as u64);
-        (z % 1000) < self.fail_per_mille as u64
-    }
-
-    /// Number of failing attempts before the first success, or `None`
-    /// when every allowed attempt fails (job kill). The engine uses this
-    /// to account wasted attempts without needing to re-run task bodies
-    /// (tasks are deterministic, so a retry reproduces the same output).
-    pub fn attempts_before_success(&self, phase: Phase, task: usize) -> Option<u32> {
-        (0..self.max_attempts).find(|&a| !self.fails(phase, task, a))
-    }
-
-    /// Runs `work` under the plan: retries while injected attempts fail,
-    /// returns the successful result together with the number of wasted
-    /// attempts.
-    ///
-    /// Driven by [`FaultPlan::attempts_before_success`] — the same
-    /// schedule the engine uses for its attempt accounting — so the doc
-    /// example here and the engine counters cannot drift apart.
-    ///
-    /// # Panics
-    /// Panics (job kill) when a task exhausts `max_attempts`.
-    pub fn run_task<T>(&self, phase: Phase, task: usize, mut work: impl FnMut() -> T) -> (T, u32) {
-        match self.attempts_before_success(phase, task) {
-            Some(wasted) => {
-                // Each failed attempt has already burned its cycles by the
-                // time the failure surfaces, so every wasted attempt pays
-                // for a full run of the work.
-                for _ in 0..wasted {
-                    let _ = work();
-                }
-                (work(), wasted)
-            }
-            None => panic!(
-                "{phase:?} task {task} failed {} consecutive attempts; job killed \
-                 (like Hadoop after mapred.max.attempts)",
-                self.max_attempts
-            ),
-        }
-    }
 }
 
 fn phase_salt(phase: Phase) -> u64 {
@@ -175,13 +91,12 @@ impl TaskWastage {
     }
 }
 
-/// Deterministic whole-cluster failure plan: task failures plus
+/// Deterministic whole-cluster failure plan: task crashes plus
 /// stragglers, record corruption, and permanent partition loss.
 ///
-/// A [`FaultPlan`] covers only crash-style task failures; `ChaosPlan`
-/// embeds one and layers the rest of the taxonomy on top. All schedules
-/// share the fault plan's seed, salted per failure class, so one seed
-/// reproduces an entire chaotic run.
+/// All schedules share one seed, salted per failure class, so one seed
+/// reproduces an entire chaotic run. A plan with `max_attempts: 0` dooms
+/// every task it reaches: the kill drills' way to stop a job.
 ///
 /// ```
 /// use mapreduce::{ChaosPlan, Phase};
@@ -194,8 +109,13 @@ impl TaskWastage {
 /// ```
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ChaosPlan {
-    /// Crash-style task failures (rate, attempt budget, seed).
-    pub fault: FaultPlan,
+    /// Crash probability per task attempt, in per-mille (0–999).
+    pub fail_per_mille: u32,
+    /// Attempts a task gets in total before the job is killed (Hadoop
+    /// default: 4).
+    pub max_attempts: u32,
+    /// Hash seed: same plan + same job shape = same faults.
+    pub seed: u64,
     /// Fraction of tasks (per mille) charged a straggler slowdown.
     #[serde(default)]
     pub straggler_per_mille: u32,
@@ -217,24 +137,24 @@ pub struct ChaosPlan {
     pub partition_loss_per_mille: u32,
 }
 
-impl From<FaultPlan> for ChaosPlan {
-    fn from(fault: FaultPlan) -> Self {
+impl ChaosPlan {
+    /// A plan crashing roughly `fail_per_mille`/1000 of attempts, with 4
+    /// attempts per task and every other failure class off.
+    pub fn new(fail_per_mille: u32, seed: u64) -> Self {
+        assert!(
+            fail_per_mille < 1000,
+            "a rate of 1000 would fail every attempt"
+        );
         ChaosPlan {
-            fault,
+            fail_per_mille,
+            max_attempts: 4,
+            seed,
             straggler_per_mille: 0,
             straggler_slowdown: 0.0,
             straggler_cap_ms: 0,
             corrupt_per_mille: 0,
             partition_loss_per_mille: 0,
         }
-    }
-}
-
-impl ChaosPlan {
-    /// A chaos plan with only crash-style failures enabled, matching
-    /// `FaultPlan::new(fail_per_mille, seed)`.
-    pub fn new(fail_per_mille: u32, seed: u64) -> Self {
-        FaultPlan::new(fail_per_mille, seed).into()
     }
 
     /// Enables straggler injection: `per_mille` of tasks run `slowdown`×
@@ -264,45 +184,34 @@ impl ChaosPlan {
         self
     }
 
-    /// The shared chaos seed.
-    pub fn seed(&self) -> u64 {
-        self.fault.seed
-    }
-
-    /// Whether this plan injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.fault.fail_per_mille == 0
-            && self.straggler_per_mille == 0
-            && self.corrupt_per_mille == 0
-            && self.partition_loss_per_mille == 0
-    }
-
     /// Outcome of one attempt: crash failures take precedence over
     /// corruption (a crashed attempt never ships output to verify).
     pub fn attempt_outcome(&self, phase: Phase, task: usize, attempt: u32) -> AttemptOutcome {
-        if self.fault.fails(phase, task, attempt) {
-            return AttemptOutcome::Fail;
-        }
-        if self.corrupt_per_mille > 0 {
-            let z = chaos_hash(
-                self.fault.seed ^ 0x636f_7272, // "corr"
+        // Crashes hash the bare seed; corruption salts it with "corr".
+        let draw = |salt: u64| {
+            chaos_hash(
+                self.seed ^ salt,
                 phase_salt(phase),
                 task as u64,
                 attempt as u64,
-            );
-            if (z % 1000) < self.corrupt_per_mille as u64 {
-                return AttemptOutcome::Corrupt;
-            }
+            ) % 1000
+        };
+        if self.fail_per_mille > 0 && draw(0) < self.fail_per_mille as u64 {
+            return AttemptOutcome::Fail;
+        }
+        if self.corrupt_per_mille > 0 && draw(0x636f_7272) < self.corrupt_per_mille as u64 {
+            return AttemptOutcome::Corrupt;
         }
         AttemptOutcome::Ok
     }
 
     /// Wasted attempts before the first verified success, or `None` when
-    /// every allowed attempt fails or corrupts (job kill). Mirrors
-    /// [`FaultPlan::attempts_before_success`] over the full taxonomy.
+    /// every allowed attempt fails or corrupts (job kill). The engine
+    /// charges these without re-running task bodies: tasks are
+    /// deterministic, so a retry reproduces the same output.
     pub fn task_wastage(&self, phase: Phase, task: usize) -> Option<TaskWastage> {
         let mut w = TaskWastage::default();
-        for attempt in 0..self.fault.max_attempts {
+        for attempt in 0..self.max_attempts {
             match self.attempt_outcome(phase, task, attempt) {
                 AttemptOutcome::Ok => return Some(w),
                 AttemptOutcome::Fail => w.failed += 1,
@@ -318,7 +227,7 @@ impl ChaosPlan {
             return false;
         }
         let z = chaos_hash(
-            self.fault.seed ^ 0x7374_7261, // "stra"
+            self.seed ^ 0x7374_7261, // "stra"
             phase_salt(phase),
             task as u64,
             0,
@@ -347,7 +256,7 @@ impl ChaosPlan {
             return false;
         }
         let z = chaos_hash(
-            self.fault.seed ^ 0x6c6f_7373, // "loss"
+            self.seed ^ 0x6c6f_7373, // "loss"
             scope,
             index as u64,
             0,
@@ -360,21 +269,27 @@ impl ChaosPlan {
 mod tests {
     use super::*;
 
+    fn crashes(plan: &ChaosPlan, phase: Phase, task: usize, attempt: u32) -> bool {
+        plan.attempt_outcome(phase, task, attempt) == AttemptOutcome::Fail
+    }
+
     #[test]
     fn zero_rate_never_fails() {
-        let plan = FaultPlan::new(0, 1);
+        let plan = ChaosPlan::new(0, 1);
         for t in 0..100 {
-            assert!(!plan.fails(Phase::Map, t, 0));
+            assert_eq!(plan.attempt_outcome(Phase::Map, t, 0), AttemptOutcome::Ok);
         }
-        let (v, retries) = plan.run_task(Phase::Map, 0, || 42);
-        assert_eq!((v, retries), (42, 0));
+        assert_eq!(
+            plan.task_wastage(Phase::Map, 0),
+            Some(TaskWastage::default())
+        );
     }
 
     #[test]
     fn failure_rate_is_roughly_honored() {
-        let plan = FaultPlan::new(200, 9);
+        let plan = ChaosPlan::new(200, 9);
         let failures = (0..10_000)
-            .filter(|&t| plan.fails(Phase::Map, t, 0))
+            .filter(|&t| crashes(&plan, Phase::Map, t, 0))
             .count();
         assert!(
             (1500..2500).contains(&failures),
@@ -384,100 +299,49 @@ mod tests {
 
     #[test]
     fn failures_are_deterministic_and_phase_dependent() {
-        let plan = FaultPlan::new(300, 7);
+        let plan = ChaosPlan::new(300, 7);
         for t in 0..50 {
             for a in 0..4 {
-                assert_eq!(plan.fails(Phase::Map, t, a), plan.fails(Phase::Map, t, a));
+                assert_eq!(
+                    plan.attempt_outcome(Phase::Map, t, a),
+                    plan.attempt_outcome(Phase::Map, t, a)
+                );
             }
         }
         // Map and reduce schedules differ somewhere.
-        let differs =
-            (0..200).any(|t| plan.fails(Phase::Map, t, 0) != plan.fails(Phase::Reduce, t, 0));
+        let differs = (0..200)
+            .any(|t| crashes(&plan, Phase::Map, t, 0) != crashes(&plan, Phase::Reduce, t, 0));
         assert!(differs);
     }
 
     #[test]
-    fn run_task_counts_retries_and_succeeds() {
-        let plan = FaultPlan::new(400, 3);
-        let mut executed = 0u32;
-        let (v, retries) = plan.run_task(Phase::Map, 11, || {
-            executed += 1;
-            "done"
-        });
-        let _ = v;
-        assert_eq!(executed, retries + 1, "every attempt pays its work");
-    }
-
-    #[test]
-    #[should_panic(expected = "job killed")]
-    fn exhausted_attempts_kill_the_job() {
-        // Rate 999 with 4 attempts: find a task whose four attempts all
-        // fail under this seed, then run it.
-        let plan = FaultPlan {
-            fail_per_mille: 999,
-            max_attempts: 4,
-            seed: 5,
-        };
-        let doomed = (0..10_000)
-            .find(|&t| (0..4).all(|a| plan.fails(Phase::Map, t, a)))
-            .expect("a doomed task exists at rate 0.999");
-        let _ = plan.run_task(Phase::Map, doomed, || ());
-    }
-
-    #[test]
-    fn attempts_before_success_matches_fails_schedule() {
-        let plan = FaultPlan::new(500, 13);
+    fn task_wastage_matches_the_attempt_schedule() {
+        let plan = ChaosPlan::new(400, 13).with_corruption(250);
+        let (mut saw_fail, mut saw_corrupt, mut saw_doom) = (false, false, false);
         for t in 0..500 {
-            match plan.attempts_before_success(Phase::Map, t) {
-                Some(a) => {
-                    assert!(!plan.fails(Phase::Map, t, a));
-                    for earlier in 0..a {
-                        assert!(plan.fails(Phase::Map, t, earlier));
-                    }
+            let outcomes: Vec<AttemptOutcome> = (0..plan.max_attempts)
+                .map(|a| plan.attempt_outcome(Phase::Map, t, a))
+                .collect();
+            let wasted = |o: AttemptOutcome, upto: usize| {
+                outcomes[..upto].iter().filter(|&&x| x == o).count() as u32
+            };
+            match plan.task_wastage(Phase::Map, t) {
+                Some(w) => {
+                    let first_ok = w.total() as usize;
+                    assert_eq!(outcomes[first_ok], AttemptOutcome::Ok, "task {t}");
+                    assert!(!outcomes[..first_ok].contains(&AttemptOutcome::Ok));
+                    assert_eq!(w.failed, wasted(AttemptOutcome::Fail, first_ok));
+                    assert_eq!(w.corrupt, wasted(AttemptOutcome::Corrupt, first_ok));
+                    saw_fail |= w.failed > 0;
+                    saw_corrupt |= w.corrupt > 0;
                 }
                 None => {
-                    for a in 0..4 {
-                        assert!(plan.fails(Phase::Map, t, a));
-                    }
+                    assert!(!outcomes.contains(&AttemptOutcome::Ok), "task {t}");
+                    saw_doom = true;
                 }
             }
         }
-    }
-
-    #[test]
-    fn mutable_closures_are_supported_via_cell() {
-        // run_task takes FnMut, so a plain `mut` counter works too (see
-        // run_task_counts_retries_and_succeeds); a Cell covers closures
-        // that must stay Fn for other reasons.
-        let plan = FaultPlan::new(100, 2);
-        let count = std::cell::Cell::new(0u32);
-        let ((), retries) = plan.run_task(Phase::Reduce, 3, || {
-            count.set(count.get() + 1);
-        });
-        assert_eq!(count.get(), retries + 1);
-    }
-
-    #[test]
-    fn run_task_matches_attempts_before_success() {
-        let plan = FaultPlan::new(450, 21);
-        for t in 0..200 {
-            if let Some(wasted) = plan.attempts_before_success(Phase::Map, t) {
-                let (_, retries) = plan.run_task(Phase::Map, t, || ());
-                assert_eq!(retries, wasted, "task {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn crash_only_chaos_matches_its_fault_schedule() {
-        let chaos = ChaosPlan::new(300, 7);
-        assert!(!chaos.is_straggler(Phase::Map, 0));
-        for t in 0..200 {
-            let w = chaos.task_wastage(Phase::Map, t);
-            let f = chaos.fault.attempts_before_success(Phase::Map, t);
-            assert_eq!(w.map(|w| w.failed), f, "task {t}");
-            assert_eq!(w.map(|w| w.corrupt), f.map(|_| 0), "task {t}");
-        }
+        assert!(saw_fail && saw_corrupt && saw_doom);
     }
 
     #[test]
@@ -497,7 +361,7 @@ mod tests {
         }
         // Straggler and failure schedules disagree somewhere: different salts.
         let differs = (0..500)
-            .any(|t| chaos.is_straggler(Phase::Map, t) != chaos.fault.fails(Phase::Map, t, 0));
+            .any(|t| chaos.is_straggler(Phase::Map, t) != crashes(&chaos, Phase::Map, t, 0));
         assert!(differs);
     }
 
@@ -515,11 +379,12 @@ mod tests {
 
     #[test]
     fn crash_takes_precedence_over_corruption() {
-        let chaos = ChaosPlan::new(999, 3).with_corruption(999);
+        let crash_only = ChaosPlan::new(999, 3);
+        let chaos = crash_only.with_corruption(999);
         // Nearly every attempt fails; none of the failing ones may report
         // Corrupt (a crashed attempt ships no output).
         for t in 0..200 {
-            if chaos.fault.fails(Phase::Map, t, 0) {
+            if crashes(&crash_only, Phase::Map, t, 0) {
                 assert_eq!(
                     chaos.attempt_outcome(Phase::Map, t, 0),
                     AttemptOutcome::Fail
@@ -553,17 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn noop_chaos_detected() {
-        assert!(ChaosPlan::new(0, 9).is_noop());
-        assert!(!ChaosPlan::new(1, 9).is_noop());
-        assert!(!ChaosPlan::new(0, 9).with_stragglers(1, 2.0, 1).is_noop());
-    }
-
-    #[test]
     fn task_wastage_none_when_all_attempts_bad() {
         let chaos = ChaosPlan::new(999, 5);
         let doomed = (0..10_000)
-            .find(|&t| (0..4).all(|a| chaos.fault.fails(Phase::Map, t, a)))
+            .find(|&t| (0..4).all(|a| crashes(&chaos, Phase::Map, t, a)))
             .expect("a doomed task exists at rate 0.999");
         assert_eq!(chaos.task_wastage(Phase::Map, doomed), None);
     }

@@ -1,5 +1,7 @@
-//! The engine's phases — map → (combine) → shuffle → sort/group → reduce,
-//! each running on the Rayon thread pool — and the knobs of one job.
+//! The engine's phases — map → (combine) → partition → shuffle →
+//! sort/group → reduce, each running on the Rayon thread pool — and the
+//! knobs of one job. Every map task routes each record with [`partition`],
+//! Hadoop's default `hash(key) mod R`; no stage supplies its own.
 //!
 //! A job is a one-stage [`Plan`](crate::plan::Plan): [`JobBuilder`] is the
 //! [`Stage`] type, and [`Stage::run`] runs it alone on a fresh
@@ -26,36 +28,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Decides which reduce task receives a key.
-pub trait Partitioner<K>: Send + Sync {
-    /// Reduce-task index for `key`, in `0..num_reducers`.
-    fn partition(&self, key: &K, num_reducers: usize) -> usize;
-
-    /// Label identifying the partitioning *function* for co-partitioning
-    /// contracts (see the plan layer): two stages can only share a
-    /// partitioned intermediate when their partitioners carry the same
-    /// label. The default is a catch-all, so distinct custom partitioners
-    /// should override it with distinct labels.
-    fn contract_id(&self) -> &'static str {
-        "custom"
-    }
-}
-
-/// Hadoop's default: `hash(key) mod R`. Uses a fixed-seed SipHash so runs
-/// are reproducible across processes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner;
-
-impl<K: Hash> Partitioner<K> for HashPartitioner {
-    fn partition(&self, key: &K, num_reducers: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() % num_reducers as u64) as usize
-    }
-
-    fn contract_id(&self) -> &'static str {
-        "hash"
-    }
+/// The reduce task that receives `key`: Hadoop's default partitioner,
+/// `hash(key) mod reducers`, with a fixed-seed SipHash so runs are
+/// reproducible across processes.
+pub fn partition<K: Hash>(key: &K, reducers: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() % reducers as u64) as usize
 }
 
 /// Degree-of-parallelism and chaos knobs for one job.
@@ -67,8 +46,7 @@ pub struct JobConfig {
     pub reduce_tasks: usize,
     /// Optional deterministic chaos injection: crash failures (retried
     /// transparently), stragglers, checksum-detected corruption and
-    /// partition loss (see [`ChaosPlan`]; a crash-only
-    /// [`FaultPlan`](crate::fault::FaultPlan) converts with `into()`).
+    /// partition loss (see [`ChaosPlan`]).
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -155,7 +133,6 @@ where
         let chunk = input.len().div_ceil(self.config.map_tasks).max(1);
         let mapper = &self.mapper;
         let combiner = self.combiner.as_deref();
-        let partitioner = self.partitioner.as_ref();
         // Per-task attempt durations, recorded unconditionally (tasks are
         // coarse, two clock reads each are noise) and summarized into
         // `JobMetrics::map_task_times`.
@@ -181,7 +158,7 @@ where
                             let attempt = Instant::now();
                             let mut out = obsv::span!("task", format!("map-{task}") => {
                                 chaos.run_task(Phase::Map, task, || {
-                                    map_one_task(mapper, combiner, partitioner, r_tasks, records)
+                                    map_one_task(mapper, combiner, r_tasks, records)
                                 })
                             });
                             hist.record(attempt.elapsed().as_nanos() as u64);
@@ -427,7 +404,6 @@ impl<K: MrKey, V: MrValue> ReduceBucket<K, V> {
 fn map_one_task<M: Mapper>(
     mapper: &M,
     combiner: Option<&(dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync)>,
-    partitioner: &dyn Partitioner<M::OutKey>,
     r_tasks: usize,
     records: Vec<(M::InKey, M::InValue)>,
 ) -> MapTaskOut<M::OutKey, M::OutValue> {
@@ -447,8 +423,7 @@ fn map_one_task<M: Mapper>(
         (0..r_tasks).map(|_| Vec::new()).collect();
     let mut bucket_bytes = vec![0u64; r_tasks];
     for (k, v) in out {
-        let b = partitioner.partition(&k, r_tasks);
-        debug_assert!(b < r_tasks, "partitioner returned out-of-range bucket");
+        let b = partition(&k, r_tasks);
         bucket_bytes[b] += k.shuffle_bytes() + v.shuffle_bytes();
         buckets[b].push((k, v));
     }
@@ -511,7 +486,7 @@ const SPECULATION_FACTOR: f64 = 2.0;
 /// counters, and the completed-task duration samples speculation
 /// thresholds are derived from.
 ///
-/// Attempt accounting follows [`crate::fault::FaultPlan`]: tasks are
+/// Attempt accounting follows [`ChaosPlan::task_wastage`]: tasks are
 /// deterministic, so wasted attempts (crashes *and* checksum-detected
 /// corruption) are charged to counters without re-running bodies, and a
 /// task that exhausts its attempt budget kills the job. Straggler delays
@@ -597,7 +572,7 @@ impl ChaosCtx {
             None => panic!(
                 "{phase:?} task {task} failed {} consecutive attempts; job killed \
                  (like Hadoop after mapred.max.attempts)",
-                plan.fault.max_attempts
+                plan.max_attempts
             ),
         }
         let start = Instant::now();
@@ -700,7 +675,6 @@ fn run_combiner<K: MrKey, V: MrValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::Counters;
     use crate::task::{FnMapper, FnReducer};
 
     fn wordcount_input() -> Vec<(u64, String)> {
@@ -837,51 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn user_counters_are_snapshotted() {
-        let counters = Counters::new();
-        let cc = counters.clone();
-        let m = FnMapper::new(move |_k: u64, v: u64, out: &mut Emitter<u64, u64>| {
-            cc.inc("seen", 1);
-            out.emit(v % 2, v);
-        });
-        let r = FnReducer::new(|k: &u64, vs: Vec<u64>, out: &mut Emitter<u64, u64>| {
-            out.emit(*k, vs.len() as u64);
-        });
-        let input: Vec<(u64, u64)> = (0..10).map(|i| (i, i)).collect();
-        let (_, metrics) = JobBuilder::new("counted", m, r)
-            .counters(counters)
-            .config(JobConfig::uniform(2))
-            .run(input);
-        assert_eq!(metrics.user["seen"], 10);
-    }
-
-    #[test]
-    fn custom_partitioner_controls_bucket() {
-        struct AllToZero;
-        impl Partitioner<u32> for AllToZero {
-            fn partition(&self, _key: &u32, _num: usize) -> usize {
-                0
-            }
-        }
-        let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| out.emit(k, v));
-        let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
-            out.emit(*k, vs.len() as u32);
-        });
-        let input: Vec<(u32, u32)> = (0..20).map(|i| (i, i)).collect();
-        let (out, _) = JobBuilder::new("skewed", m, r)
-            .partitioner(AllToZero)
-            .config(JobConfig {
-                map_tasks: 2,
-                reduce_tasks: 4,
-                chaos: None,
-            })
-            .run(input);
-        // All keys land in bucket 0, so the output is globally key-sorted.
-        let keys: Vec<u32> = out.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn skew_counters_report_largest_group_and_task() {
         // 90 records on one key, 10 on another.
         let mut input: Vec<(u32, u32)> = (0..90).map(|i| (7, i)).collect();
@@ -939,12 +868,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "job killed")]
     fn doomed_job_is_killed() {
-        use crate::fault::FaultPlan;
         // One attempt only, 99.9% failure: some map task dies.
-        let plan = FaultPlan {
-            fail_per_mille: 999,
+        let plan = ChaosPlan {
             max_attempts: 1,
-            seed: 8,
+            ..ChaosPlan::new(999, 8)
         };
         let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| out.emit(k, v));
         let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
@@ -952,17 +879,16 @@ mod tests {
         });
         let input: Vec<(u32, u32)> = (0..100).map(|i| (i, i)).collect();
         let _ = JobBuilder::new("doomed", m, r)
-            .config(chaos_config(8, 8, plan.into()))
+            .config(chaos_config(8, 8, plan))
             .run(input);
     }
 
     #[test]
     fn hash_partitioner_is_stable_and_in_range() {
-        let p = HashPartitioner;
         for key in 0u64..1000 {
-            let b = p.partition(&key, 7);
+            let b = partition(&key, 7);
             assert!(b < 7);
-            assert_eq!(b, p.partition(&key, 7), "partition must be deterministic");
+            assert_eq!(b, partition(&key, 7), "partition must be deterministic");
         }
     }
 

@@ -2,9 +2,12 @@
 //!
 //! The LSH-DDP paper runs on Hadoop 1.2.1; this crate is the substrate that
 //! replaces it. It is a *real* MapReduce implementation — user-defined
-//! [`Mapper`]s and [`Reducer`]s, an optional [`Combiner`], a hash
-//! [`Partitioner`], multi-threaded map and reduce task execution, and a
-//! grouping shuffle — shrunk onto one machine's thread pool.
+//! [`Mapper`]s and [`Reducer`]s, an optional [`Combiner`], Hadoop's hash
+//! [`partition`], multi-threaded map and reduce task execution, and a
+//! grouping shuffle — shrunk onto one machine's thread pool. There is one
+//! way to write a stage: a [`Stage`] of one mapper, an optional combiner
+//! and one reducer, chained into a [`Plan`]; faults come from one
+//! [`ChaosPlan`].
 //!
 //! Two properties matter for reproducing the paper's evaluation:
 //!
@@ -71,13 +74,13 @@ pub mod task;
 pub mod wire;
 
 pub use cost::ClusterSpec;
-pub use counters::{Counters, JobMetrics, TaskTimes};
+pub use counters::{JobMetrics, TaskTimes};
 pub use dfs::Dfs;
 pub use driver::{Driver, MemoryGovernor};
-pub use fault::{AttemptOutcome, ChaosPlan, FaultPlan, Phase, TaskWastage};
+pub use fault::{AttemptOutcome, ChaosPlan, Phase, TaskWastage};
 pub use io_shim::{FaultFile, FaultFs, IoFaultPlan};
-pub use job::{HashPartitioner, JobBuilder, JobConfig, Partitioner};
-pub use plan::{plan, IdentityMap, MapChain, Plan, PlanBuilder, ReduceStage, Snapshot, Stage};
+pub use job::{partition, JobBuilder, JobConfig};
+pub use plan::{plan, IdentityMap, Plan, PlanBuilder, Snapshot, Stage};
 pub use record::{checksum64, frame_checksum64, ShuffleSize};
 pub use spill::{scan_frames, SegmentWriter, SpillDir, SpillSegment, SpilledRows};
 pub use task::{Combiner, Emitter, FnMapper, FnReducer, Mapper, Reducer};

@@ -1,28 +1,23 @@
-//! Typed dataflow plans: declarative multi-stage pipelines with stage
-//! fusion and co-partitioned shuffle elision — the engine's one execution
-//! path.
+//! Typed dataflow plans: declarative multi-stage pipelines with
+//! co-partitioned shuffle elision — the engine's one execution path.
 //!
-//! A [`Plan`] is a linear sequence of [`Stage`] nodes, each wrapping a
-//! mapper, reducer, optional combiner and partitioner together with the
-//! stage's declared contracts. Pipelines *describe* their dataflow with
-//! the builder here and hand the plan to [`Driver::run_plan`], the
-//! scheduler: it executes every stage through `execute_stage` (the one
-//! caller of the map, shuffle and reduce phases in [`crate::job`]),
-//! records every stage's [`JobMetrics`] automatically, and applies two
-//! cross-stage optimizations:
-//!
-//! * **Stage fusion.** Adjacent map-only stages ([`PlanBuilder::map_stage`])
-//!   are fused at plan-build time into a single [`MapChain`] mapper, so the
-//!   fused stage makes one pass over its input — each record flows through
-//!   the whole chain (and the downstream stage's map-side combiner) without
-//!   materializing any intermediate stage output.
+//! A [`Plan`] is a linear sequence of [`Stage`] nodes, each wrapping one
+//! mapper, one reducer and an optional combiner — a Hadoop job — together
+//! with the stage's declared contracts. Every stage partitions its map
+//! output with [`partition`](crate::job::partition), Hadoop's default hash
+//! partitioner. Pipelines *describe* their dataflow with the builder here
+//! and hand the plan to [`Driver::run_plan`], the scheduler: it executes
+//! every stage through `execute_stage` (the one caller of the map,
+//! shuffle and reduce phases in [`crate::job`]), records every stage's
+//! [`JobMetrics`] automatically, and applies one cross-stage
+//! optimization:
 //!
 //! * **Co-partitioned shuffle elision.** Two stages that declare the same
 //!   [`Stage::co_partitioned`] token promise they apply the *same
-//!   deterministic mapper and partitioner to the same input rows* (the
-//!   paper's LSH-DDP pipeline does exactly this: the ρ-local and δ-local
-//!   jobs both re-partition the identical point snapshot by the identical
-//!   LSH layout). The scheduler retains the first stage's post-shuffle
+//!   deterministic mapper to the same input rows* (the paper's LSH-DDP
+//!   pipeline does exactly this: the ρ-local and δ-local jobs both
+//!   re-partition the identical point snapshot by the identical LSH
+//!   layout). The scheduler retains the first stage's post-shuffle
 //!   partitions — by sharing their `Arc`'d parts, not by copying them —
 //!   and feeds them straight into the later stage's reduce, skipping its
 //!   map *and* shuffle entirely. The bytes that did not cross
@@ -45,10 +40,10 @@
 //!
 //! [`Driver::run_plan`]: crate::driver::Driver::run_plan
 
-use crate::counters::{Counters, JobMetrics};
+use crate::counters::JobMetrics;
 use crate::dfs::Dfs;
 use crate::driver::{Driver, MemoryGovernor};
-use crate::job::{ChaosCtx, HashPartitioner, JobConfig, Partitioner, ReduceBucket, SpillCtx};
+use crate::job::{ChaosCtx, JobConfig, ReduceBucket, SpillCtx};
 use crate::record::ShuffleSize;
 use crate::spill::{Rows, SpilledRows};
 use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
@@ -120,47 +115,8 @@ impl<K, V> Snapshot<K, V> {
     }
 }
 
-/// Two mappers fused into one pass: `second` consumes `first`'s emissions
-/// record by record, so the first stage's full output is never
-/// materialized. Built by [`PlanBuilder::map_stage`]; a chain is itself a
-/// [`Mapper`], so a [`Stage`] can also be handed one directly.
-pub struct MapChain<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A, B> MapChain<A, B>
-where
-    A: Mapper,
-    B: Mapper<InKey = A::OutKey, InValue = A::OutValue>,
-{
-    /// Chains `first` then `second`.
-    pub fn new(first: A, second: B) -> Self {
-        MapChain { first, second }
-    }
-}
-
-impl<A, B> Mapper for MapChain<A, B>
-where
-    A: Mapper,
-    B: Mapper<InKey = A::OutKey, InValue = A::OutValue>,
-{
-    type InKey = A::InKey;
-    type InValue = A::InValue;
-    type OutKey = B::OutKey;
-    type OutValue = B::OutValue;
-
-    fn map(&self, key: A::InKey, value: A::InValue, out: &mut Emitter<B::OutKey, B::OutValue>) {
-        let mut mid = Emitter::new();
-        self.first.map(key, value, &mut mid);
-        for (k, v) in mid.into_records() {
-            self.second.map(k, v, out);
-        }
-    }
-}
-
-/// The no-op mapper a reducer-only stage runs when no map-only stages
-/// precede it — the "aggregate" jobs of the DDP pipelines.
+/// The no-op mapper of a reducer-only stage ([`Stage::reduce_only`]) —
+/// the "aggregate" jobs of the DDP pipelines.
 pub struct IdentityMap<K, V>(PhantomData<fn() -> (K, V)>);
 
 impl<K, V> IdentityMap<K, V> {
@@ -187,75 +143,10 @@ impl<K: MrKey, V: MrValue> Mapper for IdentityMap<K, V> {
     }
 }
 
-/// A pending map-only chain accumulated by [`PlanBuilder::map_stage`],
-/// waiting to be fused into the next full stage.
-pub struct Pending<A>(A);
-
-/// Build-time fusion: how the pending map-only chain (`Self`) absorbs the
-/// next stage's mapper `M`, yielding the mapper the stage actually runs.
-/// `K`/`V` are the row types entering the chain.
-pub trait FusePending<K, V, M: Mapper>: Sized {
-    /// The fused mapper: consumes `(K, V)` rows, produces `M`'s output.
-    type Fused: Mapper<InKey = K, InValue = V, OutKey = M::OutKey, OutValue = M::OutValue>;
-
-    /// Fuses the chain with `next`.
-    fn fuse(self, next: M) -> Self::Fused;
-}
-
-impl<K, V, M> FusePending<K, V, M> for ()
-where
-    M: Mapper<InKey = K, InValue = V>,
-{
-    type Fused = M;
-
-    fn fuse(self, next: M) -> M {
-        next
-    }
-}
-
-impl<K, V, A, M> FusePending<K, V, M> for Pending<A>
-where
-    A: Mapper<InKey = K, InValue = V>,
-    M: Mapper<InKey = A::OutKey, InValue = A::OutValue>,
-{
-    type Fused = MapChain<A, M>;
-
-    fn fuse(self, next: M) -> MapChain<A, M> {
-        MapChain::new(self.0, next)
-    }
-}
-
-/// How the pending chain becomes a stage's mapper when the next stage is
-/// reducer-only ([`PlanBuilder::reduce_stage`]): the chain itself if one
-/// is pending, the zero-cost [`IdentityMap`] otherwise.
-pub trait PendingMapper<K, V>: Sized {
-    /// The mapper the reducer-only stage runs.
-    type M: Mapper<InKey = K, InValue = V>;
-
-    /// Consumes the pending state.
-    fn into_mapper(self) -> Self::M;
-}
-
-impl<K: MrKey, V: MrValue> PendingMapper<K, V> for () {
-    type M = IdentityMap<K, V>;
-
-    fn into_mapper(self) -> IdentityMap<K, V> {
-        IdentityMap::new()
-    }
-}
-
-impl<A: Mapper> PendingMapper<A::InKey, A::InValue> for Pending<A> {
-    type M = A;
-
-    fn into_mapper(self) -> A {
-        self.0
-    }
-}
-
-/// One full dataflow node: a mapper and reducer plus the optional
-/// combiner, partitioner, parallelism config, user counters, declared
-/// partitioning contract, and a metrics-finalize hook. Run it alone with
-/// [`Stage::run`], or chain it into a [`Plan`].
+/// One dataflow node — one Hadoop job: a mapper and reducer plus the
+/// optional combiner, parallelism config, declared partitioning contract,
+/// and a metrics-finalize hook. Run it alone with [`Stage::run`], or
+/// chain it into a [`Plan`].
 pub struct Stage<M, R>
 where
     M: Mapper,
@@ -266,9 +157,7 @@ where
     pub(crate) reducer: R,
     pub(crate) combiner:
         Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
-    pub(crate) partitioner: Box<dyn Partitioner<M::OutKey>>,
     pub(crate) config: JobConfig,
-    counters: Option<Counters>,
     contract: Option<String>,
     finalize: Option<FinalizeHook>,
 }
@@ -278,39 +167,27 @@ where
     M: Mapper,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    /// A stage named `name` running `mapper` then `reducer`, with the
-    /// default hash partitioner and default parallelism.
+    /// A stage named `name` running `mapper` then `reducer`, with default
+    /// parallelism.
     pub fn new(name: impl Into<String>, mapper: M, reducer: R) -> Self {
         Stage {
             name: name.into(),
             mapper,
             reducer,
             combiner: None,
-            partitioner: Box::new(HashPartitioner),
             config: JobConfig::default(),
-            counters: None,
             contract: None,
             finalize: None,
         }
     }
 
-    /// Installs a map-side combiner. The engine always runs combiners
-    /// inside the map tasks, so on a fused stage the whole
-    /// map-chain → combine pass happens in one sweep per task.
+    /// Installs a map-side combiner. The engine runs combiners inside the
+    /// map tasks, so map → combine is one sweep per task.
     pub fn combiner<C>(mut self, combiner: C) -> Self
     where
         C: Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync + 'static,
     {
         self.combiner = Some(Box::new(combiner));
-        self
-    }
-
-    /// Replaces the default hash partitioner.
-    pub fn partitioner<P>(mut self, partitioner: P) -> Self
-    where
-        P: Partitioner<M::OutKey> + 'static,
-    {
-        self.partitioner = Box::new(partitioner);
         self
     }
 
@@ -324,24 +201,16 @@ where
         self
     }
 
-    /// Attaches user counters whose snapshot is included in the stage's
-    /// metrics.
-    pub fn counters(mut self, counters: Counters) -> Self {
-        self.counters = Some(counters);
-        self
-    }
-
     /// Declares this stage's map output partitioning under `token`.
     ///
     /// **Contract:** every stage declaring the same token applies the same
-    /// deterministic mapper and partitioner, with the same task counts, to
-    /// the same input rows. The scheduler retains the first such stage's
-    /// post-shuffle partitions and elides the map+shuffle of later ones
-    /// (reporting the skipped volume as `shuffle_bytes_saved`). The
-    /// declared-type parts of the contract — key/value types, task counts,
-    /// partitioner identity, input source — are verified at run time and a
-    /// mismatch falls back to full execution; sameness of the mapper is
-    /// the caller's promise.
+    /// deterministic mapper, with the same task counts, to the same input
+    /// rows. The scheduler retains the first such stage's post-shuffle
+    /// partitions and elides the map+shuffle of later ones (reporting the
+    /// skipped volume as `shuffle_bytes_saved`). The declared-type parts
+    /// of the contract — key/value types, task counts, input source — are
+    /// verified at run time and a mismatch falls back to full execution;
+    /// sameness of the mapper is the caller's promise.
     pub fn co_partitioned(mut self, token: impl Into<String>) -> Self {
         self.contract = Some(token.into());
         self
@@ -353,25 +222,6 @@ where
     pub fn finalize(mut self, f: impl FnOnce(&mut JobMetrics) + 'static) -> Self {
         self.finalize = Some(Box::new(f));
         self
-    }
-
-    /// The same stage with its mapper slot refilled by `f(mapper)`: how a
-    /// plan fuses the pending map-only chain into the stage that follows.
-    fn with_mapper<N>(self, f: impl FnOnce(M) -> N) -> Stage<N, R>
-    where
-        N: Mapper<OutKey = M::OutKey, OutValue = M::OutValue>,
-    {
-        Stage {
-            name: self.name,
-            mapper: f(self.mapper),
-            reducer: self.reducer,
-            combiner: self.combiner,
-            partitioner: self.partitioner,
-            config: self.config,
-            counters: self.counters,
-            contract: self.contract,
-            finalize: self.finalize,
-        }
     }
 
     /// Runs this stage alone — `plan(name).rows(input).stage(self)` on a
@@ -406,13 +256,6 @@ where
         (out, metrics)
     }
 }
-
-/// A reducer-only dataflow node: a [`Stage`] whose mapper slot is left to
-/// the plan — [`PlanBuilder::reduce_stage`] fills it with whatever
-/// map-only chain precedes it (or keeps the identity). This is the natural
-/// shape of the DDP "aggregate" stages, and of any stage fused behind
-/// [`PlanBuilder::map_stage`] without paying an identity hop per record.
-pub type ReduceStage<R> = Stage<IdentityMap<<R as Reducer>::InKey, <R as Reducer>::InValue>, R>;
 
 impl<R: Reducer> Stage<IdentityMap<R::InKey, R::InValue>, R> {
     /// A reducer-only stage named `name`.
@@ -479,14 +322,13 @@ impl<K, V> ShuffleSize for CheckpointRows<K, V> {
 }
 
 /// The verified half of a co-partitioning contract: intermediate key/value
-/// types, task counts, partitioner identity, and the identity of the input
-/// rows the map ran over.
+/// types, task counts, and the identity of the input rows the map ran
+/// over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ContractKey {
     kv: (TypeId, TypeId),
     map_tasks: usize,
     reduce_tasks: usize,
-    partitioner: &'static str,
     source: u64,
 }
 
@@ -564,14 +406,14 @@ pub struct PlanInit {
 impl PlanInit {
     /// Feeds the plan an owned row set. Map tasks read it like any stage
     /// output, by chunk: the plan's first stage clones each chunk once.
-    pub fn rows<K: 'static, V: 'static>(self, rows: Vec<(K, V)>) -> PlanBuilder<K, V, ()> {
+    pub fn rows<K: 'static, V: 'static>(self, rows: Vec<(K, V)>) -> PlanBuilder<K, V> {
         self.source(Arc::new(Rows::Resident(rows)), fresh_source_id())
     }
 
     /// Feeds the plan a shared snapshot — many plans can read the same
     /// materialization, and co-partitioning contracts recognize it as the
     /// same source across plans.
-    pub fn snapshot<K: 'static, V: 'static>(self, snap: &Snapshot<K, V>) -> PlanBuilder<K, V, ()> {
+    pub fn snapshot<K: 'static, V: 'static>(self, snap: &Snapshot<K, V>) -> PlanBuilder<K, V> {
         self.source(Arc::clone(&snap.rows), snap.id)
     }
 
@@ -579,96 +421,36 @@ impl PlanInit {
         self,
         rows: Arc<Rows<K, V>>,
         source_id: u64,
-    ) -> PlanBuilder<K, V, ()> {
+    ) -> PlanBuilder<K, V> {
         PlanBuilder {
             name: self.name,
             source: Box::new(rows),
             source_id,
             stages: Vec::new(),
-            pending: (),
             _rows: PhantomData,
         }
     }
 }
 
-/// Typed plan builder. `K`/`V` are the row types entering the pending
-/// map-only chain `P` (`()` when nothing is pending — then they are simply
-/// the current row types). The types thread through every `stage` call,
-/// so a mis-chained plan is a compile error, not a runtime surprise.
-pub struct PlanBuilder<K, V, P> {
+/// Typed plan builder. `K`/`V` are the current row types: the output of
+/// the last stage, or the plan's input before any. The types thread
+/// through every `stage` call, so a mis-chained plan is a compile error,
+/// not a runtime surprise.
+pub struct PlanBuilder<K, V> {
     name: String,
     source: AnyRows,
     source_id: u64,
     stages: Vec<StageRun>,
-    pending: P,
     _rows: PhantomData<fn() -> (K, V)>,
 }
 
-impl<K, V, P> PlanBuilder<K, V, P> {
-    /// Appends a map-only stage. It does not run on its own: the scheduler
-    /// fuses it (and any further map-only stages) into the next full stage,
-    /// which then makes a single pass doing chain → combine → partition
-    /// per map task.
-    pub fn map_stage<M>(self, mapper: M) -> PlanBuilder<K, V, Pending<P::Fused>>
+impl<K, V> PlanBuilder<K, V> {
+    /// Appends a stage whose mapper reads the current rows.
+    pub fn stage<M, R>(self, stage: Stage<M, R>) -> PlanBuilder<R::OutKey, R::OutValue>
     where
-        M: Mapper,
-        P: FusePending<K, V, M>,
-    {
-        PlanBuilder {
-            name: self.name,
-            source: self.source,
-            source_id: self.source_id,
-            stages: self.stages,
-            pending: Pending(self.pending.fuse(mapper)),
-            _rows: PhantomData,
-        }
-    }
-
-    /// Appends a full map+reduce stage, fusing any pending map-only chain
-    /// in front of its mapper.
-    pub fn stage<M, R>(self, stage: Stage<M, R>) -> PlanBuilder<R::OutKey, R::OutValue, ()>
-    where
-        M: Mapper + 'static,
-        R: Reducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
-        P: FusePending<K, V, M>,
-        P::Fused: 'static,
-        K: Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        M::OutKey: 'static,
-        M::OutValue: Clone + 'static,
-        R::OutKey: Clone + Send + Sync + 'static,
-        R::OutValue: Clone + Send + Sync + 'static,
-    {
-        self.push(|pending| stage.with_mapper(|m| pending.fuse(m)))
-    }
-
-    /// Appends a reducer-only stage: the pending map-only chain (or the
-    /// identity) fills its mapper slot directly — no per-record identity
-    /// hop.
-    pub fn reduce_stage<R>(self, stage: ReduceStage<R>) -> PlanBuilder<R::OutKey, R::OutValue, ()>
-    where
-        R: Reducer + 'static,
-        P: PendingMapper<K, V>,
-        P::M: Mapper<OutKey = R::InKey, OutValue = R::InValue> + 'static,
-        K: Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-        R::InKey: 'static,
-        R::InValue: Clone + 'static,
-        R::OutKey: Clone + Send + Sync + 'static,
-        R::OutValue: Clone + Send + Sync + 'static,
-    {
-        self.push(|pending| stage.with_mapper(|_| pending.into_mapper()))
-    }
-
-    /// Appends the stage `fill` makes out of the pending map-only chain.
-    fn push<M, R>(
-        self,
-        fill: impl FnOnce(P) -> Stage<M, R>,
-    ) -> PlanBuilder<R::OutKey, R::OutValue, ()>
-    where
-        M: Mapper + 'static,
-        M::InKey: Clone + Sync + 'static,
-        M::InValue: Clone + Sync + 'static,
+        M: Mapper<InKey = K, InValue = V> + 'static,
+        K: Clone + Sync + 'static,
+        V: Clone + Sync + 'static,
         M::OutKey: 'static,
         M::OutValue: Clone + 'static,
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue> + 'static,
@@ -676,22 +458,17 @@ impl<K, V, P> PlanBuilder<K, V, P> {
         R::OutValue: Clone + Send + Sync + 'static,
     {
         let mut stages = self.stages;
-        push_stage(&mut stages, fill(self.pending));
+        push_stage(&mut stages, stage);
         PlanBuilder {
             name: self.name,
             source: self.source,
             source_id: self.source_id,
             stages,
-            pending: (),
             _rows: PhantomData,
         }
     }
-}
 
-impl<K: 'static, V: 'static> PlanBuilder<K, V, ()> {
-    /// Finishes the plan. Only available with no pending map-only stage —
-    /// a trailing `map_stage` has no reducer to fuse into, which this
-    /// turns into a compile error.
+    /// Finishes the plan.
     pub fn build(self) -> Plan<K, V> {
         Plan {
             name: self.name,
@@ -814,7 +591,6 @@ where
                 kv: (TypeId::of::<M::OutKey>(), TypeId::of::<M::OutValue>()),
                 map_tasks: stage.config.map_tasks,
                 reduce_tasks: stage.config.reduce_tasks,
-                partitioner: stage.partitioner.contract_id(),
                 source,
             };
             let reuse =
@@ -876,9 +652,6 @@ where
                 s.fill_metrics(&mut metrics);
             }
             metrics.spill_bytes += retained_spill;
-            if let Some(c) = &stage.counters {
-                metrics.user = c.snapshot();
-            }
             (out, metrics)
         },
     );
@@ -960,61 +733,14 @@ mod tests {
     }
 
     #[test]
-    fn map_stages_fuse_into_one_single_pass_stage() {
-        let rows = input_rows(60);
-
-        // Reference: the unfused dataflow, one job per map stage.
-        let (a, _) = Stage::new(
-            "m1",
-            FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| {
-                out.emit(k, v / 2);
-            }),
-            FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
-                for v in vs {
-                    out.emit(*k, v);
-                }
-            }),
-        )
-        .config(JobConfig::uniform(2))
-        .run(rows.clone());
-        let (mut want, _) = Stage::new("m2", mod_key_mapper(), sum_reducer())
-            .config(JobConfig::uniform(2))
-            .run(a);
-
-        let mut driver = Driver::new();
-        let p = plan("fused")
-            .rows(rows)
-            .map_stage(FnMapper::new(
-                |k: u32, v: u32, out: &mut Emitter<u32, u32>| {
-                    out.emit(k, v / 2);
-                },
-            ))
-            .map_stage(mod_key_mapper())
-            .reduce_stage(
-                Stage::reduce_only("fused-sum", sum_reducer()).config(JobConfig::uniform(2)),
-            )
-            .build();
-        let mut got = driver.run_plan(p);
-
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
-        // The two map-only stages and the reduce stage ran as ONE job.
-        assert_eq!(driver.history().len(), 1);
-        assert_eq!(driver.history()[0].name, "fused-sum");
-        assert_eq!(driver.history()[0].map_output_records, 60);
-    }
-
-    #[test]
     fn co_partitioned_stages_elide_the_second_shuffle() {
         let snap = Snapshot::new(input_rows(200));
         let mut driver = Driver::new();
 
         let p1 = plan("sum")
             .snapshot(&snap)
-            .map_stage(mod_key_mapper())
-            .reduce_stage(
-                Stage::reduce_only("sum", sum_reducer())
+            .stage(
+                Stage::new("sum", mod_key_mapper(), sum_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("mod7"),
             )
@@ -1023,9 +749,8 @@ mod tests {
 
         let p2 = plan("max")
             .snapshot(&snap)
-            .map_stage(mod_key_mapper())
-            .reduce_stage(
-                Stage::reduce_only("max", max_reducer())
+            .stage(
+                Stage::new("max", mod_key_mapper(), max_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("mod7"),
             )
@@ -1049,9 +774,8 @@ mod tests {
         let mut plain_driver = Driver::new().with_elision(false);
         let p2_plain = plan("max-plain")
             .snapshot(&snap)
-            .map_stage(mod_key_mapper())
-            .reduce_stage(
-                Stage::reduce_only("max", max_reducer())
+            .stage(
+                Stage::new("max", mod_key_mapper(), max_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("mod7"),
             )
@@ -1080,9 +804,8 @@ mod tests {
 
         let p1 = plan("sum")
             .snapshot(&snap)
-            .map_stage(mod_key_mapper())
-            .reduce_stage(
-                Stage::reduce_only("sum", sum_reducer())
+            .stage(
+                Stage::new("sum", mod_key_mapper(), sum_reducer())
                     .config(JobConfig::uniform(4))
                     .co_partitioned("tok"),
             )
@@ -1093,9 +816,8 @@ mod tests {
         // the contract fails, so the stage runs (correctly) in full.
         let p2 = plan("max")
             .snapshot(&snap)
-            .map_stage(mod_key_mapper())
-            .reduce_stage(
-                Stage::reduce_only("max", max_reducer())
+            .stage(
+                Stage::new("max", mod_key_mapper(), max_reducer())
                     .config(JobConfig::uniform(2))
                     .co_partitioned("tok"),
             )
@@ -1116,16 +838,14 @@ mod tests {
 
     #[test]
     fn contract_over_other_rows_falls_back_to_full_execution() {
-        // Same token, task counts and partitioner, but the second plan
-        // reads different rows: the source check must refuse the retained
-        // partitions.
+        // Same token and task counts, but the second plan reads different
+        // rows: the source check must refuse the retained partitions.
         let run = |driver: &mut Driver, snap: &Snapshot<u32, u32>| {
             driver.run_plan(
                 plan("sum")
                     .snapshot(snap)
-                    .map_stage(mod_key_mapper())
-                    .reduce_stage(
-                        Stage::reduce_only("sum", sum_reducer())
+                    .stage(
+                        Stage::new("sum", mod_key_mapper(), sum_reducer())
                             .config(JobConfig::uniform(3))
                             .co_partitioned("tok"),
                     )
@@ -1147,8 +867,7 @@ mod tests {
         let mut driver = Driver::new();
         let p = plan("reader")
             .snapshot(&snap)
-            .map_stage(mod_key_mapper())
-            .reduce_stage(Stage::reduce_only("sum", sum_reducer()).config(JobConfig::uniform(3)))
+            .stage(Stage::new("sum", mod_key_mapper(), sum_reducer()).config(JobConfig::uniform(3)))
             .build();
         let mut got = driver.run_plan(p);
         // The plan held a reference, not a copy, and released it.
@@ -1193,9 +912,9 @@ mod tests {
         assert!(driver.dfs().list("ckpt/").is_empty());
     }
 
-    fn resume_plan(rows: &[(u32, u32)], stage2_fault: Option<crate::FaultPlan>) -> Plan<u32, u64> {
+    fn resume_plan(rows: &[(u32, u32)], stage2_fault: Option<crate::ChaosPlan>) -> Plan<u32, u64> {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.chaos = stage2_fault.map(crate::ChaosPlan::from);
+        cfg2.chaos = stage2_fault;
         plan("resume")
             .rows(rows.to_vec())
             .stage(Stage::new("s1", mod_key_mapper(), sum_reducer()).config(JobConfig::uniform(3)))
@@ -1225,10 +944,9 @@ mod tests {
         // killed — after stage 1 materialized its checkpoint.
         let doomed = resume_plan(
             &rows,
-            Some(crate::FaultPlan {
-                fail_per_mille: 999,
+            Some(crate::ChaosPlan {
                 max_attempts: 0,
-                seed: 7,
+                ..crate::ChaosPlan::new(0, 7)
             }),
         );
         let killed = catch_unwind(AssertUnwindSafe(|| driver.run_plan(doomed)));
@@ -1301,9 +1019,8 @@ mod tests {
         let run = |mut driver: Driver| {
             let p1 = plan("sum")
                 .snapshot(&snap)
-                .map_stage(mod_key_mapper())
-                .reduce_stage(
-                    Stage::reduce_only("sum", sum_reducer())
+                .stage(
+                    Stage::new("sum", mod_key_mapper(), sum_reducer())
                         .config(JobConfig::uniform(4))
                         .co_partitioned("mod7"),
                 )
@@ -1311,9 +1028,8 @@ mod tests {
             let sums = driver.run_plan(p1);
             let p2 = plan("max")
                 .snapshot(&snap)
-                .map_stage(mod_key_mapper())
-                .reduce_stage(
-                    Stage::reduce_only("max", max_reducer())
+                .stage(
+                    Stage::new("max", mod_key_mapper(), max_reducer())
                         .config(JobConfig::uniform(4))
                         .co_partitioned("mod7"),
                 )
@@ -1350,9 +1066,9 @@ mod tests {
             let mut driver = Driver::new();
             let p = plan("reader")
                 .snapshot(snap)
-                .map_stage(mod_key_mapper())
-                .reduce_stage(
-                    Stage::reduce_only("sum", sum_reducer()).config(JobConfig::uniform(3)),
+                .stage(
+                    Stage::new("sum", mod_key_mapper(), sum_reducer())
+                        .config(JobConfig::uniform(3)),
                 )
                 .build();
             let out = driver.run_plan(p);
@@ -1368,22 +1084,5 @@ mod tests {
         assert_eq!(m_cold.shuffle_bytes, m_hot.shuffle_bytes);
         assert_eq!(m_cold.shuffle_records, m_hot.shuffle_records);
         assert_eq!(m_cold.map_input_records, m_hot.map_input_records);
-    }
-
-    #[test]
-    fn map_chain_fuses_record_by_record() {
-        let chain = MapChain::new(
-            FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| {
-                // fan out two copies
-                out.emit(k, v);
-                out.emit(k + 1, v);
-            }),
-            FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u64>| {
-                out.emit(k * 10, v as u64);
-            }),
-        );
-        let mut out = Emitter::new();
-        chain.map(3, 5, &mut out);
-        assert_eq!(out.into_records(), vec![(30, 5u64), (40, 5u64)]);
     }
 }

@@ -5,7 +5,7 @@
 
 use lsh_ddp::prelude::*;
 use mapreduce::{
-    plan, ChaosPlan, Dfs, Driver, Emitter, FaultPlan, FnMapper, FnReducer, JobConfig, Phase, Stage,
+    plan, ChaosPlan, Dfs, Driver, Emitter, FnMapper, FnReducer, JobConfig, JobMetrics, Phase, Stage,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,44 +107,87 @@ fn eddpc_survives_task_failures_bit_exactly() {
     assert_eq!(clean.result, faulty.result);
 }
 
+/// A one-stage sum job over 400 rows with `tasks` map and `tasks` reduce
+/// tasks under `chaos`.
+fn chaos_job(tasks: usize, chaos: Option<ChaosPlan>) -> (Vec<(u32, u64)>, JobMetrics) {
+    let rows: Vec<(u32, u32)> = (0..400u32)
+        .map(|i| (i, i.wrapping_mul(2654435761)))
+        .collect();
+    let by_key = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u64>| {
+        out.emit(k % 97, v as u64);
+    });
+    let sum = FnReducer::new(|k: &u32, vs: Vec<u64>, out: &mut Emitter<u32, u64>| {
+        out.emit(*k, vs.into_iter().sum());
+    });
+    Stage::new("chaos-job", by_key, sum)
+        .config(JobConfig {
+            map_tasks: tasks,
+            reduce_tasks: tasks,
+            chaos,
+        })
+        .run(rows)
+}
+
 #[test]
 fn run_task_retry_counts_match_the_schedule_for_every_phase() {
-    // `attempts_before_success` is the oracle `run_task` must obey, and it
-    // must hold for every phase — the failure schedule is phase-dependent,
-    // so a Map-only check would miss a Reduce-side regression.
-    let plan = FaultPlan::new(400, 99);
+    // The engine charges exactly the crashes `task_wastage` schedules,
+    // in both phases: the schedule is phase-dependent, so a map-only
+    // check would miss a reduce-side regression.
+    let chaos = ChaosPlan {
+        max_attempts: 16,
+        ..ChaosPlan::new(400, 99)
+    };
+    let mut scheduled = 0u64;
     for phase in [Phase::Map, Phase::Reduce] {
-        let mut saw_retries = false;
-        for task in 0..200 {
-            // A task the schedule dooms (fails all attempts) is the panic
-            // path, covered below — here we check every survivable task.
-            let Some(scheduled) = plan.attempts_before_success(phase, task) else {
-                continue;
-            };
-            let mut runs = 0u32;
-            let ((), retries) = plan.run_task(phase, task, || runs += 1);
-            assert_eq!(retries, scheduled, "{phase:?} task {task}");
-            assert_eq!(runs, scheduled + 1, "work runs once per attempt");
-            saw_retries |= retries > 0;
-        }
+        let failed: Vec<u32> = (0..40)
+            .map(|t| {
+                chaos
+                    .task_wastage(phase, t)
+                    .unwrap_or_else(|| panic!("{phase:?} task {t} is doomed"))
+                    .failed
+            })
+            .collect();
         assert!(
-            saw_retries,
+            failed.iter().any(|&f| f > 0),
             "40% failure rate must retry some {phase:?} task"
         );
+        scheduled += failed.iter().map(|&f| f as u64).sum::<u64>();
     }
+    let (mut clean, _) = chaos_job(40, None);
+    let (mut chaotic, metrics) = chaos_job(40, Some(chaos));
+    assert_eq!(metrics.map_task_times.tasks, 40);
+    assert_eq!(metrics.reduce_task_times.tasks, 40);
+    assert_eq!(metrics.task_retries, scheduled);
+    assert_eq!(metrics.corruption_retries, 0);
+    clean.sort_unstable();
+    chaotic.sort_unstable();
+    assert_eq!(clean, chaotic, "retries must be invisible in the output");
 }
 
 #[test]
 fn doomed_tasks_kill_the_job_in_every_phase() {
-    // Find, per phase, a task the schedule dooms (fails all attempts) and
-    // check `run_task` panics for it instead of returning.
-    let plan = FaultPlan::new(900, 4242);
-    for phase in [Phase::Map, Phase::Reduce] {
-        let doomed = (0..10_000)
-            .find(|&t| plan.attempts_before_success(phase, t).is_none())
-            .expect("90% failure rate dooms some task");
-        let outcome = std::panic::catch_unwind(|| plan.run_task(phase, doomed, || ()));
-        assert!(outcome.is_err(), "{phase:?} task {doomed} must be killed");
+    // Search seeds for one plan that dooms a map task, and one that dooms
+    // a reduce task while every map task survives, so the reduce phase is
+    // what kills that job.
+    let plan_at = |seed: u64| ChaosPlan::new(500, seed);
+    let doomed = |c: &ChaosPlan, phase: Phase| (0..8).any(|t| c.task_wastage(phase, t).is_none());
+    let map_doom = (0..)
+        .map(plan_at)
+        .find(|c| doomed(c, Phase::Map))
+        .expect("50% failure rate dooms some map task");
+    let reduce_doom = (0..)
+        .map(plan_at)
+        .find(|c| !doomed(c, Phase::Map) && doomed(c, Phase::Reduce))
+        .expect("50% failure rate dooms some reduce task alone");
+    for (chaos, phase) in [(map_doom, "Map"), (reduce_doom, "Reduce")] {
+        let killed = catch_unwind(|| chaos_job(8, Some(chaos))).expect_err("the job must die");
+        let message = killed
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("job killed") && message.starts_with(&format!("{phase} task")),
+            "{message}"
+        );
     }
 }
 
@@ -187,9 +230,9 @@ fn survivable(mut chaos: ChaosPlan) -> ChaosPlan {
         })
     };
     while !all_live(&chaos) {
-        chaos.fault.max_attempts += 1;
+        chaos.max_attempts += 1;
         assert!(
-            chaos.fault.max_attempts <= 64,
+            chaos.max_attempts <= 64,
             "rates too hot for any retry budget"
         );
     }
@@ -408,9 +451,9 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
             out.emit(*k, vs.into_iter().sum());
         })
     };
-    let build = |stage2_fault: Option<FaultPlan>| {
+    let build = |stage2_fault: Option<ChaosPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.chaos = stage2_fault.map(ChaosPlan::from);
+        cfg2.chaos = stage2_fault;
         plan("restart-drill")
             .rows(rows.clone())
             .stage(Stage::new("s1", mod_key(), sum()).config(JobConfig::uniform(3)))
@@ -419,10 +462,9 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
     };
     // `max_attempts: 0` dooms every stage-2 task: the job is killed on
     // its first failure, after stage 1 completed and checkpointed.
-    let doom = FaultPlan {
-        fail_per_mille: 999,
+    let doom = ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..ChaosPlan::new(0, 7)
     };
 
     let dfs = Arc::new(Dfs::new());
@@ -490,19 +532,18 @@ fn restarted_driver_resumes_a_killed_spilling_plan_bit_exactly() {
             out.emit(*k, vs.into_iter().sum());
         })
     };
-    let build = |stage2_fault: Option<FaultPlan>| {
+    let build = |stage2_fault: Option<ChaosPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
-        cfg2.chaos = stage2_fault.map(ChaosPlan::from);
+        cfg2.chaos = stage2_fault;
         plan("spill-restart-drill")
             .rows(rows.clone())
             .stage(Stage::new("s1", mod_key(), sum()).config(JobConfig::uniform(3)))
             .stage(Stage::new("s2", halve_key(), sum()).config(cfg2))
             .build()
     };
-    let doom = FaultPlan {
-        fail_per_mille: 999,
+    let doom = ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..ChaosPlan::new(0, 7)
     };
 
     let dfs = Arc::new(Dfs::new());
@@ -602,12 +643,11 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
             DeltaOp::Delete(7),
         ])
         .unwrap();
-    let doom = FaultPlan {
-        fail_per_mille: 999,
+    let doom = ChaosPlan {
         max_attempts: 0,
-        seed: 7,
+        ..ChaosPlan::new(0, 7)
     };
-    session.config_mut().pipeline.chaos = Some(doom.into());
+    session.config_mut().pipeline.chaos = Some(doom);
     session.config_mut().pipeline.fault_stage = Some("basic/delta-aggregate");
 
     let killed = catch_unwind(AssertUnwindSafe(|| session.compact()));

@@ -48,9 +48,8 @@ fn run(snap: &Snapshot<u32, u64>, elide: bool) -> (Vec<(u32, u64)>, u64, Vec<Job
     let mut out = driver.run_plan(
         plan("sum")
             .snapshot(snap)
-            .map_stage(by_key())
-            .reduce_stage(
-                Stage::reduce_only("sum", reducer(u64::wrapping_add))
+            .stage(
+                Stage::new("sum", by_key(), reducer(u64::wrapping_add))
                     .config(config)
                     .co_partitioned("by-key"),
             )
@@ -60,9 +59,8 @@ fn run(snap: &Snapshot<u32, u64>, elide: bool) -> (Vec<(u32, u64)>, u64, Vec<Job
         driver.run_plan(
             plan("max")
                 .snapshot(snap)
-                .map_stage(by_key())
-                .reduce_stage(
-                    Stage::reduce_only("max", reducer(u64::max))
+                .stage(
+                    Stage::new("max", by_key(), reducer(u64::max))
                         .config(config)
                         .co_partitioned("by-key"),
                 )
