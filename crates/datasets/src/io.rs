@@ -65,20 +65,7 @@ pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, Io
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        row.clear();
-        for (col, field) in line.split(',').enumerate() {
-            let v: f64 = field
-                .trim()
-                .parse()
-                .map_err(|e| IoError::Parse(lineno, format!("bad number {field:?}: {e}")))?;
-            // Rust's parser accepts `nan` and `inf`; no distance is
-            // defined over them.
-            if !v.is_finite() {
-                let msg = format!("non-finite value {v} in column {}", col + 1);
-                return Err(IoError::Parse(lineno, msg));
-            }
-            row.push(v);
-        }
+        parse_row(line, lineno, &mut row)?;
         let (coords, label) = if labeled {
             if row.len() < 2 {
                 return Err(IoError::Parse(
@@ -107,6 +94,28 @@ pub fn parse_csv<R: Read>(reader: R, labeled: bool) -> Result<LabeledDataset, Io
     }
     let data = data.ok_or(IoError::Empty)?;
     Ok(LabeledDataset { data, labels })
+}
+
+/// Parses one comma-separated row of numbers into `row`, replacing its
+/// contents; errors name the 1-based `lineno`. Every entry point that
+/// reads points from text parses its rows here.
+#[inline]
+pub fn parse_row(line: &str, lineno: usize, row: &mut Vec<f64>) -> Result<(), IoError> {
+    row.clear();
+    for (col, field) in line.split(',').enumerate() {
+        let v: f64 = field
+            .trim()
+            .parse()
+            .map_err(|e| IoError::Parse(lineno, format!("bad number {field:?}: {e}")))?;
+        // Rust's parser accepts `nan` and `inf`; no distance is
+        // defined over them.
+        if !v.is_finite() {
+            let msg = format!("non-finite value {v} in column {}", col + 1);
+            return Err(IoError::Parse(lineno, msg));
+        }
+        row.push(v);
+    }
+    Ok(())
 }
 
 /// A label column value: a non-negative integer that fits a `u32`.
@@ -203,6 +212,24 @@ mod tests {
         ));
         let top = parse_csv("1.0,4294967295\n".as_bytes(), true).unwrap();
         assert_eq!(top.labels, [u32::MAX]);
+    }
+
+    #[test]
+    fn parse_row_names_the_line_and_column() {
+        let mut row = vec![9.0];
+        parse_row(" 1.5, -2 ", 3, &mut row).unwrap();
+        assert_eq!(row, [1.5, -2.0]);
+        for (line, want) in [
+            ("1.0,NaN", "line 7: non-finite value NaN in column 2"),
+            ("inf,1.0", "line 7: non-finite value inf in column 1"),
+            ("1.0,2.0,-inf", "line 7: non-finite value -inf in column 3"),
+        ] {
+            assert_eq!(parse_row(line, 7, &mut row).unwrap_err().to_string(), want);
+        }
+        assert!(matches!(
+            parse_row("1.0,x", 2, &mut row),
+            Err(IoError::Parse(2, m)) if m.starts_with("bad number")
+        ));
     }
 
     #[test]

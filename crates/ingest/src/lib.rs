@@ -89,6 +89,12 @@ pub enum IngestError {
         /// Offending point's dimensionality.
         got: usize,
     },
+    /// An inserted point has a NaN or infinite coordinate; no distance
+    /// is defined over it.
+    NonFinite {
+        /// 1-based column of the first non-finite coordinate.
+        column: usize,
+    },
     /// A delete referenced a key that does not exist (or is already
     /// deleted).
     UnknownKey(u64),
@@ -116,6 +122,9 @@ impl std::fmt::Display for IngestError {
         match self {
             IngestError::DimMismatch { expected, got } => {
                 write!(f, "point dimension {got} does not match model {expected}")
+            }
+            IngestError::NonFinite { column } => {
+                write!(f, "non-finite value in column {column}")
             }
             IngestError::UnknownKey(k) => write!(f, "no live point with key {k}"),
             IngestError::WouldEmptyCluster(c) => {
@@ -289,11 +298,10 @@ impl IngestSession {
                     got: batch.model_version,
                 });
             }
-            // Replay must succeed: these batches were validated before
-            // they were acknowledged and logged.
-            session
-                .apply_inner(batch.ops, false)
-                .expect("WAL replays a previously accepted batch");
+            // These batches were validated before they were acknowledged
+            // and logged; only a log written by a build with looser
+            // validation (non-finite inserts) can be refused here.
+            session.apply_inner(batch.ops, false)?;
         }
         Ok((session, replayed))
     }
@@ -383,6 +391,9 @@ impl IngestSession {
                             expected: self.dim,
                             got: coords.len(),
                         });
+                    }
+                    if let Some(c) = coords.iter().position(|v| !v.is_finite()) {
+                        return Err(IngestError::NonFinite { column: c + 1 });
                     }
                 }
                 DeltaOp::Delete(key) => {

@@ -145,6 +145,44 @@ fn rejected_batches_leave_the_session_untouched() {
 }
 
 #[test]
+fn non_finite_inserts_are_rejected_before_the_wal() {
+    let model = two_cluster_line();
+    let path = wal_path("non-finite.wal");
+    let (mut session, _) = IngestSession::with_wal(&model, config(), &path).unwrap();
+    session.apply(vec![DeltaOp::Insert(vec![0.5])]).unwrap();
+    let wal_bytes = std::fs::read(&path).unwrap();
+    let published = wire::encode(&session.publish());
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        // A finite insert and a delete ahead of the bad point do not land
+        // either: the whole batch is refused.
+        let err = session
+            .apply(vec![
+                DeltaOp::Insert(vec![2.0]),
+                DeltaOp::Delete(1),
+                DeltaOp::Insert(vec![bad]),
+            ])
+            .unwrap_err();
+        assert!(
+            matches!(err, IngestError::NonFinite { column: 1 }),
+            "{bad}: {err}"
+        );
+        assert_eq!(session.version(), 2, "{bad}");
+        assert_eq!(session.len(), 4, "{bad}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            wal_bytes,
+            "{bad}: WAL written"
+        );
+        assert_eq!(wire::encode(&session.publish()), published, "{bad}");
+    }
+    drop(session);
+    let (session, replayed) = IngestSession::with_wal(&model, config(), &path).unwrap();
+    assert_eq!(replayed, 1);
+    assert_eq!(session.len(), 4);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn deleting_a_peak_hands_the_cluster_to_the_densest_survivor() {
     let model = two_cluster_line();
     let mut session = IngestSession::new(&model, config());

@@ -15,9 +15,14 @@ use dp_core::{DensityKeys, SpatialIndex, NO_UPSLOPE};
 use lsh::{BucketUnion, MultiLsh};
 use std::cell::RefCell;
 
+/// A scored probe candidate: `(id, stored rho, d²)`.
+type Scored = (u32, u32, f64);
+
 thread_local! {
     /// Per-thread bucket-probe scratch: a server worker reuses its own.
     static UNION: RefCell<BucketUnion> = RefCell::default();
+    /// Per-thread candidate scores, reused by every probe like `UNION`.
+    static SCORED: RefCell<Vec<Scored>> = RefCell::default();
 }
 
 /// How much exact work the query path may do — the accuracy/latency knob.
@@ -235,8 +240,8 @@ impl QueryEngine {
         }
     }
 
-    /// Bucket probe: hands `f` the ids sharing a bucket with the query,
-    /// ascending, and the number of layouts each collided in.
+    /// Bucket probe: hands `f` the ids sharing a bucket with the query, in
+    /// collision order, and the number of layouts each collided in.
     fn collisions<R>(&self, query: &[f64], f: impl FnOnce(&BucketUnion) -> R) -> R {
         let tables = self.model.tables();
         UNION.with_borrow_mut(|u| f(u.collect(tables, &self.multi.signatures(query))))
@@ -245,39 +250,58 @@ impl QueryEngine {
     /// The LSH/exact anchor search. `None` means "defer to the batched
     /// nearest-center fallback".
     fn probe(&self, query: &[f64]) -> Option<Assignment> {
+        if let Some((idx, keys)) = &self.index {
+            let dc = self.model.dc();
+            return self.probe_indexed((idx, keys), query, dc, dc * dc);
+        }
+        SCORED.with_borrow_mut(|scored| match self.exactness {
+            Exactness::Exact => {
+                let layouts = self.multi.layouts() as u32;
+                self.anchor(query, 0..self.model.len() as u32, |_| layouts, scored)
+            }
+            _ => self.collisions(query, |u| {
+                self.anchor(query, u.ids().iter().copied(), |id| u.hits(id), scored)
+            }),
+        })
+    }
+
+    /// Scores `candidates` (ids in any order) into `scored` and picks the
+    /// anchor; `hits` counts the layouts a candidate collided in. Every
+    /// choice is a function of the candidate *set*: the twin is the
+    /// smallest id at `d² == 0`, and the anchor is the minimum under
+    /// `(d².total_cmp, id)`.
+    fn anchor(
+        &self,
+        query: &[f64],
+        candidates: impl Iterator<Item = u32>,
+        hits: impl Fn(u32) -> u32,
+        scored: &mut Vec<Scored>,
+    ) -> Option<Assignment> {
         let dc = self.model.dc();
         let dc2 = dc * dc;
-        let m_layouts = self.multi.layouts() as f64;
-
-        if let Some((idx, keys)) = &self.index {
-            return self.probe_indexed((idx, keys), query, dc, dc2);
+        // The query's density estimate excludes exact coordinate matches:
+        // a held-in query *is* its training twin, and `rho` never counts
+        // the point itself. A zero-distance candidate (the smallest id of
+        // several) IS the query: inherit its cluster outright. Without
+        // this, a training point whose pipeline-estimated `rho`
+        // undercounts the bucket-union recount here could lose its own
+        // anchor slot to a farther neighbor.
+        scored.clear();
+        let mut rho_est = 0u32;
+        let mut twin: Option<Scored> = None;
+        for id in candidates {
+            let d2 = squared_euclidean(query, self.model.point(id));
+            let c = (id, self.model.rho(id), d2);
+            if d2 > 0.0 && d2 < dc2 {
+                rho_est += 1;
+            } else if d2 == 0.0 && twin.is_none_or(|t| id < t.0) {
+                twin = Some(c);
+            }
+            scored.push(c);
         }
-
-        // Candidates under the policy as `(id, layouts collided in, d2)`,
-        // ascending by id: a deterministic order for tie-breaks.
-        let d2 = |id: u32| squared_euclidean(query, self.model.point(id));
-        let scored: Vec<(u32, u32, f64)> = match self.exactness {
-            Exactness::Exact => (0..self.model.len() as u32)
-                .map(|id| (id, self.multi.layouts() as u32, d2(id)))
-                .collect(),
-            _ => self.collisions(query, |u| {
-                u.ids().iter().map(|&id| (id, u.hits(id), d2(id))).collect()
-            }),
-        };
         if scored.is_empty() {
             return None;
         }
-
-        // The query's density estimate excludes exact coordinate matches:
-        // a held-in query *is* its training twin, and `rho` never counts
-        // the point itself.
-        let rho_est = scored.iter().filter(|c| c.2 > 0.0 && c.2 < dc2).count() as u32;
-
-        // A zero-distance candidate (the smallest id of several) IS the
-        // query: inherit its cluster outright. Without this, a training
-        // point whose pipeline-estimated `rho` undercounts the bucket-union
-        // recount here could lose its own anchor slot to a farther neighbor.
-        let twin = scored.iter().find(|c| c.2 == 0.0);
         if twin.is_none() && self.exactness == Exactness::Hybrid && rho_est == 0 {
             return None; // outside the modeled support: exact fallback
         }
@@ -286,14 +310,15 @@ impl QueryEngine {
         let nearest = |dense: bool| {
             scored
                 .iter()
-                .filter(|c| !dense || self.model.rho(c.0) >= rho_est)
-                .min_by(|a, b| a.2.total_cmp(&b.2))
+                .filter(|c| !dense || c.1 >= rho_est)
+                .min_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)))
+                .copied()
         };
-        let &(id, hits, d2) = twin.or_else(|| nearest(true)).or_else(|| nearest(false))?;
+        let (id, _, d2) = twin.or_else(|| nearest(true)).or_else(|| nearest(false))?;
         let confidence = match self.exactness {
             Exactness::Exact if d2 == 0.0 => 1.0,
             Exactness::Exact => proximity(dc, d2.sqrt()),
-            _ => f64::from(hits) / m_layouts,
+            _ => f64::from(hits(id)) / self.multi.layouts() as f64,
         };
         Some(Assignment {
             cluster: self.model.label(id),
@@ -504,6 +529,139 @@ mod tests {
             assert_eq!(*a, single, "query {i}");
         }
         assert!(batch.last().unwrap().fallback);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The probe as it was over an ascending union, kept as the
+        /// definition of the tie-breaks: candidates scored in id order,
+        /// the twin by `find`, the anchor by `min_by` on `d²` alone (the
+        /// first of equals, so the smallest id).
+        fn sorted_union_probe(e: &QueryEngine, query: &[f64]) -> Option<Assignment> {
+            let dc = e.model.dc();
+            let dc2 = dc * dc;
+            let m_layouts = e.multi.layouts() as f64;
+            let d2 = |id: u32| squared_euclidean(query, e.model.point(id));
+            let scored: Vec<(u32, u32, f64)> = match e.exactness {
+                Exactness::Exact => (0..e.model.len() as u32)
+                    .map(|id| (id, e.multi.layouts() as u32, d2(id)))
+                    .collect(),
+                _ => e.collisions(query, |u| {
+                    let mut ids = u.ids().to_vec();
+                    ids.sort_unstable();
+                    ids.iter().map(|&id| (id, u.hits(id), d2(id))).collect()
+                }),
+            };
+            if scored.is_empty() {
+                return None;
+            }
+            let rho_est = scored.iter().filter(|c| c.2 > 0.0 && c.2 < dc2).count() as u32;
+            let twin = scored.iter().find(|c| c.2 == 0.0);
+            if twin.is_none() && e.exactness == Exactness::Hybrid && rho_est == 0 {
+                return None;
+            }
+            let nearest = |dense: bool| {
+                scored
+                    .iter()
+                    .filter(|c| !dense || e.model.rho(c.0) >= rho_est)
+                    .min_by(|a, b| a.2.total_cmp(&b.2))
+            };
+            let &(id, hits, d2) = twin.or_else(|| nearest(true)).or_else(|| nearest(false))?;
+            let confidence = match e.exactness {
+                Exactness::Exact if d2 == 0.0 => 1.0,
+                Exactness::Exact => proximity(dc, d2.sqrt()),
+                _ => f64::from(hits) / m_layouts,
+            };
+            Some(Assignment {
+                cluster: e.model.label(id),
+                confidence,
+                fallback: false,
+                rho_estimate: rho_est,
+                halo: e.model.is_halo(id),
+            })
+        }
+
+        /// Every `Assignment` field, the confidence as bits.
+        fn bits(a: &Assignment) -> (u32, u64, bool, u32, bool) {
+            (
+                a.cluster,
+                a.confidence.to_bits(),
+                a.fallback,
+                a.rho_estimate,
+                a.halo,
+            )
+        }
+
+        /// A point on a half-unit grid over the model's unit grid (so
+        /// queries land on training points, between two at equal
+        /// distance, or nowhere near), occasionally far or NaN.
+        fn coord() -> impl Strategy<Value = f64> {
+            (-4i32..14).prop_map(|v| match v {
+                12 => 1e9,
+                13 => f64::NAN,
+                v => f64::from(v) / 2.0,
+            })
+        }
+
+        proptest! {
+            /// Over random small models — duplicate coordinates, few
+            /// density levels, so candidates tie on distance and density
+            /// alike — the order-free probe answers every query with the
+            /// bits the sorted-union probe gave, under every policy. Half
+            /// the models list their buckets descending, so the union's
+            /// collision order is not the id order either.
+            #[test]
+            fn probe_matches_the_sorted_union_probe(
+                rows in proptest::collection::vec((0i32..4, 0i32..4, 0u32..3, 0u32..3, any::<bool>()), 1..24),
+                m in 1usize..6,
+                pi in 1usize..3,
+                w in (0usize..3).prop_map(|i| [0.5, 1.5, 4.0][i]),
+                dc in (0usize..4).prop_map(|i| [0.5, 1.0, 1.5, 2.5][i]),
+                (seed, descending) in (any::<u64>(), any::<bool>()),
+                queries in proptest::collection::vec((coord(), coord()), 1..16),
+            ) {
+                let n = rows.len();
+                let k = n.min(3);
+                let params = lsh::LshParams { m, pi, w };
+                let coords: Vec<f64> =
+                    rows.iter().flat_map(|r| [f64::from(r.0), f64::from(r.1)]).collect();
+                let tables = descending.then(|| {
+                    let multi = MultiLsh::new(2, &params, seed);
+                    let mut tables = lsh::bucket_tables(&multi, coords.chunks_exact(2));
+                    tables.iter_mut().flat_map(|t| t.values_mut()).for_each(|b| b.reverse());
+                    tables
+                });
+                let model = ClusterModel::from_parts(
+                    1,
+                    "test".to_string(),
+                    2,
+                    dc,
+                    params,
+                    seed,
+                    coords,
+                    rows.iter().map(|r| r.2).collect(),
+                    vec![1.0; n],
+                    vec![NO_UPSLOPE; n],
+                    (0..n).map(|i| if i < k { i as u32 } else { rows[i].3 % k as u32 }).collect(),
+                    (0..k as u32).collect(),
+                    rows.iter().map(|r| r.4).collect(),
+                    tables,
+                );
+                for exactness in [Exactness::Lsh, Exactness::Hybrid, Exactness::Exact] {
+                    let mut engine = QueryEngine::with_exactness(model.clone(), exactness);
+                    engine.index = None;
+                    for &(x, y) in &queries {
+                        let q = [x, y];
+                        let want = sorted_union_probe(&engine, &q);
+                        let got = engine.probe(&q);
+                        prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{:?} at {:?}", exactness, q);
+                        prop_assert_eq!(engine.assign(&q).fallback, want.is_none());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -706,9 +706,10 @@ fn fit(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads query points as CSV rows of floats — from a file, or stdin when
-/// `path` is `None`. Rows longer than `dim` keep their first `dim`
-/// columns, so label-bearing files generated with `--labels` work as-is.
+/// Reads query points as CSV rows of finite floats — from a file, or
+/// stdin when `path` is `None`. Rows longer than `dim` keep their first
+/// `dim` columns, so label-bearing files generated with `--labels` work
+/// as-is.
 fn read_queries(path: Option<&str>, dim: usize) -> Result<Vec<f64>, String> {
     let text = match path {
         Some(p) => std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?,
@@ -722,16 +723,13 @@ fn read_queries(path: Option<&str>, dim: usize) -> Result<Vec<f64>, String> {
         }
     };
     let mut flat = Vec::new();
+    let mut row = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let row: Vec<f64> = line
-            .split(',')
-            .map(|c| c.trim().parse::<f64>())
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        datasets::io::parse_row(line, lineno + 1, &mut row).map_err(|e| e.to_string())?;
         if row.len() < dim {
             return Err(format!(
                 "line {}: {} columns, model needs {dim}",
@@ -937,8 +935,9 @@ fn print_lifecycle_stats(session: &IngestSession) {
 fn ingest(o: &Opts) -> Result<(), String> {
     let path = o.model.as_ref().ok_or("--model is required")?;
     let model = ClusterModel::load(path).map_err(|e| e.to_string())?;
-    let mut session = open_session(o, &model)?;
 
+    // Parse every op and check the paths before the session opens, so a
+    // refused command leaves no WAL behind.
     let mut ops: Vec<DeltaOp> = Vec::new();
     if let Some(input) = o.input.as_deref() {
         let flat = read_queries(Some(input), model.dim())?;
@@ -970,6 +969,7 @@ fn ingest(o: &Opts) -> Result<(), String> {
         (out, true) => out,
         (out, false) => Some(out.unwrap_or(path)),
     };
+    let mut session = open_session(o, &model)?;
 
     let mut newly_stale = 0;
     let (inserts, deletes) = ops.iter().fold((0, 0), |(i, d), op| match op {

@@ -248,31 +248,60 @@ fn missing_input_is_a_clean_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("reading"));
 }
 
+/// A NaN or ±inf row is refused by every subcommand that reads points:
+/// one error line naming its line and column, no panic, and no output
+/// file or WAL left behind.
 #[test]
 fn non_finite_input_is_a_clean_error() {
-    let points = tmp("nan-in.csv");
+    let clean = tmp("nan-clean.csv");
+    let model = tmp("nan-model.bin");
     let out = bin()
         .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
-        .arg(&points)
+        .arg(&clean)
         .output()
         .expect("generate");
     assert!(out.status.success());
-    let mut text = std::fs::read_to_string(&points).expect("points written");
-    let line = text.lines().count() + 1;
-    text.push_str("nan,1.0\n");
-    std::fs::write(&points, text).expect("append a NaN row");
-
     let out = bin()
-        .args(["cluster", "--k", "15", "--input"])
-        .arg(&points)
+        .args(["fit", "--k", "15", "--input"])
+        .arg(&clean)
         .arg("--out")
-        .arg(tmp("nan-labels.csv"))
+        .arg(&model)
         .output()
-        .expect("run cluster");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "a NaN row must be rejected");
-    assert!(stderr.contains(&format!("line {line}")), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        .expect("fit");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&clean).expect("points written");
+    let line = text.lines().count() + 1;
+
+    let (out_file, wal) = (tmp("nan-out"), tmp("nan-out.wal"));
+    for (row, shown, column) in [("nan,1.0", "NaN", 1), ("1.0,inf", "inf", 2)] {
+        let points = tmp(&format!("non-finite-{column}.csv"));
+        std::fs::write(&points, format!("{text}{row}\n")).expect("append the row");
+        let mut cluster = bin();
+        cluster.args(["cluster", "--k", "15"]);
+        let [mut query, mut serve, mut ingest] = ["query", "serve", "ingest"].map(|sub| {
+            let mut cmd = bin();
+            cmd.args([sub, "--model"]).arg(&model);
+            cmd
+        });
+        ingest.arg("--wal").arg(&wal);
+        for cmd in [&mut cluster, &mut query, &mut serve, &mut ingest] {
+            std::fs::remove_file(&out_file).ok();
+            std::fs::remove_file(&wal).ok();
+            cmd.arg("--input").arg(&points).arg("--out").arg(&out_file);
+            let out = cmd.output().expect("run the subcommand");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{cmd:?} accepted {row:?}");
+            let want = format!("line {line}: non-finite value {shown} in column {column}");
+            let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error")).collect();
+            assert!(
+                matches!(errors[..], [e] if e.ends_with(&want)),
+                "{cmd:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
+            assert!(!out_file.exists(), "{cmd:?} wrote its output");
+            assert!(!wal.exists(), "{cmd:?} created a WAL");
+        }
+    }
 }
 
 /// Per-mille fault rates past their range exit 1 naming the flag (or the
