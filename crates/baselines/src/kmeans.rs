@@ -9,7 +9,7 @@
 
 use dp_core::decision::Clustering;
 use dp_core::{Dataset, DistanceTracker};
-use mapreduce::{Combiner, Emitter, JobBuilder, JobConfig, JobMetrics, Mapper, Reducer};
+use mapreduce::{Emitter, JobBuilder, JobConfig, JobMetrics, Mapper, Merge, Reducer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
@@ -184,27 +184,23 @@ impl Mapper for AssignMapper {
     }
 }
 
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type Key = u32;
+/// Adds partial sums: the combiner of every iteration job, and the fold of
+/// its reducer. f64 addition is not associative, so the sums depend on the
+/// order they are added in; the engine folds each key's values in
+/// emission order, which keeps them deterministic for a fixed map split.
+struct SumPartials;
+impl Merge for SumPartials {
     type Value = PartialSum;
-    fn combine(&self, _k: &u32, vs: Vec<PartialSum>) -> Vec<PartialSum> {
-        vec![merge_partials(vs)]
-    }
-}
-
-fn merge_partials(vs: Vec<PartialSum>) -> PartialSum {
-    let mut it = vs.into_iter();
-    let (mut sum, mut count) = it.next().expect("at least one partial");
-    for (s, c) in it {
+    fn merge(&self, (sum, count): &mut PartialSum, (s, c): PartialSum) {
         for (a, b) in sum.iter_mut().zip(s) {
             *a += b;
         }
-        count += c;
+        *count += c;
     }
-    (sum, count)
 }
 
+/// Folds a centroid's partial sums with [`SumPartials`], in order, then
+/// divides by the count.
 struct CentroidReducer;
 impl Reducer for CentroidReducer {
     type InKey = u32;
@@ -212,7 +208,7 @@ impl Reducer for CentroidReducer {
     type OutKey = u32;
     type OutValue = Vec<f64>;
     fn reduce(&self, k: &u32, vs: Vec<PartialSum>, out: &mut Emitter<u32, Vec<f64>>) {
-        let (mut sum, count) = merge_partials(vs);
+        let (mut sum, count) = SumPartials.fold(vs);
         for x in sum.iter_mut() {
             *x /= count as f64;
         }
@@ -278,7 +274,7 @@ impl MapReduceKMeans {
                 },
                 CentroidReducer,
             )
-            .combiner(SumCombiner)
+            .combiner(SumPartials)
             .config(self.job_config)
             .run(input.clone());
             m.user.insert("distances".into(), tracker.total());

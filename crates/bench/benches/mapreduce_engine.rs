@@ -3,7 +3,7 @@
 //! trades CPU for shuffle volume).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mapreduce::{Combiner, Emitter, JobBuilder, JobConfig, Mapper, Reducer};
+use mapreduce::{Emitter, JobBuilder, JobConfig, Mapper, Merge, Reducer};
 use std::hint::black_box;
 
 struct ModMapper {
@@ -30,12 +30,11 @@ impl Reducer for SumReducer {
     }
 }
 
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type Key = u32;
+struct Sum;
+impl Merge for Sum {
     type Value = u64;
-    fn combine(&self, _k: &u32, vs: Vec<u64>) -> Vec<u64> {
-        vec![vs.into_iter().sum()]
+    fn merge(&self, acc: &mut u64, v: u64) {
+        *acc += v;
     }
 }
 
@@ -65,7 +64,7 @@ fn bench_shuffle(c: &mut Criterion) {
             |b, data| {
                 b.iter(|| {
                     let (out, _) = JobBuilder::new("bench", ModMapper { buckets: 256 }, SumReducer)
-                        .combiner(SumCombiner)
+                        .combiner(Sum)
                         .config(JobConfig::uniform(4))
                         .run(data.clone());
                     black_box(out)

@@ -52,37 +52,5 @@ fn bench_accuracy_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_rho_aggregation(c: &mut Criterion) {
-    use ddp::lsh_ddp::{LshDdpConfig, RhoAggregation};
-    let ld = blob_grid(5, 5, 20, 25.0, 0.6, 7);
-    let ds = ld.data;
-    let dc = 0.8;
-    let mut g = c.benchmark_group("ablation_rho_aggregation");
-    g.sample_size(10);
-    for (name, agg) in [("max", RhoAggregation::Max), ("mean", RhoAggregation::Mean)] {
-        g.bench_with_input(
-            criterion::BenchmarkId::from_parameter(name),
-            &ds,
-            |b, ds| {
-                let pipe = LshDdp::new(LshDdpConfig {
-                    params: lsh::LshParams::for_accuracy(0.99, 10, 3, dc).unwrap(),
-                    seed: 42,
-                    pipeline: Default::default(),
-                    partition_cap: None,
-                    rho_aggregation: agg,
-                });
-                b.iter(|| black_box(pipe.run(ds, dc)))
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_m_sweep,
-    bench_pi_sweep,
-    bench_accuracy_sweep,
-    bench_rho_aggregation
-);
+criterion_group!(benches, bench_m_sweep, bench_pi_sweep, bench_accuracy_sweep);
 criterion_main!(benches);

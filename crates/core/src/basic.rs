@@ -22,13 +22,13 @@
 
 use crate::common::{
     assemble_delta, dc_sampling_stage, density_keys, flatten_coords, point_snapshot, DeltaPartial,
-    MinDeltaCombiner, MinDeltaReducer, PipelineConfig,
+    MinDelta, PipelineConfig, RhoSum,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
 use dp_core::local::Partition;
 use dp_core::{Dataset, DistanceTracker, PointId};
-use mapreduce::{plan, Combiner, Driver, Emitter, JobMetrics, Mapper, Reducer, Snapshot, Stage};
+use mapreduce::{plan, Driver, Emitter, JobMetrics, Mapper, Reducer, Snapshot, Stage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -174,27 +174,6 @@ impl Reducer for RhoBlockReducer {
     }
 }
 
-/// Sum combiner/reducer for `rho` partials.
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type Key = PointId;
-    type Value = u32;
-    fn combine(&self, _k: &PointId, vs: Vec<u32>) -> Vec<u32> {
-        vec![vs.into_iter().sum()]
-    }
-}
-
-struct SumReducer;
-impl Reducer for SumReducer {
-    type InKey = PointId;
-    type InValue = u32;
-    type OutKey = PointId;
-    type OutValue = u32;
-    fn reduce(&self, k: &PointId, vs: Vec<u32>, out: &mut Emitter<PointId, u32>) {
-        out.emit(*k, vs.into_iter().sum());
-    }
-}
-
 /// Reducer of the `delta` step: nearest denser point among the anchor's
 /// covered pairs, with the full density table broadcast (distributed
 /// cache). Partner points only meet the anchor block in this reducer.
@@ -337,8 +316,7 @@ impl BasicDdp {
                 .finalize(dist_snapshot(&tracker)),
             )
             .stage(
-                Stage::reduce_only("basic/rho-aggregate", SumReducer)
-                    .combiner(SumCombiner)
+                Stage::aggregate("basic/rho-aggregate", RhoSum)
                     .config(job_cfg("basic/rho-aggregate"))
                     .finalize(dist_snapshot(&tracker)),
             )
@@ -374,8 +352,7 @@ impl BasicDdp {
                 .finalize(dist_snapshot(&tracker)),
             )
             .stage(
-                Stage::reduce_only("basic/delta-aggregate", MinDeltaReducer)
-                    .combiner(MinDeltaCombiner)
+                Stage::aggregate("basic/delta-aggregate", MinDelta)
                     .config(job_cfg("basic/delta-aggregate"))
                     .finalize(dist_snapshot(&tracker)),
             )

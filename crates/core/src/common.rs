@@ -5,9 +5,10 @@ use dp_core::dp::NO_UPSLOPE;
 use dp_core::local::Key;
 use dp_core::{Dataset, DistanceTracker, PointId};
 use mapreduce::{
-    plan, Combiner, Driver, Emitter, JobConfig, JobMetrics, Mapper, Reducer, Snapshot, Stage,
+    plan, Driver, Emitter, JobConfig, JobMetrics, Mapper, Merge, Reducer, Snapshot, Stage,
 };
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering as Order;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -185,40 +186,63 @@ pub fn sample_hash(id: PointId, seed: u64) -> u64 {
 /// distance feeds the absolute density peak's `delta = max_j d_ij`.
 pub type DeltaPartial = (f64, PointId, f64);
 
-/// Merges delta partials: smallest finite delta wins (ties by smaller
-/// upslope id, matching the sequential reference), max distances combine
-/// by max.
-pub fn merge_delta_partials(vs: impl IntoIterator<Item = DeltaPartial>) -> DeltaPartial {
-    let mut best = (f64::INFINITY, NO_UPSLOPE, 0.0f64);
-    for (d, u, maxd) in vs {
-        best.2 = best.2.max(maxd);
-        if d < best.0 || (d == best.0 && u < best.1) {
-            best.0 = d;
-            best.1 = u;
+/// Job 2 of Basic-DDP: a point's `rho` is the sum of its block partials.
+#[derive(Clone, Copy)]
+pub struct RhoSum;
+impl Merge for RhoSum {
+    type Value = u32;
+    fn merge(&self, acc: &mut u32, v: u32) {
+        *acc += v;
+    }
+}
+
+/// Job 2 of LSH-DDP: `rho_hat = max_m rho_hat^m` over the layouts.
+#[derive(Clone, Copy)]
+pub struct RhoMax;
+impl Merge for RhoMax {
+    type Value = u32;
+    fn merge(&self, acc: &mut u32, v: u32) {
+        *acc = (*acc).max(v);
+    }
+}
+
+/// Orders `(delta, upslope)` candidates: the smaller delta first, ties by
+/// the smaller upslope id (the sequential reference's tie-break), and a
+/// NaN delta after every number. The order is total over the bits, so its
+/// minimum is associative and commutative bit for bit.
+fn delta_order(a: (f64, PointId), b: (f64, PointId)) -> Order {
+    (a.0.is_nan().cmp(&b.0.is_nan()))
+        .then(a.0.total_cmp(&b.0))
+        .then(a.1.cmp(&b.1))
+}
+
+/// Job 4 of LSH-DDP: the smallest `(delta, upslope)` over the layouts.
+#[derive(Clone, Copy)]
+pub struct MinLocalDelta;
+impl Merge for MinLocalDelta {
+    type Value = (f64, PointId);
+    fn merge(&self, acc: &mut (f64, PointId), v: (f64, PointId)) {
+        if delta_order(v, *acc).is_lt() {
+            *acc = v;
         }
     }
-    best
 }
 
-/// Map-side combiner over [`DeltaPartial`]s.
-pub struct MinDeltaCombiner;
-impl Combiner for MinDeltaCombiner {
-    type Key = PointId;
+/// The delta aggregation of Basic-DDP and EDDPC: the smallest
+/// `(delta, upslope)` as in [`MinLocalDelta`], and the largest max
+/// distance, a NaN below every number.
+#[derive(Clone, Copy)]
+pub struct MinDelta;
+impl Merge for MinDelta {
     type Value = DeltaPartial;
-    fn combine(&self, _k: &PointId, vs: Vec<DeltaPartial>) -> Vec<DeltaPartial> {
-        vec![merge_delta_partials(vs)]
-    }
-}
-
-/// Reducer of the delta-aggregation jobs.
-pub struct MinDeltaReducer;
-impl Reducer for MinDeltaReducer {
-    type InKey = PointId;
-    type InValue = DeltaPartial;
-    type OutKey = PointId;
-    type OutValue = DeltaPartial;
-    fn reduce(&self, k: &PointId, vs: Vec<DeltaPartial>, out: &mut Emitter<PointId, DeltaPartial>) {
-        out.emit(*k, merge_delta_partials(vs));
+    fn merge(&self, acc: &mut DeltaPartial, (d, u, maxd): DeltaPartial) {
+        if delta_order((d, u), (acc.0, acc.1)).is_lt() {
+            (acc.0, acc.1) = (d, u);
+        }
+        let nan_low = acc.2.is_nan().cmp(&maxd.is_nan());
+        if nan_low.then(maxd.total_cmp(&acc.2)).is_gt() {
+            acc.2 = maxd;
+        }
     }
 }
 

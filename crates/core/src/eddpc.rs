@@ -26,8 +26,8 @@
 //! exactly the trade-off Table IV of the paper measures.
 
 use crate::common::{
-    assemble_delta, density_keys, flatten_coords, point_snapshot, DeltaPartial, MinDeltaCombiner,
-    MinDeltaReducer, PipelineConfig, PointRecord,
+    assemble_delta, density_keys, flatten_coords, point_snapshot, DeltaPartial, MinDelta,
+    PipelineConfig, PointRecord,
 };
 use crate::stats::RunReport;
 use dp_core::distance::squared_euclidean;
@@ -478,8 +478,7 @@ impl Eddpc {
             plan("eddpc/delta-merge")
                 .rows(merged_input)
                 .stage(
-                    Stage::reduce_only("eddpc/delta-merge", MinDeltaReducer)
-                        .combiner(MinDeltaCombiner)
+                    Stage::aggregate("eddpc/delta-merge", MinDelta)
                         .config(job_cfg)
                         .finalize(dist_snapshot(&tracker)),
                 )

@@ -20,7 +20,8 @@
 //!    max finite `delta` before drawing the decision graph.
 
 use crate::common::{
-    dc_sampling_stage, density_keys, flatten_coords, point_snapshot, PipelineConfig, PointRecord,
+    dc_sampling_stage, density_keys, flatten_coords, point_snapshot, MinLocalDelta, PipelineConfig,
+    PointRecord, RhoMax,
 };
 use crate::stats::RunReport;
 use dp_core::dp::{DpResult, NO_UPSLOPE};
@@ -29,8 +30,8 @@ use dp_core::{Dataset, DistanceTracker, PointId};
 use lsh::tuning::TuningError;
 use lsh::{LshParams, MultiLsh};
 use mapreduce::{
-    plan, Combiner, Driver, Emitter, JobMetrics, Mapper, Reducer, ShuffleSize, Snapshot, Stage,
-    Wire, WireError,
+    plan, Driver, Emitter, JobMetrics, Mapper, Reducer, ShuffleSize, Snapshot, Stage, Wire,
+    WireError,
 };
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
@@ -79,7 +80,8 @@ pub struct LshDdpConfig {
 }
 
 /// Aggregation rule for the per-layout density estimates
-/// `rho_hat_i^1 … rho_hat_i^M`.
+/// `rho_hat_i^1 … rho_hat_i^M`. Every rule is a [`mapreduce::Merge`], so
+/// job 2 is one [`Stage::aggregate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum RhoAggregation {
     /// `rho_hat = max_m rho_hat^m` — the paper's choice. Local counting
@@ -88,11 +90,6 @@ pub enum RhoAggregation {
     /// the closest; Theorem 1 quantifies how often it is exact.
     #[default]
     Max,
-    /// `rho_hat = round(mean_m rho_hat^m)` — the ablation alternative.
-    /// Mixes good layouts with bad ones and systematically
-    /// underestimates; kept to demonstrate empirically why `max` is
-    /// right (see `benches/parameter_ablation.rs`).
-    Mean,
 }
 
 /// The approximate multi-layout pipeline.
@@ -243,42 +240,6 @@ impl Reducer for LocalRhoReducer {
     }
 }
 
-/// Max combiner/reducer for job 2 (`rho_hat = max_m rho_hat^m`).
-struct MaxCombiner;
-impl Combiner for MaxCombiner {
-    type Key = PointId;
-    type Value = u32;
-    fn combine(&self, _k: &PointId, vs: Vec<u32>) -> Vec<u32> {
-        vec![vs.into_iter().max().unwrap_or(0)]
-    }
-}
-
-struct MaxReducer;
-impl Reducer for MaxReducer {
-    type InKey = PointId;
-    type InValue = u32;
-    type OutKey = PointId;
-    type OutValue = u32;
-    fn reduce(&self, k: &PointId, vs: Vec<u32>, out: &mut Emitter<PointId, u32>) {
-        out.emit(*k, vs.into_iter().max().unwrap_or(0));
-    }
-}
-
-/// Mean aggregation for the [`RhoAggregation::Mean`] ablation. No
-/// combiner: the mean needs every layout's estimate at one reducer.
-struct MeanReducer;
-impl Reducer for MeanReducer {
-    type InKey = PointId;
-    type InValue = u32;
-    type OutKey = PointId;
-    type OutValue = u32;
-    fn reduce(&self, k: &PointId, vs: Vec<u32>, out: &mut Emitter<PointId, u32>) {
-        let n = vs.len().max(1) as u64;
-        let sum: u64 = vs.into_iter().map(u64::from).sum();
-        out.emit(*k, ((sum + n / 2) / n) as u32);
-    }
-}
-
 /// Local delta record: `(delta_hat, upslope)`; `(∞, NO_UPSLOPE)` for the
 /// locally densest point.
 type LocalDelta = (f64, PointId);
@@ -312,37 +273,6 @@ impl Reducer for LocalDeltaReducer {
                 .delta(&keys, false, |i, (d, u, _)| out.emit(chunk[i].0, (d, u)));
             self.tracker.add(evals);
         }
-    }
-}
-
-/// Min combiner/reducer for job 4 (`delta_hat = min_m delta_hat^m`).
-fn merge_local_deltas(vs: Vec<LocalDelta>) -> LocalDelta {
-    let mut best = (f64::INFINITY, NO_UPSLOPE);
-    for (d, u) in vs {
-        if d < best.0 || (d == best.0 && u < best.1) {
-            best = (d, u);
-        }
-    }
-    best
-}
-
-struct MinCombiner;
-impl Combiner for MinCombiner {
-    type Key = PointId;
-    type Value = LocalDelta;
-    fn combine(&self, _k: &PointId, vs: Vec<LocalDelta>) -> Vec<LocalDelta> {
-        vec![merge_local_deltas(vs)]
-    }
-}
-
-struct MinReducer;
-impl Reducer for MinReducer {
-    type InKey = PointId;
-    type InValue = LocalDelta;
-    type OutKey = PointId;
-    type OutValue = LocalDelta;
-    fn reduce(&self, k: &PointId, vs: Vec<LocalDelta>, out: &mut Emitter<PointId, LocalDelta>) {
-        out.emit(*k, merge_local_deltas(vs));
     }
 }
 
@@ -538,31 +468,17 @@ impl LshDdp {
         .config(self.config.pipeline.job_config_for("lsh/rho-local"))
         .co_partitioned(LSH_LAYOUT_CONTRACT)
         .finalize(dist_snapshot(&tracker));
-        let rho_plan = match self.config.rho_aggregation {
-            RhoAggregation::Max => plan("lsh/rho")
-                .snapshot(snap)
-                .stage(local_rho)
-                .stage(
-                    Stage::reduce_only("lsh/rho-aggregate", MaxReducer)
-                        .combiner(MaxCombiner)
-                        .config(self.config.pipeline.job_config_for("lsh/rho-aggregate"))
-                        .finalize(dist_snapshot(&tracker)),
-                )
-                .build(),
-            RhoAggregation::Mean => plan("lsh/rho")
-                .snapshot(snap)
-                .stage(local_rho)
-                .stage(
-                    Stage::reduce_only("lsh/rho-aggregate-mean", MeanReducer)
-                        .config(
-                            self.config
-                                .pipeline
-                                .job_config_for("lsh/rho-aggregate-mean"),
-                        )
-                        .finalize(dist_snapshot(&tracker)),
-                )
-                .build(),
-        };
+        // Each rule names its merge here.
+        let RhoAggregation::Max = self.config.rho_aggregation;
+        let rho_plan = plan("lsh/rho")
+            .snapshot(snap)
+            .stage(local_rho)
+            .stage(
+                Stage::aggregate("lsh/rho-aggregate", RhoMax)
+                    .config(self.config.pipeline.job_config_for("lsh/rho-aggregate"))
+                    .finalize(dist_snapshot(&tracker)),
+            )
+            .build();
         let rho_out = driver.run_plan(rho_plan);
 
         // Broadcast the aggregated densities (distributed-cache style).
@@ -597,8 +513,7 @@ impl LshDdp {
                 .finalize(dist_snapshot(&tracker)),
             )
             .stage(
-                Stage::reduce_only("lsh/delta-aggregate", MinReducer)
-                    .combiner(MinCombiner)
+                Stage::aggregate("lsh/delta-aggregate", MinLocalDelta)
                     .config(self.config.pipeline.job_config_for("lsh/delta-aggregate"))
                     .finalize(dist_snapshot(&tracker)),
             )
@@ -842,31 +757,6 @@ mod tests {
         assert_eq!(p.config().params.pi, 4);
         assert!((p.config().params.accuracy(0.3) - 0.95).abs() < 1e-9);
         assert!(LshDdp::with_accuracy(1.5, 10, 3, 0.3, 1).is_err());
-    }
-
-    #[test]
-    fn max_aggregation_dominates_mean() {
-        // The ablation behind RhoAggregation: max is closer to the truth
-        // because local counts only undercount.
-        let ds = blobs(60, 10);
-        let dc = 0.5;
-        let exact = compute_exact(&ds, dc);
-        let run_with = |agg| {
-            let cfg = LshDdpConfig {
-                rho_aggregation: agg,
-                ..accurate_config(dc)
-            };
-            LshDdp::new(cfg).run(&ds, dc)
-        };
-        let max_r = run_with(RhoAggregation::Max);
-        let mean_r = run_with(RhoAggregation::Mean);
-        let t_max = tau2(&exact.rho, &max_r.result.rho);
-        let t_mean = tau2(&exact.rho, &mean_r.result.rho);
-        assert!(t_max > t_mean, "max tau2 {t_max} must beat mean {t_mean}");
-        // And mean still never overestimates.
-        for (a, e) in mean_r.result.rho.iter().zip(&exact.rho) {
-            assert!(a <= e);
-        }
     }
 
     #[test]

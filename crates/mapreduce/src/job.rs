@@ -19,7 +19,7 @@ use crate::fault::{ChaosPlan, Phase};
 use crate::plan::Stage;
 use crate::record::ShuffleSize;
 use crate::spill::{spill_parts, Part, Rows};
-use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
+use crate::task::{Emitter, Mapper, Merge, MrKey, MrValue, Reducer};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -403,7 +403,7 @@ impl<K: MrKey, V: MrValue> ReduceBucket<K, V> {
 /// per-bucket shuffle bytes.
 fn map_one_task<M: Mapper>(
     mapper: &M,
-    combiner: Option<&(dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync)>,
+    combiner: Option<&(dyn Merge<Value = M::OutValue> + Send + Sync)>,
     r_tasks: usize,
     records: Vec<(M::InKey, M::InValue)>,
 ) -> MapTaskOut<M::OutKey, M::OutValue> {
@@ -645,28 +645,19 @@ impl ChaosCtx {
     }
 }
 
-/// Groups a map task's output by key and applies the combiner per group.
+/// Sorts a map task's output by key (stably, so each key's values keep
+/// their emission order) and folds every run of equal keys into its first
+/// record.
 fn run_combiner<K: MrKey, V: MrValue>(
-    combiner: &(dyn Combiner<Key = K, Value = V> + Send + Sync),
+    combiner: &(dyn Merge<Value = V> + Send + Sync),
     mut records: Vec<(K, V)>,
 ) -> Vec<(K, V)> {
     records.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::with_capacity(records.len());
-    let mut it = records.into_iter().peekable();
-    while let Some((key, first)) = it.next() {
-        let mut values = vec![first];
-        while it.peek().is_some_and(|(k, _)| *k == key) {
-            values.push(it.next().expect("peeked").1);
-        }
-        let mut combined = combiner.combine(&key, values);
-        // The key is cloned only for all-but-one output value; the last
-        // value takes ownership (combiners typically emit exactly one
-        // value per key, making the common case clone-free).
-        if let Some(last) = combined.pop() {
-            for v in combined {
-                out.push((key.clone(), v));
-            }
-            out.push((key, last));
+    let mut out: Vec<(K, V)> = Vec::with_capacity(records.len());
+    for (k, v) in records {
+        match out.last_mut() {
+            Some((last, acc)) if *last == k => combiner.merge(acc, v),
+            _ => out.push((k, v)),
         }
     }
     out
@@ -748,18 +739,17 @@ mod tests {
 
     #[test]
     fn combiner_reduces_shuffle_volume() {
-        struct SumCombiner;
-        impl Combiner for SumCombiner {
-            type Key = String;
+        struct Sum;
+        impl Merge for Sum {
             type Value = u64;
-            fn combine(&self, _k: &String, vs: Vec<u64>) -> Vec<u64> {
-                vec![vs.into_iter().sum()]
+            fn merge(&self, acc: &mut u64, v: u64) {
+                *acc += v;
             }
         }
 
         let (mut plain, m_plain) = wordcount_job(JobConfig::uniform(1)).run(wordcount_input());
         let (mut combined, m_combined) = wordcount_job(JobConfig::uniform(1))
-            .combiner(SumCombiner)
+            .combiner(Sum)
             .run(wordcount_input());
         plain.sort();
         combined.sort();

@@ -2,12 +2,15 @@
 //!
 //! The LSH-DDP paper runs on Hadoop 1.2.1; this crate is the substrate that
 //! replaces it. It is a *real* MapReduce implementation — user-defined
-//! [`Mapper`]s and [`Reducer`]s, an optional [`Combiner`], Hadoop's hash
+//! [`Mapper`]s and [`Reducer`]s, an optional combiner, Hadoop's hash
 //! [`partition`], multi-threaded map and reduce task execution, and a
 //! grouping shuffle — shrunk onto one machine's thread pool. There is one
 //! way to write a stage: a [`Stage`] of one mapper, an optional combiner
 //! and one reducer, chained into a [`Plan`]; faults come from one
-//! [`ChaosPlan`].
+//! [`ChaosPlan`]. A combiner is a [`Merge`], one rule for how two values of
+//! a key combine, and an aggregate job is [`Stage::aggregate`]`(name,
+//! merge)`: the identity map, the merge as combiner, and a reducer that
+//! folds with the same merge.
 //!
 //! Two properties matter for reproducing the paper's evaluation:
 //!
@@ -80,8 +83,8 @@ pub use driver::{Driver, MemoryGovernor};
 pub use fault::{AttemptOutcome, ChaosPlan, Phase, TaskWastage};
 pub use io_shim::{FaultFile, FaultFs, IoFaultPlan};
 pub use job::{partition, JobBuilder, JobConfig};
-pub use plan::{plan, IdentityMap, Plan, PlanBuilder, Snapshot, Stage};
+pub use plan::{plan, Plan, PlanBuilder, Snapshot, Stage};
 pub use record::{checksum64, frame_checksum64, ShuffleSize};
 pub use spill::{scan_frames, SegmentWriter, SpillDir, SpillSegment, SpilledRows};
-pub use task::{Combiner, Emitter, FnMapper, FnReducer, Mapper, Reducer};
+pub use task::{Emitter, FnMapper, FnReducer, Mapper, Merge, Reducer};
 pub use wire::{decode, decode_framed, encode, encode_framed, Wire, WireError};

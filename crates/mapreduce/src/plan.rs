@@ -46,7 +46,7 @@ use crate::driver::{Driver, MemoryGovernor};
 use crate::job::{ChaosCtx, JobConfig, ReduceBucket, SpillCtx};
 use crate::record::ShuffleSize;
 use crate::spill::{Rows, SpilledRows};
-use crate::task::{Combiner, Emitter, Mapper, MrKey, MrValue, Reducer};
+use crate::task::{Emitter, Mapper, Merge, MrKey, MrValue, Reducer};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -115,22 +115,8 @@ impl<K, V> Snapshot<K, V> {
     }
 }
 
-/// The no-op mapper of a reducer-only stage ([`Stage::reduce_only`]) —
-/// the "aggregate" jobs of the DDP pipelines.
+/// The no-op mapper of an aggregate stage ([`Stage::aggregate`]).
 pub struct IdentityMap<K, V>(PhantomData<fn() -> (K, V)>);
-
-impl<K, V> IdentityMap<K, V> {
-    /// A fresh identity mapper.
-    pub fn new() -> Self {
-        IdentityMap(PhantomData)
-    }
-}
-
-impl<K, V> Default for IdentityMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 impl<K: MrKey, V: MrValue> Mapper for IdentityMap<K, V> {
     type InKey = K;
@@ -140,6 +126,21 @@ impl<K: MrKey, V: MrValue> Mapper for IdentityMap<K, V> {
 
     fn map(&self, key: K, value: V, out: &mut Emitter<K, V>) {
         out.emit(key, value);
+    }
+}
+
+/// The reducer of an aggregate stage ([`Stage::aggregate`]): folds each
+/// key's values with the stage's [`Merge`] and emits one record per key.
+pub struct MergeReduce<K, G>(G, PhantomData<fn() -> K>);
+
+impl<K: MrKey, G: Merge> Reducer for MergeReduce<K, G> {
+    type InKey = K;
+    type InValue = G::Value;
+    type OutKey = K;
+    type OutValue = G::Value;
+
+    fn reduce(&self, key: &K, values: Vec<G::Value>, out: &mut Emitter<K, G::Value>) {
+        out.emit(key.clone(), self.0.fold(values));
     }
 }
 
@@ -155,8 +156,7 @@ where
     pub(crate) name: String,
     pub(crate) mapper: M,
     pub(crate) reducer: R,
-    pub(crate) combiner:
-        Option<Box<dyn Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync>>,
+    pub(crate) combiner: Option<Box<dyn Merge<Value = M::OutValue> + Send + Sync>>,
     pub(crate) config: JobConfig,
     contract: Option<String>,
     finalize: Option<FinalizeHook>,
@@ -181,11 +181,12 @@ where
         }
     }
 
-    /// Installs a map-side combiner. The engine runs combiners inside the
-    /// map tasks, so map → combine is one sweep per task.
+    /// Installs a map-side combiner: each map task folds its output's
+    /// values per key with `combiner` before the shuffle, so map → combine
+    /// is one sweep per task. The reducer must agree with the merge.
     pub fn combiner<C>(mut self, combiner: C) -> Self
     where
-        C: Combiner<Key = M::OutKey, Value = M::OutValue> + Send + Sync + 'static,
+        C: Merge<Value = M::OutValue> + Send + 'static,
     {
         self.combiner = Some(Box::new(combiner));
         self
@@ -257,10 +258,18 @@ where
     }
 }
 
-impl<R: Reducer> Stage<IdentityMap<R::InKey, R::InValue>, R> {
-    /// A reducer-only stage named `name`.
-    pub fn reduce_only(name: impl Into<String>, reducer: R) -> Self {
-        Stage::new(name, IdentityMap::new(), reducer)
+impl<K: MrKey, G: Merge + Clone + Send + 'static>
+    Stage<IdentityMap<K, G::Value>, MergeReduce<K, G>>
+{
+    /// An aggregate stage named `name`: the identity map, `merge` as the
+    /// combiner, and a reducer that folds each key's values with `merge`.
+    pub fn aggregate(name: impl Into<String>, merge: G) -> Self {
+        Stage::new(
+            name,
+            IdentityMap(PhantomData),
+            MergeReduce(merge.clone(), PhantomData),
+        )
+        .combiner(merge)
     }
 }
 

@@ -1,12 +1,13 @@
-//! User-defined task traits: [`Mapper`], [`Reducer`], [`Combiner`], and the
-//! [`Emitter`] they write intermediate records through.
+//! User-defined task traits: [`Mapper`], [`Reducer`], [`Merge`] (the
+//! combine rule of a combiner or an aggregate stage), and the [`Emitter`]
+//! they write intermediate records through.
 
 use crate::record::ShuffleSize;
 use crate::wire::Wire;
 use std::hash::Hash;
 
 /// Marker bounds for intermediate keys: hashable (partitioning), ordered
-/// (deterministic grouping), cloneable (combiner re-emission), sized
+/// (deterministic grouping), cloneable (an aggregate re-emits its key), sized
 /// (shuffle accounting), wire-encodable (the disk spill tier serializes
 /// intermediates with the [`Wire`] codec) and sendable across task
 /// threads.
@@ -19,7 +20,7 @@ impl<T: Hash + Eq + Ord + Clone + Send + Sync + ShuffleSize + Wire> MrKey for T 
 pub trait MrValue: Send + Sync + ShuffleSize + Wire {}
 impl<T: Send + Sync + ShuffleSize + Wire> MrValue for T {}
 
-/// Collects records emitted by a map, combine or reduce invocation.
+/// Collects records emitted by a map or reduce invocation.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     records: Vec<(K, V)>,
@@ -110,18 +111,37 @@ pub trait Reducer: Sync {
     );
 }
 
-/// An optional map-side pre-aggregation, applied per map task before the
-/// shuffle — Hadoop's combiner. It must be algebraically compatible with
-/// the reducer (e.g. partial sums for a summing reducer).
-pub trait Combiner: Sync {
-    /// Intermediate key type.
-    type Key: MrKey;
-    /// Intermediate value type.
+/// How two values of one key combine — the algebra of a map-side combiner
+/// ([`Stage::combiner`]) and of an aggregate job ([`Stage::aggregate`]).
+///
+/// The engine folds each key's values left to right in emission order,
+/// starting from the first: it never folds an empty group, so a merge
+/// needs no identity. A merge that is associative and commutative bit for
+/// bit gives the same answer for every map split and reduce task count;
+/// one that is not (an f64 sum) is still deterministic, because the fold
+/// order is fixed, but its bits follow the split.
+///
+/// [`Stage::combiner`]: crate::plan::Stage::combiner
+/// [`Stage::aggregate`]: crate::plan::Stage::aggregate
+pub trait Merge: Sync {
+    /// The merged value type.
     type Value: MrValue;
 
-    /// Combines one key's values produced by a single map task into fewer
-    /// values.
-    fn combine(&self, key: &Self::Key, values: Vec<Self::Value>) -> Vec<Self::Value>;
+    /// Folds `v` into `acc`.
+    fn merge(&self, acc: &mut Self::Value, v: Self::Value);
+
+    /// Folds `values` left to right, starting from the first.
+    ///
+    /// # Panics
+    /// Panics if `values` is empty.
+    fn fold(&self, values: Vec<Self::Value>) -> Self::Value {
+        let mut values = values.into_iter();
+        let mut acc = values.next().expect("a fold needs at least one value");
+        for v in values {
+            self.merge(&mut acc, v);
+        }
+        acc
+    }
 }
 
 /// Adapts a closure into a [`Mapper`] for quick jobs and tests.

@@ -3,7 +3,7 @@
 //! interpretation of MapReduce semantics produces.
 
 use mapreduce::task::{FnMapper, FnReducer};
-use mapreduce::{Combiner, Emitter, JobBuilder, JobConfig};
+use mapreduce::{Emitter, JobBuilder, JobConfig, Merge};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -32,12 +32,11 @@ fn run_sum(
     reduce_tasks: usize,
     with_combiner: bool,
 ) -> BTreeMap<u32, u64> {
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = u32;
+    struct Sum;
+    impl Merge for Sum {
         type Value = u64;
-        fn combine(&self, _k: &u32, vs: Vec<u64>) -> Vec<u64> {
-            vec![vs.into_iter().sum()]
+        fn merge(&self, acc: &mut u64, v: u64) {
+            *acc += v;
         }
     }
     let m = FnMapper::new(move |k: u32, v: u32, out: &mut Emitter<u32, u64>| {
@@ -51,11 +50,7 @@ fn run_sum(
         reduce_tasks,
         chaos: None,
     });
-    let b = if with_combiner {
-        b.combiner(SumCombiner)
-    } else {
-        b
-    };
+    let b = if with_combiner { b.combiner(Sum) } else { b };
     let (out, _) = b.run(input);
     out.into_iter().collect()
 }

@@ -138,6 +138,10 @@ impl QueryEngine {
 
     /// Assigns one query point to a cluster.
     ///
+    /// A query with a NaN or infinite coordinate skips the buckets and the
+    /// index under every policy: the nearest-center fallback answers it,
+    /// with `fallback: true`, `rho_estimate: 0` and `confidence: 0.0`.
+    ///
     /// # Panics
     /// Panics if the query's dimensionality does not match the model.
     pub fn assign(&self, query: &[f64]) -> Assignment {
@@ -152,7 +156,8 @@ impl QueryEngine {
     /// The per-query bucket probes run sequentially, but every query that
     /// needs the exact nearest-center fallback is deferred and resolved
     /// with a single [`nearest_in_block`] sweep — the batched distance
-    /// kernel the server's micro-batches exist to feed.
+    /// kernel the server's micro-batches exist to feed. Non-finite queries
+    /// get the fallback answer [`QueryEngine::assign`] describes.
     ///
     /// # Panics
     /// Panics if the block length is not a multiple of the model dimension.
@@ -168,7 +173,8 @@ impl QueryEngine {
         let mut deferred: Vec<usize> = Vec::new(); // indices needing the center sweep
         let mut deferred_block: Vec<f64> = Vec::new();
         for (qi, q) in queries.chunks_exact(dim).enumerate() {
-            match self.probe(q) {
+            let finite = q.iter().all(|x| x.is_finite());
+            match finite.then(|| self.probe(q)).flatten() {
                 Some(a) => out.push(Some(a)),
                 None => {
                     out.push(None);
@@ -382,9 +388,14 @@ impl QueryEngine {
     }
 }
 
-/// Smooth proximity score in `(0, 1]`: 1 at distance 0, 0.5 at `d_c`.
+/// Smooth proximity score in `(0, 1]`: 1 at distance 0, 0.5 at `d_c`;
+/// 0 at an infinite or NaN distance (a non-finite query).
 fn proximity(dc: f64, d: f64) -> f64 {
-    dc / (dc + d)
+    if d.is_nan() {
+        0.0
+    } else {
+        dc / (dc + d)
+    }
 }
 
 #[cfg(test)]
@@ -657,7 +668,8 @@ mod tests {
                         let want = sorted_union_probe(&engine, &q);
                         let got = engine.probe(&q);
                         prop_assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{:?} at {:?}", exactness, q);
-                        prop_assert_eq!(engine.assign(&q).fallback, want.is_none());
+                        let finite = q.iter().all(|x| x.is_finite());
+                        prop_assert_eq!(engine.assign(&q).fallback, want.is_none() || !finite);
                     }
                 }
             }

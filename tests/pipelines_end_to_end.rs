@@ -102,34 +102,55 @@ fn lsh_ddp_accuracy_improves_with_target() {
     );
 }
 
+/// The task-count half of the merge contract: every aggregate job folds
+/// with an associative, commutative merge, so no pipeline's rho, delta or
+/// upslope bits depend on how the map input is split or how many reduce
+/// tasks there are. Only the shuffle volume moves with the split.
 #[test]
 fn pipelines_are_deterministic_across_runs_and_task_counts() {
     let ld = grid_workload(20, 7);
     let ds = &ld.data;
     let dc = 1.0;
-    let mut configs = Vec::new();
-    for tasks in [1usize, 3, 8] {
-        let lsh = LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
-            params: lsh::LshParams::for_accuracy(0.95, 8, 3, dc).expect("valid"),
-            seed: 9,
-            pipeline: ddp::common::PipelineConfig {
-                map_tasks: tasks,
-                reduce_tasks: tasks,
-                fault_stage: None,
-                chaos: None,
-                disable_elision: false,
-                checkpoints: false,
-                mem_budget: None,
-            },
-            partition_cap: None,
-            rho_aggregation: Default::default(),
-        });
-        configs.push(lsh.run(ds, dc).result);
+    let run = |algorithm: &str, map_tasks: usize, reduce_tasks: usize| {
+        let pipeline = ddp::common::PipelineConfig {
+            map_tasks,
+            reduce_tasks,
+            ..Default::default()
+        };
+        let r = match algorithm {
+            "basic" => BasicDdp::new(BasicConfig {
+                block_size: 60,
+                pipeline,
+            })
+            .run(ds, dc),
+            "eddpc" => Eddpc::new(EddpcConfig {
+                n_pivots: 9,
+                seed: 5,
+                pipeline,
+            })
+            .run(ds, dc),
+            _ => LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
+                params: lsh::LshParams::for_accuracy(0.95, 8, 3, dc).expect("valid"),
+                seed: 9,
+                pipeline,
+                partition_cap: None,
+                rho_aggregation: Default::default(),
+            })
+            .run(ds, dc),
+        }
+        .result;
+        let delta: Vec<u64> = r.delta.iter().map(|d| d.to_bits()).collect();
+        (r.rho, delta, r.upslope)
+    };
+    for algorithm in ["basic", "eddpc", "lsh"] {
+        let reference = run(algorithm, 1, 1);
+        for (m, r) in [(1, 1), (4, 4), (7, 3), (2, 9)] {
+            assert!(
+                run(algorithm, m, r) == reference,
+                "{algorithm}: ({m} map, {r} reduce) tasks differ from (1, 1)"
+            );
+        }
     }
-    assert_eq!(configs[0].rho, configs[1].rho, "1 vs 3 tasks");
-    assert_eq!(configs[0].rho, configs[2].rho, "1 vs 8 tasks");
-    assert_eq!(configs[0].upslope, configs[1].upslope);
-    assert_eq!(configs[0].upslope, configs[2].upslope);
 }
 
 #[test]

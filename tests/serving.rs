@@ -56,6 +56,22 @@ fn out_of_distribution_points_degrade_to_the_exact_fallback() {
     for id in (0..m.len() as u32).step_by(9) {
         assert!(!engine.assign(m.point(id)).fallback);
     }
+
+    // A NaN or infinite coordinate skips the probe and the index under
+    // every policy: the fallback answers with zero confidence and density.
+    let exact = QueryEngine::with_exactness(m.clone(), Exactness::Exact);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut q = m.point(0).to_vec();
+        q[0] = bad;
+        let hybrid = engine.assign(&q);
+        for a in [&hybrid, &exact.assign(&q)] {
+            assert!(a.fallback, "{bad} must fall back");
+            assert_eq!(a.rho_estimate, 0);
+            assert_eq!(a.confidence.to_bits(), 0.0f64.to_bits(), "{bad}");
+            assert_eq!(a.cluster, hybrid.cluster, "{bad}: one answer per query");
+            assert!((a.cluster as usize) < m.n_clusters());
+        }
+    }
 }
 
 #[test]
