@@ -24,12 +24,12 @@ pub struct PipelineConfig {
     pub map_tasks: usize,
     /// Reduce tasks per job (0 = one per hardware thread).
     pub reduce_tasks: usize,
-    /// Optional chaos injection (crashes + stragglers + corruption +
-    /// partition loss) applied to every job of the pipeline — end-to-end
-    /// fault-tolerance testing: retried attempts are invisible in results
-    /// and counted in [`mapreduce::JobMetrics::task_retries`].
+    /// Optional fault plan whose compute classes (crashes + stragglers)
+    /// apply to every job of the pipeline — end-to-end fault-tolerance
+    /// testing: retried attempts are invisible in results and counted in
+    /// [`mapreduce::JobMetrics::task_retries`].
     #[serde(default)]
-    pub chaos: Option<mapreduce::ChaosPlan>,
+    pub chaos: Option<mapreduce::FaultPlan>,
     /// Restricts [`Self::chaos`] to the single named stage (see
     /// [`Self::job_config_for`]). The failure schedule is a pure
     /// function of `(seed, phase, task, attempt)` with no job identity,

@@ -46,14 +46,6 @@ use std::time::Instant;
 /// groups)".
 const LSH_LAYOUT_CONTRACT: &str = "lsh/layout";
 
-/// Chaos scope of the LSH layouts under
-/// [`mapreduce::ChaosPlan::loses_partition`]: losing "partition `m`" of
-/// this scope means every partition of layout `m` is permanently gone (the
-/// node holding that layout's buckets died and its replicas with it). The
-/// pipeline degrades gracefully: it aggregates over the surviving layouts
-/// and reports the expected-accuracy impact instead of failing.
-const LAYOUT_LOSS_SCOPE: u64 = 0x6c73_685f_6c61_796f; // "lsh_layo"
-
 /// LSH-DDP configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LshDdpConfig {
@@ -187,14 +179,10 @@ impl Wire for PartitionKey {
     }
 }
 
-/// Mapper of jobs 1 and 3: emit each point under
-/// all `M` layouts — minus the permanently lost ones (`lost[m]`), which
-/// both jobs skip identically, so the co-partitioning contract stays
-/// valid under loss. The `M` records share the point's one coordinate
-/// row.
-pub(crate) struct LshPartitionMapper {
-    pub(crate) multi: Arc<MultiLsh>,
-    pub(crate) lost: Arc<Vec<bool>>,
+/// Mapper of jobs 1 and 3: emit each point under all `M` layouts. The
+/// `M` records share the point's one coordinate row.
+struct LshPartitionMapper {
+    multi: Arc<MultiLsh>,
 }
 
 impl Mapper for LshPartitionMapper {
@@ -205,9 +193,6 @@ impl Mapper for LshPartitionMapper {
 
     fn map(&self, id: PointId, coords: Arc<[f64]>, out: &mut Emitter<PartitionKey, PointRecord>) {
         for (m, group) in self.multi.groups().iter().enumerate() {
-            if self.lost.get(m).copied().unwrap_or(false) {
-                continue;
-            }
             let sig = group.functions().iter().map(|h| h.hash(&coords));
             out.emit(PartitionKey::new(m as u16, sig), (id, coords.clone()));
         }
@@ -311,9 +296,9 @@ impl LshDdp {
         &self.config
     }
 
-    /// Replaces the engine/pipeline configuration (parallelism, chaos
-    /// injection, checkpointing) — the hook the CLI's chaos flags use on
-    /// top of [`Self::with_accuracy`].
+    /// Replaces the engine/pipeline configuration (parallelism, fault
+    /// injection, checkpointing, memory budget) — the hook the CLI's
+    /// `--faults` and `--mem-budget` use on top of [`Self::with_accuracy`].
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.config.pipeline = pipeline;
         self
@@ -406,26 +391,6 @@ impl LshDdp {
         )
     }
 
-    /// Which layouts the pipeline's chaos plan declares permanently lost.
-    ///
-    /// # Panics
-    /// Panics when *every* layout is lost — with no surviving layout there
-    /// is nothing to aggregate and no principled degraded answer.
-    fn lost_layouts(&self) -> Arc<Vec<bool>> {
-        let m = self.config.params.m;
-        let lost: Vec<bool> = match self.config.pipeline.chaos {
-            Some(c) => (0..m)
-                .map(|i| c.loses_partition(LAYOUT_LOSS_SCOPE, i))
-                .collect(),
-            None => vec![false; m],
-        };
-        assert!(
-            lost.iter().any(|l| !l),
-            "all {m} LSH layouts permanently lost; no surviving layout to aggregate over"
-        );
-        Arc::new(lost)
-    }
-
     fn run_tracked(
         &self,
         dim: usize,
@@ -441,8 +406,6 @@ impl LshDdp {
         let n = snap.len();
         let multi = Arc::new(MultiLsh::new(dim, &self.config.params, self.config.seed));
         let cap = self.config.partition_cap.unwrap_or(usize::MAX).max(2);
-        let lost = self.lost_layouts();
-        let layouts_lost = lost.iter().filter(|&&l| l).count();
         let dist_snapshot = |t: &DistanceTracker| {
             let t = t.clone();
             move |m: &mut JobMetrics| {
@@ -457,7 +420,6 @@ impl LshDdp {
             "lsh/rho-local",
             LshPartitionMapper {
                 multi: multi.clone(),
-                lost: lost.clone(),
             },
             LocalRhoReducer {
                 dc,
@@ -497,10 +459,7 @@ impl LshDdp {
             .stage(
                 Stage::new(
                     "lsh/delta-local",
-                    LshPartitionMapper {
-                        multi,
-                        lost: lost.clone(),
-                    },
+                    LshPartitionMapper { multi },
                     LocalDeltaReducer {
                         dc,
                         rho: rho.clone(),
@@ -531,32 +490,9 @@ impl LshDdp {
         }
 
         let rho = Arc::try_unwrap(rho).unwrap_or_else(|arc| (*arc).clone());
-        let mut jobs = driver.into_history();
-        if layouts_lost > 0 {
-            // Graceful degradation bookkeeping: aggregate over the
-            // surviving layouts (already done — the mappers skipped the
-            // lost ones) and report the expected Theorem-1 accuracy hit
-            // instead of failing the run.
-            let m_total = self.config.params.m;
-            let per_layout =
-                lsh::prob::expected_accuracy(self.config.params.w, dc, self.config.params.pi, 1);
-            let degraded =
-                dp_core::quality::ensemble_degradation(per_layout, m_total, layouts_lost);
-            if let Some(last) = jobs.last_mut() {
-                last.user.insert("layouts_lost".into(), layouts_lost as u64);
-                last.user.insert("layouts_total".into(), m_total as u64);
-                last.user.insert(
-                    "accuracy_delta_per_mille".into(),
-                    degraded.delta_per_mille(),
-                );
-            }
-            obsv::global()
-                .counter("layouts_lost")
-                .inc(layouts_lost as u64);
-        }
         RunReport {
             algorithm: "lsh-ddp".into(),
-            jobs,
+            jobs: driver.into_history(),
             distances: tracker.total(),
             wall: start.elapsed(),
             result: DpResult {
@@ -757,55 +693,6 @@ mod tests {
         assert_eq!(p.config().params.pi, 4);
         assert!((p.config().params.accuracy(0.3) - 0.95).abs() < 1e-9);
         assert!(LshDdp::with_accuracy(1.5, 10, 3, 0.3, 1).is_err());
-    }
-
-    #[test]
-    fn layout_loss_degrades_gracefully() {
-        let ds = blobs(40, 6);
-        let dc = 0.5;
-        let mut cfg = accurate_config(dc);
-        cfg.pipeline.chaos = Some(mapreduce::ChaosPlan::new(0, 99).with_partition_loss(300));
-        let chaos = cfg.pipeline.chaos.unwrap();
-        let lost = (0..cfg.params.m)
-            .filter(|&i| chaos.loses_partition(LAYOUT_LOSS_SCOPE, i))
-            .count();
-        assert!(
-            lost > 0 && lost < cfg.params.m,
-            "test seed must lose some but not all layouts, lost {lost}"
-        );
-
-        let report = LshDdp::new(cfg.clone()).run(&ds, dc);
-
-        // The run completed and reported the degradation instead of failing.
-        let last = report.jobs.last().unwrap();
-        assert_eq!(last.user["layouts_lost"], lost as u64);
-        assert_eq!(last.user["layouts_total"], cfg.params.m as u64);
-        assert!(last.user["accuracy_delta_per_mille"] > 0);
-        // Only surviving layouts' copies were shuffled.
-        assert_eq!(
-            report.jobs[0].map_output_records,
-            ds.len() as u64 * (cfg.params.m - lost) as u64
-        );
-        // Degraded estimates are still undercounts, never inventions.
-        let exact = compute_exact(&ds, dc);
-        for (a, e) in report.result.rho.iter().zip(exact.rho.iter()) {
-            assert!(a <= e, "degraded rho must still undercount: {a} > {e}");
-        }
-        assert!(report.result.rho.iter().any(|&r| r > 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "layouts permanently lost")]
-    fn losing_every_layout_is_fatal() {
-        let ds = blobs(10, 6);
-        let dc = 0.5;
-        let mut cfg = accurate_config(dc);
-        // Loss rate 999/1000: with 10 layouts the odds any survives are
-        // negligible for this fixed seed (verified by the schedule).
-        cfg.pipeline.chaos = Some(mapreduce::ChaosPlan::new(0, 5).with_partition_loss(999));
-        let chaos = cfg.pipeline.chaos.unwrap();
-        assert!((0..cfg.params.m).all(|i| chaos.loses_partition(LAYOUT_LOSS_SCOPE, i)));
-        let _ = LshDdp::new(cfg).run(&ds, dc);
     }
 
     #[test]

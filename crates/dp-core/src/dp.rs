@@ -125,7 +125,8 @@ pub fn compute_exact(ds: &Dataset, dc: f64) -> DpResult {
 
 /// Computes exact DP, recording every distance evaluation in `tracker`:
 /// the whole data set is one [`Partition`], so the kernels and routing
-/// rule every distributed pipeline runs per partition answer it here.
+/// rule every distributed pipeline runs per partition answer it here. The
+/// two phases run under one `dp/rho` and one `dp/delta` span.
 pub fn compute_exact_tracked(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
     assert!(!ds.is_empty(), "cannot run DP on an empty dataset");
     assert!(
@@ -133,9 +134,9 @@ pub fn compute_exact_tracked(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -
         "d_c must be positive and finite, got {dc}"
     );
     let part = Partition::new(ds.as_flat(), ds.dim(), dc);
-    let (rho, evals) = part.rho();
+    let (rho, evals) = obsv::span!("dp", "rho" => { part.rho() });
     tracker.add(evals);
-    let (delta, upslope) = delta_by_keys(&part, &rho, tracker);
+    let (delta, upslope) = obsv::span!("dp", "delta" => { delta_by_keys(&part, &rho, tracker) });
     DpResult {
         dc,
         rho,

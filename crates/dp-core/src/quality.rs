@@ -196,85 +196,9 @@ pub fn tau2(exact_rho: &[u32], approx_rho: &[u32]) -> f64 {
     1.0 - err / exact_rho.len() as f64
 }
 
-/// Expected-accuracy impact of permanently losing part of an approximation
-/// ensemble — e.g. LSH layouts whose partitions a dead node can no longer
-/// serve. Produced by [`ensemble_degradation`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationReport {
-    /// Units permanently lost.
-    pub units_lost: usize,
-    /// Ensemble size before the loss.
-    pub units_total: usize,
-    /// Expected accuracy with the full ensemble.
-    pub accuracy_before: f64,
-    /// Expected accuracy over the surviving units.
-    pub accuracy_after: f64,
-}
-
-impl DegradationReport {
-    /// Absolute expected-accuracy loss.
-    pub fn accuracy_delta(&self) -> f64 {
-        (self.accuracy_before - self.accuracy_after).max(0.0)
-    }
-
-    /// The delta rounded to integer per-mille — the shape job counters
-    /// carry.
-    pub fn delta_per_mille(&self) -> u64 {
-        (self.accuracy_delta() * 1000.0).round() as u64
-    }
-}
-
-/// Degradation of an ensemble of `total` independent units with per-unit
-/// hit probability `per_unit` when `lost` of them are permanently gone.
-///
-/// An ensemble of `k` such units recovers a quantity with probability
-/// `1 - (1 - per_unit)^k` (the shape of the paper's Theorem 1); losing
-/// units shrinks `k`. The caller decides what to do when *everything* is
-/// lost — here `accuracy_after` simply reaches 0.
-///
-/// # Panics
-/// Panics when `total` is zero, `lost > total`, or `per_unit` is outside
-/// `[0, 1]`.
-pub fn ensemble_degradation(per_unit: f64, total: usize, lost: usize) -> DegradationReport {
-    assert!(total > 0, "ensemble must have at least one unit");
-    assert!(lost <= total, "cannot lose {lost} of {total} units");
-    assert!(
-        (0.0..=1.0).contains(&per_unit),
-        "per-unit accuracy must be a probability, got {per_unit}"
-    );
-    let acc = |k: usize| 1.0 - (1.0 - per_unit).powi(k as i32);
-    DegradationReport {
-        units_lost: lost,
-        units_total: total,
-        accuracy_before: acc(total),
-        accuracy_after: acc(total - lost),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn degradation_report_shapes() {
-        let r = ensemble_degradation(0.5, 4, 1);
-        assert_eq!((r.units_lost, r.units_total), (1, 4));
-        assert!((r.accuracy_before - (1.0 - 0.5f64.powi(4))).abs() < 1e-12);
-        assert!((r.accuracy_after - (1.0 - 0.5f64.powi(3))).abs() < 1e-12);
-        assert!((r.accuracy_delta() - 0.0625).abs() < 1e-12);
-        assert_eq!(r.delta_per_mille(), 63);
-
-        // Losing nothing costs nothing; losing everything costs it all.
-        assert_eq!(ensemble_degradation(0.9, 5, 0).accuracy_delta(), 0.0);
-        let all = ensemble_degradation(0.9, 5, 5);
-        assert_eq!(all.accuracy_after, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot lose")]
-    fn degradation_rejects_overloss() {
-        ensemble_degradation(0.5, 3, 4);
-    }
 
     #[test]
     fn ari_identical_partitions() {

@@ -6,7 +6,7 @@
 //! artifact, retire the log — with every file operation routed through
 //! one [`FaultFs`] domain. The driver first runs the workflow under an
 //! armed-but-inert plan to *count* its I/O operations, then replays it
-//! once per operation with [`IoFaultPlan::crash_at`] pinned to that op
+//! once per operation with [`FaultPlan::crash_at`] pinned to that op
 //! (clean and torn flavors), simulating a power cut at every distinct
 //! point of the write path. After each cut, [`verify_attempt`] restarts
 //! on clean storage and checks the recovery invariants:
@@ -35,8 +35,9 @@ use crate::wal::Wal;
 use crate::{IngestConfig, IngestError, IngestSession};
 use ddp::prelude::{CentralizedStep, LshDdp, PeakSelection, PipelineConfig};
 use dp_core::Dataset;
-use mapreduce::io_shim::{FaultFs, IoFaultPlan};
+use mapreduce::io_shim::FaultFs;
 use mapreduce::wire;
+use mapreduce::FaultPlan;
 use serve::ClusterModel;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -452,7 +453,7 @@ pub fn enumerate_crash_points(root: &Path, base: &ClusterModel, max_runs: usize)
 
     // Counting pass: armed (so ops are counted) but the pinned op is
     // unreachable, so nothing fires.
-    let count_fs = FaultFs::with_plan(IoFaultPlan {
+    let count_fs = FaultFs::with_plan(FaultPlan {
         crash_at: Some(u64::MAX),
         ..Default::default()
     });
@@ -482,7 +483,7 @@ pub fn enumerate_crash_points(root: &Path, base: &ClusterModel, max_runs: usize)
         for &torn in flavors {
             let tag = if torn { "torn" } else { "clean" };
             let dir = fresh_dir(root, &format!("p{op}-{tag}"));
-            let fs = FaultFs::with_plan(IoFaultPlan {
+            let fs = FaultFs::with_plan(FaultPlan {
                 crash_at: Some(op as u64),
                 crash_torn: torn,
                 ..Default::default()
@@ -505,7 +506,7 @@ pub fn random_fault_drill(
 ) -> DrillReport {
     let mut report = DrillReport::default();
     for seed in seeds {
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             seed,
             eio_per_mille: 60,
             enospc_per_mille: 8,
@@ -533,7 +534,7 @@ pub fn checkpoint_resume_drill(base: &ClusterModel) -> Result<(), String> {
 
     // Doomed run: transient storage faults plus a compute-stage kill
     // scoped to the delta aggregate, so earlier stages checkpoint first.
-    let fs = FaultFs::with_plan(IoFaultPlan {
+    let fs = FaultFs::with_plan(FaultPlan {
         seed: 5,
         eio_per_mille: 120,
         ..Default::default()
@@ -545,9 +546,9 @@ pub fn checkpoint_resume_drill(base: &ClusterModel) -> Result<(), String> {
             .apply(ops.clone())
             .map_err(|e| format!("apply failed before the kill: {e}"))?;
     }
-    let doom = mapreduce::ChaosPlan {
+    let doom = mapreduce::FaultPlan {
         max_attempts: 0,
-        ..mapreduce::ChaosPlan::new(0, 7)
+        ..mapreduce::FaultPlan::new(0, 7)
     };
     session.config_mut().pipeline.chaos = Some(doom);
     session.config_mut().pipeline.fault_stage = Some("basic/delta-aggregate");
@@ -611,7 +612,7 @@ mod tests {
         let base = fit_base_model(&drill_dataset(20, 9), 9);
         let dir = root("early");
         // Op 7 lands inside the WAL append run of the first batches.
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             crash_at: Some(7),
             crash_torn: true,
             ..Default::default()

@@ -318,7 +318,8 @@ fn lifecycle_counters_are_metered() {
 mod storage_fault_mixes {
     use super::*;
     use ingest::Wal;
-    use mapreduce::io_shim::{FaultFs, IoFaultPlan};
+    use mapreduce::io_shim::FaultFs;
+    use mapreduce::FaultPlan;
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -341,14 +342,14 @@ mod storage_fault_mixes {
         #[test]
         fn wal_replays_exactly_the_acked_batches(
             seed in any::<u64>(),
-            eio in 0u16..250,
-            crash in 0u16..40,
-            torn in 0u16..40,
+            eio in 0u32..250,
+            crash in 0u32..40,
+            torn in 0u32..40,
             rounds in 1usize..8,
         ) {
             let model = shared_model();
             let path = wal_path(&format!("prop-{seed}-{eio}-{crash}-{torn}.wal"));
-            let fs = FaultFs::with_plan(IoFaultPlan {
+            let fs = FaultFs::with_plan(FaultPlan {
                 seed,
                 eio_per_mille: eio,
                 crash_per_mille: crash,

@@ -76,14 +76,8 @@ pub struct JobMetrics {
     /// Records handled by the most loaded reduce task.
     pub max_reduce_task_records: u64,
     /// Task attempts wasted to injected crashes and retried
-    /// (see [`crate::fault::ChaosPlan`]); 0 without fault injection.
+    /// (see [`crate::fault::FaultPlan`]); 0 without fault injection.
     pub task_retries: u64,
-    /// Task attempts whose output failed checksum verification and were
-    /// retried (see [`crate::fault::ChaosPlan`]); 0 without chaos
-    /// injection. Counted separately from `task_retries` so corruption
-    /// and crash rates stay independently observable.
-    #[serde(default)]
-    pub corruption_retries: u64,
     /// Speculative task clones launched against stragglers.
     #[serde(default)]
     pub speculative_launched: u64,
@@ -178,7 +172,6 @@ impl JobMetrics {
             out.max_reduce_task_records =
                 out.max_reduce_task_records.max(j.max_reduce_task_records);
             out.task_retries += j.task_retries;
-            out.corruption_retries += j.corruption_retries;
             out.speculative_launched += j.speculative_launched;
             out.speculative_wins += j.speculative_wins;
             out.speculative_work_ns += j.speculative_work_ns;
@@ -277,7 +270,6 @@ mod tests {
                         | "map_task_times"
                         | "reduce_task_times"
                         | "shuffle_bytes_saved"
-                        | "corruption_retries"
                         | "speculative_launched"
                         | "speculative_wins"
                         | "speculative_work_ns"
@@ -294,7 +286,6 @@ mod tests {
         assert_eq!(loaded.name, "legacy");
         assert_eq!(loaded.shuffle_bytes, 123);
         assert_eq!(loaded.shuffle_bytes_saved, 0);
-        assert_eq!(loaded.corruption_retries, 0);
         assert_eq!(loaded.speculative_launched, 0);
         assert_eq!(loaded.checkpoint_bytes, 0);
         assert_eq!(loaded.peak_resident_bytes, 0);

@@ -4,9 +4,9 @@
 //! segments, governed checkpoint spills, and model artifacts — performs
 //! its file I/O through a [`FaultFs`] handle. With no fault plan armed
 //! the handle is a thin passthrough over `std::fs` (bit-identical
-//! output, one branch per op). With an [`IoFaultPlan`] armed, each
-//! operation consults a deterministic per-op schedule (the same
-//! splitmix64 per-mille style as [`crate::fault::ChaosPlan`]) that can:
+//! output, one branch per op). With a [`FaultPlan`] whose storage
+//! classes are armed, each operation consults a deterministic per-op
+//! schedule (the plan's seeded per-mille draws) that can:
 //!
 //! * return a **transient `EIO`** — absorbed by the shim's bounded
 //!   retry-with-backoff policy (`io.retries` counter), surfacing only
@@ -51,116 +51,46 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use crate::fault::FaultPlan;
+
 /// Attempts per op before a transient fault is surfaced to the caller.
 pub const MAX_ATTEMPTS: u32 = 4;
 
 const EIO: i32 = 5;
 const ENOSPC: i32 = 28;
 
-/// Deterministic per-op fault schedule (per-mille rates, mirroring
-/// [`crate::fault::ChaosPlan`]). All-zero = passthrough.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct IoFaultPlan {
-    /// Seed of every schedule below.
-    pub seed: u64,
-    /// Transient `EIO` rate per op *attempt* — hashed on `(op, attempt)`,
-    /// so a retry of the same op can succeed.
-    #[serde(default)]
-    pub eio_per_mille: u16,
-    /// Persistent `ENOSPC` rate per op — hashed on the op alone, so
-    /// retries cannot help (the disk stays full).
-    #[serde(default)]
-    pub enospc_per_mille: u16,
-    /// Clean power-cut rate per op: unsynced data is truncated away.
-    #[serde(default)]
-    pub crash_per_mille: u16,
-    /// Torn power-cut rate per op: half the in-flight write lands first.
-    #[serde(default)]
-    pub torn_per_mille: u16,
-    /// Pin a power cut to exactly this op index (the drill's crash-point
-    /// enumerator). Flavor chosen by [`Self::crash_torn`].
-    #[serde(default)]
-    pub crash_at: Option<u64>,
-    /// Whether [`Self::crash_at`] tears the in-flight write instead of
-    /// cutting cleanly.
-    #[serde(default)]
-    pub crash_torn: bool,
+/// Whether `plan` can ever inject a storage fault.
+fn storage_armed(plan: &FaultPlan) -> bool {
+    plan.eio_per_mille > 0
+        || plan.enospc_per_mille > 0
+        || plan.crash_per_mille > 0
+        || plan.torn_per_mille > 0
+        || plan.crash_at.is_some()
 }
 
-impl IoFaultPlan {
-    /// Whether this plan can ever inject anything.
-    pub fn armed(&self) -> bool {
-        self.eio_per_mille > 0
-            || self.enospc_per_mille > 0
-            || self.crash_per_mille > 0
-            || self.torn_per_mille > 0
-            || self.crash_at.is_some()
+/// The storage classes' verdict for one op attempt.
+fn verdict(plan: &FaultPlan, op: u64, attempt: u32, kind: OpKind) -> Verdict {
+    if plan.crash_at == Some(op) {
+        return Verdict::Crash {
+            torn: plan.crash_torn,
+        };
     }
-
-    fn roll(&self, salt: u64, op: u64, attempt: u64, rate: u16) -> bool {
-        rate > 0 && crate::fault::chaos_hash(self.seed ^ salt, op, attempt, 0) % 1000 < rate as u64
+    // "torn"/"cras"/"nosp"/"eio " ASCII salts: one schedule per class.
+    if plan.hits(plan.torn_per_mille, 0x746f_726e, op, 0, 0) {
+        return Verdict::Crash { torn: true };
     }
-
-    fn verdict(&self, op: u64, attempt: u32, kind: OpKind) -> Verdict {
-        if self.crash_at == Some(op) {
-            return Verdict::Crash {
-                torn: self.crash_torn,
-            };
-        }
-        // "torn"/"cras"/"nosp"/"eio " ASCII salts: one schedule per class.
-        if self.roll(0x746f_726e, op, 0, self.torn_per_mille) {
-            return Verdict::Crash { torn: true };
-        }
-        if self.roll(0x6372_6173, op, 0, self.crash_per_mille) {
-            return Verdict::Crash { torn: false };
-        }
-        // A full disk fails allocations — writes, creates, renames —
-        // never reads.
-        if kind == OpKind::Write && self.roll(0x6e6f_7370, op, 0, self.enospc_per_mille) {
-            return Verdict::Enospc;
-        }
-        if self.roll(0x6569_6f20, op, attempt as u64 + 1, self.eio_per_mille) {
-            return Verdict::Eio;
-        }
-        Verdict::Ok
+    if plan.hits(plan.crash_per_mille, 0x6372_6173, op, 0, 0) {
+        return Verdict::Crash { torn: false };
     }
-
-    /// Parses a `key=value` spec, e.g.
-    /// `seed=7,eio=200,enospc=5,crash=3,torn=3,crash-at=42,crash-torn`.
-    /// The four rates are per mille: a rate above 1000 is an error naming
-    /// its key.
-    pub fn parse(spec: &str) -> Result<IoFaultPlan, String> {
-        let mut plan = IoFaultPlan::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, val) = match part.split_once('=') {
-                Some((k, v)) => (k.trim(), Some(v.trim())),
-                None => (part.trim(), None),
-            };
-            let num = |v: Option<&str>| -> Result<u64, String> {
-                v.ok_or_else(|| format!("io fault plan: `{key}` needs a value"))?
-                    .parse::<u64>()
-                    .map_err(|_| format!("io fault plan: bad number in `{part}`"))
-            };
-            let rate = |v: Option<&str>| -> Result<u16, String> {
-                let n = num(v)?;
-                u16::try_from(n)
-                    .ok()
-                    .filter(|&r| r <= 1000)
-                    .ok_or_else(|| format!("io fault plan: `{key}` is per mille (0-1000), got {n}"))
-            };
-            match key {
-                "seed" => plan.seed = num(val)?,
-                "eio" => plan.eio_per_mille = rate(val)?,
-                "enospc" => plan.enospc_per_mille = rate(val)?,
-                "crash" => plan.crash_per_mille = rate(val)?,
-                "torn" => plan.torn_per_mille = rate(val)?,
-                "crash-at" => plan.crash_at = Some(num(val)?),
-                "crash-torn" => plan.crash_torn = true,
-                other => return Err(format!("io fault plan: unknown key `{other}`")),
-            }
-        }
-        Ok(plan)
+    // A full disk fails allocations — writes, creates, renames — never
+    // reads.
+    if kind == OpKind::Write && plan.hits(plan.enospc_per_mille, 0x6e6f_7370, op, 0, 0) {
+        return Verdict::Enospc;
     }
+    if plan.hits(plan.eio_per_mille, 0x6569_6f20, op, attempt as u64 + 1, 0) {
+        return Verdict::Eio;
+    }
+    Verdict::Ok
 }
 
 /// Whether an op allocates storage (subject to ENOSPC) or only reads.
@@ -216,7 +146,7 @@ pub fn is_enospc(e: &io::Error) -> bool {
 }
 
 struct FsState {
-    plan: Mutex<Option<IoFaultPlan>>,
+    plan: Mutex<Option<FaultPlan>>,
     /// Fast-path gate: false = pure passthrough.
     armed: AtomicBool,
     ops: AtomicU64,
@@ -238,24 +168,26 @@ pub struct FaultFs {
 impl Default for FaultFs {
     /// The process-global handle — so constructors that default their
     /// fs (`Wal::open`, `ClusterModel::save`, `Dfs`) pick up a plan
-    /// installed by [`install_global_plan`] (the CLI's
-    /// `--io-fault-plan`).
+    /// installed by [`install_global_plan`] (the CLI's `--faults`).
     fn default() -> Self {
         FaultFs::global().clone()
     }
 }
 
-/// Arms the process-global [`FaultFs`] with `plan`. Everything that
-/// defaulted its fs (WAL, spill tier, model saves) starts faulting.
-pub fn install_global_plan(plan: IoFaultPlan) {
+/// Arms the process-global [`FaultFs`] with `plan`'s storage classes.
+/// Everything that defaulted its fs (WAL, spill tier, model saves) starts
+/// faulting.
+pub fn install_global_plan(plan: FaultPlan) {
     let fs = FaultFs::global();
     *fs.inner.plan.lock() = Some(plan);
-    fs.inner.armed.store(plan.armed(), Ordering::Relaxed);
+    fs.inner
+        .armed
+        .store(storage_armed(&plan), Ordering::Relaxed);
 }
 
 impl FaultFs {
-    fn with_state(plan: Option<IoFaultPlan>) -> Self {
-        let armed = plan.map(|p| p.armed()).unwrap_or(false);
+    fn with_state(plan: Option<FaultPlan>) -> Self {
+        let armed = plan.is_some_and(|p| storage_armed(&p));
         FaultFs {
             inner: Arc::new(FsState {
                 plan: Mutex::new(plan),
@@ -274,8 +206,8 @@ impl FaultFs {
         FaultFs::with_state(None)
     }
 
-    /// A handle driven by `plan`.
-    pub fn with_plan(plan: IoFaultPlan) -> Self {
+    /// A handle driven by `plan`'s storage classes.
+    pub fn with_plan(plan: FaultPlan) -> Self {
         FaultFs::with_state(Some(plan))
     }
 
@@ -335,7 +267,7 @@ impl FaultFs {
         };
         let op = self.inner.ops.fetch_add(1, Ordering::Relaxed);
         for attempt in 0..MAX_ATTEMPTS {
-            match plan.verdict(op, attempt, kind) {
+            match verdict(&plan, op, attempt, kind) {
                 Verdict::Ok => return Gate::Proceed,
                 Verdict::Eio => {
                     self.note_injected();
@@ -616,7 +548,7 @@ mod tests {
         // eio=400: individual attempts fail often, but 4 attempts pass
         // with probability 1 - 0.4^4 ≈ 0.974 per op; over 50 ops some
         // retries certainly fire and most ops succeed.
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             seed: 11,
             eio_per_mille: 400,
             ..Default::default()
@@ -636,7 +568,7 @@ mod tests {
 
     #[test]
     fn enospc_is_not_retried() {
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             seed: 3,
             enospc_per_mille: 1000,
             ..Default::default()
@@ -654,7 +586,7 @@ mod tests {
         let path = tmp("crash.bin");
         // Ops: 0=create 1=write(a) 2=sync 3=write(b) 4=write(c); crash
         // at op 4 must keep "aaaa" (synced) and drop "bbbb" (unsynced).
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             seed: 0,
             crash_at: Some(4),
             ..Default::default()
@@ -676,7 +608,7 @@ mod tests {
     #[test]
     fn torn_crash_leaves_half_the_inflight_write() {
         let path = tmp("torn.bin");
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             seed: 0,
             crash_at: Some(2),
             crash_torn: true,
@@ -690,40 +622,70 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"bb");
     }
 
+    /// Only the storage classes arm the shim: a compute-only plan stays
+    /// a passthrough, so one plan can be handed to both sides.
     #[test]
-    fn plan_spec_round_trip() {
-        let plan = IoFaultPlan::parse("seed=7,eio=200,enospc=5,crash-at=42,crash-torn").unwrap();
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.eio_per_mille, 200);
-        assert_eq!(plan.enospc_per_mille, 5);
-        assert_eq!(plan.crash_at, Some(42));
-        assert!(plan.crash_torn);
-        assert!(plan.armed());
-        assert!(IoFaultPlan::parse("bogus=1").is_err());
-        assert!(!IoFaultPlan::parse("seed=9").unwrap().armed());
-        // Rates are per mille: 1000 is "always", anything above is an
-        // error naming the key, never a silent `u16` wrap (70000 → 4464).
-        assert_eq!(
-            IoFaultPlan::parse("torn=1000").unwrap().torn_per_mille,
-            1000
-        );
-        for (spec, key) in [
-            ("eio=70000", "`eio`"),
-            ("enospc=1001", "`enospc`"),
-            ("crash=65536", "`crash`"),
-            ("seed=1,torn=2000", "`torn`"),
-        ] {
-            let err = IoFaultPlan::parse(spec).unwrap_err();
-            assert!(
-                err.contains(key) && err.contains("per mille"),
-                "{spec}: {err}"
-            );
+    fn only_storage_classes_arm_the_shim() {
+        let compute = FaultPlan::parse("seed=7,fail=300,straggle=150").unwrap();
+        assert!(!storage_armed(&compute));
+        assert!(!FaultFs::with_plan(compute).armed());
+        for spec in ["eio=1", "enospc=1", "crash=1", "torn=1", "crash-at=0"] {
+            assert!(storage_armed(&FaultPlan::parse(spec).unwrap()), "{spec}");
         }
+    }
+
+    /// The EIO, mixed-class and `crash-at` schedules for fixed seeds are
+    /// pinned: a change to a salt, the hash or the draw moves every
+    /// recorded drill. Verdicts print as `.` (ok), `e` (EIO), `n`
+    /// (ENOSPC), `c` (clean cut) and `t` (torn cut).
+    #[test]
+    fn storage_schedules_are_pinned() {
+        let code = |v| match v {
+            Verdict::Ok => '.',
+            Verdict::Eio => 'e',
+            Verdict::Enospc => 'n',
+            Verdict::Crash { torn } => ['c', 't'][torn as usize],
+        };
+        let dense = |spec: &str, ops, attempt| -> String {
+            let plan = FaultPlan::parse(spec).unwrap();
+            (0..ops)
+                .map(|op| code(verdict(&plan, op, attempt, OpKind::Write)))
+                .collect()
+        };
+        let eio = "seed=11,eio=400";
+        assert_eq!(dense(eio, 24, 0), "eee.e.e..ee.eeee.e......");
+        assert_eq!(dense(eio, 24, 1), "..eeee.ee...e....ee.....");
+        assert_eq!(dense(eio, 24, 2), "..e.......ee.ee.ee.e.ee.");
+        assert_eq!(dense(eio, 24, 3), ".ee.......e.ee..e..e....");
+        assert_eq!(
+            dense("seed=5,eio=300,crash-at=6,crash-torn", 10, 0),
+            "e.ee..t.e."
+        );
+
+        let mix = FaultPlan::parse("seed=42,eio=100,enospc=50,crash=20,torn=20").unwrap();
+        let sparse = |kind| -> String {
+            let faults = (0..120).map(|op| (op, code(verdict(&mix, op, 0, kind))));
+            let faults: Vec<String> = faults
+                .filter(|&(_, c)| c != '.')
+                .map(|(op, c)| format!("{op}{c}"))
+                .collect();
+            faults.join(" ")
+        };
+        assert_eq!(
+            sparse(OpKind::Write),
+            "4e 6e 9e 16n 19n 24e 27e 30n 36n 38c 41e 46t 48e 60e 64c 72e 83n 85e 90n 92n \
+             95c 101e 113e 117e"
+        );
+        // Reads never see ENOSPC: op 30 falls through to its EIO draw.
+        assert_eq!(
+            sparse(OpKind::Read),
+            "4e 6e 9e 24e 27e 30e 38c 41e 46t 48e 60e 64c 72e 85e 95c 101e 113e 117e"
+        );
     }
 
     #[test]
     fn schedule_is_deterministic() {
-        let plan = IoFaultPlan {
+        let plan = FaultPlan {
             seed: 42,
             eio_per_mille: 100,
             enospc_per_mille: 10,
@@ -732,15 +694,15 @@ mod tests {
         };
         for op in 0..200 {
             assert_eq!(
-                plan.verdict(op, 0, OpKind::Write),
-                plan.verdict(op, 0, OpKind::Write)
+                verdict(&plan, op, 0, OpKind::Write),
+                verdict(&plan, op, 0, OpKind::Write)
             );
             assert_eq!(
-                plan.verdict(op, 0, OpKind::Read),
-                plan.verdict(op, 0, OpKind::Read)
+                verdict(&plan, op, 0, OpKind::Read),
+                verdict(&plan, op, 0, OpKind::Read)
             );
             assert_ne!(
-                plan.verdict(op, 0, OpKind::Read),
+                verdict(&plan, op, 0, OpKind::Read),
                 Verdict::Enospc,
                 "reads are never short on disk space"
             );

@@ -15,7 +15,7 @@
 
 use crate::counters::{JobMetrics, TaskTimes};
 use crate::driver::MemoryGovernor;
-use crate::fault::{ChaosPlan, Phase};
+use crate::fault::{FaultPlan, Phase};
 use crate::plan::Stage;
 use crate::record::ShuffleSize;
 use crate::spill::{spill_parts, Part, Rows};
@@ -37,17 +37,17 @@ pub fn partition<K: Hash>(key: &K, reducers: usize) -> usize {
     (h.finish() % reducers as u64) as usize
 }
 
-/// Degree-of-parallelism and chaos knobs for one job.
+/// Degree-of-parallelism and fault-injection knobs for one job.
 #[derive(Debug, Clone, Copy)]
 pub struct JobConfig {
     /// Number of map tasks the input is split into.
     pub map_tasks: usize,
     /// Number of reduce tasks (hash-partition buckets).
     pub reduce_tasks: usize,
-    /// Optional deterministic chaos injection: crash failures (retried
-    /// transparently), stragglers, checksum-detected corruption and
-    /// partition loss (see [`ChaosPlan`]).
-    pub chaos: Option<ChaosPlan>,
+    /// Optional deterministic fault injection: the plan's crash failures
+    /// (retried transparently) and stragglers (see [`FaultPlan`]); its
+    /// storage classes are the [`crate::io_shim::FaultFs`]'s business.
+    pub chaos: Option<FaultPlan>,
 }
 
 impl Default for JobConfig {
@@ -486,17 +486,16 @@ const SPECULATION_FACTOR: f64 = 2.0;
 /// counters, and the completed-task duration samples speculation
 /// thresholds are derived from.
 ///
-/// Attempt accounting follows [`ChaosPlan::task_wastage`]: tasks are
-/// deterministic, so wasted attempts (crashes *and* checksum-detected
-/// corruption) are charged to counters without re-running bodies, and a
-/// task that exhausts its attempt budget kills the job. Straggler delays
-/// are physically slept (capped by the plan) so recovery behavior is
-/// observable in wall-clock metrics; a speculative clone that wins the
-/// race against a straggler's injected delay cuts the sleep short.
+/// Attempt accounting follows [`FaultPlan::task_wastage`]: tasks are
+/// deterministic, so crashed attempts are charged to counters without
+/// re-running bodies, and a task that exhausts its attempt budget kills
+/// the job. Straggler delays are physically slept (capped by the plan) so
+/// recovery behavior is observable in wall-clock metrics; a speculative
+/// clone that wins the race against a straggler's injected delay cuts the
+/// sleep short.
 pub(crate) struct ChaosCtx {
-    plan: Option<ChaosPlan>,
+    plan: Option<FaultPlan>,
     task_retries: AtomicU64,
-    corruption_retries: AtomicU64,
     speculative_launched: AtomicU64,
     speculative_wins: AtomicU64,
     speculative_work_ns: AtomicU64,
@@ -507,11 +506,10 @@ pub(crate) struct ChaosCtx {
 }
 
 impl ChaosCtx {
-    pub(crate) fn new(plan: Option<ChaosPlan>) -> Self {
+    pub(crate) fn new(plan: Option<FaultPlan>) -> Self {
         ChaosCtx {
             plan,
             task_retries: AtomicU64::new(0),
-            corruption_retries: AtomicU64::new(0),
             speculative_launched: AtomicU64::new(0),
             speculative_wins: AtomicU64::new(0),
             speculative_work_ns: AtomicU64::new(0),
@@ -545,8 +543,8 @@ impl ChaosCtx {
 
     /// Runs one task body under the plan.
     ///
-    /// 1. Wasted attempts (crashes, checksum-detected corruption) are
-    ///    charged to the counters; exhausting the budget kills the job.
+    /// 1. Crashed attempts are charged to the counters; exhausting the
+    ///    budget kills the job.
     /// 2. If the task is a scheduled straggler, it owes an injected delay.
     ///    Once the phase has enough completed samples and the projected
     ///    runtime crosses the quantile threshold, a speculative clone is
@@ -559,15 +557,9 @@ impl ChaosCtx {
             return work();
         };
         match plan.task_wastage(phase, task) {
-            Some(w) => {
-                if w.failed > 0 {
-                    self.task_retries
-                        .fetch_add(w.failed as u64, Ordering::Relaxed);
-                }
-                if w.corrupt > 0 {
-                    self.corruption_retries
-                        .fetch_add(w.corrupt as u64, Ordering::Relaxed);
-                }
+            Some(failed) => {
+                self.task_retries
+                    .fetch_add(failed as u64, Ordering::Relaxed);
             }
             None => panic!(
                 "{phase:?} task {task} failed {} consecutive attempts; job killed \
@@ -627,14 +619,12 @@ impl ChaosCtx {
     /// `--stats` reports without plumbing metrics by hand.
     pub(crate) fn fill_metrics(&self, metrics: &mut JobMetrics) {
         metrics.task_retries = self.task_retries.load(Ordering::Relaxed);
-        metrics.corruption_retries = self.corruption_retries.load(Ordering::Relaxed);
         metrics.speculative_launched = self.speculative_launched.load(Ordering::Relaxed);
         metrics.speculative_wins = self.speculative_wins.load(Ordering::Relaxed);
         metrics.speculative_work_ns = self.speculative_work_ns.load(Ordering::Relaxed);
         metrics.straggler_delay_ns = self.straggler_delay_ns.load(Ordering::Relaxed);
         for (name, n) in [
             ("task_retries", metrics.task_retries),
-            ("corruption_retries", metrics.corruption_retries),
             ("speculative_launched", metrics.speculative_launched),
             ("speculative_wins", metrics.speculative_wins),
         ] {
@@ -697,7 +687,7 @@ mod tests {
         wordcount_job(config).run(input)
     }
 
-    fn chaos_config(map_tasks: usize, reduce_tasks: usize, chaos: ChaosPlan) -> JobConfig {
+    fn chaos_config(map_tasks: usize, reduce_tasks: usize, chaos: FaultPlan) -> JobConfig {
         JobConfig {
             map_tasks,
             reduce_tasks,
@@ -843,7 +833,7 @@ mod tests {
         // and output must be identical.
         let (mut faulty, m_faulty) = wordcount(
             wordcount_input(),
-            chaos_config(6, 6, ChaosPlan::new(300, 1234)),
+            chaos_config(6, 6, FaultPlan::new(300, 1234)),
         );
         clean.sort();
         faulty.sort();
@@ -859,9 +849,9 @@ mod tests {
     #[should_panic(expected = "job killed")]
     fn doomed_job_is_killed() {
         // One attempt only, 99.9% failure: some map task dies.
-        let plan = ChaosPlan {
+        let plan = FaultPlan {
             max_attempts: 1,
-            ..ChaosPlan::new(999, 8)
+            ..FaultPlan::new(999, 8)
         };
         let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| out.emit(k, v));
         let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
@@ -884,7 +874,7 @@ mod tests {
 
     #[test]
     fn chaos_injection_preserves_output_and_counts_events() {
-        let run = |chaos: Option<ChaosPlan>| {
+        let run = |chaos: Option<FaultPlan>| {
             let input: Vec<(u32, u32)> = (0..400).map(|i| (i, i)).collect();
             let m = FnMapper::new(|k: u32, v: u32, out: &mut Emitter<u32, u32>| {
                 out.emit(k % 32, v);
@@ -900,21 +890,15 @@ mod tests {
                 .run(input)
         };
         let (mut clean, m_clean) = run(None);
-        let chaos = ChaosPlan::new(100, 77)
-            .with_stragglers(400, 4.0, 2)
-            .with_corruption(150);
+        let chaos = FaultPlan::new(100, 77).with_stragglers(400, 4.0, 2);
         let (mut chaotic, m_chaotic) = run(Some(chaos));
         clean.sort();
         chaotic.sort();
         assert_eq!(clean, chaotic, "chaos recovery must be invisible in output");
-        assert_eq!(m_clean.task_retries + m_clean.corruption_retries, 0);
+        assert_eq!(m_clean.task_retries, 0);
         assert!(
             m_chaotic.task_retries > 0,
             "10% crash rate over 16 tasks should retry"
-        );
-        assert!(
-            m_chaotic.corruption_retries > 0,
-            "15% corruption rate over 16 tasks should retry"
         );
         assert!(
             m_chaotic.straggler_delay_ns > 0 || m_chaotic.speculative_launched > 0,
@@ -939,7 +923,7 @@ mod tests {
         let r = FnReducer::new(|k: &u32, vs: Vec<u32>, out: &mut Emitter<u32, u32>| {
             out.emit(*k, vs.into_iter().fold(0u32, u32::wrapping_add));
         });
-        let chaos = ChaosPlan::new(0, 3).with_stragglers(1000, 10.0, 50);
+        let chaos = FaultPlan::new(0, 3).with_stragglers(1000, 10.0, 50);
         let (_, metrics) = JobBuilder::new("spec", m, r)
             .config(chaos_config(16, 4, chaos))
             .run(input);

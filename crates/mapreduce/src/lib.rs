@@ -7,7 +7,7 @@
 //! grouping shuffle — shrunk onto one machine's thread pool. There is one
 //! way to write a stage: a [`Stage`] of one mapper, an optional combiner
 //! and one reducer, chained into a [`Plan`]; faults come from one
-//! [`ChaosPlan`]. A combiner is a [`Merge`], one rule for how two values of
+//! [`FaultPlan`]. A combiner is a [`Merge`], one rule for how two values of
 //! a key combine, and an aggregate job is [`Stage::aggregate`]`(name,
 //! merge)`: the identity map, the merge as combiner, and a reducer that
 //! folds with the same merge.
@@ -80,8 +80,8 @@ pub use cost::ClusterSpec;
 pub use counters::{JobMetrics, TaskTimes};
 pub use dfs::Dfs;
 pub use driver::{Driver, MemoryGovernor};
-pub use fault::{AttemptOutcome, ChaosPlan, Phase, TaskWastage};
-pub use io_shim::{FaultFile, FaultFs, IoFaultPlan};
+pub use fault::{FaultPlan, Phase};
+pub use io_shim::{FaultFile, FaultFs};
 pub use job::{partition, JobBuilder, JobConfig};
 pub use plan::{plan, Plan, PlanBuilder, Snapshot, Stage};
 pub use record::{checksum64, frame_checksum64, ShuffleSize};

@@ -921,7 +921,7 @@ mod tests {
         assert!(driver.dfs().list("ckpt/").is_empty());
     }
 
-    fn resume_plan(rows: &[(u32, u32)], stage2_fault: Option<crate::ChaosPlan>) -> Plan<u32, u64> {
+    fn resume_plan(rows: &[(u32, u32)], stage2_fault: Option<crate::FaultPlan>) -> Plan<u32, u64> {
         let mut cfg2 = JobConfig::uniform(2);
         cfg2.chaos = stage2_fault;
         plan("resume")
@@ -953,9 +953,9 @@ mod tests {
         // killed — after stage 1 materialized its checkpoint.
         let doomed = resume_plan(
             &rows,
-            Some(crate::ChaosPlan {
+            Some(crate::FaultPlan {
                 max_attempts: 0,
-                ..crate::ChaosPlan::new(0, 7)
+                ..crate::FaultPlan::new(0, 7)
             }),
         );
         let killed = catch_unwind(AssertUnwindSafe(|| driver.run_plan(doomed)));

@@ -655,7 +655,7 @@ mod tests {
 
     #[test]
     fn a_failed_governor_spill_stays_resident_and_removes_its_segment() {
-        use crate::io_shim::IoFaultPlan;
+        use crate::fault::FaultPlan;
         use crate::plan::{plan, Stage};
         use crate::task::{Emitter, FnMapper, FnReducer};
         use crate::{Driver, JobConfig};
@@ -685,7 +685,7 @@ mod tests {
         // segment, ops 1-2 write the first frame, and op 3 — the second
         // frame's length word — cuts the power.
         let mut budgeted = Driver::new().with_mem_budget(0);
-        budgeted.dfs().set_io_fs(FaultFs::with_plan(IoFaultPlan {
+        budgeted.dfs().set_io_fs(FaultFs::with_plan(FaultPlan {
             crash_at: Some(3),
             ..Default::default()
         }));

@@ -5,8 +5,9 @@
 //! tail was torn by a mid-write kill. The frame checksum itself is
 //! checked against flips, truncations and word swaps.
 
-use mapreduce::io_shim::{FaultFs, IoFaultPlan};
+use mapreduce::io_shim::FaultFs;
 use mapreduce::spill::{scan_frames, SegmentWriter, SpillDir, SpillError, SpilledRows};
+use mapreduce::FaultPlan;
 use mapreduce::{frame_checksum64, ShuffleSize, WireError};
 use proptest::prelude::*;
 
@@ -171,14 +172,14 @@ proptest! {
     fn segments_under_storage_fault_mixes_recover_an_intact_prefix(
         batches in batches(),
         seed in any::<u64>(),
-        eio in 0u16..300,
-        enospc in 0u16..30,
-        crash in 0u16..30,
-        torn in 0u16..30,
+        eio in 0u32..300,
+        enospc in 0u32..30,
+        crash in 0u32..30,
+        torn in 0u32..30,
     ) {
         let dir = SpillDir::create("prop-faults").unwrap();
         let path = dir.segment_path("seg");
-        let fs = FaultFs::with_plan(IoFaultPlan {
+        let fs = FaultFs::with_plan(FaultPlan {
             seed,
             eio_per_mille: eio,
             enospc_per_mille: enospc,

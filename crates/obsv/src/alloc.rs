@@ -122,6 +122,13 @@ fn publish_total() {
     }
 }
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and returns its pointer, so `System`'s `GlobalAlloc` contract
+// carries over; the accounting beside it only touches atomics and never
+// allocates, so it cannot re-enter the allocator. `obsv --test
+// alloc_accounting` (`realloc_and_zeroed_paths_balance`,
+// `accounting_tracks_scoped_peaks`) runs every path and checks that the
+// counts balance.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);

@@ -51,6 +51,8 @@
 //! submitting thread and wrap the task body in [`with_parent`] — see the
 //! mapreduce engine's task spans for the pattern.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod alloc;
 pub mod export;
 pub mod expose;

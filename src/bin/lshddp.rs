@@ -106,12 +106,17 @@ GLOBAL:
       partitions, and checkpoints past the budget spill to the simulated
       DFS and stream back chunk by chunk; results are bit-identical to
       an unbudgeted run. --stats reports spill volume and backpressure
-  --fault-rate <n>      chaos: fail n/1000 of task attempts, n < 1000
-      (cluster pipelines; retried transparently, results unchanged)
-  --straggler-rate <n>  chaos: slow n/1000 of tasks 4x, n <= 1000 (speculative
-      clones race them; see the recovery counters under --stats)
-  --chaos-seed <n>      seed of the injected chaos schedule
-      (default: --seed)";
+      stalls
+  --faults <spec>       inject seeded faults, e.g. seed=3,fail=300,eio=150;
+      comma-separated key=value pairs, rates per mille. Task faults (the
+      cluster, fit and compact pipelines): fail=n crashes n/1000 of task
+      attempts (n < 1000; retried), straggle=n slows n/1000 of tasks 4x
+      (speculative clones race them). Storage faults, per durable io op
+      (WAL, spill tier, checkpoints, model files): eio=n (retried),
+      enospc=n, crash=n and torn=n (power cuts), crash-at=k [crash-torn]
+      (cut the power at op k). seed=n defaults to --seed. Retried faults
+      leave results unchanged; a `faults:` line reports the retries and
+      injected faults";
 
 fn run(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
@@ -144,11 +149,11 @@ fn run(args: &[String]) -> Result<(), String> {
         obsv::alloc::enable_accounting();
     }
 
-    // Hidden crash-drill plumbing: arm the process-global storage-fault
-    // shim so every durability path (WAL, spill tier, checkpoints, model
-    // artifacts) runs under the injected schedule.
-    if let Some(spec) = &opts.io_faults {
-        let plan = mapreduce::io_shim::IoFaultPlan::parse(spec)?;
+    // One `--faults` plan arms both sides: the process-global storage
+    // shim here (every durability path — WAL, spill tier, checkpoints,
+    // model artifacts — runs under its storage classes), and the
+    // pipelines' task faults through `Opts::pipeline`.
+    if let Some(plan) = opts.faults {
         mapreduce::io_shim::install_global_plan(plan);
     }
 
@@ -179,6 +184,9 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unknown subcommand {other:?}")),
     };
+    if outcome.is_ok() && opts.faults.is_some() {
+        print_fault_summary();
+    }
 
     if let Some(path) = &trace {
         obsv::snapshot_pool_stats(obsv::global());
@@ -259,9 +267,8 @@ struct Opts {
     metrics_addr: Option<String>,
     linger_ms: u64,
     slo_ms: Option<f64>,
-    fault_rate: u32,
-    straggler_rate: u32,
-    chaos_seed: Option<u64>,
+    /// The `--faults` plan, its `seed` defaulting to `--seed`.
+    faults: Option<mapreduce::FaultPlan>,
     exactness: String,
     threads: usize,
     batch: usize,
@@ -269,10 +276,6 @@ struct Opts {
     queue: usize,
     clients: usize,
     mem_budget: Option<u64>,
-    /// Hidden: arm the storage-fault shim with a `key=value` spec (see
-    /// `mapreduce::io_shim::IoFaultPlan::parse`) — crash-drill plumbing,
-    /// deliberately absent from the usage text.
-    io_faults: Option<String>,
 }
 
 impl Opts {
@@ -304,9 +307,7 @@ impl Opts {
             metrics_addr: None,
             linger_ms: 0,
             slo_ms: None,
-            fault_rate: 0,
-            straggler_rate: 0,
-            chaos_seed: None,
+            faults: None,
             exactness: "hybrid".into(),
             threads: 0,
             batch: 32,
@@ -314,8 +315,8 @@ impl Opts {
             queue: 1024,
             clients: 4,
             mem_budget: None,
-            io_faults: None,
         };
+        let mut faults = None;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<&String, String> {
@@ -348,13 +349,7 @@ impl Opts {
                 "--metrics-addr" => o.metrics_addr = Some(value("--metrics-addr")?.clone()),
                 "--linger" => o.linger_ms = parse_num(value("--linger")?, "--linger")?,
                 "--slo-ms" => o.slo_ms = Some(parse_num(value("--slo-ms")?, "--slo-ms")?),
-                "--fault-rate" => o.fault_rate = parse_num(value("--fault-rate")?, "--fault-rate")?,
-                "--straggler-rate" => {
-                    o.straggler_rate = parse_num(value("--straggler-rate")?, "--straggler-rate")?
-                }
-                "--chaos-seed" => {
-                    o.chaos_seed = Some(parse_num(value("--chaos-seed")?, "--chaos-seed")?)
-                }
+                "--faults" => faults = Some(value("--faults")?.clone()),
                 "--exactness" => o.exactness = value("--exactness")?.clone(),
                 "--threads" => o.threads = parse_num(value("--threads")?, "--threads")?,
                 "--batch" => o.batch = parse_num(value("--batch")?, "--batch")?,
@@ -362,9 +357,14 @@ impl Opts {
                 "--queue" => o.queue = parse_num(value("--queue")?, "--queue")?,
                 "--clients" => o.clients = parse_num(value("--clients")?, "--clients")?,
                 "--mem-budget" => o.mem_budget = Some(parse_bytes(value("--mem-budget")?)?),
-                "--io-fault-plan" => o.io_faults = Some(value("--io-fault-plan")?.clone()),
                 other => return Err(format!("unknown flag {other:?}")),
             }
+        }
+        if let Some(spec) = faults {
+            // Later keys win, so an explicit `seed=` overrides `--seed`.
+            let spec = format!("seed={},{spec}", o.seed);
+            let plan = mapreduce::FaultPlan::parse(&spec).map_err(|e| format!("--faults: {e}"))?;
+            o.faults = Some(plan);
         }
         Ok(o)
     }
@@ -377,33 +377,6 @@ impl Opts {
             ld.data.normalize_min_max();
         }
         Ok(ld)
-    }
-
-    /// The chaos plan the `--fault-rate`/`--straggler-rate`/`--chaos-seed`
-    /// flags describe, `None` when chaos injection is off; an error names
-    /// the flag whose per-mille rate is out of range.
-    fn chaos(&self) -> Result<Option<mapreduce::ChaosPlan>, String> {
-        if self.fault_rate == 0 && self.straggler_rate == 0 {
-            return Ok(None);
-        }
-        if self.fault_rate >= 1000 {
-            return Err(format!(
-                "--fault-rate: {} is out of range (0-999 per mille; 1000 would fail every attempt)",
-                self.fault_rate
-            ));
-        }
-        if self.straggler_rate > 1000 {
-            return Err(format!(
-                "--straggler-rate: {} is out of range (0-1000 per mille)",
-                self.straggler_rate
-            ));
-        }
-        let seed = self.chaos_seed.unwrap_or(self.seed);
-        let mut plan = mapreduce::ChaosPlan::new(self.fault_rate, seed);
-        if self.straggler_rate > 0 {
-            plan = plan.with_stragglers(self.straggler_rate, 4.0, 20);
-        }
-        Ok(Some(plan))
     }
 
     /// The peak selection `--k` or `--auto` asks for: the `k`
@@ -420,13 +393,14 @@ impl Opts {
         }
     }
 
-    /// A pipeline config carrying the chaos and memory-budget flags.
-    fn pipeline(&self) -> Result<ddp::common::PipelineConfig, String> {
-        Ok(ddp::common::PipelineConfig {
-            chaos: self.chaos()?,
+    /// A pipeline config carrying the `--faults` plan and the memory
+    /// budget.
+    fn pipeline(&self) -> ddp::common::PipelineConfig {
+        ddp::common::PipelineConfig {
+            chaos: self.faults,
             mem_budget: self.mem_budget,
             ..Default::default()
-        })
+        }
     }
 
     /// `--dc`, or the estimate from the data; either must be positive and
@@ -535,7 +509,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
         "kernel" => (dp_core::compute_gaussian(ds, dc).result, None),
         "basic" => {
             let cfg = BasicConfig {
-                pipeline: o.pipeline()?,
+                pipeline: o.pipeline(),
                 ..Default::default()
             };
             let r = BasicDdp::new(cfg).run(ds, dc);
@@ -543,14 +517,14 @@ fn cluster(o: &Opts) -> Result<(), String> {
         }
         "eddpc" => {
             let mut cfg = EddpcConfig::for_size(ds.len(), o.seed);
-            cfg.pipeline = o.pipeline()?;
+            cfg.pipeline = o.pipeline();
             let r = Eddpc::new(cfg).run(ds, dc);
             (r.result.clone(), Some(r))
         }
         "lsh" => {
             let r = LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed)
                 .map_err(|e| e.to_string())?
-                .with_pipeline(o.pipeline()?)
+                .with_pipeline(o.pipeline())
                 .run(ds, dc);
             (r.result.clone(), Some(r))
         }
@@ -571,19 +545,6 @@ fn cluster(o: &Opts) -> Result<(), String> {
             "ARI vs input labels: {:.4}",
             dp_core::quality::adjusted_rand_index(outcome.clustering.labels(), &ld.labels)
         );
-    }
-    if o.chaos()?.is_some() {
-        if let Some(r) = report.as_ref() {
-            let sum = |f: fn(&mapreduce::JobMetrics) -> u64| r.jobs.iter().map(f).sum::<u64>();
-            println!(
-                "chaos: {} task retries, {} speculative launches ({} won), \
-                 {:.1} ms straggler delay absorbed",
-                sum(|j| j.task_retries),
-                sum(|j| j.speculative_launched),
-                sum(|j| j.speculative_wins),
-                sum(|j| j.straggler_delay_ns) as f64 / 1e6,
-            );
-        }
     }
     if o.stats {
         println!("kernels: {}", dp_core::simd::Isa::detect());
@@ -690,8 +651,9 @@ fn fit(o: &Opts) -> Result<(), String> {
     let selection = o.selection()?;
     let dc = o.resolve_dc(ds)?;
 
-    let ddp =
-        LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed).map_err(|e| e.to_string())?;
+    let ddp = LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed)
+        .map_err(|e| e.to_string())?
+        .with_pipeline(o.pipeline());
     let params = ddp.config().params;
     let report = ddp.run(ds, dc);
     let outcome = CentralizedStep::new(selection).run(&report.result);
@@ -706,40 +668,21 @@ fn fit(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads query points as CSV rows of finite floats — from a file, or
-/// stdin when `path` is `None`. Rows longer than `dim` keep their first
-/// `dim` columns, so label-bearing files generated with `--labels` work
-/// as-is.
-fn read_queries(path: Option<&str>, dim: usize) -> Result<Vec<f64>, String> {
-    let text = match path {
-        Some(p) => std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?,
-        None => {
-            use std::io::Read;
-            let mut s = String::new();
-            std::io::stdin()
-                .read_to_string(&mut s)
-                .map_err(|e| e.to_string())?;
-            s
-        }
-    };
-    let mut flat = Vec::new();
-    let mut row = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        datasets::io::parse_row(line, lineno + 1, &mut row).map_err(|e| e.to_string())?;
-        if row.len() < dim {
-            return Err(format!(
-                "line {}: {} columns, model needs {dim}",
-                lineno + 1,
-                row.len()
-            ));
-        }
-        flat.extend_from_slice(&row[..dim]);
+/// Reads points through the shared CSV reader (blank and `#` lines
+/// skipped, every row checked) from a file, or stdin when `path` is
+/// `None`, and keeps each row's first `dim` columns: extra columns are
+/// labels, so files generated with `--labels` work as-is.
+fn read_points(path: Option<&str>, dim: usize) -> Result<Vec<f64>, String> {
+    let ds = match path {
+        Some(p) => datasets::io::read_csv(p, false).map_err(|e| format!("reading {p}: {e}"))?,
+        None => datasets::io::parse_csv(std::io::stdin().lock(), false)
+            .map_err(|e| format!("reading stdin: {e}"))?,
     }
-    Ok(flat)
+    .data;
+    if ds.dim() < dim {
+        return Err(format!("{} columns, model needs {dim}", ds.dim()));
+    }
+    Ok(ds.iter().flat_map(|(_, p)| &p[..dim]).copied().collect())
 }
 
 fn load_engine(o: &Opts) -> Result<QueryEngine, String> {
@@ -765,7 +708,7 @@ fn write_assignments(path: Option<&str>, answers: &[serve::Assignment]) -> Resul
 
 fn query(o: &Opts) -> Result<(), String> {
     let engine = load_engine(o)?;
-    let queries = read_queries(o.input.as_deref(), engine.model().dim())?;
+    let queries = read_points(o.input.as_deref(), engine.model().dim())?;
     let answers = engine.assign_batch(&queries);
     write_assignments(o.out.as_deref(), &answers)?;
     let fallbacks = answers.iter().filter(|a| a.fallback).count();
@@ -784,11 +727,8 @@ fn query(o: &Opts) -> Result<(), String> {
 fn serve_stream(o: &Opts, full_report: bool) -> Result<(), String> {
     let engine = load_engine(o)?;
     let dim = engine.model().dim();
-    let queries = read_queries(o.input.as_deref(), dim)?;
+    let queries = read_points(o.input.as_deref(), dim)?;
     let n = queries.len() / dim;
-    if n == 0 {
-        return Err("no query points".into());
-    }
 
     let server = Server::start(
         engine,
@@ -877,7 +817,7 @@ fn serve_stream(o: &Opts, full_report: bool) -> Result<(), String> {
 /// given (replaying any batches pending since the last compaction).
 fn open_session(o: &Opts, model: &ClusterModel) -> Result<IngestSession, String> {
     let config = IngestConfig {
-        pipeline: o.pipeline()?,
+        pipeline: o.pipeline(),
         selection: o.selection()?,
     };
     match o.wal.as_deref() {
@@ -917,6 +857,25 @@ fn print_jobs(r: &RunReport) {
     }
 }
 
+/// The `--faults` summary line: task retries and speculation from every
+/// job the command ran, then the storage shim's io retries, injected
+/// faults and give-ups.
+fn print_fault_summary() {
+    let reg = obsv::global();
+    let count = |name: &str| reg.counter(name).get();
+    let fs = mapreduce::FaultFs::global();
+    println!(
+        "faults: {} task retries, {} speculative launches ({} won), {} io retries, \
+         {} io faults injected, {} io give-ups",
+        count("task_retries"),
+        count("speculative_launched"),
+        count("speculative_wins"),
+        fs.retries(),
+        fs.injected_faults(),
+        fs.give_ups(),
+    );
+}
+
 fn print_lifecycle_stats(session: &IngestSession) {
     let reg = obsv::global();
     println!(
@@ -940,7 +899,7 @@ fn ingest(o: &Opts) -> Result<(), String> {
     // refused command leaves no WAL behind.
     let mut ops: Vec<DeltaOp> = Vec::new();
     if let Some(input) = o.input.as_deref() {
-        let flat = read_queries(Some(input), model.dim())?;
+        let flat = read_points(Some(input), model.dim())?;
         for point in flat.chunks(model.dim()) {
             ops.push(DeltaOp::Insert(point.to_vec()));
         }

@@ -304,11 +304,11 @@ fn non_finite_input_is_a_clean_error() {
     }
 }
 
-/// Per-mille fault rates past their range exit 1 naming the flag (or the
-/// io-fault-plan key), instead of panicking or wrapping silently.
+/// Per-mille fault rates past their range exit 1 naming the `--faults`
+/// key, instead of panicking or wrapping silently.
 #[test]
 fn out_of_range_fault_rates_are_clean_errors() {
-    let points = tmp("fault-rates.csv");
+    let points = tmp("fault-specs.csv");
     let out = bin()
         .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
         .arg(&points)
@@ -317,17 +317,14 @@ fn out_of_range_fault_rates_are_clean_errors() {
     assert!(out.status.success());
     for (args, named) in [
         (
-            &["--algorithm", "lsh", "--fault-rate", "1000"][..],
-            "--fault-rate",
+            &["--algorithm", "lsh", "--faults", "fail=1000"][..],
+            "`fail`",
         ),
         (
-            &["--algorithm", "basic", "--straggler-rate", "1001"],
-            "--straggler-rate",
+            &["--algorithm", "basic", "--faults", "seed=3,straggle=1001"],
+            "`straggle`",
         ),
-        (
-            &["--algorithm", "exact", "--io-fault-plan", "eio=70000"],
-            "`eio`",
-        ),
+        (&["--algorithm", "exact", "--faults", "eio=70000"], "`eio`"),
     ] {
         let out = bin()
             .args(["cluster", "--k", "15"])
@@ -335,13 +332,67 @@ fn out_of_range_fault_rates_are_clean_errors() {
             .arg("--input")
             .arg(&points)
             .arg("--out")
-            .arg(tmp("fault-rates-labels.csv"))
+            .arg(tmp("fault-specs-labels.csv"))
             .output()
             .expect("run cluster");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(named), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// `query` and `serve` read points through the reader `cluster` uses: a
+/// `#` comment line is skipped and a trailing label column is dropped, so
+/// the annotated file answers byte for byte like the bare one.
+#[test]
+fn query_and_serve_skip_comments_and_label_columns() {
+    let (bare, labeled, model) = (
+        tmp("reader-bare.csv"),
+        tmp("reader-labeled.csv"),
+        tmp("reader-model.bin"),
+    );
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--labels"])
+        .arg("--out")
+        .arg(&labeled)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let rows = std::fs::read_to_string(&labeled).expect("labeled rows");
+    let stripped: String = rows
+        .lines()
+        .map(|l| format!("{}\n", &l[..l.rfind(',').expect("a label column")]))
+        .collect();
+    std::fs::write(&bare, stripped).expect("bare rows");
+    std::fs::write(&labeled, format!("# x,y,label\n{rows}")).expect("annotated rows");
+    let out = bin()
+        .args(["fit", "--k", "15", "--input"])
+        .arg(&bare)
+        .arg("--out")
+        .arg(&model)
+        .output()
+        .expect("fit");
+    assert!(out.status.success());
+    for sub in ["query", "serve"] {
+        let answers = [&bare, &labeled].map(|input| {
+            let answers = tmp(&format!("reader-{sub}.out"));
+            let out = bin()
+                .arg(sub)
+                .arg("--model")
+                .arg(&model)
+                .arg("--input")
+                .arg(input)
+                .arg("--out")
+                .arg(&answers)
+                .output()
+                .expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{sub} {input:?}: {stderr}");
+            std::fs::read(&answers).expect("answers written")
+        });
+        assert!(!answers[0].is_empty());
+        assert_eq!(answers[0], answers[1], "{sub}");
     }
 }
 
@@ -413,9 +464,9 @@ fn zero_k_is_a_clean_error() {
     }
 }
 
-/// The exact engine's decision step shows up in a folded profile: the
-/// `centralized` span with its `select` and `assign` children (frames are
-/// `category:name`).
+/// The exact engine shows up in a folded profile: its `rho` and `delta`
+/// phases, then the decision step's `centralized` span with its `select`
+/// and `assign` children (frames are `category:name`).
 #[test]
 fn exact_cluster_profile_folds_the_decision_step() {
     let (points, profile) = (tmp("profile.csv"), tmp("profile.folded"));
@@ -438,7 +489,12 @@ fn exact_cluster_profile_folds_the_decision_step() {
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("spans folded"), "{stderr}");
     let folded = std::fs::read_to_string(&profile).expect("profile written");
-    for stack in ["ddp:centralized;ddp:select ", "ddp:centralized;ddp:assign "] {
+    for stack in [
+        "dp:rho ",
+        "dp:delta ",
+        "ddp:centralized;ddp:select ",
+        "ddp:centralized;ddp:assign ",
+    ] {
         assert!(
             folded.lines().any(|l| l.starts_with(stack)),
             "{stack}: {folded}"

@@ -8,8 +8,9 @@
 //! and spill segments never feed a corrupt frame downstream.
 
 use ingest::drill;
-use mapreduce::io_shim::{is_crash, FaultFs, IoFaultPlan};
+use mapreduce::io_shim::{is_crash, FaultFs};
 use mapreduce::spill::{scan_frames, SegmentWriter};
+use mapreduce::FaultPlan;
 use serve::ClusterModel;
 use std::path::PathBuf;
 
@@ -93,7 +94,7 @@ fn spill_segment_power_cuts_never_yield_a_corrupt_frame() {
         .collect();
 
     // Counting pass.
-    let count_fs = FaultFs::with_plan(IoFaultPlan {
+    let count_fs = FaultFs::with_plan(FaultPlan {
         crash_at: Some(u64::MAX),
         ..Default::default()
     });
@@ -111,7 +112,7 @@ fn spill_segment_power_cuts_never_yield_a_corrupt_frame() {
     for op in 0..n {
         for torn in [false, true] {
             let path = dir.join(format!("cut{op}-{torn}.seg"));
-            let fs = FaultFs::with_plan(IoFaultPlan {
+            let fs = FaultFs::with_plan(FaultPlan {
                 crash_at: Some(op),
                 crash_torn: torn,
                 ..Default::default()

@@ -1,11 +1,10 @@
 //! End-to-end fault tolerance: whole DDP pipelines run under task-failure
-//! injection — and full chaos plans layering stragglers, record
-//! corruption, and mid-flight kills on top — and produce results
-//! identical to clean runs.
+//! injection — and full fault plans layering stragglers and mid-flight
+//! kills on top — and produce results identical to clean runs.
 
 use lsh_ddp::prelude::*;
 use mapreduce::{
-    plan, ChaosPlan, Dfs, Driver, Emitter, FnMapper, FnReducer, JobConfig, JobMetrics, Phase, Stage,
+    plan, Dfs, Driver, Emitter, FaultPlan, FnMapper, FnReducer, JobConfig, JobMetrics, Phase, Stage,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,7 +19,7 @@ fn faulty_pipeline(rate_per_mille: u32) -> PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
         fault_stage: None,
-        chaos: Some(ChaosPlan::new(rate_per_mille, 777)),
+        chaos: Some(FaultPlan::new(rate_per_mille, 777)),
         disable_elision: false,
         checkpoints: false,
         mem_budget: None,
@@ -109,7 +108,7 @@ fn eddpc_survives_task_failures_bit_exactly() {
 
 /// A one-stage sum job over 400 rows with `tasks` map and `tasks` reduce
 /// tasks under `chaos`.
-fn chaos_job(tasks: usize, chaos: Option<ChaosPlan>) -> (Vec<(u32, u64)>, JobMetrics) {
+fn chaos_job(tasks: usize, chaos: Option<FaultPlan>) -> (Vec<(u32, u64)>, JobMetrics) {
     let rows: Vec<(u32, u32)> = (0..400u32)
         .map(|i| (i, i.wrapping_mul(2654435761)))
         .collect();
@@ -133,9 +132,9 @@ fn run_task_retry_counts_match_the_schedule_for_every_phase() {
     // The engine charges exactly the crashes `task_wastage` schedules,
     // in both phases: the schedule is phase-dependent, so a map-only
     // check would miss a reduce-side regression.
-    let chaos = ChaosPlan {
+    let chaos = FaultPlan {
         max_attempts: 16,
-        ..ChaosPlan::new(400, 99)
+        ..FaultPlan::new(400, 99)
     };
     let mut scheduled = 0u64;
     for phase in [Phase::Map, Phase::Reduce] {
@@ -144,7 +143,6 @@ fn run_task_retry_counts_match_the_schedule_for_every_phase() {
                 chaos
                     .task_wastage(phase, t)
                     .unwrap_or_else(|| panic!("{phase:?} task {t} is doomed"))
-                    .failed
             })
             .collect();
         assert!(
@@ -158,7 +156,6 @@ fn run_task_retry_counts_match_the_schedule_for_every_phase() {
     assert_eq!(metrics.map_task_times.tasks, 40);
     assert_eq!(metrics.reduce_task_times.tasks, 40);
     assert_eq!(metrics.task_retries, scheduled);
-    assert_eq!(metrics.corruption_retries, 0);
     clean.sort_unstable();
     chaotic.sort_unstable();
     assert_eq!(clean, chaotic, "retries must be invisible in the output");
@@ -169,8 +166,8 @@ fn doomed_tasks_kill_the_job_in_every_phase() {
     // Search seeds for one plan that dooms a map task, and one that dooms
     // a reduce task while every map task survives, so the reduce phase is
     // what kills that job.
-    let plan_at = |seed: u64| ChaosPlan::new(500, seed);
-    let doomed = |c: &ChaosPlan, phase: Phase| (0..8).any(|t| c.task_wastage(phase, t).is_none());
+    let plan_at = |seed: u64| FaultPlan::new(500, seed);
+    let doomed = |c: &FaultPlan, phase: Phase| (0..8).any(|t| c.task_wastage(phase, t).is_none());
     let map_doom = (0..)
         .map(plan_at)
         .find(|c| doomed(c, Phase::Map))
@@ -219,10 +216,9 @@ fn retries_scale_with_the_failure_rate() {
 /// Raises `max_attempts` until no task either phase could plausibly run
 /// (ids 0..64 comfortably cover every map chunk and reduce partition the
 /// pipelines use) is doomed by the schedule, making the chaos survivable
-/// by construction. Crash and corruption rates both consume attempts, so
-/// the check goes through [`ChaosPlan::task_wastage`].
-fn survivable(mut chaos: ChaosPlan) -> ChaosPlan {
-    let all_live = |c: &ChaosPlan| {
+/// by construction; the check goes through [`FaultPlan::task_wastage`].
+fn survivable(mut chaos: FaultPlan) -> FaultPlan {
+    let all_live = |c: &FaultPlan| {
         (0..64).all(|t| {
             [Phase::Map, Phase::Reduce]
                 .into_iter()
@@ -243,7 +239,7 @@ fn survivable(mut chaos: ChaosPlan) -> ChaosPlan {
 /// once clean and once under `chaos`, asserts every output is
 /// bit-identical, and returns the total number of recovery events the
 /// chaotic runs absorbed.
-fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: ChaosPlan) -> u64 {
+fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: FaultPlan) -> u64 {
     let clean_pipe = PipelineConfig {
         map_tasks: 6,
         reduce_tasks: 6,
@@ -261,7 +257,7 @@ fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: ChaosPlan) -> u64 {
     let mut note = |jobs: &[mapreduce::JobMetrics]| {
         recoveries += jobs
             .iter()
-            .map(|j| j.task_retries + j.corruption_retries + j.speculative_wins)
+            .map(|j| j.task_retries + j.speculative_wins)
             .sum::<u64>();
     };
 
@@ -309,16 +305,9 @@ fn assert_chaos_is_invisible(ds: &Dataset, dc: f64, chaos: ChaosPlan) -> u64 {
 #[test]
 fn all_three_pipelines_survive_full_chaos_bit_exactly() {
     let ds = workload();
-    let chaos = survivable(
-        ChaosPlan::new(150, 4242)
-            .with_stragglers(150, 3.0, 1)
-            .with_corruption(100),
-    );
+    let chaos = survivable(FaultPlan::new(150, 4242).with_stragglers(150, 3.0, 1));
     let recoveries = assert_chaos_is_invisible(&ds, 0.9, chaos);
-    assert!(
-        recoveries > 0,
-        "15% crashes + 10% corruption must trigger recoveries"
-    );
+    assert!(recoveries > 0, "15% crashes must trigger recoveries");
 }
 
 #[test]
@@ -356,11 +345,7 @@ fn indexed_kernels_under_chaos_match_the_clean_run_bit_exactly() {
     let clean = run(base);
     // 10% chaos: retried tasks rebuild their spatial indexes from scratch
     // and must still reproduce the clean results bit for bit.
-    let chaos = survivable(
-        ChaosPlan::new(100, 777)
-            .with_stragglers(100, 3.0, 1)
-            .with_corruption(100),
-    );
+    let chaos = survivable(FaultPlan::new(100, 777).with_stragglers(100, 3.0, 1));
     let chaotic = run(PipelineConfig {
         chaos: Some(chaos),
         ..base
@@ -374,22 +359,16 @@ fn indexed_kernels_under_chaos_match_the_clean_run_bit_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// *Any* survivable chaos plan — crashes, stragglers, and record
-    /// corruption at arbitrary rates and seeds — is invisible in the
-    /// outputs of every pipeline.
+    /// *Any* survivable fault plan — crashes and stragglers at arbitrary
+    /// rates and seeds — is invisible in the outputs of every pipeline.
     #[test]
     fn chaos_never_changes_any_pipeline_output(
         fail in 0u32..300,
         strag in 0u32..200,
-        corrupt in 0u32..200,
         seed in any::<u64>(),
     ) {
         let ds = datasets::generators::blob_grid(3, 3, 10, 20.0, 0.6, 3).data;
-        let chaos = survivable(
-            ChaosPlan::new(fail, seed)
-                .with_stragglers(strag, 2.0, 1)
-                .with_corruption(corrupt),
-        );
+        let chaos = survivable(FaultPlan::new(fail, seed).with_stragglers(strag, 2.0, 1));
         assert_chaos_is_invisible(&ds, 0.9, chaos);
     }
 }
@@ -451,7 +430,7 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
             out.emit(*k, vs.into_iter().sum());
         })
     };
-    let build = |stage2_fault: Option<ChaosPlan>| {
+    let build = |stage2_fault: Option<FaultPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
         cfg2.chaos = stage2_fault;
         plan("restart-drill")
@@ -462,9 +441,9 @@ fn restarted_driver_resumes_a_killed_plan_from_the_checkpoint() {
     };
     // `max_attempts: 0` dooms every stage-2 task: the job is killed on
     // its first failure, after stage 1 completed and checkpointed.
-    let doom = ChaosPlan {
+    let doom = FaultPlan {
         max_attempts: 0,
-        ..ChaosPlan::new(0, 7)
+        ..FaultPlan::new(0, 7)
     };
 
     let dfs = Arc::new(Dfs::new());
@@ -532,7 +511,7 @@ fn restarted_driver_resumes_a_killed_spilling_plan_bit_exactly() {
             out.emit(*k, vs.into_iter().sum());
         })
     };
-    let build = |stage2_fault: Option<ChaosPlan>| {
+    let build = |stage2_fault: Option<FaultPlan>| {
         let mut cfg2 = JobConfig::uniform(2);
         cfg2.chaos = stage2_fault;
         plan("spill-restart-drill")
@@ -541,9 +520,9 @@ fn restarted_driver_resumes_a_killed_spilling_plan_bit_exactly() {
             .stage(Stage::new("s2", halve_key(), sum()).config(cfg2))
             .build()
     };
-    let doom = ChaosPlan {
+    let doom = FaultPlan {
         max_attempts: 0,
-        ..ChaosPlan::new(0, 7)
+        ..FaultPlan::new(0, 7)
     };
 
     let dfs = Arc::new(Dfs::new());
@@ -643,9 +622,9 @@ fn killed_compaction_resumes_from_its_checkpoint_bit_exactly() {
             DeltaOp::Delete(7),
         ])
         .unwrap();
-    let doom = ChaosPlan {
+    let doom = FaultPlan {
         max_attempts: 0,
-        ..ChaosPlan::new(0, 7)
+        ..FaultPlan::new(0, 7)
     };
     session.config_mut().pipeline.chaos = Some(doom);
     session.config_mut().pipeline.fault_stage = Some("basic/delta-aggregate");
