@@ -71,8 +71,8 @@ fn synthetic_result(n: usize, seed: u64) -> DpResult {
 }
 
 /// One relabel — graph, selection and assignment over a fixed result —
-/// as `ledger`'s `fit-*` workloads time it, at growing `N`: the cost
-/// should grow linearly.
+/// as `ledger`'s `fit-*` workloads time it (`DeltaOutliers`), and one by
+/// `TopK`, at growing `N`: the cost should grow linearly.
 fn bench_centralized(c: &mut Criterion) {
     let mut g = c.benchmark_group("centralized");
     g.sample_size(20);
@@ -80,11 +80,15 @@ fn bench_centralized(c: &mut Criterion) {
         k: 30,
         rho_quantile: 0.25,
     });
+    let top_k = CentralizedStep::new(PeakSelection::TopK(30));
     for n in [10_000usize, 100_000, 400_000] {
         let result = synthetic_result(n, 7);
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("relabel", n), &result, |b, r| {
             b.iter(|| black_box(step.run(r)))
+        });
+        g.bench_with_input(BenchmarkId::new("relabel_top_k", n), &result, |b, r| {
+            b.iter(|| black_box(top_k.run(r)))
         });
     }
     g.finish();

@@ -6,7 +6,7 @@
 //! selection and assignment run on the "master" in a single thread, over
 //! the result assembled from the distributed jobs.
 
-use dp_core::decision::{Clustering, DecisionGraph};
+use dp_core::decision::{Clustering, DecisionGraph, Rectified};
 use dp_core::{decision, DpResult, PointId};
 use serde::{Deserialize, Serialize};
 
@@ -71,11 +71,11 @@ impl CentralizedStep {
         CentralizedStep { selection }
     }
 
-    /// Selects peaks and assigns every point to a cluster: one pass to
-    /// build the graph, a selection, and one chain walk, so a relabel on
-    /// the same result costs `O(N + k log k)` with no sort of all points
-    /// (except under [`PeakSelection::Auto`], whose suggested thresholds
-    /// sort the deltas).
+    /// Selects peaks and assigns every point to a cluster: one shared
+    /// [`Rectified`] scan, the graph, a one-pass selection into a `k`-bounded
+    /// heap and an assignment in counting-sort density order, so a relabel
+    /// costs `O(N + max rho)` plus `O(log k)` per heap displacement, with no
+    /// sort of all points (except [`PeakSelection::Auto`]'s sort of deltas).
     ///
     /// # Panics
     /// Panics if the selection yields no peaks (nothing to assign to) —
@@ -83,18 +83,19 @@ impl CentralizedStep {
     pub fn run(&self, result: &DpResult) -> CentralizedOutput {
         let _span = obsv::span!("ddp", "centralized");
         let (graph, peaks) = obsv::span!("ddp", "select" => {
-            let graph = DecisionGraph::from_result(result);
+            let rectified = Rectified::from(result);
+            let graph = DecisionGraph::from_result(rectified);
             let peaks = match &self.selection {
                 PeakSelection::Threshold { rho_min, delta_min } => {
-                    decision::select_by_threshold(result, *rho_min, *delta_min)
+                    decision::select_by_threshold(rectified, *rho_min, *delta_min)
                 }
-                PeakSelection::TopK(k) => decision::select_top_k(result, *k),
+                PeakSelection::TopK(k) => decision::select_top_k(rectified, *k),
                 PeakSelection::DeltaOutliers { k, rho_quantile } => {
-                    decision::select_delta_outliers(result, *k, *rho_quantile)
+                    decision::select_delta_outliers(rectified, *k, *rho_quantile)
                 }
                 PeakSelection::Auto => {
                     let (rho_min, delta_min) = graph.suggest_thresholds();
-                    let peaks = decision::select_by_threshold(result, rho_min, delta_min);
+                    let peaks = decision::select_by_threshold(rectified, rho_min, delta_min);
                     if peaks.is_empty() {
                         vec![densest(result)]
                     } else {

@@ -211,3 +211,129 @@ proptest! {
         );
     }
 }
+
+/// A result over `rho` and `delta` whose every upslope is the next denser
+/// point, so every chain is valid.
+fn chained(rho: Vec<u32>, delta: Vec<f64>) -> DpResult {
+    let n = rho.len() as PointId;
+    let mut order: Vec<PointId> = (0..n).collect();
+    order.sort_by(|&a, &b| density_order(rho[a as usize], a, rho[b as usize], b));
+    let mut upslope = vec![NO_UPSLOPE; n as usize];
+    for w in order.windows(2) {
+        upslope[w[1] as usize] = w[0];
+    }
+    DpResult {
+        dc: 1.0,
+        rho,
+        delta,
+        upslope,
+    }
+}
+
+/// `run` against the definitions for every variant at each `k`; returns
+/// the `DeltaOutliers { k, 0.0 }` peaks of the last `k`.
+fn assert_definitions_hold(result: &DpResult, ks: &[usize]) -> Vec<PointId> {
+    let mut last = Vec::new();
+    for &k in ks {
+        let quantiles =
+            [0.0, 0.25, 0.99].map(|rho_quantile| PeakSelection::DeltaOutliers { k, rho_quantile });
+        for selection in [
+            &[PeakSelection::TopK(k), PeakSelection::Auto][..],
+            &quantiles,
+        ]
+        .concat()
+        {
+            let graph = DecisionGraph::from_result(result);
+            let peaks = peaks_by_definition(result, &selection, &graph);
+            let step = CentralizedStep::new(selection.clone());
+            if peaks.is_empty() {
+                assert!(std::panic::catch_unwind(|| step.run(result)).is_err());
+                continue;
+            }
+            let out = step.run(result);
+            assert_eq!(out.peaks, peaks, "{selection:?}");
+            let labels = labels_by_definition(result, &peaks);
+            assert_eq!(out.clustering.labels(), &labels[..], "{selection:?}");
+            let want = graph_bits(&graph_by_definition(result));
+            assert_eq!(graph_bits(out.graph.points()), want, "{selection:?}");
+        }
+        last = decision::select_delta_outliers(result, k, 0.0);
+    }
+    last
+}
+
+#[test]
+fn ascending_deltas_displace_the_kth_at_every_point() {
+    let n = 300;
+    let rho = (0..n).map(|i| i % 7 + 1).collect();
+    let delta = (0..n).map(|i| f64::from(i) * 0.5).collect();
+    let peaks = assert_definitions_hold(&chained(rho, delta), &[1, 10, 64]);
+    assert_eq!(peaks, (236..300).collect::<Vec<_>>());
+}
+
+#[test]
+fn equal_deltas_leave_the_choice_to_the_id() {
+    let rho = (0..100).map(|i| i % 3).collect();
+    let peaks = assert_definitions_hold(&chained(rho, vec![1.0; 100]), &[1, 5, 40]);
+    // Density 0 is below every floor; the first 40 of the rest win.
+    let want: Vec<PointId> = (0..100).filter(|i| i % 3 != 0).take(40).collect();
+    assert_eq!(peaks, want);
+}
+
+#[test]
+fn k_at_or_past_the_candidates_takes_them_all() {
+    let rho: Vec<u32> = (0..60).map(|i| i % 4).collect();
+    let delta = (0..60)
+        .map(|i| match i % 5 {
+            0 => f64::INFINITY,
+            d => f64::from(d) * 0.25,
+        })
+        .collect();
+    let candidates = rho.iter().filter(|&&r| r >= 1).count();
+    let ks = [candidates, candidates + 3, 60, 65, usize::MAX];
+    let peaks = assert_definitions_hold(&chained(rho.clone(), delta), &ks);
+    let all: Vec<PointId> = (0..60).filter(|&i| rho[i as usize] >= 1).collect();
+    assert_eq!(peaks, all);
+}
+
+#[test]
+fn equal_densities_rank_by_delta_alone() {
+    let delta = (0..80u32).map(|i| f64::from(i * 37 % 80)).collect();
+    let peaks = assert_definitions_hold(&chained(vec![3; 80], delta), &[1, 4, 80]);
+    assert_eq!(peaks.len(), 80);
+}
+
+#[test]
+fn a_single_point_is_its_own_peak() {
+    for (rho, delta) in [(0, f64::INFINITY), (4, f64::INFINITY), (2, 0.0)] {
+        let result = chained(vec![rho], vec![delta]);
+        assert_definitions_hold(&result, &[1, 2]);
+        let out = CentralizedStep::new(PeakSelection::TopK(1)).run(&result);
+        assert_eq!((out.peaks, out.clustering.labels()), (vec![0], &[0][..]));
+    }
+}
+
+#[test]
+fn negative_and_signed_zero_deltas_rank_as_partial_cmp_does() {
+    let delta = [
+        -1.5,
+        -0.0,
+        0.0,
+        2.0,
+        -3.0,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        0.5,
+        -0.25,
+    ];
+    let delta: Vec<f64> = delta.iter().cycle().take(40).copied().collect();
+    let rho = (0..40).map(|i| i % 5 + 1).collect();
+    assert_definitions_hold(&chained(rho, delta), &[1, 3, 12, 25, 40]);
+}
+
+#[test]
+#[should_panic(expected = "empty result")]
+fn delta_outliers_reject_an_empty_result() {
+    let _ = decision::select_delta_outliers(&chained(vec![], vec![]), 1, 0.25);
+}

@@ -9,10 +9,11 @@
 //! also the common automatic criterion ([`select_top_k`] by the
 //! normalized product `gamma = rho * delta`).
 
-use crate::dp::{denser, DpResult, NO_UPSLOPE};
+use crate::dp::{denser, density_order, DpResult, NO_UPSLOPE};
 use crate::local::Partition;
 use crate::point::PointId;
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
 
 /// One point of the decision graph.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,16 +36,16 @@ pub struct DecisionGraph {
 }
 
 impl DecisionGraph {
-    /// Builds the graph from a DP result, rectifying infinite deltas to the
-    /// maximum finite delta as the paper prescribes.
-    pub fn from_result(result: &DpResult) -> Self {
-        let delta = rectified_delta(result);
-        let points = (0..result.len())
+    /// Builds the graph from a DP result (or a [`Rectified`] one), rectifying
+    /// infinite deltas to the maximum finite delta as the paper prescribes.
+    pub fn from_result<'a>(result: impl Into<Rectified<'a>>) -> Self {
+        let r = result.into();
+        let points = (0..r.0.len())
             .map(|i| DecisionPoint {
                 id: i as PointId,
-                rho: result.rho[i],
-                delta: delta(i),
-                rectified: !result.delta[i].is_finite(),
+                rho: r.0.rho[i],
+                delta: r.delta(i),
+                rectified: !r.0.delta[i].is_finite(),
             })
             .collect();
         DecisionGraph { points }
@@ -106,24 +107,30 @@ impl DecisionGraph {
 /// Selects every point with `rho > rho_min` and `delta > delta_min` as a
 /// density peak — the manual rectangle the user draws on the decision graph
 /// (over its rectified deltas).
-pub fn select_by_threshold(result: &DpResult, rho_min: u32, delta_min: f64) -> Vec<PointId> {
-    let delta = rectified_delta(result);
-    (0..result.len())
-        .filter(|&i| result.rho[i] > rho_min && delta(i) > delta_min)
+pub fn select_by_threshold<'a>(
+    result: impl Into<Rectified<'a>>,
+    rho_min: u32,
+    delta_min: f64,
+) -> Vec<PointId> {
+    let r = result.into();
+    (0..r.0.len())
+        .filter(|&i| r.0.rho[i] > rho_min && r.delta(i) > delta_min)
         .map(|i| i as PointId)
         .collect()
 }
 
 /// Selects the `k` points with the largest `gamma = rho_norm * delta_norm`
-/// as density peaks, ascending by id. Deterministic: ties broken by id.
-pub fn select_top_k(result: &DpResult, k: usize) -> Vec<PointId> {
-    let gamma = result.gamma();
-    first_k((0..result.len() as PointId).collect(), k, |&a, &b| {
-        gamma[b as usize]
-            .partial_cmp(&gamma[a as usize])
-            .expect("gamma is finite")
-            .then(a.cmp(&b))
-    })
+/// (computed inline as [`DpResult::gamma`] does) as peaks, ascending by id.
+pub fn select_top_k<'a>(result: impl Into<Rectified<'a>>, k: usize) -> Vec<PointId> {
+    let Rectified(result, max_finite) = result.into();
+    let max_rho = result.rho.iter().copied().max().unwrap_or(0).max(1) as f64;
+    let max_delta = max_finite.max(f64::MIN_POSITIVE);
+    let gamma = |(i, (&r, &d)): (usize, (&u32, &f64))| {
+        let d = if d.is_finite() { d } else { max_delta };
+        (i as PointId, (r as f64 / max_rho) * (d / max_delta))
+    };
+    let keyed = result.rho.iter().zip(&result.delta).enumerate();
+    first_k(k, keyed.map(gamma))
 }
 
 /// Selects the `k` largest-`delta` points (rectified, ties broken by id)
@@ -133,53 +140,92 @@ pub fn select_top_k(result: &DpResult, k: usize) -> Vec<PointId> {
 ///
 /// # Panics
 /// Panics if `rho_quantile` is outside `[0, 1)` or `result` is empty.
-pub fn select_delta_outliers(result: &DpResult, k: usize, rho_quantile: f64) -> Vec<PointId> {
+pub fn select_delta_outliers<'a>(
+    result: impl Into<Rectified<'a>>,
+    k: usize,
+    rho_quantile: f64,
+) -> Vec<PointId> {
     assert!(
         (0.0..1.0).contains(&rho_quantile),
         "rho_quantile must be in [0,1)"
     );
-    let mut rhos = result.rho.clone();
-    let nth = ((rhos.len() - 1) as f64 * rho_quantile) as usize;
-    let floor = (*rhos.select_nth_unstable(nth).1).max(1);
-    let delta = rectified_delta(result);
-    let candidates = (0..result.len() as PointId)
-        .filter(|&i| result.rho[i as usize] >= floor)
-        .collect();
-    first_k(candidates, k, |&a, &b| {
-        delta(b as usize)
-            .partial_cmp(&delta(a as usize))
-            .expect("finite")
-            .then(a.cmp(&b))
+    let r = result.into();
+    let (rho, n) = (&r.0.rho, r.0.len());
+    let nth = (n.checked_sub(1).expect("empty result") as f64 * rho_quantile) as usize;
+    // The `nth` smallest density, as `select_nth_unstable` would place it.
+    let floor = match at_or_above(rho) {
+        Some(above) => above.partition_point(|&a| a as usize >= n - nth) as u32 - 1,
+        None => *rho.to_vec().select_nth_unstable(nth).1,
+    };
+    let keyed = (0..n).filter(|&i| rho[i] >= floor.max(1));
+    first_k(k, keyed.map(|i| (i as PointId, r.delta(i))))
+}
+
+/// A `&DpResult` with its largest finite delta, which a non-finite delta
+/// reads as on the decision graph: one scan that the graph and a selection share.
+#[derive(Debug, Clone, Copy)]
+pub struct Rectified<'a>(&'a DpResult, f64);
+
+impl<'a> From<&'a DpResult> for Rectified<'a> {
+    fn from(result: &'a DpResult) -> Self {
+        Rectified(result, result.max_finite_delta())
+    }
+}
+
+impl Rectified<'_> {
+    fn delta(&self, i: usize) -> f64 {
+        Some(self.0.delta[i])
+            .filter(|d| d.is_finite())
+            .unwrap_or(self.1)
+    }
+}
+
+/// `above[r]`: the points of density `r` or more, in `O(N + max rho)` —
+/// `None` should a density exceed `N`, which none computed here does.
+fn at_or_above(rho: &[u32]) -> Option<Vec<u32>> {
+    let max = rho.iter().copied().max().unwrap_or(0) as usize;
+    (max <= rho.len()).then(|| {
+        let mut above = vec![0u32; max + 1];
+        rho.iter().for_each(|&r| above[r as usize] += 1);
+        (0..max).rev().for_each(|r| above[r] += above[r + 1]);
+        above
     })
 }
 
-/// `result`'s deltas as the decision graph shows them: a non-finite delta
-/// reads as the largest finite one.
-fn rectified_delta(result: &DpResult) -> impl Fn(usize) -> f64 + '_ {
-    let max_finite = result.max_finite_delta();
-    move |i| {
-        let delta = result.delta[i];
-        if delta.is_finite() {
-            delta
-        } else {
-            max_finite
-        }
+/// Every id, densest first under [`denser`]: a counting sort over [`at_or_above`]
+/// (slots filled back to front, so a tie's larger id leads), or a comparison sort.
+fn densest_first(rho: &[u32]) -> Vec<PointId> {
+    let mut ids: Vec<PointId> = (0..rho.len() as PointId).collect();
+    let Some(mut end) = at_or_above(rho) else {
+        ids.sort_unstable_by(|&a, &b| density_order(rho[a as usize], a, rho[b as usize], b));
+        return ids;
+    };
+    for (i, &r) in rho.iter().enumerate() {
+        end[r as usize] -= 1;
+        ids[end[r as usize] as usize] = i as PointId;
     }
+    ids
 }
 
-/// The first `k` of `ids` under the total order `cmp`, ascending by id:
-/// one selection over all of them, then a sort of the winners only.
-fn first_k(
-    mut ids: Vec<PointId>,
-    k: usize,
-    mut cmp: impl FnMut(&PointId, &PointId) -> std::cmp::Ordering,
-) -> Vec<PointId> {
-    if k < ids.len() {
-        if let Some(last) = k.checked_sub(1) {
-            ids.select_nth_unstable_by(last, &mut cmp);
+/// The `k` ids with the largest keys (ties to the smaller id), ascending, from pairs arriving by
+/// id: a `k`-bounded heap rooted at the worst kept, which a later id must beat outright.
+fn first_k(k: usize, keyed: impl Iterator<Item = (PointId, f64)>) -> Vec<PointId> {
+    // Sign-folded bits order as finite keys do (`-0.0` lifted to `0.0`).
+    let rank = |key: f64| match (key + 0.0).to_bits() {
+        bits if bits >> 63 == 1 => !bits,
+        bits => bits | 1 << 63,
+    };
+    let (mut heap, mut bar) = (BinaryHeap::new(), 0);
+    for (id, key) in keyed.map(|(id, key)| (id, rank(key))) {
+        if heap.len() < k || key > bar {
+            heap.push((!key, id));
+            if heap.len() > k {
+                heap.pop();
+            }
+            bar = heap.peek().map_or(u64::MAX, |&(worst, _)| !worst);
         }
-        ids.truncate(k);
     }
+    let mut ids: Vec<PointId> = heap.into_iter().map(|(_, id)| id).collect();
     ids.sort_unstable();
     ids
 }
@@ -243,20 +289,19 @@ impl Clustering {
 /// selected `peaks` (paper §III-A Step 3, Figure 1d). Point `peaks[c]`
 /// labels cluster `c`.
 ///
-/// One memoised walk: from each unlabelled point, up the upslope chain to
-/// the first labelled point, then that label is written back along the
-/// path. Every point is walked past once, so a relabel is linear in `N`.
-/// Each edge followed must lead to a point strictly denser under the
-/// canonical order ([`denser`]); that keeps the chains acyclic and the walk
-/// finite. A point whose upslope is [`NO_UPSLOPE`] (the absolute peak, or
-/// an approximate result's stranded candidates) that was *not* selected as
-/// a peak ends its chain in cluster 0, the first peak's — in exact DP this
+/// One pass over the points densest first (`densest_first`, a counting
+/// sort on the integer densities): each point that is not a peak takes its
+/// upslope's label, already final because the upslope is denser. Each
+/// edge must lead to a point strictly denser under the canonical order
+/// ([`denser`]); that keeps the chains acyclic and the order sound. A
+/// point whose upslope is [`NO_UPSLOPE`] (the absolute peak, or an
+/// approximate result's stranded candidates) that was *not* selected as a
+/// peak ends its chain in cluster 0, the first peak's — in exact DP this
 /// only arises when the user excludes the absolute peak from the selection.
 ///
 /// # Panics
 /// Panics if `peaks` is empty or contains duplicate or out-of-range ids, or
-/// if a chain from a point that is not a peak steps to a point that is not
-/// denser.
+/// if a point that is not a peak has an upslope that is not denser.
 pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
     assert!(!peaks.is_empty(), "at least one density peak is required");
     let n = result.len();
@@ -269,26 +314,20 @@ pub fn assign(result: &DpResult, peaks: &[PointId]) -> Clustering {
     }
 
     let (rho, upslope) = (&result.rho, &result.upslope);
-    let mut path = Vec::new();
-    for i in 0..n {
-        let mut at = i;
-        while labels[at] == u32::MAX {
-            let u = upslope[at];
-            if u == NO_UPSLOPE {
-                labels[at] = 0; // stranded candidate not chosen as a peak
-                break;
-            }
+    for i in densest_first(rho) {
+        let (at, u) = (i as usize, upslope[i as usize]);
+        if labels[at] != u32::MAX {
+            continue;
+        }
+        labels[at] = if u == NO_UPSLOPE {
+            0 // stranded candidate not chosen as a peak
+        } else {
             assert!(
-                (u as usize) < n && denser(rho[u as usize], u, rho[at], at as PointId),
-                "upslope {u} of point {at} is not denser"
+                (u as usize) < n && denser(rho[u as usize], u, rho[at], i),
+                "upslope {u} of point {i} is not denser"
             );
-            path.push(at);
-            at = u as usize;
-        }
-        let label = labels[at];
-        for p in path.drain(..) {
-            labels[p] = label;
-        }
+            labels[u as usize]
+        };
     }
 
     Clustering::from_labels(labels, peaks.len() as u32)

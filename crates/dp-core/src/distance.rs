@@ -113,9 +113,9 @@ pub(crate) fn accumulate_tile_d2(q: &[f64], cols: &[[f64; LANES]], acc: &mut [f6
 /// and every target: `out[q * n_targets + t] = d²(queries[q], targets[t])`.
 ///
 /// Both point blocks are flat row-major `dim`-dimensional coordinates, the
-/// layout [`crate::Dataset`] stores. Targets are taken [`LANES`] at a time,
+/// layout [`crate::Dataset`] stores. Targets are taken `LANES` at a time,
 /// transposed once into a stack tile and swept by every query through
-/// [`accumulate_tile_d2`], so the stripe stays hot in cache across the
+/// `accumulate_tile_d2`, so the stripe stays hot in cache across the
 /// batch (the serving runtime's micro-batches feed this) and each entry is
 /// bit-identical to [`squared_euclidean`] on either vector width
 /// ([`crate::simd`]).

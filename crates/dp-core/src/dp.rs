@@ -89,11 +89,11 @@ impl DpResult {
     /// The largest finite `delta` (0 when there is none): what a
     /// non-finite `delta` is rectified to on the decision graph.
     pub(crate) fn max_finite_delta(&self) -> f64 {
-        self.delta
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(0.0_f64, f64::max)
+        // Bits below +inf's are the non-negative finite deltas, ordered as
+        // their bits; no other delta beats the starting 0.0: an integer max.
+        let finite = |&bits: &u64| bits < f64::INFINITY.to_bits();
+        let max = self.delta.iter().map(|d| d.to_bits()).filter(finite).max();
+        f64::from_bits(max.unwrap_or(0))
     }
 
     /// Replaces non-finite `delta` values with the maximum finite `delta`

@@ -44,7 +44,7 @@
 //!   `lb2 >= dc2` (or counting wholesale on `ub2 < dc2`) therefore never
 //!   flips a strict `d2 < dc2` test.
 //! * Leaf scans evaluate the leaf's pre-transposed tile with one lane per
-//!   pair ([`accumulate_tile_d2`]), each lane in [`squared_euclidean`]'s
+//!   pair (`distance::accumulate_tile_d2`), each lane in [`squared_euclidean`]'s
 //!   own accumulation order.
 //! * All of the above assumes finite indexed coordinates: a box cannot
 //!   bound a NaN. [`crate::local::use_indexed`] keeps such input on the

@@ -2,14 +2,14 @@
 //!
 //! The wrapper delegates every call to [`std::alloc::System`] (the
 //! default allocator, so behavior is unchanged) and, when accounting is
-//! enabled, maintains the process's live heap byte count in [`SHARDS`]
+//! enabled, maintains the process's live heap byte count in `SHARDS`
 //! cache-padded atomic shards selected by pointer hash — alloc and
 //! dealloc of the same block always hit the same shard, so per-shard
 //! counts stay coherent without any thread-local state (and therefore
 //! without TLS re-entry hazards inside the allocator).
 //!
 //! Peak tracking is slack-triggered: a shard republishes the global
-//! total only after drifting [`SLACK`] bytes from its last published
+//! total only after drifting `SLACK` bytes from its last published
 //! value, so the common alloc path is two relaxed atomics. The reported
 //! peak may under-estimate the true instantaneous maximum by at most
 //! `SHARDS * SLACK` bytes (1 MiB) — a bounded error in the same spirit
@@ -208,7 +208,7 @@ pub struct MemScope {
     slot: Option<usize>,
 }
 
-/// Opens a memory scope. While accounting is off (or all [`MAX_SCOPES`]
+/// Opens a memory scope. While accounting is off (or all `MAX_SCOPES`
 /// slots are taken) the scope is inert and reports 0.
 pub fn scope() -> MemScope {
     if !accounting_enabled() {

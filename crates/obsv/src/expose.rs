@@ -381,7 +381,7 @@ pub fn metrics_json(sources: &[(&str, &Registry)]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Renders buffered span events as an indented tree, most-recent state
-/// first by start time, truncated at [`SPANS_MAX_LINES`] lines.
+/// first by start time, truncated at `SPANS_MAX_LINES` lines.
 pub fn spans_text(events: &[SpanEvent]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{} spans buffered", events.len());

@@ -14,7 +14,7 @@
 //!
 //! Completed spans are recorded at *close* time as one event carrying
 //! `(start, duration)` — the chrome-tracing "X" (complete) shape — into
-//! one of [`SHARDS`] ring buffers selected by thread, so concurrent
+//! one of `SHARDS` ring buffers selected by thread, so concurrent
 //! closers contend only rarely. Each ring overwrites its oldest events
 //! when full; a trace of a long run keeps the most recent
 //! `SHARDS * RING_CAP` spans.

@@ -39,7 +39,7 @@ const FORMAT: u32 = 2;
 /// read it straight off a file prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelHeader {
-    /// On-disk format revision (always [`FORMAT`] when written here).
+    /// On-disk format revision (always `FORMAT` when written here).
     pub format: u32,
     /// The model's lineage version: 1 after a fresh fit, +1 per ingest
     /// batch or compaction. Distinguishes artifacts for cache keying and

@@ -1,30 +1,7 @@
-//! `lshddp` — the command-line front end.
-//!
-//! ```text
-//! lshddp generate --dataset s2 --scale 0.1 --out points.csv
-//! lshddp dc       --input points.csv --percentile 0.02
-//! lshddp cluster  --input points.csv --algorithm lsh --accuracy 0.99 --k 15 --out labels.csv
-//! lshddp graph    --input points.csv --out graph.csv
-//! ```
-//!
-//! Subcommands:
-//!
-//! * `generate` — write a synthetic data set (Table II analogs + shaped
-//!   sets) as CSV, optionally with ground-truth labels;
-//! * `dc` — estimate the cutoff distance at a quantile;
-//! * `cluster` — run one of the clustering pipelines end to end and write
-//!   one label per input row;
-//! * `graph` — compute the decision graph (`id,rho,delta,rectified`) for
-//!   interactive peak picking;
-//! * `fit` — run LSH-DDP end to end and snapshot the result as a
-//!   queryable `ClusterModel` artifact;
-//! * `query` — assign new points against a fitted model, one per line;
-//! * `serve` — push a query stream through the concurrent micro-batching
-//!   server and report service metrics;
-//! * `ingest` — apply a batch of point inserts/deletes to a fitted model
-//!   through the WAL-backed incremental path;
-//! * `compact` — fold the pending WAL into a fresh exact refit and write
-//!   the compacted artifact.
+//! `lshddp` — the command-line front end: `generate`, `dc`, `cluster`,
+//! `graph`, `tune`, `fit`, `query`, `serve`, `stats`, `ingest` and
+//! `compact` over CSV inputs. `lshddp help` prints `USAGE`, the one
+//! reference for every subcommand and flag.
 
 use lsh_ddp::prelude::*;
 use std::process::ExitCode;
@@ -35,11 +12,21 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// A command-line mistake (an unknown subcommand, a missing or malformed
+/// flag), followed by the usage text; every other error is one line.
+fn usage(error: impl std::fmt::Display) -> String {
+    format!("{error}\n\n{USAGE}")
+}
+
+/// The value of the required flag `flag`.
+fn required<'a>(value: &'a Option<String>, flag: &str) -> Result<&'a String, String> {
+    let missing = || usage(format!("{flag} is required"));
+    value.as_ref().ok_or_else(missing)
 }
 
 const USAGE: &str = "\
@@ -110,17 +97,20 @@ GLOBAL:
   --faults <spec>       inject seeded faults, e.g. seed=3,fail=300,eio=150;
       comma-separated key=value pairs, rates per mille. Task faults (the
       cluster, fit and compact pipelines): fail=n crashes n/1000 of task
-      attempts (n < 1000; retried), straggle=n slows n/1000 of tasks 4x
-      (speculative clones race them). Storage faults, per durable io op
-      (WAL, spill tier, checkpoints, model files): eio=n (retried),
-      enospc=n, crash=n and torn=n (power cuts), crash-at=k [crash-torn]
-      (cut the power at op k). seed=n defaults to --seed. Retried faults
-      leave results unchanged; a `faults:` line reports the retries and
-      injected faults";
+      attempts (n < 1000; retried), straggle=n slows n/1000 of tasks 4x,
+      at most +20 ms (a clone races one once 3 tasks of its phase are done;
+      a phase runs one task per thread: set LSHDDP_THREADS=4 or more).
+      Storage faults, per durable io op (WAL, spill tier, checkpoints,
+      model files): eio=n (retried), enospc=n, crash=n and torn=n (power
+      cuts), crash-at=k [crash-torn] (cut the power at op k). seed=n
+      defaults to --seed. Retried faults leave results unchanged; a
+      `faults:` line reports the retries and injected faults";
 
 fn run(args: &[String]) -> Result<(), String> {
-    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
-    let opts = Opts::parse(rest)?;
+    let (cmd, rest) = args
+        .split_first()
+        .ok_or_else(|| usage("missing subcommand"))?;
+    let opts = Opts::parse(rest).map_err(usage)?;
 
     // `--trace <file>` (or LSHDDP_TRACE=<file>) turns span capture on for
     // the whole run and dumps the timeline on the way out. Without it,
@@ -182,7 +172,7 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(usage(format!("unknown subcommand {other:?}"))),
     };
     if outcome.is_ok() && opts.faults.is_some() {
         print_fault_summary();
@@ -370,7 +360,7 @@ impl Opts {
     }
 
     fn load(&self) -> Result<datasets::LabeledDataset, String> {
-        let input = self.input.as_ref().ok_or("--input is required")?;
+        let input = required(&self.input, "--input")?;
         let mut ld = datasets::io::read_csv(input, self.labeled)
             .map_err(|e| format!("reading {input}: {e}"))?;
         if self.normalize {
@@ -453,9 +443,9 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
 }
 
 fn generate(o: &Opts) -> Result<(), String> {
-    let name = o.dataset.as_deref().ok_or("--dataset is required")?;
-    let out = o.out.as_ref().ok_or("--out is required")?;
-    let ld = match name {
+    let name = required(&o.dataset, "--dataset")?;
+    let out = required(&o.out, "--out")?;
+    let ld = match name.as_str() {
         "aggregation" => PaperDataset::Aggregation.generate(1.0, o.seed),
         "s2" => PaperDataset::S2.generate(o.scale.clamp(1e-9, 1.0), o.seed),
         "facial" => PaperDataset::Facial.generate(o.scale, o.seed),
@@ -466,7 +456,7 @@ fn generate(o: &Opts) -> Result<(), String> {
         "spirals" => datasets::shapes::spirals(2, 300, 0.02, o.seed),
         "moons" => datasets::shapes::two_moons(300, 0.04, o.seed),
         "rings" => datasets::shapes::rings(&[1.0, 4.0, 8.0], 250, 0.08, o.seed),
-        other => return Err(format!("unknown dataset {other:?} (see `lshddp help`)")),
+        other => return Err(usage(format!("unknown dataset {other:?}"))),
     };
     let labels = o.labels.then_some(&ld.labels[..]);
     datasets::io::write_csv(out, &ld.data, labels).map_err(|e| format!("writing {out}: {e}"))?;
@@ -487,11 +477,11 @@ fn estimate_dc(o: &Opts) -> Result<(), String> {
 fn cluster(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
-    let out = o.out.as_ref().ok_or("--out is required")?;
+    let out = required(&o.out, "--out")?;
 
     // K-means is the odd one out (no decision graph, no d_c).
     if o.algorithm == "kmeans" {
-        let k = o.k.ok_or("--k is required for kmeans")?;
+        let k = o.k.ok_or_else(|| usage("--k is required for kmeans"))?;
         let fit = KMeans::new(k, o.seed).fit(ds);
         write_labels(out, fit.clustering.labels())?;
         println!(
@@ -528,7 +518,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
                 .run(ds, dc);
             (r.result.clone(), Some(r))
         }
-        other => return Err(format!("unknown algorithm {other:?}")),
+        other => return Err(usage(format!("unknown algorithm {other:?}"))),
     };
 
     let outcome = CentralizedStep::new(selection).run(&result);
@@ -588,7 +578,7 @@ fn cluster(o: &Opts) -> Result<(), String> {
 fn graph(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
-    let out = o.out.as_ref().ok_or("--out is required")?;
+    let out = required(&o.out, "--out")?;
     let dc = o.resolve_dc(ds)?;
     let result = match o.algorithm.as_str() {
         "lsh" => {
@@ -647,7 +637,7 @@ fn tune(o: &Opts) -> Result<(), String> {
 fn fit(o: &Opts) -> Result<(), String> {
     let ld = o.load()?;
     let ds = &ld.data;
-    let out = o.out.as_ref().ok_or("--out is required")?;
+    let out = required(&o.out, "--out")?;
     let selection = o.selection()?;
     let dc = o.resolve_dc(ds)?;
 
@@ -686,9 +676,9 @@ fn read_points(path: Option<&str>, dim: usize) -> Result<Vec<f64>, String> {
 }
 
 fn load_engine(o: &Opts) -> Result<QueryEngine, String> {
-    let path = o.model.as_ref().ok_or("--model is required")?;
+    let path = required(&o.model, "--model")?;
     let model = ClusterModel::load(path).map_err(|e| e.to_string())?;
-    let exactness: Exactness = o.exactness.parse()?;
+    let exactness: Exactness = o.exactness.parse().map_err(usage)?;
     Ok(QueryEngine::with_exactness(model, exactness))
 }
 
@@ -892,7 +882,7 @@ fn print_lifecycle_stats(session: &IngestSession) {
 }
 
 fn ingest(o: &Opts) -> Result<(), String> {
-    let path = o.model.as_ref().ok_or("--model is required")?;
+    let path = required(&o.model, "--model")?;
     let model = ClusterModel::load(path).map_err(|e| e.to_string())?;
 
     // Parse every op and check the paths before the session opens, so a
@@ -959,7 +949,7 @@ fn ingest(o: &Opts) -> Result<(), String> {
 }
 
 fn compact(o: &Opts) -> Result<(), String> {
-    let path = o.model.as_ref().ok_or("--model is required")?;
+    let path = required(&o.model, "--model")?;
     let model = ClusterModel::load(path).map_err(|e| e.to_string())?;
     let mut session = open_session(o, &model)?;
 

@@ -292,9 +292,9 @@ fn non_finite_input_is_a_clean_error() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(!out.status.success(), "{cmd:?} accepted {row:?}");
             let want = format!("line {line}: non-finite value {shown} in column {column}");
-            let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error")).collect();
+            let lines: Vec<&str> = stderr.lines().collect();
             assert!(
-                matches!(errors[..], [e] if e.ends_with(&want)),
+                matches!(lines[..], [e] if e.starts_with("error: ") && e.ends_with(&want)),
                 "{cmd:?}: {stderr}"
             );
             assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
@@ -725,4 +725,96 @@ fn fit_ingest_compact_refits_the_live_points_exactly() {
     assert_eq!(c.rhos(), &exact.rho[..]);
     assert_eq!(c.deltas(), &exact.delta[..]);
     assert_eq!(c.upslopes(), &exact.upslope[..]);
+}
+
+/// Every point-reading subcommand against hostile inputs. Each case either
+/// exits 1 with exactly one stderr line, or exits 0 without a non-finite
+/// value in what it prints or writes; none panics. The exit codes are
+/// pinned: an empty file or a short row fails to read; one row or only
+/// duplicates leave no `d_c` to estimate, yet a fitted model answers
+/// them; an extra column or a `1e308` row is data.
+#[test]
+fn hostile_inputs_fail_in_one_line_or_answer_finitely() {
+    let base = tmp("hostile-base.csv");
+    let model = tmp("hostile-model.bin");
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&base)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = bin()
+        .args(["fit", "--k", "5", "--input"])
+        .arg(&base)
+        .arg("--out")
+        .arg(&model)
+        .output()
+        .expect("fit");
+    assert!(out.status.success());
+    let rows = std::fs::read_to_string(&base).expect("points written");
+    let extra: String = rows.lines().map(|l| format!("{l},7\n")).collect();
+
+    // (input, contents, exit code of the d_c-estimating commands, of the
+    // model-reading ones)
+    let inputs = [
+        ("empty", String::new(), 1, 1),
+        ("one-row", "1.0,2.0\n".to_string(), 1, 0),
+        ("duplicates", "1.0,2.0\n".repeat(50), 1, 0),
+        ("short-row", format!("{rows}1.0\n"), 1, 1),
+        ("extra-column", extra, 0, 0),
+        ("huge", format!("{rows}1e308,1e308\n"), 0, 0),
+    ];
+    let estimating: [&[&str]; 6] = [
+        &["cluster", "--k", "3"],
+        &["cluster", "--auto"],
+        &["graph"],
+        &["dc"],
+        &["tune"],
+        &["fit", "--k", "3"],
+    ];
+    let non_finite = |text: &str| {
+        text.split(|c: char| c.is_whitespace() || ",:=()[]".contains(c))
+            .any(|t| t.parse::<f64>().is_ok_and(|v| !v.is_finite()))
+    };
+    for (name, contents, estimating_code, model_code) in inputs {
+        let points = tmp(&format!("hostile-{name}.csv"));
+        std::fs::write(&points, contents).expect("write input");
+        let with_model = ["query", "serve", "stats", "ingest"].map(|sub| [sub, "--model"]);
+        let cases = estimating
+            .iter()
+            .map(|args| (args.to_vec(), estimating_code))
+            .chain(with_model.iter().map(|args| (args.to_vec(), model_code)));
+        for (args, code) in cases {
+            let written = tmp(&format!("hostile-{name}-out"));
+            std::fs::remove_file(&written).ok();
+            let mut cmd = bin();
+            cmd.args(&args);
+            if args.contains(&"--model") {
+                cmd.arg(&model);
+            }
+            let out = cmd
+                .arg("--input")
+                .arg(&points)
+                .arg("--out")
+                .arg(&written)
+                .output()
+                .expect("run the subcommand");
+            let (stdout, stderr) = (
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr),
+            );
+            let case = format!("{name} {args:?}: {stderr}");
+            assert_eq!(out.status.code(), Some(code), "{case}");
+            assert!(!stderr.contains("panicked"), "{case}");
+            if code == 1 {
+                assert_eq!(stderr.lines().count(), 1, "{case}");
+                continue;
+            }
+            assert!(!non_finite(&stdout), "{case}{stdout}");
+            if matches!(args[0], "cluster" | "graph" | "query" | "serve") {
+                let text = std::fs::read_to_string(&written).expect("output written");
+                assert!(!non_finite(&text), "{case}");
+            }
+        }
+    }
 }
