@@ -109,6 +109,69 @@ pub(crate) fn accumulate_tile_d2(q: &[f64], cols: &[[f64; LANES]], acc: &mut [f6
     *acc = a;
 }
 
+/// Lanes per group of [`tile_d2_through`]: one AVX2 register of `f64`.
+const GROUP: usize = 4;
+
+/// `d²` from a query, its coordinates read in dimension order from `q`,
+/// to the first `width` lanes of a tile, computed in whole groups of
+/// [`GROUP`] lanes: [`accumulate_tile_d2`]'s terms in its order from
+/// `0.0`, so each computed lane has its bits. Lanes past the last group
+/// read `0.0`. Also returns how many lanes were computed.
+///
+/// Reading `q` as an iterator lets a query row of another tile be read in
+/// place, one column at a time, without gathering it first.
+#[inline(always)]
+pub(crate) fn tile_d2_through(
+    q: impl Iterator<Item = f64>,
+    cols: &[[f64; LANES]],
+    width: usize,
+) -> ([f64; LANES], usize) {
+    match width.div_ceil(GROUP) {
+        0 | 1 => (tile_prefix_d2::<GROUP>(q, cols), GROUP),
+        2 => (tile_prefix_d2::<{ 2 * GROUP }>(q, cols), 2 * GROUP),
+        3 => (tile_prefix_d2::<{ 3 * GROUP }>(q, cols), 3 * GROUP),
+        _ => (tile_prefix_d2::<LANES>(q, cols), LANES),
+    }
+}
+
+/// [`tile_d2_through`] at a fixed count of `W` lanes.
+#[inline(always)]
+fn tile_prefix_d2<const W: usize>(
+    q: impl Iterator<Item = f64>,
+    cols: &[[f64; LANES]],
+) -> [f64; LANES] {
+    let mut a = [0.0; W];
+    for (x, col) in q.zip(cols) {
+        for (a, &c) in a.iter_mut().zip(col) {
+            let t = x - c;
+            *a += t * t;
+        }
+    }
+    let mut out = [0.0; LANES];
+    out[..W].copy_from_slice(&a);
+    out
+}
+
+/// Two queries against every lane of one tile at once, each lane
+/// [`accumulate_tile_d2`]'s terms in its order from `0.0`: the two rows
+/// share every column load, and their `2 × LANES` sums are twice the
+/// independent add chains of one query's.
+#[inline(always)]
+pub(crate) fn tile_d2_pair(
+    q: impl Iterator<Item = (f64, f64)>,
+    cols: &[[f64; LANES]],
+) -> [[f64; LANES]; 2] {
+    let (mut a, mut b) = ([0.0; LANES], [0.0; LANES]);
+    for ((x, y), col) in q.zip(cols) {
+        for ((a, b), &c) in a.iter_mut().zip(&mut b).zip(col) {
+            let (s, t) = (x - c, y - c);
+            *a += s * s;
+            *b += t * t;
+        }
+    }
+    [a, b]
+}
+
 /// Fills `out` with the squared Euclidean distances between every query
 /// and every target: `out[q * n_targets + t] = d²(queries[q], targets[t])`.
 ///

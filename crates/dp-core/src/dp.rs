@@ -8,6 +8,7 @@
 //! `crates/dp-core/tests/local.rs`.
 
 use crate::distance::DistanceTracker;
+use crate::index::Work;
 use crate::local::{Key, Partition};
 use crate::point::{Dataset, PointId};
 use serde::{Deserialize, Serialize};
@@ -120,29 +121,52 @@ impl DpResult {
 /// # Panics
 /// Panics if the dataset is empty or `dc` is not positive and finite.
 pub fn compute_exact(ds: &Dataset, dc: f64) -> DpResult {
-    compute_exact_tracked(ds, dc, &DistanceTracker::new())
+    compute_exact_costed(ds, dc).0
 }
 
-/// Computes exact DP, recording every distance evaluation in `tracker`:
-/// the whole data set is one [`Partition`], so the kernels and routing
-/// rule every distributed pipeline runs per partition answer it here. The
-/// two phases run under one `dp/rho` and one `dp/delta` span.
-pub fn compute_exact_tracked(ds: &Dataset, dc: f64, tracker: &DistanceTracker) -> DpResult {
+/// What an exact run cost: the distance evaluations of its `rho` and
+/// `delta` phases, and the index's work record (all zero when the data
+/// set took the pairwise route).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExactCost {
+    /// Distance evaluations of the `rho` phase.
+    pub rho_evals: u64,
+    /// Distance evaluations of the `delta` phase.
+    pub delta_evals: u64,
+    /// The kd-tree's work over both phases.
+    pub work: Work,
+}
+
+/// Computes exact DP and what it cost: the whole data set is one
+/// [`Partition`], so the kernels and routing rule every distributed
+/// pipeline runs per partition answer it here. The two phases run under
+/// one `dp/rho` and one `dp/delta` span.
+///
+/// # Panics
+/// Panics if the dataset is empty or `dc` is not positive and finite.
+pub fn compute_exact_costed(ds: &Dataset, dc: f64) -> (DpResult, ExactCost) {
     assert!(!ds.is_empty(), "cannot run DP on an empty dataset");
     assert!(
         dc.is_finite() && dc > 0.0,
         "d_c must be positive and finite, got {dc}"
     );
     let part = Partition::new(ds.as_flat(), ds.dim(), dc);
-    let (rho, evals) = obsv::span!("dp", "rho" => { part.rho() });
-    tracker.add(evals);
-    let (delta, upslope) = obsv::span!("dp", "delta" => { delta_by_keys(&part, &rho, tracker) });
-    DpResult {
+    let (rho, rho_evals) = obsv::span!("dp", "rho" => { part.rho() });
+    let delta_evals = DistanceTracker::new();
+    let (delta, upslope) =
+        obsv::span!("dp", "delta" => { delta_by_keys(&part, &rho, &delta_evals) });
+    let cost = ExactCost {
+        rho_evals,
+        delta_evals: delta_evals.total(),
+        work: part.work(),
+    };
+    let result = DpResult {
         dc,
         rho,
         delta,
         upslope,
-    }
+    };
+    (result, cost)
 }
 
 /// Eq. 2 over every point of `part` under the keys `(rho[i], i)`: the
@@ -261,12 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn tracker_records_the_partition_evaluations() {
-        let ds = tiny();
-        let t = DistanceTracker::new();
-        let _ = compute_exact_tracked(&ds, 1.5, &t);
-        // Three points stay pairwise: each phase evaluates the 3 pairs once.
-        assert_eq!(t.total(), 3 + 3);
+    fn cost_records_the_partition_evaluations() {
+        let (_, cost) = compute_exact_costed(&tiny(), 1.5);
+        // Three points stay pairwise: each phase evaluates the 3 pairs once,
+        // and no tree does any work.
+        assert_eq!((cost.rho_evals, cost.delta_evals), (3, 3));
+        assert_eq!(cost.work, Work::default());
     }
 
     #[test]

@@ -32,6 +32,32 @@
 //! caller's input order at the API edge. Every kernel runs on the vector
 //! width the index was built for ([`crate::simd`]), with the same bits.
 //!
+//! ## Lanes computed, lanes counted
+//!
+//! A tile computes one lane per row of a leaf, and the kernels pay only
+//! for the lanes they read where that is cheaper than computing the rest:
+//!
+//! * The self-join runs a leaf's query rows two at a time against the
+//!   other leaf's tile, read in place, so one sweep of that tile serves
+//!   both. Before any row, a box-level bound (`flag_bounds2`) can prove
+//!   that no point of the leaf is within `d_c` of all of the other box,
+//!   and the flag pass then skips its upper bounds, or that none is out
+//!   of range of all of it either, and the pass is skipped.
+//! * A `delta` pass first orders every leaf's rows by descending density
+//!   key, in place in the one tile buffer
+//!   (`SpatialIndex::order_leaves_by`). The rows a search accepts are
+//!   then a prefix of each leaf, and a leaf scan computes only the lane
+//!   groups through its last accepted row (from `PREFIX_MIN_DIM`
+//!   dimensions; narrower tiles cost less whole).
+//! * The search compares squared distances against a bracket of its
+//!   limit (`Limit`) and takes a `sqrt` only where the bracket cannot
+//!   decide: pops, scans and offers decide exactly as on the roots, and a
+//!   push may only be kept where the roots would drop it.
+//!
+//! [`Work`] counts the traversal (node pairs, leaf pairs, pops, fronts,
+//! leaf scans), which none of this moves, beside the lanes computed
+//! against the lanes counted.
+//!
 //! ## Bit-identity contract
 //!
 //! Results are **bit-identical** to the blocked kernels, not merely close:
@@ -61,13 +87,103 @@
 //!
 //! [`squared_euclidean`]: crate::distance::squared_euclidean
 
-use crate::distance::{accumulate_tile_d2, LANES};
+use crate::distance::{accumulate_tile_d2, tile_d2_pair, tile_d2_through, LANES};
 use crate::local::Key;
 use crate::point::PointId;
 use crate::simd::Isa;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
+use std::fmt;
+use std::ops::{AddAssign, Range};
+
+// ---------------------------------------------------------------------
+// Work record
+// ---------------------------------------------------------------------
+
+/// What the kd-tree did besides the distance evaluations it counts: the
+/// traversal of the rho self-join and of the nearest-denser search, and
+/// the lanes each computed against the lanes it counted. Plain counters,
+/// summed over the kernel calls of one [`crate::local::Partition`].
+///
+/// The node pairs, leaf pairs, pops, fronts and leaf scans are a function
+/// of the tree and the answers: a kernel change that keeps them keeps the
+/// traversal. The lanes are what a kernel may cut.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Join: node pairs visited.
+    pub node_pairs: u64,
+    /// Join: node pairs whose boxes are at least `d_c` apart.
+    pub pruned: u64,
+    /// Join: node pairs counted wholesale, every pair within `d_c`.
+    pub granted: u64,
+    /// Join: leaf pairs settled point by point.
+    pub leaf_pairs: u64,
+    /// Join: leaf points tested against the other leaf's box, one pass
+    /// per leaf and side.
+    pub flag_passes: u64,
+    /// Join: bound lanes those passes computed, one per point and bound.
+    pub flag_lanes: u64,
+    /// Join: query rows run against a leaf tile.
+    pub tile_rows: u64,
+    /// Join: distance lanes those rows computed.
+    pub join_lanes: u64,
+    /// Join: distance evaluations counted.
+    pub join_counted: u64,
+    /// Search: heap nodes expanded or scanned.
+    pub pops: u64,
+    /// Search: internal nodes expanded into a front.
+    pub fronts: u64,
+    /// Search: leaves scanned.
+    pub leaf_scans: u64,
+    /// Search: distance lanes those scans computed.
+    pub search_lanes: u64,
+    /// Search: lanes of acceptable points, each one evaluation.
+    pub search_accepted: u64,
+}
+
+impl AddAssign for Work {
+    fn add_assign(&mut self, o: Work) {
+        self.node_pairs += o.node_pairs;
+        self.pruned += o.pruned;
+        self.granted += o.granted;
+        self.leaf_pairs += o.leaf_pairs;
+        self.flag_passes += o.flag_passes;
+        self.flag_lanes += o.flag_lanes;
+        self.tile_rows += o.tile_rows;
+        self.join_lanes += o.join_lanes;
+        self.join_counted += o.join_counted;
+        self.pops += o.pops;
+        self.fronts += o.fronts;
+        self.leaf_scans += o.leaf_scans;
+        self.search_lanes += o.search_lanes;
+        self.search_accepted += o.search_accepted;
+    }
+}
+
+impl fmt::Display for Work {
+    /// Two lines: the join's, then the search's.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "join: {} node pairs ({} pruned, {} granted), {} leaf pairs, \
+             {} flag passes ({} lanes), {} tile rows, {} lanes computed for {} counted",
+            self.node_pairs,
+            self.pruned,
+            self.granted,
+            self.leaf_pairs,
+            self.flag_passes,
+            self.flag_lanes,
+            self.tile_rows,
+            self.join_lanes,
+            self.join_counted
+        )?;
+        write!(
+            f,
+            "search: {} pops, {} fronts, {} leaf scans, {} lanes computed for {} accepted",
+            self.pops, self.fronts, self.leaf_scans, self.search_lanes, self.search_accepted
+        )
+    }
+}
 
 // ---------------------------------------------------------------------
 // Box bounds
@@ -131,6 +247,40 @@ fn below(x: &[f64; LANES], t: f64) -> u16 {
         .fold(0, |m, (k, &v)| m | u16::from(v < t) << k)
 }
 
+/// Lane `k` is bit `k` of `mask`.
+#[inline(always)]
+fn lanes_of(mask: u16) -> [u32; LANES] {
+    std::array::from_fn(|k| u32::from(mask >> k & 1))
+}
+
+/// Bounds on the flags of every point of box `a` against box `b` (each
+/// `dim` minima then `dim` maxima): `(g2, t2)`, where `g2` is at least the
+/// `lb2` and `t2` at most the `ub2` that [`lanes_bounds2`] computes from any
+/// point of `a` to `b`, in floating point.
+///
+/// Per dimension, a point `x` in `[la, ha]` has a gap to `[lo, hi]` of at
+/// most `max(lo - la, ha - hi, 0)`, and a reach of at least the larger of
+/// `hi - ha`, `la - lo` and half the extent `hi - lo`; every rounding is
+/// monotone, and the halving is exact unless the half is subnormal, when
+/// it squares to `0.0`. Summed in [`crate::distance::squared_euclidean`]'s
+/// order, the terms keep those inequalities. So when `g2 < dc2` no point
+/// of `a` is out of range of all of `b`, and when `t2 >= dc2` none is
+/// within range of all of it.
+#[inline(always)]
+fn flag_bounds2(a: &[f64], b: &[f64]) -> (f64, f64) {
+    let dim = a.len() / 2;
+    let (lo_a, hi_a) = a.split_at(dim);
+    let (lo_b, hi_b) = b.split_at(dim);
+    let (mut g2, mut t2) = (0.0, 0.0);
+    for (((&la, &ha), &lo), &hi) in lo_a.iter().zip(hi_a).zip(lo_b).zip(hi_b) {
+        let g = max_or(lo - la, max_or(ha - hi, 0.0));
+        g2 += g * g;
+        let t = max_or((hi - lo) * 0.5, max_or(hi - ha, la - lo));
+        t2 += t * t;
+    }
+    (g2, t2)
+}
+
 /// Squared lower bounds from `q` to two boxes — a node's two children —
 /// in one pass: two independent chains instead of two latency-bound ones.
 #[inline(always)]
@@ -164,20 +314,47 @@ fn lanes_bounds2(cols: &[[f64; LANES]], b: &[f64]) -> ([f64; LANES], [f64; LANES
     (lb2, ub2)
 }
 
-/// The lower bound of [`box_bounds2`] from point `q` to each box of a
-/// front, held dimension-major (`dim` columns of minima, then `dim` of
-/// maxima): the same terms in the same order, one chain per box.
+/// The lower bounds of [`lanes_bounds2`] alone.
 #[inline(always)]
-fn front_lb2(q: &[f64], cols: &[[f64; FRONT]]) -> [f64; FRONT] {
-    let (lo, hi) = cols.split_at(q.len());
-    let mut lb2 = [0.0; FRONT];
+fn lanes_lb2(cols: &[[f64; LANES]], b: &[f64]) -> [f64; LANES] {
+    let (lo, hi) = b.split_at(cols.len());
+    let mut lb2 = [0.0; LANES];
+    for ((col, &lo), &hi) in cols.iter().zip(lo).zip(hi) {
+        for (&x, lb2) in col.iter().zip(&mut lb2) {
+            let g = gap(x, x, lo, hi);
+            *lb2 += g * g;
+        }
+    }
+    lb2
+}
+
+/// The lower bound of [`box_bounds2`] from point `q` to each box of a
+/// front, held dimension-major in columns of its width (`dim` columns of
+/// minima, then `dim` of maxima): the same terms in the same order, one
+/// chain per box.
+#[inline(always)]
+fn front_lb2(q: &[f64], cols: &[f64]) -> [f64; FRONT] {
+    match cols.len() / (2 * q.len()) {
+        2 => front_width_lb2::<2>(q, cols),
+        4 => front_width_lb2::<4>(q, cols),
+        _ => front_width_lb2::<FRONT>(q, cols),
+    }
+}
+
+/// [`front_lb2`] over columns of `W` lanes.
+#[inline(always)]
+fn front_width_lb2<const W: usize>(q: &[f64], cols: &[f64]) -> [f64; FRONT] {
+    let (lo, hi) = cols.as_chunks::<W>().0.split_at(q.len());
+    let mut lb2 = [0.0; W];
     for ((&x, lo), hi) in q.iter().zip(lo).zip(hi) {
         for ((lb2, &lo), &hi) in lb2.iter_mut().zip(lo).zip(hi) {
             let g = gap(x, x, lo, hi);
             *lb2 += g * g;
         }
     }
-    lb2
+    let mut out = [0.0; FRONT];
+    out[..W].copy_from_slice(&lb2);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -199,6 +376,18 @@ const FRONT_DEPTH: usize = 3;
 /// Boxes in a front: one lane each.
 const FRONT: usize = 1 << FRONT_DEPTH;
 
+/// `f64` per 64-byte cache line.
+const LINE: usize = 8;
+
+// A tile column covers whole cache lines.
+const _: () = assert!(LANES.is_multiple_of(LINE));
+
+/// Dimensions from which a leaf scan of the nearest search computes only
+/// the lanes through its last acceptable row. Narrower tiles cost less to
+/// compute whole than the unpredictable branch on the width (measured on
+/// 4-D and 74-D buckets).
+const PREFIX_MIN_DIM: usize = 8;
+
 /// Subtrees at least this large build their children via `rayon::join`.
 const PAR_BUILD_MIN: usize = 4096;
 
@@ -214,6 +403,8 @@ fn node_count(n: usize) -> usize {
 /// The nodes a best-first search pushes when it pops an expanded node.
 struct Front {
     nodes: [u32; FRONT],
+    /// Nodes in the front, at least two; its columns are `len` rounded up
+    /// to a power of two lanes wide.
     len: usize,
     /// Where the nodes' boxes start in `KdTree::lanes`.
     cols: usize,
@@ -293,14 +484,38 @@ impl KdTree {
         (kd, perm)
     }
 
-    /// Fills the leaf tiles, then the fronts: the root's, and those of
-    /// the internal nodes each front holds.
+    /// Lists the fronts — the root's, and those of the internal nodes each
+    /// front holds — then fills the leaf tiles from a cache line, so every
+    /// tile column covers two whole lines, and then the fronts' columns. A
+    /// front's columns are as wide as its node count rounded up to a power
+    /// of two: most fronts near the leaves hold two or four boxes, and a
+    /// search streams their columns.
     #[inline(always)]
     fn lay_out(&mut self, flat: &[f64], dim: usize, perm: &[u32]) {
-        let nodes = self.len.len();
+        if !self.is_leaf(0) {
+            self.push_front(0);
+        }
+        let mut next = 0;
+        while next < self.fronts.len() {
+            let front = &self.fronts[next];
+            let (nodes, len) = (front.nodes, front.len);
+            for &v in &nodes[..len] {
+                if !self.is_leaf(v as usize) {
+                    self.push_front(v as usize);
+                }
+            }
+            next += 1;
+        }
         // Every internal node has two children: (nodes + 1) / 2 leaves.
-        self.lanes.reserve(nodes.div_ceil(2) * dim * LANES);
-        for node in 0..nodes {
+        // Only the tiles are reserved: the fronts grow the buffer, as they
+        // always have. Reserving all of it at once holds fewer bytes yet
+        // read 2-6% more peak RSS on fit-wide, through the allocator.
+        self.lanes
+            .reserve(self.len.len().div_ceil(2) * dim * LANES + LINE - 1);
+        let addr = self.lanes.as_ptr() as usize;
+        self.lanes
+            .resize((addr.next_multiple_of(LINE * 8) - addr) / 8, 0.0);
+        for node in 0..self.len.len() {
             if self.is_leaf(node) {
                 let at = self.lanes.len();
                 self.slot[node] = at;
@@ -313,30 +528,27 @@ impl KdTree {
                 }
             }
         }
-        if !self.is_leaf(0) {
-            self.push_front(dim, 0);
-        }
-        let mut next = 0;
-        while next < self.fronts.len() {
-            let front = &self.fronts[next];
-            let (nodes, len) = (front.nodes, front.len);
-            for &v in &nodes[..len] {
-                if !self.is_leaf(v as usize) {
-                    self.push_front(dim, v as usize);
+        for front in &mut self.fronts {
+            front.cols = self.lanes.len();
+            let width = front.len.next_power_of_two();
+            self.lanes.resize(front.cols + 2 * dim * width, 0.0);
+            let cols = self.lanes[front.cols..].chunks_exact_mut(width);
+            for (k, col) in cols.enumerate() {
+                for (c, &v) in col.iter_mut().zip(&front.nodes[..front.len]) {
+                    *c = self.bounds[v as usize * 2 * dim + k];
                 }
             }
-            next += 1;
         }
     }
 
-    /// Lays out the front of `node`: [`FRONT_DEPTH`] levels down, stopping
-    /// at leaves.
+    /// Lists the front of `node`: [`FRONT_DEPTH`] levels down, stopping at
+    /// leaves.
     #[inline(always)]
-    fn push_front(&mut self, dim: usize, node: usize) {
+    fn push_front(&mut self, node: usize) {
         let mut front = Front {
             nodes: [node as u32; FRONT],
             len: 1,
-            cols: self.lanes.len(),
+            cols: 0,
         };
         for _ in 0..FRONT_DEPTH {
             let (level, len) = (front.nodes, front.len);
@@ -352,13 +564,6 @@ impl KdTree {
                     front.nodes[front.len] = k;
                     front.len += 1;
                 }
-            }
-        }
-        self.lanes.resize(front.cols + 2 * dim * FRONT, 0.0);
-        let cols = self.lanes[front.cols..].chunks_exact_mut(FRONT);
-        for (k, col) in cols.enumerate() {
-            for (c, &v) in col.iter_mut().zip(&front.nodes[..front.len]) {
-                *c = self.bounds[v as usize * 2 * dim + k];
             }
         }
         self.slot[node] = self.fronts.len();
@@ -389,16 +594,25 @@ impl KdTree {
 
     /// An expanded node's front: its nodes, and their boxes' columns.
     #[inline(always)]
-    fn front(&self, dim: usize, node: usize) -> (&[u32], &[[f64; FRONT]]) {
+    fn front(&self, dim: usize, node: usize) -> (&[u32], &[f64]) {
         let front = &self.fronts[self.slot[node]];
-        let cols = &self.lanes[front.cols..][..2 * dim * FRONT];
-        (&front.nodes[..front.len], cols.as_chunks().0)
+        let width = front.len.next_power_of_two();
+        (
+            &front.nodes[..front.len],
+            &self.lanes[front.cols..][..2 * dim * width],
+        )
     }
 
     /// A leaf's tile.
     #[inline(always)]
     fn tile(&self, dim: usize, leaf: usize) -> &[[f64; LANES]] {
         self.lanes[self.slot[leaf]..][..dim * LANES].as_chunks().0
+    }
+
+    fn tile_mut(&mut self, dim: usize, leaf: usize) -> &mut [[f64; LANES]] {
+        self.lanes[self.slot[leaf]..][..dim * LANES]
+            .as_chunks_mut()
+            .0
     }
 
     /// `d²` from `q` to each row of a leaf, lane `k` for the leaf's row
@@ -599,9 +813,7 @@ struct KdJoin<'a> {
     pending: Vec<u32>,
     /// Per row: neighbours found so far.
     count: Vec<u32>,
-    evals: u64,
-    /// The query row of a leaf pair, gathered from its leaf's tile.
-    q: Vec<f64>,
+    work: Work,
 }
 
 impl<'a> KdJoin<'a> {
@@ -612,15 +824,14 @@ impl<'a> KdJoin<'a> {
             dc2,
             pending: vec![0; kd.len.len()],
             count: vec![0; kd.len[0] as usize],
-            evals: 0,
-            q: vec![0.0; dim],
+            work: Work::default(),
         }
     }
 
-    /// Runs the join; returns per-row neighbour counts and the number of
-    /// pairs whose `d²` was evaluated.
+    /// Runs the join; returns per-row neighbour counts and its work, whose
+    /// `join_counted` pairs had their `d²` evaluated.
     #[inline(always)]
-    fn run(mut self) -> (Vec<u32>, u64) {
+    fn run(mut self) -> (Vec<u32>, Work) {
         // Node pairs still to settle, each the same node (its internal
         // pairs) or two disjoint ones. An explicit stack, not recursion:
         // the traversal inlines into the vector-width build that runs it.
@@ -641,19 +852,22 @@ impl<'a> KdJoin<'a> {
                 self.pending[r] += p;
             }
         }
-        (self.count, self.evals)
+        (self.count, self.work)
     }
 
     /// Settles node pair `(a, b)` or splits it onto `todo`.
     #[inline(always)]
     fn pair(&mut self, a: usize, b: usize, todo: &mut Vec<(usize, usize)>) {
         let kd = self.kd;
+        self.work.node_pairs += 1;
         let (lo_a, hi_a) = kd.bounds(self.dim, a).split_at(self.dim);
         let (lb2, ub2) = box_bounds2(lo_a, hi_a, kd.bounds(self.dim, b));
         if lb2 >= self.dc2 {
+            self.work.pruned += 1;
             return; // every d2 between the boxes is >= lb2 >= dc2
         }
         if ub2 < self.dc2 {
+            self.work.granted += 1;
             // Every d2 is <= ub2 < dc2: each point gains the whole other
             // side (within one node: everyone but itself).
             if a == b {
@@ -683,9 +897,23 @@ impl<'a> KdJoin<'a> {
     /// points whose pairs with `b` need evaluating, and points within
     /// `dc` of all of `b`. The rest are out of range of all of `b`.
     #[inline(always)]
-    fn flags(&self, a: usize, b: usize) -> (u16, u16) {
-        let (lb2, ub2) = lanes_bounds2(self.kd.tile(self.dim, a), self.kd.bounds(self.dim, b));
-        let live = ((1u32 << self.kd.len[a]) - 1) as u16;
+    fn flags(&mut self, a: usize, b: usize) -> (u16, u16) {
+        let kd = self.kd;
+        let (tile, bounds) = (kd.tile(self.dim, a), kd.bounds(self.dim, b));
+        let live = ((1u32 << kd.len[a]) - 1) as u16;
+        self.work.flag_passes += 1;
+        let (g2, t2) = flag_bounds2(kd.bounds(self.dim, a), bounds);
+        if t2 >= self.dc2 {
+            // No point is within `dc` of all of `b`: no upper bounds.
+            if g2 < self.dc2 {
+                // Nor out of range of all of it: every point is unsettled.
+                return (live, 0);
+            }
+            self.work.flag_lanes += LANES as u64;
+            return (below(&lanes_lb2(tile, bounds), self.dc2) & live, 0);
+        }
+        self.work.flag_lanes += 2 * LANES as u64;
+        let (lb2, ub2) = lanes_bounds2(tile, bounds);
         let all = below(&ub2, self.dc2) & live;
         (below(&lb2, self.dc2) & live & !all, all)
     }
@@ -693,11 +921,12 @@ impl<'a> KdJoin<'a> {
     /// Leaf against leaf (or a leaf's internal pairs when `a == b`): each
     /// side's points are first tested against the other side's box, which
     /// settles a point's pairs with the whole other leaf at once; only
-    /// pairs with both ends unsettled are evaluated, a query row against
-    /// the other leaf's tile, one lane per pair.
+    /// pairs with both ends unsettled are evaluated, a query row of `a`'s
+    /// tile, read in place, against `b`'s tile, one lane per pair.
     #[inline(always)]
     fn leaf_pair(&mut self, a: usize, b: usize) {
         let same = a == b;
+        self.work.leaf_pairs += 1;
         let (rows_a, rows_b) = (self.kd.rows(a), self.kd.rows(b));
         let (eval_a, all_a) = self.flags(a, b);
         let (eval_b, all_b) = if same {
@@ -713,8 +942,9 @@ impl<'a> KdJoin<'a> {
             |rows: &Range<usize>, (eval, all): (u16, u16), other: &Range<usize>, other_all: u16| {
                 let whole = (other.len() - usize::from(same)) as u32;
                 let part = other_all.count_ones();
-                for (lane, c) in self.count[rows.clone()].iter_mut().enumerate() {
-                    *c += whole * u32::from(all >> lane & 1) + part * u32::from(eval >> lane & 1);
+                let (all, eval) = (lanes_of(all), lanes_of(eval));
+                for ((c, all), eval) in self.count[rows.clone()].iter_mut().zip(all).zip(eval) {
+                    *c += whole * all + part * eval;
                 }
             };
         grant(&rows_a, (eval_a, all_a), &rows_b, all_b);
@@ -724,29 +954,46 @@ impl<'a> KdJoin<'a> {
         if eval_a == 0 || eval_b == 0 {
             return;
         }
-        let kd = self.kd;
+        let (tile_a, tile_b) = (self.kd.tile(self.dim, a), self.kd.tile(self.dim, b));
+        let targets = lanes_of(eval_b);
+        // Within one leaf, row i owns the pairs (i, j < i): rows after the
+        // first target. Across leaves, every pair with an unsettled target.
+        let mut rows = if same {
+            eval_a & (u32::from(u16::MAX) << (eval_b.trailing_zeros() + 1)) as u16
+        } else {
+            eval_a
+        };
         // Hits per lane of `b`, added to its rows once the rows of `a` are done.
         let mut col_hits = [0u32; LANES];
-        let mut rows_left = eval_a;
-        while rows_left != 0 {
-            let i = rows_left.trailing_zeros() as usize;
-            rows_left &= rows_left - 1;
-            // Within one leaf, row i owns the pairs (i, j > i).
-            let mask = if same { eval_b & (!1u16) << i } else { eval_b };
-            if mask == 0 {
-                continue;
-            }
-            for (x, col) in self.q.iter_mut().zip(kd.tile(self.dim, a)) {
-                *x = col[i];
-            }
-            let d2 = kd.leaf_d2(&self.q, b);
-            // Lanes outside `mask` — padding, or targets their flag has
-            // settled — are computed by the hardware and never read.
-            self.evals += u64::from(mask.count_ones());
-            let hit = below(&d2, self.dc2) & mask;
-            self.count[rows_a.start + i] += hit.count_ones();
-            for (lane, c) in col_hits.iter_mut().enumerate() {
-                *c += u32::from(hit >> lane & 1);
+        // Rows go two at a time: one sweep of `b`'s tile serves both.
+        while rows != 0 {
+            let i = rows.trailing_zeros() as usize;
+            rows &= rows - 1;
+            let (d2, j) = if rows == 0 {
+                let row = tile_a.iter().map(|col| col[i]);
+                ([tile_d2_through(row, tile_b, LANES).0, [0.0; LANES]], None)
+            } else {
+                let j = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                let rows = tile_a.iter().map(|col| (col[i], col[j]));
+                (tile_d2_pair(rows, tile_b), Some(j))
+            };
+            for (k, d2) in std::iter::once(i).chain(j).zip(&d2) {
+                let upto = if same { k } else { LANES };
+                let mask = eval_b & ((1u32 << upto) - 1) as u16;
+                self.work.tile_rows += 1;
+                self.work.join_lanes += LANES as u64;
+                self.work.join_counted += u64::from(mask.count_ones());
+                // Lanes outside `mask` (padding, targets their flag settled,
+                // or pairs another row owns) are computed, counted among the
+                // join's lanes, and never read.
+                let mut hits = 0;
+                for (lane, ((h, &d2), t)) in col_hits.iter_mut().zip(d2).zip(targets).enumerate() {
+                    let hit = u32::from(d2 < self.dc2) & t & u32::from(lane < upto);
+                    *h += hit;
+                    hits += hit;
+                }
+                self.count[rows_a.start + k] += hits;
             }
         }
         for (c, h) in self.count[rows_b].iter_mut().zip(col_hits) {
@@ -811,6 +1058,56 @@ impl DensityKeys {
     }
 }
 
+/// A nearest search's limit `lim` — the best key so far, capped —
+/// bracketed in the domain of `d²`: `d2 <= lo` proves `key(d2) <= lim`
+/// and `d2 > hi` proves `key(d2) > lim`, so the search takes a `sqrt`
+/// only for the rare `d2` between the two, where it alone can decide.
+///
+/// In the `sqrt` domain the bracket is `lim²` widened by `4ε` each way.
+/// `lim * lim` is within half an ulp of `lim²`, and `sqrt` is correctly
+/// rounded, so a `d2` above `hi` has a root more than half an ulp above
+/// `lim`, which rounds above it, and one at or below `lo` a root below
+/// `lim`. A limit whose square is not a normal number (zero, subnormal,
+/// overflowing or negative) gets an empty bracket, and every comparison
+/// takes the root; an infinite one brackets everything below it. In the
+/// raw domain the bracket is `lim` itself.
+#[derive(Clone, Copy)]
+struct Limit {
+    lim: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Limit {
+    #[inline(always)]
+    fn new(lim: f64, sqrt_domain: bool) -> Self {
+        let l2 = lim * lim;
+        let (lo, hi) = if !sqrt_domain || lim == f64::INFINITY {
+            (lim, lim)
+        } else if lim >= 0.0 && l2.is_normal() {
+            (
+                l2 * (1.0 - 4.0 * f64::EPSILON),
+                l2 * (1.0 + 4.0 * f64::EPSILON),
+            )
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        Limit { lim, lo, hi }
+    }
+
+    /// Whether `key_of(d2) > lim`, exactly.
+    #[inline(always)]
+    fn beyond(self, d2: f64, key_of: impl Fn(f64) -> f64) -> bool {
+        if d2 > self.hi {
+            true
+        } else if d2 <= self.lo {
+            false
+        } else {
+            key_of(d2) > self.lim
+        }
+    }
+}
+
 /// The best-first search's pending regions: `(lb2 bits, node)`, smallest
 /// first. Bounds are non-negative, so their bits order like their values.
 type Heap = BinaryHeap<Reverse<(u64, u32)>>;
@@ -865,7 +1162,13 @@ impl SpatialIndex {
     /// against the other end's leaf box settles it, which is when the
     /// per-point walks evaluate it from both ends.
     pub fn self_join_d2(&self, dc2: f64) -> (Vec<u32>, u64) {
-        let (count, evals) = self.isa.run(
+        let (rho, work) = self.self_join(dc2);
+        (rho, work.join_counted)
+    }
+
+    /// [`Self::self_join_d2`] with its whole work record.
+    pub(crate) fn self_join(&self, dc2: f64) -> (Vec<u32>, Work) {
+        let (count, work) = self.isa.run(
             #[inline(always)]
             || KdJoin::new(&self.kd, self.dim, dc2).run(),
         );
@@ -873,7 +1176,7 @@ impl SpatialIndex {
         for (&id, c) in self.ids.iter().zip(count) {
             rho[id as usize] = c;
         }
-        (rho, evals)
+        (rho, work)
     }
 
     /// Visits `(i, j, d²)`, `i < j` in the caller's input order, once for
@@ -995,6 +1298,44 @@ impl SpatialIndex {
         evals
     }
 
+    /// Orders the rows of every leaf by descending key, `key(i)` being
+    /// input point `i`'s, moving their tile lanes and ids with them, and
+    /// lays the keys over the index in that order. A search that accepts
+    /// only keys at or above a floor then finds a leaf's acceptable rows as
+    /// a prefix of its lanes, and computes only those. In place, `O(n dim)`:
+    /// the leaves and their boxes keep their points, so every kernel keeps
+    /// its answers and counts; only the order in which a visiting kernel
+    /// meets a leaf's rows follows the keys.
+    pub(crate) fn order_leaves_by(&mut self, key: impl Fn(u32) -> Key) -> DensityKeys {
+        let kd = &mut self.kd;
+        for leaf in 0..kd.len.len() {
+            if !kd.is_leaf(leaf) {
+                continue;
+            }
+            let ids = &mut self.ids[kd.rows(leaf)];
+            let (mut packed, mut old) = ([0u64; LANES], [0u32; LANES]);
+            for ((p, o), &i) in packed.iter_mut().zip(&mut old).zip(&*ids) {
+                (*p, *o) = (pack(key(i)), i);
+            }
+            let mut order: [usize; LANES] = std::array::from_fn(|k| k);
+            let order = &mut order[..ids.len()];
+            order.sort_unstable_by_key(|&k| Reverse(packed[k]));
+            if order.iter().enumerate().all(|(k, &o)| k == o) {
+                continue;
+            }
+            for (id, &o) in ids.iter_mut().zip(&*order) {
+                *id = old[o];
+            }
+            for col in kd.tile_mut(self.dim, leaf) {
+                let old = *col;
+                for (c, &o) in col.iter_mut().zip(&*order) {
+                    *c = old[o];
+                }
+            }
+        }
+        self.density_keys(key)
+    }
+
     /// Lays density keys over this index; `key(i)` is the key of input
     /// point `i`. `O(n + nodes)`.
     pub fn density_keys(&self, key: impl Fn(u32) -> Key) -> DensityKeys {
@@ -1034,7 +1375,8 @@ impl SpatialIndex {
         mut accept: impl FnMut(u32) -> Option<PointId>,
     ) -> ((f64, PointId), u64) {
         let filter = (|_| true, |k: usize| accept(self.ids[k]));
-        self.nearest((q, true), (init, cap), filter, &mut Heap::new())
+        let state = (&mut Heap::new(), &mut Work::default());
+        self.nearest((q, true), (init, cap), filter, state)
     }
 
     /// The serve probe's search: the nearest point, comparing raw squared
@@ -1050,24 +1392,26 @@ impl SpatialIndex {
     ) -> ((f64, PointId), u64) {
         let start = ((f64::INFINITY, crate::dp::NO_UPSLOPE), f64::INFINITY);
         let filter = keys.at_least(pack(floor));
-        self.nearest((q, false), start, filter, &mut Heap::new())
+        let state = (&mut Heap::new(), &mut Work::default());
+        self.nearest((q, false), start, filter, state)
     }
 
     /// The one nearest search, on this index's vector width: the row
     /// nearest `q` that `accept` maps to a candidate id, from `init`, no
     /// farther than `cap`, compared on `d2.sqrt()` (`sqrt_domain`, the
     /// pipelines) or on raw `d2` (serve). `admits(node)` says whether a
-    /// kd subtree can hold an accepted row.
+    /// kd subtree can hold an accepted row. The search's work is added to
+    /// `work`.
     fn nearest(
         &self,
         query: (&[f64], bool),
         start: ((f64, PointId), f64),
         filter: (impl Fn(usize) -> bool, impl FnMut(usize) -> Option<PointId>),
-        heap: &mut Heap,
+        state: (&mut Heap, &mut Work),
     ) -> ((f64, PointId), u64) {
         self.isa.run(
             #[inline(always)]
-            || self.nearest_body(query, start, filter, heap),
+            || self.nearest_body(query, start, filter, state),
         )
     }
 
@@ -1077,20 +1421,12 @@ impl SpatialIndex {
         (q, sqrt_domain): (&[f64], bool),
         (init, cap): ((f64, PointId), f64),
         (admits, mut accept): (impl Fn(usize) -> bool, impl FnMut(usize) -> Option<PointId>),
-        heap: &mut Heap,
+        (heap, work): (&mut Heap, &mut Work),
     ) -> ((f64, PointId), u64) {
         let (mut best, mut best_id) = init;
         let mut evals = 0u64;
         let key_of = |d2: f64| if sqrt_domain { d2.sqrt() } else { d2 };
-        // Offers candidate `cand` at squared distance `d2`.
-        let mut offer = |d2: f64, cand: PointId, best: &mut f64, best_id: &mut PointId| {
-            evals += 1;
-            let key = key_of(d2);
-            if key <= cap && (key < *best || (key == *best && cand < *best_id)) {
-                *best = key;
-                *best_id = cand;
-            }
-        };
+        let mut limit = Limit::new(best.min(cap), sqrt_domain);
         let kd = &self.kd;
         if !admits(0) {
             return ((best, best_id), 0);
@@ -1101,19 +1437,21 @@ impl SpatialIndex {
         while let Some(Reverse((lb_bits, node))) = heap.pop() {
             // Best-first: every remaining region is at least this
             // far. Strict >, so equal-distance smaller ids survive.
-            if key_of(f64::from_bits(lb_bits)) > best.min(cap) {
+            if limit.beyond(f64::from_bits(lb_bits), key_of) {
                 break;
             }
             let node = node as usize;
+            work.pops += 1;
             if !kd.is_leaf(node) {
+                work.fronts += 1;
                 // Pops come in (lb2, node) order whichever nodes are
                 // pushed, so pushing a front instead of two children
                 // scans the same leaves; so does leaving out a region
-                // already beyond the best, which would end the search.
+                // already beyond the best, which would end the search, or
+                // keeping one the limit's bracket cannot place.
                 let (front, cols) = kd.front(self.dim, node);
                 for (&lb2, &v) in front_lb2(q, cols).iter().zip(front) {
-                    let beyond = key_of(lb2) > best.min(cap);
-                    if !beyond && admits(v as usize) {
+                    if lb2 <= limit.hi && admits(v as usize) {
                         heap.push(Reverse((lb2.to_bits(), v)));
                     }
                 }
@@ -1131,10 +1469,27 @@ impl SpatialIndex {
             if mask == 0 {
                 continue;
             }
-            let d2 = kd.leaf_d2(q, node);
+            // Only the groups of lanes through the last accepted row are
+            // computed, where the tile is wide enough to repay the branch.
+            let width = if self.dim < PREFIX_MIN_DIM {
+                LANES
+            } else {
+                32 - mask.leading_zeros() as usize
+            };
+            let (d2, lanes) = tile_d2_through(q.iter().copied(), kd.tile(self.dim, node), width);
+            work.leaf_scans += 1;
+            work.search_lanes += lanes as u64;
+            work.search_accepted += u64::from(mask.count_ones());
+            evals += u64::from(mask.count_ones());
             for (lane, (&d2, &cand)) in d2.iter().zip(&cands).enumerate() {
-                if mask >> lane & 1 != 0 {
-                    offer(d2, cand, &mut best, &mut best_id);
+                // Beyond the bracket, the candidate is beyond the limit.
+                if mask >> lane & 1 == 0 || d2 > limit.hi {
+                    continue;
+                }
+                let key = key_of(d2);
+                if key <= cap && (key < best || (key == best && cand < best_id)) {
+                    (best, best_id) = (key, cand);
+                    limit = Limit::new(best.min(cap), sqrt_domain);
                 }
             }
         }
@@ -1193,15 +1548,19 @@ pub(crate) struct DenserSearch<'a> {
     index: &'a SpatialIndex,
     keys: DensityKeys,
     heap: Heap,
+    /// The work of every search so far.
+    pub(crate) work: Work,
 }
 
 impl<'a> DenserSearch<'a> {
-    /// Searches of `index`, `key(i)` being input point `i`'s key.
-    pub(crate) fn new(index: &'a SpatialIndex, key: impl Fn(u32) -> Key) -> Self {
+    /// Searches of `index` under `keys`, laid over it by
+    /// [`SpatialIndex::order_leaves_by`].
+    pub(crate) fn new(index: &'a SpatialIndex, keys: DensityKeys) -> Self {
         DenserSearch {
-            keys: index.density_keys(key),
+            keys,
             index,
             heap: Heap::new(),
+            work: Work::default(),
         }
     }
 
@@ -1219,8 +1578,8 @@ impl<'a> DenserSearch<'a> {
             return (init, 0);
         };
         let filter = self.keys.at_least(floor);
-        self.index
-            .nearest((q, true), (init, cap), filter, &mut self.heap)
+        let state = (&mut self.heap, &mut self.work);
+        self.index.nearest((q, true), (init, cap), filter, state)
     }
 }
 
@@ -1440,14 +1799,43 @@ mod tests {
                 );
                 let got = (lanes_lb2[lane].to_bits(), lanes_ub2[lane].to_bits());
                 assert_eq!(got, want, "lane={lane} q={q:?} b={b:?}");
-                // A front holding both boxes, the other lanes empty.
-                let mut front = vec![[0.0; FRONT]; 2 * dim];
-                for (slot, col) in front.iter_mut().enumerate() {
-                    (col[0], col[1]) = (b[slot], b2[slot]);
+                // A front holding both boxes, at every width, the other
+                // lanes empty.
+                for width in [2, 4, FRONT] {
+                    let mut front = vec![0.0; 2 * dim * width];
+                    for (slot, col) in front.chunks_exact_mut(width).enumerate() {
+                        (col[0], col[1]) = (b[slot], b2[slot]);
+                    }
+                    let lb2 = front_lb2(q, &front);
+                    assert_eq!(lb2[0].to_bits(), want.0, "front q={q:?} b={b:?}");
+                    assert_eq!(lb2[1].to_bits(), r2.to_bits(), "front q={q:?} b={b2:?}");
                 }
-                let lb2 = front_lb2(q, &front);
-                assert_eq!(lb2[0].to_bits(), want.0, "front q={q:?} b={b:?}");
-                assert_eq!(lb2[1].to_bits(), r2.to_bits(), "front q={q:?} b={b2:?}");
+            }
+        }
+    }
+
+    /// The box-level flag bounds hold against every point's lanes: on
+    /// every leaf pair of a tree, `g2` is at least each point's `lb2` to the
+    /// other box and `t2` at most its `ub2`, and `lanes_lb2` is the lower
+    /// half of `lanes_bounds2` bit for bit.
+    #[test]
+    fn flag_bounds_bracket_every_point_of_the_box() {
+        for dim in [1, 2, 5, 74] {
+            let flat = blobs_with_twins(300, dim, 11);
+            let idx = SpatialIndex::build(&flat, dim, 1.0);
+            let tree = &idx.kd;
+            let leaves: Vec<usize> = (0..tree.len.len()).filter(|&v| tree.is_leaf(v)).collect();
+            for &a in &leaves {
+                for &b in &leaves {
+                    let (g2, t2) = flag_bounds2(tree.bounds(dim, a), tree.bounds(dim, b));
+                    let tile = tree.tile(dim, a);
+                    let (lb2, ub2) = lanes_bounds2(tile, tree.bounds(dim, b));
+                    let lb2_only = lanes_lb2(tile, tree.bounds(dim, b));
+                    for lane in 0..tree.len[a] as usize {
+                        assert!(lb2[lane] <= g2 && t2 <= ub2[lane], "dim={dim} {a}-{b}");
+                        assert_eq!(lb2[lane].to_bits(), lb2_only[lane].to_bits());
+                    }
+                }
             }
         }
     }
@@ -1674,9 +2062,10 @@ mod tests {
                 let rho = brute_rho(&flat, dim, dc * dc);
                 let key = |i: u32| (rho[i as usize], i);
                 let run = |isa| {
-                    let idx = SpatialIndex::build_on(&flat, dim, isa);
+                    let mut idx = SpatialIndex::build_on(&flat, dim, isa);
+                    let ordered = idx.order_leaves_by(key);
                     let keys = idx.density_keys(key);
-                    let mut search = DenserSearch::new(&idx, key);
+                    let mut search = DenserSearch::new(&idx, ordered);
                     let mut out = vec![idx
                         .self_join_d2(dc * dc)
                         .0

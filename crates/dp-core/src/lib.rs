@@ -78,7 +78,7 @@ pub use distance::{
     for_each_cross_d2, for_each_pair_d2, nearest_in_block, squared_euclidean_block, DistanceTracker,
 };
 pub use dp::{compute_exact, denser, density_order, DpResult, NO_UPSLOPE};
-pub use index::{DensityKeys, SpatialIndex};
+pub use index::{DensityKeys, SpatialIndex, Work};
 pub use kernel::{compute_gaussian, KernelDpResult};
 pub use point::{Dataset, PointId};
 

@@ -23,6 +23,10 @@
 //! pairwise route `n (n - 1) / 2` for a self pass (only the pairs across
 //! label groups for [`Partition::pairs_across`]) and `queries × n` for a
 //! cross pass, the indexed route what its traversals and seeds evaluated.
+//! Beside them, [`Partition::work`] sums the index's [`Work`] record over
+//! every call: the kd traversal, and the lanes it computed against the
+//! lanes it counted. A `delta` pass orders the index's leaf rows by its
+//! keys first (see [`crate::index`]); later calls answer as before.
 //!
 //! ## `delta` answers
 //!
@@ -38,9 +42,10 @@
 
 use crate::distance::{cross_on, pairs_on, squared_euclidean};
 use crate::dp::{denser, density_order, NO_UPSLOPE};
-use crate::index::{DenserSearch, SpatialIndex};
+use crate::index::{DenserSearch, DensityKeys, SpatialIndex, Work};
 use crate::point::PointId;
 use crate::simd::Isa;
+use std::cell::{Cell, Ref, RefCell};
 
 /// Partitions smaller than this keep the pairwise loops.
 pub const AUTO_MIN_POINTS: usize = 256;
@@ -100,9 +105,13 @@ pub struct Partition<'a> {
     flat: &'a [f64],
     dim: usize,
     dc: f64,
-    index: Option<SpatialIndex>,
+    /// The index, if routed to one. A `delta` pass orders its leaves by
+    /// the pass's keys, in place.
+    index: Option<RefCell<SpatialIndex>>,
     /// The vector width of the pairwise route (the index keeps its own).
     isa: Isa,
+    /// The index's work over every kernel call so far.
+    work: Cell<Work>,
 }
 
 impl<'a> Partition<'a> {
@@ -119,13 +128,15 @@ impl<'a> Partition<'a> {
     /// no index).
     #[doc(hidden)]
     pub fn with_route(flat: &'a [f64], dim: usize, dc: f64, (indexed, isa): (bool, Isa)) -> Self {
-        let index = (indexed && !flat.is_empty()).then(|| SpatialIndex::build_on(flat, dim, isa));
+        let index = (indexed && !flat.is_empty())
+            .then(|| RefCell::new(SpatialIndex::build_on(flat, dim, isa)));
         Partition {
             flat,
             dim,
             dc,
             index,
             isa,
+            work: Cell::default(),
         }
     }
 
@@ -143,11 +154,40 @@ impl<'a> Partition<'a> {
         &self.flat[i * self.dim..][..self.dim]
     }
 
+    /// The work record of the index's self-join and nearest-denser
+    /// searches, summed over every call so far; all zero on the pairwise
+    /// route, which has no tree.
+    pub fn work(&self) -> Work {
+        self.work.get()
+    }
+
+    fn index(&self) -> Option<Ref<'_, SpatialIndex>> {
+        self.index.as_ref().map(RefCell::borrow)
+    }
+
+    /// The index with its leaves ordered by `keys` (one per point), and
+    /// the keys laid over it.
+    fn keyed_index(&self, keys: &[Key]) -> Option<(Ref<'_, SpatialIndex>, DensityKeys)> {
+        let cell = self.index.as_ref()?;
+        let density = cell.borrow_mut().order_leaves_by(|p| keys[p as usize]);
+        Some((cell.borrow(), density))
+    }
+
+    fn note(&self, work: Work) {
+        let mut sum = self.work.get();
+        sum += work;
+        self.work.set(sum);
+    }
+
     /// `rho` of every point: the other points with `d² < d_c²` (strict).
     pub fn rho(&self) -> (Vec<u32>, u64) {
         let dc2 = self.dc * self.dc;
-        match &self.index {
-            Some(index) => index.self_join_d2(dc2),
+        match self.index() {
+            Some(index) => {
+                let (rho, work) = index.self_join(dc2);
+                self.note(work);
+                (rho, work.join_counted)
+            }
             None => {
                 let mut rho = vec![0u32; self.len()];
                 pairs_on(self.isa, self.flat, self.dim, |i, j, d2| {
@@ -173,7 +213,7 @@ impl<'a> Partition<'a> {
     pub fn pairs_across(&self, labels: &[u32], mut visit: impl FnMut(usize, usize, f64)) -> u64 {
         assert_eq!(labels.len(), self.len(), "one label per point");
         let r2 = self.dc * self.dc * (1.0 + 4.0 * f64::EPSILON);
-        if let Some(index) = self.index.as_ref().filter(|_| r2.is_normal()) {
+        if let Some(index) = self.index().filter(|_| r2.is_normal()) {
             return index.pairs_across_d2(labels, r2, |i, j, d2| visit(i as usize, j as usize, d2));
         }
         let mut order: Vec<usize> = (0..self.len()).collect();
@@ -199,7 +239,7 @@ impl<'a> Partition<'a> {
     /// partition with `d² < d_c²` (strict).
     pub fn within_of(&self, queries: &[f64], mut visit: impl FnMut(usize, usize)) -> u64 {
         let dc2 = self.dc * self.dc;
-        match &self.index {
+        match self.index() {
             Some(index) => index.cross_range_count_d2(queries, dc2, |q, i, _| {
                 visit(q as usize, i as usize);
             }),
@@ -222,7 +262,7 @@ impl<'a> Partition<'a> {
     pub fn count_of(&self, queries: &[f64]) -> (Vec<u32>, u64) {
         let dc2 = self.dc * self.dc;
         let rows = queries.chunks_exact(self.dim);
-        match &self.index {
+        match self.index() {
             Some(index) => {
                 let mut evals = 0;
                 let count = |q| {
@@ -252,7 +292,7 @@ impl<'a> Partition<'a> {
     pub fn delta(&self, keys: &[Key], maxd: bool, mut emit: impl FnMut(usize, Nearest)) -> u64 {
         let n = self.len();
         assert_eq!(keys.len(), n, "one key per point");
-        let Some(index) = &self.index else {
+        let Some((index, density)) = self.keyed_index(keys) else {
             let mut best = vec![UNANSWERED; n];
             // `d2.sqrt()` is bit-identical to the Euclidean `distance`.
             pairs_on(self.isa, self.flat, self.dim, |i, j, d2| {
@@ -283,14 +323,14 @@ impl<'a> Partition<'a> {
             density_order(ka.0, ka.1, kb.0, kb.1)
         });
         let mut evals = 0u64;
-        let mut search = DenserSearch::new(index, |p| keys[p as usize]);
+        let mut search = DenserSearch::new(&index, density);
         let mut seed: Option<usize> = None;
         for &i in &order {
             let i = i as usize;
             let q = self.row(i);
             let answer = match seed {
                 // The densest point has no candidate: nothing to search.
-                None if maxd => (f64::INFINITY, NO_UPSLOPE, farthest(index, q, &mut evals)),
+                None if maxd => (f64::INFINITY, NO_UPSLOPE, farthest(&index, q, &mut evals)),
                 None => UNANSWERED,
                 // A seeded search always ends with an upslope.
                 Some(s) => {
@@ -304,6 +344,7 @@ impl<'a> Partition<'a> {
             emit(i, answer);
             seed = Some(i);
         }
+        self.note(search.work);
         evals
     }
 
@@ -322,19 +363,20 @@ impl<'a> Partition<'a> {
     ) -> u64 {
         assert_eq!(keys.len(), self.len(), "one key per point");
         assert_eq!(qkeys.len(), queries.len() / self.dim, "one key per query");
-        if let Some(index) = &self.index {
+        if let Some((index, density)) = self.keyed_index(keys) {
             let mut evals = 0u64;
-            let mut search = DenserSearch::new(index, |p| keys[p as usize]);
+            let mut search = DenserSearch::new(&index, density);
             for (q, row) in queries.chunks_exact(self.dim).enumerate() {
                 let (init, cap) = start(q);
                 let ((d, u), e) = search.nearest(row, qkeys[q], init, cap);
                 evals += e;
                 let far = match u {
-                    NO_UPSLOPE => farthest(index, row, &mut evals),
+                    NO_UPSLOPE => farthest(&index, row, &mut evals),
                     _ => 0.0,
                 };
                 emit(q, (d, u, far));
             }
+            self.note(search.work);
             return evals;
         }
         let (mut best, caps): (Vec<Nearest>, Vec<f64>) = (0..qkeys.len())
@@ -394,6 +436,7 @@ impl<'a> Partition<'a> {
             |i| ((from[i].0, from[i].1), NO_CAP),
             |i, (d, u, far)| best[i] = settled((d, u, from[i].2.max(far))),
         );
+        self.note(b.work());
         let scratch = |_| ((f64::INFINITY, NO_UPSLOPE), NO_CAP);
         evals += self.delta_of(keys, b_flat, b_keys, scratch, emit_b);
         evals

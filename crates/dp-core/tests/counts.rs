@@ -157,3 +157,57 @@ fn rho_self_join_counts_are_pinned() {
         }
     }
 }
+
+/// The kd-tree's own work on the same inputs: the join's node pairs
+/// (visited, pruned, granted), leaf pairs and flag passes, and the delta
+/// search's pops, fronts and leaf scans, beside the evaluations each
+/// counted. A kernel may compute fewer lanes; it must not walk the tree
+/// differently. Recorded on the kernels that computed every lane of every
+/// tile row and leaf scan.
+#[test]
+fn kd_work_is_pinned() {
+    let mixture2: Vec<f64> = mixture74(1200)
+        .chunks_exact(74)
+        .flat_map(|p| [p[0], p[1]])
+        .collect();
+    for isa in [Isa::detect(), Isa::BASELINE] {
+        for (flat, dim, join, search) in [
+            (
+                mixture74(1200),
+                74,
+                [3_120, 110, 0, 1_514, 2_900, 94_370],
+                [36_698, 15_806, 20_892, 108_692],
+            ),
+            (
+                roads4(2016),
+                4,
+                [1_982, 357, 14, 684, 1_254, 60_917],
+                [11_493, 7_700, 3_793, 30_638],
+            ),
+            (
+                mixture2.clone(),
+                2,
+                [1_964, 334, 17, 694, 1_278, 19_468],
+                [6_422, 4_403, 2_019, 10_482],
+            ),
+        ] {
+            let dc = estimate_dc_exact(&Dataset::from_flat(dim, flat.clone()), 0.02);
+            let part = Partition::with_route(&flat, dim, dc, (true, isa));
+            let (rho, _) = part.rho();
+            let keys: Vec<Key> = rho.iter().zip(0..).map(|(&r, i)| (r, i)).collect();
+            part.delta(&keys, true, |_, _| {});
+            let w = part.work();
+            let got_join = [
+                w.node_pairs,
+                w.pruned,
+                w.granted,
+                w.leaf_pairs,
+                w.flag_passes,
+                w.join_counted,
+            ];
+            let got_search = [w.pops, w.fronts, w.leaf_scans, w.search_accepted];
+            assert_eq!(got_join, join, "join, {dim}-D on {isa}");
+            assert_eq!(got_search, search, "search, {dim}-D on {isa}");
+        }
+    }
+}

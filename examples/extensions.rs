@@ -48,15 +48,14 @@ fn main() {
     // --- 2. What the exact engine evaluates ---------------------------
     // One kd self-join for rho, one nearest-denser search per point for
     // delta, against the two all-pairs loops' 2·n(n−1).
-    let tracker = DistanceTracker::new();
-    let exact = dp_core::dp::compute_exact_tracked(&ds, dc, &tracker);
+    let (exact, cost) = dp_core::dp::compute_exact_costed(&ds, dc);
     assert_eq!(exact, cutoff, "counting changes no bit");
+    let evals = cost.rho_evals + cost.delta_evals;
     let n = ds.len() as u64;
     let all_pairs = 2 * n * (n - 1);
     println!(
-        "\nexact DP: {} distance evaluations vs {all_pairs} all-pairs ({:.1}x fewer)",
-        tracker.total(),
-        all_pairs as f64 / tracker.total() as f64
+        "\nexact DP: {evals} distance evaluations vs {all_pairs} all-pairs ({:.1}x fewer)",
+        all_pairs as f64 / evals as f64
     );
 
     // --- 3. Halo detection --------------------------------------------

@@ -475,14 +475,12 @@ fn estimate_dc(o: &Opts) -> Result<(), String> {
 }
 
 fn cluster(o: &Opts) -> Result<(), String> {
-    let ld = o.load()?;
-    let ds = &ld.data;
     let out = required(&o.out, "--out")?;
 
     // K-means is the odd one out (no decision graph, no d_c).
     if o.algorithm == "kmeans" {
         let k = o.k.ok_or_else(|| usage("--k is required for kmeans"))?;
-        let fit = KMeans::new(k, o.seed).fit(ds);
+        let fit = KMeans::new(k, o.seed).fit(&o.load()?.data);
         write_labels(out, fit.clustering.labels())?;
         println!(
             "kmeans: k={k}, {} iterations, inertia {:.4}",
@@ -493,9 +491,16 @@ fn cluster(o: &Opts) -> Result<(), String> {
 
     // The DP family: compute (rho, delta), then select + assign.
     let selection = o.selection()?;
+    let ld = o.load()?;
+    let ds = &ld.data;
     let dc = o.resolve_dc(ds)?;
+    let mut exact_cost = None;
     let (result, report): (DpResult, Option<ddp::stats::RunReport>) = match o.algorithm.as_str() {
-        "exact" => (compute_exact(ds, dc), None),
+        "exact" => {
+            let (result, cost) = dp_core::dp::compute_exact_costed(ds, dc);
+            exact_cost = Some(cost);
+            (result, None)
+        }
         "kernel" => (dp_core::compute_gaussian(ds, dc).result, None),
         "basic" => {
             let cfg = BasicConfig {
@@ -538,6 +543,15 @@ fn cluster(o: &Opts) -> Result<(), String> {
     }
     if o.stats {
         println!("kernels: {}", dp_core::simd::Isa::detect());
+        if let Some(cost) = exact_cost {
+            println!(
+                "  dp/rho: {} distance evaluations; dp/delta: {}",
+                cost.rho_evals, cost.delta_evals
+            );
+            for line in cost.work.to_string().lines() {
+                println!("  kd {line}");
+            }
+        }
         if let Some(r) = report {
             print_jobs(&r);
             let saved = r.shuffle_bytes_saved();
@@ -576,9 +590,9 @@ fn cluster(o: &Opts) -> Result<(), String> {
 }
 
 fn graph(o: &Opts) -> Result<(), String> {
+    let out = required(&o.out, "--out")?;
     let ld = o.load()?;
     let ds = &ld.data;
-    let out = required(&o.out, "--out")?;
     let dc = o.resolve_dc(ds)?;
     let result = match o.algorithm.as_str() {
         "lsh" => {
@@ -635,10 +649,10 @@ fn tune(o: &Opts) -> Result<(), String> {
 }
 
 fn fit(o: &Opts) -> Result<(), String> {
-    let ld = o.load()?;
-    let ds = &ld.data;
     let out = required(&o.out, "--out")?;
     let selection = o.selection()?;
+    let ld = o.load()?;
+    let ds = &ld.data;
     let dc = o.resolve_dc(ds)?;
 
     let ddp = LshDdp::with_accuracy(o.accuracy, o.m, o.pi, dc, o.seed)

@@ -818,3 +818,104 @@ fn hostile_inputs_fail_in_one_line_or_answer_finitely() {
         }
     }
 }
+
+/// A command-line mistake is reported before any input is read: without
+/// `--out`, `cluster`, `graph` and `fit` name the missing flag (with the
+/// usage text) even when the input is empty.
+#[test]
+fn required_flags_are_checked_before_the_input_is_read() {
+    let empty = tmp("required-empty.csv");
+    std::fs::write(&empty, "").expect("write empty input");
+    for cmd in ["cluster", "graph", "fit"] {
+        let out = bin()
+            .args([cmd, "--k", "3", "--input"])
+            .arg(&empty)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --out is required"),
+            "{cmd}: {stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "{cmd}: {stderr}");
+    }
+}
+
+/// README's CLI walkthrough: `generate --labels`, then `tune`, `graph`
+/// and `fit` with `--labeled`, each on the file's two coordinates — the
+/// `d_c` they print is the one `dc --labeled` estimates, and `fit` reports
+/// two dimensions. Without `--labeled` the label is a third coordinate.
+#[test]
+fn readme_walkthrough_clusters_two_coordinates() {
+    let (points, graph, model) = (tmp("walk.csv"), tmp("walk-graph.csv"), tmp("walk.bin"));
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().expect("run");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let [points, graph, model] = [&points, &graph, &model].map(|p| p.display().to_string());
+    let gen = ["generate", "--dataset", "s2", "--scale", "0.1", "--labels"];
+    run(&[&gen[..], &["--out", &points]].concat());
+    let dc: f64 = run(&["dc", "--labeled", "--normalize", "--input", &points])
+        .trim()
+        .parse()
+        .expect("dc value");
+    let dc = format!("d_c = {dc:.6}");
+    let tune = ["tune", "--input", &points, "--labeled", "--normalize"];
+    assert!(run(&tune).contains(&dc), "tune");
+    let walk = ["--input", &points, "--labeled", "--normalize"];
+    let out = run(&[&["graph", "--out", &graph][..], &walk].concat());
+    assert!(out.contains(&dc), "graph: {out}");
+    let fit = ["fit", "--k", "15", "--out", &model];
+    let out = run(&[&fit[..], &walk].concat());
+    assert!(out.contains(" x 2 dims") && out.contains(&dc), "fit: {out}");
+    let out = run(&[&fit[..], &["--input", &points]].concat());
+    assert!(out.contains(" x 3 dims"), "fit without --labeled: {out}");
+}
+
+/// `cluster --algorithm exact --stats` explains the run: the distance
+/// evaluations of `dp/rho` and `dp/delta`, then the kd-tree's work.
+#[test]
+fn exact_cluster_stats_print_evaluations_and_kd_work() {
+    let points = tmp("exact-stats.csv");
+    let out = bin()
+        .args(["generate", "--dataset", "s2", "--scale", "0.06", "--out"])
+        .arg(&points)
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let out = bin()
+        .args(["cluster", "--algorithm", "exact", "--k", "15", "--stats"])
+        .arg("--input")
+        .arg(&points)
+        .arg("--out")
+        .arg(tmp("exact-stats-labels.csv"))
+        .output()
+        .expect("run cluster --stats");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = |prefix: &str| {
+        let found = stdout.lines().find(|l| l.trim_start().starts_with(prefix));
+        found.unwrap_or_else(|| panic!("no {prefix:?} line: {stdout}"))
+    };
+    let evals: Vec<u64> = line("dp/rho:")
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    assert!(
+        evals.len() == 2 && evals.iter().all(|&e| e > 0),
+        "{evals:?}"
+    );
+    assert!(line("kd join:").contains("lanes computed for"), "{stdout}");
+    assert!(line("kd search:").contains("pops"), "{stdout}");
+}
