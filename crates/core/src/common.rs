@@ -318,25 +318,28 @@ impl Reducer for QuantileReducer {
             "d_c sample produced no distances — increase sample"
         );
         let pairs = total_pairs.min(DC_PAIR_CAP);
-        let mut q = dp_core::cutoff::DistanceQuantile::new(self.percentile, pairs);
-        if total_pairs <= DC_PAIR_CAP {
+        let dc = if total_pairs <= DC_PAIR_CAP {
             // Small sample: the exact all-pairs quantile, bit-identical to
             // the pre-cap behavior.
+            let mut q = dp_core::cutoff::DistanceQuantile::new(self.percentile, pairs)
+                .expect("room for the selector");
             dp_core::for_each_pair_d2(&flat, dim, |_i, _j, d2| q.push(d2));
+            q.distance()
         } else {
             // Large sample: a seeded uniform draw of DC_PAIR_CAP pairs.
             // Same splitmix generator as `sample_hash`, so the estimate is
             // a pure function of (points, seed) — independent of map task
             // layout and thread count.
-            let mut counter = 0u32;
-            let draw = || {
+            let (mut counter, seed) = (0u32, self.seed);
+            let draw = move || {
                 counter += 1;
-                sample_hash(counter, self.seed)
+                sample_hash(counter, seed)
             };
-            dp_core::cutoff::for_each_sampled_d2(&flat, dim, pairs, draw, |d2| q.push(d2));
-        }
+            dp_core::cutoff::sampled_quantile(&flat, dim, self.percentile, pairs, draw)
+                .expect("room for the selector")
+        };
         self.tracker.add(pairs as u64);
-        out.emit(0, q.distance());
+        out.emit(0, dc);
     }
 }
 

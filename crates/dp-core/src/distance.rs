@@ -417,11 +417,6 @@ impl DistanceTracker {
     pub fn total(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -443,15 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn tracker_counts_and_resets() {
+    fn tracker_counts() {
         let t = DistanceTracker::new();
         assert_eq!(t.total(), 0);
         let _ = t.distance(&[0.0], &[1.0]);
         let _ = t.distance(&[0.0], &[2.0]);
         t.add(10);
         assert_eq!(t.total(), 12);
-        t.reset();
-        assert_eq!(t.total(), 0);
     }
 
     #[test]

@@ -98,6 +98,58 @@ fn rows(seed: u64, n: usize, dim: usize, distinct: usize) -> Dataset {
     Dataset::from_flat(dim, flat)
 }
 
+/// `n` rows of dimension `dim` around `clusters` centres spread over a
+/// box a thousand times wider than each cluster: a pair across two
+/// clusters passes a low quantile within its first few dimensions.
+fn clustered(seed: u64, n: usize, dim: usize, clusters: usize) -> Dataset {
+    let mut rng = SplitMix::new(seed ^ 0xC1u64);
+    let centres: Vec<f64> = (0..clusters * dim)
+        .map(|_| (rng.next() % 4096) as f64 - 2048.0)
+        .collect();
+    let mut flat = Vec::with_capacity(n * dim);
+    for _ in 0..n {
+        let c = (rng.next() % clusters as u64) as usize;
+        for d in 0..dim {
+            flat.push(centres[c * dim + d] + (rng.next() % 1024) as f64 / 1024.0);
+        }
+    }
+    Dataset::from_flat(dim, flat)
+}
+
+/// `n` rows of dimension `dim` over `±1e308`, `±0.0` and `1.0`. The
+/// difference of `1e308` and `-1e308` overflows to `inf`, and the square
+/// of `1e308 - 1.0` does, and so does every partial sum after either.
+fn extreme(seed: u64, n: usize, dim: usize) -> Dataset {
+    const VALUES: [f64; 5] = [1e308, -1e308, -0.0, 0.0, 1.0];
+    let mut rng = SplitMix::new(seed ^ 0xE7u64);
+    let mut flat = Vec::with_capacity(n * dim);
+    for _ in 0..n {
+        // Three rows in four hold one value throughout, so that small
+        // distances are common.
+        let base = VALUES[(rng.next() % 5) as usize];
+        let mixed = rng.next().is_multiple_of(4);
+        for _ in 0..dim {
+            flat.push(if mixed {
+                VALUES[(rng.next() % 5) as usize]
+            } else {
+                base
+            });
+        }
+    }
+    Dataset::from_flat(dim, flat)
+}
+
+/// The row families: 0 the box rows of [`rows`], 1 clustered rows,
+/// 2 extreme values, 3 one row repeated (every `d² = 0`).
+fn rows_of(kind: usize, seed: u64, n: usize, dim: usize, distinct: usize) -> Dataset {
+    match kind {
+        0 => rows(seed, n, dim, distinct),
+        1 => clustered(seed, n, dim, 1 + distinct % 24),
+        2 => extreme(seed, n, dim),
+        _ => rows(seed, n, dim, 1),
+    }
+}
+
 fn sorted_bits(values: &[f64]) -> Vec<u64> {
     let mut bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
     bits.sort_unstable();
@@ -124,19 +176,49 @@ proptest! {
         prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
     }
 
-    /// The sampler visits exactly the definition's pairs: the same
-    /// multiset of `d²` bits, drawn from the same stream.
+    /// The sampler visits each of the definition's pairs once, and hands
+    /// on every value at or below the bound exactly: the values it visits
+    /// at or below the final bound are the definition's values there, bit
+    /// for bit, and it visits `samples` values in all. The bound falls as
+    /// a selector's does, from the definition's value at one rank of
+    /// `samples` (past the last one: infinite) to that at a lower rank
+    /// halfway through.
     #[test]
-    fn sampler_visits_the_definitions_pairs(
-        seed in any::<u64>(), dim_ix in 0usize..5, n in 2usize..400,
-        distinct in 1usize..400, samples in samples(),
+    fn sampler_hands_on_the_definitions_values_below_the_bound(
+        seed in any::<u64>(), kind in 0usize..4, dim_ix in 0usize..5, n in 2usize..400,
+        distinct in 1usize..400, samples in samples(), ranks in (0usize..5000, 0usize..5000),
     ) {
-        let ds = rows(seed, n, DIMS[dim_ix], distinct);
+        let ds = rows_of(kind, seed, n, DIMS[dim_ix], distinct);
+        let want = sampled_d2_by_definition(&ds, samples, seed);
+        let mut sorted = want.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let at = |rank: usize| sorted.get(rank).copied().unwrap_or(f64::INFINITY);
+        let (tight, loose) = (at(ranks.0.min(ranks.1)), at(ranks.0.max(ranks.1)));
         let mut rng = SplitMix::new(seed);
         let mut got = Vec::new();
-        for_each_sampled_d2(ds.as_flat(), ds.dim(), samples, || rng.next(), |d2| got.push(d2));
-        let want = sampled_d2_by_definition(&ds, samples, seed);
-        prop_assert_eq!(sorted_bits(&got), sorted_bits(&want));
+        for_each_sampled_d2(ds.as_flat(), ds.dim(), samples, || rng.next(), |d2| {
+            got.push(d2);
+            if got.len() < samples / 2 { loose } else { tight }
+        });
+        let below = |v: &[f64]| {
+            sorted_bits(&v.iter().copied().filter(|&x| x <= tight).collect::<Vec<_>>())
+        };
+        prop_assert_eq!(got.len(), samples);
+        prop_assert_eq!(below(&got), below(&want));
+    }
+
+    /// Rows whose partial sums pass a low quantile early, and rows that
+    /// stress the cut-short pairs' arithmetic, against the definition.
+    #[test]
+    fn sampled_matches_the_definition_where_pairs_are_cut_short(
+        seed in any::<u64>(), kind in 1usize..4, dim_ix in 0usize..3, n in 2usize..400,
+        t_ix in 0usize..4, samples in samples(),
+    ) {
+        let ds = rows_of(kind, seed, n, [8, 17, 74][dim_ix], n);
+        let t = PERCENTILES[t_ix];
+        let want = sampled_by_definition(&ds, t, samples, seed);
+        let got = estimate_dc_sampled(&ds, t, samples, seed);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
     }
 
     #[test]
@@ -171,6 +253,35 @@ fn sampled_panics_on_a_nan_row_below_a_lane_group() {
     let _ = estimate_dc_sampled(&nan_pair(4), 0.5, 3, 1);
 }
 
+/// A NaN that only late pairs reach, deep in its row: the sampler's
+/// first fill misses the row, and the row's first coordinate sets it so
+/// far from the four clusters that every pair with it would be cut short
+/// within its first few dimensions.
+#[test]
+#[should_panic(expected = "NaN distance")]
+fn sampled_panics_on_a_nan_row_reached_after_the_first_fill() {
+    let (n, dim, samples, seed) = (300, 74, 5000, 3);
+    // At 2%, k = 100: the first fill is the first 200 pairs, and the
+    // sampler draws a block of 64 ahead of them.
+    let mut rng = SplitMix::new(seed);
+    let mut order = Vec::new();
+    while order.len() < samples {
+        let (i, j) = (rng.next() % n as u64, rng.next() % n as u64);
+        if i != j {
+            order.push((i, j));
+        }
+    }
+    let early = |r: u64| order[..264].iter().any(|&(i, j)| i == r || j == r);
+    let late = (0..n as u64)
+        .find(|&r| !early(r))
+        .expect("a row the fill misses");
+    assert!(order.iter().any(|&(i, j)| i == late || j == late));
+    let mut flat = clustered(seed, n, dim, 4).as_flat().to_vec();
+    flat[late as usize * dim] = 1e6;
+    flat[late as usize * dim + 60] = f64::NAN;
+    let _ = estimate_dc_sampled(&Dataset::from_flat(dim, flat), 0.02, samples, seed);
+}
+
 #[test]
 #[should_panic(expected = "NaN distance")]
 fn exact_panics_on_a_nan_row() {
@@ -178,7 +289,7 @@ fn exact_panics_on_a_nan_row() {
 }
 
 fn quantile(d2: &[f64], t: f64) -> f64 {
-    let mut q = DistanceQuantile::new(t, d2.len());
+    let mut q = DistanceQuantile::new(t, d2.len()).unwrap();
     d2.iter().for_each(|&v| q.push(v));
     q.distance()
 }
@@ -208,7 +319,7 @@ fn quantile_rejects_nan_after_a_cut() {
 #[test]
 #[should_panic(expected = "pushed 1 of 2 values")]
 fn quantile_counts_its_values() {
-    let mut q = DistanceQuantile::new(0.5, 2);
+    let mut q = DistanceQuantile::new(0.5, 2).unwrap();
     q.push(1.0);
     let _ = q.distance();
 }

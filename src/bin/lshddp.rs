@@ -408,9 +408,18 @@ impl Opts {
         }
         let dc = match self.dc {
             Some(dc) => dc,
-            None if ds.len() >= 2 => {
-                dp_core::cutoff::estimate_dc_sampled(ds, self.percentile, self.samples, self.seed)
-            }
+            None if ds.len() >= 2 => dp_core::cutoff::try_estimate_dc_sampled(
+                ds,
+                self.percentile,
+                self.samples,
+                self.seed,
+            )
+            .map_err(|e| {
+                format!(
+                    "--samples: no room to select among {} pairs: {e}",
+                    self.samples
+                )
+            })?,
             None => f64::NAN,
         };
         if dc.is_finite() && dc > 0.0 {

@@ -819,6 +819,30 @@ fn hostile_inputs_fail_in_one_line_or_answer_finitely() {
     }
 }
 
+/// A `--samples` count whose selector cannot be reserved is one error
+/// line, not an abort: `2^64 - 1` pairs at the default 2% need more
+/// address space than any host has, whatever its overcommit policy.
+#[test]
+fn samples_beyond_memory_fail_in_one_line() {
+    let points = tmp("huge-samples.csv");
+    std::fs::write(&points, "0,0\n1,0\n0,1\n").expect("write input");
+    let out = tmp("huge-samples-out");
+    for args in [&["dc"][..], &["cluster", "--k", "1"], &["fit", "--k", "1"]] {
+        let run = bin()
+            .args(args)
+            .args(["--samples", "18446744073709551615", "--input"])
+            .arg(&points)
+            .arg("--out")
+            .arg(&out)
+            .output()
+            .expect("run the subcommand");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: --samples"), "{args:?}: {stderr}");
+    }
+}
+
 /// A command-line mistake is reported before any input is read: without
 /// `--out`, `cluster`, `graph` and `fit` name the missing flag (with the
 /// usage text) even when the input is empty.
