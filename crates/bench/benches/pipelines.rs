@@ -1,12 +1,15 @@
 //! End-to-end pipeline benchmarks: sequential DP vs Basic-DDP vs LSH-DDP
 //! vs EDDPC at growing N — the Criterion companion to Figure 10's
-//! runtime panel (who wins and how the gap scales) — and the centralized
-//! step's relabel, the decision-graph interaction, at growing N.
+//! runtime panel (who wins and how the gap scales) — the centralized
+//! step's relabel, the decision-graph interaction, at growing N, and one
+//! ingest write batch against a served model.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use datasets::generators::blob_grid;
+use datasets::PaperDataset;
 use ddp::prelude::*;
 use dp_core::{density_order, DpResult, PointId, NO_UPSLOPE};
+use ingest::{DeltaOp, IngestConfig, IngestSession};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -94,5 +97,54 @@ fn bench_centralized(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pipelines, bench_centralized);
+/// One write batch shaped like the ledger's serve-ingest batches — 64
+/// jittered copies of base points and 16 deletes of base keys — applied
+/// to a fresh session over the same 37k-point 4-D model (`M = 10`, so
+/// every insert scores a union of 10 overlapping buckets). The session is
+/// set up outside the timing.
+fn bench_ingest(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ingest");
+    g.sample_size(20);
+    let ds = PaperDataset::Spatial3d.generate(0.086, 7).data;
+    let dc = dp_core::cutoff::estimate_dc_sampled(&ds, 0.02, 5_000_000, 7);
+    let ddp = LshDdp::with_accuracy(0.99, 10, 3, dc, 7).expect("valid LSH params");
+    let report = ddp.run(&ds, dc);
+    let selection = PeakSelection::DeltaOutliers {
+        k: 30,
+        rho_quantile: 0.25,
+    };
+    let outcome = CentralizedStep::new(selection.clone()).run(&report.result);
+    let model = serve::ClusterModel::from_run(&ds, &report, &outcome, &ddp.config().params, 7);
+    model.tables();
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let n = model.len();
+    let mut ops: Vec<DeltaOp> = (0..64)
+        .map(|_| {
+            let p = model.point(rng.random_range(0..n) as PointId);
+            DeltaOp::Insert(p.iter().map(|x| x + rng.random_range(-0.5..0.5)).collect())
+        })
+        .collect();
+    let step = n / 16;
+    ops.extend((0..16).map(|i| DeltaOp::Delete((i * step + rng.random_range(0..step)) as u64)));
+    let config = IngestConfig {
+        selection,
+        ..IngestConfig::default()
+    };
+
+    g.throughput(Throughput::Elements(ops.len() as u64));
+    g.bench_function(BenchmarkId::new("apply_batch", n), |b| {
+        b.iter_batched(
+            || (IngestSession::new(&model, config.clone()), ops.clone()),
+            |(mut session, ops)| {
+                session.apply(ops).expect("a legal batch");
+                session
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_pipelines, bench_centralized, bench_ingest);
 criterion_main!(benches);

@@ -6,13 +6,14 @@
 //! approximate-NN mean-shift line of work), these kernels update only
 //! the points a mutation's LSH buckets can reach:
 //!
-//! * inserting a point `q` bumps `rho` for every bucket-mate within
-//!   `d_c`, estimates `rho_q` with the paper's max-over-layouts rule,
-//!   anchors `q` on its nearest denser bucket-mate (the localized
-//!   Eq. 2), and *relaxes* any bucket-mate whose separation `q` now
-//!   realizes;
-//! * deleting a point reverses the density bumps and forces a localized
-//!   separation recompute for the points that upsloped through it.
+//! * [`candidate_neighbors`] (one [`neighbor`] per id) scores candidates
+//!   against a probe; the ingest session counts the density side — the
+//!   paper's max-over-layouts `rho_q`, and `±1` for every bucket-mate
+//!   within `d_c` — while it scores its bucket union;
+//! * [`nearest_denser`] anchors a point on its nearest denser candidate
+//!   (the localized Eq. 2);
+//! * [`relax_toward`] re-anchors every candidate whose separation an
+//!   inserted point now realizes.
 //!
 //! The kernels are deliberately storage-agnostic: they work on the same
 //! flat `coords`/`rho`/`delta`/`upslope` arrays the [`ClusterModel`]
@@ -52,51 +53,23 @@ pub fn candidate_neighbors(
 ) -> Vec<Neighbor> {
     cands
         .iter()
-        .map(|&id| {
-            let at = id as usize * dim;
-            let d2 = squared_euclidean(query, &coords[at..at + dim]);
-            Neighbor {
-                id,
-                dist: d2.sqrt(),
-            }
-        })
+        .map(|&id| neighbor(query, id, coords, dim))
         .collect()
 }
 
-/// The candidates strictly within `d_c` of `query` — the set whose
-/// densities an insert/delete of `query` changes (Eq. 1 counts strict
-/// neighbors; a coincident duplicate still counts, only the point
-/// itself is excluded, which the caller guarantees by never listing it).
-pub fn neighbors_within(
-    query: &[f64],
-    cands: &[PointId],
-    coords: &[f64],
-    dim: usize,
-    dc: f64,
-) -> Vec<Neighbor> {
-    candidate_neighbors(query, cands, coords, dim)
-        .into_iter()
-        .filter(|n| n.dist < dc)
-        .collect()
-}
-
-/// `rho[n.id] += 1` for every neighbor: the insert-side density update.
-/// The caller supplies a deduplicated neighbor set (one bump per
-/// distinct point regardless of how many layouts surfaced it).
-pub fn bump_rho(rho: &mut [u32], within: &[Neighbor]) {
-    for n in within {
-        rho[n.id as usize] += 1;
-    }
-}
-
-/// Saturating `rho[id] -= 1` for every listed point: the delete-side
-/// density update. Saturation (instead of a panic) keeps a delete of a
-/// point whose insert-time neighborhood was estimated differently from
-/// corrupting unrelated state.
-pub fn drop_rho(rho: &mut [u32], within: &[PointId]) {
-    for &id in within {
-        let r = &mut rho[id as usize];
-        *r = r.saturating_sub(1);
+/// One candidate scored: the euclidean distance from `query` to row `id`
+/// of a flat row-major coordinate block, as `sqrt` of
+/// [`squared_euclidean`].
+///
+/// # Panics
+/// Panics if `id` addresses past the end of `coords`.
+#[inline]
+pub fn neighbor(query: &[f64], id: PointId, coords: &[f64], dim: usize) -> Neighbor {
+    let at = id as usize * dim;
+    let d2 = squared_euclidean(query, &coords[at..at + dim]);
+    Neighbor {
+        id,
+        dist: d2.sqrt(),
     }
 }
 
@@ -156,28 +129,6 @@ mod tests {
         assert!((ns[0].dist - 1.5).abs() < 1e-12);
         assert!((ns[1].dist - 0.5).abs() < 1e-12);
         assert!((ns[2].dist - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn within_filters_strictly_by_dc() {
-        let coords = line();
-        let ns = neighbors_within(&[0.0], &[1, 2, 3], &coords, 1, 2.0);
-        assert_eq!(ns.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1]);
-        // Distance exactly dc is out (strict inequality, as in Eq. 1).
-        let ns = neighbors_within(&[0.0], &[2], &coords, 1, 2.0);
-        assert!(ns.is_empty());
-    }
-
-    #[test]
-    fn bump_and_drop_are_inverse_and_drop_saturates() {
-        let mut rho = vec![3, 0, 5];
-        let within = [Neighbor { id: 0, dist: 0.1 }, Neighbor { id: 2, dist: 0.2 }];
-        bump_rho(&mut rho, &within);
-        assert_eq!(rho, vec![4, 0, 6]);
-        drop_rho(&mut rho, &[0, 2]);
-        assert_eq!(rho, vec![3, 0, 5]);
-        drop_rho(&mut rho, &[1]);
-        assert_eq!(rho, vec![3, 0, 5], "rho 0 saturates instead of wrapping");
     }
 
     #[test]

@@ -50,7 +50,7 @@ use ddp::prelude::{
 };
 use dp_core::update::{self, Neighbor};
 use dp_core::{Dataset, PointId, NO_UPSLOPE};
-use lsh::{BucketTables, BucketUnion, LshParams, MultiLsh};
+use lsh::{BucketTables, LshParams, MultiLsh, Signature};
 use mapreduce::Dfs;
 use obsv::Counter;
 use serve::ClusterModel;
@@ -195,7 +195,7 @@ pub struct IngestSession {
     /// slot is the largest yet, and deletes keep the order).
     tables: BucketTables,
     /// Bucket-union scratch shared by every probe of the session.
-    union: BucketUnion,
+    union: ScoredUnion,
 
     // Slot-major state; tombstones keep their entries (coords included)
     // so slot ids stay stable within a compaction epoch.
@@ -241,7 +241,7 @@ impl IngestSession {
             seq: 0,
             multi: model.layouts(),
             tables: Vec::new(),
-            union: BucketUnion::default(),
+            union: ScoredUnion::default(),
             coords: Vec::new(),
             rho: Vec::new(),
             delta: Vec::new(),
@@ -377,12 +377,12 @@ impl IngestSession {
     /// Up-front whole-batch validation. Deletes are checked against the
     /// *pre-batch* live set (inserts within the same batch cannot prop
     /// up a cluster the batch also empties — conservative, and keeps
-    /// validation side-effect free). Per-cluster live counts are built
-    /// once, on the first delete, so a batch of `k` deletes over `n`
-    /// points validates in O(n + k) instead of O(n·k + k²).
+    /// validation side-effect free). Per-cluster live counts are taken
+    /// once, on the first delete, in one pass indexed by label, so a
+    /// batch of `k` deletes over `n` points validates in O(n + k).
     fn validate(&self, ops: &[DeltaOp]) -> Result<(), IngestError> {
         let mut dead: HashSet<u64> = HashSet::new();
-        let mut remaining: Option<HashMap<u32, usize>> = None;
+        let mut remaining: Option<Vec<usize>> = None;
         for op in ops {
             match op {
                 DeltaOp::Insert(coords) => {
@@ -405,18 +405,18 @@ impl IngestSession {
                         return Err(IngestError::UnknownKey(*key));
                     }
                     let remaining = remaining.get_or_insert_with(|| {
-                        let mut counts: HashMap<u32, usize> = HashMap::new();
-                        for i in 0..self.live.len() {
-                            if self.live[i] {
-                                *counts.entry(self.labels[i]).or_insert(0) += 1;
+                        let mut counts = vec![0usize; self.peaks.len()];
+                        for (&c, _) in self.labels.iter().zip(&self.live).filter(|(_, &a)| a) {
+                            let c = c as usize;
+                            if c >= counts.len() {
+                                counts.resize(c + 1, 0);
                             }
+                            counts[c] += 1;
                         }
                         counts
                     });
                     let c = self.labels[slot as usize];
-                    let left = remaining
-                        .get_mut(&c)
-                        .expect("a live point's cluster is counted");
+                    let left = &mut remaining[c as usize];
                     *left -= 1;
                     if *left == 0 {
                         return Err(IngestError::WouldEmptyCluster(c));
@@ -432,21 +432,17 @@ impl IngestSession {
         let s = self.rho.len() as PointId;
         let sigs = self.multi.signatures(point);
 
-        // Per-layout density estimates (the paper's max aggregation) and
-        // the union candidate set for the separation search.
-        let mut rho_q = 0u32;
-        let buckets = self.tables.iter().zip(&sigs);
-        for bucket in buckets.filter_map(|(t, sig)| t.get(sig)) {
-            let within = update::neighbors_within(point, bucket, &self.coords, self.dim, self.dc);
-            rho_q = rho_q.max(within.len() as u32);
-        }
-        let union = self.union.collect(&self.tables, &sigs).ids();
-        let neighbors = update::candidate_neighbors(point, union, &self.coords, self.dim);
+        // The paper's max-over-layouts density estimate and the scored
+        // union candidate set for the separation search, in one walk.
+        let rho_q = self
+            .union
+            .score(point, &self.tables, &sigs, &self.coords, self.dc);
+        let neighbors = &self.union.neighbors;
 
         // Anchor the new point (localized Eq. 2); out-of-bucket points
         // degrade to the nearest peak, exactly like the serving-time
         // fallback.
-        let anchor = update::nearest_denser(s, rho_q, &neighbors, &self.rho)
+        let anchor = update::nearest_denser(s, rho_q, neighbors, &self.rho)
             .or_else(|| self.nearest_peak(point));
         let (delta_q, upslope_q, label_q, halo_q) = match anchor {
             Some(a) => (
@@ -474,27 +470,24 @@ impl IngestSession {
         self.keys.push(key);
         self.by_key.insert(key, s);
 
-        let mut newly = self.mark_stale(s); // incremental estimates are stale by definition
-        let within: Vec<Neighbor> = neighbors
-            .iter()
-            .copied()
-            .filter(|n| n.dist < self.dc)
-            .collect();
-        update::bump_rho(&mut self.rho, &within);
-        for n in &within {
-            newly += self.mark_stale(n.id);
-        }
-        update::relax_toward(
-            s,
-            rho_q,
-            &neighbors,
-            &self.rho,
-            &mut self.delta,
-            &mut self.upslope,
-        );
-        for n in &neighbors {
-            if self.upslope[n.id as usize] == s {
-                newly += self.mark_stale(n.id);
+        // Incremental estimates are stale by definition. Each bucket-mate
+        // within `d_c` gains density, and then relaxes toward `s` if `s`
+        // now realizes its separation; either way it goes stale. Each id
+        // is listed once, so its density is final when it relaxes.
+        let mut newly = mark_stale(&mut self.stale, &self.live, s);
+        for n in &self.union.neighbors {
+            let near = n.dist < self.dc;
+            self.rho[n.id as usize] += u32::from(near);
+            let moved = update::relax_toward(
+                s,
+                rho_q,
+                std::slice::from_ref(n),
+                &self.rho,
+                &mut self.delta,
+                &mut self.upslope,
+            );
+            if near || moved > 0 {
+                newly += mark_stale(&mut self.stale, &self.live, n.id);
             }
         }
 
@@ -514,10 +507,12 @@ impl IngestSession {
         let sigs = self.multi.signatures(&point);
 
         // Unhook from the bucket tables first: the slot must not appear
-        // as its own neighborhood's candidate.
+        // as its own neighborhood's candidate. Buckets are ascending.
         for (m, sig) in sigs.iter().enumerate() {
             if let Some(bucket) = self.tables[m].get_mut(sig) {
-                bucket.retain(|&x| x != slot);
+                if let Ok(at) = bucket.binary_search(&slot) {
+                    bucket.remove(at);
+                }
                 if bucket.is_empty() {
                     self.tables[m].remove(sig);
                 }
@@ -527,23 +522,30 @@ impl IngestSession {
         self.n_live -= 1;
 
         // Reverse the density contribution for surviving bucket-mates.
-        let union = self.union.collect(&self.tables, &sigs).ids();
-        let within: Vec<PointId> =
-            update::neighbors_within(&point, union, &self.coords, self.dim, self.dc)
-                .into_iter()
-                .map(|n| n.id)
-                .collect();
-        update::drop_rho(&mut self.rho, &within);
+        self.union
+            .score(&point, &self.tables, &sigs, &self.coords, self.dc);
         let mut newly = 0;
-        for &id in &within {
-            newly += self.mark_stale(id);
+        for n in self.union.neighbors.iter().filter(|n| n.dist < self.dc) {
+            let rho = &mut self.rho[n.id as usize];
+            *rho = rho.saturating_sub(1);
+            newly += mark_stale(&mut self.stale, &self.live, n.id);
         }
 
         // Points that upsloped through the deleted slot re-anchor over
-        // their own buckets.
-        for p in 0..self.live.len() as PointId {
-            if self.live[p as usize] && self.upslope[p as usize] == slot {
-                newly += self.reanchor(p);
+        // their own buckets, in slot order. A block of links is tested
+        // whole first (a branch-free fold, which vectorizes): few hold a
+        // child, and a re-anchor rewrites only its own link.
+        const BLOCK: usize = 64;
+        for start in (0..self.upslope.len()).step_by(BLOCK) {
+            let end = (start + BLOCK).min(self.upslope.len());
+            let links = &self.upslope[start..end];
+            if !links.iter().fold(false, |any, &u| any | (u == slot)) {
+                continue;
+            }
+            for p in start..end {
+                if self.upslope[p] == slot && self.live[p] {
+                    newly += self.reanchor(p as PointId);
+                }
             }
         }
 
@@ -554,7 +556,7 @@ impl IngestSession {
                 .max_by_key(|&i| (self.rho[i as usize], i))
                 .expect("validation keeps every cluster non-empty");
             self.peaks[c] = heir;
-            newly += self.mark_stale(heir);
+            newly += mark_stale(&mut self.stale, &self.live, heir);
         }
         newly
     }
@@ -568,9 +570,10 @@ impl IngestSession {
         let point: Vec<f64> = self.point(p).to_vec();
         // The union holds `p` itself; `nearest_denser` never picks it.
         let sigs = self.multi.signatures(&point);
-        let union = self.union.collect(&self.tables, &sigs).ids();
-        let neighbors = update::candidate_neighbors(&point, union, &self.coords, self.dim);
-        let anchor = update::nearest_denser(p, self.rho[p as usize], &neighbors, &self.rho)
+        self.union
+            .score(&point, &self.tables, &sigs, &self.coords, self.dc);
+        let neighbors = &self.union.neighbors;
+        let anchor = update::nearest_denser(p, self.rho[p as usize], neighbors, &self.rho)
             .or_else(|| self.nearest_peak(&point).filter(|pk| pk.id != p));
         match anchor {
             Some(a) => {
@@ -581,7 +584,7 @@ impl IngestSession {
                 self.upslope[p as usize] = NO_UPSLOPE;
             }
         }
-        self.mark_stale(p)
+        mark_stale(&mut self.stale, &self.live, p)
     }
 
     /// The nearest live peak to `point`, as a [`Neighbor`].
@@ -589,16 +592,6 @@ impl IngestSession {
         update::candidate_neighbors(point, &self.peaks, &self.coords, self.dim)
             .into_iter()
             .min_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)))
-    }
-
-    fn mark_stale(&mut self, slot: PointId) -> u64 {
-        let s = slot as usize;
-        if self.live[s] && !self.stale[s] {
-            self.stale[s] = true;
-            1
-        } else {
-            0
-        }
     }
 
     fn point(&self, slot: PointId) -> &[f64] {
@@ -629,14 +622,7 @@ impl IngestSession {
     /// remapped from slots to its ids, so no engine over it rebuilds them.
     pub fn publish(&self) -> ClusterModel {
         let n_slots = self.live.len();
-        let mut dense: Vec<PointId> = vec![NO_UPSLOPE; n_slots];
-        let mut next = 0u32;
-        for (d, &alive) in dense.iter_mut().zip(&self.live) {
-            if alive {
-                *d = next;
-                next += 1;
-            }
-        }
+        let dense = self.dense_ids();
         let remap = |slot: PointId| -> PointId {
             if slot == NO_UPSLOPE || !self.live[slot as usize] {
                 NO_UPSLOPE
@@ -650,20 +636,6 @@ impl IngestSession {
         for s in (0..n_slots).filter(live) {
             coords.extend_from_slice(self.point(s as PointId));
         }
-        // Buckets hold live slots only, and `dense` is increasing on them,
-        // so every remapped bucket stays ascending.
-        let tables = self
-            .tables
-            .iter()
-            .map(|table| {
-                let bucket =
-                    |slots: &Vec<PointId>| slots.iter().map(|&s| dense[s as usize]).collect();
-                table
-                    .iter()
-                    .map(|(sig, slots)| (sig.clone(), bucket(slots)))
-                    .collect()
-            })
-            .collect();
         ClusterModel::from_parts(
             self.version,
             self.algorithm.clone(),
@@ -681,8 +653,40 @@ impl IngestSession {
             (0..n_slots).filter(live).map(|s| self.labels[s]).collect(),
             self.peaks.iter().map(|&pk| dense[pk as usize]).collect(),
             (0..n_slots).filter(live).map(|s| self.halo[s]).collect(),
-            Some(tables),
         )
+        .with_tables(self.dense_tables(&dense))
+    }
+
+    /// Each slot's id among the live points in slot order — the ids
+    /// [`publish`](Self::publish) and [`compact`](Self::compact) give
+    /// them — and `NO_UPSLOPE` for a tombstone.
+    fn dense_ids(&self) -> Vec<PointId> {
+        let mut dense: Vec<PointId> = vec![NO_UPSLOPE; self.live.len()];
+        let mut next = 0u32;
+        for (d, &alive) in dense.iter_mut().zip(&self.live) {
+            if alive {
+                *d = next;
+                next += 1;
+            }
+        }
+        dense
+    }
+
+    /// The session's bucket tables with every slot remapped through
+    /// `dense` (from `dense_ids`). Buckets hold live slots only, and
+    /// `dense` is increasing on them, so every remapped bucket stays
+    /// ascending: the tables a fresh build over the live points gives.
+    fn dense_tables(&self, dense: &[PointId]) -> BucketTables {
+        let bucket = |slots: &Vec<PointId>| slots.iter().map(|&s| dense[s as usize]).collect();
+        self.tables
+            .iter()
+            .map(|table| {
+                table
+                    .iter()
+                    .map(|(sig, slots)| (sig.clone(), bucket(slots)))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Refits the live point set exactly and resets the session onto the
@@ -736,12 +740,16 @@ impl IngestSession {
         // The refit succeeded: re-seed the session onto it. The WAL is
         // deliberately left intact — its batches are only *durably*
         // folded once the caller persists the artifact and retires the
-        // log (`retire_wal`). Re-seeding builds the new model's bucket
-        // tables, which every engine over it then shares.
-        obsv::span!("ingest", "compact/reseed" => {
+        // log (`retire_wal`). The refit's points are the live slots in
+        // slot order, so the session's own tables, remapped to those ids,
+        // are the new model's bucket tables, which every engine over it
+        // then shares: none are built from scratch.
+        let model = obsv::span!("ingest", "compact/reseed" => {
+            let model = model.with_tables(self.dense_tables(&self.dense_ids()));
             let keys = self.live_keys();
             self.algorithm = model.algorithm().to_string();
             self.seed_from(&model, Some(keys));
+            model
         });
         self.compactions_ctr.inc(1);
         obsv::global()
@@ -789,11 +797,6 @@ impl IngestSession {
         self.version
     }
 
-    /// Batches applied so far (including WAL replays).
-    pub fn batches_applied(&self) -> u64 {
-        self.seq
-    }
-
     /// The cutoff distance inherited from the base model.
     pub fn dc(&self) -> f64 {
         self.dc
@@ -826,5 +829,71 @@ impl IngestSession {
             .filter(|&s| self.live[s])
             .map(|s| self.keys[s])
             .collect()
+    }
+}
+
+/// Marks a live `slot` stale; 1 if it was not yet, else 0.
+fn mark_stale(stale: &mut [bool], live: &[bool], slot: PointId) -> u64 {
+    let s = slot as usize;
+    let newly = live[s] && !stale[s];
+    stale[s] |= newly;
+    u64::from(newly)
+}
+
+/// A probe's bucket union, scored once: every distinct id sharing a
+/// bucket with the probe under any layout, with its distance, in
+/// collision order. Each id is scored at its first collision, and a flag
+/// per slot records whether it lies within `d_c`, so the per-layout
+/// density counts of the paper's job-2 rule come from the same walk with
+/// no second distance. The flags are cleared through the previous
+/// probe's ids, so a probe costs its buckets' sizes.
+#[derive(Debug, Default)]
+struct ScoredUnion {
+    /// Per slot, for the last probe: `UNSEEN` (not in its union), or
+    /// `NEAR`/`FAR` (below `d_c`, or not).
+    seen: Vec<u8>,
+    /// The union's ids with their distances to the probe.
+    neighbors: Vec<Neighbor>,
+}
+
+const UNSEEN: u8 = 0;
+const NEAR: u8 = 1;
+const FAR: u8 = 2;
+
+impl ScoredUnion {
+    /// Scores `point` against the buckets `sigs` selects in `tables`
+    /// (slot ids into the row-major `coords`) and returns
+    /// `max_m rho_hat^m`: over the layouts, the most ids in one bucket
+    /// within `d_c` of `point` (Eq. 1's strict `<`). The scored ids are
+    /// left in `neighbors`.
+    fn score(
+        &mut self,
+        point: &[f64],
+        tables: &BucketTables,
+        sigs: &[Signature],
+        coords: &[f64],
+        dc: f64,
+    ) -> u32 {
+        for n in self.neighbors.drain(..) {
+            self.seen[n.id as usize] = UNSEEN;
+        }
+        let dim = point.len();
+        self.seen.resize(coords.len() / dim, UNSEEN);
+        let mut rho = 0;
+        for bucket in tables.iter().zip(sigs).filter_map(|(t, sig)| t.get(sig)) {
+            let mut within = 0;
+            for &id in bucket {
+                let mut state = self.seen[id as usize];
+                if state == UNSEEN {
+                    let n = update::neighbor(point, id, coords, dim);
+                    state = if n.dist < dc { NEAR } else { FAR };
+                    self.seen[id as usize] = state;
+                    self.neighbors.push(n);
+                }
+                within += u32::from(state == NEAR);
+            }
+            rho = rho.max(within);
+        }
+        rho
     }
 }

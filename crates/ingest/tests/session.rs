@@ -48,7 +48,6 @@ fn two_cluster_line() -> ClusterModel {
         vec![0, 0, 1],
         vec![0, 2],
         vec![false, false, false],
-        None,
     )
 }
 
@@ -103,45 +102,82 @@ fn insert_bumps_neighbor_density_and_versions_the_model() {
 fn rejected_batches_leave_the_session_untouched() {
     let model = two_cluster_line();
     let mut session = IngestSession::new(&model, config());
+    let published = wire::encode(&session.publish());
+    let insert = |x: f64| DeltaOp::Insert(vec![x]);
 
-    // Wrong dimensionality.
-    let err = session
-        .apply(vec![DeltaOp::Insert(vec![1.0, 2.0])])
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        IngestError::DimMismatch {
-            expected: 1,
-            got: 2
-        }
-    ));
+    // Each batch is refused with exactly this error, naming the first op
+    // that fails. Deletes are checked against the pre-batch live set, so
+    // inserts never prop a cluster up, and key 3 (the next key) is not
+    // live until its batch lands.
+    let refused = [
+        (
+            vec![DeltaOp::Insert(vec![1.0, 2.0])],
+            "DimMismatch { expected: 1, got: 2 }",
+        ),
+        (vec![DeltaOp::Delete(99)], "UnknownKey(99)"),
+        (vec![insert(0.5), DeltaOp::Delete(99)], "UnknownKey(99)"),
+        (
+            vec![DeltaOp::Delete(1), DeltaOp::Delete(1)],
+            "UnknownKey(1)",
+        ),
+        (
+            vec![DeltaOp::Delete(1), insert(0.5), DeltaOp::Delete(1)],
+            "UnknownKey(1)",
+        ),
+        (vec![insert(0.5), DeltaOp::Delete(3)], "UnknownKey(3)"),
+        // Emptying a cluster: directly, at the first, middle and last
+        // position, and across the batch.
+        (vec![DeltaOp::Delete(2)], "WouldEmptyCluster(1)"),
+        (
+            vec![DeltaOp::Delete(2), insert(0.5), DeltaOp::Delete(1)],
+            "WouldEmptyCluster(1)",
+        ),
+        (
+            vec![insert(0.5), DeltaOp::Delete(2), insert(3.0)],
+            "WouldEmptyCluster(1)",
+        ),
+        (
+            vec![insert(0.5), insert(10.5), DeltaOp::Delete(2)],
+            "WouldEmptyCluster(1)",
+        ),
+        (
+            vec![DeltaOp::Delete(0), DeltaOp::Delete(1)],
+            "WouldEmptyCluster(0)",
+        ),
+        (
+            vec![insert(0.5), DeltaOp::Delete(1), DeltaOp::Delete(0)],
+            "WouldEmptyCluster(0)",
+        ),
+        (
+            vec![DeltaOp::Delete(1), DeltaOp::Delete(2)],
+            "WouldEmptyCluster(1)",
+        ),
+    ];
+    for (ops, want) in refused {
+        let shown = format!("{ops:?}");
+        let err = session.apply(ops).unwrap_err();
+        assert_eq!(format!("{err:?}"), want, "{shown}");
+        // Nothing changed any state: full-batch validation runs before
+        // the first op is applied.
+        assert_eq!(session.version(), 1, "{shown}");
+        assert_eq!(session.len(), 3, "{shown}");
+        assert_eq!(session.stale_points(), 0, "{shown}");
+        assert_eq!(wire::encode(&session.publish()), published, "{shown}");
+    }
 
-    // Unknown / repeated keys.
-    let err = session.apply(vec![DeltaOp::Delete(99)]).unwrap_err();
-    assert!(matches!(err, IngestError::UnknownKey(99)));
-    let err = session
-        .apply(vec![DeltaOp::Delete(1), DeltaOp::Delete(1)])
-        .unwrap_err();
-    assert!(matches!(err, IngestError::UnknownKey(1)));
-
-    // Emptying a cluster — directly, or across the batch.
-    let err = session.apply(vec![DeltaOp::Delete(2)]).unwrap_err();
-    assert!(matches!(err, IngestError::WouldEmptyCluster(1)));
-    let err = session
-        .apply(vec![DeltaOp::Delete(0), DeltaOp::Delete(1)])
-        .unwrap_err();
-    assert!(matches!(err, IngestError::WouldEmptyCluster(0)));
-
-    // Nothing above changed any state: full-batch validation runs
-    // before the first op is applied.
-    assert_eq!(session.version(), 1);
-    assert_eq!(session.len(), 3);
-    assert_eq!(session.stale_points(), 0);
-    assert_eq!(session.batches_applied(), 0);
-
-    // The same deletes succeed one at a time when legal.
+    // The same deletes succeed one at a time when legal, and a deleted
+    // key is unknown from then on.
     session.apply(vec![DeltaOp::Delete(1)]).unwrap();
     assert_eq!(session.len(), 2);
+    let published = wire::encode(&session.publish());
+    let err = session
+        .apply(vec![insert(0.5), DeltaOp::Delete(1)])
+        .unwrap_err();
+    assert_eq!(format!("{err:?}"), "UnknownKey(1)");
+    let err = session.apply(vec![DeltaOp::Delete(0)]).unwrap_err();
+    assert_eq!(format!("{err:?}"), "WouldEmptyCluster(0)");
+    assert_eq!(session.version(), 2);
+    assert_eq!(wire::encode(&session.publish()), published);
 }
 
 #[test]
@@ -193,6 +229,39 @@ fn deleting_a_peak_hands_the_cluster_to_the_densest_survivor() {
     // p1 (dense id 0 after the squeeze) inherits cluster 0's peak slot.
     assert_eq!(published.labels()[published.peaks()[0] as usize], 0);
     assert_eq!(published.labels()[published.peaks()[1] as usize], 1);
+}
+
+#[test]
+fn deleting_a_point_reanchors_its_children() {
+    // Cluster 0 = {p0 (peak), p1 -> p0, p2 -> p1}, cluster 1 = {p3}. p0
+    // lies within d_c of p1 and p2 beyond it, so only its re-anchor can
+    // touch p2.
+    let model = ClusterModel::from_parts(
+        1,
+        "test".to_string(),
+        1,
+        2.0,
+        lsh::LshParams {
+            m: 2,
+            pi: 2,
+            w: 8.0,
+        },
+        7,
+        vec![0.0, 1.0, 4.0, 50.0],
+        vec![5, 3, 1, 1],
+        vec![50.0, 1.0, 3.0, 50.0],
+        vec![dp_core::NO_UPSLOPE, 0, 1, dp_core::NO_UPSLOPE],
+        vec![0, 0, 0, 1],
+        vec![0, 3],
+        vec![false; 4],
+    );
+    let mut session = IngestSession::new(&model, config());
+    let applied = session.apply(vec![DeltaOp::Delete(1)]).unwrap();
+    assert_eq!(applied.newly_stale, 2, "p0 loses density, p2 re-anchors");
+    let published = session.publish();
+    // p2 is dense id 1 now; it re-anchors on p0, 4.0 away.
+    assert_eq!(published.upslopes()[1], 0);
+    assert_eq!(published.deltas()[1], 4.0);
 }
 
 #[test]

@@ -1,10 +1,11 @@
-//! A published model carries the session's own bucket tables, remapped
-//! from slots to the model's ids — never rebuilt. Whatever the lineage did,
-//! they must be exactly what a from-scratch build over the published
-//! coordinates gives: the same buckets under every layout, each listing
-//! its ids ascending. Checked after random batches (exact duplicates,
-//! peak deletes, a point deleted and reinserted in one batch), after a WAL
-//! replay, and after a compaction and the batches that follow it.
+//! A published or compacted model carries the session's own bucket
+//! tables, remapped from slots to the model's ids — never rebuilt.
+//! Whatever the lineage did, they must be exactly what a from-scratch
+//! build over the model's coordinates gives: the same buckets under every
+//! layout, each listing its ids ascending. Checked after random batches
+//! (exact duplicates, peak deletes, a point deleted and reinserted in one
+//! batch), after a WAL replay, and after a compaction and the batches
+//! that follow it.
 
 use ddp::prelude::*;
 use ingest::{DeltaOp, IngestConfig, IngestSession};
@@ -116,8 +117,9 @@ proptest! {
         prop_assert_eq!(wire::encode(&replayed), before);
         assert_fresh(&replayed, "replayed");
 
-        // The compacted model builds its own; the session re-seeded from
-        // them keeps handing over correct ones.
+        // The compacted model gets the session's tables, remapped to its
+        // ids; the session re-seeded from them keeps handing over correct
+        // ones.
         let compaction = session.compact();
         assert_fresh(&compaction.model, "compacted");
         assert_fresh(&session.publish(), "re-seeded");

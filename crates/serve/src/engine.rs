@@ -638,13 +638,7 @@ mod tests {
                 let params = lsh::LshParams { m, pi, w };
                 let coords: Vec<f64> =
                     rows.iter().flat_map(|r| [f64::from(r.0), f64::from(r.1)]).collect();
-                let tables = descending.then(|| {
-                    let multi = MultiLsh::new(2, &params, seed);
-                    let mut tables = lsh::bucket_tables(&multi, coords.chunks_exact(2));
-                    tables.iter_mut().flat_map(|t| t.values_mut()).for_each(|b| b.reverse());
-                    tables
-                });
-                let model = ClusterModel::from_parts(
+                let mut model = ClusterModel::from_parts(
                     1,
                     "test".to_string(),
                     2,
@@ -658,8 +652,12 @@ mod tests {
                     (0..n).map(|i| if i < k { i as u32 } else { rows[i].3 % k as u32 }).collect(),
                     (0..k as u32).collect(),
                     rows.iter().map(|r| r.4).collect(),
-                    tables,
                 );
+                if descending {
+                    let mut tables = model.tables().clone();
+                    tables.iter_mut().flat_map(|t| t.values_mut()).for_each(|b| b.reverse());
+                    model = model.with_tables(tables);
+                }
                 for exactness in [Exactness::Lsh, Exactness::Hybrid, Exactness::Exact] {
                     let mut engine = QueryEngine::with_exactness(model.clone(), exactness);
                     engine.index = None;

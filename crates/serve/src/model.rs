@@ -249,15 +249,13 @@ impl ClusterModel {
 
     /// Assembles a model directly from its fields — the constructor the
     /// ingest path uses to publish incrementally updated state without
-    /// re-running a batch pipeline. `tables`, when given, are the bucket
-    /// tables over `coords` (see [`Self::tables`]), which the caller
-    /// already maintains; otherwise they are built on first use.
+    /// re-running a batch pipeline. Its bucket tables are built on first
+    /// use, unless [`Self::with_tables`] hands over the caller's.
     ///
     /// # Panics
     /// Panics if the fields are not mutually consistent: mismatched
-    /// lengths, an empty peak set, out-of-range peak/upslope ids, a peak
-    /// whose label is not its cluster id, or tables that do not hold one
-    /// table per layout.
+    /// lengths, an empty peak set, out-of-range peak/upslope ids, or a
+    /// peak whose label is not its cluster id.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         version: u64,
@@ -273,7 +271,6 @@ impl ClusterModel {
         labels: Vec<u32>,
         peaks: Vec<PointId>,
         halo: Vec<bool>,
-        tables: Option<BucketTables>,
     ) -> Self {
         let n = rho.len();
         assert!(dim > 0, "model dim must be positive");
@@ -292,9 +289,6 @@ impl ClusterModel {
             upslope.iter().all(|&u| u == NO_UPSLOPE || (u as usize) < n),
             "upslope id out of range"
         );
-        if let Some(t) = &tables {
-            assert_eq!(t.len(), params.m, "one bucket table per layout");
-        }
         ClusterModel {
             version,
             algorithm,
@@ -309,7 +303,7 @@ impl ClusterModel {
             labels,
             peaks,
             halo,
-            tables: Tables(Arc::new(tables.map(OnceLock::from).unwrap_or_default())),
+            tables: Tables::default(),
         }
     }
 
@@ -322,13 +316,25 @@ impl ClusterModel {
     /// `tables()[m]` maps each layout-`m` signature to the ids of the
     /// points hashing to it, ascending. Built from the coordinates on
     /// first use — a `serve` `model/tables` span, the only from-scratch
-    /// build a lineage makes — unless [`Self::from_parts`] was handed
-    /// them; every clone of the model shares that one build.
+    /// build a lineage makes — unless [`Self::with_tables`] handed them
+    /// over; every clone of the model shares that one build.
     pub fn tables(&self) -> &BucketTables {
         self.tables.0.get_or_init(|| {
             let _span = obsv::span!("serve", "model/tables");
             lsh::bucket_tables(&self.layouts(), self.coords.chunks_exact(self.dim))
         })
+    }
+
+    /// The same model with `tables` as its bucket tables (see
+    /// [`Self::tables`]): tables over its coordinates that the caller
+    /// already holds, so none are built from scratch.
+    ///
+    /// # Panics
+    /// Panics unless `tables` holds one table per layout.
+    pub fn with_tables(mut self, tables: BucketTables) -> Self {
+        assert_eq!(tables.len(), self.params.m, "one bucket table per layout");
+        self.tables = Tables(Arc::new(OnceLock::from(tables)));
+        self
     }
 
     /// The model's lineage version (1 after a fresh fit).
@@ -720,13 +726,8 @@ mod tests {
         assert_eq!(back, model, "payload and defaulted version both match");
     }
 
-    /// `model`'s fields through `from_parts`, the upslope links and the
-    /// handed-over tables replaced.
-    fn reassembled(
-        model: &ClusterModel,
-        upslope: Vec<PointId>,
-        tables: Option<BucketTables>,
-    ) -> ClusterModel {
+    /// `model`'s fields through `from_parts`, the upslope links replaced.
+    fn reassembled(model: &ClusterModel, upslope: Vec<PointId>) -> ClusterModel {
         ClusterModel::from_parts(
             model.version(),
             model.algorithm().to_string(),
@@ -741,7 +742,6 @@ mod tests {
             model.labels().to_vec(),
             model.peaks().to_vec(),
             model.halos().to_vec(),
-            tables,
         )
     }
 
@@ -757,7 +757,7 @@ mod tests {
         );
         assert_eq!(format!("{:?}", model.tables), "built");
         // Handed-over tables are the model's, and stay out of the bytes.
-        let handed = reassembled(&model, model.upslopes().to_vec(), Some(want.clone()));
+        let handed = reassembled(&model, model.upslopes().to_vec()).with_tables(want.clone());
         assert_eq!(handed.tables(), &want);
         assert_eq!(wire::encode(&handed), wire::encode(&model));
         let back: ClusterModel = wire::decode(&wire::encode(&model)).unwrap();
@@ -770,7 +770,7 @@ mod tests {
         let model = fitted_model(40, 4);
         let mut upslope = model.upslopes().to_vec();
         upslope[0] = NO_UPSLOPE;
-        assert_eq!(reassembled(&model, upslope, None).upslopes()[0], NO_UPSLOPE);
+        assert_eq!(reassembled(&model, upslope).upslopes()[0], NO_UPSLOPE);
     }
 
     #[test]
@@ -779,16 +779,16 @@ mod tests {
         let model = fitted_model(40, 4);
         let mut upslope = model.upslopes().to_vec();
         upslope[1] = model.len() as PointId;
-        let _ = reassembled(&model, upslope, None);
+        let _ = reassembled(&model, upslope);
     }
 
     #[test]
     #[should_panic(expected = "one bucket table per layout")]
-    fn from_parts_rejects_tables_for_other_layouts() {
+    fn with_tables_rejects_tables_for_other_layouts() {
         let model = fitted_model(40, 4);
         let mut tables = model.tables().clone();
         tables.pop();
-        let _ = reassembled(&model, model.upslopes().to_vec(), Some(tables));
+        let _ = model.with_tables(tables);
     }
 
     #[test]

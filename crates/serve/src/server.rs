@@ -979,7 +979,6 @@ mod tests {
             labels,
             peaks,
             model.halos().to_vec(),
-            None,
         )
     }
 
