@@ -1,8 +1,8 @@
 //! End-to-end pipeline benchmarks: sequential DP vs Basic-DDP vs LSH-DDP
 //! vs EDDPC at growing N — the Criterion companion to Figure 10's
 //! runtime panel (who wins and how the gap scales) — the centralized
-//! step's relabel, the decision-graph interaction, at growing N, and one
-//! ingest write batch against a served model.
+//! step's relabel, the decision-graph interaction, at growing N, one
+//! ingest write batch against a served model, and that model's read path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use datasets::generators::blob_grid;
@@ -97,14 +97,9 @@ fn bench_centralized(c: &mut Criterion) {
     g.finish();
 }
 
-/// One write batch shaped like the ledger's serve-ingest batches — 64
-/// jittered copies of base points and 16 deletes of base keys — applied
-/// to a fresh session over the same 37k-point 4-D model (`M = 10`, so
-/// every insert scores a union of 10 overlapping buckets). The session is
-/// set up outside the timing.
-fn bench_ingest(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ingest");
-    g.sample_size(20);
+/// The ledger's serve-ingest model: 3dspatial at 0.086 (37,200 × 4-D),
+/// fitted by LSH-DDP (`M = 10`) under `DeltaOutliers`, and its selection.
+fn served_model() -> (serve::ClusterModel, PeakSelection) {
     let ds = PaperDataset::Spatial3d.generate(0.086, 7).data;
     let dc = dp_core::cutoff::estimate_dc_sampled(&ds, 0.02, 5_000_000, 7);
     let ddp = LshDdp::with_accuracy(0.99, 10, 3, dc, 7).expect("valid LSH params");
@@ -115,8 +110,12 @@ fn bench_ingest(c: &mut Criterion) {
     };
     let outcome = CentralizedStep::new(selection.clone()).run(&report.result);
     let model = serve::ClusterModel::from_run(&ds, &report, &outcome, &ddp.config().params, 7);
-    model.tables();
+    (model, selection)
+}
 
+/// One write batch shaped like the ledger's serve-ingest batches: 64
+/// jittered copies of `model`'s points and 16 deletes of its keys.
+fn write_batch(model: &serve::ClusterModel) -> Vec<DeltaOp> {
     let mut rng = StdRng::seed_from_u64(11);
     let n = model.len();
     let mut ops: Vec<DeltaOp> = (0..64)
@@ -127,13 +126,24 @@ fn bench_ingest(c: &mut Criterion) {
         .collect();
     let step = n / 16;
     ops.extend((0..16).map(|i| DeltaOp::Delete((i * step + rng.random_range(0..step)) as u64)));
+    ops
+}
+
+/// One write batch applied to a fresh session over the served model
+/// (`M = 10`, so every insert scores a union of 10 overlapping buckets).
+/// The session is set up outside the timing.
+fn bench_ingest(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ingest");
+    g.sample_size(20);
+    let (model, selection) = served_model();
+    let ops = write_batch(&model);
     let config = IngestConfig {
         selection,
         ..IngestConfig::default()
     };
 
     g.throughput(Throughput::Elements(ops.len() as u64));
-    g.bench_function(BenchmarkId::new("apply_batch", n), |b| {
+    g.bench_function(BenchmarkId::new("apply_batch", model.len()), |b| {
         b.iter_batched(
             || (IngestSession::new(&model, config.clone()), ops.clone()),
             |(mut session, ops)| {
@@ -146,5 +156,59 @@ fn bench_ingest(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pipelines, bench_centralized, bench_ingest);
+/// The read path over the served model: an engine built over a freshly
+/// loaded model (its index included), 1,000 near reads (model points
+/// jittered by ±0.5 per coordinate), and the swap step of a write — a
+/// publish after one batch and an engine over the published model.
+fn bench_serve(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve");
+    g.sample_size(20);
+    let (model, selection) = served_model();
+    let n = model.len();
+    let bytes = mapreduce::wire::encode(&model);
+    g.bench_function(BenchmarkId::new("engine_build", n), |b| {
+        b.iter_batched(
+            || mapreduce::wire::decode::<serve::ClusterModel>(&bytes).expect("own bytes"),
+            serve::QueryEngine::new,
+            BatchSize::LargeInput,
+        )
+    });
+
+    let engine = serve::QueryEngine::new(model.clone());
+    let mut rng = StdRng::seed_from_u64(13);
+    let near: Vec<Vec<f64>> = (0..1000)
+        .map(|_| {
+            let p = model.point(rng.random_range(0..n) as PointId);
+            p.iter().map(|x| x + rng.random_range(-0.5..0.5)).collect()
+        })
+        .collect();
+    g.throughput(Throughput::Elements(near.len() as u64));
+    g.bench_function(BenchmarkId::new("near_assign", n), |b| {
+        b.iter(|| {
+            for q in &near {
+                black_box(engine.assign(q));
+            }
+        })
+    });
+
+    let config = IngestConfig {
+        selection,
+        ..IngestConfig::default()
+    };
+    let mut session = IngestSession::new(&model, config);
+    session.apply(write_batch(&model)).expect("a legal batch");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function(BenchmarkId::new("publish_engine", n), |b| {
+        b.iter(|| black_box(serve::QueryEngine::new(session.publish())))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_pipelines,
+    bench_centralized,
+    bench_ingest,
+    bench_serve
+);
 criterion_main!(benches);

@@ -358,6 +358,17 @@ pub fn compute_halo(
     result: &DpResult,
     clustering: &Clustering,
 ) -> Vec<bool> {
+    compute_halo_indexed(ds, result, clustering).0
+}
+
+/// [`compute_halo`], handing back the spatial index its pass built over
+/// `ds` (`None` on the pairwise route): a serving model keeps it to answer
+/// reads over the same points.
+pub fn compute_halo_indexed(
+    ds: &crate::point::Dataset,
+    result: &DpResult,
+    clustering: &Clustering,
+) -> (Vec<bool>, Option<crate::index::SpatialIndex>) {
     assert_eq!(ds.len(), result.len(), "result must cover the dataset");
     assert_eq!(
         ds.len(),
@@ -368,7 +379,8 @@ pub fn compute_halo(
     // Max density seen in each cluster's border region.
     let mut border_rho = vec![0u32; clustering.n_clusters() as usize];
     let labels = clustering.labels();
-    Partition::new(ds.as_flat(), ds.dim(), result.dc).pairs_across(labels, |i, j, d2| {
+    let partition = Partition::new(ds.as_flat(), ds.dim(), result.dc);
+    partition.pairs_across(labels, |i, j, d2| {
         let (ci, cj) = (labels[i] as usize, labels[j] as usize);
         if d2.sqrt() < result.dc {
             // The ORIGINAL DP code uses the average density of the
@@ -378,12 +390,13 @@ pub fn compute_halo(
             border_rho[cj] = border_rho[cj].max(avg);
         }
     });
-    (0..n)
+    let halo = (0..n)
         .map(|i| {
             let b = border_rho[clustering.label(i as PointId) as usize];
             b > 0 && result.rho[i] <= b
         })
-        .collect()
+        .collect();
+    (halo, partition.into_index())
 }
 
 #[cfg(test)]

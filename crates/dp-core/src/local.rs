@@ -161,6 +161,12 @@ impl<'a> Partition<'a> {
         self.work.get()
     }
 
+    /// The partition's index, if it was routed to one: for a caller that
+    /// answers later queries over the same points.
+    pub fn into_index(self) -> Option<SpatialIndex> {
+        self.index.map(RefCell::into_inner)
+    }
+
     fn index(&self) -> Option<Ref<'_, SpatialIndex>> {
         self.index.as_ref().map(RefCell::borrow)
     }

@@ -53,7 +53,7 @@ use dp_core::{Dataset, PointId, NO_UPSLOPE};
 use lsh::{BucketTables, LshParams, MultiLsh, Signature};
 use mapreduce::Dfs;
 use obsv::Counter;
-use serve::ClusterModel;
+use serve::{ClusterModel, ExactIndex};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -175,7 +175,9 @@ pub struct Compaction {
 
 /// A mutable, versioned view over a [`ClusterModel`]: slots for every
 /// point ever seen (tombstoned on delete, never reordered), incremental
-/// LSH bucket tables, and the stale-point bookkeeping.
+/// LSH bucket tables, the stale-point bookkeeping, and the exact index of
+/// the model it was opened on or compacted to, which every model it
+/// publishes reads through.
 ///
 /// External identity: the base model's points carry keys `0..n` in
 /// point-id order; each insert takes the next key. Keys survive
@@ -196,6 +198,10 @@ pub struct IngestSession {
     tables: BucketTables,
     /// Bucket-union scratch shared by every probe of the session.
     union: ScoredUnion,
+    /// The exact index over the first `base_len` slots, shared with the
+    /// model the session was seeded from.
+    index: ExactIndex,
+    base_len: usize,
 
     // Slot-major state; tombstones keep their entries (coords included)
     // so slot ids stay stable within a compaction epoch.
@@ -242,6 +248,8 @@ impl IngestSession {
             multi: model.layouts(),
             tables: Vec::new(),
             union: ScoredUnion::default(),
+            index: ExactIndex::default(),
+            base_len: 0,
             coords: Vec::new(),
             rho: Vec::new(),
             delta: Vec::new(),
@@ -261,7 +269,10 @@ impl IngestSession {
             stale_ctr: reg.counter("stale_points"),
             compactions_ctr: reg.counter("model_compactions"),
         };
-        session.seed_from(model, None);
+        let tables = obsv::span!("ingest", "session/tables" => {
+            lsh::bucket_tables(&session.multi, model.coords().chunks_exact(model.dim()))
+        });
+        session.seed_from(model, None, tables);
         session
     }
 
@@ -306,11 +317,11 @@ impl IngestSession {
         Ok((session, replayed))
     }
 
-    /// Re-seeds every slot from a model, its bucket tables included (a
-    /// copy of the model's, built first if it has none yet). `keys`:
+    /// Re-seeds every slot from a model, with `tables` as the bucket tables
+    /// over its points and its exact index as the session's. `keys`:
     /// existing external keys for the model's points in id order
     /// (compaction), or `None` to assign `0..n` (fresh open).
-    fn seed_from(&mut self, model: &ClusterModel, keys: Option<Vec<u64>>) {
+    fn seed_from(&mut self, model: &ClusterModel, keys: Option<Vec<u64>>, tables: BucketTables) {
         let n = model.len();
         self.coords = model.coords().to_vec();
         self.rho = model.rhos().to_vec();
@@ -331,7 +342,9 @@ impl IngestSession {
             .enumerate()
             .map(|(slot, &k)| (k, slot as PointId))
             .collect();
-        self.tables = model.tables().clone();
+        self.tables = tables;
+        self.index = model.exact_index();
+        self.base_len = n;
         self.version = model.version();
     }
 
@@ -618,11 +631,14 @@ impl IngestSession {
     /// densified, upslope links through dead points rewired to
     /// `NO_UPSLOPE`. This is the cheap path — the artifact reflects the
     /// localized estimates, stale points and all; [`compact`](Self::compact)
-    /// is the exact one. The model gets the session's bucket tables,
-    /// remapped from slots to its ids, so no engine over it rebuilds them.
+    /// is the exact one. The model reads through the session's exact index
+    /// (built here if no engine built it yet), its deleted rows skipped and
+    /// the rows inserted since scanned, so no engine over it builds one.
     pub fn publish(&self) -> ClusterModel {
         let n_slots = self.live.len();
-        let dense = self.dense_ids();
+        let mut dense = self.dense_ids();
+        self.index
+            .get(&self.coords[..self.base_len * self.dim], self.dim);
         let remap = |slot: PointId| -> PointId {
             if slot == NO_UPSLOPE || !self.live[slot as usize] {
                 NO_UPSLOPE
@@ -654,7 +670,10 @@ impl IngestSession {
             self.peaks.iter().map(|&pk| dense[pk as usize]).collect(),
             (0..n_slots).filter(live).map(|s| self.halo[s]).collect(),
         )
-        .with_tables(self.dense_tables(&dense))
+        .with_derived_index(self.index.clone(), {
+            dense.truncate(self.base_len);
+            dense
+        })
     }
 
     /// Each slot's id among the live points in slot order — the ids
@@ -675,7 +694,8 @@ impl IngestSession {
     /// The session's bucket tables with every slot remapped through
     /// `dense` (from `dense_ids`). Buckets hold live slots only, and
     /// `dense` is increasing on them, so every remapped bucket stays
-    /// ascending: the tables a fresh build over the live points gives.
+    /// ascending: the tables a fresh build over the live points gives,
+    /// which `compact` re-seeds the session with.
     fn dense_tables(&self, dense: &[PointId]) -> BucketTables {
         let bucket = |slots: &Vec<PointId>| slots.iter().map(|&s| dense[s as usize]).collect();
         self.tables
@@ -742,14 +762,14 @@ impl IngestSession {
         // folded once the caller persists the artifact and retires the
         // log (`retire_wal`). The refit's points are the live slots in
         // slot order, so the session's own tables, remapped to those ids,
-        // are the new model's bucket tables, which every engine over it
-        // then shares: none are built from scratch.
-        let model = obsv::span!("ingest", "compact/reseed" => {
-            let model = model.with_tables(self.dense_tables(&self.dense_ids()));
+        // are the bucket tables over the new model's points: none are
+        // built from scratch. The session shares the new model's index,
+        // which its first engine or publish builds.
+        obsv::span!("ingest", "compact/reseed" => {
+            let tables = self.dense_tables(&self.dense_ids());
             let keys = self.live_keys();
             self.algorithm = model.algorithm().to_string();
-            self.seed_from(&model, Some(keys));
-            model
+            self.seed_from(&model, Some(keys), tables);
         });
         self.compactions_ctr.inc(1);
         obsv::global()

@@ -29,14 +29,16 @@ fn base() -> &'static ClusterModel {
 }
 
 /// The rule by its definition: for each layout, the ids in `q`'s bucket
-/// other than `q` with `sqrt(d²) < d_c`; the largest of those counts.
+/// other than `q` with `sqrt(d²) < d_c`; the largest of those counts. The
+/// buckets are built from scratch over the model's points.
 fn max_over_layouts(model: &ClusterModel, q: u32) -> u32 {
     let p = model.point(q);
     let multi = model.layouts();
+    let tables = lsh::bucket_tables(&multi, model.coords().chunks_exact(model.dim()));
     let within = |j: &&u32| **j != q && squared_euclidean(p, model.point(**j)).sqrt() < model.dc();
     (0..multi.layouts())
         .map(|m| {
-            model.tables()[m][&multi.signature(m, p)]
+            tables[m][&multi.signature(m, p)]
                 .iter()
                 .filter(within)
                 .count() as u32

@@ -45,5 +45,5 @@ pub mod statmath;
 pub mod tuning;
 
 pub use hash::{HashGroup, LshFunction, MultiLsh, Signature};
-pub use knn::{bucket_tables, BucketTables, BucketUnion};
+pub use knn::{bucket_tables, BucketTables};
 pub use tuning::LshParams;

@@ -10,11 +10,11 @@
 //!   (coordinates, `rho`/`delta`/upslope, labels, peaks, halo flags,
 //!   `d_c`, and the `M × pi` LSH layout provenance), saved and loaded
 //!   with the engine's own `wire` encoding;
-//! * [`QueryEngine`] — the single-threaded query path: hash a point
-//!   through the model's layouts, probe the colliding buckets for the
-//!   nearest higher-density neighbor (the serving-time upslope rule), and
-//!   fall back to an exact nearest-center scan for out-of-distribution
-//!   points, policed by the [`Exactness`] knob;
+//! * [`QueryEngine`] — the single-threaded query path: count the query's
+//!   density and find its nearest at-least-as-dense model point through
+//!   the model's exact kd index (the serving-time upslope rule), and fall
+//!   back to a nearest-center sweep for a query with a non-finite
+//!   coordinate;
 //! * [`ModelStore`] — an atomic, versioned publication point for
 //!   engines: batches resolve the current engine per micro-batch, so a
 //!   hot-swap lets readers on version N drain while N+1 serves every
@@ -56,8 +56,8 @@ pub mod model;
 pub mod server;
 pub mod store;
 
-pub use engine::{Assignment, Exactness, QueryEngine};
-pub use model::{ClusterModel, ModelError, ModelHeader};
+pub use engine::{Assignment, QueryEngine};
+pub use model::{ClusterModel, ExactIndex, ModelError, ModelHeader};
 pub use server::{Client, ServeError, Server, ServerConfig, ServiceStats};
 pub use store::ModelStore;
 

@@ -6,18 +6,19 @@
 //! `delta` / upslope links, cluster labels, the peak ids, halo flags, the
 //! cutoff `d_c`, and the `(M, pi, w)` + seed that generated the hash
 //! layouts. The layouts themselves are *not* serialized — `MultiLsh` is
-//! deterministic in `(dim, params, seed)`, so the query engine redraws
-//! them at load time. Nor are the bucket tables: a model owns them as
-//! derived data, built from the stored coordinates on first use (or
-//! handed over by the ingest session that already maintains them) and
-//! shared by the model's clones, so a lineage pays for one build per
-//! model, not one per engine. That keeps the artifact small and the
-//! format free of floating-point hash-function state.
+//! deterministic in `(dim, params, seed)`, so an ingest session redraws
+//! them at open. Nor is the exact index reads go through: a model owns it
+//! as derived data, built from the stored coordinates on first use and
+//! shared by the model's clones, by the ingest session opened on it and
+//! by every model that session publishes, so a lineage pays for one build
+//! per fit or compaction, not one per version or engine. That keeps the
+//! artifact small and the format free of floating-point hash-function
+//! state.
 
 use ddp::centralized::CentralizedOutput;
 use ddp::prelude::RunReport;
-use dp_core::{Dataset, PointId, NO_UPSLOPE};
-use lsh::{BucketTables, LshParams, MultiLsh};
+use dp_core::{Dataset, PointId, SpatialIndex, NO_UPSLOPE};
+use lsh::{LshParams, MultiLsh};
 use mapreduce::wire::{self, Wire, WireError};
 use mapreduce::ShuffleSize;
 use std::sync::{Arc, OnceLock};
@@ -141,30 +142,93 @@ pub struct ClusterModel {
     peaks: Vec<PointId>,
     /// Halo flag per point (border/noise under the paper's halo rule).
     halo: Vec<bool>,
-    /// The bucket tables over `coords`: see [`ClusterModel::tables`].
-    tables: Tables,
+    /// Where reads find the model's exact index: see [`ClusterModel::reads`].
+    index: Index,
 }
 
-/// A model's bucket tables, built at most once and shared by its clones.
-/// They are a function of the coordinates and the layouts, which equality
-/// already compares, so they never tell two models apart.
+/// An exact kd index over one block of coordinates, built on first use and
+/// shared by every holder of the handle: a model's clones, the ingest
+/// session opened on the model, and every model that session publishes.
+/// It holds no index when the block is below the local-DP routing rule's
+/// size or has a non-finite coordinate ([`dp_core::local::use_indexed`]);
+/// reads then scan every point.
 #[derive(Clone, Default)]
-struct Tables(Arc<OnceLock<BucketTables>>);
+pub struct ExactIndex(Arc<OnceLock<Option<SpatialIndex>>>);
 
-impl PartialEq for Tables {
+impl ExactIndex {
+    /// The index over `coords` (`dim` per row), built on the first call —
+    /// a `serve` `model/index` span, the one build a lineage makes per fit
+    /// or compaction. Every later call returns that build, whatever
+    /// coordinates it passes.
+    pub fn get(&self, coords: &[f64], dim: usize) -> Option<&SpatialIndex> {
+        self.0
+            .get_or_init(|| {
+                let _span = obsv::span!("serve", "model/index");
+                dp_core::local::use_indexed(coords.len() / dim, &[coords])
+                    .then(|| SpatialIndex::build(coords, dim, 0.0))
+            })
+            .as_ref()
+    }
+
+    /// Whether the first [`Self::get`] has run.
+    fn is_built(&self) -> bool {
+        self.0.get().is_some()
+    }
+}
+
+/// A model's exact index: its own, or — a published model's — a base index
+/// from earlier in its lineage, seen through the model's ids. Derived data:
+/// it never tells two models apart.
+#[derive(Clone)]
+enum Index {
+    Own(ExactIndex),
+    Derived(Arc<Overlay>),
+}
+
+/// A base index seen through a published model's ids.
+struct Overlay {
+    /// Built before it was shared.
+    base: ExactIndex,
+    /// Base row -> this model's id, `NO_UPSLOPE` for a deleted row.
+    ids: Vec<PointId>,
+    /// The live base rows, which take this model's ids `0..block`; ids
+    /// `block..` are rows inserted since and are scanned.
+    block: PointId,
+}
+
+impl PartialEq for Index {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl std::fmt::Debug for Tables {
+impl std::fmt::Debug for Index {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = if self.0.get().is_some() {
-            "built"
-        } else {
-            "unbuilt"
-        };
-        f.write_str(state)
+        f.write_str(match self {
+            Index::Own(own) if own.is_built() => "built",
+            Index::Own(_) => "unbuilt",
+            Index::Derived(_) => "derived",
+        })
+    }
+}
+
+/// How reads reach a model's points: through an index over some of them,
+/// and by scanning the ids from `block` on.
+pub(crate) struct Reads<'a> {
+    /// The kd index, `None` when every point is scanned.
+    pub index: Option<&'a SpatialIndex>,
+    /// Index row -> model id (`NO_UPSLOPE` for a deleted row); `None` when
+    /// the rows are the model's ids.
+    ids: Option<&'a [PointId]>,
+    /// The first id the index does not hold.
+    pub block: PointId,
+}
+
+impl Reads<'_> {
+    /// The model id of index row `row`, `NO_UPSLOPE` if it was deleted.
+    #[inline]
+    pub fn id(&self, row: u32) -> PointId {
+        self.ids.map_or(row, |ids| ids[row as usize])
     }
 }
 
@@ -206,7 +270,8 @@ impl ClusterModel {
     /// `(params, seed)` the run hashed with.
     ///
     /// Halo flags are computed here (they are a presentation-layer product
-    /// the batch pipeline does not keep).
+    /// the batch pipeline does not keep), and the exact index the halo
+    /// pass builds over the points becomes the model's.
     ///
     /// # Panics
     /// Panics if the report and dataset disagree on the point count.
@@ -228,7 +293,10 @@ impl ClusterModel {
             ds.len(),
             "clustering and dataset differ"
         );
-        let halo = dp_core::compute_halo(ds, result, &outcome.clustering);
+        // The halo pass's index is the model's: the one build over these
+        // coordinates serves both.
+        let (halo, index) =
+            dp_core::decision::compute_halo_indexed(ds, result, &outcome.clustering);
         ClusterModel {
             version: 1,
             algorithm: report.algorithm.clone(),
@@ -243,14 +311,14 @@ impl ClusterModel {
             labels: outcome.clustering.labels().to_vec(),
             peaks: outcome.peaks.clone(),
             halo,
-            tables: Tables::default(),
+            index: Index::Own(ExactIndex(Arc::new(OnceLock::from(index)))),
         }
     }
 
     /// Assembles a model directly from its fields — the constructor the
     /// ingest path uses to publish incrementally updated state without
-    /// re-running a batch pipeline. Its bucket tables are built on first
-    /// use, unless [`Self::with_tables`] hands over the caller's.
+    /// re-running a batch pipeline. Its exact index is built on first use,
+    /// unless [`Self::with_derived_index`] hands it a base index.
     ///
     /// # Panics
     /// Panics if the fields are not mutually consistent: mismatched
@@ -303,7 +371,7 @@ impl ClusterModel {
             labels,
             peaks,
             halo,
-            tables: Tables::default(),
+            index: Index::Own(ExactIndex::default()),
         }
     }
 
@@ -312,29 +380,57 @@ impl ClusterModel {
         MultiLsh::new(self.dim, &self.params, self.seed)
     }
 
-    /// The bucket tables of the model's points under [`Self::layouts`]:
-    /// `tables()[m]` maps each layout-`m` signature to the ids of the
-    /// points hashing to it, ascending. Built from the coordinates on
-    /// first use — a `serve` `model/tables` span, the only from-scratch
-    /// build a lineage makes — unless [`Self::with_tables`] handed them
-    /// over; every clone of the model shares that one build.
-    pub fn tables(&self) -> &BucketTables {
-        self.tables.0.get_or_init(|| {
-            let _span = obsv::span!("serve", "model/tables");
-            lsh::bucket_tables(&self.layouts(), self.coords.chunks_exact(self.dim))
-        })
+    /// The handle of the exact index over this model's own coordinates,
+    /// for an ingest session to share: the model's own handle, or a fresh
+    /// one for a published model, whose index is over another row set.
+    pub fn exact_index(&self) -> ExactIndex {
+        match &self.index {
+            Index::Own(own) => own.clone(),
+            Index::Derived(_) => ExactIndex::default(),
+        }
     }
 
-    /// The same model with `tables` as its bucket tables (see
-    /// [`Self::tables`]): tables over its coordinates that the caller
-    /// already holds, so none are built from scratch.
+    /// The same model reading through `base`, an index built over an
+    /// earlier model of its lineage: `ids[row]` is base row `row`'s id in
+    /// this model, `NO_UPSLOPE` for a deleted row. The live rows must keep
+    /// their order and take ids `0..k`; ids `k..` are scanned.
     ///
     /// # Panics
-    /// Panics unless `tables` holds one table per layout.
-    pub fn with_tables(mut self, tables: BucketTables) -> Self {
-        assert_eq!(tables.len(), self.params.m, "one bucket table per layout");
-        self.tables = Tables(Arc::new(OnceLock::from(tables)));
+    /// Panics unless `base` is built, and unless the live rows map to
+    /// `0..k` in order with `k` at most the model's size.
+    pub fn with_derived_index(mut self, base: ExactIndex, ids: Vec<PointId>) -> Self {
+        assert!(base.is_built(), "a shared index is built first");
+        let mut block = 0;
+        for &id in ids.iter().filter(|&&id| id != NO_UPSLOPE) {
+            assert_eq!(id, block, "live base rows take ids 0..k in order");
+            block += 1;
+        }
+        assert!(
+            block as usize <= self.len(),
+            "more live base rows than points"
+        );
+        self.index = Index::Derived(Arc::new(Overlay { base, ids, block }));
         self
+    }
+
+    /// How reads reach the model's points. The model's own index is built
+    /// here on first use.
+    pub(crate) fn reads(&self) -> Reads<'_> {
+        let (index, ids, block) = match &self.index {
+            Index::Own(own) => (own.get(&self.coords, self.dim), None, self.len() as PointId),
+            Index::Derived(o) => {
+                let index = o.base.0.get().and_then(Option::as_ref);
+                (index, Some(o.ids.as_slice()), o.block)
+            }
+        };
+        match index {
+            Some(_) => Reads { index, ids, block },
+            None => Reads {
+                index,
+                ids: None,
+                block: 0,
+            },
+        }
     }
 
     /// The model's lineage version (1 after a fresh fit).
@@ -610,7 +706,7 @@ impl Wire for ClusterModel {
             labels,
             peaks,
             halo,
-            tables: Tables::default(),
+            index: Index::Own(ExactIndex::default()),
         })
     }
 }
@@ -746,23 +842,38 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_built_once_and_shared_by_clones() {
-        let model = fitted_model(40, 3);
+    fn the_index_is_built_once_and_shared_by_clones() {
+        let fitted = fitted_model(100, 3);
+        assert_eq!(
+            format!("{:?}", fitted.index),
+            "built",
+            "the halo pass's index"
+        );
+        let model: ClusterModel = wire::decode(&wire::encode(&fitted)).unwrap();
         let twin = model.clone();
-        let want = lsh::bucket_tables(&model.layouts(), model.coords().chunks_exact(model.dim()));
-        assert_eq!(twin.tables(), &want);
+        assert_eq!(format!("{:?}", model.index), "unbuilt");
+        let built = model.reads().index.expect("300 finite points index");
         assert!(
-            std::ptr::eq(model.tables(), twin.tables()),
+            std::ptr::eq(built, twin.reads().index.unwrap()),
             "a clone reuses the build"
         );
-        assert_eq!(format!("{:?}", model.tables), "built");
-        // Handed-over tables are the model's, and stay out of the bytes.
-        let handed = reassembled(&model, model.upslopes().to_vec()).with_tables(want.clone());
-        assert_eq!(handed.tables(), &want);
-        assert_eq!(wire::encode(&handed), wire::encode(&model));
-        let back: ClusterModel = wire::decode(&wire::encode(&model)).unwrap();
-        assert_eq!(format!("{:?}", back.tables), "unbuilt");
+        assert_eq!(format!("{:?}", twin.index), "built");
+        // A derived handle reads through the shared build, and stays out
+        // of the bytes; a reloaded model builds its own.
+        let ids: Vec<PointId> = (0..model.len() as PointId).collect();
+        let derived = reassembled(&model, model.upslopes().to_vec())
+            .with_derived_index(model.exact_index(), ids);
+        assert!(std::ptr::eq(built, derived.reads().index.unwrap()));
+        assert_eq!(derived.reads().block, model.len() as PointId);
+        assert_eq!(wire::encode(&derived), wire::encode(&model));
+        let back: ClusterModel = wire::decode(&wire::encode(&derived)).unwrap();
+        assert_eq!(format!("{:?}", back.index), "unbuilt");
         assert_eq!(back, model);
+        // A small model scans.
+        let small = fitted_model(40, 3);
+        let reads = small.reads();
+        assert!(reads.index.is_none());
+        assert_eq!(reads.block, 0);
     }
 
     #[test]
@@ -783,12 +894,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one bucket table per layout")]
-    fn with_tables_rejects_tables_for_other_layouts() {
-        let model = fitted_model(40, 4);
-        let mut tables = model.tables().clone();
-        tables.pop();
-        let _ = model.with_tables(tables);
+    #[should_panic(expected = "live base rows take ids 0..k in order")]
+    fn a_derived_index_rejects_reordered_rows() {
+        let model = fitted_model(100, 4);
+        model.reads();
+        let mut ids: Vec<PointId> = (0..model.len() as PointId).collect();
+        ids.swap(0, 1);
+        let _ = model.clone().with_derived_index(model.exact_index(), ids);
+    }
+
+    #[test]
+    #[should_panic(expected = "a shared index is built first")]
+    fn a_derived_index_needs_a_built_base() {
+        let model = fitted_model(100, 4);
+        let ids = (0..model.len() as PointId).collect();
+        let _ = model.clone().with_derived_index(ExactIndex::default(), ids);
     }
 
     #[test]

@@ -50,12 +50,10 @@ USAGE:
       [--dc f] [--accuracy f] [--m n] [--pi n] [--seed n] [--normalize]
       run LSH-DDP and save a queryable ClusterModel artifact
   lshddp query --model <model> [--input <file>] [--out <file>]
-      [--exactness lsh|hybrid|exact]
       assign points (CSV rows, stdin when --input is omitted); prints
       cluster,confidence per point
   lshddp serve --model <model> --input <file> [--out <file>] [--stats]
-      [--exactness lsh|hybrid|exact] [--threads n] [--batch n]
-      [--cache n] [--queue n] [--clients n]
+      [--threads n] [--batch n] [--cache n] [--queue n] [--clients n]
       run the query stream through the concurrent micro-batching server
   lshddp stats --model <model> --input <file> [serve flags]
       drive the serve stream, then print the full metrics registry —
@@ -259,7 +257,6 @@ struct Opts {
     slo_ms: Option<f64>,
     /// The `--faults` plan, its `seed` defaulting to `--seed`.
     faults: Option<mapreduce::FaultPlan>,
-    exactness: String,
     threads: usize,
     batch: usize,
     cache: usize,
@@ -298,7 +295,6 @@ impl Opts {
             linger_ms: 0,
             slo_ms: None,
             faults: None,
-            exactness: "hybrid".into(),
             threads: 0,
             batch: 32,
             cache: 4096,
@@ -340,7 +336,6 @@ impl Opts {
                 "--linger" => o.linger_ms = parse_num(value("--linger")?, "--linger")?,
                 "--slo-ms" => o.slo_ms = Some(parse_num(value("--slo-ms")?, "--slo-ms")?),
                 "--faults" => faults = Some(value("--faults")?.clone()),
-                "--exactness" => o.exactness = value("--exactness")?.clone(),
                 "--threads" => o.threads = parse_num(value("--threads")?, "--threads")?,
                 "--batch" => o.batch = parse_num(value("--batch")?, "--batch")?,
                 "--cache" => o.cache = parse_num(value("--cache")?, "--cache")?,
@@ -701,8 +696,7 @@ fn read_points(path: Option<&str>, dim: usize) -> Result<Vec<f64>, String> {
 fn load_engine(o: &Opts) -> Result<QueryEngine, String> {
     let path = required(&o.model, "--model")?;
     let model = ClusterModel::load(path).map_err(|e| e.to_string())?;
-    let exactness: Exactness = o.exactness.parse().map_err(usage)?;
-    Ok(QueryEngine::with_exactness(model, exactness))
+    Ok(QueryEngine::new(model))
 }
 
 fn write_assignments(path: Option<&str>, answers: &[serve::Assignment]) -> Result<(), String> {
@@ -726,7 +720,7 @@ fn query(o: &Opts) -> Result<(), String> {
     write_assignments(o.out.as_deref(), &answers)?;
     let fallbacks = answers.iter().filter(|a| a.fallback).count();
     eprintln!(
-        "query: {} points, {} exact-fallback",
+        "query: {} points, {} center-fallback",
         answers.len(),
         fallbacks
     );

@@ -72,5 +72,5 @@ pub mod prelude {
     pub use ingest::{DeltaBatch, DeltaOp, IngestConfig, IngestSession, Wal};
     pub use lsh::{LshParams, MultiLsh};
     pub use mapreduce::{ClusterSpec, JobBuilder, JobConfig};
-    pub use serve::{ClusterModel, Exactness, ModelStore, QueryEngine, Server, ServerConfig};
+    pub use serve::{ClusterModel, ModelStore, QueryEngine, Server, ServerConfig};
 }
