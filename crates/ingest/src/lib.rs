@@ -456,7 +456,7 @@ impl IngestSession {
         // degrade to the nearest peak, exactly like the serving-time
         // fallback.
         let anchor = update::nearest_denser(s, rho_q, neighbors, &self.rho)
-            .or_else(|| self.nearest_peak(point));
+            .or_else(|| self.nearest_peak(point, s));
         let (delta_q, upslope_q, label_q, halo_q) = match anchor {
             Some(a) => (
                 a.dist,
@@ -544,6 +544,18 @@ impl IngestSession {
             newly += mark_stale(&mut self.stale, &self.live, n.id);
         }
 
+        // A deleted peak hands its cluster to the densest survivor before
+        // any child re-anchors, so the nearest-peak fallback never offers
+        // the dead slot.
+        if let Some(c) = self.peaks.iter().position(|&pk| pk == slot) {
+            let heir = (0..self.live.len() as PointId)
+                .filter(|&i| self.live[i as usize] && self.labels[i as usize] == c as u32)
+                .max_by_key(|&i| (self.rho[i as usize], i))
+                .expect("validation keeps every cluster non-empty");
+            self.peaks[c] = heir;
+            newly += mark_stale(&mut self.stale, &self.live, heir);
+        }
+
         // Points that upsloped through the deleted slot re-anchor over
         // their own buckets, in slot order. A block of links is tested
         // whole first (a branch-free fold, which vectorizes): few hold a
@@ -561,16 +573,6 @@ impl IngestSession {
                 }
             }
         }
-
-        // A deleted peak hands its cluster to the densest survivor.
-        if let Some(c) = self.peaks.iter().position(|&pk| pk == slot) {
-            let heir = (0..self.live.len() as PointId)
-                .filter(|&i| self.live[i as usize] && self.labels[i as usize] == c as u32)
-                .max_by_key(|&i| (self.rho[i as usize], i))
-                .expect("validation keeps every cluster non-empty");
-            self.peaks[c] = heir;
-            newly += mark_stale(&mut self.stale, &self.live, heir);
-        }
         newly
     }
 
@@ -587,7 +589,7 @@ impl IngestSession {
             .score(&point, &self.tables, &sigs, &self.coords, self.dc);
         let neighbors = &self.union.neighbors;
         let anchor = update::nearest_denser(p, self.rho[p as usize], neighbors, &self.rho)
-            .or_else(|| self.nearest_peak(&point).filter(|pk| pk.id != p));
+            .or_else(|| self.nearest_peak(&point, p));
         match anchor {
             Some(a) => {
                 self.delta[p as usize] = a.dist;
@@ -600,10 +602,12 @@ impl IngestSession {
         mark_stale(&mut self.stale, &self.live, p)
     }
 
-    /// The nearest live peak to `point`, as a [`Neighbor`].
-    fn nearest_peak(&self, point: &[f64]) -> Option<Neighbor> {
+    /// The nearest live peak to `point` other than `slot`, as a
+    /// [`Neighbor`].
+    fn nearest_peak(&self, point: &[f64], slot: PointId) -> Option<Neighbor> {
         update::candidate_neighbors(point, &self.peaks, &self.coords, self.dim)
             .into_iter()
+            .filter(|pk| pk.id != slot)
             .min_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)))
     }
 

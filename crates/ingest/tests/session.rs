@@ -264,6 +264,46 @@ fn deleting_a_point_reanchors_its_children() {
     assert_eq!(published.deltas()[1], 4.0);
 }
 
+/// A deleted peak's heir takes its place before the peak's children
+/// re-anchor, so no child can re-anchor on the dead peak.
+#[test]
+fn a_deleted_peaks_children_never_reanchor_on_it() {
+    // Cluster 0 = {p0 (peak), p1 -> p0}, cluster 1 = {p2 (peak)}.
+    let model = ClusterModel::from_parts(
+        1,
+        "test".to_string(),
+        1,
+        2.0,
+        lsh::LshParams {
+            m: 2,
+            pi: 2,
+            w: 8.0,
+        },
+        7,
+        vec![0.0, 1.0, 30.0],
+        vec![1, 1, 0],
+        vec![30.0, 1.0, 29.0],
+        vec![dp_core::NO_UPSLOPE, 0, dp_core::NO_UPSLOPE],
+        vec![0, 0, 1],
+        vec![0, 2],
+        vec![false; 3],
+    );
+    let mut session = IngestSession::new(&model, config());
+    session.apply(vec![DeltaOp::Delete(0)]).unwrap();
+    let published = session.publish();
+    // p1, now id 0, inherits cluster 0 and re-anchors on a live point.
+    assert_eq!(published.peaks(), [0, 1]);
+    assert_ne!(
+        published.deltas()[0],
+        1.0,
+        "the distance to the deleted peak"
+    );
+    let up = published.upslopes()[0];
+    assert_ne!(up, dp_core::NO_UPSLOPE, "a link to a tombstone");
+    let d = (published.point(0)[0] - published.point(up)[0]).abs();
+    assert_eq!(published.deltas()[0], d);
+}
+
 #[test]
 fn wal_replay_reconstructs_the_exact_session_state() {
     let model = fitted(15, 23);
