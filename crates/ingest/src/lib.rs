@@ -453,8 +453,7 @@ impl IngestSession {
         let neighbors = &self.union.neighbors;
 
         // Anchor the new point (localized Eq. 2); out-of-bucket points
-        // degrade to the nearest peak, exactly like the serving-time
-        // fallback.
+        // degrade to the nearest peak.
         let anchor = update::nearest_denser(s, rho_q, neighbors, &self.rho)
             .or_else(|| self.nearest_peak(point, s));
         let (delta_q, upslope_q, label_q, halo_q) = match anchor {
@@ -636,8 +635,9 @@ impl IngestSession {
     /// `NO_UPSLOPE`. This is the cheap path — the artifact reflects the
     /// localized estimates, stale points and all; [`compact`](Self::compact)
     /// is the exact one. The model reads through the session's exact index
-    /// (built here if no engine built it yet), its deleted rows skipped and
-    /// the rows inserted since scanned, so no engine over it builds one.
+    /// (built here if no engine built it yet): the deleted base rows are
+    /// handed over to be taken back out of its counts, and the rows
+    /// inserted since are scanned, so no engine over it builds one.
     pub fn publish(&self) -> ClusterModel {
         let n_slots = self.live.len();
         let mut dense = self.dense_ids();
@@ -655,6 +655,10 @@ impl IngestSession {
         let mut coords = Vec::with_capacity(self.n_live * self.dim);
         for s in (0..n_slots).filter(live) {
             coords.extend_from_slice(self.point(s as PointId));
+        }
+        let mut dead = Vec::new();
+        for s in (0..self.base_len).filter(|s| !live(s)) {
+            dead.extend_from_slice(self.point(s as PointId));
         }
         ClusterModel::from_parts(
             self.version,
@@ -674,10 +678,14 @@ impl IngestSession {
             self.peaks.iter().map(|&pk| dense[pk as usize]).collect(),
             (0..n_slots).filter(live).map(|s| self.halo[s]).collect(),
         )
-        .with_derived_index(self.index.clone(), {
-            dense.truncate(self.base_len);
-            dense
-        })
+        .with_derived_index(
+            self.index.clone(),
+            {
+                dense.truncate(self.base_len);
+                dense
+            },
+            dead,
+        )
     }
 
     /// Each slot's id among the live points in slot order — the ids

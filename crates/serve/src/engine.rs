@@ -12,7 +12,7 @@
 
 use crate::model::ClusterModel;
 use dp_core::distance::{nearest_in_block, squared_euclidean_block};
-use dp_core::{DensityKeys, PointId, NO_UPSLOPE};
+use dp_core::{DensityKeys, NO_UPSLOPE};
 
 /// The answer to one `assign` query.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,41 +139,49 @@ impl QueryEngine {
             .collect()
     }
 
-    /// The rule [`QueryEngine::assign`] states, for one finite query: the
-    /// index answers for the rows it holds (a deleted row never counts and
-    /// never answers), the rows after them are scanned, and each choice is
-    /// the minimum under `(d², id)` across both.
+    /// The rule [`QueryEngine::assign`] states, for one finite query. The
+    /// index counts the rows in the query's ball box by box, and finds its
+    /// twins in a ball of the smallest positive radius; a deleted row never
+    /// answers, and is taken back out of the count by a scan of the deleted
+    /// rows. The rows after the index's are scanned, and each choice is the
+    /// minimum under `(d², id)` across the index and the scan.
     fn probe(&self, q: &[f64]) -> Assignment {
         let model = &self.model;
         let (dc, dim) = (model.dc(), model.dim());
         let dc2 = dc * dc;
         let reads = model.reads();
         let index = reads.index.zip(self.keys.as_ref());
-        let mut tail_d2 = Vec::new();
-        let tail = &model.coords()[reads.block as usize * dim..];
-        if !tail.is_empty() {
-            squared_euclidean_block(q, tail, dim, &mut tail_d2);
-        }
-        let scanned = || (reads.block..).zip(tail_d2.iter().copied());
 
         // The query's density excludes exact coordinate matches: a held-in
         // query *is* its twin, and `rho` never counts the point itself.
         let (mut rho, mut twin) = (0u32, NO_UPSLOPE);
-        let mut near = |id: PointId, d2: f64| {
-            if d2 > 0.0 {
-                rho += 1;
-            } else {
-                twin = twin.min(id);
-            }
-        };
+        let mut d2s = Vec::new();
         if let Some((index, _)) = index {
-            index.for_each_within_d2(q, dc2, |row, d2| match reads.id(row) {
-                NO_UPSLOPE => {}
-                id => near(id, d2),
-            });
+            // Only `d² == 0` lies below the smallest positive `f64`.
+            let zero = f64::from_bits(1);
+            let (ball, _) = index.range_count_d2(q, dc2);
+            let (twins, _) = index.range_count_d2(q, zero);
+            if twins > 0 {
+                index.for_each_within_d2(q, zero, |row, _| twin = twin.min(reads.id(row)));
+            }
+            if !reads.dead.is_empty() {
+                squared_euclidean_block(q, reads.dead, dim, &mut d2s);
+            }
+            let dead = d2s.iter().filter(|&&d2| d2 > 0.0 && d2 < dc2).count() as u32;
+            rho = ball.saturating_sub(twins) - dead;
         }
-        for (id, d2) in scanned().filter(|&(_, d2)| d2 < dc2) {
-            near(id, d2);
+        let tail = &model.coords()[reads.block as usize * dim..];
+        d2s.clear();
+        if !tail.is_empty() {
+            squared_euclidean_block(q, tail, dim, &mut d2s);
+        }
+        let scanned = || (reads.block..).zip(d2s.iter().copied());
+        for (id, d2) in scanned() {
+            if d2 == 0.0 {
+                twin = twin.min(id);
+            } else if d2 < dc2 {
+                rho += 1;
+            }
         }
 
         // The nearest point with `rho >= floor`, by `(d², id)`.

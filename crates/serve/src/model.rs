@@ -194,6 +194,8 @@ struct Overlay {
     /// The live base rows, which take this model's ids `0..block`; ids
     /// `block..` are rows inserted since and are scanned.
     block: PointId,
+    /// The deleted base rows' coordinates, row-major.
+    dead: Vec<f64>,
 }
 
 impl PartialEq for Index {
@@ -222,6 +224,8 @@ pub(crate) struct Reads<'a> {
     ids: Option<&'a [PointId]>,
     /// The first id the index does not hold.
     pub block: PointId,
+    /// The coordinates of the index's deleted rows, row-major.
+    pub dead: &'a [f64],
 }
 
 impl Reads<'_> {
@@ -392,13 +396,20 @@ impl ClusterModel {
 
     /// The same model reading through `base`, an index built over an
     /// earlier model of its lineage: `ids[row]` is base row `row`'s id in
-    /// this model, `NO_UPSLOPE` for a deleted row. The live rows must keep
-    /// their order and take ids `0..k`; ids `k..` are scanned.
+    /// this model, `NO_UPSLOPE` for a deleted row, and `dead` holds the
+    /// deleted rows' coordinates. The live rows must keep their order and
+    /// take ids `0..k`; ids `k..` are scanned.
     ///
     /// # Panics
-    /// Panics unless `base` is built, and unless the live rows map to
-    /// `0..k` in order with `k` at most the model's size.
-    pub fn with_derived_index(mut self, base: ExactIndex, ids: Vec<PointId>) -> Self {
+    /// Panics unless `base` is built, unless the live rows map to `0..k`
+    /// in order with `k` at most the model's size, and unless `dead` holds
+    /// one row per deleted row.
+    pub fn with_derived_index(
+        mut self,
+        base: ExactIndex,
+        ids: Vec<PointId>,
+        dead: Vec<f64>,
+    ) -> Self {
         assert!(base.is_built(), "a shared index is built first");
         let mut block = 0;
         for &id in ids.iter().filter(|&&id| id != NO_UPSLOPE) {
@@ -409,26 +420,46 @@ impl ClusterModel {
             block as usize <= self.len(),
             "more live base rows than points"
         );
-        self.index = Index::Derived(Arc::new(Overlay { base, ids, block }));
+        let deleted = ids.len() - block as usize;
+        assert_eq!(
+            dead.len(),
+            deleted * self.dim,
+            "one dead row per deleted row"
+        );
+        let overlay = Overlay {
+            base,
+            ids,
+            block,
+            dead,
+        };
+        self.index = Index::Derived(Arc::new(overlay));
         self
     }
 
     /// How reads reach the model's points. The model's own index is built
     /// here on first use.
     pub(crate) fn reads(&self) -> Reads<'_> {
-        let (index, ids, block) = match &self.index {
-            Index::Own(own) => (own.get(&self.coords, self.dim), None, self.len() as PointId),
-            Index::Derived(o) => {
-                let index = o.base.0.get().and_then(Option::as_ref);
-                (index, Some(o.ids.as_slice()), o.block)
-            }
+        let reads = match &self.index {
+            Index::Own(own) => Reads {
+                index: own.get(&self.coords, self.dim),
+                ids: None,
+                block: self.len() as PointId,
+                dead: &[],
+            },
+            Index::Derived(o) => Reads {
+                index: o.base.0.get().and_then(Option::as_ref),
+                ids: Some(&o.ids),
+                block: o.block,
+                dead: &o.dead,
+            },
         };
-        match index {
-            Some(_) => Reads { index, ids, block },
+        match reads.index {
+            Some(_) => reads,
             None => Reads {
-                index,
+                index: None,
                 ids: None,
                 block: 0,
+                dead: &[],
             },
         }
     }
@@ -861,8 +892,11 @@ mod tests {
         // A derived handle reads through the shared build, and stays out
         // of the bytes; a reloaded model builds its own.
         let ids: Vec<PointId> = (0..model.len() as PointId).collect();
-        let derived = reassembled(&model, model.upslopes().to_vec())
-            .with_derived_index(model.exact_index(), ids);
+        let derived = reassembled(&model, model.upslopes().to_vec()).with_derived_index(
+            model.exact_index(),
+            ids,
+            Vec::new(),
+        );
         assert!(std::ptr::eq(built, derived.reads().index.unwrap()));
         assert_eq!(derived.reads().block, model.len() as PointId);
         assert_eq!(wire::encode(&derived), wire::encode(&model));
@@ -900,7 +934,9 @@ mod tests {
         model.reads();
         let mut ids: Vec<PointId> = (0..model.len() as PointId).collect();
         ids.swap(0, 1);
-        let _ = model.clone().with_derived_index(model.exact_index(), ids);
+        let _ = model
+            .clone()
+            .with_derived_index(model.exact_index(), ids, Vec::new());
     }
 
     #[test]
@@ -908,7 +944,9 @@ mod tests {
     fn a_derived_index_needs_a_built_base() {
         let model = fitted_model(100, 4);
         let ids = (0..model.len() as PointId).collect();
-        let _ = model.clone().with_derived_index(ExactIndex::default(), ids);
+        let _ = model
+            .clone()
+            .with_derived_index(ExactIndex::default(), ids, Vec::new());
     }
 
     #[test]
