@@ -196,24 +196,21 @@ impl QueryEngine {
             }
             best
         };
-        let (d2, id) = if twin != NO_UPSLOPE {
-            (0.0, twin)
+        let (id, confidence) = if twin != NO_UPSLOPE {
+            (twin, 1.0)
         } else {
             // An anchor beyond `d_c` would make the query a peak candidate,
             // and a query cannot become a peak: it yields to the nearest
             // point, which is the anchor itself when `rho` is 0.
-            match nearest(rho) {
+            let (d2, id) = match nearest(rho) {
                 Some((d2, id)) if d2 < dc2 || rho == 0 => (d2, id),
                 _ => nearest(0).expect("a model holds at least one point"),
-            }
+            };
+            (id, proximity(dc, d2.sqrt()))
         };
         Assignment {
             cluster: model.label(id),
-            confidence: if d2 == 0.0 {
-                1.0
-            } else {
-                proximity(dc, d2.sqrt())
-            },
+            confidence,
             fallback: false,
             rho_estimate: rho,
             halo: model.is_halo(id),

@@ -157,9 +157,9 @@ pub struct ExactIndex(Arc<OnceLock<Option<SpatialIndex>>>);
 
 impl ExactIndex {
     /// The index over `coords` (`dim` per row), built on the first call —
-    /// a `serve` `model/index` span, the one build a lineage makes per fit
-    /// or compaction. Every later call returns that build, whatever
-    /// coordinates it passes.
+    /// a `serve` `model/index` span — unless the handle arrived built (a
+    /// fitted or compacted model's holds its halo pass's index). Every
+    /// later call returns that build, whatever coordinates it passes.
     pub fn get(&self, coords: &[f64], dim: usize) -> Option<&SpatialIndex> {
         self.0
             .get_or_init(|| {
