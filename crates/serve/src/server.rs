@@ -16,8 +16,8 @@
 //!   drains up to [`ServerConfig::max_batch`]` - 1` more without blocking.
 //!   Under load the queue is never empty, batches fill up, and the whole
 //!   batch's cache misses are answered by one [`QueryEngine::assign_batch`]
-//!   call — which resolves every exact-fallback query in a single batched
-//!   distance-kernel sweep ([`dp_core::distance::nearest_in_block`]).
+//!   call — which resolves every non-finite query's center fallback in a
+//!   single batched sweep ([`dp_core::distance::nearest_in_block`]).
 //! * **Caching** — answers are memoized under the query's coordinates
 //!   quantized to [`ServerConfig::cache_quantum`], sharded to keep lock
 //!   contention off the hot path. Capacity 0 disables the cache.
