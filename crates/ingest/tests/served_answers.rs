@@ -6,8 +6,9 @@
 //! the nearest center. Checked bit for bit on base models below and above
 //! the index's size threshold and on every model a session publishes from
 //! them — which read through the base model's index, tombstones skipped
-//! and inserted rows scanned — before and after a compaction, and against
-//! an engine over the same model decoded from its bytes.
+//! and inserted rows scanned — before and after a compaction and from a
+//! session opened on a published model, and against an engine over the
+//! same model decoded from its bytes.
 
 use ddp::prelude::*;
 use dp_core::distance::squared_euclidean;
@@ -209,7 +210,7 @@ fn drive(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn every_served_answer_is_the_rule_by_brute_force(
@@ -225,6 +226,9 @@ proptest! {
         check(base, &queries(base, &picks, &[]), "base");
         let mut session = IngestSession::new(base, config());
         drive(&mut session, &batches, &picks, "applied");
+        // A session opened on a published model builds its own index.
+        let mut opened = IngestSession::new(&session.publish(), config());
+        drive(&mut opened, std::slice::from_ref(&later), &picks, "reopened");
         let compacted = session.compact().model;
         check(&compacted, &queries(&compacted, &picks, &[]), "compacted");
         drive(&mut session, &[later], &picks, "after compaction");
