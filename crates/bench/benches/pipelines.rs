@@ -113,19 +113,22 @@ fn served_model() -> (serve::ClusterModel, PeakSelection) {
     (model, selection)
 }
 
-/// One write batch shaped like the ledger's serve-ingest batches: 64
-/// jittered copies of `model`'s points and 16 deletes of its keys.
-fn write_batch(model: &serve::ClusterModel) -> Vec<DeltaOp> {
+/// One write batch shaped like `batches` of the ledger's serve-ingest
+/// batches: 64 jittered copies of `model`'s points and 16 deletes of its
+/// keys per batch.
+fn write_batch(model: &serve::ClusterModel, batches: usize) -> Vec<DeltaOp> {
     let mut rng = StdRng::seed_from_u64(11);
     let n = model.len();
-    let mut ops: Vec<DeltaOp> = (0..64)
+    let mut ops: Vec<DeltaOp> = (0..64 * batches)
         .map(|_| {
             let p = model.point(rng.random_range(0..n) as PointId);
             DeltaOp::Insert(p.iter().map(|x| x + rng.random_range(-0.5..0.5)).collect())
         })
         .collect();
-    let step = n / 16;
-    ops.extend((0..16).map(|i| DeltaOp::Delete((i * step + rng.random_range(0..step)) as u64)));
+    let step = n / (16 * batches);
+    ops.extend(
+        (0..16 * batches).map(|i| DeltaOp::Delete((i * step + rng.random_range(0..step)) as u64)),
+    );
     ops
 }
 
@@ -136,7 +139,7 @@ fn bench_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest");
     g.sample_size(20);
     let (model, selection) = served_model();
-    let ops = write_batch(&model);
+    let ops = write_batch(&model, 1);
     let config = IngestConfig {
         selection,
         ..IngestConfig::default()
@@ -158,8 +161,10 @@ fn bench_ingest(c: &mut Criterion) {
 
 /// The read path over the served model: an engine built over a freshly
 /// loaded model (its index included), 1,000 near reads (model points
-/// jittered by ±0.5 per coordinate), and the swap step of a write — a
-/// publish after one batch and an engine over the published model.
+/// jittered by ±0.5 per coordinate), the swap step of a write — a publish
+/// after one batch and an engine over the published model — and the same
+/// near reads through a model published after all 16 of the ledger's
+/// batches (1,024 inserted rows scanned, 256 deleted rows subtracted).
 fn bench_serve(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve");
     g.sample_size(20);
@@ -195,11 +200,27 @@ fn bench_serve(c: &mut Criterion) {
         selection,
         ..IngestConfig::default()
     };
-    let mut session = IngestSession::new(&model, config);
-    session.apply(write_batch(&model)).expect("a legal batch");
+    let mut session = IngestSession::new(&model, config.clone());
+    session
+        .apply(write_batch(&model, 1))
+        .expect("a legal batch");
     g.throughput(Throughput::Elements(1));
     g.bench_function(BenchmarkId::new("publish_engine", n), |b| {
         b.iter(|| black_box(serve::QueryEngine::new(session.publish())))
+    });
+
+    let mut session = IngestSession::new(&model, config);
+    session
+        .apply(write_batch(&model, 16))
+        .expect("a legal batch");
+    let published = serve::QueryEngine::new(session.publish());
+    g.throughput(Throughput::Elements(near.len() as u64));
+    g.bench_function(BenchmarkId::new("near_assign_published", n), |b| {
+        b.iter(|| {
+            for q in &near {
+                black_box(published.assign(q));
+            }
+        })
     });
     g.finish();
 }
