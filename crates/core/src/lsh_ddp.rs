@@ -129,7 +129,7 @@ impl PartitionKey {
         }
     }
 
-    /// `(m, G_m(p))`: every trait below delegates to this tuple.
+    /// `(m, G_m(p))`: every trait below answers as this tuple does.
     pub fn parts(&self) -> (u16, &[i64]) {
         match self {
             PartitionKey::Inline { m, len, slots } => (*m, &slots[..*len as usize]),
@@ -146,7 +146,19 @@ impl PartialEq for PartitionKey {
 impl Eq for PartitionKey {}
 impl Ord for PartitionKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.parts().cmp(&other.parts())
+        match (self, other) {
+            // Slots past an equal length are zero on both sides, so the
+            // whole arrays order as the signatures do, with no slicing.
+            (
+                PartitionKey::Inline { m, len, slots },
+                PartitionKey::Inline {
+                    m: m2,
+                    len: len2,
+                    slots: slots2,
+                },
+            ) if len == len2 => (m, slots).cmp(&(m2, slots2)),
+            _ => self.parts().cmp(&other.parts()),
+        }
     }
 }
 impl PartialOrd for PartitionKey {

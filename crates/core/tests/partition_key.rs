@@ -61,4 +61,43 @@ proptest! {
             prop_assert_eq!(&decode::<PartitionKey>(&encode(t)).unwrap(), k);
         }
     }
+
+    /// `cmp` is the order of `(m, &sig[..])` — also where two inline keys
+    /// of one length take the whole-array comparison, and across lengths
+    /// and the inline/boxed boundary — and `Eq` and `Hash` still answer
+    /// as that tuple.
+    #[test]
+    fn partition_key_cmp_is_the_order_of_m_then_the_signature(
+        a in signed_keys(),
+        b in signed_keys(),
+        same_len in any::<bool>(),
+    ) {
+        let mut b = b;
+        if same_len {
+            b.1.resize(a.1.len(), 0);
+        }
+        let (ka, kb) = (
+            PartitionKey::new(a.0, a.1.iter().copied()),
+            PartitionKey::new(b.0, b.1.iter().copied()),
+        );
+        let (ta, tb) = ((a.0, &a.1[..]), (b.0, &b.1[..]));
+        prop_assert_eq!(ka.cmp(&kb), ta.cmp(&tb));
+        prop_assert_eq!(kb.cmp(&ka), tb.cmp(&ta));
+        prop_assert_eq!(ka.partial_cmp(&kb), Some(ta.cmp(&tb)));
+        prop_assert_eq!(ka.cmp(&ka.clone()), std::cmp::Ordering::Equal);
+        prop_assert_eq!(ka == kb, ta == tb);
+        prop_assert_eq!((sip(&ka), sip(&kb)), (sip(&ta), sip(&tb)));
+    }
+}
+
+/// Keys from layout 0..3 with signatures of 0 to 7 slots — inline and
+/// boxed — drawn around zero and at the extremes of `i64`.
+fn signed_keys() -> impl Strategy<Value = (u16, Vec<i64>)> {
+    let slot = (0u8..4, -3i64..3, any::<i64>()).prop_map(|(pick, small, wide)| match pick {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => wide,
+        _ => small,
+    });
+    (0u16..3, proptest::collection::vec(slot, 0..=7))
 }

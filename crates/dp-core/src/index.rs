@@ -450,7 +450,7 @@ impl KdTree {
     fn build(flat: &[f64], dim: usize, isa: Isa) -> (Self, Vec<u32>) {
         let n = flat.len() / dim;
         debug_assert!(n > 0, "cannot index an empty partition");
-        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut slots: Vec<(u64, u32)> = (0..n as u32).map(|i| (0, i)).collect();
         let nodes = node_count(n);
         let mut bounds = vec![0.0f64; nodes * 2 * dim];
         let mut start = vec![0u32; nodes];
@@ -458,7 +458,7 @@ impl KdTree {
         let mut right = vec![0u32; nodes];
         build_rec(
             (flat, dim, isa),
-            &mut perm,
+            &mut slots,
             0,
             0,
             BuildSlices {
@@ -468,6 +468,7 @@ impl KdTree {
                 right: &mut right,
             },
         );
+        let perm: Vec<u32> = slots.into_iter().map(|(_, i)| i).collect();
         let mut kd = KdTree {
             bounds,
             start,
@@ -706,9 +707,21 @@ impl KdTree {
     }
 }
 
+/// Bits of `x` whose unsigned order is [`f64::total_cmp`]'s: a negative
+/// value has every bit flipped, any other only its sign.
+#[inline(always)]
+fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ ((b as i64 >> 63) as u64 | 1 << 63)
+}
+
+/// Builds the subtree of `node` over the points `perm` names, each id
+/// beside a key slot: the median selection writes the split coordinate's
+/// [`total_order_bits`] there and selects over the pairs in place, so the
+/// order is the coordinate's total order, then the id, with no indirection.
 fn build_rec(
     (flat, dim, isa): (&[f64], usize, Isa),
-    perm: &mut [u32],
+    perm: &mut [(u64, u32)],
     perm_off: u32,
     node: u32,
     s: BuildSlices,
@@ -741,11 +754,10 @@ fn build_rec(
         }
     }
     let mid = n / 2;
-    perm.select_nth_unstable_by(mid, |&a, &c| {
-        flat[a as usize * dim + split_dim]
-            .total_cmp(&flat[c as usize * dim + split_dim])
-            .then(a.cmp(&c))
-    });
+    for (key, i) in perm.iter_mut() {
+        *key = total_order_bits(flat[*i as usize * dim + split_dim]);
+    }
+    perm.select_nth_unstable(mid);
     let (left_perm, right_perm) = perm.split_at_mut(mid);
     let left_nodes = node_count(mid);
     let right_node = node + 1 + left_nodes as u32;
@@ -783,12 +795,12 @@ fn build_rec(
 /// Exact per-dimension min/max of the points `perm` names into `b` —
 /// order-independent, so the parallel build cannot perturb it.
 #[inline(always)]
-fn node_bounds(flat: &[f64], dim: usize, perm: &[u32], b: &mut [f64]) {
-    let p0 = &flat[perm[0] as usize * dim..][..dim];
+fn node_bounds(flat: &[f64], dim: usize, perm: &[(u64, u32)], b: &mut [f64]) {
+    let p0 = &flat[perm[0].1 as usize * dim..][..dim];
     b[..dim].copy_from_slice(p0);
     b[dim..].copy_from_slice(p0);
     let (lo, hi) = b.split_at_mut(dim);
-    for &pi in &perm[1..] {
+    for &(_, pi) in &perm[1..] {
         let p = &flat[pi as usize * dim..][..dim];
         for ((&x, lo), hi) in p.iter().zip(lo.iter_mut()).zip(hi.iter_mut()) {
             if x < *lo {
@@ -1108,6 +1120,59 @@ impl Limit {
     }
 }
 
+/// A nearest search's running answer: the best key and candidate so far,
+/// the cap beyond which no candidate counts, and the limit they set.
+struct Running {
+    best: f64,
+    id: PointId,
+    cap: f64,
+    sqrt_domain: bool,
+    limit: Limit,
+}
+
+impl Running {
+    #[inline(always)]
+    fn new((best, id): (f64, PointId), cap: f64, sqrt_domain: bool) -> Self {
+        let limit = Limit::new(best.min(cap), sqrt_domain);
+        Running {
+            best,
+            id,
+            cap,
+            sqrt_domain,
+            limit,
+        }
+    }
+
+    /// The key a candidate at `d2` is compared on.
+    #[inline(always)]
+    fn key_of(&self, d2: f64) -> f64 {
+        if self.sqrt_domain {
+            d2.sqrt()
+        } else {
+            d2
+        }
+    }
+
+    /// Whether a candidate at `d2` would be beyond the limit, exactly.
+    #[inline(always)]
+    fn beyond(&self, d2: f64) -> bool {
+        self.limit.beyond(d2, |d2| self.key_of(d2))
+    }
+
+    /// Offers candidate `cand` at `key`; ties go to the smaller id.
+    #[inline(always)]
+    fn offer(&mut self, key: f64, cand: PointId) {
+        if key <= self.cap && (key < self.best || (key == self.best && cand < self.id)) {
+            (self.best, self.id) = (key, cand);
+            self.limit = Limit::new(key.min(self.cap), self.sqrt_domain);
+        }
+    }
+
+    fn answer(&self) -> (f64, PointId) {
+        (self.best, self.id)
+    }
+}
+
 /// The best-first search's pending regions: `(lb2 bits, node)`, smallest
 /// first. Bounds are non-negative, so their bits order like their values.
 type Heap = BinaryHeap<Reverse<(u64, u32)>>;
@@ -1354,6 +1419,14 @@ impl SpatialIndex {
         DensityKeys { row, node_max }
     }
 
+    /// Every kd leaf, in leaf order, with the input indices of its rows.
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let kd = &self.kd;
+        (0..kd.len.len())
+            .filter(|&v| kd.is_leaf(v))
+            .map(|v| (v, &self.ids[kd.rows(v)]))
+    }
+
     /// Best-first nearest-acceptable-point search in the *metric* domain
     /// (`d = d2.sqrt()`), matching the pipelines' delta kernels.
     ///
@@ -1376,7 +1449,7 @@ impl SpatialIndex {
     ) -> ((f64, PointId), u64) {
         let filter = (|_| true, |k: usize| accept(self.ids[k]));
         let state = (&mut Heap::new(), &mut Work::default());
-        self.nearest((q, true), (init, cap), filter, state)
+        self.nearest((q, true), (init, cap, None), filter, state)
     }
 
     /// The serve probe's search: the nearest point, comparing raw squared
@@ -1390,7 +1463,7 @@ impl SpatialIndex {
         keys: &DensityKeys,
         floor: Key,
     ) -> ((f64, PointId), u64) {
-        let start = ((f64::INFINITY, crate::dp::NO_UPSLOPE), f64::INFINITY);
+        let start = ((f64::INFINITY, crate::dp::NO_UPSLOPE), f64::INFINITY, None);
         let filter = keys.at_least(pack(floor));
         let state = (&mut Heap::new(), &mut Work::default());
         self.nearest((q, false), start, filter, state)
@@ -1400,12 +1473,14 @@ impl SpatialIndex {
     /// nearest `q` that `accept` maps to a candidate id, from `init`, no
     /// farther than `cap`, compared on `d2.sqrt()` (`sqrt_domain`, the
     /// pipelines) or on raw `d2` (serve). `admits(node)` says whether a
-    /// kd subtree can hold an accepted row. The search's work is added to
-    /// `work`.
+    /// kd subtree can hold an accepted row. A `home` leaf — the query's
+    /// own, which the best-first order reaches at bound 0 — is scanned
+    /// before anything else and skipped after. The search's work is added
+    /// to `work`.
     fn nearest(
         &self,
         query: (&[f64], bool),
-        start: ((f64, PointId), f64),
+        start: ((f64, PointId), f64, Option<usize>),
         filter: (impl Fn(usize) -> bool, impl FnMut(usize) -> Option<PointId>),
         state: (&mut Heap, &mut Work),
     ) -> ((f64, PointId), u64) {
@@ -1419,17 +1494,22 @@ impl SpatialIndex {
     fn nearest_body(
         &self,
         (q, sqrt_domain): (&[f64], bool),
-        (init, cap): ((f64, PointId), f64),
+        (init, cap, home): ((f64, PointId), f64, Option<usize>),
         (admits, mut accept): (impl Fn(usize) -> bool, impl FnMut(usize) -> Option<PointId>),
         (heap, work): (&mut Heap, &mut Work),
     ) -> ((f64, PointId), u64) {
-        let (mut best, mut best_id) = init;
+        let mut run = Running::new(init, cap, sqrt_domain);
         let mut evals = 0u64;
-        let key_of = |d2: f64| if sqrt_domain { d2.sqrt() } else { d2 };
-        let mut limit = Limit::new(best.min(cap), sqrt_domain);
         let kd = &self.kd;
+        // The leaves a search scans are those its answer's bound reaches,
+        // in whatever order: scanning the home leaf first moves no count.
+        if let Some(leaf) = home.filter(|&v| admits(v)) {
+            work.pops += 1;
+            evals += self.scan_leaf(q, leaf, &mut run, &mut accept, work);
+        }
+        let admits = |v: usize| Some(v) != home && admits(v);
         if !admits(0) {
-            return ((best, best_id), 0);
+            return (run.answer(), evals);
         }
         heap.clear();
         let root_lb2 = box_bounds2(q, q, kd.bounds(self.dim, 0)).0;
@@ -1437,7 +1517,7 @@ impl SpatialIndex {
         while let Some(Reverse((lb_bits, node))) = heap.pop() {
             // Best-first: every remaining region is at least this
             // far. Strict >, so equal-distance smaller ids survive.
-            if limit.beyond(f64::from_bits(lb_bits), key_of) {
+            if run.beyond(f64::from_bits(lb_bits)) {
                 break;
             }
             let node = node as usize;
@@ -1451,49 +1531,59 @@ impl SpatialIndex {
                 // keeping one the limit's bracket cannot place.
                 let (front, cols) = kd.front(self.dim, node);
                 for (&lb2, &v) in front_lb2(q, cols).iter().zip(front) {
-                    if lb2 <= limit.hi && admits(v as usize) {
+                    if lb2 <= run.limit.hi && admits(v as usize) {
                         heap.push(Reverse((lb2.to_bits(), v)));
                     }
                 }
                 continue;
             }
-            let rows = kd.rows(node);
-            let mut cands = [0 as PointId; LANES];
-            let mut mask = 0u32;
-            // Branch-free: acceptance is a coin flip to a predictor.
-            for (lane, k) in rows.enumerate() {
-                let cand = accept(k);
-                cands[lane] = cand.unwrap_or(0);
-                mask |= u32::from(cand.is_some()) << lane;
-            }
-            if mask == 0 {
-                continue;
-            }
-            // Only the groups of lanes through the last accepted row are
-            // computed, where the tile is wide enough to repay the branch.
-            let width = if self.dim < PREFIX_MIN_DIM {
-                LANES
-            } else {
-                32 - mask.leading_zeros() as usize
-            };
-            let (d2, lanes) = tile_d2_through(q.iter().copied(), kd.tile(self.dim, node), width);
-            work.leaf_scans += 1;
-            work.search_lanes += lanes as u64;
-            work.search_accepted += u64::from(mask.count_ones());
-            evals += u64::from(mask.count_ones());
-            for (lane, (&d2, &cand)) in d2.iter().zip(&cands).enumerate() {
-                // Beyond the bracket, the candidate is beyond the limit.
-                if mask >> lane & 1 == 0 || d2 > limit.hi {
-                    continue;
-                }
-                let key = key_of(d2);
-                if key <= cap && (key < best || (key == best && cand < best_id)) {
-                    (best, best_id) = (key, cand);
-                    limit = Limit::new(best.min(cap), sqrt_domain);
-                }
+            evals += self.scan_leaf(q, node, &mut run, &mut accept, work);
+        }
+        (run.answer(), evals)
+    }
+
+    /// One leaf scan of a nearest search: evaluates the leaf's rows that
+    /// `accept` maps to a candidate and offers each to `run`. Returns the
+    /// evaluations.
+    #[inline(always)]
+    fn scan_leaf(
+        &self,
+        q: &[f64],
+        leaf: usize,
+        run: &mut Running,
+        accept: &mut impl FnMut(usize) -> Option<PointId>,
+        work: &mut Work,
+    ) -> u64 {
+        let mut cands = [0 as PointId; LANES];
+        let mut mask = 0u32;
+        // Branch-free: acceptance is a coin flip to a predictor.
+        for (lane, k) in self.kd.rows(leaf).enumerate() {
+            let cand = accept(k);
+            cands[lane] = cand.unwrap_or(0);
+            mask |= u32::from(cand.is_some()) << lane;
+        }
+        if mask == 0 {
+            return 0;
+        }
+        // Only the groups of lanes through the last accepted row are
+        // computed, where the tile is wide enough to repay the branch.
+        let width = if self.dim < PREFIX_MIN_DIM {
+            LANES
+        } else {
+            32 - mask.leading_zeros() as usize
+        };
+        let (d2, lanes) = tile_d2_through(q.iter().copied(), self.kd.tile(self.dim, leaf), width);
+        let accepted = u64::from(mask.count_ones());
+        work.leaf_scans += 1;
+        work.search_lanes += lanes as u64;
+        work.search_accepted += accepted;
+        for (lane, (&d2, &cand)) in d2.iter().zip(&cands).enumerate() {
+            // Beyond the bracket, the candidate is beyond the limit.
+            if mask >> lane & 1 != 0 && d2 <= run.limit.hi {
+                run.offer(run.key_of(d2), cand);
             }
         }
-        ((best, best_id), evals)
+        accepted
     }
 
     /// Distance from `q` to the farthest indexed point (0.0 for a
@@ -1573,13 +1663,36 @@ impl<'a> DenserSearch<'a> {
         init: (f64, PointId),
         cap: f64,
     ) -> ((f64, PointId), u64) {
+        self.search(q, qkey, (init, cap, None))
+    }
+
+    /// The nearest point denser than `qkey` to indexed row `q`, which lies
+    /// in leaf `home` ([`SpatialIndex::leaves`]): unseeded and uncapped,
+    /// its home leaf's denser rows — a prefix of the leaf under the keys'
+    /// order — scanned first.
+    pub(crate) fn nearest_from(
+        &mut self,
+        q: &[f64],
+        qkey: Key,
+        home: usize,
+    ) -> ((f64, PointId), u64) {
+        let fresh = (f64::INFINITY, crate::dp::NO_UPSLOPE);
+        self.search(q, qkey, (fresh, f64::INFINITY, Some(home)))
+    }
+
+    fn search(
+        &mut self,
+        q: &[f64],
+        qkey: Key,
+        start: ((f64, PointId), f64, Option<usize>),
+    ) -> ((f64, PointId), u64) {
         // Denser is a strictly greater key; the largest key has none.
         let Some(floor) = pack(qkey).checked_add(1) else {
-            return (init, 0);
+            return (start.0, 0);
         };
         let filter = self.keys.at_least(floor);
         let state = (&mut self.heap, &mut self.work);
-        self.index.nearest((q, true), (init, cap), filter, state)
+        self.index.nearest((q, true), start, filter, state)
     }
 }
 
@@ -1659,6 +1772,75 @@ mod tests {
         [gap * 0.5, at(0.01), at(0.1), at(0.5), at(1.0) * 1.01]
             .map(|r| r.max(gap * 0.5))
             .to_vec()
+    }
+
+    /// The leaf order the build produced when its median selection ran
+    /// through an indirect comparator over the ids.
+    fn indirect_leaf_order(flat: &[f64], dim: usize, perm: &mut [u32]) {
+        if perm.len() <= LEAF {
+            return;
+        }
+        let mut b = vec![0.0; 2 * dim];
+        let slots: Vec<(u64, u32)> = perm.iter().map(|&i| (0, i)).collect();
+        node_bounds(flat, dim, &slots, &mut b);
+        let split_dim = (1..dim).fold(0, |best, d| {
+            let ext = |d: usize| b[dim + d] - b[d];
+            if ext(d) > ext(best) {
+                d
+            } else {
+                best
+            }
+        });
+        let mid = perm.len() / 2;
+        perm.select_nth_unstable_by(mid, |&a, &c| {
+            flat[a as usize * dim + split_dim]
+                .total_cmp(&flat[c as usize * dim + split_dim])
+                .then(a.cmp(&c))
+        });
+        let (l, r) = perm.split_at_mut(mid);
+        indirect_leaf_order(flat, dim, l);
+        indirect_leaf_order(flat, dim, r);
+    }
+
+    /// Selecting over `(total-order bits, id)` pairs is the same strict
+    /// order as the indirect comparator: the same leaves, rows in the same
+    /// order, through the parallel build too.
+    #[test]
+    fn pair_selection_lays_out_the_indirect_selections_rows() {
+        for dim in [1, 2, 4, 74] {
+            for n in [17, 300, 5000] {
+                let mut flat = blobs_with_twins(n, dim, 5 + n as u64);
+                for x in flat.iter_mut().step_by(7) {
+                    *x = if *x < 0.0 { -0.0 } else { 0.0 };
+                }
+                let mut want: Vec<u32> = (0..n as u32).collect();
+                indirect_leaf_order(&flat, dim, &mut want);
+                assert_eq!(
+                    SpatialIndex::build(&flat, dim, 1.0).ids,
+                    want,
+                    "dim={dim} n={n}"
+                );
+            }
+        }
+        for x in [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            f64::NAN,
+        ] {
+            for y in [f64::NEG_INFINITY, -0.0, 0.0, 3.0, f64::NAN] {
+                let want = x.total_cmp(&y);
+                assert_eq!(
+                    total_order_bits(x).cmp(&total_order_bits(y)),
+                    want,
+                    "{x} {y}"
+                );
+            }
+        }
     }
 
     /// (i) + (ii): the self-join's counts are the per-query counts less

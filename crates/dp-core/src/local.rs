@@ -22,7 +22,8 @@
 //! Every kernel returns the distance evaluations it performed: the
 //! pairwise route `n (n - 1) / 2` for a self pass (only the pairs across
 //! label groups for [`Partition::pairs_across`]) and `queries × n` for a
-//! cross pass, the indexed route what its traversals and seeds evaluated.
+//! cross pass, the indexed route what its traversals evaluated — for
+//! `delta`, only its leaf scans and the absolute peak's farthest point.
 //! Beside them, [`Partition::work`] sums the index's [`Work`] record over
 //! every call: the kd traversal, and the lanes it computed against the
 //! lanes it counted. A `delta` pass orders the index's leaf rows by its
@@ -39,9 +40,16 @@
 //! `NO_UPSLOPE` only if every partial is, so no consumer ever reads the
 //! slot of an answer that found an upslope, and the indexed route pays for
 //! a farthest-point search only when a search ends empty-handed.
+//!
+//! The indexed [`Partition::delta`] needs no seed: each point's search
+//! scans its own kd leaf's denser points first (the leaf a best-first
+//! search reaches at bound 0), then the rest of the tree best-first. The
+//! leaves a search scans are those its answer's bound reaches, whatever
+//! the order, so the answers and the kd work are those of a search from
+//! the root, and every evaluation is a leaf scan's.
 
-use crate::distance::{cross_on, pairs_on, squared_euclidean};
-use crate::dp::{denser, density_order, NO_UPSLOPE};
+use crate::distance::{cross_on, pairs_on};
+use crate::dp::{denser, NO_UPSLOPE};
 use crate::index::{DenserSearch, DensityKeys, SpatialIndex, Work};
 use crate::point::PointId;
 use crate::simd::Isa;
@@ -290,16 +298,32 @@ impl<'a> Partition<'a> {
     }
 
     /// `delta` of every point among the partition's own points, `keys[i]`
-    /// being point `i`'s key. `emit(i, answer)` runs once per point, in an
-    /// order that is a function of the input alone: ascending `i` on the
-    /// pairwise route, descending density on the indexed one, where each
-    /// point's predecessor — denser by construction — seeds its search
-    /// with a finite bound (the sorted-`rho` scan of the paper's §II-A).
+    /// being point `i`'s key. `emit(i, answer)` runs once per point, in
+    /// ascending `i` on either route. The indexed route visits the index
+    /// leaf by leaf: each point's search scans the denser points of its
+    /// own leaf first, then the rest of the tree best-first.
     pub fn delta(&self, keys: &[Key], maxd: bool, mut emit: impl FnMut(usize, Nearest)) -> u64 {
         let n = self.len();
         assert_eq!(keys.len(), n, "one key per point");
-        let Some((index, density)) = self.keyed_index(keys) else {
-            let mut best = vec![UNANSWERED; n];
+        let mut best = vec![UNANSWERED; n];
+        let mut evals = 0u64;
+        if let Some((index, density)) = self.keyed_index(keys) {
+            let mut search = DenserSearch::new(&index, density);
+            for (leaf, ids) in index.leaves() {
+                for &i in ids {
+                    let (i, q) = (i as usize, self.row(i as usize));
+                    let ((d, u), e) = search.nearest_from(q, keys[i], leaf);
+                    evals += e;
+                    // Only the densest point has no upslope.
+                    let far = match u {
+                        NO_UPSLOPE if maxd => farthest(&index, q, &mut evals),
+                        _ => 0.0,
+                    };
+                    best[i] = (d, u, far);
+                }
+            }
+            self.note(search.work);
+        } else {
             // `d2.sqrt()` is bit-identical to the Euclidean `distance`.
             pairs_on(self.isa, self.flat, self.dim, |i, j, d2| {
                 let d = d2.sqrt();
@@ -318,39 +342,11 @@ impl<'a> Partition<'a> {
                     b.1 = cand;
                 }
             });
-            for (i, b) in best.into_iter().enumerate() {
-                emit(i, settled(b));
-            }
-            return pairs(n);
-        };
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| {
-            let (ka, kb) = (keys[a as usize], keys[b as usize]);
-            density_order(ka.0, ka.1, kb.0, kb.1)
-        });
-        let mut evals = 0u64;
-        let mut search = DenserSearch::new(&index, density);
-        let mut seed: Option<usize> = None;
-        for &i in &order {
-            let i = i as usize;
-            let q = self.row(i);
-            let answer = match seed {
-                // The densest point has no candidate: nothing to search.
-                None if maxd => (f64::INFINITY, NO_UPSLOPE, farthest(&index, q, &mut evals)),
-                None => UNANSWERED,
-                // A seeded search always ends with an upslope.
-                Some(s) => {
-                    evals += 1;
-                    let init = (squared_euclidean(q, self.row(s)).sqrt(), keys[s].1);
-                    let ((d, u), e) = search.nearest(q, keys[i], init, NO_CAP);
-                    evals += e;
-                    (d, u, 0.0)
-                }
-            };
-            emit(i, answer);
-            seed = Some(i);
+            evals = pairs(n);
         }
-        self.note(search.work);
+        for (i, b) in best.into_iter().enumerate() {
+            emit(i, settled(b));
+        }
         evals
     }
 

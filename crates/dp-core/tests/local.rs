@@ -393,10 +393,35 @@ proptest! {
                 (bits(&got), evals)
             });
             prop_assert_eq!(got, bits(&want), "{}", route);
-            // Seeds and the farthest-point search ride on top of the pairs.
-            prop_assert!(evals <= all_pairs + 2 * n as u64, "{}: {} evals", route, evals);
+            // The farthest-point search rides on top of the pairs.
+            prop_assert!(evals <= all_pairs + n as u64, "{}: {} evals", route, evals);
             if route == "pairwise" || !c.finite {
                 prop_assert_eq!(evals, all_pairs, "{}", route);
+            }
+        }
+    }
+
+    /// `emit` runs once per point, in ascending `i`, on either route; the
+    /// indexed route evaluates nothing outside its searches' leaf scans
+    /// unless it is asked for the peak's farthest point.
+    #[test]
+    fn delta_emits_in_ascending_order_and_evaluates_only_in_leaf_scans(
+        seed in any::<u64>(), dim_ix in 0usize..8, big in any::<bool>(),
+        k in 1u32..=12, jitter in any::<bool>(), hostile in any::<bool>(),
+        maxd in any::<bool>(),
+    ) {
+        let c = case(seed, dim_ix, (big, false), k, jitter, hostile);
+        let n = c.keys.len();
+        for r in routes(&c, &c.flat) {
+            let route = r.name;
+            let (order, evals) = r.run(|p| {
+                let mut order = Vec::with_capacity(n);
+                let evals = p.delta(&c.keys, maxd, |i, _| order.push(i));
+                (order, evals)
+            });
+            prop_assert_eq!(order, (0..n).collect::<Vec<_>>(), "{}", route);
+            if route == "indexed" && !maxd {
+                prop_assert_eq!(evals, r.p.work().search_accepted, "{}", route);
             }
         }
     }
@@ -531,6 +556,55 @@ proptest! {
         if flat.iter().all(|x| x.is_finite()) {
             let gauss = compute_gaussian(&ds, c.dc).result;
             prop_assert_eq!((delta_bits(&gauss.delta), gauss.upslope), eq_2(&gauss.rho));
+        }
+    }
+}
+
+/// The indexed route answers bit for bit as the pairwise one where ties
+/// decide: duplicate rows, `-0.0` beside `0.0`, denser candidates at one
+/// distance under different ids, and densities all equal, so only the ids
+/// order the points.
+#[test]
+fn indexed_delta_is_the_pairwise_delta_on_ties() {
+    let n = AUTO_MIN_POINTS + 44;
+    for dim in [1, 2, 4, 17] {
+        let mut rng = Rng(0x5EED + dim as u64);
+        // Unjittered lattice rows: duplicates and signed zeros throughout.
+        let flat = rows(&mut rng, n, dim, false);
+        assert!(flat.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()));
+        // Four corners at one distance from a centre, twice over.
+        let mut star = flat.clone();
+        for (k, (dx, dy)) in [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)]
+            .iter()
+            .enumerate()
+        {
+            for copy in 0..2 {
+                let at = (8 * k + copy) * dim;
+                star[at..at + dim].fill(0.0);
+                star[at] = *dx;
+                if dim > 1 {
+                    star[at + 1] = *dy;
+                }
+            }
+        }
+        star[40 * dim..41 * dim].fill(-0.0);
+        let reversed: Vec<Key> = (0..n as PointId).map(|i| (0, n as PointId - i)).collect();
+        let equal: Vec<Key> = (0..n as PointId).map(|i| (3, i)).collect();
+        for (flat, keys) in [
+            (&flat, &equal),
+            (&flat, &reversed),
+            (&flat, &keys(&mut rng, n, 1)),
+            (&star, &equal),
+            (&star, &keys(&mut rng, n, 1)),
+        ] {
+            for maxd in [false, true] {
+                let answers = |indexed| {
+                    let p = Partition::with_route(flat, dim, 0.5, (indexed, Isa::detect()));
+                    let (got, _) = collect(n, |emit| p.delta(keys, maxd, emit));
+                    bits(&got)
+                };
+                assert_eq!(answers(true), answers(false), "dim={dim} maxd={maxd}");
+            }
         }
     }
 }
