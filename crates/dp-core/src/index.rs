@@ -1167,10 +1167,6 @@ impl Running {
             self.limit = Limit::new(key.min(self.cap), self.sqrt_domain);
         }
     }
-
-    fn answer(&self) -> (f64, PointId) {
-        (self.best, self.id)
-    }
 }
 
 /// The best-first search's pending regions: `(lb2 bits, node)`, smallest
@@ -1509,7 +1505,7 @@ impl SpatialIndex {
         }
         let admits = |v: usize| Some(v) != home && admits(v);
         if !admits(0) {
-            return (run.answer(), evals);
+            return ((run.best, run.id), evals);
         }
         heap.clear();
         let root_lb2 = box_bounds2(q, q, kd.bounds(self.dim, 0)).0;
@@ -1539,7 +1535,7 @@ impl SpatialIndex {
             }
             evals += self.scan_leaf(q, node, &mut run, &mut accept, work);
         }
-        (run.answer(), evals)
+        ((run.best, run.id), evals)
     }
 
     /// One leaf scan of a nearest search: evaluates the leaf's rows that
@@ -1655,32 +1651,11 @@ impl<'a> DenserSearch<'a> {
     }
 
     /// [`SpatialIndex::nearest_denser_d2`] with `accept` = "denser than
-    /// `qkey`", the candidate id being the key's.
+    /// `qkey`", the candidate id being the key's, from `(init, cap,
+    /// home)`: a `home` leaf ([`SpatialIndex::leaves`]) holds the query
+    /// row itself, and its denser rows — a prefix of the leaf under the
+    /// keys' order — are scanned first.
     pub(crate) fn nearest(
-        &mut self,
-        q: &[f64],
-        qkey: Key,
-        init: (f64, PointId),
-        cap: f64,
-    ) -> ((f64, PointId), u64) {
-        self.search(q, qkey, (init, cap, None))
-    }
-
-    /// The nearest point denser than `qkey` to indexed row `q`, which lies
-    /// in leaf `home` ([`SpatialIndex::leaves`]): unseeded and uncapped,
-    /// its home leaf's denser rows — a prefix of the leaf under the keys'
-    /// order — scanned first.
-    pub(crate) fn nearest_from(
-        &mut self,
-        q: &[f64],
-        qkey: Key,
-        home: usize,
-    ) -> ((f64, PointId), u64) {
-        let fresh = (f64::INFINITY, crate::dp::NO_UPSLOPE);
-        self.search(q, qkey, (fresh, f64::INFINITY, Some(home)))
-    }
-
-    fn search(
         &mut self,
         q: &[f64],
         qkey: Key,
@@ -2247,6 +2222,10 @@ mod tests {
                     let mut idx = SpatialIndex::build_on(&flat, dim, isa);
                     let ordered = idx.order_leaves_by(key);
                     let keys = idx.density_keys(key);
+                    let mut home = vec![0; n];
+                    for (leaf, ids) in idx.leaves() {
+                        ids.iter().for_each(|&i| home[i as usize] = leaf);
+                    }
                     let mut search = DenserSearch::new(&idx, ordered);
                     let mut out = vec![idx
                         .self_join_d2(dc * dc)
@@ -2270,8 +2249,15 @@ mod tests {
                             let ((d, u), e) = idx.nearest_denser_d2(q, fresh, f64::INFINITY, |j| {
                                 denser(j).then_some(j)
                             });
-                            let keyed = search.nearest(q, key(i), fresh, f64::INFINITY);
+                            let keyed = search.nearest(q, key(i), (fresh, f64::INFINITY, None));
                             assert_eq!(keyed, ((d, u), e), "dim={dim} n={n} i={i}");
+                            // From its own leaf, a point scans the same
+                            // leaves: the same answer and evaluations.
+                            if q == p {
+                                let start = (fresh, f64::INFINITY, Some(home[i as usize]));
+                                let homed = search.nearest(q, key(i), start);
+                                assert_eq!(homed, ((d, u), e), "home: dim={dim} n={n} i={i}");
+                            }
                             let ((d2, v), f) = idx.nearest_by_d2(q, &keys, (rho[i as usize], 0));
                             let (far, g) = idx.max_distance(q);
                             within.extend([d.to_bits(), u64::from(u), e, d2.to_bits()]);

@@ -312,7 +312,8 @@ impl<'a> Partition<'a> {
             for (leaf, ids) in index.leaves() {
                 for &i in ids {
                     let (i, q) = (i as usize, self.row(i as usize));
-                    let ((d, u), e) = search.nearest_from(q, keys[i], leaf);
+                    let fresh = ((f64::INFINITY, NO_UPSLOPE), NO_CAP, Some(leaf));
+                    let ((d, u), e) = search.nearest(q, keys[i], fresh);
                     evals += e;
                     // Only the densest point has no upslope.
                     let far = match u {
@@ -370,7 +371,7 @@ impl<'a> Partition<'a> {
             let mut search = DenserSearch::new(&index, density);
             for (q, row) in queries.chunks_exact(self.dim).enumerate() {
                 let (init, cap) = start(q);
-                let ((d, u), e) = search.nearest(row, qkeys[q], init, cap);
+                let ((d, u), e) = search.nearest(row, qkeys[q], (init, cap, None));
                 evals += e;
                 let far = match u {
                     NO_UPSLOPE => farthest(&index, row, &mut evals),
