@@ -41,6 +41,15 @@ fn main() {
     // past the cap, so chunked processing degrades tau2 — the paper's
     // Figure 12(b) behaviour.
     let cap = 2000;
+    // Map-side combining sums over each map task's split, so the shuffled
+    // bytes follow the task count: pin it, at the two tasks per phase the
+    // committed results/ figures were taken with, rather than one per
+    // hardware thread.
+    let pipeline = PipelineConfig {
+        map_tasks: 2,
+        reduce_tasks: 2,
+        ..PipelineConfig::default()
+    };
     let mut rows = Vec::new();
     for pi in [3usize, 10, 20] {
         for m in [1usize, 2, 5, 10, 20, 30] {
@@ -49,7 +58,7 @@ fn main() {
             let lsh = LshDdp::new(ddp::lsh_ddp::LshDdpConfig {
                 params,
                 seed: args.seed,
-                pipeline: Default::default(),
+                pipeline,
                 partition_cap: Some(cap),
                 rho_aggregation: Default::default(),
             });

@@ -34,8 +34,8 @@
 //! * [`decision`] — decision graph, peak selection, cluster assignment;
 //! * [`quality`] — external cluster validation (ARI, NMI, purity, pairwise
 //!   F-measure) and the paper's approximation metrics `tau1`/`tau2` (§VI-C);
-//! * [`update`] — localized `rho`/`delta` update kernels backing the
-//!   incremental ingest path.
+//! * [`update`] — localized `delta` relaxation over a caller's candidate
+//!   set, kept for the ledger's update probe.
 //!
 //! ## Quick example
 //!

@@ -4,12 +4,16 @@
 //! crate keeps that model *alive* under writes. Three mechanisms:
 //!
 //! * **Batched incremental ingest** — [`IngestSession::apply`] takes a
-//!   [`DeltaBatch`] of point inserts/deletes and updates `rho`, `delta`,
-//!   upslope links, and labels for only the LSH buckets the batch
-//!   touches, using the localized kernels in [`dp_core::update`]. Every
-//!   point an update brushes is marked *stale*
-//!   ([`stale_points`](IngestSession::stale_points)): its estimates are
-//!   incremental until the next compaction.
+//!   [`DeltaBatch`] of point inserts/deletes and answers each through the
+//!   model's exact index with the read rule ([`serve::Probe`]): an insert
+//!   stores its read's density and label and links to its nearest
+//!   strictly denser live point; a delete retires the point's key, hands
+//!   a deleted peak's cluster to its heir and re-links the point's
+//!   children the same way. No stored density of an existing point ever
+//!   changes, so every link climbs and a published model is a DP forest.
+//!   The points whose fields a write stored are *stale*
+//!   ([`stale_points`](IngestSession::stale_points)) until the next
+//!   compaction.
 //! * **A write-ahead log** — batches are durably logged ([`Wal`],
 //!   fsynced per append) before acknowledgement and replayed on reopen,
 //!   so a crash between compactions loses at most a torn in-flight
@@ -35,8 +39,9 @@
 //! [`ModelStore`](serve::ModelStore) hot-swap and version-keyed caches
 //! key off.
 //!
-//! Observability: the session meters `ingest_batches`, `stale_points`,
-//! and `model_compactions` counters into [`obsv::global`].
+//! Observability: the session meters `ingest_batches`, `stale_points`
+//! (each insert and re-anchor a batch writes), and `model_compactions`
+//! counters into [`obsv::global`].
 
 pub mod batch;
 pub mod drill;
@@ -48,12 +53,12 @@ pub use wal::{Wal, WalRecovery};
 use ddp::prelude::{
     BasicConfig, BasicDdp, CentralizedStep, PeakSelection, PipelineConfig, RunReport,
 };
-use dp_core::update::{self, Neighbor};
-use dp_core::{Dataset, PointId, NO_UPSLOPE};
-use lsh::{BucketTables, LshParams, MultiLsh, Signature};
+use dp_core::local::Key;
+use dp_core::{Dataset, DensityKeys, PointId, NO_UPSLOPE};
+use lsh::LshParams;
 use mapreduce::Dfs;
 use obsv::Counter;
-use serve::{ClusterModel, ExactIndex};
+use serve::{ClusterModel, ExactIndex, View};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -156,8 +161,6 @@ pub struct Applied {
     pub batch: DeltaBatch,
     /// Model version after the batch.
     pub version: u64,
-    /// Points newly marked stale by this batch.
-    pub newly_stale: u64,
 }
 
 /// The outcome of a compaction: the fresh artifact plus the refit's
@@ -174,10 +177,9 @@ pub struct Compaction {
 }
 
 /// A mutable, versioned view over a [`ClusterModel`]: slots for every
-/// point ever seen (tombstoned on delete, never reordered), incremental
-/// LSH bucket tables, the stale-point bookkeeping, and the exact index of
-/// the model it was opened on or compacted to, which every model it
-/// publishes reads through.
+/// point ever seen (tombstoned on delete, never reordered), and the exact
+/// index of the model it was opened on or compacted to, which answers
+/// every write and which every model it publishes reads through.
 ///
 /// External identity: the base model's points carry keys `0..n` in
 /// point-id order; each insert takes the next key. Keys survive
@@ -192,16 +194,21 @@ pub struct IngestSession {
     version: u64,
     seq: u64,
 
-    multi: MultiLsh,
-    /// Layout -> signature -> live slots in the bucket, ascending (a new
-    /// slot is the largest yet, and deletes keep the order).
-    tables: BucketTables,
-    /// Bucket-union scratch shared by every probe of the session.
-    union: ScoredUnion,
     /// The exact index over the first `base_len` slots, shared with the
     /// model the session was seeded from.
     index: ExactIndex,
     base_len: usize,
+    /// The density keys laid over the index (`(rho + 1, slot)`, `(0, 0)`
+    /// once deleted) and each base slot's row in it; `None` without an
+    /// index.
+    density: Option<(DensityKeys, Vec<u32>)>,
+    /// The first slot the index does not hold: `base_len`, or 0 without
+    /// an index. Slots from here on are scanned.
+    block: usize,
+    /// The scanned slots' keys, in the same form.
+    scanned_keys: Vec<Key>,
+    /// The deleted base slots' coordinates, row-major.
+    dead: Vec<f64>,
 
     // Slot-major state; tombstones keep their entries (coords included)
     // so slot ids stay stable within a compaction epoch.
@@ -212,6 +219,8 @@ pub struct IngestSession {
     labels: Vec<u32>,
     halo: Vec<bool>,
     live: Vec<bool>,
+    /// Whether the slot's fields came from the session (an insert or a
+    /// re-anchor) since the last compaction.
     stale: Vec<bool>,
     n_live: usize,
 
@@ -245,11 +254,12 @@ impl IngestSession {
             lsh_seed: model.seed(),
             version: model.version(),
             seq: 0,
-            multi: model.layouts(),
-            tables: Vec::new(),
-            union: ScoredUnion::default(),
             index: ExactIndex::default(),
             base_len: 0,
+            density: None,
+            block: 0,
+            scanned_keys: Vec::new(),
+            dead: Vec::new(),
             coords: Vec::new(),
             rho: Vec::new(),
             delta: Vec::new(),
@@ -269,10 +279,7 @@ impl IngestSession {
             stale_ctr: reg.counter("stale_points"),
             compactions_ctr: reg.counter("model_compactions"),
         };
-        let tables = obsv::span!("ingest", "session/tables" => {
-            lsh::bucket_tables(&session.multi, model.coords().chunks_exact(model.dim()))
-        });
-        session.seed_from(model, None, tables);
+        session.seed_from(model, None);
         session
     }
 
@@ -317,11 +324,11 @@ impl IngestSession {
         Ok((session, replayed))
     }
 
-    /// Re-seeds every slot from a model, with `tables` as the bucket tables
-    /// over its points and its exact index as the session's. `keys`:
-    /// existing external keys for the model's points in id order
-    /// (compaction), or `None` to assign `0..n` (fresh open).
-    fn seed_from(&mut self, model: &ClusterModel, keys: Option<Vec<u64>>, tables: BucketTables) {
+    /// Re-seeds every slot from a model, with its exact index (built here
+    /// if nothing built it yet) as the session's. `keys`: existing
+    /// external keys for the model's points in id order (compaction), or
+    /// `None` to assign `0..n` (fresh open).
+    fn seed_from(&mut self, model: &ClusterModel, keys: Option<Vec<u64>>) {
         let n = model.len();
         self.coords = model.coords().to_vec();
         self.rho = model.rhos().to_vec();
@@ -342,16 +349,22 @@ impl IngestSession {
             .enumerate()
             .map(|(slot, &k)| (k, slot as PointId))
             .collect();
-        self.tables = tables;
         self.index = model.exact_index();
         self.base_len = n;
+        let key = |slot: u32| (self.rho[slot as usize].saturating_add(1), slot);
+        self.density = self
+            .index
+            .get(&self.coords, self.dim)
+            .map(|index| (index.density_keys(key), index.leaf_rows()));
+        self.block = if self.density.is_some() { n } else { 0 };
+        self.scanned_keys = (self.block as u32..n as u32).map(key).collect();
+        self.dead.clear();
         self.version = model.version();
     }
 
     /// Applies one batch of mutations: validates it in full (a rejected
-    /// batch changes nothing), logs it to the WAL, then updates the
-    /// touched buckets through the localized kernels and bumps the
-    /// model version.
+    /// batch changes nothing), logs it to the WAL, then answers each op
+    /// through the exact index and bumps the model version.
     pub fn apply(&mut self, ops: Vec<DeltaOp>) -> Result<Applied, IngestError> {
         self.apply_inner(ops, true)
     }
@@ -369,9 +382,9 @@ impl IngestSession {
             }
         }
 
-        let mut newly_stale = 0u64;
+        let mut written = 0u64;
         for op in &batch.ops {
-            newly_stale += match op {
+            written += match op {
                 DeltaOp::Insert(coords) => self.insert(coords),
                 DeltaOp::Delete(key) => self.delete(*key),
             };
@@ -379,10 +392,9 @@ impl IngestSession {
         self.seq += 1;
         self.version += 1;
         self.batches_ctr.inc(1);
-        self.stale_ctr.inc(newly_stale);
+        self.stale_ctr.inc(written);
         Ok(Applied {
             version: self.version,
-            newly_stale,
             batch,
         })
     }
@@ -440,126 +452,90 @@ impl IngestSession {
         Ok(())
     }
 
-    /// Inserts one point; returns how many points became newly stale.
+    /// The live slots as the read rule sees them.
+    fn view(&self) -> View<'_> {
+        let index = self
+            .index
+            .get(&self.coords[..self.base_len * self.dim], self.dim);
+        View {
+            dc: self.dc,
+            index: index.zip(self.density.as_ref().map(|(keys, _)| keys)),
+            dead: &self.dead,
+            scanned: &self.coords[self.block * self.dim..],
+            scanned_keys: &self.scanned_keys,
+        }
+    }
+
+    /// Inserts one point: its `rho` is a read's density over the live
+    /// points, its link the nearest live point strictly denser under the
+    /// stored `(rho, id)` keys (none, as in [`Self::reanchor`], if it is
+    /// the densest), its label and halo flag those of the point the read
+    /// answers with. Returns 1, the points whose fields it wrote.
     fn insert(&mut self, point: &[f64]) -> u64 {
         let s = self.rho.len() as PointId;
-        let sigs = self.multi.signatures(point);
-
-        // The paper's max-over-layouts density estimate and the scored
-        // union candidate set for the separation search, in one walk.
-        let rho_q = self
-            .union
-            .score(point, &self.tables, &sigs, &self.coords, self.dc);
-        let neighbors = &self.union.neighbors;
-
-        // Anchor the new point (localized Eq. 2); out-of-bucket points
-        // degrade to the nearest peak.
-        let anchor = update::nearest_denser(s, rho_q, neighbors, &self.rho)
-            .or_else(|| self.nearest_peak(point, s));
-        let (delta_q, upslope_q, label_q, halo_q) = match anchor {
-            Some(a) => (
-                a.dist,
-                a.id,
-                self.labels[a.id as usize],
-                self.halo[a.id as usize],
-            ),
-            None => unreachable!("a model always keeps at least one live peak"),
+        let view = self.view();
+        let probe = view.probe(point);
+        let read = probe.read();
+        let (delta, upslope) = match probe.nearest(denser_than(read.rho, s)) {
+            Some((d2, id)) => (d2.sqrt(), id),
+            None => (f64::INFINITY, NO_UPSLOPE),
         };
+        let (label, halo) = (self.labels[read.id as usize], self.halo[read.id as usize]);
 
-        // Materialize the slot, then push density/separation effects out
-        // to the bucket-mates.
         self.coords.extend_from_slice(point);
-        self.rho.push(rho_q);
-        self.delta.push(delta_q);
-        self.upslope.push(upslope_q);
-        self.labels.push(label_q);
-        self.halo.push(halo_q);
+        self.rho.push(read.rho);
+        self.delta.push(delta);
+        self.upslope.push(upslope);
+        self.labels.push(label);
+        self.halo.push(halo);
         self.live.push(true);
-        self.stale.push(false);
+        self.stale.push(true);
+        self.scanned_keys.push((read.rho.saturating_add(1), s));
         self.n_live += 1;
         let key = self.next_key;
         self.next_key += 1;
         self.keys.push(key);
         self.by_key.insert(key, s);
-
-        // Incremental estimates are stale by definition. Each bucket-mate
-        // within `d_c` gains density, and then relaxes toward `s` if `s`
-        // now realizes its separation; either way it goes stale. Each id
-        // is listed once, so its density is final when it relaxes.
-        let mut newly = mark_stale(&mut self.stale, &self.live, s);
-        for n in &self.union.neighbors {
-            let near = n.dist < self.dc;
-            self.rho[n.id as usize] += u32::from(near);
-            let moved = update::relax_toward(
-                s,
-                rho_q,
-                std::slice::from_ref(n),
-                &self.rho,
-                &mut self.delta,
-                &mut self.upslope,
-            );
-            if near || moved > 0 {
-                newly += mark_stale(&mut self.stale, &self.live, n.id);
-            }
-        }
-
-        for (m, sig) in sigs.into_iter().enumerate() {
-            self.tables[m].entry(sig).or_default().push(s);
-        }
-        newly
+        1
     }
 
     /// Deletes the point under `key` (validated to exist and to leave
-    /// its cluster non-empty); returns how many points became newly
-    /// stale.
+    /// its cluster non-empty): its key is retired, a deleted peak hands
+    /// its cluster to its heir, and its live children re-anchor. Returns
+    /// how many points had their fields rewritten.
     fn delete(&mut self, key: u64) -> u64 {
         let slot = self.by_key.remove(&key).expect("validated key");
         let si = slot as usize;
-        let point: Vec<f64> = self.point(slot).to_vec();
-        let sigs = self.multi.signatures(&point);
-
-        // Unhook from the bucket tables first: the slot must not appear
-        // as its own neighborhood's candidate. Buckets are ascending.
-        for (m, sig) in sigs.iter().enumerate() {
-            if let Some(bucket) = self.tables[m].get_mut(sig) {
-                if let Ok(at) = bucket.binary_search(&slot) {
-                    bucket.remove(at);
-                }
-                if bucket.is_empty() {
-                    self.tables[m].remove(sig);
-                }
-            }
-        }
         self.live[si] = false;
         self.n_live -= 1;
-
-        // Reverse the density contribution for surviving bucket-mates.
-        self.union
-            .score(&point, &self.tables, &sigs, &self.coords, self.dc);
-        let mut newly = 0;
-        for n in self.union.neighbors.iter().filter(|n| n.dist < self.dc) {
-            let rho = &mut self.rho[n.id as usize];
-            *rho = rho.saturating_sub(1);
-            newly += mark_stale(&mut self.stale, &self.live, n.id);
+        if si < self.base_len {
+            self.dead
+                .extend_from_slice(&self.coords[si * self.dim..][..self.dim]);
+        }
+        if si < self.block {
+            let (keys, rows) = self.density.as_mut().expect("keys over the index");
+            let base = &self.coords[..self.base_len * self.dim];
+            let index = self.index.get(base, self.dim).expect("an indexed slot");
+            index.retire_key(keys, rows[si]);
+        } else {
+            self.scanned_keys[si - self.block] = (0, 0);
         }
 
-        // A deleted peak hands its cluster to the densest survivor before
-        // any child re-anchors, so the nearest-peak fallback never offers
-        // the dead slot.
+        // A deleted peak hands its cluster to the densest survivor.
         if let Some(c) = self.peaks.iter().position(|&pk| pk == slot) {
             let heir = (0..self.live.len() as PointId)
                 .filter(|&i| self.live[i as usize] && self.labels[i as usize] == c as u32)
                 .max_by_key(|&i| (self.rho[i as usize], i))
                 .expect("validation keeps every cluster non-empty");
             self.peaks[c] = heir;
-            newly += mark_stale(&mut self.stale, &self.live, heir);
         }
 
-        // Points that upsloped through the deleted slot re-anchor over
-        // their own buckets, in slot order. A block of links is tested
-        // whole first (a branch-free fold, which vectorizes): few hold a
-        // child, and a re-anchor rewrites only its own link.
+        // Points that upsloped through the deleted slot re-anchor, in slot
+        // order. A block of links is tested whole first (a branch-free
+        // fold, which vectorizes): few hold a child, and a re-anchor
+        // rewrites only its own link.
         const BLOCK: usize = 64;
+        let mut written = 0;
         for start in (0..self.upslope.len()).step_by(BLOCK) {
             let end = (start + BLOCK).min(self.upslope.len());
             let links = &self.upslope[start..end];
@@ -568,46 +544,30 @@ impl IngestSession {
             }
             for p in start..end {
                 if self.upslope[p] == slot && self.live[p] {
-                    newly += self.reanchor(p as PointId);
+                    self.reanchor(p as PointId);
+                    written += 1;
                 }
             }
         }
-        newly
+        written
     }
 
-    /// Localized separation recompute for `p` after its upslope point
-    /// died: search its own bucket-mates; fall back to the nearest peak;
-    /// a point with no denser reachable neighbor becomes a local
-    /// apparent-peak (`NO_UPSLOPE`), the same convention approximate
-    /// batch results use.
-    fn reanchor(&mut self, p: PointId) -> u64 {
-        let point: Vec<f64> = self.point(p).to_vec();
-        // The union holds `p` itself; `nearest_denser` never picks it.
-        let sigs = self.multi.signatures(&point);
-        self.union
-            .score(&point, &self.tables, &sigs, &self.coords, self.dc);
-        let neighbors = &self.union.neighbors;
-        let anchor = update::nearest_denser(p, self.rho[p as usize], neighbors, &self.rho)
-            .or_else(|| self.nearest_peak(&point, p));
-        match anchor {
-            Some(a) => {
-                self.delta[p as usize] = a.dist;
-                self.upslope[p as usize] = a.id;
-            }
-            None => {
-                self.upslope[p as usize] = NO_UPSLOPE;
-            }
-        }
-        mark_stale(&mut self.stale, &self.live, p)
-    }
-
-    /// The nearest live peak to `point` other than `slot`, as a
-    /// [`Neighbor`].
-    fn nearest_peak(&self, point: &[f64], slot: PointId) -> Option<Neighbor> {
-        update::candidate_neighbors(point, &self.peaks, &self.coords, self.dim)
-            .into_iter()
-            .filter(|pk| pk.id != slot)
-            .min_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)))
+    /// Re-anchors `p` after its upslope point died: on the nearest live
+    /// point strictly denser under the stored `(rho, id)` keys, or, if `p`
+    /// is now the densest, on none: `NO_UPSLOPE` at `delta` infinity, as
+    /// LSH-DDP stores a peak candidate it could not resolve.
+    fn reanchor(&mut self, p: PointId) {
+        let pi = p as usize;
+        let rho = self.rho[pi];
+        let view = self.view();
+        let point = &self.coords[pi * self.dim..][..self.dim];
+        let (delta, upslope) = match view.probe(point).nearest(denser_than(rho, p)) {
+            Some((d2, id)) => (d2.sqrt(), id),
+            None => (f64::INFINITY, NO_UPSLOPE),
+        };
+        self.delta[pi] = delta;
+        self.upslope[pi] = upslope;
+        self.stale[pi] = true;
     }
 
     fn point(&self, slot: PointId) -> &[f64] {
@@ -629,20 +589,17 @@ impl IngestSession {
         ds
     }
 
-    /// Snapshots the session's *incremental* state as a publishable
-    /// model at the current version: tombstones squeezed out, slot ids
-    /// densified, upslope links through dead points rewired to
-    /// `NO_UPSLOPE`. This is the cheap path — the artifact reflects the
-    /// localized estimates, stale points and all; [`compact`](Self::compact)
-    /// is the exact one. The model reads through the session's exact index
-    /// (built here if no engine built it yet): the deleted base rows are
-    /// handed over to be taken back out of its counts, and the rows
-    /// inserted since are scanned, so no engine over it builds one.
+    /// Snapshots the session's state as a publishable model at the
+    /// current version: tombstones squeezed out, slot ids densified. This
+    /// is the cheap path — the inserted and re-anchored points carry the
+    /// fields their writes stored; [`compact`](Self::compact) is the exact
+    /// one. The model reads through the session's exact index: the deleted
+    /// base rows are handed over to be taken back out of its counts, and
+    /// the rows inserted since are scanned, so no engine over it builds
+    /// one.
     pub fn publish(&self) -> ClusterModel {
         let n_slots = self.live.len();
         let mut dense = self.dense_ids();
-        self.index
-            .get(&self.coords[..self.base_len * self.dim], self.dim);
         let remap = |slot: PointId| -> PointId {
             if slot == NO_UPSLOPE || !self.live[slot as usize] {
                 NO_UPSLOPE
@@ -655,10 +612,6 @@ impl IngestSession {
         let mut coords = Vec::with_capacity(self.n_live * self.dim);
         for s in (0..n_slots).filter(live) {
             coords.extend_from_slice(self.point(s as PointId));
-        }
-        let mut dead = Vec::new();
-        for s in (0..self.base_len).filter(|s| !live(s)) {
-            dead.extend_from_slice(self.point(s as PointId));
         }
         ClusterModel::from_parts(
             self.version,
@@ -684,7 +637,7 @@ impl IngestSession {
                 dense.truncate(self.base_len);
                 dense
             },
-            dead,
+            self.dead.clone(),
         )
     }
 
@@ -701,24 +654,6 @@ impl IngestSession {
             }
         }
         dense
-    }
-
-    /// The session's bucket tables with every slot remapped through
-    /// `dense` (from `dense_ids`). Buckets hold live slots only, and
-    /// `dense` is increasing on them, so every remapped bucket stays
-    /// ascending: the tables a fresh build over the live points gives,
-    /// which `compact` re-seeds the session with.
-    fn dense_tables(&self, dense: &[PointId]) -> BucketTables {
-        let bucket = |slots: &Vec<PointId>| slots.iter().map(|&s| dense[s as usize]).collect();
-        self.tables
-            .iter()
-            .map(|table| {
-                table
-                    .iter()
-                    .map(|(sig, slots)| (sig.clone(), bucket(slots)))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Refits the live point set exactly and resets the session onto the
@@ -772,16 +707,12 @@ impl IngestSession {
         // The refit succeeded: re-seed the session onto it. The WAL is
         // deliberately left intact — its batches are only *durably*
         // folded once the caller persists the artifact and retires the
-        // log (`retire_wal`). The refit's points are the live slots in
-        // slot order, so the session's own tables, remapped to those ids,
-        // are the bucket tables over the new model's points: none are
-        // built from scratch. The session shares the new model's index,
-        // which its first engine or publish builds.
+        // log (`retire_wal`). The session shares the new model's index,
+        // which its halo pass built.
         obsv::span!("ingest", "compact/reseed" => {
-            let tables = self.dense_tables(&self.dense_ids());
             let keys = self.live_keys();
             self.algorithm = model.algorithm().to_string();
-            self.seed_from(&model, Some(keys), tables);
+            self.seed_from(&model, Some(keys));
         });
         self.compactions_ctr.inc(1);
         obsv::global()
@@ -805,8 +736,8 @@ impl IngestSession {
         Ok(())
     }
 
-    /// Live points currently carrying incrementally maintained (stale)
-    /// estimates.
+    /// Live points whose fields came from the session — inserted, or
+    /// re-anchored after a delete — since the last compaction.
     pub fn stale_points(&self) -> usize {
         (0..self.live.len())
             .filter(|&s| self.live[s] && self.stale[s])
@@ -864,68 +795,10 @@ impl IngestSession {
     }
 }
 
-/// Marks a live `slot` stale; 1 if it was not yet, else 0.
-fn mark_stale(stale: &mut [bool], live: &[bool], slot: PointId) -> u64 {
-    let s = slot as usize;
-    let newly = live[s] && !stale[s];
-    stale[s] |= newly;
-    u64::from(newly)
-}
-
-/// A probe's bucket union, scored once: every distinct id sharing a
-/// bucket with the probe under any layout, with its distance, in
-/// collision order. Each id is scored at its first collision, and a flag
-/// per slot records whether it lies within `d_c`, so the per-layout
-/// density counts of the paper's job-2 rule come from the same walk with
-/// no second distance. The flags are cleared through the previous
-/// probe's ids, so a probe costs its buckets' sizes.
-#[derive(Debug, Default)]
-struct ScoredUnion {
-    /// Per slot, for the last probe: `UNSEEN` (not in its union), or
-    /// `NEAR`/`FAR` (below `d_c`, or not).
-    seen: Vec<u8>,
-    /// The union's ids with their distances to the probe.
-    neighbors: Vec<Neighbor>,
-}
-
-const UNSEEN: u8 = 0;
-const NEAR: u8 = 1;
-const FAR: u8 = 2;
-
-impl ScoredUnion {
-    /// Scores `point` against the buckets `sigs` selects in `tables`
-    /// (slot ids into the row-major `coords`) and returns
-    /// `max_m rho_hat^m`: over the layouts, the most ids in one bucket
-    /// within `d_c` of `point` (Eq. 1's strict `<`). The scored ids are
-    /// left in `neighbors`.
-    fn score(
-        &mut self,
-        point: &[f64],
-        tables: &BucketTables,
-        sigs: &[Signature],
-        coords: &[f64],
-        dc: f64,
-    ) -> u32 {
-        for n in self.neighbors.drain(..) {
-            self.seen[n.id as usize] = UNSEEN;
-        }
-        let dim = point.len();
-        self.seen.resize(coords.len() / dim, UNSEEN);
-        let mut rho = 0;
-        for bucket in tables.iter().zip(sigs).filter_map(|(t, sig)| t.get(sig)) {
-            let mut within = 0;
-            for &id in bucket {
-                let mut state = self.seen[id as usize];
-                if state == UNSEEN {
-                    let n = update::neighbor(point, id, coords, dim);
-                    state = if n.dist < dc { NEAR } else { FAR };
-                    self.seen[id as usize] = state;
-                    self.neighbors.push(n);
-                }
-                within += u32::from(state == NEAR);
-            }
-            rho = rho.max(within);
-        }
-        rho
-    }
+/// The key floor of the points strictly denser than `(rho, id)` under
+/// [`dp_core::dp::denser`], for keys of the form `(rho + 1, id)`. An
+/// insert takes the largest id yet, so for it only a larger `rho` is
+/// denser.
+fn denser_than(rho: u32, id: PointId) -> Key {
+    (rho.saturating_add(1), id + 1)
 }

@@ -1,5 +1,5 @@
-//! Behavioral tests for [`IngestSession`]: localized updates, batch
-//! validation atomicity, WAL-backed recovery, and compaction resetting
+//! Behavioral tests for [`IngestSession`]: writes answered through the
+//! exact index, batch validation atomicity, WAL-backed recovery, and compaction resetting
 //! the session onto an exact artifact.
 
 use ddp::prelude::*;
@@ -60,7 +60,7 @@ fn wal_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn insert_bumps_neighbor_density_and_versions_the_model() {
+fn an_insert_stores_its_read_and_changes_no_stored_density() {
     let model = fitted(20, 11);
     let n = model.len();
     let mut session = IngestSession::new(&model, config());
@@ -68,15 +68,16 @@ fn insert_bumps_neighbor_density_and_versions_the_model() {
     assert_eq!(session.len(), n);
     assert_eq!(session.stale_points(), 0);
 
-    // A duplicate of point 0 shares its signatures, so point 0 is a
-    // within-dc bucket-mate and must gain density.
+    // A duplicate of point 0: its twin, so the read answers with point 0.
     let dup = model.point(0).to_vec();
+    let read = serve::QueryEngine::new(model.clone()).assign(&dup);
     let applied = session.apply(vec![DeltaOp::Insert(dup)]).unwrap();
     assert_eq!(applied.version, 2);
     assert_eq!(session.version(), 2);
-    assert!(
-        applied.newly_stale > 0,
-        "localized updates mark points stale"
+    assert_eq!(
+        session.stale_points(),
+        1,
+        "the insert's fields are the session's"
     );
     assert_eq!(session.len(), n + 1);
 
@@ -84,17 +85,22 @@ fn insert_bumps_neighbor_density_and_versions_the_model() {
     assert_eq!(published.version(), 2);
     assert_eq!(published.len(), n + 1);
     assert_eq!(
-        published.rhos()[0],
-        model.rhos()[0] + 1,
-        "the duplicated point gains one within-dc neighbor"
+        published.rhos()[..n],
+        model.rhos()[..],
+        "no stored rho moves"
     );
+    assert_eq!(published.rhos()[n], read.rho_estimate);
+    assert_eq!(published.labels()[n], model.labels()[0]);
+    let up = published.upslopes()[n];
+    assert!(up == dp_core::NO_UPSLOPE || published.rhos()[up as usize] > read.rho_estimate);
     assert!((published.n_clusters()) == model.n_clusters());
 
-    // Deleting the insert restores the neighbor's density.
+    // Deleting the insert leaves the base fields as they were.
     let key = n as u64; // base points hold 0..n, the insert took n
     session.apply(vec![DeltaOp::Delete(key)]).unwrap();
     assert_eq!(session.len(), n);
-    assert_eq!(session.publish().rhos()[0], model.rhos()[0]);
+    assert_eq!(session.stale_points(), 0);
+    assert_eq!(session.publish().rhos(), model.rhos());
     assert_eq!(session.version(), 3);
 }
 
@@ -256,8 +262,12 @@ fn deleting_a_point_reanchors_its_children() {
         vec![false; 4],
     );
     let mut session = IngestSession::new(&model, config());
-    let applied = session.apply(vec![DeltaOp::Delete(1)]).unwrap();
-    assert_eq!(applied.newly_stale, 2, "p0 loses density, p2 re-anchors");
+    session.apply(vec![DeltaOp::Delete(1)]).unwrap();
+    assert_eq!(
+        session.stale_points(),
+        1,
+        "p2 re-anchors; p0 keeps its fields"
+    );
     let published = session.publish();
     // p2 is dense id 1 now; it re-anchors on p0, 4.0 away.
     assert_eq!(published.upslopes()[1], 0);
@@ -268,7 +278,8 @@ fn deleting_a_point_reanchors_its_children() {
 /// re-anchor, so no child can re-anchor on the dead peak.
 #[test]
 fn a_deleted_peaks_children_never_reanchor_on_it() {
-    // Cluster 0 = {p0 (peak), p1 -> p0}, cluster 1 = {p2 (peak)}.
+    // Cluster 0 = {p0 (peak), p1 -> p0}, cluster 1 = {p2 (peak)}, the
+    // densest point, so p1 has a live point to re-anchor on.
     let model = ClusterModel::from_parts(
         1,
         "test".to_string(),
@@ -281,7 +292,7 @@ fn a_deleted_peaks_children_never_reanchor_on_it() {
         },
         7,
         vec![0.0, 1.0, 30.0],
-        vec![1, 1, 0],
+        vec![1, 1, 2],
         vec![30.0, 1.0, 29.0],
         vec![dp_core::NO_UPSLOPE, 0, dp_core::NO_UPSLOPE],
         vec![0, 0, 1],
@@ -499,13 +510,11 @@ mod storage_fault_mixes {
     }
 }
 
-/// The write path's bucket probes once hashed every colliding id and
-/// sorted the result. The digest below was recorded with the hashed
-/// probes (at the commit before the switch) over a seeded lineage with a
-/// twin insert, an insert no bucket collides with, and a deleted peak:
-/// every published byte must still match it.
+/// The published bytes of a seeded lineage with a twin insert, a far
+/// insert and a deleted peak, pinned: a change to what a write stores
+/// moves them.
 #[test]
-fn published_artifacts_match_the_hashed_probe_digests() {
+fn published_artifacts_match_the_pinned_digest() {
     let model = fitted(120, 23);
     let mut session = IngestSession::new(&model, config());
     let near = |id: u32, dx: f64| {
@@ -515,7 +524,7 @@ fn published_artifacts_match_the_hashed_probe_digests() {
     let peak = u64::from(model.peaks()[0]);
     let mut first: Vec<DeltaOp> = (0..40).map(|i| near(i * 9, 0.05 * f64::from(i))).collect();
     first.push(DeltaOp::Insert(model.point(5).to_vec())); // twin of a base point
-    first.push(DeltaOp::Insert(vec![1e6, 1e6])); // no bucket-mates
+    first.push(DeltaOp::Insert(vec![1e6, 1e6])); // far from every point
     session.apply(first).unwrap();
     session
         .apply(vec![
@@ -532,6 +541,6 @@ fn published_artifacts_match_the_hashed_probe_digests() {
     let published = session.publish();
     assert_eq!(
         mapreduce::checksum64(&wire::encode(&published)),
-        0xd421_9e79_1494_bd5c
+        0xd1fc_fb53_fe54_0384
     );
 }

@@ -8,11 +8,15 @@
 //! A published model reads through the base index of its lineage
 //! ([`ClusterModel::with_derived_index`]): its deleted base rows are
 //! skipped, and the rows inserted since are scanned beside the index, so
-//! every answer is the rule over exactly the model's points.
+//! every answer is the rule over exactly the model's points. [`View`] is
+//! that point set as the rule sees it, and [`Probe`] the rule itself: the
+//! engine reads through one, and so does an ingest session, which answers
+//! each write with the same searches.
 
 use crate::model::ClusterModel;
 use dp_core::distance::{nearest_in_block, squared_euclidean_block};
-use dp_core::{DensityKeys, NO_UPSLOPE};
+use dp_core::local::Key;
+use dp_core::{DensityKeys, PointId, SpatialIndex, NO_UPSLOPE};
 
 /// The answer to one `assign` query.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +48,8 @@ pub struct QueryEngine {
     /// `(r + 1, 0)` admits exactly the live points with `rho >= r`. `None`
     /// when the model has no index and reads scan every point.
     keys: Option<DensityKeys>,
+    /// The same keys for the points the index does not hold, in id order.
+    scanned: Vec<Key>,
 }
 
 impl QueryEngine {
@@ -53,16 +59,19 @@ impl QueryEngine {
         let _span = obsv::span!("serve", "engine/build");
         let centers = model.center_block();
         let reads = model.reads();
+        let key = |id: PointId| (model.rho(id).saturating_add(1), id);
         let keys = reads.index.map(|index| {
             index.density_keys(|row| match reads.id(row) {
                 NO_UPSLOPE => (0, 0),
-                id => (model.rho(id).saturating_add(1), id),
+                id => key(id),
             })
         });
+        let scanned = (reads.block..model.len() as PointId).map(key).collect();
         QueryEngine {
             model,
             centers,
             keys,
+            scanned,
         }
     }
 
@@ -139,82 +148,158 @@ impl QueryEngine {
             .collect()
     }
 
-    /// The rule [`QueryEngine::assign`] states, for one finite query. The
-    /// index counts the rows in the query's ball box by box, and finds its
-    /// twins in a ball of the smallest positive radius; a deleted row never
-    /// answers, and is taken back out of the count by a scan of the deleted
-    /// rows. The rows after the index's are scanned, and each choice is the
-    /// minimum under `(d², id)` across the index and the scan.
+    /// The rule [`QueryEngine::assign`] states, for one finite query.
     fn probe(&self, q: &[f64]) -> Assignment {
         let model = &self.model;
-        let (dc, dim) = (model.dc(), model.dim());
-        let dc2 = dc * dc;
         let reads = model.reads();
-        let index = reads.index.zip(self.keys.as_ref());
+        let view = View {
+            dc: model.dc(),
+            index: reads.index.zip(self.keys.as_ref()),
+            dead: reads.dead,
+            scanned: &model.coords()[reads.block as usize * model.dim()..],
+            scanned_keys: &self.scanned,
+        };
+        let read = view.probe(q).read();
+        Assignment {
+            cluster: model.label(read.id),
+            confidence: if read.d2 == 0.0 {
+                1.0
+            } else {
+                proximity(model.dc(), read.d2.sqrt())
+            },
+            fallback: false,
+            rho_estimate: read.rho,
+            halo: model.is_halo(read.id),
+        }
+    }
+}
 
+/// A point set as the read rule sees it: the points an exact index holds,
+/// found through it, and the rest scanned. Every point carries the key
+/// `(rho + 1, id)`, and a deleted one `(0, 0)`, so that a key floor of
+/// `(r + 1, 0)` admits the live points with `rho >= r`, and one of
+/// `(r + 1, i + 1)` those strictly denser than `(r, i)` under
+/// [`dp_core::dp::denser`].
+pub struct View<'a> {
+    /// The cutoff distance.
+    pub dc: f64,
+    /// The kd index and the keys laid over its rows; `None` when every
+    /// point is scanned.
+    pub index: Option<(&'a SpatialIndex, &'a DensityKeys)>,
+    /// The coordinates of the index's deleted rows, row-major.
+    pub dead: &'a [f64],
+    /// The coordinates of the points the index does not hold, row-major.
+    pub scanned: &'a [f64],
+    /// Their keys, one per scanned point.
+    pub scanned_keys: &'a [Key],
+}
+
+/// What the read rule answers for one query: its density, and the point
+/// it attaches to with the squared distance to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Read {
+    /// The live points at `0 < d² < d_c²`.
+    pub rho: u32,
+    /// The point the query takes its label from.
+    pub id: PointId,
+    /// The query's `d²` to it; `0.0` for a twin.
+    pub d2: f64,
+}
+
+impl View<'_> {
+    /// One query against this view, which must be finite and of the
+    /// view's dimensionality. The scanned points' distances are computed
+    /// here, once for every search the probe runs.
+    pub fn probe<'q>(&'q self, q: &'q [f64]) -> Probe<'q> {
+        debug_assert!(q.iter().all(|x| x.is_finite()), "a finite query");
+        let mut d2 = Vec::new();
+        if !self.scanned.is_empty() {
+            squared_euclidean_block(q, self.scanned, q.len(), &mut d2);
+        }
+        Probe { view: self, q, d2 }
+    }
+}
+
+/// One finite query against a [`View`].
+pub struct Probe<'a> {
+    view: &'a View<'a>,
+    q: &'a [f64],
+    /// `d²` to each scanned point.
+    d2: Vec<f64>,
+}
+
+impl Probe<'_> {
+    /// The live scanned points, as `(d², key)`.
+    fn scanned(&self) -> impl Iterator<Item = (f64, Key)> + '_ {
+        let keys = self.view.scanned_keys.iter().copied();
+        self.d2.iter().copied().zip(keys).filter(|&(_, k)| k.0 > 0)
+    }
+
+    /// The nearest point, by `(d², id)`, whose key is at least `floor`.
+    pub fn nearest(&self, floor: Key) -> Option<(f64, PointId)> {
+        let mut best = self
+            .view
+            .index
+            .map(|(index, keys)| index.nearest_by_d2(self.q, keys, floor).0)
+            .filter(|&(_, id)| id != NO_UPSLOPE);
+        for (d2, (_, id)) in self.scanned().filter(|&(_, k)| k >= floor) {
+            if best.is_none_or(|(b2, b)| d2.total_cmp(&b2).then(id.cmp(&b)).is_lt()) {
+                best = Some((d2, id));
+            }
+        }
+        best
+    }
+
+    /// The read rule: the smallest id at `d² == 0` (a twin); else the
+    /// nearest point whose `rho` is at least the query's, unless it lies
+    /// at `d² >= d_c²` while that `rho` is positive; else the nearest
+    /// point. The index counts the rows in the query's ball box by box and
+    /// its rows at `d² == 0` the same way, and the deleted rows are taken
+    /// back out of the count by a scan.
+    ///
+    /// # Panics
+    /// Panics if the view holds no live point.
+    pub fn read(&self) -> Read {
+        let (view, q) = (self.view, self.q);
+        let dc2 = view.dc * view.dc;
         // The query's density excludes exact coordinate matches: a held-in
         // query *is* its twin, and `rho` never counts the point itself.
-        let (mut rho, mut twin) = (0u32, NO_UPSLOPE);
-        let mut d2s = Vec::new();
-        if let Some((index, _)) = index {
+        let (mut rho, mut twin) = (0u32, None);
+        if let Some((index, keys)) = view.index {
             // Only `d² == 0` lies below the smallest positive `f64`.
             let zero = f64::from_bits(1);
             let (ball, _) = index.range_count_d2(q, dc2);
             let (twins, _) = index.range_count_d2(q, zero);
             if twins > 0 {
-                index.for_each_within_d2(q, zero, |row, _| twin = twin.min(reads.id(row)));
+                let ((d2, id), _) = index.nearest_by_d2(q, keys, (1, 0));
+                twin = (d2 == 0.0).then_some(id);
             }
-            if !reads.dead.is_empty() {
-                squared_euclidean_block(q, reads.dead, dim, &mut d2s);
+            let mut dead = Vec::new();
+            if !view.dead.is_empty() {
+                squared_euclidean_block(q, view.dead, q.len(), &mut dead);
             }
-            let dead = d2s.iter().filter(|&&d2| d2 > 0.0 && d2 < dc2).count() as u32;
+            let dead = dead.iter().filter(|&&d2| d2 > 0.0 && d2 < dc2).count() as u32;
             rho = ball.saturating_sub(twins) - dead;
         }
-        let tail = &model.coords()[reads.block as usize * dim..];
-        d2s.clear();
-        if !tail.is_empty() {
-            squared_euclidean_block(q, tail, dim, &mut d2s);
-        }
-        let scanned = || (reads.block..).zip(d2s.iter().copied());
-        for (id, d2) in scanned() {
+        for (d2, (_, id)) in self.scanned() {
             if d2 == 0.0 {
-                twin = twin.min(id);
+                twin = Some(twin.map_or(id, |t: PointId| t.min(id)));
             } else if d2 < dc2 {
                 rho += 1;
             }
         }
 
-        // The nearest point with `rho >= floor`, by `(d², id)`.
-        let nearest = |floor: u32| {
-            let mut best = index
-                .map(|(index, keys)| index.nearest_by_d2(q, keys, (floor + 1, 0)).0)
-                .filter(|&(_, id)| id != NO_UPSLOPE);
-            for (id, d2) in scanned().filter(|&(id, _)| model.rho(id) >= floor) {
-                if best.is_none_or(|(b2, b)| d2.total_cmp(&b2).then(id.cmp(&b)).is_lt()) {
-                    best = Some((d2, id));
-                }
-            }
-            best
-        };
-        let (id, confidence) = if twin != NO_UPSLOPE {
-            (twin, 1.0)
-        } else {
+        let (d2, id) = match twin {
+            Some(id) => (0.0, id),
             // An anchor beyond `d_c` would make the query a peak candidate,
             // and a query cannot become a peak: it yields to the nearest
             // point, which is the anchor itself when `rho` is 0.
-            let (d2, id) = match nearest(rho) {
+            None => match self.nearest((rho + 1, 0)) {
                 Some((d2, id)) if d2 < dc2 || rho == 0 => (d2, id),
-                _ => nearest(0).expect("a model holds at least one point"),
-            };
-            (id, proximity(dc, d2.sqrt()))
+                _ => self.nearest((1, 0)).expect("a view holds a live point"),
+            },
         };
-        Assignment {
-            cluster: model.label(id),
-            confidence,
-            fallback: false,
-            rho_estimate: rho,
-            halo: model.is_halo(id),
-        }
+        Read { rho, id, d2 }
     }
 }
 

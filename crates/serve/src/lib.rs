@@ -56,7 +56,7 @@ pub mod model;
 pub mod server;
 pub mod store;
 
-pub use engine::{Assignment, QueryEngine};
+pub use engine::{Assignment, Probe, QueryEngine, Read, View};
 pub use model::{ClusterModel, ExactIndex, ModelError, ModelHeader};
 pub use server::{Client, ServeError, Server, ServerConfig, ServiceStats};
 pub use store::ModelStore;

@@ -5,20 +5,18 @@
 //! can recompute cheaply: the training coordinates, per-point `rho` /
 //! `delta` / upslope links, cluster labels, the peak ids, halo flags, the
 //! cutoff `d_c`, and the `(M, pi, w)` + seed that generated the hash
-//! layouts. The layouts themselves are *not* serialized — `MultiLsh` is
-//! deterministic in `(dim, params, seed)`, so an ingest session redraws
-//! them at open. Nor is the exact index reads go through: a model owns it
-//! as derived data, built from the stored coordinates on first use and
-//! shared by the model's clones, by the ingest session opened on it and
-//! by every model that session publishes, so a lineage pays for one build
-//! per fit or compaction, not one per version or engine. That keeps the
-//! artifact small and the format free of floating-point hash-function
-//! state.
+//! layouts (provenance only: no read or write hashes a point). The exact
+//! index reads go through is *not* serialized: a model owns it as derived
+//! data, built from the stored coordinates on first use and shared by the
+//! model's clones, by the ingest session opened on it and by every model
+//! that session publishes, so a lineage pays for one build per fit or
+//! compaction, not one per version or engine. That keeps the artifact
+//! small.
 
 use ddp::centralized::CentralizedOutput;
 use ddp::prelude::RunReport;
 use dp_core::{Dataset, PointId, SpatialIndex, NO_UPSLOPE};
-use lsh::{LshParams, MultiLsh};
+use lsh::LshParams;
 use mapreduce::wire::{self, Wire, WireError};
 use mapreduce::ShuffleSize;
 use std::sync::{Arc, OnceLock};
@@ -377,11 +375,6 @@ impl ClusterModel {
             halo,
             index: Index::Own(ExactIndex::default()),
         }
-    }
-
-    /// The model's `M` hash layouts, redrawn from `(dim, params, seed)`.
-    pub fn layouts(&self) -> MultiLsh {
-        MultiLsh::new(self.dim, &self.params, self.seed)
     }
 
     /// The handle of the exact index over this model's own coordinates,

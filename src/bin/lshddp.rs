@@ -61,9 +61,10 @@ USAGE:
   lshddp ingest --model <model> [--input <file>] [--delete k,k,..]
       [--wal <file>] [--out <model>] [--stats]
       apply one batch of inserts (CSV rows) and/or deletes (external
-      keys: base points are 0..n, inserts continue the sequence) with
-      updates localized to the touched LSH buckets; bumps the model
-      version and reports how many points went stale. With --wal,
+      keys: base points are 0..n, inserts continue the sequence), each
+      answered through the model's exact index; bumps the model version
+      and reports how many live points carry fields the session wrote
+      (inserted or re-anchored) since the last compaction. With --wal,
       batches are logged before acknowledgement and pending ones replay
       on open.
   lshddp compact --model <model> [--wal <file>] [--out <model>]
@@ -937,14 +938,12 @@ fn ingest(o: &Opts) -> Result<(), String> {
     };
     let mut session = open_session(o, &model)?;
 
-    let mut newly_stale = 0;
     let (inserts, deletes) = ops.iter().fold((0, 0), |(i, d), op| match op {
         DeltaOp::Insert(_) => (i + 1, d),
         DeltaOp::Delete(_) => (i, d + 1),
     });
     if !ops.is_empty() {
-        let applied = session.apply(ops).map_err(|e| e.to_string())?;
-        newly_stale = applied.newly_stale;
+        session.apply(ops).map_err(|e| e.to_string())?;
     }
     let destination = match out {
         Some(out) => {
@@ -955,9 +954,10 @@ fn ingest(o: &Opts) -> Result<(), String> {
     };
     println!(
         "ingest: +{inserts} -{deletes} -> {} live points, model v{} -> {destination} \
-         ({newly_stale} newly stale)",
+         ({} stale)",
         session.len(),
         session.version(),
+        session.stale_points(),
     );
     if o.stats {
         print_lifecycle_stats(&session);
